@@ -18,7 +18,7 @@ import sys
 from .engine import run_check, run_extend, run_reduce
 from .forms import GeometryError
 from .frames import FrameError
-from .parser import ParseError, parse, parse_file
+from .parser import ParseError, _parse_form, parse_file
 from .reduction import ReductionError
 from .scalars import FloatField, NotRepresentable
 from .soliton import PreconditionError
@@ -70,8 +70,6 @@ def _load(args):
     doc = parse_file(args.file, field=field)
     df = None
     if args.df is not None:
-        from .parser import _parse_form
-
         df = _parse_form(args.df, doc, 1, 0)
     return doc, df
 

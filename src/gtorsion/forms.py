@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
+from .linsolve import back_substitute, eliminate
 from .scalars import Field, NotRepresentable, Scalar
 
 __all__ = [
@@ -21,6 +22,8 @@ __all__ = [
     "indices_of",
     "wedge",
     "interior",
+    "derivation",
+    "skew_three_form",
     "hodge_star",
     "form_inner",
     "musical",
@@ -276,18 +279,11 @@ class FrameGeometry:
     # -- metric utilities ----------------------------------------------
 
     def check_positive_definite(self):
-        """Leading principal minors must all be positive."""
+        """Sylvester: every leading principal minor is positive, i.e. the
+        elimination needs no row swap and every pivot is positive."""
         m = [row[:] for row in self.metric]
-        n = self.n
-        # fraction-free-ish elimination tracking minor signs
-        for k in range(n):
-            piv = m[k][k]
-            if piv.sign() <= 0:
-                raise GeometryError("metric is not positive-definite")
-            for i in range(k + 1, n):
-                f = m[i][k] / piv
-                for j in range(k, n):
-                    m[i][j] = m[i][j] - f * m[k][j]
+        if eliminate(m, self.n) != 0 or any(m[k][k].sign() <= 0 for k in range(self.n)):
+            raise GeometryError("metric is not positive-definite")
 
     def inverse_metric(self):
         if self._inverse is None:
@@ -347,51 +343,22 @@ class FrameGeometry:
 
 
 def _mat_det(m, field: Field) -> Scalar:
-    n = len(m)
     a = [row[:] for row in m]
-    det = field.one()
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not a[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            return field.zero()
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det = det * a[col][col]
-        inv = a[col][col].inverse()
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if f.is_zero():
-                continue
-            for c in range(col, n):
-                a[r][c] = a[r][c] - f * a[col][c]
+    swaps = eliminate(a, len(a))
+    if swaps is None:
+        return field.zero()
+    det = -field.one() if swaps & 1 else field.one()
+    for i, row in enumerate(a):
+        det = det * row[i]
     return det
 
 
 def _mat_inverse(m, field: Field):
     n = len(m)
     a = [row[:] + [field.one() if i == j else field.zero() for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not a[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            raise GeometryError("singular metric")
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col].inverse()
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r == col or a[r][col].is_zero():
-                continue
-            f = a[r][col]
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    if eliminate(a, n) is None:
+        raise GeometryError("singular metric")
+    return back_substitute(a, n)
 
 
 # -- core operations ----------------------------------------------------
@@ -439,6 +406,54 @@ def interior(x: VectorField, a: KForm) -> KForm:
             pos += 1
             mm ^= low
     return KForm(a.n, a.k - 1, a.field, acc)
+
+
+def derivation(a: KForm, action) -> KForm:
+    """The degree-0 derivation extending e^j -> sum_t action[j][t] e^t to the
+    form a; ``action`` is sparse, {j: {t: Scalar}} with 0-based indices."""
+    acc: dict[int, Scalar] = {}
+    zero = a.field.zero()
+    for m, c in a.coeffs.items():
+        mm = m
+        while mm:
+            low = mm & -mm
+            mm ^= low
+            row = action.get(low.bit_length() - 1)
+            if not row:
+                continue
+            rest = m ^ low
+            # e^j moves to the front of e^m, e^t back into sorted position
+            lead = _merge_sign(low, rest)
+            for t, v in row.items():
+                bit = 1 << t
+                if rest & bit:
+                    continue
+                term = c * v
+                nm = rest | bit
+                acc[nm] = acc.get(nm, zero) + (term if lead * _merge_sign(bit, rest) > 0 else -term)
+    return KForm(a.n, a.k, a.field, acc)
+
+
+def skew_three_form(n: int, field: Field, t) -> KForm | None:
+    """The 3-form with components t(i, j, k) (0-based), or None when t is not
+    totally skew: it must change sign under every transposition of its
+    arguments and vanish whenever an index repeats."""
+    for i in range(n):
+        for j in range(n):
+            if not (t(i, i, j).is_zero() and t(i, j, i).is_zero() and t(j, i, i).is_zero()):
+                return None
+    coeffs = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                v = t(i, j, k)
+                odd = (t(j, i, k), t(i, k, j), t(k, j, i))
+                even = (t(j, k, i), t(k, i, j))
+                if not all((w + v).is_zero() for w in odd) or not all((w - v).is_zero() for w in even):
+                    return None
+                if not v.is_zero():
+                    coeffs[(1 << i) | (1 << j) | (1 << k)] = v
+    return KForm(n, 3, field, coeffs)
 
 
 def form_inner(a: KForm, b: KForm, geom: FrameGeometry) -> Scalar:

@@ -18,8 +18,10 @@ from .forms import (
     VectorField,
     _mat_det,
     _mat_inverse,
+    derivation,
     hodge_star,
     indices_of,
+    skew_three_form,
     wedge,
 )
 from .scalars import Field, Scalar
@@ -179,34 +181,19 @@ class ConnectionCoeffs:
         """g(T(X,Y), Z) as a 3-form when totally skew; raises otherwise."""
         frame = self.frame
         geom = frame.geometry
-        n = frame.n
-        field = frame.field
         c = frame.structure_constants()
-        vals = {}
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    t = self.lowered(i, j, k, geom) - self.lowered(j, i, k, geom)
-                    for m in range(n):
-                        if not c[m][i][j].is_zero():
-                            t = t - c[m][i][j] * geom.metric[m][k]
-                    vals[(i, j, k)] = t
-        coeffs = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    v = vals[(i, j, k)]
-                    # total skewness check across the orbit
-                    if not (vals[(j, i, k)] + v).is_zero() or not (vals[(i, k, j)] + v).is_zero():
-                        raise FrameError("connection torsion is not totally skew")
-                    if not v.is_zero():
-                        coeffs[(1 << i) | (1 << j) | (1 << k)] = v
-        # diagonal-type slots must vanish
-        for i in range(n):
-            for j in range(n):
-                if not vals[(i, i, j)].is_zero() or not vals[(i, j, j)].is_zero():
-                    raise FrameError("connection torsion is not totally skew")
-        return KForm(n, 3, field, coeffs)
+
+        def t(i, j, k):
+            acc = self.lowered(i, j, k, geom) - self.lowered(j, i, k, geom)
+            for m in range(frame.n):
+                if not c[m][i][j].is_zero():
+                    acc = acc - c[m][i][j] * geom.metric[m][k]
+            return acc
+
+        h = skew_three_form(frame.n, frame.field, t)
+        if h is None:
+            raise FrameError("connection torsion is not totally skew")
+        return h
 
 
 class CurvatureData:
@@ -218,16 +205,6 @@ class CurvatureData:
 
     def r(self, i: int, j: int, k: int) -> VectorField:
         return self.riemann[i][j][k]
-
-    def r_lowered(self, i, j, k, l, geom: FrameGeometry) -> Scalar:
-        v = self.riemann[i][j][k]
-        acc = v.field.zero() if hasattr(v, "field") else None
-        field = v.components[0].field
-        acc = field.zero()
-        for m in range(len(v.components)):
-            if not v.components[m].is_zero():
-                acc = acc + v.components[m] * geom.metric[m][l]
-        return acc
 
     def is_flat(self) -> bool:
         n = len(self.riemann)
@@ -343,29 +320,35 @@ def curvature(frame: LieAlgebraFrame, conn: ConnectionCoeffs, geom: FrameGeometr
     """R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X,Y]} Z;
     Ricci by trace over the first slot: Rc(X,Y) = sum_a <R(e_a,X)Y, e^a>.
     """
-    geom = geom or frame.geometry
     n, field = frame.n, frame.field
-    basis = [frame.basis_vector(i) for i in range(1, n + 1)]
-    riemann = []
+    zero = field.zero()
+    c = frame.structure_constants()
+    # gam[i][j][l] = Gamma^l_{ij}, the components of nabla_{e_i} e_j
+    gam = [[v.components for v in row] for row in conn.gamma]
+
+    def add_product(out, a, v):  # out += a * v, skipping zeros
+        if a.is_zero():
+            return
+        for l, x in enumerate(v):
+            if not x.is_zero():
+                out[l] = out[l] + a * x
+
+    # R^l_{ijk} = sum_m (Gamma^m_{jk} Gamma^l_{im} - Gamma^m_{ik} Gamma^l_{jm}
+    #                    - c^m_{ij} Gamma^l_{mk})
+    riemann = [[[None] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
-        plane = []
-        for j in range(n):
-            row = []
-            if j <= i:
-                for k in range(n):
-                    if j == i:
-                        row.append(VectorField.zero(n, field))
-                    else:
-                        row.append(-riemann[j][i][k])
-                plane.append(row)
-                continue
-            br = frame.bracket(basis[i], basis[j])
+        for k in range(n):
+            riemann[i][i][k] = VectorField.zero(n, field)
+        for j in range(i + 1, n):
             for k in range(n):
-                term = conn.nabla(basis[i], conn.gamma[j][k]) - conn.nabla(basis[j], conn.gamma[i][k])
-                term = term - conn.nabla(br, basis[k])
-                row.append(term)
-            plane.append(row)
-        riemann.append(plane)
+                out = [zero] * n
+                for m in range(n):
+                    add_product(out, gam[j][k][m], gam[i][m])
+                    add_product(out, -gam[i][k][m], gam[j][m])
+                    add_product(out, -c[m][i][j], gam[m][k])
+                r = VectorField(n, field, out)
+                riemann[i][j][k] = r
+                riemann[j][i][k] = -r
     # Rc(e_i, e_j) = sum_a e^a(R(e_a, e_i) e_j); the coframe pairing is
     # metric-free, so the trace is just the a-th component.
     ricci = []
@@ -386,38 +369,16 @@ def covariant_derivative_form(frame: LieAlgebraFrame, conn: ConnectionCoeffs, a:
     Invariant forms differentiate purely through the connection:
     nabla_i e^j = -Gamma^j_{it} e^t, extended as a degree-0 derivation.
     """
-    n, field = frame.n, frame.field
+    n = frame.n
     out = []
     for i in range(n):
-        acc = KForm.zero(n, a.k, field)
-        for m, coef in a.coeffs.items():
-            idx = indices_of(m)
-            for p, jp in enumerate(idx):
-                rest = m ^ (1 << (jp - 1))
-                for t in range(1, n + 1):
-                    gcomp = conn.gamma[i][t - 1].components[jp - 1]  # Gamma^{jp}_{it}
-                    if gcomp.is_zero():
-                        continue
-                    if t == jp:
-                        acc = acc - KForm(n, a.k, field, {m: coef * gcomp})
-                        continue
-                    if rest & (1 << (t - 1)):
-                        continue
-                    sign = _reinsert_sign(rest, t - 1, p)
-                    term = coef * gcomp
-                    acc = acc - KForm(
-                        n, a.k, field, {rest | (1 << (t - 1)): term if sign > 0 else -term}
-                    )
-        out.append(acc)
+        action = {}
+        for t in range(n):
+            for j, g in enumerate(conn.gamma[i][t].components):
+                if not g.is_zero():
+                    action.setdefault(j, {})[t] = -g
+        out.append(derivation(a, action))
     return tuple(out)
-
-
-def _reinsert_sign(rest_mask: int, t: int, original_pos: int) -> int:
-    """Sign from replacing slot ``original_pos`` of the sorted index tuple by
-    index t+1 and resorting."""
-    below = bin(rest_mask & ((1 << t) - 1)).count("1")
-    # moving the new index from original position to position ``below``
-    return -1 if (below + original_pos) % 2 else 1
 
 
 def covariant_derivative_oneform(frame: LieAlgebraFrame, conn: ConnectionCoeffs, theta: KForm):
@@ -477,7 +438,7 @@ def change_frame(frame: LieAlgebraFrame, a_rows, new_labels=None, base_geometry:
                         val = val + b[i][p] * gold[p][q] * b[j][q]
             row.append(val)
         gnew.append(row)
-    det_a = _det(a, field)
+    det_a = _mat_det(a, field)
     sign = base.orientation_sign * det_a.sign()
     geom = FrameGeometry(n, field, gnew, orientation_sign=sign)
     labels = new_labels or [f"f{i}" for i in range(1, n + 1)]
@@ -517,10 +478,6 @@ def transform_vector(x: VectorField, a_rows, field: Field) -> VectorField:
     return VectorField(n, field, comps)
 
 
-def _det(m, field: Field) -> Scalar:
-    return _mat_det(m, field)
-
-
 def cartan_three_form(frame: LieAlgebraFrame, geom: FrameGeometry | None = None) -> KForm:
     """H(X,Y,Z) = <[X,Y], Z>_g; requires the result to be totally skew."""
     geom = geom or frame.geometry
@@ -535,17 +492,7 @@ def cartan_three_form(frame: LieAlgebraFrame, geom: FrameGeometry | None = None)
                 acc = acc + c[m][i][j] * g[m][k]
         return acc
 
-    coeffs = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                v = cval(i, j, k)
-                if not (cval(j, k, i) - v).is_zero() or not (cval(k, i, j) - v).is_zero():
-                    raise FrameError("bracket pairing is not totally skew; no Cartan 3-form")
-                if not v.is_zero():
-                    coeffs[(1 << i) | (1 << j) | (1 << k)] = v
-    for i in range(n):
-        for j in range(n):
-            if not cval(i, i, j).is_zero() or not cval(i, j, i).is_zero():
-                raise FrameError("bracket pairing is not totally skew; no Cartan 3-form")
-    return KForm(n, 3, field, coeffs)
+    h = skew_three_form(n, field, cval)
+    if h is None:
+        raise FrameError("bracket pairing is not totally skew; no Cartan 3-form")
+    return h

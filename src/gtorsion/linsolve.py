@@ -1,40 +1,73 @@
 """Exact dense/sparse linear solving over a Scalar field.
 
 Small systems only (at most a few hundred rows); plain Gaussian elimination
-with exact division.
+with exact division.  ``eliminate`` is the one dense kernel: determinants,
+inverses, dense solves and the positive-definiteness test all read its run.
 """
 
 from __future__ import annotations
 
 from .scalars import Field, Scalar
 
-__all__ = ["solve_dense", "solve_unique_sparse", "LinearSolveError"]
+__all__ = ["eliminate", "back_substitute", "solve_dense", "solve_unique_sparse", "LinearSolveError"]
 
 
 class LinearSolveError(ValueError):
     pass
 
 
+def eliminate(rows, n: int) -> int | None:
+    """Forward-eliminate ``rows`` in place below the diagonal of their first
+    n columns, pivoting on the first nonzero entry of each column.
+
+    Returns the number of row swaps, or None when the n x n part is singular.
+    Later columns (an augmented right-hand side) are carried along.  Entries
+    below the diagonal are left stale; only the upper triangle is meaningful.
+    """
+    swaps = 0
+    for col in range(n):
+        piv = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
+        if piv is None:
+            return None
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            swaps += 1
+        prow = rows[col]
+        inv = prow[col].inverse()
+        width = len(prow)
+        for r in range(col + 1, n):
+            row = rows[r]
+            f = row[col] * inv
+            if f.is_zero():
+                continue
+            for c in range(col + 1, width):
+                row[c] = row[c] - f * prow[c]
+    return swaps
+
+
+def back_substitute(rows, n: int):
+    """Solve the triangular system left by ``eliminate``: one solution row per
+    unknown, holding the values for each augmented column."""
+    sol = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        acc = row[n:]
+        for j in range(i + 1, n):
+            f = row[j]
+            if not f.is_zero():
+                acc = [x - f * y for x, y in zip(acc, sol[j])]
+        inv = row[i].inverse()
+        sol[i] = [x * inv for x in acc]
+    return sol
+
+
 def solve_dense(a, b, field: Field):
     """Solve A x = b for square exact A.  Raises on singular A."""
     n = len(a)
     m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not m[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            raise LinearSolveError("singular system")
-        m[col], m[piv] = m[piv], m[col]
-        inv = m[col][col].inverse()
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and not m[r][col].is_zero():
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
+    if eliminate(m, n) is None:
+        raise LinearSolveError("singular system")
+    return [x[0] for x in back_substitute(m, n)]
 
 
 def solve_unique_sparse(rows, nunknowns: int, field: Field):
@@ -82,7 +115,7 @@ def solve_unique_sparse(rows, nunknowns: int, field: Field):
             row = new
             rhs = rhs - f * prhs
         if len(pivots) == nunknowns:
-            sol = _back_substitute(pivots, nunknowns, field)
+            sol = _sparse_back_substitute(pivots, nunknowns, field)
     if sol is None:
         raise LinearSolveError("non-unique solution")
     # remaining rows only need to be consistent with the solution
@@ -95,7 +128,7 @@ def solve_unique_sparse(rows, nunknowns: int, field: Field):
     return sol
 
 
-def _back_substitute(pivots, nunknowns: int, field: Field):
+def _sparse_back_substitute(pivots, nunknowns: int, field: Field):
     sol = [field.zero()] * nunknowns
     for lead in sorted(pivots, reverse=True):
         row, rhs = pivots[lead]

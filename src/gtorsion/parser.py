@@ -25,10 +25,12 @@ Coefficients are rationals or sqrt-d-linear expressions such as
 
 from __future__ import annotations
 
+import math
 import re
 
-from .forms import FrameGeometry, KForm, VectorField, mask_of
+from .forms import FrameGeometry, KForm, VectorField, _sort_sign, mask_of
 from .frames import FrameError, LieAlgebraFrame
+from .report import form_str, scalar_str, vector_str
 from .scalars import Field, FloatField, QuadraticField, RationalField, Scalar
 from .structures import (
     GStructure,
@@ -114,8 +116,6 @@ class _ExprParser:
         d = int(m.group(1))
         if not isinstance(self.field, QuadraticField):
             if isinstance(self.field, FloatField):
-                import math
-
                 return self.field.scalar(math.sqrt(d))
             raise ParseError(
                 f"sqrt{d} needs 'field sqrt {d}' declared first", self.line, col
@@ -290,8 +290,6 @@ class InputDocument:
 
     def serialize(self) -> str:
         """Canonical input text; parse(serialize(doc)) reproduces the document."""
-        from .report import form_str, scalar_str, vector_str
-
         out = [f"dim {self.dim}"]
         if self.field_decl[0] == "sqrt":
             out.append(f"field sqrt {self.field_decl[1]}")
@@ -443,13 +441,7 @@ def parse(text: str, field: Field | None = None) -> InputDocument:
             perm = rest.split()
             if doc.labels is None or sorted(perm) != sorted(doc.labels):
                 raise ParseError("orientation must be a permutation of the frame labels", line_no)
-            index = [doc.labels.index(x) for x in perm]
-            sign = 1
-            for a in range(len(index)):
-                for b in range(a + 1, len(index)):
-                    if index[a] > index[b]:
-                        sign = -sign
-            doc.orientation_sign = sign
+            doc.orientation_sign = _sort_sign([doc.labels.index(x) for x in perm])
         elif head_l == "structure":
             kind = rest.strip().lower()
             if kind not in ("su3", "g2", "spin7", "ah"):
@@ -486,6 +478,10 @@ def parse(text: str, field: Field | None = None) -> InputDocument:
             doc.flux = _parse_form(expr, doc, 2, line_no)
         else:
             raise ParseError(f"unknown statement {head!r}", line_no)
+    if metric_rows_pending:
+        raise ParseError(
+            f"metric rows: expected {doc.dim} rows, got {len(metric_rows)} before end of input"
+        )
     if doc.dim is None or doc.labels is None:
         raise ParseError("input needs at least 'dim' and 'frame' declarations")
     return doc
@@ -509,8 +505,6 @@ def _parse_form(expr: str, doc: InputDocument, degree: int, line_no: int) -> KFo
         m = mask_of(chain)
         if m < 0:
             continue  # repeated label wedges to zero
-        from .forms import _sort_sign
-
         s = _sort_sign(tuple(chain))
         acc[m] = acc.get(m, zero) + (coef if s > 0 else -coef)
     return KForm(doc.dim, degree, doc.field, acc)

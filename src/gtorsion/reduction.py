@@ -20,6 +20,7 @@ from .forms import (
     FrameGeometry,
     KForm,
     VectorField,
+    _mat_inverse,
     contract_2_3,
     hodge_star,
     indices_of,
@@ -43,15 +44,18 @@ from .scalars import NotRepresentable, Scalar
 from .structures import (
     GStructure,
     StructureError,
+    TorsionClasses,
     bismut_torsion,
     d_c_omega,
     g2_assemble,
     lee_form,
     nijenhuis,
     project,
+    spin7_assemble,
     su3_assemble,
     torsion_g2,
     torsion_spin7,
+    torsion_su3,
 )
 from .soliton import canonical_vector
 
@@ -135,8 +139,6 @@ def adapt_frame(frame: LieAlgebraFrame, v: VectorField, geometry=None) -> Adapte
         normed.append(w.scale(nrm.inverse()))
     # coframe rows: f^i = A[i][.] e^. with A = (B^{-1})^T for B rows the vectors
     b = [[x for x in w.components] for w in normed]
-    from .forms import _mat_inverse
-
     binv = _mat_inverse(b, field)
     a_rows = [[binv[j][i] for j in range(n)] for i in range(n)]
     labels = [f"f{i}" for i in range(1, n)] + ["mu"]
@@ -404,8 +406,6 @@ def reduce_g2(s: GStructure, df: KForm | None = None, raw: bool = False) -> Redu
     if struct.geometry.orientation_sign != sl.geometry.orientation_sign:
         raise ReductionError("reduced pair orients the slice the wrong way")
     red.reduced_structure = struct
-    from .structures import torsion_su3
-
     rt = torsion_su3(struct)
     red.reduced_torsion = rt
     df_sl = _slice_form(red, df, "df") if not df.is_zero() else KForm.zero(sl.n, 1, field)
@@ -486,8 +486,6 @@ def reduce_spin7(s: GStructure, df: KForm | None = None, raw: bool = False) -> R
                 f"|V| = sqrt({lam2}) is not in the scalar field; rerun with field sqrt d"
             ) from exc
         psi = psi.scale(lam2 * lam2)
-        from .structures import spin7_assemble
-
         gscaled = FrameGeometry(
             8, field,
             [[geom.metric[i][j] * lam2 for j in range(8)] for i in range(8)],
@@ -515,8 +513,6 @@ def reduce_spin7(s: GStructure, df: KForm | None = None, raw: bool = False) -> R
     # form of i_V Psi is definite with respect to the opposite one, so tau0,
     # tau2, tau3 pick up a sign when the two disagree.
     flip = struct.geometry.orientation_sign != sl.geometry.orientation_sign
-    from .structures import TorsionClasses
-
     if flip:
         rt = TorsionClasses(
             "g2",
@@ -603,8 +599,6 @@ def central_extend(frame: LieAlgebraFrame, structure: GStructure, flux: KForm, t
     if target == "g2":
         if structure.kind != "su3" or n != 6:
             raise ReductionError("g2 extension needs an SU(3) structure on n = 6")
-        from .structures import torsion_su3
-
         t = torsion_su3(structure)
         if not (t["sigma0"] - field.scalar(Fraction(1, 2))).is_zero():
             problems.append(f"sigma0 = {t['sigma0']} != 1/2")
@@ -652,8 +646,6 @@ def central_extend(frame: LieAlgebraFrame, structure: GStructure, flux: KForm, t
         phi_ = shift(structure.form("phi"), nn)
         star_phi_ = shift(hodge_star(structure.form("phi"), structure.geometry), nn)
         psi = wedge(mu, phi_) - star_phi_
-        from .structures import spin7_assemble
-
         ext = spin7_assemble(psi, new_frame)
     h_up = wedge(mu, shift(flux, nn)) + shift(hh, nn)
     if not new_frame.d(h_up).is_zero():

@@ -19,39 +19,15 @@ def scalar_str(s: Scalar) -> str:
     return str(s)
 
 
-def form_str(form: KForm, labels) -> str:
-    if not form.coeffs:
-        return "0"
+def _join_terms(terms) -> str:
+    """'c1*b1 + c2*b2 - ...' from (Scalar, basis label) pairs; an empty
+    label marks a bare scalar."""
     parts = []
-    for mask in sorted(form.coeffs):
-        c = form.coeffs[mask]
-        base = "^".join(labels[i - 1] for i in indices_of(mask))
-        if form.k == 0:
-            parts.append(scalar_str(c))
-            continue
+    for c, base in terms:
         cs = scalar_str(c)
-        if cs == "1":
-            parts.append(base)
-        elif cs == "-1":
-            parts.append(f"-{base}")
-        elif "+" in cs[1:] or "-" in cs[1:]:
-            parts.append(f"({cs})*{base}")
-        else:
-            parts.append(f"{cs}*{base}")
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
-
-
-def vector_str(v: VectorField, labels) -> str:
-    parts = []
-    for i, c in enumerate(v.components):
-        if c.is_zero():
-            continue
-        cs = scalar_str(c)
-        base = labels[i]
-        if cs == "1":
+        if not base:
+            parts.append(cs)
+        elif cs == "1":
             parts.append(base)
         elif cs == "-1":
             parts.append(f"-{base}")
@@ -65,6 +41,17 @@ def vector_str(v: VectorField, labels) -> str:
     for p in parts[1:]:
         out += " - " + p[1:] if p.startswith("-") else " + " + p
     return out
+
+
+def form_str(form: KForm, labels) -> str:
+    return _join_terms(
+        (form.coeffs[mask], "^".join(labels[i - 1] for i in indices_of(mask)))
+        for mask in sorted(form.coeffs)
+    )
+
+
+def vector_str(v: VectorField, labels) -> str:
+    return _join_terms((c, labels[i]) for i, c in enumerate(v.components) if not c.is_zero())
 
 
 def matrix_norm_sq(mat) -> Scalar:
@@ -96,7 +83,7 @@ class Report:
             if isinstance(value, dict):
                 lines.append(f"{prefix}:")
                 for k, v in value.items():
-                    emit(f"  {prefix and ''}{k}" if False else f"  {k}", v)
+                    emit(f"  {k}", v)
             elif isinstance(value, list):
                 lines.append(f"{prefix}:")
                 for v in value:

@@ -45,22 +45,32 @@ def _issquarefree(d: int) -> bool:
     return True
 
 
+def _int_root(x: int, r: int) -> int | None:
+    """Exact r-th root of a positive int, or None.  Integer Newton from
+    above, so operands of any size stay exact."""
+    if r == 2:
+        y = math.isqrt(x)
+    else:
+        y = 1 << -(-x.bit_length() // r)  # 2^ceil(bits/r) > x^(1/r)
+        while True:
+            z = ((r - 1) * y + x // y ** (r - 1)) // r
+            if z >= y:
+                break
+            y = z
+    return y if y**r == x else None
+
+
 def _frac_root(x: Fraction, r: int) -> Fraction | None:
     """Exact r-th root of a nonnegative Fraction, or None."""
     if x < 0:
         return None
     if x == 0:
         return Fraction(0)
-    num, den = x.numerator, x.denominator
-    rn = round(num ** (1.0 / r))
-    rd = round(den ** (1.0 / r))
-    # float round-off can land next door for large operands
-    for a in (rn - 1, rn, rn + 1):
-        if a >= 0 and a**r == num:
-            for b in (rd - 1, rd, rd + 1):
-                if b > 0 and b**r == den:
-                    return Fraction(a, b)
-    return None
+    a = _int_root(x.numerator, r)
+    b = _int_root(x.denominator, r)
+    if a is None or b is None:
+        return None
+    return Fraction(a, b)
 
 
 class Field:

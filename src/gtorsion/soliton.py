@@ -35,7 +35,15 @@ from .frames import (
     curvature,
     levi_civita,
 )
-from .structures import GStructure, StructureError, TorsionClasses, bismut_torsion, torsion_g2, torsion_spin7
+from .structures import (
+    GStructure,
+    StructureError,
+    TorsionClasses,
+    bismut_torsion,
+    lee_form,
+    torsion_g2,
+    torsion_spin7,
+)
 
 __all__ = [
     "SolitonData",
@@ -146,8 +154,6 @@ def weighted_scalar(data: SolitonData):
 
 def canonical_vector(s: GStructure, df: KForm | None = None, torsion: TorsionClasses | None = None) -> VectorField:
     """V = theta^sharp - grad f per kind ((7/6) theta^sharp for Spin(7))."""
-    from .structures import lee_form
-
     geom = s.geometry
     field = s.field
     if s.kind == "g2":

@@ -22,10 +22,14 @@ from .forms import (
     GeometryError,
     KForm,
     VectorField,
+    _mat_det,
+    _masks,
+    derivation,
     form_inner,
     hodge_star,
     indices_of,
     interior,
+    skew_three_form,
     wedge,
 )
 from .frames import (
@@ -35,7 +39,6 @@ from .frames import (
     levi_civita,
 )
 from .linsolve import LinearSolveError, solve_dense, solve_unique_sparse
-from .forms import _masks
 from .scalars import Field, NotRepresentable, Scalar
 
 __all__ = [
@@ -262,8 +265,6 @@ def induced_metric_g2(phi: KForm, frame=None, field: Field | None = None) -> Fra
             top = wedge(wedge(ints[i], ints[j]), phi)
             row.append(top.coeffs.get(full, field.zero()) / field.scalar(6))
         b.append(row)
-    from .forms import _mat_det
-
     # phi fixes the orientation as well: B is definite w.r.t. exactly one
     # sign of the volume form when phi is positive.
     det = _mat_det(b, field)
@@ -622,31 +623,20 @@ def nijenhuis(s: GStructure) -> KForm:
         t = t - frame.bracket(basis[i], basis[j])
         return t
 
+    # N is skew in its first two slots by definition; the packer checks the rest
+    zero = field.zero()
     vals = {}
     for i in range(n):
-        for j in range(i, n):
+        for j in range(i + 1, n):
             nv = nvec(i, j)
             for k in range(n):
-                vals[(i, j, k)] = geom.g(nv, basis[k])
-                vals[(j, i, k)] = -vals[(i, j, k)]
-    coeffs = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                v = vals[(i, j, k)]
-                if not (vals[(i, k, j)] + v).is_zero() or not (vals[(k, j, i)] + v).is_zero():
-                    raise StructureError(
-                        "Nijenhuis tensor not skew: no skew-torsion connection exists"
-                    )
-                if not v.is_zero():
-                    coeffs[(1 << i) | (1 << j) | (1 << k)] = v
-    for i in range(n):
-        for k in range(n):
-            if not vals[(i, i, k)].is_zero():
-                raise StructureError("Nijenhuis tensor not skew: no skew-torsion connection exists")
-            if not vals[(i, k, k)].is_zero():
-                raise StructureError("Nijenhuis tensor not skew: no skew-torsion connection exists")
-    return KForm(n, 3, field, coeffs)
+                v = geom.g(nv, basis[k])
+                vals[(i, j, k)] = v
+                vals[(j, i, k)] = -v
+    h = skew_three_form(n, field, lambda i, j, k: vals.get((i, j, k), zero))
+    if h is None:
+        raise StructureError("Nijenhuis tensor not skew: no skew-torsion connection exists")
+    return h
 
 
 def d_c_omega(s: GStructure) -> KForm:
@@ -760,57 +750,33 @@ def solve_skew_torsion(s: GStructure) -> KForm:
     geom = s.geometry
     frame = s.frame
     masks3 = list(_masks(n, 3))
-    colof = {m: c for c, m in enumerate(masks3)}
     lc = levi_civita(frame, geom)
-    ginv = geom.inverse_metric()
-
-    from itertools import permutations
-
-    from .frames import _reinsert_sign
-
-    targets = _structure_target_forms(s)
-    half = field.scalar(Fraction(1, 2))
+    half_ginv = [[x * Fraction(1, 2) for x in row] for row in geom.inverse_metric()]
+    zero = field.zero()
     rows = []
-    for alpha in targets:
+    for alpha in _structure_target_forms(s):
         base = covariant_derivative_form(frame, lc, alpha)
-        # sparse H-contributions: entries[(i, target_mask)][column] accumulate;
-        # for H = e^K only index permutations of K enter the connection term.
+        # entries[(i, mask)][col]: the e^mask coefficient of nabla_i alpha per
+        # unit of H_K, K = masks3[col].  H = e^K moves nabla_i only for i in K,
+        # by e^j -> -(1/2) sgn(i, t, k) g^{jk} e^t over the other two indices.
         entries: dict[tuple[int, int], dict[int, Scalar]] = {}
-        # index forms by which frame index they contain
-        by_index: dict[int, list[tuple[int, int, int, Scalar]]] = {j: [] for j in range(1, n + 1)}
-        for m_mask, coef in alpha.coeffs.items():
-            idx = indices_of(m_mask)
-            for p, jp in enumerate(idx):
-                by_index[jp].append((m_mask, m_mask ^ (1 << (jp - 1)), p, coef))
-        for K in masks3:
-            a, b, c = indices_of(K)
-            col = colof[K]
-            for (ia, tb, kc) in permutations((a, b, c)):
-                sgn_h = _perm_sign_3((a, b, c), (ia, tb, kc))
-                for jp in range(1, n + 1):
-                    gv = ginv[jp - 1][kc - 1]
-                    if gv.is_zero():
-                        continue
-                    gam = gv * half * sgn_h  # gamma^{jp}_{ia-1, tb} contribution
-                    for m_mask, rest, p, coef in by_index[jp]:
-                        if tb == jp:
-                            tgt, sgn = m_mask, 1
-                        elif rest & (1 << (tb - 1)):
-                            continue
-                        else:
-                            tgt = rest | (1 << (tb - 1))
-                            sgn = _reinsert_sign(rest, tb - 1, p)
-                        add = -coef * gam
-                        key = (ia - 1, tgt)
-                        slot = entries.setdefault(key, {})
-                        slot[col] = slot.get(col, field.zero()) + (add if sgn > 0 else -add)
+        for col, K in enumerate(masks3):
+            a, b, c = (x - 1 for x in indices_of(K))
+            for i, t, k in ((a, b, c), (b, c, a), (c, a, b)):
+                action = {}
+                for tt, kk, sgn in ((t, k, 1), (k, t, -1)):
+                    for j in range(n):
+                        v = half_ginv[j][kk]
+                        if not v.is_zero():
+                            action.setdefault(j, {})[tt] = v if sgn > 0 else -v
+                for mask, v in derivation(alpha, action).coeffs.items():
+                    entries.setdefault((i, mask), {})[col] = -v
         keys = set(entries)
         for i in range(n):
-            for m_mask in base[i].coeffs:
-                keys.add((i, m_mask))
-        for (i, m_mask) in sorted(keys):
-            row = {cc: v for cc, v in entries.get((i, m_mask), {}).items() if not v.is_zero()}
-            rhs = -(base[i].coeffs.get(m_mask, field.zero()))
+            keys.update((i, mask) for mask in base[i].coeffs)
+        for i, mask in sorted(keys):
+            row = entries.get((i, mask), {})
+            rhs = -base[i].coeffs.get(mask, zero)
             if row or not rhs.is_zero():
                 rows.append((row, rhs))
     try:
@@ -819,17 +785,7 @@ def solve_skew_torsion(s: GStructure) -> KForm:
         if "no solution" in str(exc):
             raise StructureError("no skew-torsion connection: the linear system is inconsistent") from exc
         raise StructureError("non-unique skew torsion: dimension count violated") from exc
-    return KForm(n, 3, field, {m: sol[colof[m]] for m in masks3 if not sol[colof[m]].is_zero()})
-
-
-def _perm_sign_3(src, dst) -> int:
-    perm = (src.index(dst[0]), src.index(dst[1]), src.index(dst[2]))
-    sign = 1
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+    return KForm(n, 3, field, dict(zip(masks3, sol)))
 
 
 def bismut_ricci_form(s: GStructure, h: KForm | None = None) -> KForm:

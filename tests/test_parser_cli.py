@@ -256,3 +256,8 @@ def test_cli_df_flag(tmp_path, capsys):
     assert _run_cli(["check", str(p), "--df", "e7", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["canonical_vector"] == "0"
+
+
+def test_parse_truncated_metric_rows():
+    with pytest.raises(ParseError, match="expected 2 rows, got 1"):
+        parse("dim 2\nframe a b\nmetric rows\n  2 0\n")

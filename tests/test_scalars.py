@@ -119,3 +119,14 @@ def test_str_canonical():
     assert str(Q3.sqrt_d()) == "sqrt3"
     x = Q3.scalar(Fraction(1, 7)) + Q3.sqrt_d() * Q3.scalar(Fraction(1, 7))
     assert str(x) == "1/7+1/7*sqrt3"
+
+
+def test_roots_of_big_integers():
+    assert Q.scalar(2**2000).sqrt() == Q.scalar(2**1000)
+    # a 9th power beyond float range, as in the G2 metric's det(B)^(1/9)
+    base = Fraction(10**40 + 7, 3)
+    assert base**9 > 1e308
+    assert Q.scalar(base**9).root(9) == Q.scalar(base)
+    with pytest.raises(NotRepresentable):
+        Q.scalar(2**2001).sqrt()
+    assert Q2.scalar(2**2001).sqrt() == Q2.sqrt_d() * Q2.scalar(2**1000)
