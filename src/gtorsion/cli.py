@@ -6,7 +6,8 @@ Subcommands:
   extend FILE        converse construction (needs structure + flux blocks)
   example --name ID  run a built-in fixture and diff stored expectations
 
-Exit codes: 0 ok, 1 verifier/expectation failure, 2 parse error,
+Exit codes: 0 ok, 1 verifier/expectation failure, 2 input error (parse
+error, unreadable file, bad flag value such as a --df that is not closed),
 3 structural error.
 """
 
@@ -71,6 +72,9 @@ def _load(args):
     df = None
     if args.df is not None:
         df = _parse_form(args.df, doc, 1, 0)
+    declared = df if df is not None else doc.df
+    if declared is not None and not doc.frame().d(declared).is_zero():
+        raise ParseError("df must be a closed 1-form: d(df) != 0")
     return doc, df
 
 

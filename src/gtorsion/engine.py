@@ -23,17 +23,7 @@ from .soliton import (
     string_grs_residual,
     weighted_scalar,
 )
-from .structures import (
-    StructureError,
-    bismut_ricci_form,
-    bismut_torsion,
-    lee_form,
-    nijenhuis,
-    solve_skew_torsion,
-    torsion_g2,
-    torsion_spin7,
-    torsion_su3,
-)
+from .structures import StructureError, bismut_ricci_form, solve_skew_torsion
 
 __all__ = ["run_check", "run_reduce", "run_extend"]
 
@@ -64,21 +54,11 @@ def run_check(doc, df: KForm | None = None) -> Report:
     rep.set("field", _field_str(field))
     rep.set("frame", {"labels": labels, "unimodular": frame.is_unimodular()})
 
-    if s.kind == "su3":
-        torsion = torsion_su3(s)
-    elif s.kind == "g2":
-        torsion = torsion_g2(s)
-    elif s.kind == "spin7":
-        torsion = torsion_spin7(s)
-    else:
-        torsion = None
-    if torsion is not None:
-        rep.set("torsion", _torsion_report(s, torsion, labels))
+    if s.torsion is not None:
+        rep.set("torsion", _torsion_report(s, s.torsion, labels))
+    rep.set("lee_form", form_str(s.lee, labels))
 
-    theta = lee_form(s, torsion) if s.kind in ("ah", "su3") else torsion["lee"]
-    rep.set("lee_form", form_str(theta, labels))
-
-    h = bismut_torsion(s, torsion) if s.kind != "ah" else bismut_torsion(s)
+    h = s.h
     rep.set("bismut_torsion", form_str(h, labels))
     strong = frame.d(h).is_zero()
     rep.set("strong_torsion", strong)
@@ -86,19 +66,19 @@ def run_check(doc, df: KForm | None = None) -> Report:
         rep.set("torsion_oracle_agree", solve_skew_torsion(s) == h)
 
     df = df if df is not None else (doc.df or KForm.zero(frame.n, 1, field))
-    v = canonical_vector(s, df, torsion)
+    v = canonical_vector(s, df)
     rep.set("canonical_vector", vector_str(v, labels))
-    cert = parallel_certificate(frame, h, v, s.geometry)
+    cert = parallel_certificate(frame, h, v, s.geometry, conn=s.bismut)
     rep.set("canonical_vector_parallel", cert["parallel"])
     rep.set("canonical_vector_norm_sq", scalar_str(cert["norm_sq"]))
 
-    data = SolitonData(frame, h, v, df=df, geometry=s.geometry)
+    data = SolitonData.of(s, v, df=df)
     res = grs_residual(data)
     rep.set("grs_residual_norm_sq", scalar_str(matrix_norm_sq(res)))
     rep.set("grs_residual_zero", matrix_norm_sq(res).is_zero())
     rep.set("weighted_scalar", scalar_str(weighted_scalar(data)))
     if doc.flux is not None:
-        data_f = SolitonData(frame, h, v, df=df, f=doc.flux, geometry=s.geometry)
+        data_f = SolitonData.of(s, v, df=df, f=doc.flux)
         s1, s2, s3 = string_grs_residual(data_f)
         rep.set(
             "string_grs_residual_zero",
@@ -106,12 +86,10 @@ def run_check(doc, df: KForm | None = None) -> Report:
         )
 
     if s.kind in ("ah", "su3"):
-        n_form = nijenhuis(s)
-        rep.set("nijenhuis_zero", n_form.is_zero())
-        rho = bismut_ricci_form(s, h)
-        rep.set("bismut_ricci_form_zero", rho.is_zero())
+        rep.set("nijenhuis_zero", s.nijenhuis.is_zero())
+        rep.set("bismut_ricci_form_zero", bismut_ricci_form(s).is_zero())
     if s.kind == "spin7":
-        rep.set("dilatino_residual", scalar_str(spin7_dilatino_residual(s, torsion)))
+        rep.set("dilatino_residual", scalar_str(spin7_dilatino_residual(s)))
     return rep
 
 

@@ -249,12 +249,6 @@ def levi_civita(frame: LieAlgebraFrame, geom: FrameGeometry | None = None) -> Co
     2<D_X Y, Z> = <[X,Y],Z> - <[Y,Z],X> + <[Z,X],Y>.
     """
     geom = geom or frame.geometry
-    cache = getattr(frame, "_lc_cache", None)
-    if cache is None:
-        cache = frame._lc_cache = {}
-    cached = cache.get(id(geom))
-    if cached is not None and cached[0] is geom:
-        return cached[1]
     n, field = frame.n, frame.field
     c = frame.structure_constants()
     g = geom.metric
@@ -285,31 +279,41 @@ def levi_civita(frame: LieAlgebraFrame, geom: FrameGeometry | None = None) -> Co
                 comps.append(val)
             row.append(VectorField(n, field, comps))
         gamma.append(row)
-    conn = ConnectionCoeffs(frame, gamma)
-    cache[id(geom)] = (geom, conn)
-    return conn
+    return ConnectionCoeffs(frame, gamma)
 
 
-def bismut_connection(frame: LieAlgebraFrame, h: KForm, geom: FrameGeometry | None = None) -> ConnectionCoeffs:
-    """nabla = D + (1/2) g^{-1} H: <nabla_i e_j, e_k> = <D_i e_j, e_k> + H(e_i,e_j,e_k)/2."""
+def bismut_connection(frame: LieAlgebraFrame, h: KForm, geom: FrameGeometry | None = None, lc: ConnectionCoeffs | None = None) -> ConnectionCoeffs:
+    """nabla = D + (1/2) g^{-1} H: <nabla_i e_j, e_k> = <D_i e_j, e_k> + H(e_i,e_j,e_k)/2.
+
+    ``lc`` is the Levi-Civita connection D of (frame, geom) when already built.
+    """
     if h.k != 3:
         raise GeometryError("torsion form must have degree 3")
     geom = geom or frame.geometry
-    lc = levi_civita(frame, geom)
+    lc = lc or levi_civita(frame, geom)
     n, field = frame.n, frame.field
     half = field.scalar(Fraction(1, 2))
     ginv = geom.inverse_metric()
+    # terms[i][j]: the pairs (k, H_ijk) with H_ijk != 0, read once from h;
+    # sorted by k below so every sum runs in index order
+    terms = [[[] for _ in range(n)] for _ in range(n)]
+    for mask, v in h.coeffs.items():
+        if v.is_zero():
+            continue
+        a, b, c = (x - 1 for x in indices_of(mask))
+        for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
+            terms[i][j].append((k, v))
+            terms[j][i].append((k, -v))
     gamma = []
     for i in range(n):
         row = []
         for j in range(n):
+            hk = sorted(terms[i][j], key=lambda t: t[0])
             corr = []
             for m in range(n):
                 val = field.zero()
-                for k in range(n):
-                    hv = h.coeff(i + 1, j + 1, k + 1)
-                    if not hv.is_zero():
-                        val = val + ginv[m][k] * hv
+                for k, hv in hk:
+                    val = val + ginv[m][k] * hv
                 corr.append(val * half)
             row.append(lc.gamma[i][j] + VectorField(n, field, corr))
         gamma.append(row)

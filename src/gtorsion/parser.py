@@ -312,10 +312,9 @@ class InputDocument:
             out.append("orientation " + " ".join(perm))
         if self.structure_kind:
             out.append(f"structure {self.structure_kind}")
-            names = {"omega": "omega", "omega_plus": "Omega+", "phi": "phi", "psi": "Psi"}
-            for slot in ("omega", "omega_plus", "phi", "psi"):
+            for slot, name in _SLOT_NAMES.items():
                 if slot in self.structure_forms:
-                    out.append(f"{names[slot]} = " + form_str(self.structure_forms[slot], self.labels))
+                    out.append(f"{name} = " + form_str(self.structure_forms[slot], self.labels))
         if self.vector is not None:
             out.append("vector V = " + vector_str(self.vector, self.labels))
         if self.df is not None:
@@ -330,6 +329,9 @@ class InputDocument:
             kind = self.structure_kind
             if kind is None:
                 raise ParseError("no structure block in input")
+            for slot in _KIND_SLOTS.get(kind, ()):
+                if slot not in self.structure_forms:
+                    raise ParseError(f"structure {kind} needs a '{_SLOT_NAMES[slot]} = ...' line")
             if kind == "su3":
                 self._structure = su3_assemble(
                     self.structure_forms["omega"], self.structure_forms["omega_plus"], fr
@@ -344,6 +346,10 @@ class InputDocument:
                 raise ParseError(f"unknown structure kind {kind!r}")
         return self._structure
 
+
+# structure form slot -> its name in the input, in serialization order
+_SLOT_NAMES = {"omega": "omega", "omega_plus": "Omega+", "phi": "phi", "psi": "Psi"}
+_KIND_SLOTS = {"su3": ("omega", "omega_plus"), "g2": ("phi",), "spin7": ("psi",), "ah": ("omega",)}
 
 _FORM_SLOTS = {
     "phi": ("g2", "phi", 3),
@@ -405,9 +411,13 @@ def parse(text: str, field: Field | None = None) -> InputDocument:
                 except ValueError as exc:
                     raise ParseError(f"bad field: {exc}", line_no)
             elif parts[:1] == ["float"] and len(parts) == 2:
-                if field is None:
-                    doc.field = FloatField(float(parts[1]))
-                doc.field_decl = ("float", float(parts[1]))
+                try:
+                    tol = float(parts[1])
+                    if field is None:
+                        doc.field = FloatField(tol)
+                except ValueError as exc:
+                    raise ParseError(f"bad field: {exc}", line_no)
+                doc.field_decl = ("float", tol)
             else:
                 raise ParseError("field must be 'rational', 'sqrt d', or 'float tol'", line_no)
         elif head_l == "frame":
@@ -511,5 +521,9 @@ def _parse_form(expr: str, doc: InputDocument, degree: int, line_no: int) -> KFo
 
 
 def parse_file(path, field: Field | None = None) -> InputDocument:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read(), field=field)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    return parse(text, field=field)

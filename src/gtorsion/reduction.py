@@ -46,16 +46,10 @@ from .structures import (
     StructureError,
     TorsionClasses,
     bismut_torsion,
-    d_c_omega,
     g2_assemble,
-    lee_form,
-    nijenhuis,
     project,
     spin7_assemble,
     su3_assemble,
-    torsion_g2,
-    torsion_spin7,
-    torsion_su3,
 )
 from .soliton import canonical_vector
 
@@ -229,6 +223,10 @@ class TransverseSlice:
 
 
 class ReductionResult:
+    # the structure reduced along v, once a reduction sets it; its analysis
+    # supplies the Levi-Civita connection of (frame, geometry)
+    structure = None
+
     def __init__(self, **kw):
         self.__dict__.update(kw)
         self.verifier = kw.get("verifier", {})
@@ -354,15 +352,15 @@ def reduce_g2(s: GStructure, df: KForm | None = None, raw: bool = False) -> Redu
     field = s.field
     frame = s.frame
     geom = s.geometry
-    torsion = torsion_g2(s)
+    torsion = s.torsion
     if not torsion["tau2"].is_zero():
         raise StructureError("tau2 != 0: no skew-torsion connection for this G2 structure")
     df = df if df is not None else KForm.zero(7, 1, field)
     theta = torsion["lee"]
-    v = canonical_vector(s, df, torsion)
+    v = canonical_vector(s, df)
     if v.is_zero():
         raise ReductionError("rigid case: V = 0, no reduction")
-    h = bismut_torsion(s, torsion)
+    h = s.h
     phi = s.form("phi")
     if raw:
         w = musical_inv(theta, geom)
@@ -388,11 +386,12 @@ def reduce_g2(s: GStructure, df: KForm | None = None, raw: bool = False) -> Redu
         phi = phi.scale(lam * lam2)
         s = g2_assemble(phi, frame)
         geom = s.geometry
-        torsion = torsion_g2(s)
-        v = canonical_vector(s, df, torsion)
-        h = bismut_torsion(s, torsion)
+        torsion = s.torsion
+        v = canonical_vector(s, df)
+        h = s.h
 
     red = reduce_pair(frame, h, v, normalize=True, geometry=geom)
+    red.structure = s
     sl = red.transverse
     vhat = red.v
     muhat = red.mu
@@ -406,7 +405,7 @@ def reduce_g2(s: GStructure, df: KForm | None = None, raw: bool = False) -> Redu
     if struct.geometry.orientation_sign != sl.geometry.orientation_sign:
         raise ReductionError("reduced pair orients the slice the wrong way")
     red.reduced_structure = struct
-    rt = torsion_su3(struct)
+    rt = struct.torsion
     red.reduced_torsion = rt
     df_sl = _slice_form(red, df, "df") if not df.is_zero() else KForm.zero(sl.n, 1, field)
     red.df = df_sl
@@ -434,11 +433,10 @@ def reduce_g2(s: GStructure, df: KForm | None = None, raw: bool = False) -> Redu
     dplus = sl.d(omega_plus) - wedge(df_sl, omega_plus)
     table["d Omega+ identity"] = dplus == om2.scale(field.scalar(Fraction(7, 12)) * tau0)
     # Lee form of the reduced structure equals df
-    theta_red = lee_form(struct)
-    table["theta_omega = df"] = theta_red == df_sl
-    # H^ = d^c omega + N
+    table["theta_omega = df"] = struct.lee == df_sl
+    # H^ = d^c omega + N, the closed formula for the reduced structure's H
     h_hat_sl = _slice_form(red, red.h_hat, "H^")
-    table["H^ = d^c omega + N"] = h_hat_sl == d_c_omega(struct) + nijenhuis(struct)
+    table["H^ = d^c omega + N"] = h_hat_sl == struct.h
     # F = d theta in Lambda^{1,1}_0: d mu ^ Omega- = 0 and d mu ^ omega^2 = 0
     f_sl = _slice_form(red, red.flux, "F")
     table["F wedge Omega- = 0"] = wedge(f_sl, om_min).is_zero()
@@ -461,13 +459,13 @@ def reduce_spin7(s: GStructure, df: KForm | None = None, raw: bool = False) -> R
     field = s.field
     frame = s.frame
     geom = s.geometry
-    torsion = torsion_spin7(s)
+    torsion = s.torsion
     theta = torsion["lee"]
     df = df if df is not None else KForm.zero(8, 1, field)
-    v = canonical_vector(s, df, torsion)
+    v = canonical_vector(s, df)
     if v.is_zero():
         raise ReductionError("rigid case: V = 0, no reduction")
-    h = bismut_torsion(s, torsion)
+    h = s.h
     psi = s.form("psi")
     if raw:
         w = musical_inv(theta, geom)
@@ -493,11 +491,12 @@ def reduce_spin7(s: GStructure, df: KForm | None = None, raw: bool = False) -> R
         )
         s = spin7_assemble(psi, frame, geometry=gscaled)
         geom = s.geometry
-        torsion = torsion_spin7(s)
-        v = canonical_vector(s, df, torsion)
-        h = bismut_torsion(s, torsion)
+        torsion = s.torsion
+        v = canonical_vector(s, df)
+        h = s.h
 
     red = reduce_pair(frame, h, v, normalize=True, geometry=geom)
+    red.structure = s
     sl = red.transverse
     vhat_ad = red.adapted.vector_to_adapted(red.v)
     psi_ad = red.adapted.to_adapted(psi)
@@ -507,7 +506,7 @@ def reduce_spin7(s: GStructure, df: KForm | None = None, raw: bool = False) -> R
     if not struct.geometry._is_identity:
         raise ReductionError("reduced 3-form does not induce the slice metric")
     red.reduced_structure = struct
-    rt_auto = torsion_g2(struct)
+    rt_auto = struct.torsion
     # Torsion classes are reported in the orientation for which the split
     # Psi = mu ^ phi + star phi holds (vol^ = i_V vol); the Hitchin bilinear
     # form of i_V Psi is definite with respect to the opposite one, so tau0,
@@ -573,7 +572,7 @@ def splitting_check(red: ReductionResult) -> dict:
     geom = red.geometry
     c1 = frame.d(red.h_hat).is_zero()
     c2 = red.flux.is_zero()
-    lc = levi_civita(frame, geom)
+    lc = red.structure.levi_civita if red.structure is not None else levi_civita(frame, geom)
     dmu = covariant_derivative_oneform(frame, lc, red.mu)
     c3 = all(x.is_zero() for row in dmu for x in row)
     if not (c1 == c2 == c3):
@@ -599,21 +598,21 @@ def central_extend(frame: LieAlgebraFrame, structure: GStructure, flux: KForm, t
     if target == "g2":
         if structure.kind != "su3" or n != 6:
             raise ReductionError("g2 extension needs an SU(3) structure on n = 6")
-        t = torsion_su3(structure)
+        t = structure.torsion
         if not (t["sigma0"] - field.scalar(Fraction(1, 2))).is_zero():
             problems.append(f"sigma0 = {t['sigma0']} != 1/2")
-        if lee_form(structure) != df:
+        if structure.lee != df:
             problems.append("theta_omega != df")
-        hh = h_hat if h_hat is not None else bismut_torsion(structure)
+        hh = h_hat if h_hat is not None else structure.h
     elif target == "spin7":
         if structure.kind != "g2" or n != 7:
             raise ReductionError("spin7 extension needs a G2 structure on n = 7")
-        t = torsion_g2(structure)
+        t = structure.torsion
         if not t["tau2"].is_zero():
             problems.append("tau2 != 0: input admits no skew-torsion connection")
         if t["lee"] != df:
             problems.append("theta_phi != df")
-        hh = h_hat if h_hat is not None else bismut_torsion(structure, t)
+        hh = h_hat if h_hat is not None else structure.h
     else:
         raise ReductionError(f"unknown extension target {target!r}")
     anomaly = frame.d(hh) + wedge(flux, flux)
@@ -650,7 +649,7 @@ def central_extend(frame: LieAlgebraFrame, structure: GStructure, flux: KForm, t
     h_up = wedge(mu, shift(flux, nn)) + shift(hh, nn)
     if not new_frame.d(h_up).is_zero():
         raise ReductionError("extension failed to be strong torsion: d H != 0")
-    h_check = bismut_torsion(ext)
+    h_check = ext.h
     return {
         "frame": new_frame,
         "structure": ext,

@@ -40,9 +40,6 @@ from .structures import (
     StructureError,
     TorsionClasses,
     bismut_torsion,
-    lee_form,
-    torsion_g2,
-    torsion_spin7,
 )
 
 __all__ = [
@@ -64,7 +61,14 @@ class PreconditionError(ValueError):
 
 class SolitonData:
     """Frame + torsion 3-form + soliton vector; optional invariant closed df
-    and string flux F."""
+    and string flux F.
+
+    Data built by ``SolitonData.of(s, ...)`` carries the structure ``s``,
+    and the residuals read its connections and curvature from the
+    structure's analysis instead of rebuilding them.
+    """
+
+    structure = None
 
     def __init__(self, frame, h: KForm, x: VectorField, df: KForm | None = None, f: KForm | None = None, geometry=None):
         self.frame = frame
@@ -79,6 +83,25 @@ class SolitonData:
             raise ValueError("df must be closed")
         self.flux = f
 
+    @classmethod
+    def of(cls, s: GStructure, x: VectorField, df: KForm | None = None, f: KForm | None = None):
+        """Soliton data on the frame and metric of ``s`` with H = ``s.h``."""
+        data = cls(s.frame, s.h, x, df=df, f=f, geometry=s.geometry)
+        data.structure = s
+        return data
+
+    def levi_civita(self):
+        s = self.structure
+        return s.levi_civita if s is not None else levi_civita(self.frame, self.geometry)
+
+    def bismut(self):
+        """The Bismut connection of (g, H) and its curvature."""
+        s = self.structure
+        if s is not None:
+            return s.bismut, s.bismut_curvature
+        conn = bismut_connection(self.frame, self.h, self.geometry)
+        return conn, curvature(self.frame, conn, self.geometry)
+
     def bianchi(self) -> KForm:
         """dH (or dH + F ^ F when a flux is present)."""
         out = self.frame.d(self.h)
@@ -90,8 +113,7 @@ class SolitonData:
 def grs_residual(data: SolitonData):
     """Rc^{nabla(g,H)} + nabla X^flat as an n x n Scalar matrix."""
     frame, geom = data.frame, data.geometry
-    conn = bismut_connection(frame, data.h, geom)
-    cur = curvature(frame, conn, geom)
+    conn, cur = data.bismut()
     xflat = musical(data.x, geom)
     nx = covariant_derivative_oneform(frame, conn, xflat)
     n = frame.n
@@ -113,10 +135,9 @@ def string_grs_residual(data: SolitonData):
     return slot1, slot2, slot3
 
 
-def divergence(frame, x: VectorField, geometry=None):
+def divergence(frame, x: VectorField, geometry=None, lc=None):
     """Trace of the Levi-Civita covariant derivative of X."""
-    geom = geometry or frame.geometry
-    lc = levi_civita(frame, geom)
+    lc = lc or levi_civita(frame, geometry or frame.geometry)
     field = frame.field
     acc = field.zero()
     for i in range(frame.n):
@@ -125,10 +146,10 @@ def divergence(frame, x: VectorField, geometry=None):
     return acc
 
 
-def scalar_curvature(frame, geometry=None):
+def scalar_curvature(frame, geometry=None, lc=None):
     """Riemannian scalar curvature of the Levi-Civita connection."""
     geom = geometry or frame.geometry
-    lc = levi_civita(frame, geom)
+    lc = lc or levi_civita(frame, geom)
     cur = curvature(frame, lc, geom)
     ginv = geom.inverse_metric()
     field = frame.field
@@ -145,9 +166,10 @@ def weighted_scalar(data: SolitonData):
     """R - (1/12)|H|^2 + 2 div X - |X|^2 (equals lambda + |V|^2 on solitons)."""
     frame, geom = data.frame, data.geometry
     field = frame.field
-    r = scalar_curvature(frame, geom)
+    lc = data.levi_civita()
+    r = scalar_curvature(frame, geom, lc)
     h2 = form_inner(data.h, data.h, geom)
-    divx = divergence(frame, data.x, geom)
+    divx = divergence(frame, data.x, geom, lc)
     x2 = geom.norm_sq(data.x)
     return r - h2 * field.scalar(Fraction(1, 12)) + divx * field.scalar(2) - x2
 
@@ -155,15 +177,12 @@ def weighted_scalar(data: SolitonData):
 def canonical_vector(s: GStructure, df: KForm | None = None, torsion: TorsionClasses | None = None) -> VectorField:
     """V = theta^sharp - grad f per kind ((7/6) theta^sharp for Spin(7))."""
     geom = s.geometry
-    field = s.field
     if s.kind == "g2":
-        torsion = torsion or torsion_g2(s)
-        theta = torsion["lee"]
+        theta = (torsion or s.torsion)["lee"]
     elif s.kind == "spin7":
-        torsion = torsion or torsion_spin7(s)
-        theta = torsion["lee"].scale(Fraction(7, 6))
+        theta = (torsion or s.torsion)["lee"].scale(Fraction(7, 6))
     elif s.kind in ("su3", "ah"):
-        theta = lee_form(s, torsion)
+        theta = s.lee
     else:
         raise StructureError(f"no canonical vector for kind {s.kind!r}")
     v = musical_inv(theta, geom)
@@ -172,10 +191,13 @@ def canonical_vector(s: GStructure, df: KForm | None = None, torsion: TorsionCla
     return v
 
 
-def parallel_certificate(frame, h: KForm, v: VectorField, geometry=None) -> dict:
-    """Check nabla^{Bismut} V = 0; |V| is then automatically constant."""
+def parallel_certificate(frame, h: KForm, v: VectorField, geometry=None, conn=None) -> dict:
+    """Check nabla^{Bismut} V = 0; |V| is then automatically constant.
+
+    ``conn`` is the Bismut connection of (frame, geometry, h) when already built.
+    """
     geom = geometry or frame.geometry
-    conn = bismut_connection(frame, h, geom)
+    conn = conn or bismut_connection(frame, h, geom)
     derivs = [conn.nabla(frame.basis_vector(i + 1), v) for i in range(frame.n)]
     parallel = all(d.is_zero() for d in derivs)
     return {"parallel": parallel, "norm_sq": geom.norm_sq(v)}
@@ -186,7 +208,7 @@ def g2_rigidity_identity(s: GStructure, df: KForm | None = None, torsion: Torsio
     |H_phi|^2 = (49/36) tau0^2 holds; returns both sides."""
     if s.kind != "g2":
         raise StructureError("rigidity identity is for G2 structures")
-    torsion = torsion or torsion_g2(s)
+    torsion = torsion or s.torsion
     if df is not None and not df.is_zero():
         raise PreconditionError("rigidity identity needs constant f (df = 0)")
     v = canonical_vector(s, df, torsion)
@@ -203,7 +225,7 @@ def spin7_dilatino_residual(s: GStructure, torsion: TorsionClasses | None = None
     """(7/6) d*theta + (7/6)|theta|^2 - |zeta5|^2, zero on strong torsion."""
     if s.kind != "spin7":
         raise StructureError("dilatino residual is for Spin(7) structures")
-    torsion = torsion or torsion_spin7(s)
+    torsion = torsion or s.torsion
     field = s.field
     geom = s.geometry
     theta = torsion["lee"]

@@ -16,6 +16,7 @@ Conventions fixed by the worked examples (see tests):
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .forms import (
     FrameGeometry,
@@ -131,6 +132,12 @@ class GStructure:
     ``frame`` is anything with n / field / geometry / d(form) / bracket;
     the structure's own ``geometry`` (induced metric) is what every metric
     computation uses.
+
+    The cached properties below are the structure's compute-once analysis:
+    each item is built on first use and kept on the structure, so check,
+    both reduction passes and the extension share one copy.  No cached
+    value refers back to the structure, so dropping a structure frees its
+    analysis by reference counting alone.
     """
 
     def __init__(self, kind, frame, geometry, forms: dict, j_matrix=None):
@@ -177,6 +184,46 @@ class GStructure:
             if not val.is_zero():
                 out[1 << c] = -val
         return KForm(n, 1, self.field, out)
+
+    # -- compute-once analysis --------------------------------------------
+
+    @cached_property
+    def torsion(self) -> TorsionClasses | None:
+        """Torsion classes; None for almost Hermitian structures."""
+        if self.kind == "su3":
+            return torsion_su3(self)
+        if self.kind == "g2":
+            return torsion_g2(self)
+        if self.kind == "spin7":
+            return torsion_spin7(self)
+        return None
+
+    @cached_property
+    def h(self) -> KForm:
+        """Skew torsion H by the closed formula (``bismut_torsion``)."""
+        return bismut_torsion(self)
+
+    @cached_property
+    def lee(self) -> KForm:
+        return lee_form(self)
+
+    @cached_property
+    def nijenhuis(self) -> KForm:
+        return nijenhuis(self)
+
+    @cached_property
+    def levi_civita(self):
+        return levi_civita(self.frame, self.geometry)
+
+    @cached_property
+    def bismut(self):
+        """Connection with skew torsion H."""
+        return bismut_connection(self.frame, self.h, self.geometry, lc=self.levi_civita)
+
+    @cached_property
+    def bismut_curvature(self):
+        """Curvature (Riemann and Ricci) of the Bismut connection."""
+        return curvature(self.frame, self.bismut, self.geometry)
 
 
 def _j_from_metric_omega(omega: KForm, geom: FrameGeometry):
@@ -317,8 +364,8 @@ def spin7_assemble(psi: KForm, frame, geometry: FrameGeometry | None = None) -> 
 
 def ah_assemble(omega: KForm, frame) -> GStructure:
     """Almost Hermitian structure from omega and the frame metric."""
-    if frame.n % 2:
-        raise StructureError("almost Hermitian needs even n")
+    if frame.n % 2 or frame.n < 4:
+        raise StructureError(f"almost Hermitian needs even n >= 4, got n = {frame.n}")
     geom = frame.geometry
     geom.check_positive_definite()
     j = _j_from_metric_omega(omega, geom)
@@ -567,21 +614,17 @@ def torsion_spin7(s: GStructure) -> TorsionClasses:
     return TorsionClasses("spin7", {"lee": theta, "zeta5": zeta5})
 
 
-def lee_form(s: GStructure, torsion: TorsionClasses | None = None, h: KForm | None = None) -> KForm:
+def lee_form(s: GStructure) -> KForm:
     """The structure's Lee form.
 
     AH/SU(3): theta(X) = -1/2 sum_i H(JX, e_i, J e_i) computed from the
     skew torsion; G2: 4 tau1; Spin(7): the defining star formula.
     """
-    if s.kind == "g2":
-        torsion = torsion or torsion_g2(s)
-        return torsion["lee"]
-    if s.kind == "spin7":
-        torsion = torsion or torsion_spin7(s)
-        return torsion["lee"]
+    if s.kind in ("g2", "spin7"):
+        return s.torsion["lee"]
     field = s.field
     n = s.n
-    h = h if h is not None else bismut_torsion(s)
+    h = s.h
     basis = [VectorField.basis(n, field, i) for i in range(1, n + 1)]
     jbasis = [s.apply_j(b) for b in basis]
     comps = {}
@@ -703,13 +746,17 @@ def bismut_torsion(s: GStructure, torsion: TorsionClasses | None = None) -> KFor
     G2:     H = -star d phi + star(theta ^ phi) + (1/6)<d phi, star phi> phi,
             defined only when tau2 = 0;
     Spin7:  H = -star d Psi + (7/6) star(theta ^ Psi).
+
+    ``torsion`` defaults to the structure's own classes; pass other classes
+    (say, with a flipped orientation) to evaluate the formula on them.
+    Callers that want the structure's H read ``s.h``, which is built once.
     """
     field = s.field
     geom = s.geometry
     if s.kind in ("ah", "su3"):
-        return d_c_omega(s) + nijenhuis(s)
+        return d_c_omega(s) + s.nijenhuis
+    torsion = torsion or s.torsion
     if s.kind == "g2":
-        torsion = torsion or torsion_g2(s)
         if not torsion["tau2"].is_zero():
             raise StructureError("tau2 != 0: no skew-torsion connection for this G2 structure")
         phi, star_phi = s.form("phi"), s.form("star_phi")
@@ -721,7 +768,6 @@ def bismut_torsion(s: GStructure, torsion: TorsionClasses | None = None) -> KFor
             + phi.scale(form_inner(d_phi, star_phi, geom) / field.scalar(6))
         )
     if s.kind == "spin7":
-        torsion = torsion or torsion_spin7(s)
         psi = s.form("psi")
         return -hodge_star(s.d(psi), geom) + hodge_star(
             wedge(torsion["lee"], psi), geom
@@ -750,7 +796,7 @@ def solve_skew_torsion(s: GStructure) -> KForm:
     geom = s.geometry
     frame = s.frame
     masks3 = list(_masks(n, 3))
-    lc = levi_civita(frame, geom)
+    lc = s.levi_civita  # shared with the Bismut connection; H itself is never read
     half_ginv = [[x * Fraction(1, 2) for x in row] for row in geom.inverse_metric()]
     zero = field.zero()
     rows = []
@@ -788,7 +834,7 @@ def solve_skew_torsion(s: GStructure) -> KForm:
     return KForm(n, 3, field, dict(zip(masks3, sol)))
 
 
-def bismut_ricci_form(s: GStructure, h: KForm | None = None) -> KForm:
+def bismut_ricci_form(s: GStructure) -> KForm:
     """rho(X,Y) = (1/2) sum_i R(X, Y, e_i, J e_i) for the Bismut connection;
     rho = 0 certifies reduced holonomy."""
     if s.kind not in ("ah", "su3"):
@@ -796,9 +842,7 @@ def bismut_ricci_form(s: GStructure, h: KForm | None = None) -> KForm:
     field = s.field
     n = s.n
     geom = s.geometry
-    h = h if h is not None else bismut_torsion(s)
-    conn = bismut_connection(s.frame, h, geom)
-    cur = curvature(s.frame, conn, geom)
+    cur = s.bismut_curvature
     basis = [VectorField.basis(n, field, i) for i in range(1, n + 1)]
     jb = [s.apply_j(b) for b in basis]
     half = field.scalar(Fraction(1, 2))

@@ -261,3 +261,25 @@ def test_cli_df_flag(tmp_path, capsys):
 def test_parse_truncated_metric_rows():
     with pytest.raises(ParseError, match="expected 2 rows, got 1"):
         parse("dim 2\nframe a b\nmetric rows\n  2 0\n")
+
+
+@pytest.mark.parametrize(
+    "text, flags, code, message",
+    [
+        ("dim 3\nfield float abc\nframe e1 e2 e3\n", [], 2, "bad field: could not convert string to float: 'abc'"),
+        ("dim 3\nfield float -1\nframe e1 e2 e3\n", [], 2, "bad field: tolerance must be nonnegative"),
+        ("dim 7\nframe e1 e2 e3 e4 e5 e6 e7\nstructure g2\n", [], 2, "needs a 'phi = ...' line"),
+        (registry.input_text("nonintG2"), ["--df", "e1"], 2, "closed 1-form"),
+        (None, [], 2, "cannot read"),
+        ("dim 2\nframe e1 e2\nstructure ah\nomega = e1^e2\n", [], 3, "even n >= 4"),
+    ],
+    ids=["float-tolerance", "negative-tolerance", "missing-phi", "df-not-closed", "missing-file", "ah-dim-2"],
+)
+def test_cli_bad_input_one_line_and_exit_code(tmp_path, capsys, text, flags, code, message):
+    p = tmp_path / "input.gs"
+    if text is not None:
+        p.write_text(text)
+    assert _run_cli(["check", str(p), *flags]) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert len(err.strip().splitlines()) == 1
