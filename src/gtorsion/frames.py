@@ -40,6 +40,7 @@ __all__ = [
     "covariant_derivative_oneform",
     "change_frame",
     "transform_form",
+    "transform_bilinear",
     "cartan_three_form",
 ]
 
@@ -233,13 +234,14 @@ def ce_differential(frame: LieAlgebraFrame, a: KForm) -> KForm:
     return out
 
 
-def codifferential(frame: LieAlgebraFrame, a: KForm, geom: FrameGeometry | None = None) -> KForm:
-    """d* = (-1)^{n(k+1)+1} star d star on k-forms."""
+def codifferential(frame, a: KForm, geom: FrameGeometry | None = None) -> KForm:
+    """d* = (-1)^{n(k+1)+1} star d star on k-forms; ``frame`` is a
+    LieAlgebraFrame or anything with its ``n``, ``field``, ``geometry`` and ``d``."""
     geom = geom or frame.geometry
     n, k = frame.n, a.k
     if k == 0:
         return KForm.zero(n, 0, frame.field)
-    sds = hodge_star(ce_differential(frame, hodge_star(a, geom)), geom)
+    sds = hodge_star(frame.d(hodge_star(a, geom)), geom)
     sign = -1 if (n * (k + 1) + 1) % 2 else 1
     return sds if sign > 0 else -sds
 
@@ -416,32 +418,19 @@ def change_frame(frame: LieAlgebraFrame, a_rows, new_labels=None, base_geometry:
     base = base_geometry or frame.geometry
     a = [[x if isinstance(x, Scalar) else field.scalar(x) for x in row] for row in a_rows]
     ainv = _mat_inverse(a, field)
-    # old coframe in terms of new: e^j = sum_i ainv[j][i] f^i
-    def to_new(form: KForm) -> KForm:
-        return transform_form(form, ainv, field)
-
+    # d e^j in the f basis, via the old coframe in the new: e^j = sum_i ainv[j][i] f^i
+    d_old = [transform_form(d, ainv, field) for d in frame.coframe_d]
     new_d = []
     for i in range(n):
-        # d f^i = sum_j A[i][j] d e^j, re-expressed in the f basis
+        # d f^i = sum_j A[i][j] d e^j
         acc = KForm.zero(n, 2, field)
         for j in range(n):
             if not a[i][j].is_zero():
-                acc = acc + to_new(frame.coframe_d[j]).scale(a[i][j])
+                acc = acc + d_old[j].scale(a[i][j])
         new_d.append(acc)
     # dual vectors: F_i = sum_k B[i][k] E_k with B = (A^{-1})^T
     b = [[ainv[k][i] for k in range(n)] for i in range(n)]
-    gold = base.metric
-    gnew = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            val = field.zero()
-            for p in range(n):
-                for q in range(n):
-                    if not b[i][p].is_zero() and not b[j][q].is_zero():
-                        val = val + b[i][p] * gold[p][q] * b[j][q]
-            row.append(val)
-        gnew.append(row)
+    gnew = transform_bilinear(base.metric, b, field)
     det_a = _mat_det(a, field)
     sign = base.orientation_sign * det_a.sign()
     geom = FrameGeometry(n, field, gnew, orientation_sign=sign)
@@ -467,17 +456,33 @@ def transform_form(form: KForm, old_in_new, field: Field) -> KForm:
     return out
 
 
+def transform_bilinear(m, b_rows, field: Field):
+    """A (0,2)-tensor m at the vectors F_i = sum_p B[i][p] E_p, the rows of
+    ``b_rows``: m(F_i, F_j) = (B m B^T)_ij (fewer rows: the block they span)."""
+    nonzero = [[p for p, x in enumerate(bi) if not x.is_zero()] for bi in b_rows]
+    out = []
+    for bi, ps in zip(b_rows, nonzero):
+        row = []
+        for bj, qs in zip(b_rows, nonzero):
+            val = field.zero()
+            for p in ps:
+                for q in qs:
+                    val = val + bi[p] * m[p][q] * bj[q]
+            row.append(val)
+        out.append(row)
+    return out
+
+
 def transform_vector(x: VectorField, a_rows, field: Field) -> VectorField:
-    """Components of x in the new frame with coframe f = A e: x_new = A x."""
+    """Components of x in the new frame with coframe f = A e: x_new = A x
+    (A a matrix of Scalars)."""
     n = x.n
     comps = []
     for i in range(n):
         val = field.zero()
         for j in range(n):
-            aij = a_rows[i][j]
-            if not (aij.is_zero() if isinstance(aij, Scalar) else aij == 0):
-                av = aij if isinstance(aij, Scalar) else field.scalar(aij)
-                val = val + av * x.components[j]
+            if not a_rows[i][j].is_zero():
+                val = val + a_rows[i][j] * x.components[j]
         comps.append(val)
     return VectorField(n, field, comps)
 

@@ -126,6 +126,14 @@ class _ExprParser:
             )
         return self.field.sqrt_d()
 
+    def _divide(self, val: Scalar) -> Scalar:
+        """val / (the next scalar factor); a zero divisor is a ParseError."""
+        col = self.peek()[2]
+        rhs = self.scalar_factor()
+        if rhs.is_zero():
+            raise ParseError("division by zero", self.line, col)
+        return val / rhs
+
     def scalar_expr(self) -> Scalar:
         val = self.scalar_term()
         while True:
@@ -143,8 +151,7 @@ class _ExprParser:
             kind, op, _ = self.peek()
             if kind == "op" and op in "*/":
                 self.next()
-                rhs = self.scalar_factor()
-                val = val * rhs if op == "*" else val / rhs
+                val = val * self.scalar_factor() if op == "*" else self._divide(val)
             else:
                 return val
 
@@ -234,8 +241,7 @@ class _ExprParser:
                 continue
             if kind == "op" and val == "/":
                 self.next()
-                div = self.scalar_factor()
-                coef = coef / div
+                coef = self._divide(coef)
                 continue
             return coef, chain
 
@@ -351,12 +357,8 @@ class InputDocument:
 _SLOT_NAMES = {"omega": "omega", "omega_plus": "Omega+", "phi": "phi", "psi": "Psi"}
 _KIND_SLOTS = {"su3": ("omega", "omega_plus"), "g2": ("phi",), "spin7": ("psi",), "ah": ("omega",)}
 
-_FORM_SLOTS = {
-    "phi": ("g2", "phi", 3),
-    "omega": (None, "omega", 2),
-    "omega+": ("su3", "omega_plus", 3),
-    "psi": ("spin7", "psi", 4),
-}
+# form-line head -> (slot, degree)
+_FORM_SLOTS = {"phi": ("phi", 3), "omega": ("omega", 2), "omega+": ("omega_plus", 3), "psi": ("psi", 4)}
 
 
 def parse(text: str, field: Field | None = None) -> InputDocument:
@@ -457,16 +459,19 @@ def parse(text: str, field: Field | None = None) -> InputDocument:
             if kind not in ("su3", "g2", "spin7", "ah"):
                 raise ParseError(f"unknown structure kind {kind!r}", line_no)
             doc.structure_kind = kind
-        elif head_l in ("phi", "omega", "omega+", "psi"):
-            _, slot, degree = _FORM_SLOTS[head_l]
+        elif head_l in _FORM_SLOTS:
+            slot, degree = _FORM_SLOTS[head_l]
+            kind = doc.structure_kind
+            if kind is None:
+                raise ParseError(f"declare the structure before its {head} line", line_no)
+            if slot not in _KIND_SLOTS[kind]:
+                raise ParseError(f"structure {kind} has no {head} form", line_no)
             lhs_rest = rest.partition("=")[2]
             if lhs_rest.strip().lower() == "model":
-                if doc.structure_kind == "su3":
-                    om, op = model_form("su3", doc.dim, doc.field)
-                    doc.structure_forms["omega"] = om
-                    doc.structure_forms["omega_plus"] = op
-                else:
-                    doc.structure_forms[slot] = model_form(doc.structure_kind, doc.dim, doc.field)
+                model = model_form(kind, doc.dim, doc.field)
+                if kind == "su3":  # (omega, Omega+)
+                    model = model[_KIND_SLOTS[kind].index(slot)]
+                doc.structure_forms[slot] = model
             else:
                 doc.structure_forms[slot] = _parse_form(lhs_rest, doc, degree, line_no)
         elif head_l == "vector":

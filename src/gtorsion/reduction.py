@@ -10,11 +10,17 @@ uses the submersion identity
     Rc^{q}(X, Y) = Rc^{ambient}(X, Y) + <i_X F, i_Y F>      (X, Y horizontal)
 
 for the quotient Bismut connection, with F = d mu.
+
+A reduction builds no connection or curvature: it reads them from the input
+structure's analysis (the constant rescaling g -> lam^2 g, H -> lam^2 H to
+unit |V| leaves them unchanged) and moves a (0,2)-tensor M into the adapted
+frame as B M B^T, the adapted vectors being the rows of B.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .forms import (
     FrameGeometry,
@@ -27,16 +33,15 @@ from .forms import (
     interior,
     musical,
     musical_inv,
-    two_form_square,
     wedge,
 )
 from .frames import (
     LieAlgebraFrame,
-    bismut_connection,
     change_frame,
+    codifferential,
     covariant_derivative_oneform,
-    curvature,
     levi_civita,
+    transform_bilinear,
     transform_form,
     transform_vector,
 )
@@ -75,15 +80,16 @@ class ReductionError(ValueError):
 class AdaptedFrame:
     """Orthonormal frame with V/|V| as the last vector.
 
-    ``frame``: the rotated LieAlgebraFrame; ``a_rows``: coframe change
-    f = A e; ``to_adapted``/``to_ambient`` move forms between frames.
+    ``frame``: the rotated LieAlgebraFrame; ``b``: the adapted vectors as
+    rows, F_i = sum_k b[i][k] E_k; ``a_rows``: coframe change f = A e with
+    A = (B^{-1})^T; ``to_adapted``/``to_ambient`` move forms between frames.
     """
 
-    def __init__(self, frame: LieAlgebraFrame, a_rows, ainv, base_frame):
+    def __init__(self, frame: LieAlgebraFrame, a_rows, b):
         self.frame = frame
         self.a_rows = a_rows
-        self.ainv = ainv
-        self.base_frame = base_frame
+        self.b = b
+        self.ainv = [list(col) for col in zip(*b)]  # A^{-1} = B^T
 
     def to_adapted(self, form: KForm) -> KForm:
         # old coframe in the new: e^j = sum_i ainv[j][i] f^i
@@ -137,17 +143,16 @@ def adapt_frame(frame: LieAlgebraFrame, v: VectorField, geometry=None) -> Adapte
     a_rows = [[binv[j][i] for j in range(n)] for i in range(n)]
     labels = [f"f{i}" for i in range(1, n)] + ["mu"]
     new_frame = change_frame(frame, a_rows, new_labels=labels, base_geometry=geom)
-    ainv = _mat_inverse(a_rows, field)
-    return AdaptedFrame(new_frame, a_rows, ainv, frame)
+    return AdaptedFrame(new_frame, a_rows, b)
 
 
 def _check_killing(frame, v: VectorField, geom):
     n = frame.n
+    basis = [frame.basis_vector(i + 1) for i in range(n)]
+    brackets = [frame.bracket(v, x) for x in basis]  # [V, e_i]
     for i in range(n):
-        x = frame.basis_vector(i + 1)
         for j in range(i, n):
-            y = frame.basis_vector(j + 1)
-            val = geom.g(frame.bracket(v, x), y) + geom.g(x, frame.bracket(v, y))
+            val = geom.g(brackets[i], basis[j]) + geom.g(basis[i], brackets[j])
             if not val.is_zero():
                 raise ReductionError(
                     f"V is not Killing: L_V g ({frame.labels[i]}, {frame.labels[j]}) != 0"
@@ -223,8 +228,9 @@ class TransverseSlice:
 
 
 class ReductionResult:
-    # the structure reduced along v, once a reduction sets it; its analysis
-    # supplies the Levi-Civita connection of (frame, geometry)
+    # the input structure of a reduction, once one sets it; its analysis
+    # supplies the Levi-Civita and Bismut connections of (frame, geometry),
+    # which the constant rescaling to unit |V| leaves unchanged
     structure = None
 
     def __init__(self, **kw):
@@ -236,21 +242,13 @@ class ReductionResult:
 
     # the orthonormal adapted frame needs square roots of the complement
     # norms, which can leave the scalar field; build it only when used
-    @property
+    @cached_property
     def adapted(self) -> AdaptedFrame:
-        cached = self.__dict__.get("_adapted")
-        if cached is None:
-            cached = adapt_frame(self.frame, self.v, self.geometry)
-            self.__dict__["_adapted"] = cached
-        return cached
+        return adapt_frame(self.frame, self.v, self.geometry)
 
-    @property
+    @cached_property
     def transverse(self) -> TransverseSlice:
-        cached = self.__dict__.get("_transverse")
-        if cached is None:
-            cached = TransverseSlice(self.adapted)
-            self.__dict__["_transverse"] = cached
-        return cached
+        return TransverseSlice(self.adapted)
 
 
 def reduce_pair(frame, h: KForm, v: VectorField, normalize: bool = False, geometry=None) -> ReductionResult:
@@ -302,37 +300,45 @@ def _slice_form(red: ReductionResult, ambient_form: KForm, context: str) -> KFor
     return red.transverse.restrict(ad, context)
 
 
-def string_residual_on_slice(red: ReductionResult, df_slice: KForm):
-    """String-GRS residual triple for the transverse data (g^, F, H^, f).
+def string_residual_on_slice(red: ReductionResult, ambient: GStructure, df: KForm) -> dict:
+    """Verifier entries for the string-GRS residual triple of the transverse
+    data (g^, F, H^, f); puts df on the slice as ``red.df`` first.
 
     Slot 1 uses the submersion identity Rc^q = Rc^ambient|hor + <i.F, i.F>
-    (see module docstring) combined with the endomorphism-square F^2 term,
-    slots 2 and 3 are computed directly on the slice.
+    (see module docstring) combined with the endomorphism-square F^2 term:
+    it is the horizontal block of the ambient Rc^nabla + nabla df, with
+    nabla and Rc^nabla read from the analysis of ``ambient`` and moved into
+    the adapted frame by a change of basis.  Slots 2 and 3 are computed
+    directly on the slice.
     """
     sl = red.transverse
-    field = sl.field
     m = sl.n
-    amb = sl.ambient
-    # ambient Bismut data in the adapted frame
-    h_ad = red.adapted.to_adapted(red.h)
-    conn = bismut_connection(amb, h_ad, amb.geometry)
-    cur = curvature(amb, conn, amb.geometry)
-    f_sl = _slice_form(red, red.flux, "F")
-    fsq = two_form_square(f_sl, sl.geometry)
-    df_amb = KForm(amb.n, 1, field, dict(df_slice.coeffs))
-    ndf = covariant_derivative_oneform(amb, conn, df_amb)
+    df_sl = red.df = _slice_form(red, df, "df")
     # Rc^q + F^2_endo + nabla df = (Rc^amb + F^2_pos) - F^2_pos + nabla df
-    slot1 = [[cur.ricci[i][j] + ndf[i][j] for j in range(m)] for i in range(m)]
+    ric = ambient.bismut_curvature.ricci
+    ndf = covariant_derivative_oneform(ambient.frame, ambient.bismut, df)
+    mat = [[r + x for r, x in zip(ric_row, ndf_row)] for ric_row, ndf_row in zip(ric, ndf)]
+    slot1 = transform_bilinear(mat, red.adapted.b[:m], sl.field)
     # one-form equation: d*F - <F, H^> + i_{df#} F on the slice
+    f_sl = _slice_form(red, red.flux, "F")
     h_hat_sl = _slice_form(red, red.h_hat, "H^")
-    star_f = hodge_star(f_sl, sl.geometry)
-    dstar = sl.d(star_f)
-    sign = -1 if (m * (2 + 1) + 1) % 2 else 1
-    codiff_f = hodge_star(dstar, sl.geometry).scale(sign)
-    xvec = musical_inv(df_slice, sl.geometry)
-    slot2 = codiff_f - contract_2_3(f_sl, h_hat_sl, sl.geometry) + interior(xvec, f_sl)
-    slot3 = red.anomaly
-    return slot1, slot2, slot3
+    xvec = musical_inv(df_sl, sl.geometry)
+    slot2 = codifferential(sl, f_sl) - contract_2_3(f_sl, h_hat_sl, sl.geometry) + interior(xvec, f_sl)
+    return {
+        "string GRS slot1": all(x.is_zero() for row in slot1 for x in row),
+        "string GRS slot2": slot2.is_zero(),
+        "string GRS slot3": red.anomaly.is_zero(),
+    }
+
+
+def _unit_scale(lam2):
+    """lam = |V| = sqrt(lam2), which rescales V to unit length."""
+    try:
+        return lam2.sqrt()
+    except NotRepresentable as exc:
+        raise ReductionError(
+            f"|V| = sqrt({lam2}) is not in the scalar field; rerun with field sqrt d"
+        ) from exc
 
 
 def _scale_check(name, lhs, rhs, table):
@@ -377,38 +383,29 @@ def reduce_g2(s: GStructure, df: KForm | None = None, raw: bool = False) -> Redu
     # theta-sharp by lam^{-2}, making the canonical vector unit length.
     lam2 = geom.norm_sq(v)
     if not (lam2 - field.one()).is_zero():
-        try:
-            lam = lam2.sqrt()
-        except NotRepresentable as exc:
-            raise ReductionError(
-                f"|V| = sqrt({lam2}) is not in the scalar field; rerun with field sqrt d"
-            ) from exc
-        phi = phi.scale(lam * lam2)
-        s = g2_assemble(phi, frame)
-        geom = s.geometry
-        torsion = s.torsion
-        v = canonical_vector(s, df)
-        h = s.h
+        phi = phi.scale(_unit_scale(lam2) * lam2)
+        unit = g2_assemble(phi, frame)
+        geom = unit.geometry
+        torsion = unit.torsion
+        v = canonical_vector(unit, df)
+        h = unit.h
 
     red = reduce_pair(frame, h, v, normalize=True, geometry=geom)
     red.structure = s
     sl = red.transverse
-    vhat = red.v
-    muhat = red.mu
     phi_ad = red.adapted.to_adapted(phi)
-    vhat_ad = red.adapted.vector_to_adapted(vhat)
+    vhat_ad = red.adapted.vector_to_adapted(red.v)
     omega_ad = interior(vhat_ad, phi_ad)
     omega = sl.restrict(omega_ad, "omega")
-    mu_ad = red.adapted.to_adapted(muhat)
+    mu_ad = red.adapted.to_adapted(red.mu)
     omega_plus = sl.restrict(phi_ad - wedge(mu_ad, omega_ad), "Omega+")
     struct = su3_assemble(omega, omega_plus, sl)
     if struct.geometry.orientation_sign != sl.geometry.orientation_sign:
         raise ReductionError("reduced pair orients the slice the wrong way")
     red.reduced_structure = struct
-    rt = struct.torsion
-    red.reduced_torsion = rt
-    df_sl = _slice_form(red, df, "df") if not df.is_zero() else KForm.zero(sl.n, 1, field)
-    red.df = df_sl
+    red.reduced_torsion = rt = struct.torsion
+    grs = string_residual_on_slice(red, s, df)
+    df_sl = red.df
 
     # verifier: the displayed transverse identities
     tau0 = torsion["tau0"]
@@ -422,8 +419,7 @@ def reduce_g2(s: GStructure, df: KForm | None = None, raw: bool = False) -> Redu
     table["pi1 = df"] = rt["pi1"] == df_sl
     _scale_check("pi0 = 7/12 tau0", rt["pi0"], field.scalar(Fraction(7, 12)) * tau0, table)
     # nu3 = (1/8) tau0 Omega- + (1/4) df ^ omega - i_V(star tau3)
-    star_tau3 = hodge_star(torsion["tau3"], geom)
-    st_ad = red.adapted.to_adapted(star_tau3)
+    st_ad = red.adapted.to_adapted(hodge_star(torsion["tau3"], geom))
     iv_st = sl.restrict(interior(vhat_ad, st_ad), "i_V star tau3")
     nu3_expected = om_min.scale(field.scalar(Fraction(1, 8)) * tau0) + wedge(df_sl, omega).scale(Fraction(1, 4)) - iv_st
     table["nu3 identity"] = rt["nu3"] == nu3_expected
@@ -442,10 +438,7 @@ def reduce_g2(s: GStructure, df: KForm | None = None, raw: bool = False) -> Redu
     table["F wedge Omega- = 0"] = wedge(f_sl, om_min).is_zero()
     table["F wedge omega^2 = 0"] = wedge(f_sl, om2).is_zero()
     # string GRS residual triple
-    s1, s2, s3 = string_residual_on_slice(red, df_sl)
-    table["string GRS slot1"] = all(x.is_zero() for row in s1 for x in row)
-    table["string GRS slot2"] = s2.is_zero()
-    table["string GRS slot3"] = s3.is_zero()
+    table.update(grs)
     red.verifier = table
     red.omega = omega
     red.omega_plus = omega_plus
@@ -475,25 +468,21 @@ def reduce_spin7(s: GStructure, df: KForm | None = None, raw: bool = False) -> R
         )
 
     # unit-symmetry normalization: Psi -> lam^4 Psi, g -> lam^2 g
+    unit = s
     lam2 = geom.norm_sq(v)
     if not (lam2 - field.one()).is_zero():
-        try:
-            lam = lam2.sqrt()
-        except NotRepresentable as exc:
-            raise ReductionError(
-                f"|V| = sqrt({lam2}) is not in the scalar field; rerun with field sqrt d"
-            ) from exc
+        _unit_scale(lam2)  # the root check of reduce_g2, though only lam^2 is used
         psi = psi.scale(lam2 * lam2)
         gscaled = FrameGeometry(
             8, field,
             [[geom.metric[i][j] * lam2 for j in range(8)] for i in range(8)],
             orientation_sign=geom.orientation_sign,
         )
-        s = spin7_assemble(psi, frame, geometry=gscaled)
-        geom = s.geometry
-        torsion = s.torsion
-        v = canonical_vector(s, df)
-        h = s.h
+        unit = spin7_assemble(psi, frame, geometry=gscaled)
+        geom = unit.geometry
+        torsion = unit.torsion
+        v = canonical_vector(unit, df)
+        h = unit.h
 
     red = reduce_pair(frame, h, v, normalize=True, geometry=geom)
     red.structure = s
@@ -526,8 +515,8 @@ def reduce_spin7(s: GStructure, df: KForm | None = None, raw: bool = False) -> R
     else:
         rt = rt_auto
     red.reduced_torsion = rt
-    df_sl = _slice_form(red, df, "df") if not df.is_zero() else KForm.zero(sl.n, 1, field)
-    red.df = df_sl
+    grs = string_residual_on_slice(red, s, df)
+    df_sl = red.df
 
     table = {}
     _scale_check("tau0 = -6/7", rt["tau0"], field.scalar(Fraction(-6, 7)), table)
@@ -547,7 +536,7 @@ def reduce_spin7(s: GStructure, df: KForm | None = None, raw: bool = False) -> R
     )
     # d theta_Psi lands in Lambda^2_21 upstairs and Lambda^2_14 downstairs
     dtheta = frame.d(theta)
-    up = project(s, dtheta)
+    up = project(unit, dtheta)
     table["d theta in Lambda^2_21"] = up["7"].is_zero()
     dtheta_sl = _slice_form(red, dtheta, "d theta")
     down = project(struct, dtheta_sl)
@@ -556,10 +545,7 @@ def reduce_spin7(s: GStructure, df: KForm | None = None, raw: bool = False) -> R
     h_hat_sl = _slice_form(red, red.h_hat, "H^")
     table["H^ = H_phi"] = h_hat_sl == bismut_torsion(struct, rt)
     # string GRS triple with flux (7/6) d theta = d mu
-    s1, s2, s3 = string_residual_on_slice(red, df_sl)
-    table["string GRS slot1"] = all(x.is_zero() for row in s1 for x in row)
-    table["string GRS slot2"] = s2.is_zero()
-    table["string GRS slot3"] = s3.is_zero()
+    table.update(grs)
     red.verifier = table
     red.phi = phi
     return red

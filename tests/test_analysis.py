@@ -37,9 +37,23 @@ def test_reduce_builds_each_item_once_per_structure(monkeypatch):
     ambient = doc.structure()
     assert dict(torsion) == {ambient: 1}
     assert h[ambient] == 1
-    # one Bismut connection on the ambient frame, one in the adapted frame
-    assert conn[doc.frame()] == 1
-    assert sorted(conn.values()) == [1, 1]
+    # one Bismut connection, on the ambient frame; none in the adapted frame
+    assert dict(conn) == {doc.frame(): 1}
+
+
+@pytest.mark.parametrize("name", ["nonintG2", "nonintG2nonclosedLee"])
+def test_reduce_builds_no_geometry_of_its_own(monkeypatch, name):
+    # a reduce verdict builds what its check builds, also when it reduces
+    # through the rescaled unit-|V| structure (nonintG2nonclosedLee)
+    doc = parse(registry.input_text(name))
+    lc = _count_calls(monkeypatch, "levi_civita")  # keyed by frame
+    conn = _count_calls(monkeypatch, "bismut_connection")
+    cur = _count_calls(monkeypatch, "curvature")
+    engine.run_reduce(doc)
+    frame = doc.frame()
+    assert dict(lc) == {frame: 1}
+    assert dict(conn) == {frame: 1}
+    assert dict(cur) == {frame: 2}  # the Bismut and Levi-Civita curvatures
 
 
 def test_check_builds_each_item_once(monkeypatch):

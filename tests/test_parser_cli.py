@@ -263,6 +263,9 @@ def test_parse_truncated_metric_rows():
         parse("dim 2\nframe a b\nmetric rows\n  2 0\n")
 
 
+_SU3_FRAME = "dim 6\nframe e1 e2 e3 e4 e5 e6\n"
+
+
 @pytest.mark.parametrize(
     "text, flags, code, message",
     [
@@ -272,8 +275,20 @@ def test_parse_truncated_metric_rows():
         (registry.input_text("nonintG2"), ["--df", "e1"], 2, "closed 1-form"),
         (None, [], 2, "cannot read"),
         ("dim 2\nframe e1 e2\nstructure ah\nomega = e1^e2\n", [], 3, "even n >= 4"),
+        ("dim 3\nframe e1 e2 e3\nd e1 = 1/0*e2^e3\n", [], 2, "division by zero (line 3, col 4)"),
+        (registry.input_text("nonintG2"), ["--df", "1/0*e1"], 2, "division by zero"),
+        (_SU3_FRAME + "structure su3\nomega = 0\nOmega+ = model\n", [], 3, "omega is degenerate"),
+        (_SU3_FRAME + "structure su3\nPsi = model\n", [], 2, "structure su3 has no Psi form (line 4)"),
+        (
+            "dim 7\nframe e1 e2 e3 e4 e5 e6 e7\nphi = model\nstructure g2\n", [], 2,
+            "declare the structure before its phi line (line 3)",
+        ),
     ],
-    ids=["float-tolerance", "negative-tolerance", "missing-phi", "df-not-closed", "missing-file", "ah-dim-2"],
+    ids=[
+        "float-tolerance", "negative-tolerance", "missing-phi", "df-not-closed", "missing-file", "ah-dim-2",
+        "zero-divisor-in-file", "zero-divisor-in-df", "model-keeps-other-slot", "slot-of-other-kind",
+        "form-before-structure",
+    ],
 )
 def test_cli_bad_input_one_line_and_exit_code(tmp_path, capsys, text, flags, code, message):
     p = tmp_path / "input.gs"

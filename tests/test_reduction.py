@@ -22,7 +22,14 @@ from gtorsion.forms import (
     wedge,
     hodge_star,
 )
-from gtorsion.frames import LieAlgebraFrame
+from gtorsion.frames import (
+    LieAlgebraFrame,
+    bismut_connection,
+    covariant_derivative_oneform,
+    curvature,
+    levi_civita,
+    transform_bilinear,
+)
 from gtorsion.reduction import (
     ReductionError,
     TransverseSlice,
@@ -250,6 +257,33 @@ def test_reduce_spin7_two_raw_and_field_limit():
     assert len(red.phi.coeffs) == 49
     with pytest.raises(ReductionError, match="sqrt"):
         reduce_spin7(s)
+
+
+@pytest.mark.parametrize("name", ["nonintG2nonclosedLee", "nonintSpin7OneA"])
+def test_change_of_basis_matches_adapted_frame_rebuild(name):
+    # The reduction moves the ambient Ricci tensor and nabla df into the
+    # adapted frame as B M B^T; the reference rebuilds the connection in the
+    # adapted frame of the rescaled unit-|V| geometry.
+    s = fixture_structure(name)
+    f, n = s.field, s.n
+    assert not (s.geometry.norm_sq(canonical_vector(s)) - f.one()).is_zero()
+    red = (reduce_g2 if s.kind == "g2" else reduce_spin7)(s)
+    ad = red.adapted
+    theta = KForm.from_terms(n, f, [((1,), 1), ((3,), 2)])
+    theta_ad = ad.to_adapted(theta)
+    for conn, rebuilt in (
+        (s.levi_civita, levi_civita(ad.frame)),
+        (s.bismut, bismut_connection(ad.frame, ad.to_adapted(red.h))),
+    ):
+        ric = curvature(s.frame, conn).ricci
+        assert transform_bilinear(ric, ad.b, f) == curvature(ad.frame, rebuilt).ricci
+        nabla_theta = covariant_derivative_oneform(s.frame, conn, theta)
+        assert transform_bilinear(nabla_theta, ad.b, f) == covariant_derivative_oneform(
+            ad.frame, rebuilt, theta_ad
+        )
+    # the Levi-Civita Ricci tensor is nonzero, so a transposed B would show
+    lc_ric = curvature(s.frame, s.levi_civita).ricci
+    assert any(not x.is_zero() for row in lc_ric for x in row)
 
 
 # -- splitting equivalence on randomized rotations --------------------------------
