@@ -21,7 +21,7 @@ from .forms import GeometryError
 from .frames import FrameError
 from .parser import ParseError, _parse_form, parse_file
 from .reduction import ReductionError
-from .scalars import FloatField, NotRepresentable
+from .scalars import NotRepresentable
 from .soliton import PreconditionError
 from .structures import StructureError
 from . import registry
@@ -34,8 +34,6 @@ EXIT_STRUCTURE = 3
 
 def _common_flags(sub):
     sub.add_argument("--format", choices=["text", "json"], default="text")
-    sub.add_argument("--backend", choices=["exact", "float"], default="exact")
-    sub.add_argument("--tol", type=float, default=1e-9, help="float backend tolerance")
     sub.add_argument("--df", default=None, help="invariant closed 1-form for the potential gradient")
 
 
@@ -67,11 +65,10 @@ def build_parser():
 
 
 def _load(args):
-    field = FloatField(args.tol) if args.backend == "float" else None
-    doc = parse_file(args.file, field=field)
+    doc = parse_file(args.file)
     df = None
     if args.df is not None:
-        df = _parse_form(args.df, doc, 1, 0)
+        df = _parse_form(args.df, doc, 1, "--df")
     declared = df if df is not None else doc.df
     if declared is not None and not doc.frame().d(declared).is_zero():
         raise ParseError("df must be a closed 1-form: d(df) != 0")

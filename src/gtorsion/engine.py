@@ -3,8 +3,6 @@ commands from a parsed input document."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .forms import KForm
 from .report import Report, form_str, matrix_norm_sq, scalar_str, vector_str
 from .reduction import (
@@ -38,10 +36,6 @@ def _torsion_report(s, torsion, labels):
     return out
 
 
-def _grs_factor(kind):
-    return Fraction(7, 6) if kind == "spin7" else 1
-
-
 def run_check(doc, df: KForm | None = None) -> Report:
     frame = doc.frame()
     s = doc.structure()
@@ -62,8 +56,7 @@ def run_check(doc, df: KForm | None = None) -> Report:
     rep.set("bismut_torsion", form_str(h, labels))
     strong = frame.d(h).is_zero()
     rep.set("strong_torsion", strong)
-    if field.exact:
-        rep.set("torsion_oracle_agree", solve_skew_torsion(s) == h)
+    rep.set("torsion_oracle_agree", solve_skew_torsion(s) == h)
 
     df = df if df is not None else (doc.df or KForm.zero(frame.n, 1, field))
     v = canonical_vector(s, df)

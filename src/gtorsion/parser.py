@@ -3,7 +3,7 @@
 Grammar (one statement per line, ``#`` comments, blank lines ignored):
 
     dim 7
-    field rational | field sqrt 3 | field float 1e-9
+    field rational | field sqrt 3
     frame e1 e2 e3 e4 e5 e6 e7
     d e1 = -2*e2^e3 + e4^e5
     metric identity
@@ -25,13 +25,12 @@ Coefficients are rationals or sqrt-d-linear expressions such as
 
 from __future__ import annotations
 
-import math
 import re
 
 from .forms import FrameGeometry, KForm, VectorField, _sort_sign, mask_of
 from .frames import FrameError, LieAlgebraFrame
 from .report import form_str, scalar_str, vector_str
-from .scalars import Field, FloatField, QuadraticField, RationalField, Scalar
+from .scalars import Field, QuadraticField, RationalField, Scalar
 from .structures import (
     GStructure,
     ah_assemble,
@@ -45,10 +44,13 @@ __all__ = ["ParseError", "InputDocument", "parse", "parse_file"]
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
+    """``line`` is an input line number, or the name of the flag whose value
+    failed to parse (such as ``"--df"``)."""
+
+    def __init__(self, message: str, line: int | str | None = None, col: int | None = None):
         loc = ""
         if line is not None:
-            loc = f"line {line}"
+            loc = f"line {line}" if isinstance(line, int) else line
             if col is not None:
                 loc += f", col {col}"
             loc = f" ({loc})"
@@ -62,7 +64,7 @@ TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str, line_no: int):
+def _tokenize(text: str, line_no: int | str):
     pos = 0
     out = []
     while pos < len(text):
@@ -84,7 +86,7 @@ def _tokenize(text: str, line_no: int):
 class _ExprParser:
     """Recursive-descent parser for scalar coefficients and form terms."""
 
-    def __init__(self, tokens, field: Field, labels, line_no: int):
+    def __init__(self, tokens, field: Field, labels, line_no: int | str):
         self.toks = tokens
         self.i = 0
         self.field = field
@@ -115,8 +117,6 @@ class _ExprParser:
             raise ParseError(f"unknown symbol {name!r}", self.line, col)
         d = int(m.group(1))
         if not isinstance(self.field, QuadraticField):
-            if isinstance(self.field, FloatField):
-                return self.field.scalar(math.sqrt(d))
             raise ParseError(
                 f"sqrt{d} needs 'field sqrt {d}' declared first", self.line, col
             )
@@ -265,7 +265,6 @@ class InputDocument:
     def __init__(self):
         self.dim = None
         self.field: Field = RationalField()
-        self.field_decl = ("rational",)
         self.labels = None
         self.coframe = {}
         self.metric = None
@@ -297,10 +296,8 @@ class InputDocument:
     def serialize(self) -> str:
         """Canonical input text; parse(serialize(doc)) reproduces the document."""
         out = [f"dim {self.dim}"]
-        if self.field_decl[0] == "sqrt":
-            out.append(f"field sqrt {self.field_decl[1]}")
-        elif self.field_decl[0] == "float":
-            out.append(f"field float {self.field_decl[1]}")
+        if isinstance(self.field, QuadraticField):
+            out.append(f"field sqrt {self.field.d}")
         else:
             out.append("field rational")
         out.append("frame " + " ".join(self.labels))
@@ -361,10 +358,8 @@ _KIND_SLOTS = {"su3": ("omega", "omega_plus"), "g2": ("phi",), "spin7": ("psi",)
 _FORM_SLOTS = {"phi": ("phi", 3), "omega": ("omega", 2), "omega+": ("omega_plus", 3), "psi": ("psi", 4)}
 
 
-def parse(text: str, field: Field | None = None) -> InputDocument:
+def parse(text: str) -> InputDocument:
     doc = InputDocument()
-    if field is not None:
-        doc.field = field
     lines = text.splitlines()
     metric_rows_pending = 0
     metric_rows = []
@@ -401,27 +396,18 @@ def parse(text: str, field: Field | None = None) -> InputDocument:
         elif head_l == "field":
             parts = rest.split()
             if parts[:1] == ["rational"]:
-                if field is None:
-                    doc.field = RationalField()
-                doc.field_decl = ("rational",)
+                doc.field = RationalField()
             elif parts[:1] == ["sqrt"] and len(parts) == 2:
                 try:
-                    d = int(parts[1])
-                    if field is None:
-                        doc.field = QuadraticField(d)
-                    doc.field_decl = ("sqrt", d)
+                    doc.field = QuadraticField(int(parts[1]))
                 except ValueError as exc:
                     raise ParseError(f"bad field: {exc}", line_no)
-            elif parts[:1] == ["float"] and len(parts) == 2:
-                try:
-                    tol = float(parts[1])
-                    if field is None:
-                        doc.field = FloatField(tol)
-                except ValueError as exc:
-                    raise ParseError(f"bad field: {exc}", line_no)
-                doc.field_decl = ("float", tol)
+            elif parts[:1] == ["float"]:
+                raise ParseError(
+                    "the float backend was removed: use 'field rational' or 'field sqrt d'", line_no
+                )
             else:
-                raise ParseError("field must be 'rational', 'sqrt d', or 'float tol'", line_no)
+                raise ParseError("field must be 'rational' or 'sqrt d'", line_no)
         elif head_l == "frame":
             doc.labels = rest.split()
             if doc.dim is None:
@@ -502,7 +488,7 @@ def parse(text: str, field: Field | None = None) -> InputDocument:
     return doc
 
 
-def _parse_form(expr: str, doc: InputDocument, degree: int, line_no: int) -> KForm:
+def _parse_form(expr: str, doc: InputDocument, degree: int, line_no: int | str) -> KForm:
     toks = _tokenize(expr, line_no)
     if not toks:
         raise ParseError("empty expression", line_no)
@@ -525,10 +511,10 @@ def _parse_form(expr: str, doc: InputDocument, degree: int, line_no: int) -> KFo
     return KForm(doc.dim, degree, doc.field, acc)
 
 
-def parse_file(path, field: Field | None = None) -> InputDocument:
+def parse_file(path) -> InputDocument:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    return parse(text, field=field)
+    return parse(text)

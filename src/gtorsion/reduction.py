@@ -116,25 +116,24 @@ def adapt_frame(frame: LieAlgebraFrame, v: VectorField, geometry=None) -> Adapte
     _check_killing(frame, v, geom)
     pivot = next(i for i, c in enumerate(v.components) if not c.is_zero())
     order = [i for i in range(n) if i != pivot]
-    basis = []
+    built = [(v, geom.norm_sq(v))]  # (vector, |vector|^2): V, then the complement
     for i in order:
         w = VectorField.basis(n, field, i + 1)
         # subtract projections onto V and the vectors built so far
-        for u in [v] + basis:
-            c = geom.g(w, u) / geom.norm_sq(u)
+        for u, u_sq in built:
+            c = geom.g(w, u) / u_sq
             if not c.is_zero():
                 w = w - u.scale(c)
         if w.is_zero():
             raise ReductionError("degenerate complement while adapting the frame")
-        basis.append(w)
-    vecs = basis + [v]
+        built.append((w, geom.norm_sq(w)))
     normed = []
-    for w in vecs:
+    for w, w_sq in built[1:] + built[:1]:
         try:
-            nrm = geom.norm_sq(w).sqrt()
+            nrm = w_sq.sqrt()
         except NotRepresentable as exc:
             raise ReductionError(
-                f"cannot normalize adapted frame: |w|^2 = {geom.norm_sq(w)} has no sqrt in {field!r}"
+                f"cannot normalize adapted frame: |w|^2 = {w_sq} has no sqrt in {field!r}"
             ) from exc
         normed.append(w.scale(nrm.inverse()))
     # coframe rows: f^i = A[i][.] e^. with A = (B^{-1})^T for B rows the vectors
@@ -148,11 +147,20 @@ def adapt_frame(frame: LieAlgebraFrame, v: VectorField, geometry=None) -> Adapte
 
 def _check_killing(frame, v: VectorField, geom):
     n = frame.n
-    basis = [frame.basis_vector(i + 1) for i in range(n)]
-    brackets = [frame.bracket(v, x) for x in basis]  # [V, e_i]
+    zero = frame.field.zero()
+
+    def pair(x: VectorField, j: int):
+        """g(x, e_j) by row j of the metric."""
+        acc = zero
+        for c, gjk in zip(x.components, geom.metric[j]):
+            if not c.is_zero():
+                acc = acc + c * gjk
+        return acc
+
+    brackets = [frame.bracket(v, frame.basis_vector(i + 1)) for i in range(n)]  # [V, e_i]
     for i in range(n):
         for j in range(i, n):
-            val = geom.g(brackets[i], basis[j]) + geom.g(basis[i], brackets[j])
+            val = pair(brackets[i], j) + pair(brackets[j], i)
             if not val.is_zero():
                 raise ReductionError(
                     f"V is not Killing: L_V g ({frame.labels[i]}, {frame.labels[j]}) != 0"

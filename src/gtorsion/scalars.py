@@ -1,25 +1,28 @@
-"""Exact scalar arithmetic for the engine.
+"""Exact scalar arithmetic for the engine: the fields QQ and QQ(sqrt d).
 
-Three backends share one interface:
+A Scalar is the number (p + q*sqrt(d)) / den held as three plain ints in
+canonical form: den > 0, gcd(p, q, den) = 1, and q = 0 in QQ.  Equal
+values therefore have equal (p, q, den), so equality compares ints, and
+the rational parts ``a``, ``b`` (value = a + b*sqrt(d)) are built as
+Fractions only on request.
 
-* rational        -- plain Fraction arithmetic,
-* quadratic(d)    -- numbers a + b*sqrt(d) with a, b rational, d square-free,
-* float(tol)      -- machine floats with explicit comparison tolerance.
-
-Scalars from different fields never mix silently; binary operations raise
-``FieldMismatch``.  Plain ints and Fractions lift into any field.
+Fields are interned: ``QuadraticField(3) is QuadraticField(3)``, so fields
+compare by identity, and ``zero()`` / ``one()`` return one object per
+field.  Scalars from different fields never mix silently; binary
+operations raise ``FieldMismatch``.  Plain ints and Fractions lift into any
+field.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import gcd
 
 __all__ = [
     "Field",
     "RationalField",
     "QuadraticField",
-    "FloatField",
     "Scalar",
     "FieldMismatch",
     "NotRepresentable",
@@ -73,37 +76,66 @@ def _frac_root(x: Fraction, r: int) -> Fraction | None:
     return Fraction(a, b)
 
 
-class Field:
-    """Base class; concrete fields construct and compare Scalars."""
+def _ratstr(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, without building the Fraction."""
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
 
-    exact = True
+
+class Field:
+    """An interned scalar field: QQ (d = 0) or QQ(sqrt d)."""
+
+    d = 0
+    _interned: dict[int, "Field"] = {}
+
+    @classmethod
+    def _intern(cls, d: int) -> "Field":
+        field = Field._interned.get(d)
+        if field is None:
+            field = object.__new__(cls)
+            field.d = d
+            field._zero = Scalar(field, 0, 0, 1)
+            field._one = Scalar(field, 1, 0, 1)
+            Field._interned[d] = field
+        return field
 
     def scalar(self, value) -> "Scalar":
-        raise NotImplementedError
+        if isinstance(value, Scalar):
+            if value.field is self:
+                return value
+            if value.field.d == 0:  # QQ lifts into every field
+                return Scalar(self, value.p, 0, value.den)
+            raise FieldMismatch(f"cannot lift {value!r} into {self!r}")
+        if isinstance(value, int):
+            if value == 0:
+                return self._zero
+            if value == 1:
+                return self._one
+            return Scalar(self, int(value), 0, 1)
+        v = Fraction(value)
+        return Scalar(self, v.numerator, 0, v.denominator)
 
     def zero(self) -> "Scalar":
-        return self.scalar(0)
+        return self._zero
 
     def one(self) -> "Scalar":
-        return self.scalar(1)
+        return self._one
 
+    # Fields are interned, so equality is identity.  It stays an explicit
+    # method: bench/spans.py counts calls of ``Field.__eq__`` by name.
     def __eq__(self, other):
-        return type(self) is type(other) and self._key() == other._key()
+        return self is other
 
     def __hash__(self):
-        return hash((type(self).__name__, self._key()))
-
-    def _key(self):
-        return ()
+        return hash((type(self).__name__, (self.d,) if self.d else ()))
 
 
 class RationalField(Field):
-    def scalar(self, value) -> "Scalar":
-        if isinstance(value, Scalar):
-            if value.field != self:
-                raise FieldMismatch(f"cannot lift {value!r} into QQ")
-            return value
-        return Scalar(self, Fraction(value), Fraction(0))
+    def __new__(cls):
+        return cls._intern(0)
 
     def __repr__(self):
         return "QQ"
@@ -112,139 +144,138 @@ class RationalField(Field):
 class QuadraticField(Field):
     """The field QQ(sqrt(d)) for a fixed square-free integer d > 1."""
 
-    def __init__(self, d: int):
+    def __new__(cls, d: int):
         if d <= 1 or not _issquarefree(d):
             raise ValueError(f"d must be a square-free integer > 1, got {d}")
-        self.d = d
-
-    def _key(self):
-        return (self.d,)
-
-    def scalar(self, value) -> "Scalar":
-        if isinstance(value, Scalar):
-            if isinstance(value.field, RationalField) and value.b == 0:
-                return Scalar(self, value.a, Fraction(0))
-            if value.field != self:
-                raise FieldMismatch(f"cannot lift {value!r} into {self!r}")
-            return value
-        return Scalar(self, Fraction(value), Fraction(0))
+        return cls._intern(d)
 
     def sqrt_d(self) -> "Scalar":
-        return Scalar(self, Fraction(0), Fraction(1))
+        return Scalar(self, 0, 1, 1)
 
     def __repr__(self):
         return f"QQ(sqrt{self.d})"
 
 
-class FloatField(Field):
-    """Floats with an explicit equality tolerance (never implicit)."""
+def _norm(field: Field, p: int, q: int, den: int) -> "Scalar":
+    """The scalar (p + q sqrt d)/den in canonical form; den != 0."""
+    if den != 1:
+        if den < 0:
+            p, q, den = -p, -q, -den
+        g = gcd(p, q, den)
+        if g != 1:
+            p //= g
+            q //= g
+            den //= g
+    if not p and not q:
+        return field._zero
+    return Scalar(field, p, q, den)
 
-    exact = False
 
-    def __init__(self, tol: float):
-        if tol < 0:
-            raise ValueError("tolerance must be nonnegative")
-        self.tol = tol
+def _from_parts(field: Field, a: Fraction, b: Fraction) -> "Scalar":
+    """The scalar a + b sqrt d from its rational parts."""
+    ad, bd = a.denominator, b.denominator
+    den = math.lcm(ad, bd)
+    return _norm(field, a.numerator * (den // ad), b.numerator * (den // bd), den)
 
-    def _key(self):
-        return (self.tol,)
 
-    def scalar(self, value) -> "Scalar":
-        if isinstance(value, Scalar):
-            return Scalar(self, value.as_float(), 0.0)
-        return Scalar(self, float(value), 0.0)
-
-    def __repr__(self):
-        return f"Float(tol={self.tol})"
+def _sum(x: "Scalar", y: "Scalar", negate: bool) -> "Scalar":
+    """x + y, or x - y when ``negate``; both scalars in one field."""
+    yp, yq, yd = y.p, y.q, y.den
+    if not yp and not yq:
+        return x
+    if negate:
+        yp, yq = -yp, -yq
+    xp, xq, xd = x.p, x.q, x.den
+    if not xp and not xq:
+        return Scalar(x.field, yp, yq, yd) if negate else y
+    if xd == yd:
+        return _norm(x.field, xp + yp, xq + yq, xd)
+    return _norm(x.field, xp * yd + yp * xd, xq * yd + yq * xd, xd * yd)
 
 
 class Scalar:
-    """A field element.  Immutable; supports +, -, *, /, ==, sign tests.
+    """A field element (p + q*sqrt(d)) / den.  Immutable; supports +, -, *,
+    /, ==, sign tests.
 
-    Exact backends store (a, b) meaning a + b*sqrt(d) (b is 0 in QQ);
-    the float backend stores the value in ``a``.
+    The constructor stores its ints as given; they must already be in
+    canonical form.  Build scalars with ``field.scalar`` or by arithmetic.
     """
 
-    __slots__ = ("field", "a", "b")
+    __slots__ = ("field", "p", "q", "den")
 
-    def __init__(self, field: Field, a, b=Fraction(0)):
+    def __init__(self, field: Field, p: int, q: int, den: int):
         self.field = field
-        self.a = a
-        self.b = b
+        self.p = p
+        self.q = q
+        self.den = den
+
+    @property
+    def a(self) -> Fraction:
+        """The rational part of a + b sqrt(d)."""
+        return Fraction(self.p, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        """The sqrt(d) coefficient of a + b sqrt(d); 0 in QQ."""
+        return Fraction(self.q, self.den)
 
     # -- helpers -------------------------------------------------------
 
     def _coerce(self, other) -> "Scalar":
         if isinstance(other, Scalar):
-            if other.field != self.field:
+            if other.field is not self.field:
                 raise FieldMismatch(
                     f"mixed-field arithmetic: {self.field!r} vs {other.field!r}"
                 )
             return other
         if isinstance(other, (int, Fraction)):
             return self.field.scalar(other)
-        if isinstance(other, float) and not self.field.exact:
-            return self.field.scalar(other)
         raise FieldMismatch(f"cannot coerce {other!r} into {self.field!r}")
-
-    def _d(self) -> int:
-        return self.field.d if isinstance(self.field, QuadraticField) else 0
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if not self.field.exact:
-            return Scalar(self.field, self.a + o.a)
-        return Scalar(self.field, self.a + o.a, self.b + o.b)
+        return _sum(self, self._coerce(other), False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if not self.field.exact:
-            return Scalar(self.field, -self.a)
-        return Scalar(self.field, -self.a, -self.b)
+        if not self.p and not self.q:
+            return self
+        return Scalar(self.field, -self.p, -self.q, self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if not self.field.exact:
-            return Scalar(self.field, self.a - o.a)
-        return Scalar(self.field, self.a - o.a, self.b - o.b)
+        return _sum(self, self._coerce(other), True)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return _sum(self._coerce(other), self, True)
 
     def __mul__(self, other):
         o = self._coerce(other)
-        if not self.field.exact:
-            return Scalar(self.field, self.a * o.a)
-        # rational fast paths (b parts vanish for most values in practice)
-        if not self.b:
-            if not o.b:
-                return Scalar(self.field, self.a * o.a)
-            return Scalar(self.field, self.a * o.a, self.a * o.b)
-        if not o.b:
-            return Scalar(self.field, self.a * o.a, self.b * o.a)
-        d = self._d()
-        return Scalar(
-            self.field,
-            self.a * o.a + d * self.b * o.b,
-            self.a * o.b + self.b * o.a,
-        )
+        xp, xq = self.p, self.q
+        if not xp and not xq:
+            return self
+        yp, yq = o.p, o.q
+        if not yp and not yq:
+            return o
+        if xq or yq:
+            p = xp * yp + self.field.d * xq * yq
+            q = xp * yq + xq * yp
+        else:
+            p, q = xp * yp, 0
+        return _norm(self.field, p, q, self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        if not self.field.exact:
-            return Scalar(self.field, 1.0 / self.a)
-        if self.is_zero():
-            raise ZeroDivisionError("scalar inverse of zero")
-        if not self.b:
-            return Scalar(self.field, 1 / self.a, Fraction(0))
-        d = self._d()
-        # (a + b sqrt d)(a - b sqrt d) = a^2 - d b^2, nonzero by irrationality
-        norm = self.a * self.a - d * self.b * self.b
-        return Scalar(self.field, self.a / norm, -self.b / norm)
+        p, q, den = self.p, self.q, self.den
+        if not q:
+            if not p:
+                raise ZeroDivisionError("scalar inverse of zero")
+            # gcd(p, den) = 1 already
+            return Scalar(self.field, -den, 0, -p) if p < 0 else Scalar(self.field, den, 0, p)
+        # (p + q sqrt d)(p - q sqrt d) = p^2 - d q^2, nonzero by irrationality
+        return _norm(self.field, den * p, -den * q, p * p - self.field.d * q * q)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -255,128 +286,105 @@ class Scalar:
     # -- comparisons ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        if not self.field.exact:
-            return abs(self.a) <= self.field.tol
-        return self.a == 0 and self.b == 0
+        return not self.p and not self.q
 
     def __eq__(self, other):
         try:
             o = self._coerce(other)
         except FieldMismatch:
             return NotImplemented
-        return (self - o).is_zero()
+        return self.p == o.p and self.q == o.q and self.den == o.den
 
     def __hash__(self):
-        if not self.field.exact:
-            raise TypeError("float-backend scalars are not hashable")
         return hash((self.field, self.a, self.b))
 
     def sign(self) -> int:
-        """-1, 0, or +1.  Exact in every backend."""
-        if not self.field.exact:
-            if abs(self.a) <= self.field.tol:
-                return 0
-            return 1 if self.a > 0 else -1
-        a, b = self.a, self.b
-        if b == 0:
-            return 0 if a == 0 else (1 if a > 0 else -1)
-        d = self._d()
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
+        """-1, 0, or +1, exactly."""
+        p, q = self.p, self.q
+        if not q:
+            return (p > 0) - (p < 0)
+        if not p:
+            return 1 if q > 0 else -1
+        if p > 0 and q > 0:
             return 1
-        if a < 0 and b < 0:
+        if p < 0 and q < 0:
             return -1
-        # opposite signs: compare a^2 with d b^2
-        lhs, rhs = a * a, d * b * b
-        if a > 0:  # b < 0
+        # opposite signs: compare p^2 with d q^2 (den > 0 scales both)
+        lhs, rhs = p * p, self.field.d * q * q
+        if p > 0:  # q < 0
             return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
         return 1 if lhs < rhs else (-1 if lhs > rhs else 0)
-
-    def is_positive(self) -> bool:
-        return self.sign() > 0
 
     # -- roots ---------------------------------------------------------
 
     def sqrt(self) -> "Scalar":
         """Exact square root inside the field; NotRepresentable otherwise."""
-        if not self.field.exact:
-            if self.a < -self.field.tol:
-                raise NotRepresentable("sqrt of negative")
-            return Scalar(self.field, math.sqrt(max(self.a, 0.0)))
         if self.sign() < 0:
             raise NotRepresentable("sqrt of negative scalar")
-        d = self._d()
-        if self.b == 0:
-            r = _frac_root(self.a, 2)
+        field, d = self.field, self.field.d
+        a, b = self.a, self.b
+        zero = Fraction(0)
+        if b == 0:
+            r = _frac_root(a, 2)
             if r is not None:
-                return Scalar(self.field, r, Fraction(0))
+                return _from_parts(field, r, zero)
             if d:
-                q = _frac_root(self.a / d, 2)
+                q = _frac_root(a / d, 2)
                 if q is not None:
-                    return Scalar(self.field, Fraction(0), q)
-            raise NotRepresentable(f"sqrt({self.a}) not in {self.field!r}")
+                    return _from_parts(field, zero, q)
+            raise NotRepresentable(f"sqrt({a}) not in {field!r}")
         # solve (p + q sqrt d)^2 = a + b sqrt d
-        disc = self.a * self.a - d * self.b * self.b
+        disc = a * a - d * b * b
         rd = _frac_root(disc, 2)
         if rd is not None:
-            for p2 in ((self.a + rd) / 2, (self.a - rd) / 2):
+            for p2 in ((a + rd) / 2, (a - rd) / 2):
                 p = _frac_root(p2, 2)
                 if p is not None and p != 0:
-                    q = self.b / (2 * p)
-                    cand = Scalar(self.field, p, q)
+                    cand = _from_parts(field, p, b / (2 * p))
                     if cand.sign() >= 0 and cand * cand == self:
                         return cand
                     cand = -cand
                     if cand.sign() >= 0 and cand * cand == self:
                         return cand
-        raise NotRepresentable(f"sqrt({self!r}) not in {self.field!r}")
+        raise NotRepresentable(f"sqrt({self!r}) not in {field!r}")
 
     def root(self, r: int) -> "Scalar":
         """Exact r-th root of a nonnegative scalar; handles rational values
         and monomials q*sqrt(d)."""
-        if not self.field.exact:
-            if self.a < -self.field.tol:
-                raise NotRepresentable("root of negative")
-            return Scalar(self.field, max(self.a, 0.0) ** (1.0 / r))
         if r == 2:
             return self.sqrt()
         if self.sign() < 0:
             raise NotRepresentable("root of negative scalar")
-        d = self._d()
-        if self.b == 0:
-            v = _frac_root(self.a, r)
+        field, d = self.field, self.field.d
+        a, b = self.a, self.b
+        zero = Fraction(0)
+        if b == 0:
+            v = _frac_root(a, r)
             if v is not None:
-                return Scalar(self.field, v, Fraction(0))
+                return _from_parts(field, v, zero)
             if d and r % 2 == 0:
-                q = _frac_root(self.a / Fraction(d) ** (r // 2), r)
+                q = _frac_root(a / Fraction(d) ** (r // 2), r)
                 if q is not None:
-                    return Scalar(self.field, Fraction(0), q)
-        elif self.a == 0 and r % 2 == 1:
+                    return _from_parts(field, zero, q)
+        elif a == 0 and r % 2 == 1:
             # (q sqrt d)^r = q^r d^{(r-1)/2} sqrt d
-            q = _frac_root(self.b / Fraction(d) ** ((r - 1) // 2), r)
+            q = _frac_root(b / Fraction(d) ** ((r - 1) // 2), r)
             if q is not None:
-                return Scalar(self.field, Fraction(0), q)
-        raise NotRepresentable(f"{r}-th root of {self!r} not in {self.field!r}")
+                return _from_parts(field, zero, q)
+        raise NotRepresentable(f"{r}-th root of {self!r} not in {field!r}")
 
-    # -- conversions / display -----------------------------------------
-
-    def as_float(self) -> float:
-        if not self.field.exact:
-            return self.a
-        return float(self.a) + float(self.b) * math.sqrt(self._d() or 1)
+    # -- display -------------------------------------------------------
 
     def __repr__(self):
         return f"Scalar({self})"
 
     def __str__(self):
-        if not self.field.exact:
-            return repr(self.a)
-        if self.b == 0:
-            return str(self.a)
-        d = self._d()
-        bpart = f"sqrt{d}" if abs(self.b) == 1 else f"{abs(self.b)}*sqrt{d}"
-        if self.a == 0:
-            return bpart if self.b > 0 else f"-{bpart}"
-        op = "+" if self.b > 0 else "-"
-        return f"{self.a}{op}{bpart}"
+        p, q, den = self.p, self.q, self.den
+        if not q:
+            return _ratstr(p, den)
+        d = self.field.d
+        bpart = f"sqrt{d}" if abs(q) == den else f"{_ratstr(abs(q), den)}*sqrt{d}"
+        if not p:
+            return bpart if q > 0 else f"-{bpart}"
+        op = "+" if q > 0 else "-"
+        return f"{_ratstr(p, den)}{op}{bpart}"

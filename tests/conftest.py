@@ -25,12 +25,12 @@ PYTHAGOREAN = [
 ]
 
 
-def fixture_doc(name, field=None):
-    return parse(registry.input_text(name), field=field)
+def fixture_doc(name):
+    return parse(registry.input_text(name))
 
 
-def fixture_structure(name, field=None):
-    return fixture_doc(name, field=field).structure()
+def fixture_structure(name):
+    return fixture_doc(name).structure()
 
 
 def su2_frame(field=Q, scale=-2):

@@ -27,7 +27,6 @@ from gtorsion.forms import (
     two_form_square,
     wedge,
 )
-from gtorsion.scalars import FloatField
 from gtorsion.structures import model_form
 
 
@@ -330,42 +329,3 @@ def test_contract_2_3_oracle(rng):
             f = random_kform(5, 2, Q, rng)
             h = random_kform(5, 3, Q, rng)
             assert contract_2_3(f, h, geom) == brute_contract_2_3(f, h, geom)
-
-
-# -- exact vs float agreement ------------------------------------------------
-
-
-def test_exact_and_float_agree(rng):
-    F = FloatField(1e-7)
-    ops = 0
-    tol = 1e-7
-    while ops < 1000:
-        n = rng.choice((5, 6, 7))
-        k = rng.randint(1, n - 1)
-        a = random_kform(n, k, Q, rng, density=0.3, span=3)
-        b = random_kform(n, k, Q, rng, density=0.3, span=3)
-        c = random_kform(n, n - k, Q, rng, density=0.3, span=3)
-        geom = FrameGeometry(n, Q)
-        geomf = FrameGeometry(n, F)
-
-        def lift(form, field=F):
-            return KForm(form.n, form.k, field, {m: field.scalar(v.as_float()) for m, v in form.coeffs.items()})
-
-        pairs = [
-            (wedge(a, c), wedge(lift(a), lift(c))),
-            (a + b, lift(a) + lift(b)),
-            (hodge_star(a, geom), hodge_star(lift(a), geomf)),
-        ]
-        s_exact = form_inner(a, b, geom)
-        s_float = form_inner(lift(a), lift(b), geomf)
-        assert abs(s_exact.as_float() - s_float.a) <= tol
-        ops += 1
-        for exact, approx in pairs:
-            for m in exact.coeffs.keys() | approx.coeffs.keys():
-                ec = exact.coeffs.get(m)
-                fc = approx.coeffs.get(m)
-                ev = ec.as_float() if ec is not None else 0.0
-                fv = fc.a if fc is not None else 0.0
-                assert abs(ev - fv) <= tol
-            ops += 1
-    assert ops >= 1000

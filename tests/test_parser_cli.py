@@ -11,7 +11,6 @@ from gtorsion.cli import main
 from gtorsion.engine import run_check, run_reduce
 from gtorsion.forms import KForm
 from gtorsion.parser import ParseError, parse
-from gtorsion.scalars import FloatField
 
 MINI = """
 # toy frame
@@ -87,13 +86,6 @@ def test_parse_vector_and_flux_blocks():
     doc = parse(text)
     assert doc.vector is not None and doc.vector.components[6] == doc.field.one()
     assert doc.flux is not None
-
-
-def test_float_backend_parses_sqrt():
-    doc = parse(registry.input_text("nonintSpin7Two"), field=FloatField(1e-9))
-    rep = run_check(doc)
-    assert rep.data["strong_torsion"] is True
-    assert abs(float(rep.data["dilatino_residual"])) <= 1e-6
 
 
 def test_run_check_fixture_registry_all_green():
@@ -269,14 +261,14 @@ _SU3_FRAME = "dim 6\nframe e1 e2 e3 e4 e5 e6\n"
 @pytest.mark.parametrize(
     "text, flags, code, message",
     [
-        ("dim 3\nfield float abc\nframe e1 e2 e3\n", [], 2, "bad field: could not convert string to float: 'abc'"),
-        ("dim 3\nfield float -1\nframe e1 e2 e3\n", [], 2, "bad field: tolerance must be nonnegative"),
+        ("dim 3\nfield float 1e-9\nframe e1 e2 e3\n", [], 2, "the float backend was removed: use 'field rational' or 'field sqrt d' (line 2)"),
+        ("dim 3\nfield float -1\nframe e1 e2 e3\n", [], 2, "the float backend was removed: use 'field rational' or 'field sqrt d' (line 2)"),
         ("dim 7\nframe e1 e2 e3 e4 e5 e6 e7\nstructure g2\n", [], 2, "needs a 'phi = ...' line"),
         (registry.input_text("nonintG2"), ["--df", "e1"], 2, "closed 1-form"),
         (None, [], 2, "cannot read"),
         ("dim 2\nframe e1 e2\nstructure ah\nomega = e1^e2\n", [], 3, "even n >= 4"),
         ("dim 3\nframe e1 e2 e3\nd e1 = 1/0*e2^e3\n", [], 2, "division by zero (line 3, col 4)"),
-        (registry.input_text("nonintG2"), ["--df", "1/0*e1"], 2, "division by zero"),
+        (registry.input_text("nonintG2"), ["--df", "1/0*e1"], 2, "parse error: division by zero (--df, col 3)"),
         (_SU3_FRAME + "structure su3\nomega = 0\nOmega+ = model\n", [], 3, "omega is degenerate"),
         (_SU3_FRAME + "structure su3\nPsi = model\n", [], 2, "structure su3 has no Psi form (line 4)"),
         (

@@ -1,11 +1,13 @@
-import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtorsion.scalars import (
     FieldMismatch,
-    FloatField,
     NotRepresentable,
     QuadraticField,
     RationalField,
@@ -96,20 +98,7 @@ def test_higher_roots():
         Q.scalar(2).root(3)
 
 
-def test_float_backend_tolerance():
-    F = FloatField(1e-9)
-    a = F.scalar(1.0)
-    b = F.scalar(1.0 + 1e-12)
-    assert a == b
-    c = F.scalar(1.0 + 1e-6)
-    assert not (a == c)
-    assert F.scalar(2.0).sqrt() == F.scalar(math.sqrt(2.0))
-    assert F.scalar(-3.0).sign() == -1
-
-
 def test_float_never_implicit():
-    with pytest.raises(ValueError):
-        FloatField(-1.0)
     with pytest.raises(FieldMismatch):
         Q.scalar(1) + 0.5  # floats do not silently enter exact fields
 
@@ -130,3 +119,131 @@ def test_roots_of_big_integers():
     with pytest.raises(NotRepresentable):
         Q.scalar(2**2001).sqrt()
     assert Q2.scalar(2**2001).sqrt() == Q2.sqrt_d() * Q2.scalar(2**1000)
+
+
+def test_fields_are_interned():
+    assert QuadraticField(3) is Q3
+    assert RationalField() is Q
+    assert QuadraticField(2) is not QuadraticField(3)
+    for field in (Q, Q2, Q3):
+        assert field.zero() is field.zero() and field.one() is field.one()
+        assert field.scalar(0) is field.zero() and field.scalar(1) is field.one()
+        x = field.scalar(Fraction(-5, 3))
+        assert x + field.zero() is x and field.zero() + x is x and x - field.zero() is x
+        assert (x * field.zero()).is_zero() and (x - x) is field.zero()
+
+
+def test_huge_operands_stay_canonical():
+    big = 2**2000
+    for field in (Q, Q2, Q3):
+        d = field.d
+        x = field.scalar(Fraction(big + 1, 3)) + _sqrt_d(field) * field.scalar(Fraction(7, big))
+        y = field.scalar(Fraction(-big, big + 3))
+        for got, want in ((x + y, _add(_parts(x), _parts(y))), (x * y, _mul(_parts(x), _parts(y), d)),
+                          (x / y, _mul(_parts(x), _inv(_parts(y), d), d)), ((x * x).sqrt(), _parts(x))):
+            _check_canonical(got)
+            assert _parts(got) == want
+
+
+# -- kernel property test against a Fraction-pair reference -----------------
+#
+# The reference value of a scalar is the pair (a, b) meaning a + b*sqrt(d),
+# with d = 0 in QQ; every kernel result is checked against it.
+
+FIELDS = [Q, Q2, Q3]
+fracs = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+
+
+def _sqrt_d(field):
+    return field.sqrt_d() if field.d else field.zero()
+
+
+def _parts(x):
+    return (x.a, x.b)
+
+
+def _add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _mul(x, y, d):
+    return (x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _inv(x, d):
+    norm = x[0] * x[0] - d * x[1] * x[1]
+    return (x[0] / norm, -x[1] / norm)
+
+
+def _sign(x, d):
+    """Sign of a + b sqrt d from 60 digits of sqrt d: nonzero values here
+    are far larger than the rounding error."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, b = (Decimal(f.numerator) / Decimal(f.denominator) for f in x)
+        v = a + b * Decimal(d).sqrt()
+    return (v > 0) - (v < 0)
+
+
+def _str(x, d):
+    """The canonical string: a, then the sqrt d part with its sign."""
+    a, b = x
+    if b == 0:
+        return str(a)
+    bpart = f"sqrt{d}" if abs(b) == 1 else f"{abs(b)}*sqrt{d}"
+    if a == 0:
+        return bpart if b > 0 else f"-{bpart}"
+    return f"{a}{'+' if b > 0 else '-'}{bpart}"
+
+
+def _check_canonical(x):
+    assert x.den > 0
+    assert gcd(x.p, x.q, x.den) == 1
+    if not x.field.d:
+        assert x.q == 0
+    assert x == x.field.scalar(x.a) + _sqrt_d(x.field) * x.field.scalar(x.b)
+    assert hash(x) == hash(x.field.scalar(x.a) + _sqrt_d(x.field) * x.field.scalar(x.b))
+
+
+@st.composite
+def operands(draw):
+    field = draw(st.sampled_from(FIELDS))
+    pairs = [(draw(fracs), draw(fracs) if field.d else Fraction(0)) for _ in range(2)]
+    x, y = (field.scalar(a) + _sqrt_d(field) * field.scalar(b) for a, b in pairs)
+    return field, x, y, pairs[0], pairs[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(operands())
+def test_kernel_matches_fraction_pair_reference(ops):
+    field, x, y, rx, ry = ops
+    d = field.d
+    assert _parts(x) == rx and _parts(y) == ry
+    results = [
+        (x + y, _add(rx, ry)),
+        (x - y, _add(rx, (-ry[0], -ry[1]))),
+        (x * y, _mul(rx, ry, d)),
+        (-x, (-rx[0], -rx[1])),
+    ]
+    if ry != (0, 0):
+        results.append((y.inverse(), _inv(ry, d)))
+        results.append((x / y, _mul(rx, _inv(ry, d), d)))
+    for got, want in results:
+        _check_canonical(got)
+        assert _parts(got) == want
+        assert got.sign() == _sign(want, d)
+        assert str(got) == _str(want, d)
+        assert got.is_zero() == (want == (0, 0))
+    assert (x == y) == (rx == ry)
+    assert (x == rx[0]) == (rx[1] == 0)
+    square = x * x
+    root = square.sqrt()
+    _check_canonical(root)
+    assert _parts(root) in (rx, (-rx[0], -rx[1])) and root.sign() >= 0
+    for other in FIELDS:
+        if other is field:
+            continue
+        z = other.scalar(2)
+        for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v, lambda u, v: u / v):
+            with pytest.raises(FieldMismatch):
+                op(x, z)
