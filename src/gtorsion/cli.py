@@ -7,8 +7,8 @@ Subcommands:
   example --name ID  run a built-in fixture and diff stored expectations
 
 Exit codes: 0 ok, 1 verifier/expectation failure, 2 input error (parse
-error, unreadable file, bad flag value such as a --df that is not closed),
-3 structural error.
+error, unreadable file, unknown flag, bad flag value such as a --df that
+is not closed), 3 structural error.
 """
 
 from __future__ import annotations
@@ -37,9 +37,22 @@ def _common_flags(sub):
     sub.add_argument("--df", default=None, help="invariant closed 1-form for the potential gradient")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Turns every argparse error into a ParseError: one line, exit 2."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._argv = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        if any(a.split("=", 1)[0] in ("--backend", "--tol") for a in self._argv):
+            message += "; the float backend was removed"
+        raise ParseError(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="gtorsion", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = _ArgumentParser(prog="gtorsion", description=__doc__,
+                         formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = ap.add_subparsers(dest="command", required=True)
 
     p_check = subs.add_parser("check", help="classify torsion of the structure in FILE")
@@ -80,8 +93,8 @@ def _emit(report, args):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "check":
             doc, df = _load(args)
             _emit(run_check(doc, df=df), args)

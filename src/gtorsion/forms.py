@@ -3,12 +3,15 @@
 Basis k-vectors are index subsets of {1..n} encoded as n-bit masks
 (bit i-1 set means index i is present).  Coefficients are Scalars from a
 single field; missing masks mean zero.  All values are immutable and all
-operations are pure.
+operations are pure.  A diagonal metric takes one fast path (see
+``FrameGeometry``): Gram minors are products, so the star and inner
+products cost O(n) per component.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
+from functools import cached_property
 from typing import Iterable
 
 from .linsolve import back_substitute, eliminate
@@ -247,6 +250,11 @@ class FrameGeometry:
     ``metric`` is a symmetric n x n Scalar matrix (default identity);
     ``orientation_sign`` is the parity of the declared positive frame order
     relative to label order.
+
+    A diagonal metric (the identity, lam^2 I, any orthogonal frame) is found
+    lazily on first use; its Gram minors are products of 1/g_ii.  Unit
+    diagonal entries are the field's own ``one()``, so the identity is the
+    case where every such factor is skipped.
     """
 
     def __init__(self, n: int, field: Field, metric=None, orientation_sign: int = 1):
@@ -260,7 +268,7 @@ class FrameGeometry:
         else:
             metric = [[field.scalar(x) if not isinstance(x, Scalar) else x for x in row] for row in metric]
             for i in range(n):
-                for j in range(n):
+                for j in range(i + 1, n):
                     if not (metric[i][j] - metric[j][i]).is_zero():
                         raise GeometryError("metric is not symmetric")
         self.metric = metric
@@ -270,11 +278,32 @@ class FrameGeometry:
         self._inverse = None
         self._sqrt_det = None
         self._gram_cache: dict[tuple[int, int], Scalar] = {}
-        self._is_identity = all(
-            (metric[i][j] - (field.one() if i == j else field.zero())).is_zero()
-            for i in range(n)
-            for j in range(n)
-        )
+
+    # -- diagonal fast path --------------------------------------------
+
+    @cached_property
+    def diagonal(self) -> tuple[Scalar, ...] | None:
+        """(g_11, ..., g_nn) when the metric is diagonal, else None."""
+        m = self.metric
+        if any(not m[i][j].is_zero() for i in range(self.n) for j in range(self.n) if i != j):
+            return None
+        return tuple(_unit(m[i][i]) for i in range(self.n))
+
+    @cached_property
+    def diagonal_inverse(self) -> tuple[Scalar, ...] | None:
+        """(1/g_11, ..., 1/g_nn) when the metric is diagonal, else None."""
+        d = self.diagonal
+        if d is None:
+            return None
+        if any(x.is_zero() for x in d):
+            raise GeometryError("singular metric")
+        one = self.field.one()
+        return tuple(one if x is one else _unit(x.inverse()) for x in d)
+
+    @property
+    def _is_identity(self) -> bool:
+        d = self.diagonal
+        return d is not None and all(x is self.field.one() for x in d)
 
     # -- metric utilities ----------------------------------------------
 
@@ -287,11 +316,17 @@ class FrameGeometry:
 
     def inverse_metric(self):
         if self._inverse is None:
-            self._inverse = _mat_inverse(self.metric, self.field)
+            dinv = self.diagonal_inverse
+            if dinv is None:
+                self._inverse = _mat_inverse(self.metric, self.field)
+            else:
+                zero = self.field.zero()
+                self._inverse = [[x if i == j else zero for j in range(self.n)] for i, x in enumerate(dinv)]
         return self._inverse
 
     def det_metric(self) -> Scalar:
-        return _mat_det(self.metric, self.field)
+        d = self.diagonal
+        return _mat_det(self.metric, self.field) if d is None else math.prod(d, start=self.field.one())
 
     def sqrt_det(self) -> Scalar:
         if self._sqrt_det is None:
@@ -313,18 +348,28 @@ class FrameGeometry:
 
     def g(self, x: VectorField, y: VectorField) -> Scalar:
         acc = self.field.zero()
+        xs, ys = x.components, y.components
+        d = self.diagonal
+        if d is not None:
+            one = self.field.one()
+            for a, b, w in zip(xs, ys, d):
+                if not a.is_zero() and not b.is_zero():
+                    t = a * b
+                    acc = acc + (t if w is one else t * w)
+            return acc
         for i in range(self.n):
-            if x.components[i].is_zero():
+            if xs[i].is_zero():
                 continue
             for j in range(self.n):
-                acc = acc + x.components[i] * self.metric[i][j] * y.components[j]
+                acc = acc + xs[i] * self.metric[i][j] * ys[j]
         return acc
 
     def norm_sq(self, x: VectorField) -> Scalar:
         return self.g(x, x)
 
     def subset_gram(self, a_mask: int, b_mask: int) -> Scalar:
-        """<e^A, e^B> = det of the |A| x |B| minor of the inverse metric."""
+        """<e^A, e^B>: the determinant of the |A| x |B| minor of the inverse
+        metric; for a diagonal metric, delta_AB prod_{i in A} 1/g_ii."""
         key = (a_mask, b_mask) if a_mask <= b_mask else (b_mask, a_mask)
         cached = self._gram_cache.get(key)
         if cached is not None:
@@ -333,13 +378,25 @@ class FrameGeometry:
         bi = indices_of(b_mask)
         if len(ai) != len(bi):
             raise GeometryError("gram of different-size subsets")
-        if not ai:
-            return self.field.one()
-        ginv = self.inverse_metric()
-        sub = [[ginv[i - 1][j - 1] for j in bi] for i in ai]
-        val = _mat_det(sub, self.field)
+        one = self.field.one()
+        dinv = self.diagonal_inverse
+        if dinv is not None and a_mask != b_mask:
+            val = self.field.zero()
+        elif dinv is not None:
+            val = math.prod((dinv[i - 1] for i in ai if dinv[i - 1] is not one), start=one)
+        elif not ai:
+            val = one
+        else:
+            ginv = self.inverse_metric()
+            val = _mat_det([[ginv[i - 1][j - 1] for j in bi] for i in ai], self.field)
         self._gram_cache[key] = val
         return val
+
+
+def _unit(x: Scalar) -> Scalar:
+    """x, or its field's ``one()`` when x equals one (canonical ints 1, 0, 1),
+    so that unit factors can be recognised by identity and skipped."""
+    return x.field.one() if x.p == 1 and x.den == 1 and not x.q else x
 
 
 def _mat_det(m, field: Field) -> Scalar:
@@ -456,52 +513,52 @@ def skew_three_form(n: int, field: Field, t) -> KForm | None:
     return KForm(n, 3, field, coeffs)
 
 
-def form_inner(a: KForm, b: KForm, geom: FrameGeometry) -> Scalar:
-    if a.k != b.k:
-        raise GeometryError(f"degree mismatch: {a.k} vs {b.k}")
-    acc = a.field.zero()
-    if geom._is_identity:
-        for m, ca in a.coeffs.items():
-            cb = b.coeffs.get(m)
-            if cb is not None:
-                acc = acc + ca * cb
-        return acc
-    for ma, ca in a.coeffs.items():
-        for mb, cb in b.coeffs.items():
-            g = geom.subset_gram(ma, mb)
-            if not g.is_zero():
-                acc = acc + ca * cb * g
-    return acc
-
-
-def hodge_star(a: KForm, geom: FrameGeometry) -> KForm:
-    """Defined by alpha ^ star(b) = <alpha, b> vol for all alpha of degree k."""
-    n, k = a.n, a.k
-    full = (1 << n) - 1
-    rho = geom.sqrt_det() * geom.orientation_sign
-    acc: dict[int, Scalar] = {}
-    zero = a.field.zero()
-    if geom._is_identity:
+def _raised(a: KForm, geom: FrameGeometry) -> dict[int, Scalar]:
+    """The nonzero components a^I = <e^I, a> of ``a`` with every index raised
+    by g, keyed by mask: a_I prod 1/g_ii for a diagonal metric, otherwise a
+    sum over Gram minors."""
+    one = a.field.one()
+    if geom.diagonal is not None:
+        out = {}
         for m, c in a.coeffs.items():
-            comp = full ^ m
-            s = _merge_sign(m, comp)
-            term = c * rho
-            acc[comp] = term if s > 0 else -term
-        return KForm(n, n - k, a.field, acc)
-    # general metric: star(a) = rho * sum_I eps(I, I^c) <e^I, a> e^{I^c}
-    for im in _masks(n, k):
-        val = zero
+            w = geom.subset_gram(m, m)
+            out[m] = c if w is one else c * w
+        return out
+    out = {}
+    for im in _masks(a.n, a.k):
+        val = a.field.zero()
         for mb, cb in a.coeffs.items():
             g = geom.subset_gram(im, mb)
             if not g.is_zero():
                 val = val + cb * g
-        if val.is_zero():
-            continue
-        comp = full ^ im
-        s = _merge_sign(im, comp)
-        term = val * rho
-        acc[comp] = acc.get(comp, zero) + (term if s > 0 else -term)
-    return KForm(n, n - k, a.field, acc)
+        if not val.is_zero():
+            out[im] = val
+    return out
+
+
+def form_inner(a: KForm, b: KForm, geom: FrameGeometry) -> Scalar:
+    if a.k != b.k:
+        raise GeometryError(f"degree mismatch: {a.k} vs {b.k}")
+    acc = a.field.zero()
+    for m, ca in _raised(a, geom).items():
+        cb = b.coeffs.get(m)
+        if cb is not None:
+            acc = acc + ca * cb
+    return acc
+
+
+def hodge_star(a: KForm, geom: FrameGeometry) -> KForm:
+    """Defined by alpha ^ star(b) = <alpha, b> vol for all alpha of degree k:
+    star(a) = rho sum_I eps(I, I^c) a^I e^{I^c}, rho = +-sqrt(det g)."""
+    n = a.n
+    full = (1 << n) - 1
+    rho = geom.sqrt_det() * geom.orientation_sign
+    acc: dict[int, Scalar] = {}
+    for m, c in _raised(a, geom).items():
+        comp = full ^ m
+        term = c * rho
+        acc[comp] = term if _merge_sign(m, comp) > 0 else -term
+    return KForm(n, n - a.k, a.field, acc)
 
 
 def _masks(n: int, k: int):
@@ -521,12 +578,11 @@ def _masks(n: int, k: int):
 def musical(x: VectorField, geom: FrameGeometry) -> KForm:
     """Flat: X -> g(X, .) as a 1-form."""
     comps = {}
-    for j in range(geom.n):
-        val = geom.field.zero()
-        for i in range(geom.n):
-            val = val + x.components[i] * geom.metric[i][j]
-        if not val.is_zero():
-            comps[1 << j] = val
+    for i, c in enumerate(x.components):
+        if not c.is_zero():
+            for j, gij in enumerate(geom.metric[i]):
+                if not gij.is_zero():
+                    comps[1 << j] = comps.get(1 << j, geom.field.zero()) + c * gij
     return KForm(geom.n, 1, geom.field, comps)
 
 
@@ -534,16 +590,9 @@ def musical_inv(a: KForm, geom: FrameGeometry) -> VectorField:
     """Sharp: degree-1 form -> vector via the inverse metric."""
     if a.k != 1:
         raise GeometryError("sharp needs a 1-form")
-    ginv = geom.inverse_metric()
-    comps = []
-    for i in range(geom.n):
-        val = geom.field.zero()
-        for j in range(geom.n):
-            c = a.coeffs.get(1 << j)
-            if c is not None:
-                val = val + ginv[i][j] * c
-        comps.append(val)
-    return VectorField(geom.n, geom.field, comps)
+    up = _raised(a, geom)
+    zero = geom.field.zero()
+    return VectorField(geom.n, geom.field, [up.get(1 << i, zero) for i in range(geom.n)])
 
 
 def two_form_square(f: KForm, geom: FrameGeometry):
@@ -562,30 +611,17 @@ def contract_2_3(f: KForm, h: KForm, geom: FrameGeometry) -> KForm:
     """<F,H>(Z) = 1/2 sum_{a,b} F^{ab} H(e_a, e_b, Z), indices raised by g."""
     if f.k != 2 or h.k != 3:
         raise GeometryError("contract_2_3 needs degrees (2, 3)")
-    n = f.n
     field = f.field
-    ginv = geom.inverse_metric()
-    # raise F's indices: F^{ab} = g^{ai} g^{bj} F_{ij}
-    fup = [[field.zero() for _ in range(n)] for _ in range(n)]
-    for m, c in f.coeffs.items():
-        i, j = indices_of(m)
-        for a in range(n):
-            for b in range(n):
-                term = ginv[a][i - 1] * ginv[b][j - 1] - ginv[a][j - 1] * ginv[b][i - 1]
-                if not term.is_zero():
-                    fup[a][b] = fup[a][b] + term * c
-    comps: dict[int, Scalar] = {}
-    half = field.scalar(Fraction(1, 2))
-    for z in range(1, n + 1):
-        val = field.zero()
-        for a in range(n):
-            for b in range(n):
-                if fup[a][b].is_zero():
-                    continue
-                hval = h.coeff(a + 1, b + 1, z)
-                if not hval.is_zero():
-                    val = val + fup[a][b] * hval
-        val = val * half
-        if not val.is_zero():
-            comps[1 << (z - 1)] = val
-    return KForm(n, 1, field, comps)
+    fup = _raised(f, geom)
+    # the sum over ordered pairs is twice the sum over a < b: for each term
+    # H_pqr e^{pqr}, pair (p, q) meets Z = r, (p, r) meets -q, (q, r) meets p
+    acc: dict[int, Scalar] = {}
+    zero = field.zero()
+    for m, hv in h.coeffs.items():
+        p, q, r = (1 << (i - 1) for i in indices_of(m))
+        for pair, z, sign in ((p | q, r, 1), (p | r, q, -1), (q | r, p, 1)):
+            fv = fup.get(pair)
+            if fv is not None:
+                term = fv * hv
+                acc[z] = acc.get(z, zero) + (term if sign > 0 else -term)
+    return KForm(f.n, 1, field, acc)

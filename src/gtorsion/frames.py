@@ -1,15 +1,17 @@
 """Left-invariant geometry on a Lie algebra frame.
 
 A frame stores the coframe differentials de^i (degree-2 KForms), which
-encode the structure constants: de^i = -sum_{j<k} c^i_{jk} e^{jk}.  The
-Chevalley-Eilenberg differential, Levi-Civita and skew-torsion (Bismut)
-connections, curvature and codifferential all reduce to exact algebra on
-those constants.
+encode the structure constants: de^i = -sum_{j<k} c^i_{jk} e^{jk}.  Each
+tensor here is a dict of its nonzero entries: the structure constants (once
+per frame), the connection symbols Gamma^l_{ij} and the Riemann components.
+So d, Levi-Civita, Bismut and curvature cost products of nonzero entries
+only, and a flat connection costs almost nothing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .forms import (
     FrameGeometry,
@@ -18,6 +20,7 @@ from .forms import (
     VectorField,
     _mat_det,
     _mat_inverse,
+    _merge_sign,
     derivation,
     hodge_star,
     indices_of,
@@ -75,7 +78,6 @@ class LieAlgebraFrame:
             raise FrameError(
                 f"d^2 e^{self.labels[i]} = {defect!r} != 0: structure equations violate the Jacobi identity"
             )
-        self._structure = None
 
     def _closure_defect(self):
         for i in range(self.n):
@@ -91,45 +93,43 @@ class LieAlgebraFrame:
         z = [KForm.zero(n, 2, field) for _ in range(n)]
         return cls(labels, z, geom)
 
+    @cached_property
+    def constants(self) -> dict[tuple[int, int, int], Scalar]:
+        """The nonzero structure constants: ``constants[(i, j, k)]`` is
+        c^k_{ij}, [e_i, e_j] = sum_k c^k_{ij} e_k, for both orders of i != j
+        (0-based)."""
+        out = {}
+        for k, d in enumerate(self.coframe_d):
+            for m, coef in d.coeffs.items():
+                i, j = indices_of(m)
+                out[(i - 1, j - 1, k)] = -coef
+                out[(j - 1, i - 1, k)] = coef
+        return out
+
     def structure_constants(self):
-        """c[k][i][j] with [e_i, e_j] = sum_k c^k_{ij} e_k (0-based arrays)."""
-        if self._structure is None:
-            n = self.n
-            zero = self.field.zero()
-            c = [[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
-            for k in range(n):
-                for m, coef in self.coframe_d[k].coeffs.items():
-                    i, j = indices_of(m)
-                    c[k][i - 1][j - 1] = -coef
-                    c[k][j - 1][i - 1] = coef
-            self._structure = c
-        return self._structure
+        """Dense view c[k][i][j] = c^k_{ij} of ``constants``."""
+        n = self.n
+        zero = self.field.zero()
+        c = [[[zero] * n for _ in range(n)] for _ in range(n)]
+        for (i, j, k), v in self.constants.items():
+            c[k][i][j] = v
+        return c
 
     def bracket(self, x: VectorField, y: VectorField) -> VectorField:
-        c = self.structure_constants()
-        n = self.n
-        comps = []
-        for k in range(n):
-            val = self.field.zero()
-            for i in range(n):
-                if x.components[i].is_zero():
-                    continue
-                for j in range(n):
-                    if y.components[j].is_zero() or c[k][i][j].is_zero():
-                        continue
-                    val = val + x.components[i] * y.components[j] * c[k][i][j]
-            comps.append(val)
-        return VectorField(n, self.field, comps)
+        comps = [self.field.zero()] * self.n
+        xs, ys = x.components, y.components
+        for (i, j, k), c in self.constants.items():
+            if not xs[i].is_zero() and not ys[j].is_zero():
+                comps[k] = comps[k] + xs[i] * ys[j] * c
+        return VectorField(self.n, self.field, comps)
 
     def is_unimodular(self) -> bool:
-        c = self.structure_constants()
-        for i in range(self.n):
-            tr = self.field.zero()
-            for k in range(self.n):
-                tr = tr + c[k][i][k]
-            if not tr.is_zero():
-                return False
-        return True
+        """Every trace sum_k c^k_{ik} vanishes."""
+        tr = [self.field.zero()] * self.n
+        for (i, j, k), c in self.constants.items():
+            if j == k:
+                tr[i] = tr[i] + c
+        return all(t.is_zero() for t in tr)
 
     def d(self, a: KForm) -> KForm:
         return ce_differential(self, a)
@@ -141,55 +141,68 @@ class LieAlgebraFrame:
         return f"LieAlgebraFrame({', '.join(self.labels)})"
 
 
-class ConnectionCoeffs:
-    """Gamma[i][j] is the VectorField nabla_{e_i} e_j."""
+def _last_index(t: dict, geom: FrameGeometry, up: bool) -> dict:
+    """sum_k m^{lk} T_{ijk} for a sparse (i, j, k) -> T_{ijk}, with m = g^{-1}
+    (``up``, raising the last index) or m = g (lowering it)."""
+    d = geom.diagonal_inverse if up else geom.diagonal
+    if d is not None:
+        one = geom.field.one()
+        return {(i, j, k): v if d[k] is one else v * d[k] for (i, j, k), v in t.items()}
+    m = geom.inverse_metric() if up else geom.metric
+    out = {}
+    zero = geom.field.zero()
+    for (i, j, k), v in t.items():
+        for l, x in enumerate(m[k]):  # m is symmetric
+            if not x.is_zero():
+                out[(i, j, l)] = out.get((i, j, l), zero) + v * x
+    return {key: v for key, v in out.items() if not v.is_zero()}
 
-    def __init__(self, frame: LieAlgebraFrame, gamma):
+
+class ConnectionCoeffs:
+    """The nonzero Christoffel symbols of an invariant connection:
+    ``entries[(i, j, l)]`` is Gamma^l_{ij}, the e_l component of
+    nabla_{e_i} e_j (0-based)."""
+
+    def __init__(self, frame: LieAlgebraFrame, entries: dict):
         self.frame = frame
-        self.gamma = gamma
+        self.entries = entries
+
+    @property
+    def gamma(self):
+        """Dense view: gamma[i][j] is the VectorField nabla_{e_i} e_j."""
+        n, field = self.frame.n, self.frame.field
+        comps = [[[field.zero()] * n for _ in range(n)] for _ in range(n)]
+        for (i, j, l), v in self.entries.items():
+            comps[i][j][l] = v
+        return [[VectorField(n, field, c) for c in row] for row in comps]
 
     def nabla(self, x: VectorField, y: VectorField) -> VectorField:
         n = self.frame.n
-        out = VectorField.zero(n, self.frame.field)
-        for i in range(n):
-            if x.components[i].is_zero():
-                continue
-            for j in range(n):
-                if y.components[j].is_zero():
-                    continue
-                out = out + self.gamma[i][j].scale(x.components[i] * y.components[j])
-        return out
+        comps = [self.frame.field.zero()] * n
+        xs, ys = x.components, y.components
+        for (i, j, l), v in self.entries.items():
+            if not xs[i].is_zero() and not ys[j].is_zero():
+                comps[l] = comps[l] + xs[i] * ys[j] * v
+        return VectorField(n, self.frame.field, comps)
 
     def lowered(self, i: int, j: int, k: int, geom: FrameGeometry) -> Scalar:
         """<nabla_{e_i} e_j, e_k>_g with 0-based indices."""
-        v = self.gamma[i][j]
-        acc = self.frame.field.zero()
-        for m in range(self.frame.n):
-            if not v.components[m].is_zero():
-                acc = acc + v.components[m] * geom.metric[m][k]
-        return acc
+        return _last_index(self.entries, geom, up=False).get((i, j, k), self.frame.field.zero())
 
     def check_metric_compatibility(self, geom: FrameGeometry) -> bool:
-        n = self.frame.n
-        for i in range(n):
-            for j in range(n):
-                for k in range(j, n):
-                    if not (self.lowered(i, j, k, geom) + self.lowered(i, k, j, geom)).is_zero():
-                        return False
-        return True
+        low = _last_index(self.entries, geom, up=False)
+        zero = self.frame.field.zero()
+        return all((v + low.get((i, k, j), zero)).is_zero() for (i, j, k), v in low.items())
 
     def torsion_form(self) -> KForm:
         """g(T(X,Y), Z) as a 3-form when totally skew; raises otherwise."""
         frame = self.frame
-        geom = frame.geometry
-        c = frame.structure_constants()
+        low = _last_index(self.entries, frame.geometry, up=False)
+        c = _last_index(frame.constants, frame.geometry, up=False)
+        zero = frame.field.zero()
 
         def t(i, j, k):
-            acc = self.lowered(i, j, k, geom) - self.lowered(j, i, k, geom)
-            for m in range(frame.n):
-                if not c[m][i][j].is_zero():
-                    acc = acc - c[m][i][j] * geom.metric[m][k]
-            return acc
+            return low.get((i, j, k), zero) - low.get((j, i, k), zero) - c.get((i, j, k), zero)
 
         h = skew_three_form(frame.n, frame.field, t)
         if h is None:
@@ -198,40 +211,52 @@ class ConnectionCoeffs:
 
 
 class CurvatureData:
-    """Riemann tensor R(e_i,e_j)e_k as VectorFields plus the Ricci matrix."""
+    """The nonzero Riemann components ``entries[(i, j, k, l)]`` = R^l_{ijk},
+    the e_l component of R(e_i, e_j) e_k, stored for i < j only (R is skew
+    in i, j), plus the dense Ricci matrix."""
 
-    def __init__(self, riemann, ricci):
-        self.riemann = riemann
+    def __init__(self, n: int, field: Field, entries: dict, ricci):
+        self.n = n
+        self.field = field
+        self.entries = entries
         self.ricci = ricci
 
     def r(self, i: int, j: int, k: int) -> VectorField:
-        return self.riemann[i][j][k]
+        zero = self.field.zero()
+        if i == j:
+            return VectorField.zero(self.n, self.field)
+        a, b = (i, j) if i < j else (j, i)
+        comps = [self.entries.get((a, b, k, l), zero) for l in range(self.n)]
+        return VectorField(self.n, self.field, comps if i < j else [-v for v in comps])
+
+    @property
+    def riemann(self):
+        """Dense view: riemann[i][j][k] is the VectorField R(e_i, e_j) e_k."""
+        n = self.n
+        return [[[self.r(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)]
 
     def is_flat(self) -> bool:
-        n = len(self.riemann)
-        return all(
-            self.riemann[i][j][k].is_zero()
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-        )
+        return not self.entries
 
 
 def ce_differential(frame: LieAlgebraFrame, a: KForm) -> KForm:
-    """Extend the coframe differentials as a degree +1 antiderivation."""
+    """Extend the coframe differentials as a degree +1 antiderivation:
+    d(c e^I) = sum_p (-1)^p c (d e^{i_p}) ^ e^{I - i_p}, accumulated in one dict."""
     n, field = frame.n, frame.field
     if a.k >= n:
         return KForm.zero(n, min(a.k + 1, n), field)
-    out = KForm.zero(n, a.k + 1, field)
+    acc: dict[int, Scalar] = {}
+    zero = field.zero()
     for m, coef in a.coeffs.items():
-        idx = indices_of(m)
-        for p, ip in enumerate(idx):
+        for p, ip in enumerate(indices_of(m)):
             rest = m ^ (1 << (ip - 1))
-            piece = wedge(frame.coframe_d[ip - 1], KForm(n, a.k - 1, field, {rest: field.one()}))
-            if p & 1:
-                piece = -piece
-            out = out + piece.scale(coef)
-    return out
+            for md, cd in frame.coframe_d[ip - 1].coeffs.items():
+                if md & rest:
+                    continue
+                term = coef * cd
+                neg = (p & 1) != (_merge_sign(md, rest) < 0)
+                acc[md | rest] = acc.get(md | rest, zero) + (-term if neg else term)
+    return KForm(n, a.k + 1, field, acc)
 
 
 def codifferential(frame, a: KForm, geom: FrameGeometry | None = None) -> KForm:
@@ -248,40 +273,20 @@ def codifferential(frame, a: KForm, geom: FrameGeometry | None = None) -> KForm:
 
 def levi_civita(frame: LieAlgebraFrame, geom: FrameGeometry | None = None) -> ConnectionCoeffs:
     """Koszul formula on invariant fields:
-    2<D_X Y, Z> = <[X,Y],Z> - <[Y,Z],X> + <[Z,X],Y>.
-    """
+    2<D_X Y, Z> = <[X,Y],Z> - <[Y,Z],X> + <[Z,X],Y>, i.e. the lowered
+    symbols (1/2)(c_ijk - c_jki + c_kij), raised by g^{-1}."""
     geom = geom or frame.geometry
-    n, field = frame.n, frame.field
-    c = frame.structure_constants()
-    g = geom.metric
-
-    def braket_g(i, j, k):  # <[e_i, e_j], e_k>_g
-        acc = field.zero()
-        for m in range(n):
-            if not c[m][i][j].is_zero():
-                acc = acc + c[m][i][j] * g[m][k]
-        return acc
-
+    field = frame.field
     half = field.scalar(Fraction(1, 2))
-    ginv = geom.inverse_metric()
-    gamma = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            low = [
-                (braket_g(i, j, k) - braket_g(j, k, i) + braket_g(k, i, j)) * half
-                for k in range(n)
-            ]
-            comps = []
-            for m in range(n):
-                val = field.zero()
-                for k in range(n):
-                    if not low[k].is_zero():
-                        val = val + ginv[m][k] * low[k]
-                comps.append(val)
-            row.append(VectorField(n, field, comps))
-        gamma.append(row)
-    return ConnectionCoeffs(frame, gamma)
+    zero = field.zero()
+    low = {}
+    # c_abc feeds (i, j, k) = (a, b, c) with +, (c, a, b) with - and (b, c, a) with +
+    for (a, b, c), v in _last_index(frame.constants, geom, up=False).items():
+        hv = v * half
+        for key, w in (((a, b, c), hv), ((c, a, b), -hv), ((b, c, a), hv)):
+            low[key] = low.get(key, zero) + w
+    low = {key: v for key, v in low.items() if not v.is_zero()}
+    return ConnectionCoeffs(frame, _last_index(low, geom, up=True))
 
 
 def bismut_connection(frame: LieAlgebraFrame, h: KForm, geom: FrameGeometry | None = None, lc: ConnectionCoeffs | None = None) -> ConnectionCoeffs:
@@ -293,80 +298,60 @@ def bismut_connection(frame: LieAlgebraFrame, h: KForm, geom: FrameGeometry | No
         raise GeometryError("torsion form must have degree 3")
     geom = geom or frame.geometry
     lc = lc or levi_civita(frame, geom)
-    n, field = frame.n, frame.field
+    field = frame.field
     half = field.scalar(Fraction(1, 2))
-    ginv = geom.inverse_metric()
-    # terms[i][j]: the pairs (k, H_ijk) with H_ijk != 0, read once from h;
-    # sorted by k below so every sum runs in index order
-    terms = [[[] for _ in range(n)] for _ in range(n)]
+    low = {}
     for mask, v in h.coeffs.items():
-        if v.is_zero():
-            continue
+        hv = v * half
         a, b, c = (x - 1 for x in indices_of(mask))
         for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
-            terms[i][j].append((k, v))
-            terms[j][i].append((k, -v))
-    gamma = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            hk = sorted(terms[i][j], key=lambda t: t[0])
-            corr = []
-            for m in range(n):
-                val = field.zero()
-                for k, hv in hk:
-                    val = val + ginv[m][k] * hv
-                corr.append(val * half)
-            row.append(lc.gamma[i][j] + VectorField(n, field, corr))
-        gamma.append(row)
-    return ConnectionCoeffs(frame, gamma)
+            low[(i, j, k)] = hv
+            low[(j, i, k)] = -hv
+    entries = dict(lc.entries)
+    zero = field.zero()
+    for key, v in _last_index(low, geom, up=True).items():
+        entries[key] = entries.get(key, zero) + v
+    return ConnectionCoeffs(frame, {key: v for key, v in entries.items() if not v.is_zero()})
 
 
 def curvature(frame: LieAlgebraFrame, conn: ConnectionCoeffs, geom: FrameGeometry | None = None) -> CurvatureData:
-    """R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X,Y]} Z;
+    """R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X,Y]} Z,
+    summed over products of nonzero entries only:
+    R^l_{ijk} = sum_m (Gamma^m_{jk} Gamma^l_{im} - Gamma^m_{ik} Gamma^l_{jm}
+                       - c^m_{ij} Gamma^l_{mk});
     Ricci by trace over the first slot: Rc(X,Y) = sum_a <R(e_a,X)Y, e^a>.
     """
     n, field = frame.n, frame.field
     zero = field.zero()
-    c = frame.structure_constants()
-    # gam[i][j][l] = Gamma^l_{ij}, the components of nabla_{e_i} e_j
-    gam = [[v.components for v in row] for row in conn.gamma]
-
-    def add_product(out, a, v):  # out += a * v, skipping zeros
-        if a.is_zero():
-            return
-        for l, x in enumerate(v):
-            if not x.is_zero():
-                out[l] = out[l] + a * x
-
-    # R^l_{ijk} = sum_m (Gamma^m_{jk} Gamma^l_{im} - Gamma^m_{ik} Gamma^l_{jm}
-    #                    - c^m_{ij} Gamma^l_{mk})
-    riemann = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            riemann[i][i][k] = VectorField.zero(n, field)
-        for j in range(i + 1, n):
-            for k in range(n):
-                out = [zero] * n
-                for m in range(n):
-                    add_product(out, gam[j][k][m], gam[i][m])
-                    add_product(out, -gam[i][k][m], gam[j][m])
-                    add_product(out, -c[m][i][j], gam[m][k])
-                r = VectorField(n, field, out)
-                riemann[i][j][k] = r
-                riemann[j][i][k] = -r
-    # Rc(e_i, e_j) = sum_a e^a(R(e_a, e_i) e_j); the coframe pairing is
-    # metric-free, so the trace is just the a-th component.
-    ricci = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            val = field.zero()
-            for a in range(n):
-                val = val + riemann[a][i][j].components[a]
-            row.append(val)
-        ricci.append(row)
-    return CurvatureData(riemann, ricci)
+    by_first = [[] for _ in range(n)]  # m -> (k, l, Gamma^l_{mk})
+    by_second = [[] for _ in range(n)]  # m -> (i, l, Gamma^l_{im})
+    for (i, j, l), v in conn.entries.items():
+        by_first[i].append((j, l, v))
+        by_second[j].append((i, l, v))
+    r: dict[tuple[int, int, int, int], Scalar] = {}
+    # Gamma^m_{jk} Gamma^l_{im} enters R_{ijk} with + and R_{jik} with -
+    for (j, k, m), v in conn.entries.items():
+        for i, l, w in by_second[m]:
+            if i == j:
+                continue
+            term = w * v
+            if i < j:
+                r[(i, j, k, l)] = r.get((i, j, k, l), zero) + term
+            else:
+                r[(j, i, k, l)] = r.get((j, i, k, l), zero) - term
+    for (i, j, m), c in frame.constants.items():
+        if i < j:
+            for k, l, w in by_first[m]:
+                r[(i, j, k, l)] = r.get((i, j, k, l), zero) - c * w
+    r = {key: v for key, v in r.items() if not v.is_zero()}
+    # Rc(e_j, e_k) = sum_a R^a_{ajk}: the coframe pairing is metric-free
+    ricci = [[zero] * n for _ in range(n)]
+    for (i, j, k, l), v in r.items():
+        if l == i:
+            ricci[j][k] = ricci[j][k] + v
+        elif l == j:
+            ricci[i][k] = ricci[i][k] - v
+    return CurvatureData(n, field, r, ricci)
 
 
 def covariant_derivative_form(frame: LieAlgebraFrame, conn: ConnectionCoeffs, a: KForm):
@@ -375,35 +360,23 @@ def covariant_derivative_form(frame: LieAlgebraFrame, conn: ConnectionCoeffs, a:
     Invariant forms differentiate purely through the connection:
     nabla_i e^j = -Gamma^j_{it} e^t, extended as a degree-0 derivation.
     """
-    n = frame.n
-    out = []
-    for i in range(n):
-        action = {}
-        for t in range(n):
-            for j, g in enumerate(conn.gamma[i][t].components):
-                if not g.is_zero():
-                    action.setdefault(j, {})[t] = -g
-        out.append(derivation(a, action))
-    return tuple(out)
+    actions = [{} for _ in range(frame.n)]
+    for (i, t, j), g in conn.entries.items():
+        actions[i].setdefault(j, {})[t] = -g
+    return tuple(derivation(a, action) for action in actions)
 
 
 def covariant_derivative_oneform(frame: LieAlgebraFrame, conn: ConnectionCoeffs, theta: KForm):
-    """(nabla theta)_{ij} = (nabla_{e_i} theta)(e_j) as an n x n Scalar matrix."""
+    """(nabla theta)_{ij} = (nabla_{e_i} theta)(e_j) = -sum_t theta_t Gamma^t_{ij}
+    as an n x n Scalar matrix."""
     if theta.k != 1:
         raise GeometryError("needs a 1-form")
     n, field = frame.n, frame.field
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            val = field.zero()
-            gam = conn.gamma[i][j]
-            for t in range(n):
-                c = theta.coeffs.get(1 << t)
-                if c is not None and not gam.components[t].is_zero():
-                    val = val - c * gam.components[t]
-            row.append(val)
-        out.append(row)
+    out = [[field.zero()] * n for _ in range(n)]
+    for (i, j, t), g in conn.entries.items():
+        c = theta.coeffs.get(1 << t)
+        if c is not None:
+            out[i][j] = out[i][j] - c * g
     return out
 
 
@@ -420,14 +393,11 @@ def change_frame(frame: LieAlgebraFrame, a_rows, new_labels=None, base_geometry:
     ainv = _mat_inverse(a, field)
     # d e^j in the f basis, via the old coframe in the new: e^j = sum_i ainv[j][i] f^i
     d_old = [transform_form(d, ainv, field) for d in frame.coframe_d]
-    new_d = []
-    for i in range(n):
-        # d f^i = sum_j A[i][j] d e^j
-        acc = KForm.zero(n, 2, field)
-        for j in range(n):
-            if not a[i][j].is_zero():
-                acc = acc + d_old[j].scale(a[i][j])
-        new_d.append(acc)
+    # d f^i = sum_j A[i][j] d e^j
+    new_d = [
+        sum((d.scale(x) for x, d in zip(row, d_old) if not x.is_zero()), KForm.zero(n, 2, field))
+        for row in a
+    ]
     # dual vectors: F_i = sum_k B[i][k] E_k with B = (A^{-1})^T
     b = [[ainv[k][i] for k in range(n)] for i in range(n)]
     gnew = transform_bilinear(base.metric, b, field)
@@ -476,32 +446,16 @@ def transform_bilinear(m, b_rows, field: Field):
 def transform_vector(x: VectorField, a_rows, field: Field) -> VectorField:
     """Components of x in the new frame with coframe f = A e: x_new = A x
     (A a matrix of Scalars)."""
-    n = x.n
-    comps = []
-    for i in range(n):
-        val = field.zero()
-        for j in range(n):
-            if not a_rows[i][j].is_zero():
-                val = val + a_rows[i][j] * x.components[j]
-        comps.append(val)
-    return VectorField(n, field, comps)
+    return VectorField(x.n, field, [
+        sum((a * c for a, c in zip(row, x.components) if not a.is_zero()), field.zero()) for row in a_rows
+    ])
 
 
 def cartan_three_form(frame: LieAlgebraFrame, geom: FrameGeometry | None = None) -> KForm:
     """H(X,Y,Z) = <[X,Y], Z>_g; requires the result to be totally skew."""
-    geom = geom or frame.geometry
-    n, field = frame.n, frame.field
-    c = frame.structure_constants()
-    g = geom.metric
-
-    def cval(i, j, k):
-        acc = field.zero()
-        for m in range(n):
-            if not c[m][i][j].is_zero():
-                acc = acc + c[m][i][j] * g[m][k]
-        return acc
-
-    h = skew_three_form(n, field, cval)
+    c = _last_index(frame.constants, geom or frame.geometry, up=False)
+    zero = frame.field.zero()
+    h = skew_three_form(frame.n, frame.field, lambda i, j, k: c.get((i, j, k), zero))
     if h is None:
         raise FrameError("bracket pairing is not totally skew; no Cartan 3-form")
     return h

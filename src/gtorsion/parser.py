@@ -19,6 +19,8 @@ Grammar (one statement per line, ``#`` comments, blank lines ignored):
     vector df = 0
     flux F = e5^e6 - e1^e2
 
+Each ``d`` label, the ``structure`` line, each structure form, ``vector V``,
+``vector df`` and ``flux F`` may appear once; a repeat is a parse error.
 Coefficients are rationals or sqrt-d-linear expressions such as
 ``(sqrt3+1)/7``; ``^`` is the wedge.  Whitespace around operators is free.
 """
@@ -363,6 +365,7 @@ def parse(text: str) -> InputDocument:
     lines = text.splitlines()
     metric_rows_pending = 0
     metric_rows = []
+    seen = set()  # statements that may appear once: a repeat is an error
     i = 0
     while i < len(lines):
         raw = lines[i]
@@ -423,6 +426,7 @@ def parse(text: str) -> InputDocument:
             lab = lhs.strip()
             if lab not in doc.labels:
                 raise ParseError(f"unknown frame label {lab!r}", line_no)
+            _once(seen, f"d {lab}", line_no)
             doc.coframe[lab] = _parse_form(rhs, doc, 2, line_no)
         elif head_l == "metric":
             spec = rest.strip().lower()
@@ -444,6 +448,7 @@ def parse(text: str) -> InputDocument:
             kind = rest.strip().lower()
             if kind not in ("su3", "g2", "spin7", "ah"):
                 raise ParseError(f"unknown structure kind {kind!r}", line_no)
+            _once(seen, "structure", line_no)
             doc.structure_kind = kind
         elif head_l in _FORM_SLOTS:
             slot, degree = _FORM_SLOTS[head_l]
@@ -452,6 +457,7 @@ def parse(text: str) -> InputDocument:
                 raise ParseError(f"declare the structure before its {head} line", line_no)
             if slot not in _KIND_SLOTS[kind]:
                 raise ParseError(f"structure {kind} has no {head} form", line_no)
+            _once(seen, _SLOT_NAMES[slot], line_no)
             lhs_rest = rest.partition("=")[2]
             if lhs_rest.strip().lower() == "model":
                 model = model_form(kind, doc.dim, doc.field)
@@ -464,8 +470,10 @@ def parse(text: str) -> InputDocument:
             name, _, expr = rest.partition("=")
             name = name.strip()
             if name.lower() == "df":
+                _once(seen, "vector df", line_no)
                 doc.df = _parse_form(expr, doc, 1, line_no)
             elif name == "V":
+                _once(seen, "vector V", line_no)
                 one = _parse_form(expr, doc, 1, line_no)
                 comps = [one.coeffs.get(1 << k, doc.field.zero()) for k in range(doc.dim)]
                 doc.vector = VectorField(doc.dim, doc.field, comps)
@@ -476,6 +484,7 @@ def parse(text: str) -> InputDocument:
             name, _, expr = rest.partition("=")
             if name.strip() != "F":
                 raise ParseError("flux must declare F", line_no)
+            _once(seen, "flux F", line_no)
             doc.flux = _parse_form(expr, doc, 2, line_no)
         else:
             raise ParseError(f"unknown statement {head!r}", line_no)
@@ -486,6 +495,13 @@ def parse(text: str) -> InputDocument:
     if doc.dim is None or doc.labels is None:
         raise ParseError("input needs at least 'dim' and 'frame' declarations")
     return doc
+
+
+def _once(seen: set, statement: str, line_no: int):
+    """Record a statement that may appear once; a repeat is a ParseError."""
+    if statement in seen:
+        raise ParseError(f"repeated statement '{statement}'", line_no)
+    seen.add(statement)
 
 
 def _parse_form(expr: str, doc: InputDocument, degree: int, line_no: int | str) -> KForm:

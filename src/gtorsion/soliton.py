@@ -136,29 +136,28 @@ def string_grs_residual(data: SolitonData):
 
 
 def divergence(frame, x: VectorField, geometry=None, lc=None):
-    """Trace of the Levi-Civita covariant derivative of X."""
+    """Trace of the Levi-Civita covariant derivative of X:
+    sum_{i,j} X^j Gamma^i_{ij}."""
     lc = lc or levi_civita(frame, geometry or frame.geometry)
-    field = frame.field
-    acc = field.zero()
-    for i in range(frame.n):
-        v = lc.nabla(frame.basis_vector(i + 1), x)
-        acc = acc + v.components[i]
+    acc = frame.field.zero()
+    for (i, j, l), v in lc.entries.items():
+        if l == i and not x.components[j].is_zero():
+            acc = acc + x.components[j] * v
     return acc
 
 
 def scalar_curvature(frame, geometry=None, lc=None):
-    """Riemannian scalar curvature of the Levi-Civita connection."""
+    """Riemannian scalar curvature: the g-trace of the Levi-Civita Ricci
+    tensor, which ``curvature`` sums from nonzero Riemann entries."""
     geom = geometry or frame.geometry
     lc = lc or levi_civita(frame, geom)
-    cur = curvature(frame, lc, geom)
+    ricci = curvature(frame, lc, geom).ricci
     ginv = geom.inverse_metric()
-    field = frame.field
-    acc = field.zero()
-    n = frame.n
-    for i in range(n):
-        for j in range(n):
-            if not ginv[i][j].is_zero():
-                acc = acc + ginv[i][j] * cur.ricci[i][j]
+    acc = frame.field.zero()
+    for i, row in enumerate(ricci):
+        for j, rc in enumerate(row):
+            if not rc.is_zero() and not ginv[i][j].is_zero():
+                acc = acc + ginv[i][j] * rc
     return acc
 
 

@@ -38,6 +38,8 @@ from .frames import (
     covariant_derivative_form,
     curvature,
     levi_civita,
+    transform_form,
+    transform_vector,
 )
 from .linsolve import LinearSolveError, solve_dense, solve_unique_sparse
 from .scalars import Field, NotRepresentable, Scalar
@@ -159,31 +161,11 @@ class GStructure:
         return self.frame.d(a)
 
     def apply_j(self, x: VectorField) -> VectorField:
-        j = self.j_matrix
-        n = self.n
-        comps = []
-        for a in range(n):
-            val = self.field.zero()
-            for c in range(n):
-                if not j[a][c].is_zero():
-                    val = val + j[a][c] * x.components[c]
-            comps.append(val)
-        return VectorField(n, self.field, comps)
+        return transform_vector(x, self.j_matrix, self.field)
 
     def apply_j_oneform(self, alpha: KForm) -> KForm:
-        """(J alpha)(X) = -alpha(JX), i.e. (J alpha)_c = -sum_a alpha_a J^a_c."""
-        j = self.j_matrix
-        n = self.n
-        out = {}
-        for c in range(n):
-            val = self.field.zero()
-            for a in range(n):
-                ca = alpha.coeffs.get(1 << a)
-                if ca is not None and not j[a][c].is_zero():
-                    val = val + ca * j[a][c]
-            if not val.is_zero():
-                out[1 << c] = -val
-        return KForm(n, 1, self.field, out)
+        """(J alpha)(X) = -alpha(JX): minus the pullback of alpha by J."""
+        return -transform_form(alpha, self.j_matrix, self.field)
 
     # -- compute-once analysis --------------------------------------------
 
@@ -222,7 +204,7 @@ class GStructure:
 
     @cached_property
     def bismut_curvature(self):
-        """Curvature (Riemann and Ricci) of the Bismut connection."""
+        """Curvature (nonzero Riemann entries and Ricci) of the Bismut connection."""
         return curvature(self.frame, self.bismut, self.geometry)
 
 
@@ -242,14 +224,10 @@ def _j_from_metric_omega(omega: KForm, geom: FrameGeometry):
                     val = val + ginv[a][b] * w
             row.append(val)
         j.append(row)
-    for i in range(n):
-        for k in range(n):
-            acc = field.zero()
-            for b in range(n):
-                acc = acc + j[i][b] * j[b][k]
-            target = field.scalar(-1) if i == k else field.zero()
-            if not (acc - target).is_zero():
-                raise StructureError("J^2 != -Id: omega and metric are not compatible")
+    for i in range(1, n + 1):
+        e = VectorField.basis(n, field, i)
+        if transform_vector(transform_vector(e, j, field), j, field) != -e:
+            raise StructureError("J^2 != -Id: omega and metric are not compatible")
     return j
 
 
@@ -683,21 +661,9 @@ def nijenhuis(s: GStructure) -> KForm:
 
 
 def d_c_omega(s: GStructure) -> KForm:
-    """d^c omega(X,Y,Z) = -d omega(JX, JY, JZ)."""
-    field = s.field
-    n = s.n
-    omega = s.form("omega")
-    dom = s.d(omega)
-    basis = [VectorField.basis(n, field, i) for i in range(1, n + 1)]
-    jb = [s.apply_j(b) for b in basis]
-    coeffs = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                v = -_form_eval3(dom, jb[i], jb[j], jb[k], field)
-                if not v.is_zero():
-                    coeffs[(1 << i) | (1 << j) | (1 << k)] = v
-    return KForm(n, 3, field, coeffs)
+    """d^c omega(X,Y,Z) = -d omega(JX, JY, JZ): minus the pullback of d omega
+    by J, which substitutes e^a -> sum_c J^a_c e^c."""
+    return -transform_form(s.d(s.form("omega")), s.j_matrix, s.field)
 
 
 def _form_eval3(f: KForm, x, y, z, field: Field) -> Scalar:
@@ -842,19 +808,13 @@ def bismut_ricci_form(s: GStructure) -> KForm:
     field = s.field
     n = s.n
     geom = s.geometry
-    cur = s.bismut_curvature
-    basis = [VectorField.basis(n, field, i) for i in range(1, n + 1)]
-    jb = [s.apply_j(b) for b in basis]
-    half = field.scalar(Fraction(1, 2))
+    zero = field.zero()
     coeffs = {}
-    for x in range(n):
-        for y in range(x + 1, n):
-            val = field.zero()
-            for i in range(n):
-                # R(e_x, e_y, e_i, J e_i) = g(R(e_x,e_y) e_i, J e_i)
-                rv = cur.riemann[x][y][i]
-                val = val + geom.g(rv, jb[i])
-            val = val * half
-            if not val.is_zero():
-                coeffs[(1 << x) | (1 << y)] = val
-    return KForm(n, 2, field, coeffs)
+    for (x, y, i, l), v in s.bismut_curvature.entries.items():
+        # R(e_x, e_y, e_i, J e_i) = sum_l R^l_{xyi} g(e_l, J e_i), x < y
+        w = geom.g(VectorField.basis(n, field, l + 1), s.apply_j(VectorField.basis(n, field, i + 1)))
+        if not w.is_zero():
+            m = (1 << x) | (1 << y)
+            coeffs[m] = coeffs.get(m, zero) + v * w
+    half = field.scalar(Fraction(1, 2))
+    return KForm(n, 2, field, {m: v * half for m, v in coeffs.items()})

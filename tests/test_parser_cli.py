@@ -275,11 +275,24 @@ _SU3_FRAME = "dim 6\nframe e1 e2 e3 e4 e5 e6\n"
             "dim 7\nframe e1 e2 e3 e4 e5 e6 e7\nphi = model\nstructure g2\n", [], 2,
             "declare the structure before its phi line (line 3)",
         ),
+        (
+            registry.input_text("nonintG2"), ["--backend", "float"], 2,
+            "parse error: unrecognized arguments: --backend float; the float backend was removed",
+        ),
+        (registry.input_text("nonintG2"), ["--tol", "1e-9"], 2, "--tol 1e-9; the float backend was removed"),
+        (registry.input_text("nonintG2"), ["--format", "xml"], 2, "parse error: argument --format: invalid choice"),
+        (_SU3_FRAME + "d e1 = 0\nd e2 = e1^e3\nd e1 = e2^e3\n", [], 2, "repeated statement 'd e1' (line 5)"),
+        (_SU3_FRAME + "structure su3\nstructure su3\n", [], 2, "repeated statement 'structure' (line 4)"),
+        (_SU3_FRAME + "structure su3\nomega = model\nOmega+ = model\nomega = model\n", [], 2, "repeated statement 'omega' (line 6)"),
+        (_SU3_FRAME + "vector df = 0\nvector df = e1\n", [], 2, "repeated statement 'vector df' (line 4)"),
+        (_SU3_FRAME + "vector V = e1\nvector V = e1\n", [], 2, "repeated statement 'vector V' (line 4)"),
+        (_SU3_FRAME + "flux F = 0\nflux F = e1^e2\n", [], 2, "repeated statement 'flux F' (line 4)"),
     ],
     ids=[
         "float-tolerance", "negative-tolerance", "missing-phi", "df-not-closed", "missing-file", "ah-dim-2",
         "zero-divisor-in-file", "zero-divisor-in-df", "model-keeps-other-slot", "slot-of-other-kind",
-        "form-before-structure",
+        "form-before-structure", "removed-backend-flag", "removed-tol-flag", "bad-flag-value",
+        "repeated-d", "repeated-structure", "repeated-form-slot", "repeated-df", "repeated-v", "repeated-flux",
     ],
 )
 def test_cli_bad_input_one_line_and_exit_code(tmp_path, capsys, text, flags, code, message):
@@ -289,4 +302,11 @@ def test_cli_bad_input_one_line_and_exit_code(tmp_path, capsys, text, flags, cod
     assert _run_cli(["check", str(p), *flags]) == code
     err = capsys.readouterr().err
     assert message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_removed_flag_before_subcommand_one_line(capsys):
+    assert _run_cli(["--backend", "float", "check", "input.gs"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and err.endswith("; the float backend was removed\n")
     assert len(err.strip().splitlines()) == 1
