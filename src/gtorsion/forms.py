@@ -479,15 +479,16 @@ def derivation(a: KForm, action) -> KForm:
             if not row:
                 continue
             rest = m ^ low
-            # e^j moves to the front of e^m, e^t back into sorted position
-            lead = _merge_sign(low, rest)
+            # e^j moves to the front of e^m, e^t back into sorted position:
+            # each passes the indices of ``rest`` below it
+            lead = (rest & (low - 1)).bit_count()
             for t, v in row.items():
                 bit = 1 << t
                 if rest & bit:
                     continue
-                term = c * v
                 nm = rest | bit
-                acc[nm] = acc.get(nm, zero) + (term if lead * _merge_sign(bit, rest) > 0 else -term)
+                prev = acc.get(nm, zero)
+                acc[nm] = prev - c * v if (lead + (rest & (bit - 1)).bit_count()) & 1 else prev + c * v
     return KForm(a.n, a.k, a.field, acc)
 
 

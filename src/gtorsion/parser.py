@@ -20,7 +20,8 @@ Grammar (one statement per line, ``#`` comments, blank lines ignored):
     flux F = e5^e6 - e1^e2
 
 Each ``d`` label, the ``structure`` line, each structure form, ``vector V``,
-``vector df`` and ``flux F`` may appear once; a repeat is a parse error.
+``vector df`` and ``flux F`` may appear once; a repeat is a parse error.  A
+frame label with no ``d`` line is closed: omitting ``d e7`` means d e7 = 0.
 Coefficients are rationals or sqrt-d-linear expressions such as
 ``(sqrt3+1)/7``; ``^`` is the wedge.  Whitespace around operators is free.
 """

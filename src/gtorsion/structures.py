@@ -601,29 +601,21 @@ def lee_form(s: GStructure) -> KForm:
     if s.kind in ("g2", "spin7"):
         return s.torsion["lee"]
     field = s.field
-    n = s.n
-    h = s.h
-    basis = [VectorField.basis(n, field, i) for i in range(1, n + 1)]
-    jbasis = [s.apply_j(b) for b in basis]
+    j = s.j_matrix
+    # theta_a = -1/2 sum_{p,q,r} H_pqr J^p_a J^r_q; w[p] is the sum over q, r,
+    # taken from each nonzero H_xyz (x < y < z) and its five permutations
+    w = [field.zero()] * s.n
+    for m, c in s.h.coeffs.items():
+        x, y, z = (i - 1 for i in indices_of(m))
+        for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
+            w[p] = w[p] + c * (j[r][q] - j[q][r])
+    half = field.scalar(Fraction(-1, 2))
     comps = {}
-    for a in range(n):
-        jx = jbasis[a]
-        val = field.zero()
-        ih = interior(jx, h)
-        for i in range(n):
-            val = val + form_eval2(ih, basis[i], jbasis[i], field)
-        val = val * field.scalar(Fraction(-1, 2))
+    for a in range(s.n):
+        val = sum((j[p][a] * wp for p, wp in enumerate(w)), field.zero()) * half
         if not val.is_zero():
             comps[1 << a] = val
-    return KForm(n, 1, field, comps)
-
-
-def form_eval2(f: KForm, x: VectorField, y: VectorField, field: Field) -> Scalar:
-    acc = field.zero()
-    for m, c in f.coeffs.items():
-        i, j = indices_of(m)
-        acc = acc + c * (x.components[i - 1] * y.components[j - 1] - x.components[j - 1] * y.components[i - 1])
-    return acc
+    return KForm(s.n, 1, field, comps)
 
 
 def nijenhuis(s: GStructure) -> KForm:
@@ -762,27 +754,34 @@ def solve_skew_torsion(s: GStructure) -> KForm:
     geom = s.geometry
     frame = s.frame
     masks3 = list(_masks(n, 3))
+    column = {K: col for col, K in enumerate(masks3)}
     lc = s.levi_civita  # shared with the Bismut connection; H itself is never read
     half_ginv = [[x * Fraction(1, 2) for x in row] for row in geom.inverse_metric()]
+    # the derivation e^j -> (1/2)(g^{jk} e^t - g^{jt} e^k) for each pair t < k
+    actions = [
+        (t, k, {j: {x: v for x, v in ((t, g[k]), (k, -g[t])) if not v.is_zero()}
+                for j, g in enumerate(half_ginv)})
+        for t in range(n) for k in range(t + 1, n)
+    ]
     zero = field.zero()
     rows = []
     for alpha in _structure_target_forms(s):
         base = covariant_derivative_form(frame, lc, alpha)
         # entries[(i, mask)][col]: the e^mask coefficient of nabla_i alpha per
         # unit of H_K, K = masks3[col].  H = e^K moves nabla_i only for i in K,
-        # by e^j -> -(1/2) sgn(i, t, k) g^{jk} e^t over the other two indices.
+        # by minus sgn(i, t, k) times the pair action of the other two indices
+        # t < k, so one derivation per pair serves every column {i, t, k}.
         entries: dict[tuple[int, int], dict[int, Scalar]] = {}
-        for col, K in enumerate(masks3):
-            a, b, c = (x - 1 for x in indices_of(K))
-            for i, t, k in ((a, b, c), (b, c, a), (c, a, b)):
-                action = {}
-                for tt, kk, sgn in ((t, k, 1), (k, t, -1)):
-                    for j in range(n):
-                        v = half_ginv[j][kk]
-                        if not v.is_zero():
-                            action.setdefault(j, {})[tt] = v if sgn > 0 else -v
-                for mask, v in derivation(alpha, action).coeffs.items():
-                    entries.setdefault((i, mask), {})[col] = -v
+        for t, k, action in actions:
+            moved = derivation(alpha, action).coeffs
+            negated = {mask: -v for mask, v in moved.items()}
+            for i in range(n):
+                if i == t or i == k:
+                    continue
+                col = column[(1 << i) | (1 << t) | (1 << k)]
+                # (i, t, k) is a cyclic rotation of the sorted column unless t < i < k
+                for mask, v in (negated if i < t or i > k else moved).items():
+                    entries.setdefault((i, mask), {})[col] = v
         keys = set(entries)
         for i in range(n):
             keys.update((i, mask) for mask in base[i].coeffs)

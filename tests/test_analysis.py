@@ -1,6 +1,7 @@
 """Compute-once analysis: a verdict builds each structure's torsion classes,
-H and connections once, the oracle stays independent of H, and a verdict
-leaves no cyclic garbage behind."""
+H and connections once, the oracle stays independent of H, builds one
+derivation per index pair, and agrees with H off a diagonal metric, and a
+verdict leaves no cyclic garbage behind."""
 
 import collections
 import gc
@@ -8,18 +9,21 @@ import gc
 import pytest
 
 from gtorsion import engine, frames, reduction, registry, soliton, structures
+from gtorsion.forms import _mat_inverse
+from gtorsion.frames import change_frame, transform_form
 from gtorsion.parser import parse
 
 _MODULES = [frames, structures, soliton, reduction, engine]
 
 
-def _count_calls(monkeypatch, name):
-    """Wrap ``name`` in every module that binds it; count calls by first argument."""
+def _count_calls(monkeypatch, name, key=lambda arg: arg):
+    """Wrap ``name`` in every module that binds it; count calls by ``key`` of
+    the first argument."""
     orig = getattr(structures, name)
     counts = collections.Counter()
 
     def wrapper(*args, **kwargs):
-        counts[args[0]] += 1
+        counts[key(args[0])] += 1
         return orig(*args, **kwargs)
 
     for mod in _MODULES:
@@ -78,6 +82,39 @@ def test_oracle_never_reads_h(monkeypatch):
     oracle = structures.solve_skew_torsion(s)
     assert "h" not in vars(s)
     monkeypatch.undo()
+    assert oracle == s.h
+
+
+@pytest.mark.parametrize("name", registry.names())
+def test_oracle_one_derivation_per_index_pair(monkeypatch, name):
+    # n derivations for nabla alpha, then one per pair {t, k}, shared by the
+    # n - 2 columns {i, t, k} that contain the pair
+    s = parse(registry.input_text(name)).structure()
+    calls = _count_calls(monkeypatch, "derivation", key=id)  # keyed by form
+    structures.solve_skew_torsion(s)
+    n = s.n
+    assert set(calls) == {id(alpha) for alpha in structures._structure_target_forms(s)}
+    assert max(calls.values()) <= n + n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("name", ["nonintsu3", "nonintG2", "nonintSpin7OneA"])
+def test_oracle_agrees_on_sheared_frame(name):
+    # the coframe f = A e with A unipotent, written out as input text: the
+    # metric rows carry off-diagonal g^{jk}, which rotated frames never do
+    doc = parse(registry.input_text(name))
+    frame = doc.frame()
+    field, n = doc.field, frame.n
+    a = [[field.scalar(1 if j in (i, i + 1) else 0) for j in range(n)] for i in range(n)]
+    new = change_frame(frame, a, new_labels=list(frame.labels), validate=False)
+    ainv = _mat_inverse(a, field)
+    doc.coframe = {lab: new.coframe_d[i] for i, lab in enumerate(frame.labels)}
+    doc.metric = new.geometry.metric
+    doc.structure_forms = {k: transform_form(v, ainv, field) for k, v in doc.structure_forms.items()}
+    sheared = parse(doc.serialize())
+    assert any(not sheared.metric[i][j].is_zero() for i in range(n) for j in range(n) if i != j)
+    s = sheared.structure()
+    oracle = structures.solve_skew_torsion(s)
+    assert not oracle.is_zero()
     assert oracle == s.h
 
 

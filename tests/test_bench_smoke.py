@@ -2,8 +2,11 @@
 
 Only the shape of the result line is checked, never a wall-clock value:
 every verdict passes its gates, and every metric named in BENCHMARK.json
-is present.  The traced run also pins the span names that bench/spans.py
-looks up in the program, so a renamed scalar method fails here.
+is present.  The traced runs also pin the span names that bench/spans.py
+looks up in the program, so a renamed scalar method fails here.  The
+``rotated`` run is the one that reaches the torsion oracle, so its gates
+(oracle agreement, frame invariants, span counts against cProfile) check
+the oracle end to end; ``extend`` never calls it.
 """
 
 import json
@@ -16,12 +19,15 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("trace, section", [(0, "end_to_end"), (1, "per_layer")])
-def test_bench_extend_emits_schema(trace, section):
+@pytest.mark.parametrize(
+    "workload, trace, section",
+    [("extend", 0, "end_to_end"), ("extend", 1, "per_layer"), ("rotated", 1, "per_layer")],
+)
+def test_bench_emits_schema(workload, trace, section):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         names = [m["name"] for m in json.load(fh)[section]]
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "extend", "--seed", "1",
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "1", "--trace", str(trace)],
         cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=170,
     )

@@ -1,9 +1,12 @@
 """The shared exact kernels: dense elimination (determinant, inverse, solve,
-positive-definiteness), the skew 3-form packer and the derivation action."""
+positive-definiteness), the sparse overdetermined solve, the skew 3-form
+packer and the derivation action."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import Q, Q2, random_kform
 from gtorsion.forms import (
@@ -16,7 +19,7 @@ from gtorsion.forms import (
     skew_three_form,
     wedge,
 )
-from gtorsion.linsolve import LinearSolveError, solve_dense
+from gtorsion.linsolve import LinearSolveError, solve_dense, solve_unique_sparse
 
 
 def cofactor_det(m, field):
@@ -144,3 +147,63 @@ def test_derivation_leibniz(rng):
         assert lhs == rhs
         cases += 1
     assert cases == 30
+
+
+# -- sparse overdetermined solve ---------------------------------------------
+
+
+def _rows(field, *rows):
+    return [({c: field.scalar(v) for c, v in row.items()}, field.scalar(rhs)) for row, rhs in rows]
+
+
+def test_sparse_inconsistent_before_full_rank():
+    # x0 + x1 = 1 and 2 x0 + 2 x1 = 3 meet while only one pivot is known
+    rows = _rows(Q, ({0: 1, 1: 1}, 1), ({0: 2, 1: 2}, 3), ({1: 1, 2: 1}, 0), ({0: 1, 1: 2, 2: 3}, 0))
+    with pytest.raises(LinearSolveError, match="^no solution$"):
+        solve_unique_sparse(rows, 3, Q)
+
+
+def test_sparse_inconsistent_deferred_row():
+    # full rank after the three short rows; the long one is checked by substitution
+    rows = _rows(Q, ({0: 1}, 1), ({1: 1}, 2), ({2: 1}, 3), ({0: 1, 1: 1, 2: 1}, 7))
+    with pytest.raises(LinearSolveError, match="^no solution$"):
+        solve_unique_sparse(rows, 3, Q)
+    rows[-1] = (rows[-1][0], Q.scalar(6))
+    assert solve_unique_sparse(rows, 3, Q) == [Q.scalar(1), Q.scalar(2), Q.scalar(3)]
+
+
+def test_sparse_rank_deficient():
+    rows = _rows(Q, ({0: 1, 1: 1}, 1), ({0: 2, 1: 2}, 2), ({2: 1}, 5), ({0: -1, 1: -1, 2: 1}, 4))
+    with pytest.raises(LinearSolveError, match="^non-unique solution$"):
+        solve_unique_sparse(rows, 3, Q)
+
+
+def _entry(field):
+    small = st.integers(-3, 3)
+    if field is Q:
+        return small.map(Q.scalar)
+    return st.tuples(small, small).map(lambda ab: Q2.scalar(ab[0]) + Q2.sqrt_d() * ab[1])
+
+
+@st.composite
+def consistent_systems(draw):
+    """A random square core A x = b, A invertible, plus random combinations of
+    its rows, all shuffled."""
+    field = draw(st.sampled_from([Q, Q2]))
+    n = draw(st.integers(1, 5))
+    core = [[draw(_entry(field)) for _ in range(n)] for _ in range(n)]
+    assume(_mat_det(core, field) != field.zero())
+    b = [draw(_entry(field)) for _ in range(n)]
+    rows = [(dict(enumerate(row)), rhs) for row, rhs in zip(core, b)]
+    for _ in range(draw(st.integers(0, 2 * n))):
+        coefs = [draw(st.integers(-2, 2)) for _ in range(n)]
+        row = {c: sum((core[r][c] * f for r, f in enumerate(coefs)), field.zero()) for c in range(n)}
+        rows.append((row, sum((b[r] * f for r, f in enumerate(coefs)), field.zero())))
+    return field, core, b, draw(st.permutations(rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(consistent_systems())
+def test_sparse_solve_matches_dense_core(system):
+    field, core, b, rows = system
+    assert solve_unique_sparse(rows, len(core), field) == solve_dense(core, b, field)

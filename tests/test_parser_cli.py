@@ -126,6 +126,14 @@ def test_parse_serialize_roundtrip():
         assert doc2.serialize() == doc1.serialize()
 
 
+def test_missing_d_line_means_closed():
+    body = "dim 4\nframe e1 e2 e3 e4\nd e1 = e3^e4\n{}structure ah\nomega = e1^e2 + e3^e4\n"
+    omitted = parse(body.format(""))
+    explicit = parse(body.format("d e4 = 0\n"))
+    assert omitted.frame().coframe_d[3].is_zero()
+    assert run_check(omitted).to_json() == run_check(explicit).to_json()
+
+
 def test_parse_ah_structure():
     text = registry.input_text("nonintsu3").split("structure su3")[0]
     text += "structure ah\nomega = eta1^eta2 + eta3^eta4 + eta5^eta6\n"

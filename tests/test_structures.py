@@ -27,6 +27,7 @@ from gtorsion.forms import (
 from gtorsion.frames import LieAlgebraFrame, cartan_three_form
 from gtorsion.structures import (
     StructureError,
+    ah_assemble,
     bismut_ricci_form,
     bismut_torsion,
     d_c_omega,
@@ -425,6 +426,21 @@ def test_lee_form_equals_two_nu1():
         s = fixture_structure(name)
         t = torsion_su3(s)
         assert lee_form(s) == t["nu1"].scale(2)
+
+
+def test_lee_form_ah_dim4_d_omega_identity(rng):
+    # on R x Heisenberg with J e1 = -e2, J e3 = -e4 (integrable), d omega =
+    # theta ^ omega with theta = e2; a rotated frame moves theta with the forms
+    d = [KForm.from_terms(4, Q, [((3, 4), 1)])] + [KForm.zero(4, 2, Q)] * 3
+    base = LieAlgebraFrame(["e1", "e2", "e3", "e4"], d, FrameGeometry(4, Q))
+    omega = KForm.from_terms(4, Q, [((1, 2), 1), ((3, 4), 1)])
+    assert lee_form(ah_assemble(omega, base)) == KForm.from_terms(4, Q, [((2,), 1)])
+    for _ in range(3):
+        fr, (om,) = rotate_frame_and_forms(base, [omega], rotation_matrix(4, rng, planes=2))
+        s = ah_assemble(om, fr)
+        theta = lee_form(s)
+        assert not theta.is_zero()
+        assert wedge(theta, om) == fr.d(om)
 
 
 # -- frame equivariance ----------------------------------------------------------
