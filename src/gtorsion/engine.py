@@ -98,12 +98,7 @@ def run_reduce(doc, df: KForm | None = None, raw: bool = False) -> Report:
         raise StructureError(f"no canonical reduction for kind {s.kind!r}")
 
     rawred = reducer(s, df, raw=True)
-    rawdict = {}
-    if s.kind == "g2":
-        rawdict["omega"] = form_str(rawred.omega, labels)
-        rawdict["omega_plus"] = form_str(rawred.omega_plus, labels)
-    else:
-        rawdict["phi"] = form_str(rawred.phi, labels)
+    rawdict = {name: form_str(x, labels) for name, x in rawred.forms.items()}
     rawdict["flux"] = form_str(rawred.flux, labels)
     rep.set("raw_reduction", rawdict)
     if raw:
@@ -115,12 +110,7 @@ def run_reduce(doc, df: KForm | None = None, raw: bool = False) -> Report:
         rep.set("reduction_error", str(exc))
         return rep
     tlabels = list(red.transverse.labels)
-    out = {}
-    if s.kind == "g2":
-        out["omega"] = form_str(red.omega, tlabels)
-        out["omega_plus"] = form_str(red.omega_plus, tlabels)
-    else:
-        out["phi"] = form_str(red.phi, tlabels)
+    out = {name: form_str(x, tlabels) for name, x in red.forms.items()}
     out["torsion"] = _torsion_report(red.reduced_structure, red.reduced_torsion, tlabels)
     out["anomaly_zero"] = red.anomaly.is_zero()
     out["verifier"] = {k: bool(v) for k, v in red.verifier.items()}
@@ -155,8 +145,7 @@ def run_extend(doc, target: str | None = None, df: KForm | None = None) -> Repor
             lab: form_str(new_frame.coframe_d[i], labels) for i, lab in enumerate(labels)
         },
     })
-    key = {"g2": "phi", "spin7": "psi"}[target]
-    rep.set("structure_form", form_str(ext["structure"].form(key), labels))
+    rep.set("structure_form", form_str(ext["form"], labels))
     rep.set("bismut_torsion", form_str(ext["h"], labels))
     rep.set("strong_torsion", ext["strong"])
     rep.set("torsion_matches_formula", ext["torsion_matches"])

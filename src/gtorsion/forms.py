@@ -64,16 +64,12 @@ def indices_of(mask: int) -> tuple[int, ...]:
 
 def _merge_sign(a: int, b: int) -> int:
     """Parity sign of sorting the concatenation of disjoint masks a, b."""
-    sign = 1
-    bb = b
-    while bb:
-        low = bb & -bb
-        # count set bits of a strictly above this bit of b
-        above = a & ~(low | (low - 1))
-        if bin(above).count("1") & 1:
-            sign = -sign
-        bb ^= low
-    return sign
+    parity = 0
+    while b:
+        low = b & -b
+        parity += (a & -(low << 1)).bit_count()  # bits of a above this bit of b
+        b ^= low
+    return -1 if parity & 1 else 1
 
 
 class KForm:
@@ -92,7 +88,7 @@ class KForm:
         clean: dict[int, Scalar] = {}
         if coeffs:
             for m, c in coeffs.items():
-                if bin(m).count("1") != k:
+                if m.bit_count() != k:
                     raise ValueError(f"mask {m:b} has wrong cardinality for degree {k}")
                 if not c.is_zero():
                     clean[m] = c

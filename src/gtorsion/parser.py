@@ -15,12 +15,12 @@ Grammar (one statement per line, ``#`` comments, blank lines ignored):
     structure su3                     (omega = ..., Omega+ = ...)
     structure spin7                   (Psi = ... | Psi = model)
     structure ah                      (omega = ...)
-    vector V = e7 - e3
     vector df = 0
     flux F = e5^e6 - e1^e2
 
-Each ``d`` label, the ``structure`` line, each structure form, ``vector V``,
-``vector df`` and ``flux F`` may appear once; a repeat is a parse error.  A
+Each ``d`` label, the ``structure`` line, each structure form, ``vector df``
+and ``flux F`` may appear once; a repeat is a parse error.  ``vector V`` is a
+parse error: the canonical vector is computed from the structure and df.  A
 frame label with no ``d`` line is closed: omitting ``d e7`` means d e7 = 0.
 Coefficients are rationals or sqrt-d-linear expressions such as
 ``(sqrt3+1)/7``; ``^`` is the wedge.  Whitespace around operators is free.
@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import re
 
-from .forms import FrameGeometry, KForm, VectorField, _sort_sign, mask_of
+from .forms import FrameGeometry, KForm, _sort_sign, mask_of
 from .frames import FrameError, LieAlgebraFrame
-from .report import form_str, scalar_str, vector_str
+from .report import form_str, scalar_str
 from .scalars import Field, QuadraticField, RationalField, Scalar
 from .structures import (
     GStructure,
@@ -263,7 +263,7 @@ class _ExprParser:
 
 
 class InputDocument:
-    """Parsed input: frame, geometry, structure data, optional V/df/flux."""
+    """Parsed input: frame, geometry, structure data, optional df/flux."""
 
     def __init__(self):
         self.dim = None
@@ -274,8 +274,6 @@ class InputDocument:
         self.orientation_sign = 1
         self.structure_kind = None
         self.structure_forms = {}
-        self.vector = None
-        self.vector_name = None
         self.df = None
         self.flux = None
         self._frame = None
@@ -321,8 +319,6 @@ class InputDocument:
             for slot, name in _SLOT_NAMES.items():
                 if slot in self.structure_forms:
                     out.append(f"{name} = " + form_str(self.structure_forms[slot], self.labels))
-        if self.vector is not None:
-            out.append("vector V = " + vector_str(self.vector, self.labels))
         if self.df is not None:
             out.append("vector df = " + form_str(self.df, self.labels))
         if self.flux is not None:
@@ -474,11 +470,7 @@ def parse(text: str) -> InputDocument:
                 _once(seen, "vector df", line_no)
                 doc.df = _parse_form(expr, doc, 1, line_no)
             elif name == "V":
-                _once(seen, "vector V", line_no)
-                one = _parse_form(expr, doc, 1, line_no)
-                comps = [one.coeffs.get(1 << k, doc.field.zero()) for k in range(doc.dim)]
-                doc.vector = VectorField(doc.dim, doc.field, comps)
-                doc.vector_name = "V"
+                raise ParseError("vector V is computed from the structure and df, not read: remove the line", line_no)
             else:
                 raise ParseError("vector must declare V or df", line_no)
         elif head_l == "flux":

@@ -11,6 +11,10 @@ uses the submersion identity
 
 for the quotient Bismut connection, with F = d mu.
 
+G2 -> SU(3) and Spin(7) -> G2 run one driver: the parallel form splits along
+V as mu ^ alpha + beta (``split_parallel_form``), and alpha (with beta for
+SU(3)) moves to the slice.  ``central_extend`` rebuilds mu ^ alpha + beta.
+
 A reduction builds no connection or curvature: it reads them from the input
 structure's analysis (the constant rescaling g -> lam^2 g, H -> lam^2 H to
 unit |V| leaves them unchanged) and moves a (0,2)-tensor M into the adapted
@@ -45,7 +49,7 @@ from .frames import (
     transform_form,
     transform_vector,
 )
-from .scalars import NotRepresentable, Scalar
+from .scalars import NotRepresentable
 from .structures import (
     GStructure,
     StructureError,
@@ -244,6 +248,14 @@ class ReductionResult:
     def __init__(self, **kw):
         self.__dict__.update(kw)
         self.verifier = kw.get("verifier", {})
+        self.forms = kw.get("forms", {})  # reduced form name -> form, in report order
+
+    def __getattr__(self, name):
+        # the reduced forms read as attributes: red.omega, red.omega_plus, red.phi
+        try:
+            return self.__dict__["forms"][name]
+        except KeyError:
+            raise AttributeError(name) from None
 
     def verifier_ok(self) -> bool:
         return all(bool(v) for v in self.verifier.values())
@@ -296,11 +308,13 @@ def reduce_pair(frame, h: KForm, v: VectorField, normalize: bool = False, geomet
     )
 
 
-def split_parallel_form(phi: KForm, v: VectorField, mu: KForm):
-    """phi = mu ^ alpha + beta with alpha = i_V phi, beta the remainder."""
+def split_parallel_form(phi: KForm, v: VectorField, mu: KForm | None):
+    """phi = mu ^ alpha + beta with alpha = i_V phi, beta the remainder.
+
+    Without ``mu`` only alpha is taken, and beta is None.
+    """
     alpha = interior(v, phi)
-    beta = phi - wedge(mu, alpha)
-    return alpha, beta
+    return alpha, (None if mu is None else phi - wedge(mu, alpha))
 
 
 def _slice_form(red: ReductionResult, ambient_form: KForm, context: str) -> KForm:
@@ -339,95 +353,60 @@ def string_residual_on_slice(red: ReductionResult, ambient: GStructure, df: KFor
     }
 
 
-def _unit_scale(lam2):
-    """lam = |V| = sqrt(lam2), which rescales V to unit length."""
-    try:
-        return lam2.sqrt()
-    except NotRepresentable as exc:
-        raise ReductionError(
-            f"|V| = sqrt({lam2}) is not in the scalar field; rerun with field sqrt d"
-        ) from exc
+def _gauge_covector(w: VectorField) -> KForm:
+    """mu_g = e^{j0} / w^{j0} at the first index j0 where w is nonzero."""
+    for j0, c in enumerate(w.components):
+        if not c.is_zero():
+            return KForm(w.n, 1, w.field, {1 << j0: c.inverse()})
+    raise ReductionError("raw reduction needs theta != 0: the gauge covector mu_g = e^j0 / (theta#)^j0 is undefined")
 
 
-def _scale_check(name, lhs, rhs, table):
-    table[name] = lhs == rhs if not isinstance(lhs, Scalar) else (lhs - rhs).is_zero()
-
-
-def reduce_g2(s: GStructure, df: KForm | None = None, raw: bool = False) -> ReductionResult:
-    """Reduce a strong-torsion G2 structure along V = theta^sharp - grad f.
-
-    ``raw=True`` reproduces the unnormalized presentation: the pair
-    (i_{theta#} phi, phi - mu_g ^ i_{theta#} phi) in the ambient frame,
-    with the gauge covector mu_g = e^{j0} / V^{j0} at the first index j0
-    where V is nonzero.
-    """
-    if s.kind != "g2":
-        raise StructureError("reduce_g2 needs a G2 structure")
-    field = s.field
-    frame = s.frame
-    geom = s.geometry
-    torsion = s.torsion
-    if not torsion["tau2"].is_zero():
-        raise StructureError("tau2 != 0: no skew-torsion connection for this G2 structure")
-    df = df if df is not None else KForm.zero(7, 1, field)
-    theta = torsion["lee"]
-    v = canonical_vector(s, df)
-    if v.is_zero():
-        raise ReductionError("rigid case: V = 0, no reduction")
-    h = s.h
-    phi = s.form("phi")
-    if raw:
-        w = musical_inv(theta, geom)
-        omega_raw = interior(w, phi)
-        j0 = next(i for i, c in enumerate(w.components) if not c.is_zero())
-        mu_g = KForm(7, 1, field, {1 << j0: w.components[j0].inverse()})
-        return ReductionResult(
-            frame=frame, geometry=geom, v=w, mu=mu_g,
-            omega=omega_raw, omega_plus=phi - wedge(mu_g, omega_raw),
-            flux=frame.d(theta), h=h, raw=True,
-        )
-
-    # Unit-symmetry normalization: phi -> lam^3 phi rescales g -> lam^2 g and
-    # theta-sharp by lam^{-2}, making the canonical vector unit length.
-    lam2 = geom.norm_sq(v)
-    if not (lam2 - field.one()).is_zero():
-        phi = phi.scale(_unit_scale(lam2) * lam2)
-        unit = g2_assemble(phi, frame)
-        geom = unit.geometry
-        torsion = unit.torsion
-        v = canonical_vector(unit, df)
-        h = unit.h
-
-    red = reduce_pair(frame, h, v, normalize=True, geometry=geom)
-    red.structure = s
+def _su3_of_g2(red: ReductionResult):
+    """The SU(3) structure (omega, Omega+) on the slice and its torsion classes."""
     sl = red.transverse
-    phi_ad = red.adapted.to_adapted(phi)
-    vhat_ad = red.adapted.vector_to_adapted(red.v)
-    omega_ad = interior(vhat_ad, phi_ad)
-    omega = sl.restrict(omega_ad, "omega")
-    mu_ad = red.adapted.to_adapted(red.mu)
-    omega_plus = sl.restrict(phi_ad - wedge(mu_ad, omega_ad), "Omega+")
-    struct = su3_assemble(omega, omega_plus, sl)
+    struct = su3_assemble(red.omega, red.omega_plus, sl)
     if struct.geometry.orientation_sign != sl.geometry.orientation_sign:
         raise ReductionError("reduced pair orients the slice the wrong way")
-    red.reduced_structure = struct
-    red.reduced_torsion = rt = struct.torsion
-    grs = string_residual_on_slice(red, s, df)
-    df_sl = red.df
+    return struct, struct.torsion
 
-    # verifier: the displayed transverse identities
-    tau0 = torsion["tau0"]
+
+def _g2_of_spin7(red: ReductionResult):
+    """The G2 structure phi on the slice and its torsion classes.
+
+    Torsion classes are reported in the orientation for which the split
+    Psi = mu ^ phi + star phi holds (vol^ = i_V vol); the Hitchin bilinear
+    form of i_V Psi is definite with respect to the opposite one, so tau0,
+    tau2, tau3 pick up a sign when the two disagree.
+    """
+    sl = red.transverse
+    struct = g2_assemble(red.phi, sl)
+    if not struct.geometry._is_identity:
+        raise ReductionError("reduced 3-form does not induce the slice metric")
+    flip = struct.geometry.orientation_sign != sl.geometry.orientation_sign
+    return struct, TorsionClasses("g2", {
+        name: -x if flip and name in ("tau0", "tau2", "tau3") else x
+        for name, x in struct.torsion.components.items()
+    })
+
+
+def _su3_verifier(red: ReductionResult, unit: GStructure, vhat_ad: VectorField, beta_ad: KForm) -> dict:
+    """The displayed transverse identities of the SU(3) quotient of G2."""
+    sl, struct, rt, df_sl = red.transverse, red.reduced_structure, red.reduced_torsion, red.df
+    field = sl.field
+    omega, omega_plus = red.omega, red.omega_plus
+    tau0 = unit.torsion["tau0"]
     om_min = struct.form("omega_minus")
     om2 = wedge(omega, omega)
-    table = {}
-    _scale_check("sigma0 = 1/2", rt["sigma0"], field.scalar(Fraction(1, 2)), table)
-    table["sigma2 = 0"] = rt["sigma2"].is_zero()
-    table["pi2 = 0"] = rt["pi2"].is_zero()
-    table["nu1 = df/2"] = rt["nu1"] == df_sl.scale(Fraction(1, 2))
-    table["pi1 = df"] = rt["pi1"] == df_sl
-    _scale_check("pi0 = 7/12 tau0", rt["pi0"], field.scalar(Fraction(7, 12)) * tau0, table)
+    table = {
+        "sigma0 = 1/2": rt["sigma0"] == field.scalar(Fraction(1, 2)),
+        "sigma2 = 0": rt["sigma2"].is_zero(),
+        "pi2 = 0": rt["pi2"].is_zero(),
+        "nu1 = df/2": rt["nu1"] == df_sl.scale(Fraction(1, 2)),
+        "pi1 = df": rt["pi1"] == df_sl,
+        "pi0 = 7/12 tau0": rt["pi0"] == field.scalar(Fraction(7, 12)) * tau0,
+    }
     # nu3 = (1/8) tau0 Omega- + (1/4) df ^ omega - i_V(star tau3)
-    st_ad = red.adapted.to_adapted(hodge_star(torsion["tau3"], geom))
+    st_ad = red.adapted.to_adapted(hodge_star(unit.torsion["tau3"], unit.geometry))
     iv_st = sl.restrict(interior(vhat_ad, st_ad), "i_V star tau3")
     nu3_expected = om_min.scale(field.scalar(Fraction(1, 8)) * tau0) + wedge(df_sl, omega).scale(Fraction(1, 4)) - iv_st
     table["nu3 identity"] = rt["nu3"] == nu3_expected
@@ -439,124 +418,116 @@ def reduce_g2(s: GStructure, df: KForm | None = None, raw: bool = False) -> Redu
     # Lee form of the reduced structure equals df
     table["theta_omega = df"] = struct.lee == df_sl
     # H^ = d^c omega + N, the closed formula for the reduced structure's H
-    h_hat_sl = _slice_form(red, red.h_hat, "H^")
-    table["H^ = d^c omega + N"] = h_hat_sl == struct.h
+    table["H^ = d^c omega + N"] = _slice_form(red, red.h_hat, "H^") == struct.h
     # F = d theta in Lambda^{1,1}_0: d mu ^ Omega- = 0 and d mu ^ omega^2 = 0
     f_sl = _slice_form(red, red.flux, "F")
     table["F wedge Omega- = 0"] = wedge(f_sl, om_min).is_zero()
     table["F wedge omega^2 = 0"] = wedge(f_sl, om2).is_zero()
-    # string GRS residual triple
-    table.update(grs)
-    red.verifier = table
-    red.omega = omega
-    red.omega_plus = omega_plus
+    return table
+
+
+def _g2_verifier(red: ReductionResult, unit: GStructure, vhat_ad: VectorField, beta_ad: KForm) -> dict:
+    """The transverse identities of the G2 quotient of Spin(7)."""
+    sl, struct, rt, df_sl, phi = red.transverse, red.reduced_structure, red.reduced_torsion, red.df, red.phi
+    table = {
+        "tau0 = -6/7": rt["tau0"] == sl.field.scalar(Fraction(-6, 7)),
+        "tau2 = 0": rt["tau2"].is_zero(),
+    }
+    star_phi = hodge_star(phi, sl.geometry)  # star in the i_V vol orientation
+    table["d star-phi identity"] = (sl.d(star_phi) - wedge(df_sl, star_phi)).is_zero()
+    # star tau3 = (3/28) theta_phi ^ phi - i_V zeta5 (orientation-free 4-form)
+    iv_z = sl.restrict(interior(vhat_ad, red.adapted.to_adapted(unit.torsion["zeta5"])), "i_V zeta5")
+    lhs = hodge_star(rt["tau3"], sl.geometry)
+    table["star tau3 identity"] = lhs == wedge(rt["lee"], phi).scale(Fraction(3, 28)) - iv_z
+    table["theta_phi = df"] = rt["lee"] == df_sl
+    # Psi = mu ^ phi + star phi: the remainder of the split is star phi
+    table["Psi = mu^phi + star phi"] = beta_ad == sl.embed(star_phi)
+    # d theta_Psi lands in Lambda^2_21 upstairs and Lambda^2_14 downstairs
+    dtheta = red.frame.d(red.structure.torsion["lee"])
+    table["d theta in Lambda^2_21"] = project(unit, dtheta)["7"].is_zero()
+    table["d theta in Lambda^2_14"] = project(struct, _slice_form(red, dtheta, "d theta"))["7"].is_zero()
+    # H^ = H_phi of the reduced structure
+    table["H^ = H_phi"] = _slice_form(red, red.h_hat, "H^") == bismut_torsion(struct, rt)
+    return table
+
+
+# kind -> (name in messages, parallel form, reduced forms as (name, label for
+# restrict): i_V of the form, then the remainder beta of the split where the
+# reduced structure keeps it; the reduced structure; its verifier table)
+_REDUCTIONS = {
+    "g2": ("G2", "phi", (("omega", "omega"), ("omega_plus", "Omega+")), _su3_of_g2, _su3_verifier),
+    "spin7": ("Spin(7)", "psi", (("phi", "phi"),), _g2_of_spin7, _g2_verifier),
+}
+
+
+def _reduce(s: GStructure, df: KForm | None, raw: bool, kind: str) -> ReductionResult:
+    """The canonical reduction of a G2 or Spin(7) structure: split its
+    parallel form along V as mu ^ alpha + beta, move the pieces to the
+    slice, and verify the reduced structure."""
+    title, form_name, reduced, reduced_structure, verifier = _REDUCTIONS[kind]
+    if s.kind != kind:
+        raise StructureError(f"reduce_{kind} needs a {title} structure")
+    h = s.h  # a G2 structure with tau2 != 0 has none: StructureError
+    field, frame, geom = s.field, s.frame, s.geometry
+    df = df if df is not None else KForm.zero(s.n, 1, field)
+    v = canonical_vector(s, df)
+    if v.is_zero():
+        raise ReductionError("rigid case: V = 0, no reduction")
+    if raw:
+        # only beta needs the gauge covector
+        theta = s.torsion["lee"]
+        w = musical_inv(theta, geom)
+        mu_g = _gauge_covector(w) if len(reduced) > 1 else None
+        split = split_parallel_form(s.form(form_name), w, mu_g)
+        return ReductionResult(
+            frame=frame, geometry=geom, v=w, mu=mu_g, flux=frame.d(theta), h=h, raw=True,
+            forms={name: x for (name, _), x in zip(reduced, split)},
+        )
+
+    # Unit-symmetry normalization: the constant rescaling g -> lam^2 g scales
+    # theta-sharp by lam^{-2}, making the canonical vector unit length.
+    unit = s
+    lam2 = geom.norm_sq(v)
+    if not (lam2 - field.one()).is_zero():
+        try:  # Spin(7) rescales by lam2 alone, but keeps this root check
+            lam = lam2.sqrt()
+        except NotRepresentable as exc:
+            raise ReductionError(f"|V| = sqrt({lam2}) is not in the scalar field; rerun with field sqrt d") from exc
+        form = s.form(form_name)
+        if kind == "g2":
+            unit = g2_assemble(form.scale(lam * lam2), frame)  # phi -> lam^3 phi
+        else:  # Psi -> lam^4 Psi, g -> lam^2 g
+            metric = [[x * lam2 for x in row] for row in geom.metric]
+            scaled = FrameGeometry(8, field, metric, orientation_sign=geom.orientation_sign)
+            unit = spin7_assemble(form.scale(lam2 * lam2), frame, geometry=scaled)
+        v = canonical_vector(unit, df)
+
+    red = reduce_pair(frame, unit.h, v, normalize=True, geometry=unit.geometry)
+    red.structure = s
+    ad = red.adapted
+    vhat_ad = ad.vector_to_adapted(red.v)
+    split = split_parallel_form(ad.to_adapted(unit.form(form_name)), vhat_ad, ad.to_adapted(red.mu))
+    red.forms = {name: red.transverse.restrict(x, label) for (name, label), x in zip(reduced, split)}
+    red.reduced_structure, red.reduced_torsion = reduced_structure(red)
+    grs = string_residual_on_slice(red, s, df)
+    red.verifier = {**verifier(red, unit, vhat_ad, split[1]), **grs}
     return red
+
+
+def reduce_g2(s: GStructure, df: KForm | None = None, raw: bool = False) -> ReductionResult:
+    """Reduce a strong-torsion G2 structure along V = theta^sharp - grad f.
+
+    ``raw=True`` reproduces the unnormalized presentation: the pair
+    (i_{theta#} phi, phi - mu_g ^ i_{theta#} phi) in the ambient frame,
+    with the gauge covector mu_g = e^{j0} / V^{j0} at the first index j0
+    where V is nonzero.
+    """
+    return _reduce(s, df, raw, "g2")
 
 
 def reduce_spin7(s: GStructure, df: KForm | None = None, raw: bool = False) -> ReductionResult:
     """Reduce a strong-torsion Spin(7) structure along V = (7/6) theta^sharp - grad f."""
-    if s.kind != "spin7":
-        raise StructureError("reduce_spin7 needs a Spin(7) structure")
-    field = s.field
-    frame = s.frame
-    geom = s.geometry
-    torsion = s.torsion
-    theta = torsion["lee"]
-    df = df if df is not None else KForm.zero(8, 1, field)
-    v = canonical_vector(s, df)
-    if v.is_zero():
-        raise ReductionError("rigid case: V = 0, no reduction")
-    h = s.h
-    psi = s.form("psi")
-    if raw:
-        w = musical_inv(theta, geom)
-        return ReductionResult(
-            frame=frame, geometry=geom, v=w,
-            phi=interior(w, psi), flux=frame.d(theta), h=h, raw=True,
-        )
-
-    # unit-symmetry normalization: Psi -> lam^4 Psi, g -> lam^2 g
-    unit = s
-    lam2 = geom.norm_sq(v)
-    if not (lam2 - field.one()).is_zero():
-        _unit_scale(lam2)  # the root check of reduce_g2, though only lam^2 is used
-        psi = psi.scale(lam2 * lam2)
-        gscaled = FrameGeometry(
-            8, field,
-            [[geom.metric[i][j] * lam2 for j in range(8)] for i in range(8)],
-            orientation_sign=geom.orientation_sign,
-        )
-        unit = spin7_assemble(psi, frame, geometry=gscaled)
-        geom = unit.geometry
-        torsion = unit.torsion
-        v = canonical_vector(unit, df)
-        h = unit.h
-
-    red = reduce_pair(frame, h, v, normalize=True, geometry=geom)
-    red.structure = s
-    sl = red.transverse
-    vhat_ad = red.adapted.vector_to_adapted(red.v)
-    psi_ad = red.adapted.to_adapted(psi)
-    phi_ad = interior(vhat_ad, psi_ad)
-    phi = sl.restrict(phi_ad, "phi")
-    struct = g2_assemble(phi, sl)
-    if not struct.geometry._is_identity:
-        raise ReductionError("reduced 3-form does not induce the slice metric")
-    red.reduced_structure = struct
-    rt_auto = struct.torsion
-    # Torsion classes are reported in the orientation for which the split
-    # Psi = mu ^ phi + star phi holds (vol^ = i_V vol); the Hitchin bilinear
-    # form of i_V Psi is definite with respect to the opposite one, so tau0,
-    # tau2, tau3 pick up a sign when the two disagree.
-    flip = struct.geometry.orientation_sign != sl.geometry.orientation_sign
-    if flip:
-        rt = TorsionClasses(
-            "g2",
-            {
-                "tau0": -rt_auto["tau0"],
-                "tau1": rt_auto["tau1"],
-                "tau2": -rt_auto["tau2"],
-                "tau3": -rt_auto["tau3"],
-                "lee": rt_auto["lee"],
-            },
-        )
-    else:
-        rt = rt_auto
-    red.reduced_torsion = rt
-    grs = string_residual_on_slice(red, s, df)
-    df_sl = red.df
-
-    table = {}
-    _scale_check("tau0 = -6/7", rt["tau0"], field.scalar(Fraction(-6, 7)), table)
-    table["tau2 = 0"] = rt["tau2"].is_zero()
-    star_phi_lemma = hodge_star(phi, sl.geometry)  # star in the i_V vol orientation
-    table["d star-phi identity"] = (sl.d(star_phi_lemma) - wedge(df_sl, star_phi_lemma)).is_zero()
-    # star tau3 = (3/28) theta_phi ^ phi - i_V zeta5 (orientation-free 4-form)
-    iv_z = sl.restrict(interior(vhat_ad, red.adapted.to_adapted(torsion["zeta5"])), "i_V zeta5")
-    lhs = hodge_star(rt["tau3"], sl.geometry)
-    rhs = wedge(rt["lee"], phi).scale(Fraction(3, 28)) - iv_z
-    table["star tau3 identity"] = lhs == rhs
-    table["theta_phi = df"] = rt["lee"] == df_sl
-    # Psi = mu ^ phi + star phi, star in the i_V vol orientation
-    mu_ad = red.adapted.to_adapted(red.mu)
-    table["Psi = mu^phi + star phi"] = psi_ad == wedge(mu_ad, phi_ad) + KForm(
-        8, 4, field, dict(star_phi_lemma.coeffs)
-    )
-    # d theta_Psi lands in Lambda^2_21 upstairs and Lambda^2_14 downstairs
-    dtheta = frame.d(theta)
-    up = project(unit, dtheta)
-    table["d theta in Lambda^2_21"] = up["7"].is_zero()
-    dtheta_sl = _slice_form(red, dtheta, "d theta")
-    down = project(struct, dtheta_sl)
-    table["d theta in Lambda^2_14"] = down["7"].is_zero()
-    # H^ = H_phi of the reduced structure
-    h_hat_sl = _slice_form(red, red.h_hat, "H^")
-    table["H^ = H_phi"] = h_hat_sl == bismut_torsion(struct, rt)
-    # string GRS triple with flux (7/6) d theta = d mu
-    table.update(grs)
-    red.verifier = table
-    red.phi = phi
-    return red
+    return _reduce(s, df, raw, "spin7")
 
 
 def splitting_check(red: ReductionResult) -> dict:
@@ -574,12 +545,15 @@ def splitting_check(red: ReductionResult) -> dict:
     return {"dH_hat = 0": c1, "d mu = 0": c2, "D mu = 0": c3}
 
 
-def central_extend(frame: LieAlgebraFrame, structure: GStructure, flux: KForm, target: str, df: KForm | None = None, h_hat: KForm | None = None, new_label: str = "e0") -> dict:
+def central_extend(frame: LieAlgebraFrame, structure: GStructure, flux: KForm, target: str, df: KForm | None = None, h_hat: KForm | None = None) -> dict:
     """Append a generator e0 with d e0 = F and build the extended structure.
 
-    G2 target needs SU(3) input with sigma0 = 1/2, pi0 constant and
-    theta_omega = df; Spin(7) target needs constant-type G2 input with
-    theta_phi = df.  The anomaly dH^ + F ^ F must vanish (Bianchi).
+    The inverse of the reduction: the parallel form is mu ^ alpha + beta with
+    mu = e^0 and (alpha, beta) = (omega, Omega+) for the G2 target,
+    (phi, -star phi) for the Spin(7) target.  G2 target needs SU(3) input
+    with sigma0 = 1/2, pi0 constant and theta_omega = df; Spin(7) target
+    needs constant-type G2 input with theta_phi = df.  The anomaly
+    dH^ + F ^ F must vanish (Bianchi).
     """
     field = frame.field
     n = frame.n
@@ -597,7 +571,7 @@ def central_extend(frame: LieAlgebraFrame, structure: GStructure, flux: KForm, t
             problems.append(f"sigma0 = {t['sigma0']} != 1/2")
         if structure.lee != df:
             problems.append("theta_omega != df")
-        hh = h_hat if h_hat is not None else structure.h
+        alpha, beta, assemble, sign = structure.form("omega"), structure.form("omega_plus"), g2_assemble, 1
     elif target == "spin7":
         if structure.kind != "g2" or n != 7:
             raise ReductionError("spin7 extension needs a G2 structure on n = 7")
@@ -606,56 +580,43 @@ def central_extend(frame: LieAlgebraFrame, structure: GStructure, flux: KForm, t
             problems.append("tau2 != 0: input admits no skew-torsion connection")
         if t["lee"] != df:
             problems.append("theta_phi != df")
-        hh = h_hat if h_hat is not None else structure.h
+        # Psi = mu ^ phi + star phi holds in the volume convention
+        # vol = mu ^ vol^, which is the reverse of the 3-form's own
+        # orientation; the 4-form and the ambient orientation both pick up
+        # a sign.
+        alpha = structure.form("phi")
+        beta, assemble, sign = -hodge_star(alpha, structure.geometry), spin7_assemble, -1
     else:
         raise ReductionError(f"unknown extension target {target!r}")
-    anomaly = frame.d(hh) + wedge(flux, flux)
-    if not anomaly.is_zero():
+    hh = h_hat if h_hat is not None else structure.h
+    if not (frame.d(hh) + wedge(flux, flux)).is_zero():
         raise ReductionError("Bianchi obstruction: d H^ + F ^ F != 0")
     if problems:
         raise ReductionError("extension hypotheses violated: " + "; ".join(problems))
 
-    shift = _shift_up(field)
-    nn = n + 1
-    new_d = [shift(flux, nn)] + [shift(frame.coframe_d[i], nn) for i in range(n)]
-    gold = structure.geometry.metric
-    gnew = [[field.zero()] * nn for _ in range(nn)]
-    gnew[0][0] = field.one()
-    for i in range(n):
-        for j in range(n):
-            gnew[i + 1][j + 1] = gold[i][j]
-    # Psi = mu ^ phi + star phi holds in the volume convention vol = mu ^ vol^,
-    # which is the reverse of the 3-form's own orientation; the 4-form and the
-    # ambient orientation both pick up a sign for the spin7 target.
-    sign_ext = structure.geometry.orientation_sign * (-1 if target == "spin7" else 1)
-    geom = FrameGeometry(nn, field, gnew, orientation_sign=sign_ext)
-    labels = [new_label] + list(frame.labels)
-    new_frame = LieAlgebraFrame(labels, new_d, geom)
-    mu = KForm(nn, 1, field, {1: field.one()})
-    if target == "g2":
-        phi = wedge(mu, shift(structure.form("omega"), nn)) + shift(structure.form("omega_plus"), nn)
-        ext = g2_assemble(phi, new_frame)
-    else:
-        phi_ = shift(structure.form("phi"), nn)
-        star_phi_ = shift(hodge_star(structure.form("phi"), structure.geometry), nn)
-        psi = wedge(mu, phi_) - star_phi_
-        ext = spin7_assemble(psi, new_frame)
-    h_up = wedge(mu, shift(flux, nn)) + shift(hh, nn)
+    zero = field.zero()
+    metric = [[field.one()] + [zero] * n] + [[zero] + list(row) for row in structure.geometry.metric]
+    geom = FrameGeometry(n + 1, field, metric, orientation_sign=structure.geometry.orientation_sign * sign)
+    new_frame = LieAlgebraFrame(
+        ["e0"] + list(frame.labels), [_shift(flux)] + [_shift(d) for d in frame.coframe_d], geom
+    )
+    mu = KForm(n + 1, 1, field, {1: field.one()})
+    form = wedge(mu, _shift(alpha)) + _shift(beta)
+    ext = assemble(form, new_frame)
+    h_up = wedge(mu, _shift(flux)) + _shift(hh)
     if not new_frame.d(h_up).is_zero():
         raise ReductionError("extension failed to be strong torsion: d H != 0")
-    h_check = ext.h
     return {
         "frame": new_frame,
         "structure": ext,
+        "form": form,
         "h": h_up,
         "mu": mu,
-        "strong": new_frame.d(h_up).is_zero(),
-        "torsion_matches": h_check == h_up,
+        "strong": True,
+        "torsion_matches": ext.h == h_up,
     }
 
 
-def _shift_up(field):
-    def shift(form: KForm, nn: int) -> KForm:
-        return KForm(nn, form.k, field, {m << 1: c for m, c in form.coeffs.items()})
-
-    return shift
+def _shift(form: KForm) -> KForm:
+    """The form in the frame (e0, e1, ..., en): every index moves up by one."""
+    return KForm(form.n + 1, form.k, form.field, {m << 1: c for m, c in form.coeffs.items()})

@@ -6,7 +6,9 @@ is present.  The traced runs also pin the span names that bench/spans.py
 looks up in the program, so a renamed scalar method fails here.  The
 ``rotated`` run is the one that reaches the torsion oracle, so its gates
 (oracle agreement, frame invariants, span counts against cProfile) check
-the oracle end to end; ``extend`` never calls it.
+the oracle end to end; ``extend`` never calls it.  ``fixtures`` is the one
+workload that runs ``reduce``, so its run checks the reducers against the
+pinned report hashes and registry expectations.
 """
 
 import json
@@ -21,7 +23,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 @pytest.mark.parametrize(
     "workload, trace, section",
-    [("extend", 0, "end_to_end"), ("extend", 1, "per_layer"), ("rotated", 1, "per_layer")],
+    [
+        ("extend", 0, "end_to_end"), ("extend", 1, "per_layer"), ("rotated", 1, "per_layer"),
+        ("fixtures", 1, "per_layer"),
+    ],
 )
 def test_bench_emits_schema(workload, trace, section):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:

@@ -82,10 +82,11 @@ def test_parse_metric_rows():
 
 
 def test_parse_vector_and_flux_blocks():
-    text = registry.input_text("nonintG2") + "\nvector V = e7\nflux F = e1^e2 - e5^e6\n"
-    doc = parse(text)
-    assert doc.vector is not None and doc.vector.components[6] == doc.field.one()
-    assert doc.flux is not None
+    text = registry.input_text("nonintG2") + "\nflux F = e1^e2 - e5^e6\n"
+    assert parse(text).flux is not None
+    # V is the canonical vector, computed from the structure and df
+    with pytest.raises(ParseError, match="vector V is computed from the structure and df, not read"):
+        parse(text + "vector V = e7\n")
 
 
 def test_run_check_fixture_registry_all_green():
@@ -258,6 +259,30 @@ def test_cli_df_flag(tmp_path, capsys):
     assert data["canonical_vector"] == "0"
 
 
+# S^3 x T^4 with phi = model: theta = 0, so with df != 0 the canonical vector
+# is -grad f while the raw presentation along theta^sharp is empty
+_S3XT4 = "dim 7\nframe e1 e2 e3 e4 e5 e6 e7\nd e5 = e6^e7\nd e6 = e7^e5\nd e7 = e5^e6\nstructure g2\nphi = model\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--raw-lee"]], ids=["reduce", "raw-lee"])
+def test_cli_reduce_g2_zero_lee_one_line_exit_3(tmp_path, capsys, flags):
+    p = tmp_path / "s3xt4.gs"
+    p.write_text(_S3XT4)
+    assert _run_cli(["reduce", str(p), "--df", "e1", *flags]) == 3
+    assert capsys.readouterr().err == (
+        "structure error: raw reduction needs theta != 0: "
+        "the gauge covector mu_g = e^j0 / (theta#)^j0 is undefined\n"
+    )
+
+
+def test_cli_reduce_spin7_zero_lee_raw_phi_zero(tmp_path, capsys):
+    # only the G2 remainder Omega+ needs the gauge covector: i_0 Psi = 0
+    p = tmp_path / "r8.gs"
+    p.write_text("dim 8\nframe e1 e2 e3 e4 e5 e6 e7 e8\nstructure spin7\nPsi = model\n")
+    assert _run_cli(["reduce", str(p), "--df", "e1", "--raw-lee", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["raw_reduction"] == {"phi": "0", "flux": "0"}
+
+
 def test_parse_truncated_metric_rows():
     with pytest.raises(ParseError, match="expected 2 rows, got 1"):
         parse("dim 2\nframe a b\nmetric rows\n  2 0\n")
@@ -293,7 +318,10 @@ _SU3_FRAME = "dim 6\nframe e1 e2 e3 e4 e5 e6\n"
         (_SU3_FRAME + "structure su3\nstructure su3\n", [], 2, "repeated statement 'structure' (line 4)"),
         (_SU3_FRAME + "structure su3\nomega = model\nOmega+ = model\nomega = model\n", [], 2, "repeated statement 'omega' (line 6)"),
         (_SU3_FRAME + "vector df = 0\nvector df = e1\n", [], 2, "repeated statement 'vector df' (line 4)"),
-        (_SU3_FRAME + "vector V = e1\nvector V = e1\n", [], 2, "repeated statement 'vector V' (line 4)"),
+        (
+            _SU3_FRAME + "vector V = e1\nvector V = e1\n", [], 2,
+            "vector V is computed from the structure and df, not read: remove the line (line 3)",
+        ),
         (_SU3_FRAME + "flux F = 0\nflux F = e1^e2\n", [], 2, "repeated statement 'flux F' (line 4)"),
     ],
     ids=[

@@ -386,6 +386,60 @@ def test_central_extend_spin7_target():
     assert ext["structure"].kind == "spin7"
 
 
+def _heisenberg_g2():
+    # the model 3-form with d e1 = e2^e3 has tau2 != 0
+    d = [KForm.from_terms(7, Q, [((2, 3), 1)])] + [KForm.zero(7, 2, Q)] * 6
+    fr = LieAlgebraFrame([f"e{i}" for i in range(1, 8)], d, FrameGeometry(7, Q))
+    return g2_assemble(model_form("g2", 7, Q), fr)
+
+
+def _extend(structure, target, frame=None, df=None):
+    frame = frame or structure.frame
+    return central_extend(frame, structure, KForm.zero(frame.n, 2, frame.field), target, df=df)
+
+
+def _extend_quotient_with_df():
+    s, red, qfr, qs, h_hat, flux = quotient_su3_of_nonintG2()
+    return central_extend(qfr, qs, flux, "g2", df=KForm.from_terms(6, s.field, [((1,), 1)]), h_hat=h_hat)
+
+
+def _extend_s3xt4_with_df():
+    from test_soliton import s3xt4_g2
+
+    return _extend(s3xt4_g2(), "spin7", df=KForm.from_terms(7, Q, [((1,), 1)]))
+
+
+@pytest.mark.parametrize(
+    "call, exc, message",
+    [
+        (lambda: reduce_g2(fixture_structure("nonintSpin7OneA")), StructureError, "reduce_g2 needs a G2 structure"),
+        (lambda: reduce_spin7(fixture_structure("nonintG2")), StructureError, "reduce_spin7 needs a Spin(7) structure"),
+        (lambda: reduce_g2(_heisenberg_g2()), StructureError, "tau2 != 0: no skew-torsion connection for this G2 structure"),
+        (lambda: _extend(fixture_structure("nonintG2"), "g2"), ReductionError, "g2 extension needs an SU(3) structure on n = 6"),
+        (
+            lambda: _extend(fixture_structure("nonintsu3"), "g2", frame=fixture_structure("nonintG2").frame),
+            ReductionError, "g2 extension needs an SU(3) structure on n = 6",
+        ),
+        (lambda: _extend(fixture_structure("nonintsu3"), "spin7"), ReductionError, "spin7 extension needs a G2 structure on n = 7"),
+        (
+            lambda: _extend(fixture_structure("nonintG2"), "spin7", frame=fixture_structure("nonintsu3").frame),
+            ReductionError, "spin7 extension needs a G2 structure on n = 7",
+        ),
+        (lambda: _extend(fixture_structure("nonintsu3"), "spin8"), ReductionError, "unknown extension target 'spin8'"),
+        (_extend_quotient_with_df, ReductionError, "extension hypotheses violated: theta_omega != df"),
+        (_extend_s3xt4_with_df, ReductionError, "extension hypotheses violated: theta_phi != df"),
+    ],
+    ids=[
+        "reduce_g2-kind", "reduce_spin7-kind", "reduce_g2-tau2", "g2-kind", "g2-dim", "spin7-kind", "spin7-dim",
+        "unknown-target", "g2-theta-df", "spin7-theta-df",
+    ],
+)
+def test_reduction_and_extension_errors(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message
+
+
 # -- anomaly on randomized strong-torsion inputs ------------------------------------
 
 
