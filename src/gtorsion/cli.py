@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 ok, 1 verifier/expectation failure, 2 input error (parse
 error, unreadable file, unknown flag, bad flag value such as a --df that
-is not closed), 3 structural error.
+is not closed), 3 structural error, 4 internal error (an unexpected
+exception, printed as one line with its type).
 """
 
 from __future__ import annotations
@@ -17,19 +18,13 @@ import argparse
 import sys
 
 from .engine import run_check, run_extend, run_reduce
-from .forms import GeometryError
-from .frames import FrameError
 from .parser import ParseError, _parse_form, parse_file
-from .reduction import ReductionError
-from .scalars import NotRepresentable
-from .soliton import PreconditionError
-from .structures import StructureError
+from .scalars import GTorsionError
 from . import registry
 
 EXIT_OK = 0
 EXIT_VERIFIER = 1
-EXIT_PARSE = 2
-EXIT_STRUCTURE = 3
+EXIT_INTERNAL = 4
 
 
 def _common_flags(sub):
@@ -95,19 +90,6 @@ def _emit(report, args):
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "check":
-            doc, df = _load(args)
-            _emit(run_check(doc, df=df), args)
-            return EXIT_OK
-        if args.command == "reduce":
-            doc, df = _load(args)
-            rep = run_reduce(doc, df=df, raw=args.raw_lee)
-            _emit(rep, args)
-            return EXIT_OK
-        if args.command == "extend":
-            doc, df = _load(args)
-            _emit(run_extend(doc, target=args.target, df=df), args)
-            return EXIT_OK
         if args.command == "example":
             if args.emit_input:
                 sys.stdout.write(registry.input_text(args.name))
@@ -120,12 +102,20 @@ def main(argv=None) -> int:
                     sys.stderr.write(f"  {f}\n")
                 return EXIT_VERIFIER
             return EXIT_OK
-    except (ParseError, FrameError) as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return EXIT_PARSE
-    except (GeometryError, StructureError, ReductionError, PreconditionError, NotRepresentable) as exc:
-        sys.stderr.write(f"structure error: {exc}\n")
-        return EXIT_STRUCTURE
+        doc, df = _load(args)
+        if args.command == "check":
+            rep = run_check(doc, df=df)
+        elif args.command == "reduce":
+            rep = run_reduce(doc, df=df, raw=args.raw_lee)
+        else:
+            rep = run_extend(doc, target=args.target, df=df)
+        _emit(rep, args)
+    except GTorsionError as exc:
+        sys.stderr.write(f"{exc.label}: {exc}\n")
+        return exc.exit_code
+    except Exception as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
     return EXIT_OK
 
 

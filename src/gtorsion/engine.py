@@ -45,7 +45,7 @@ def run_check(doc, df: KForm | None = None) -> Report:
     rep.set("command", "check")
     rep.set("kind", s.kind)
     rep.set("dim", frame.n)
-    rep.set("field", _field_str(field))
+    rep.set("field", repr(field))
     rep.set("frame", {"labels": labels, "unimodular": frame.is_unimodular()})
 
     if s.torsion is not None:
@@ -138,7 +138,7 @@ def run_extend(doc, target: str | None = None, df: KForm | None = None) -> Repor
     rep.set("command", "extend")
     rep.set("kind", ext["structure"].kind)
     rep.set("dim", new_frame.n)
-    rep.set("field", _field_str(field))
+    rep.set("field", repr(field))
     rep.set("frame", {
         "labels": labels,
         "equations": {
@@ -150,7 +150,3 @@ def run_extend(doc, target: str | None = None, df: KForm | None = None) -> Repor
     rep.set("strong_torsion", ext["strong"])
     rep.set("torsion_matches_formula", ext["torsion_matches"])
     return rep
-
-
-def _field_str(field) -> str:
-    return repr(field)

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .linsolve import back_substitute, eliminate
-from .scalars import Field, NotRepresentable, Scalar
+from .scalars import Field, GTorsionError, NotRepresentable, Scalar
 
 __all__ = [
     "KForm",
@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 
-class GeometryError(ValueError):
+class GeometryError(GTorsionError, ValueError):
     pass
 
 

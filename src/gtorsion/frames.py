@@ -27,7 +27,7 @@ from .forms import (
     skew_three_form,
     wedge,
 )
-from .scalars import Field, Scalar
+from .scalars import Field, GTorsionError, Scalar
 
 __all__ = [
     "LieAlgebraFrame",
@@ -48,8 +48,9 @@ __all__ = [
 ]
 
 
-class FrameError(ValueError):
-    pass
+class FrameError(GTorsionError, ValueError):
+    exit_code = 2
+    label = "parse error"
 
 
 class LieAlgebraFrame:

@@ -18,10 +18,14 @@ Grammar (one statement per line, ``#`` comments, blank lines ignored):
     vector df = 0
     flux F = e5^e6 - e1^e2
 
-Each ``d`` label, the ``structure`` line, each structure form, ``vector df``
-and ``flux F`` may appear once; a repeat is a parse error.  ``vector V`` is a
-parse error: the canonical vector is computed from the structure and df.  A
-frame label with no ``d`` line is closed: omitting ``d e7`` means d e7 = 0.
+``dim``, ``frame``, each ``d`` label, the ``structure`` line, each structure
+form, ``vector df`` and ``flux F`` may appear once; a repeat is a parse error.
+``dim`` comes before ``frame``, ``metric rows`` and ``= model`` forms;
+``field`` before ``frame``, ``metric rows`` and every form; ``frame`` before
+every written-out form; ``structure`` before its forms, which are the ones
+``structures.KINDS`` lists for the kind.  ``vector V`` is a parse error: the
+canonical vector is computed from the structure and df.  A frame label with
+no ``d`` line is closed: omitting ``d e7`` means d e7 = 0.
 Coefficients are rationals or sqrt-d-linear expressions such as
 ``(sqrt3+1)/7``; ``^`` is the wedge.  Whitespace around operators is free.
 """
@@ -33,12 +37,13 @@ import re
 from .forms import FrameGeometry, KForm, _sort_sign, mask_of
 from .frames import FrameError, LieAlgebraFrame
 from .report import form_str, scalar_str
-from .scalars import Field, QuadraticField, RationalField, Scalar
+from .scalars import Field, GTorsionError, QuadraticField, RationalField, Scalar
 from .structures import (
+    KINDS,
     GStructure,
+    _model_forms,
     ah_assemble,
     g2_assemble,
-    model_form,
     spin7_assemble,
     su3_assemble,
 )
@@ -46,9 +51,12 @@ from .structures import (
 __all__ = ["ParseError", "InputDocument", "parse", "parse_file"]
 
 
-class ParseError(ValueError):
+class ParseError(GTorsionError, ValueError):
     """``line`` is an input line number, or the name of the flag whose value
     failed to parse (such as ``"--df"``)."""
+
+    exit_code = 2
+    label = "parse error"
 
     def __init__(self, message: str, line: int | str | None = None, col: int | None = None):
         loc = ""
@@ -282,9 +290,7 @@ class InputDocument:
     def frame(self) -> LieAlgebraFrame:
         if self._frame is None:
             n = self.dim
-            dlist = []
-            for lab in self.labels:
-                dlist.append(self.coframe.get(lab, KForm.zero(n, 2, self.field)))
+            dlist = [self.coframe.get(lab, KForm.zero(n, 2, self.field)) for lab in self.labels]
             geom = FrameGeometry(n, self.field, self.metric, orientation_sign=self.orientation_sign)
             if self.metric is not None:
                 geom.declared_explicitly = True
@@ -296,12 +302,8 @@ class InputDocument:
 
     def serialize(self) -> str:
         """Canonical input text; parse(serialize(doc)) reproduces the document."""
-        out = [f"dim {self.dim}"]
-        if isinstance(self.field, QuadraticField):
-            out.append(f"field sqrt {self.field.d}")
-        else:
-            out.append("field rational")
-        out.append("frame " + " ".join(self.labels))
+        field = f"sqrt {self.field.d}" if isinstance(self.field, QuadraticField) else "rational"
+        out = [f"dim {self.dim}", f"field {field}", "frame " + " ".join(self.labels)]
         for lab in self.labels:
             d = self.coframe.get(lab)
             out.append(f"d {lab} = " + (form_str(d, self.labels) if d is not None else "0"))
@@ -316,7 +318,7 @@ class InputDocument:
             out.append("orientation " + " ".join(perm))
         if self.structure_kind:
             out.append(f"structure {self.structure_kind}")
-            for slot, name in _SLOT_NAMES.items():
+            for slot, name, _, _ in KINDS[self.structure_kind][1]:
                 if slot in self.structure_forms:
                     out.append(f"{name} = " + form_str(self.structure_forms[slot], self.labels))
         if self.df is not None:
@@ -331,30 +333,21 @@ class InputDocument:
             kind = self.structure_kind
             if kind is None:
                 raise ParseError("no structure block in input")
-            for slot in _KIND_SLOTS.get(kind, ()):
+            forms = []
+            for slot, name, _, _ in KINDS[kind][1]:
                 if slot not in self.structure_forms:
-                    raise ParseError(f"structure {kind} needs a '{_SLOT_NAMES[slot]} = ...' line")
-            if kind == "su3":
-                self._structure = su3_assemble(
-                    self.structure_forms["omega"], self.structure_forms["omega_plus"], fr
-                )
-            elif kind == "g2":
-                self._structure = g2_assemble(self.structure_forms["phi"], fr)
-            elif kind == "spin7":
-                self._structure = spin7_assemble(self.structure_forms["psi"], fr)
-            elif kind == "ah":
-                self._structure = ah_assemble(self.structure_forms["omega"], fr)
-            else:
-                raise ParseError(f"unknown structure kind {kind!r}")
+                    raise ParseError(f"structure {kind} needs a '{name} = ...' line")
+                forms.append(self.structure_forms[slot])
+            # looked up per call, so a rebound module global is the one called
+            assemble = {"su3": su3_assemble, "g2": g2_assemble, "spin7": spin7_assemble, "ah": ah_assemble}
+            self._structure = assemble[kind](*forms, fr)
         return self._structure
 
 
-# structure form slot -> its name in the input, in serialization order
-_SLOT_NAMES = {"omega": "omega", "omega_plus": "Omega+", "phi": "phi", "psi": "Psi"}
-_KIND_SLOTS = {"su3": ("omega", "omega_plus"), "g2": ("phi",), "spin7": ("psi",), "ah": ("omega",)}
-
-# form-line head -> (slot, degree)
-_FORM_SLOTS = {"phi": ("phi", 3), "omega": ("omega", 2), "omega+": ("omega_plus", 3), "psi": ("psi", 4)}
+# form-line head -> (slot, name in the input, degree)
+_FORM_HEADS = {
+    name.lower(): (slot, name, degree) for _, slots in KINDS.values() for slot, name, degree, _ in slots
+}
 
 
 def parse(text: str) -> InputDocument:
@@ -387,6 +380,7 @@ def parse(text: str) -> InputDocument:
         head, _, rest = stripped.partition(" ")
         head_l = head.lower()
         if head_l == "dim":
+            _once(seen, "dim", line_no)
             try:
                 doc.dim = int(rest.strip())
             except ValueError:
@@ -394,6 +388,8 @@ def parse(text: str) -> InputDocument:
             if not 1 <= doc.dim <= 8:
                 raise ParseError("dim must be between 1 and 8", line_no)
         elif head_l == "field":
+            if doc.labels is not None or metric_rows_pending or doc.metric or doc.structure_forms:
+                raise ParseError("declare field before frame, metric rows and forms", line_no)
             parts = rest.split()
             if parts[:1] == ["rational"]:
                 doc.field = RationalField()
@@ -412,6 +408,7 @@ def parse(text: str) -> InputDocument:
             doc.labels = rest.split()
             if doc.dim is None:
                 raise ParseError("declare dim before frame", line_no)
+            _once(seen, "frame", line_no)
             if len(doc.labels) != doc.dim:
                 raise ParseError(f"frame needs {doc.dim} labels", line_no)
             if len(set(doc.labels)) != doc.dim:
@@ -443,24 +440,24 @@ def parse(text: str) -> InputDocument:
             doc.orientation_sign = _sort_sign([doc.labels.index(x) for x in perm])
         elif head_l == "structure":
             kind = rest.strip().lower()
-            if kind not in ("su3", "g2", "spin7", "ah"):
+            if kind not in KINDS:
                 raise ParseError(f"unknown structure kind {kind!r}", line_no)
             _once(seen, "structure", line_no)
             doc.structure_kind = kind
-        elif head_l in _FORM_SLOTS:
-            slot, degree = _FORM_SLOTS[head_l]
+        elif head_l in _FORM_HEADS:
+            slot, name, degree = _FORM_HEADS[head_l]
             kind = doc.structure_kind
             if kind is None:
                 raise ParseError(f"declare the structure before its {head} line", line_no)
-            if slot not in _KIND_SLOTS[kind]:
+            slots = [s for s, _, _, _ in KINDS[kind][1]]
+            if slot not in slots:
                 raise ParseError(f"structure {kind} has no {head} form", line_no)
-            _once(seen, _SLOT_NAMES[slot], line_no)
+            _once(seen, name, line_no)
             lhs_rest = rest.partition("=")[2]
             if lhs_rest.strip().lower() == "model":
-                model = model_form(kind, doc.dim, doc.field)
-                if kind == "su3":  # (omega, Omega+)
-                    model = model[_KIND_SLOTS[kind].index(slot)]
-                doc.structure_forms[slot] = model
+                if doc.dim is None:
+                    raise ParseError(f"declare dim before the {name} model", line_no)
+                doc.structure_forms[slot] = _model_forms(kind, doc.dim, doc.field)[slots.index(slot)]
             else:
                 doc.structure_forms[slot] = _parse_form(lhs_rest, doc, degree, line_no)
         elif head_l == "vector":
@@ -498,6 +495,8 @@ def _once(seen: set, statement: str, line_no: int):
 
 
 def _parse_form(expr: str, doc: InputDocument, degree: int, line_no: int | str) -> KForm:
+    if doc.labels is None:
+        raise ParseError(f"declare the frame before a {degree}-form", line_no)
     toks = _tokenize(expr, line_no)
     if not toks:
         raise ParseError("empty expression", line_no)

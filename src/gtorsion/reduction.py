@@ -49,7 +49,7 @@ from .frames import (
     transform_form,
     transform_vector,
 )
-from .scalars import NotRepresentable
+from .scalars import GTorsionError, NotRepresentable
 from .structures import (
     GStructure,
     StructureError,
@@ -77,7 +77,7 @@ __all__ = [
 ]
 
 
-class ReductionError(ValueError):
+class ReductionError(GTorsionError, ValueError):
     pass
 
 
@@ -324,7 +324,7 @@ def _slice_form(red: ReductionResult, ambient_form: KForm, context: str) -> KFor
 
 def string_residual_on_slice(red: ReductionResult, ambient: GStructure, df: KForm) -> dict:
     """Verifier entries for the string-GRS residual triple of the transverse
-    data (g^, F, H^, f); puts df on the slice as ``red.df`` first.
+    data (g^, F, H^, f), with df, F and H^ on the slice read from ``red``.
 
     Slot 1 uses the submersion identity Rc^q = Rc^ambient|hor + <i.F, i.F>
     (see module docstring) combined with the endomorphism-square F^2 term:
@@ -335,16 +335,14 @@ def string_residual_on_slice(red: ReductionResult, ambient: GStructure, df: KFor
     """
     sl = red.transverse
     m = sl.n
-    df_sl = red.df = _slice_form(red, df, "df")
     # Rc^q + F^2_endo + nabla df = (Rc^amb + F^2_pos) - F^2_pos + nabla df
     ric = ambient.bismut_curvature.ricci
     ndf = covariant_derivative_oneform(ambient.frame, ambient.bismut, df)
     mat = [[r + x for r, x in zip(ric_row, ndf_row)] for ric_row, ndf_row in zip(ric, ndf)]
     slot1 = transform_bilinear(mat, red.adapted.b[:m], sl.field)
     # one-form equation: d*F - <F, H^> + i_{df#} F on the slice
-    f_sl = _slice_form(red, red.flux, "F")
-    h_hat_sl = _slice_form(red, red.h_hat, "H^")
-    xvec = musical_inv(df_sl, sl.geometry)
+    f_sl, h_hat_sl = red.flux_slice, red.h_hat_slice
+    xvec = musical_inv(red.df_slice, sl.geometry)
     slot2 = codifferential(sl, f_sl) - contract_2_3(f_sl, h_hat_sl, sl.geometry) + interior(xvec, f_sl)
     return {
         "string GRS slot1": all(x.is_zero() for row in slot1 for x in row),
@@ -391,7 +389,7 @@ def _g2_of_spin7(red: ReductionResult):
 
 def _su3_verifier(red: ReductionResult, unit: GStructure, vhat_ad: VectorField, beta_ad: KForm) -> dict:
     """The displayed transverse identities of the SU(3) quotient of G2."""
-    sl, struct, rt, df_sl = red.transverse, red.reduced_structure, red.reduced_torsion, red.df
+    sl, struct, rt, df_sl = red.transverse, red.reduced_structure, red.reduced_torsion, red.df_slice
     field = sl.field
     omega, omega_plus = red.omega, red.omega_plus
     tau0 = unit.torsion["tau0"]
@@ -418,17 +416,16 @@ def _su3_verifier(red: ReductionResult, unit: GStructure, vhat_ad: VectorField, 
     # Lee form of the reduced structure equals df
     table["theta_omega = df"] = struct.lee == df_sl
     # H^ = d^c omega + N, the closed formula for the reduced structure's H
-    table["H^ = d^c omega + N"] = _slice_form(red, red.h_hat, "H^") == struct.h
+    table["H^ = d^c omega + N"] = red.h_hat_slice == struct.h
     # F = d theta in Lambda^{1,1}_0: d mu ^ Omega- = 0 and d mu ^ omega^2 = 0
-    f_sl = _slice_form(red, red.flux, "F")
-    table["F wedge Omega- = 0"] = wedge(f_sl, om_min).is_zero()
-    table["F wedge omega^2 = 0"] = wedge(f_sl, om2).is_zero()
+    table["F wedge Omega- = 0"] = wedge(red.flux_slice, om_min).is_zero()
+    table["F wedge omega^2 = 0"] = wedge(red.flux_slice, om2).is_zero()
     return table
 
 
 def _g2_verifier(red: ReductionResult, unit: GStructure, vhat_ad: VectorField, beta_ad: KForm) -> dict:
     """The transverse identities of the G2 quotient of Spin(7)."""
-    sl, struct, rt, df_sl, phi = red.transverse, red.reduced_structure, red.reduced_torsion, red.df, red.phi
+    sl, struct, rt, df_sl, phi = red.transverse, red.reduced_structure, red.reduced_torsion, red.df_slice, red.phi
     table = {
         "tau0 = -6/7": rt["tau0"] == sl.field.scalar(Fraction(-6, 7)),
         "tau2 = 0": rt["tau2"].is_zero(),
@@ -447,7 +444,7 @@ def _g2_verifier(red: ReductionResult, unit: GStructure, vhat_ad: VectorField, b
     table["d theta in Lambda^2_21"] = project(unit, dtheta)["7"].is_zero()
     table["d theta in Lambda^2_14"] = project(struct, _slice_form(red, dtheta, "d theta"))["7"].is_zero()
     # H^ = H_phi of the reduced structure
-    table["H^ = H_phi"] = _slice_form(red, red.h_hat, "H^") == bismut_torsion(struct, rt)
+    table["H^ = H_phi"] = red.h_hat_slice == bismut_torsion(struct, rt)
     return table
 
 
@@ -509,6 +506,10 @@ def _reduce(s: GStructure, df: KForm | None, raw: bool, kind: str) -> ReductionR
     split = split_parallel_form(ad.to_adapted(unit.form(form_name)), vhat_ad, ad.to_adapted(red.mu))
     red.forms = {name: red.transverse.restrict(x, label) for (name, label), x in zip(reduced, split)}
     red.reduced_structure, red.reduced_torsion = reduced_structure(red)
+    # df, F and H^ move to the slice once; the residual and the verifier read them
+    red.df_slice = _slice_form(red, df, "df")
+    red.flux_slice = _slice_form(red, red.flux, "F")
+    red.h_hat_slice = _slice_form(red, red.h_hat, "H^")
     grs = string_residual_on_slice(red, s, df)
     red.verifier = {**verifier(red, unit, vhat_ad, split[1]), **grs}
     return red

@@ -25,15 +25,24 @@ __all__ = [
     "QuadraticField",
     "Scalar",
     "FieldMismatch",
+    "GTorsionError",
     "NotRepresentable",
 ]
+
+
+class GTorsionError(Exception):
+    """Base of the errors an input can cause.  The CLI prints
+    ``label: message`` as one line and exits with ``exit_code``."""
+
+    exit_code = 3
+    label = "structure error"
 
 
 class FieldMismatch(TypeError):
     pass
 
 
-class NotRepresentable(ArithmeticError):
+class NotRepresentable(GTorsionError, ArithmeticError):
     """A requested value (sqrt, root) does not exist in the scalar field."""
 
 

@@ -35,6 +35,7 @@ from .frames import (
     curvature,
     levi_civita,
 )
+from .scalars import GTorsionError
 from .structures import (
     GStructure,
     StructureError,
@@ -55,7 +56,7 @@ __all__ = [
 ]
 
 
-class PreconditionError(ValueError):
+class PreconditionError(GTorsionError, ValueError):
     pass
 
 
@@ -174,16 +175,12 @@ def weighted_scalar(data: SolitonData):
 
 
 def canonical_vector(s: GStructure, df: KForm | None = None, torsion: TorsionClasses | None = None) -> VectorField:
-    """V = theta^sharp - grad f per kind ((7/6) theta^sharp for Spin(7))."""
+    """V = theta^sharp - grad f ((7/6) theta^sharp for Spin(7)), theta the Lee
+    form of ``s`` or, when given, of the torsion classes ``torsion``."""
     geom = s.geometry
-    if s.kind == "g2":
-        theta = (torsion or s.torsion)["lee"]
-    elif s.kind == "spin7":
-        theta = (torsion or s.torsion)["lee"].scale(Fraction(7, 6))
-    elif s.kind in ("su3", "ah"):
-        theta = s.lee
-    else:
-        raise StructureError(f"no canonical vector for kind {s.kind!r}")
+    theta = s.lee if torsion is None else torsion["lee"]
+    if s.kind == "spin7":
+        theta = theta.scale(Fraction(7, 6))
     v = musical_inv(theta, geom)
     if df is not None:
         v = v - musical_inv(df, geom)

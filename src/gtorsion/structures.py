@@ -42,10 +42,11 @@ from .frames import (
     transform_vector,
 )
 from .linsolve import LinearSolveError, solve_dense, solve_unique_sparse
-from .scalars import Field, NotRepresentable, Scalar
+from .scalars import Field, GTorsionError, NotRepresentable, Scalar
 
 __all__ = [
     "StructureError",
+    "KINDS",
     "GStructure",
     "TorsionClasses",
     "model_form",
@@ -68,11 +69,10 @@ __all__ = [
 ]
 
 
-class StructureError(ValueError):
+class StructureError(GTorsionError, ValueError):
     pass
 
 
-MODEL_OMEGA = [((1, 2), 1), ((3, 4), 1), ((5, 6), 1)]
 MODEL_OMEGA_PLUS = [((1, 3, 5), 1), ((1, 4, 6), -1), ((2, 3, 6), -1), ((2, 4, 5), -1)]
 MODEL_PHI = [
     ((1, 2, 7), 1), ((1, 3, 5), 1), ((1, 4, 6), -1), ((2, 3, 6), -1),
@@ -85,26 +85,35 @@ MODEL_PSI = [
     ((2, 4, 7, 8), -1), ((3, 5, 7, 8), 1),
 ]
 
+# kind -> (frame dimension of its model, None for any even n; its defining
+# forms in assembler order as (slot, input name, degree, model terms)).
+# Model terms None stand for the standard omega = e12 + e34 + ... on n.
+KINDS = {
+    "su3": (6, (("omega", "omega", 2, None), ("omega_plus", "Omega+", 3, MODEL_OMEGA_PLUS))),
+    "g2": (7, (("phi", "phi", 3, MODEL_PHI),)),
+    "spin7": (8, (("psi", "Psi", 4, MODEL_PSI),)),
+    "ah": (None, (("omega", "omega", 2, None),)),
+}
+
 
 def model_form(kind: str, n: int, field: Field):
-    """Model structure forms on the standard oriented orthonormal frame."""
-    if kind == "su3":
-        if n != 6:
-            raise StructureError("su3 model needs n = 6")
-        return (KForm.from_terms(6, field, MODEL_OMEGA), KForm.from_terms(6, field, MODEL_OMEGA_PLUS))
-    if kind == "g2":
-        if n != 7:
-            raise StructureError("g2 model needs n = 7")
-        return KForm.from_terms(7, field, MODEL_PHI)
-    if kind == "spin7":
-        if n != 8:
-            raise StructureError("spin7 model needs n = 8")
-        return KForm.from_terms(8, field, MODEL_PSI)
-    if kind == "ah":
-        if n % 2:
-            raise StructureError("ah model needs even n")
-        return KForm.from_terms(n, field, [((2 * i + 1, 2 * i + 2), 1) for i in range(n // 2)])
-    raise StructureError(f"unknown structure kind {kind!r}")
+    """Model structure form on the standard oriented orthonormal frame; the
+    pair (omega, Omega+) for su3."""
+    forms = _model_forms(kind, n, field)
+    return forms if len(forms) > 1 else forms[0]
+
+
+def _model_forms(kind: str, n: int, field: Field) -> tuple:
+    """The kind's model forms in ``KINDS`` order."""
+    if kind not in KINDS:
+        raise StructureError(f"unknown structure kind {kind!r}")
+    dim, slots = KINDS[kind]
+    if dim is None and n % 2:
+        raise StructureError(f"{kind} model needs even n")
+    if dim is not None and n != dim:
+        raise StructureError(f"{kind} model needs n = {dim}")
+    omega = [((i, i + 1), 1) for i in range(1, n, 2)]
+    return tuple(KForm.from_terms(n, field, terms or omega) for *_, terms in slots)
 
 
 class TorsionClasses:
@@ -118,14 +127,7 @@ class TorsionClasses:
         return self.components[key]
 
     def nonzero_names(self):
-        out = []
-        for name, val in self.components.items():
-            if isinstance(val, Scalar):
-                if not val.is_zero():
-                    out.append(name)
-            elif not val.is_zero():
-                out.append(name)
-        return out
+        return [name for name, val in self.components.items() if not val.is_zero()]
 
 
 class GStructure:
@@ -172,13 +174,9 @@ class GStructure:
     @cached_property
     def torsion(self) -> TorsionClasses | None:
         """Torsion classes; None for almost Hermitian structures."""
-        if self.kind == "su3":
-            return torsion_su3(self)
-        if self.kind == "g2":
-            return torsion_g2(self)
-        if self.kind == "spin7":
-            return torsion_spin7(self)
-        return None
+        # looked up per call, so a rebound module global is the one called
+        solver = {"su3": torsion_su3, "g2": torsion_g2, "spin7": torsion_spin7}.get(self.kind)
+        return solver(self) if solver else None
 
     @cached_property
     def h(self) -> KForm:
@@ -537,7 +535,6 @@ def _validate_su3_reconstruction(s: GStructure, t: TorsionClasses):
     r3 = om2.scale(sigma0) + wedge(jpi1, op) - wedge(sigma2, omega)
     if r3 != s.d(om):
         raise StructureError("d Omega- reconstruction failed")
-    geom = s.geometry
     if not wedge(nu3, omega).is_zero() or not wedge(nu3, op).is_zero() or not wedge(nu3, om).is_zero():
         raise StructureError("nu3 is not primitive of type Lambda^3_12")
     for beta in (sigma2, pi2):
@@ -725,24 +722,8 @@ def bismut_torsion(s: GStructure, torsion: TorsionClasses | None = None) -> KFor
             + hodge_star(wedge(theta, phi), geom)
             + phi.scale(form_inner(d_phi, star_phi, geom) / field.scalar(6))
         )
-    if s.kind == "spin7":
-        psi = s.form("psi")
-        return -hodge_star(s.d(psi), geom) + hodge_star(
-            wedge(torsion["lee"], psi), geom
-        ).scale(Fraction(7, 6))
-    raise StructureError(f"no torsion formula for kind {s.kind!r}")
-
-
-def _structure_target_forms(s: GStructure):
-    if s.kind == "su3":
-        return [s.form("omega"), s.form("omega_plus")]
-    if s.kind == "ah":
-        return [s.form("omega")]
-    if s.kind == "g2":
-        return [s.form("phi")]
-    if s.kind == "spin7":
-        return [s.form("psi")]
-    raise StructureError(f"unknown kind {s.kind!r}")
+    psi = s.form("psi")  # spin7, the one kind of KINDS left
+    return -hodge_star(s.d(psi), geom) + hodge_star(wedge(torsion["lee"], psi), geom).scale(Fraction(7, 6))
 
 
 def solve_skew_torsion(s: GStructure) -> KForm:
@@ -765,7 +746,8 @@ def solve_skew_torsion(s: GStructure) -> KForm:
     ]
     zero = field.zero()
     rows = []
-    for alpha in _structure_target_forms(s):
+    for slot, *_ in KINDS[s.kind][1]:
+        alpha = s.forms[slot]
         base = covariant_derivative_form(frame, lc, alpha)
         # entries[(i, mask)][col]: the e^mask coefficient of nabla_i alpha per
         # unit of H_K, K = masks3[col].  H = e^K moves nabla_i only for i in K,

@@ -93,7 +93,7 @@ def test_oracle_one_derivation_per_index_pair(monkeypatch, name):
     calls = _count_calls(monkeypatch, "derivation", key=id)  # keyed by form
     structures.solve_skew_torsion(s)
     n = s.n
-    assert set(calls) == {id(alpha) for alpha in structures._structure_target_forms(s)}
+    assert set(calls) == {id(s.forms[slot]) for slot, *_ in structures.KINDS[s.kind][1]}
     assert max(calls.values()) <= n + n * (n - 1) // 2
 
 

@@ -6,11 +6,16 @@ from fractions import Fraction
 import pytest
 
 from conftest import Q
-from gtorsion import registry
+from gtorsion import cli, registry
 from gtorsion.cli import main
 from gtorsion.engine import run_check, run_reduce
-from gtorsion.forms import KForm
+from gtorsion.forms import GeometryError, KForm
+from gtorsion.frames import FrameError
 from gtorsion.parser import ParseError, parse
+from gtorsion.reduction import ReductionError
+from gtorsion.scalars import GTorsionError, NotRepresentable
+from gtorsion.soliton import PreconditionError
+from gtorsion.structures import StructureError
 
 MINI = """
 # toy frame
@@ -346,3 +351,52 @@ def test_cli_removed_flag_before_subcommand_one_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("parse error: ") and err.endswith("; the float backend was removed\n")
     assert len(err.strip().splitlines()) == 1
+
+
+_AH4 = "dim 4\nframe e1 e2 e3 e4\nd e1 = e3^e4\nstructure ah\nomega = e1^e2 + e3^e4\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_AH4 + "field sqrt 2\n", "declare field before frame, metric rows and forms (line 6)"),
+        ("dim 2\nmetric rows\n1 0\n0 1\nfield sqrt 2\nframe a b\n", "declare field before frame, metric rows and forms (line 5)"),
+        ("flux F = 0\n" + _AH4, "declare the frame before a 2-form (line 1)"),
+        ("vector df = 0\n" + _AH4, "declare the frame before a 1-form (line 1)"),
+        ("dim 4\nflux F = a^b\nframe a b c d\n", "declare the frame before a 2-form (line 2)"),
+        ("dim 3\nframe a b c\ndim 2\n", "repeated statement 'dim' (line 3)"),
+        ("dim 3\nframe a b c\nd a = b^c\nframe x y z\n", "repeated statement 'frame' (line 4)"),
+        ("structure ah\nomega = model\ndim 4\nframe a b c d\n", "declare dim before the omega model (line 2)"),
+    ],
+    ids=["field-after-forms", "field-after-metric", "flux-before-dim", "df-before-dim",
+         "flux-before-frame", "repeated-dim", "repeated-frame", "model-before-dim"],
+)
+def test_statement_order_one_line_exit_2(tmp_path, capsys, text, message):
+    p = tmp_path / "input.gs"
+    p.write_text(text)
+    assert _run_cli(["check", str(p)]) == 2
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
+def test_model_needs_dim_only():
+    # a model form is built from dim alone, so it may precede the frame
+    doc = parse("dim 4\nstructure ah\nomega = model\nframe e1 e2 e3 e4\n")
+    assert run_check(doc).data["kind"] == "ah"
+
+
+def test_unexpected_exception_is_one_line_exit_4(tmp_path, capsys, monkeypatch):
+    def broken(doc, df=None):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run_check", broken)
+    p = tmp_path / "su3.gs"
+    p.write_text(registry.input_text("nonintsu3"))
+    assert _run_cli(["check", str(p)]) == 4
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
+def test_input_errors_share_one_base_class():
+    for exc in (ParseError, FrameError):
+        assert issubclass(exc, GTorsionError) and (exc.exit_code, exc.label) == (2, "parse error")
+    for exc in (GeometryError, StructureError, ReductionError, PreconditionError, NotRepresentable):
+        assert issubclass(exc, GTorsionError) and (exc.exit_code, exc.label) == (3, "structure error")

@@ -1,5 +1,6 @@
 """Symmetry reduction, theorem verifiers, splitting, central extension."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from gtorsion.frames import (
     levi_civita,
     transform_bilinear,
 )
+from gtorsion import reduction
 from gtorsion.reduction import (
     ReductionError,
     TransverseSlice,
@@ -463,3 +465,20 @@ def test_anomaly_vanishes_randomized(rng):
         assert red.anomaly.is_zero()
         cases += 1
     assert cases == 20
+
+
+@pytest.mark.parametrize("name", ["nonintG2", "nonintG2nonclosedLee", "nonintSpin7OneA"])
+def test_reduction_moves_each_form_to_the_slice_once(monkeypatch, name):
+    # df, F and H^ go to the slice once; the residual and the verifier share them
+    moved = Counter()
+    slice_form = reduction._slice_form
+
+    def counted(red, form, context):
+        moved[context] += 1
+        return slice_form(red, form, context)
+
+    monkeypatch.setattr(reduction, "_slice_form", counted)
+    s = fixture_structure(name)
+    red = (reduce_g2 if s.kind == "g2" else reduce_spin7)(s)
+    assert red.verifier_ok()
+    assert {"df", "F", "H^"} <= set(moved) and max(moved.values()) == 1
