@@ -68,7 +68,10 @@ def back_substitute(rows, n: int):
 
 
 def solve_dense(a, b, field: Field):
-    """Solve A x = b for square exact A.  Raises on singular A."""
+    """Solve A x = b for square exact A.  Raises on singular A.
+
+    No code in the package calls it; the tests use it as the dense
+    reference for ``solve_unique_sparse``."""
     n = len(a)
     m = [row[:] + [b[i]] for i, row in enumerate(a)]
     if eliminate(m, n) is None:

@@ -41,7 +41,7 @@ from .frames import (
     transform_form,
     transform_vector,
 )
-from .linsolve import LinearSolveError, solve_dense, solve_unique_sparse
+from .linsolve import LinearSolveError, solve_unique_sparse
 from .scalars import Field, GTorsionError, NotRepresentable, Scalar
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "nijenhuis",
     "d_c_omega",
     "lee_form",
-    "type_3003_projection",
     "bismut_torsion",
     "solve_skew_torsion",
     "bismut_ricci_form",
@@ -364,26 +363,46 @@ def _check_declared_metric(frame, geom: FrameGeometry):
 
 # -- irreducible projections ---------------------------------------------
 
+# (kind, degree of a) -> (slot of the defining form, c) in _vector_part
+_VECTOR_PART = {
+    ("g2", 3): ("phi", Fraction(-1, 4)),
+    ("spin7", 3): ("psi", Fraction(-1, 7)),
+    ("su3", 2): ("omega_plus", Fraction(-1, 2)),
+    ("su3", 3): ("omega", Fraction(1, 2)),
+}
 
-def _gram_fit(target: KForm, family, geom: FrameGeometry):
-    """Coefficients c with sum c_a family_a the orthogonal projection of
-    target onto span(family); family must be linearly independent."""
-    field = target.field
-    m = [[form_inner(fa, fb, geom) for fb in family] for fa in family]
-    rhs = [form_inner(target, fa, geom) for fa in family]
-    return solve_dense(m, rhs, field)
+
+def _vector_part(s: GStructure, a: KForm) -> KForm:
+    """The 1-form alpha of the vector-type piece of a 2- or 3-form ``a``:
+
+    G2      Lambda^3_7 = star(alpha ^ phi),     alpha = -1/4 star(a ^ phi);
+    Spin(7) Lambda^3_8 = star(alpha ^ Psi),     alpha = -1/7 star(a ^ Psi);
+    SU(3)   Lambda^2_6 = star(alpha ^ Omega+),  alpha = -1/2 star(a ^ Omega+);
+    SU(3)   Lambda^3_6 = alpha ^ omega,         alpha = 1/2 J star(a ^ omega),
+
+    with (J alpha)(X) = -alpha(JX).  Every other piece of ``a`` wedges to
+    zero with that form, so alpha reads the vector-type piece alone.
+    """
+    slot, c = _VECTOR_PART[s.kind, a.k]
+    alpha = hodge_star(wedge(a, s.form(slot)), s.geometry).scale(c)
+    return s.apply_j_oneform(alpha) if slot == "omega" else alpha
 
 
 def project(structure: GStructure, a: KForm) -> dict:
     """Split a 2- or 3-form into irreducible pieces for the structure kind.
 
-    Returns a dict of named components summing exactly to ``a``; each
-    component is re-verified against its defining linear condition.
+    Every piece is a closed formula, the vector-type ones through
+    ``_vector_part``.  Returns a dict of named components summing exactly to
+    ``a``; each component is re-verified against its defining linear
+    condition.  On SU(3), star(beta ^ omega) = -beta for beta in Lambda^2_8.
     """
     kind = structure.kind
+    if kind not in ("g2", "spin7", "su3"):
+        raise StructureError(f"no projections for kind {kind!r}")
+    if a.k not in (2, 3):
+        raise StructureError(f"{kind} projections cover degrees 2 and 3 only")
     geom = structure.geometry
     field = structure.field
-    n = structure.n
     if kind == "g2":
         phi = structure.form("phi")
         star_phi = structure.form("star_phi")
@@ -396,18 +415,12 @@ def project(structure: GStructure, a: KForm) -> dict:
             if not (wedge(p14, phi) + hodge_star(p14, geom)).is_zero():
                 raise StructureError("Lambda^2_14 component fails its defining condition")
             return {"7": p7, "14": p14}
-        if a.k == 3:
-            p1 = phi.scale(form_inner(a, phi, geom) / field.scalar(7))
-            family = [interior(VectorField.basis(7, field, i), star_phi) for i in range(1, 8)]
-            coefs = _gram_fit(a - p1, family, geom)
-            p7 = KForm.zero(7, 3, field)
-            for c, fa in zip(coefs, family):
-                p7 = p7 + fa.scale(c)
-            p27 = a - p1 - p7
-            if not wedge(p27, phi).is_zero() or not wedge(p27, star_phi).is_zero():
-                raise StructureError("Lambda^3_27 component fails its defining condition")
-            return {"1": p1, "7": p7, "27": p27}
-        raise StructureError("g2 projections cover degrees 2 and 3 only")
+        p1 = phi.scale(form_inner(a, phi, geom) / field.scalar(7))
+        p7 = hodge_star(wedge(_vector_part(structure, a), phi), geom)
+        p27 = a - p1 - p7
+        if not wedge(p27, phi).is_zero() or not wedge(p27, star_phi).is_zero():
+            raise StructureError("Lambda^3_27 component fails its defining condition")
+        return {"1": p1, "7": p7, "27": p27}
     if kind == "spin7":
         psi = structure.form("psi")
         if a.k == 2:
@@ -419,62 +432,46 @@ def project(structure: GStructure, a: KForm) -> dict:
             if not (hodge_star(wedge(psi, p21), geom) - p21).is_zero():
                 raise StructureError("Lambda^2_21 component fails its defining condition")
             return {"7": p7, "21": p21}
-        if a.k == 3:
-            family = [interior(VectorField.basis(8, field, i), psi) for i in range(1, 9)]
-            coefs = _gram_fit(a, family, geom)
-            p8 = KForm.zero(8, 3, field)
-            for c, fa in zip(coefs, family):
-                p8 = p8 + fa.scale(c)
-            p48 = a - p8
-            if not wedge(p48, psi).is_zero():
-                raise StructureError("Lambda^3_48 component fails its defining condition")
-            return {"8": p8, "48": p48}
-        raise StructureError("spin7 projections cover degrees 2 and 3 only")
-    if kind == "su3":
-        omega = structure.form("omega")
-        op = structure.form("omega_plus")
-        om = structure.form("omega_minus")
-        if a.k == 2:
-            p1 = omega.scale(form_inner(a, omega, geom) / field.scalar(3))
-            family = [hodge_star(wedge(KForm(6, 1, field, {1 << i: field.one()}), op), geom) for i in range(6)]
-            coefs = _gram_fit(a - p1, family, geom)
-            p6 = KForm.zero(6, 2, field)
-            for c, fa in zip(coefs, family):
-                p6 = p6 + fa.scale(c)
-            p8 = a - p1 - p6
-            if not wedge(wedge(p8, omega), omega).is_zero() or not wedge(p8, op).is_zero():
-                raise StructureError("Lambda^2_8 component fails its defining condition")
-            return {"1": p1, "6": p6, "8": p8}
-        if a.k == 3:
-            cplus = form_inner(a, op, geom) / field.scalar(4)
-            cminus = form_inner(a, om, geom) / field.scalar(4)
-            p11 = op.scale(cplus) + om.scale(cminus)
-            family = [wedge(KForm(6, 1, field, {1 << i: field.one()}), omega) for i in range(6)]
-            coefs = _gram_fit(a - p11, family, geom)
-            p6 = KForm.zero(6, 3, field)
-            for c, fa in zip(coefs, family):
-                p6 = p6 + fa.scale(c)
-            p12 = a - p11 - p6
-            if (
-                not wedge(p12, omega).is_zero()
-                or not wedge(p12, op).is_zero()
-                or not wedge(p12, om).is_zero()
-            ):
-                raise StructureError("Lambda^3_12 component fails its defining condition")
-            return {"1+1": p11, "6": p6, "12": p12}
-        raise StructureError("su3 projections cover degrees 2 and 3 only")
-    raise StructureError(f"no projections for kind {structure.kind!r}")
+        p8 = hodge_star(wedge(_vector_part(structure, a), psi), geom)
+        p48 = a - p8
+        if not wedge(p48, psi).is_zero():
+            raise StructureError("Lambda^3_48 component fails its defining condition")
+        return {"8": p8, "48": p48}
+    omega = structure.form("omega")  # su3
+    op = structure.form("omega_plus")
+    om = structure.form("omega_minus")
+    if a.k == 2:
+        p1 = omega.scale(form_inner(a, omega, geom) / field.scalar(3))
+        p6 = hodge_star(wedge(_vector_part(structure, a), op), geom)
+        p8 = a - p1 - p6
+        if not wedge(wedge(p8, omega), omega).is_zero() or not wedge(p8, op).is_zero():
+            raise StructureError("Lambda^2_8 component fails its defining condition")
+        return {"1": p1, "6": p6, "8": p8}
+    cplus = form_inner(a, op, geom) / field.scalar(4)
+    cminus = form_inner(a, om, geom) / field.scalar(4)
+    p11 = op.scale(cplus) + om.scale(cminus)
+    p6 = wedge(_vector_part(structure, a), omega)
+    p12 = a - p11 - p6
+    if (
+        not wedge(p12, omega).is_zero()
+        or not wedge(p12, op).is_zero()
+        or not wedge(p12, om).is_zero()
+    ):
+        raise StructureError("Lambda^3_12 component fails its defining condition")
+    return {"1+1": p11, "6": p6, "12": p12}
 
 
 # -- torsion classes -------------------------------------------------------
 
 
 def torsion_su3(s: GStructure) -> TorsionClasses:
-    """Solve
+    """Chiossi-Salamon components of
     d omega  = -(3/2) sigma0 Omega+ + (3/2) pi0 Omega- + nu1 ^ omega + nu3
     d Omega+ = pi0 omega^2 + pi1 ^ Omega+ - pi2 ^ omega
-    d Omega- = sigma0 omega^2 + (J pi1) ^ Omega+ - sigma2 ^ omega
-    for the seven torsion forms, exactly, and verify the reconstruction.
+    d Omega- = sigma0 omega^2 + (J pi1) ^ Omega+ - sigma2 ^ omega,
+    read off ``project``: nu1 and nu3 from d omega; pi1 and pi2 from
+    star d Omega+ = 2 pi0 omega + star(pi1 ^ Omega+) + pi2; sigma2 from
+    star d Omega- likewise.  The reconstructions are verified exactly.
     """
     field = s.field
     geom = s.geometry
@@ -484,26 +481,29 @@ def torsion_su3(s: GStructure) -> TorsionClasses:
 
     sigma0 = -(form_inner(d_omega, op, geom)) / field.scalar(6)
     pi0 = form_inner(d_omega, om, geom) / field.scalar(6)
-    family6 = [wedge(KForm(6, 1, field, {1 << i: field.one()}), omega) for i in range(6)]
-    nu1_coefs = _gram_fit(d_omega, family6, geom)
-    nu1 = KForm(6, 1, field, {1 << i: c for i, c in enumerate(nu1_coefs) if not c.is_zero()})
-    nu3 = d_omega - op.scale(field.scalar(Fraction(-3, 2)) * sigma0) - om.scale(field.scalar(Fraction(3, 2)) * pi0) - wedge(nu1, omega)
+    nu1 = _vector_part(s, d_omega)
+    nu3 = project(s, d_omega)["12"]
 
     pi0_b = form_inner(d_op, om2, geom) / field.scalar(12)
     if not (pi0 - pi0_b).is_zero():
         raise StructureError("inconsistent pi0 between d omega and d Omega+")
-    family_op = [wedge(KForm(6, 1, field, {1 << i: field.one()}), op) for i in range(6)]
-    pi1_coefs = _gram_fit(d_op - om2.scale(pi0), family_op, geom)
-    pi1 = KForm(6, 1, field, {1 << i: c for i, c in enumerate(pi1_coefs) if not c.is_zero()})
-    pi2 = -hodge_star(d_op - om2.scale(pi0) - wedge(pi1, op), geom)
+    star_d_op = hodge_star(d_op, geom)
+    pi1 = _vector_part(s, star_d_op)
+    pi2 = project(s, star_d_op)["8"]
 
     sigma0_b = form_inner(d_om, om2, geom) / field.scalar(12)
     if not (sigma0 - sigma0_b).is_zero():
         raise StructureError("inconsistent sigma0 between d omega and d Omega-")
-    jpi1 = s.apply_j_oneform(pi1)
-    sigma2 = -hodge_star(d_om - om2.scale(sigma0) - wedge(jpi1, op), geom)
+    sigma2 = project(s, hodge_star(d_om, geom))["8"]
 
-    out = TorsionClasses(
+    r1 = op.scale(field.scalar(Fraction(-3, 2)) * sigma0) + om.scale(field.scalar(Fraction(3, 2)) * pi0) + wedge(nu1, omega) + nu3
+    if r1 != d_omega:
+        raise StructureError("d omega reconstruction failed")
+    if om2.scale(pi0) + wedge(pi1, op) - wedge(pi2, omega) != d_op:
+        raise StructureError("d Omega+ reconstruction failed")
+    if om2.scale(sigma0) + wedge(s.apply_j_oneform(pi1), op) - wedge(sigma2, omega) != d_om:
+        raise StructureError("d Omega- reconstruction failed")
+    return TorsionClasses(
         "su3",
         {
             "sigma0": sigma0,
@@ -515,78 +515,42 @@ def torsion_su3(s: GStructure) -> TorsionClasses:
             "nu3": nu3,
         },
     )
-    _validate_su3_reconstruction(s, out)
-    return out
-
-
-def _validate_su3_reconstruction(s: GStructure, t: TorsionClasses):
-    field = s.field
-    omega, op, om = s.form("omega"), s.form("omega_plus"), s.form("omega_minus")
-    om2 = wedge(omega, omega)
-    sigma0, pi0 = t["sigma0"], t["pi0"]
-    nu1, pi1, sigma2, pi2, nu3 = t["nu1"], t["pi1"], t["sigma2"], t["pi2"], t["nu3"]
-    r1 = op.scale(field.scalar(Fraction(-3, 2)) * sigma0) + om.scale(field.scalar(Fraction(3, 2)) * pi0) + wedge(nu1, omega) + nu3
-    if r1 != s.d(omega):
-        raise StructureError("d omega reconstruction failed")
-    r2 = om2.scale(pi0) + wedge(pi1, op) - wedge(pi2, omega)
-    if r2 != s.d(op):
-        raise StructureError("d Omega+ reconstruction failed")
-    jpi1 = s.apply_j_oneform(pi1)
-    r3 = om2.scale(sigma0) + wedge(jpi1, op) - wedge(sigma2, omega)
-    if r3 != s.d(om):
-        raise StructureError("d Omega- reconstruction failed")
-    if not wedge(nu3, omega).is_zero() or not wedge(nu3, op).is_zero() or not wedge(nu3, om).is_zero():
-        raise StructureError("nu3 is not primitive of type Lambda^3_12")
-    for beta in (sigma2, pi2):
-        if not wedge(wedge(beta, omega), omega).is_zero() or not wedge(beta, op).is_zero():
-            raise StructureError("sigma2/pi2 is not in Lambda^2_8")
 
 
 def torsion_g2(s: GStructure) -> TorsionClasses:
     """Fernandez-Gray components:
     d phi      = tau0 (star phi) + 3 tau1 ^ phi + star tau3
     d star phi = 4 tau1 ^ (star phi) + tau2 ^ phi
-    with the Lee form theta = 4 tau1.
+    with the Lee form theta = 4 tau1, read off ``project``:
+    star d phi = tau0 phi + star(3 tau1 ^ phi) + tau3 and
+    star d star phi = star(4 tau1 ^ star phi) - tau2.
     """
     field = s.field
     geom = s.geometry
     phi, star_phi = s.form("phi"), s.form("star_phi")
     d_phi, d_star = s.d(phi), s.d(star_phi)
+    star_d_phi = hodge_star(d_phi, geom)
     tau0 = form_inner(d_phi, star_phi, geom) / field.scalar(7)
-    family = [wedge(KForm(7, 1, field, {1 << i: field.one()}), phi) for i in range(7)]
-    coefs = _gram_fit(d_phi - star_phi.scale(tau0), family, geom)
-    tau1 = KForm(7, 1, field, {1 << i: c / field.scalar(3) for i, c in enumerate(coefs) if not c.is_zero()})
-    star_tau3 = d_phi - star_phi.scale(tau0) - wedge(tau1, phi).scale(3)
-    tau3 = hodge_star(star_tau3, geom)
-    tau2 = -hodge_star(d_star - wedge(tau1, star_phi).scale(4), geom)
-    out = TorsionClasses(
+    tau1 = _vector_part(s, star_d_phi).scale(Fraction(1, 3))
+    tau3 = project(s, star_d_phi)["27"]
+    tau2 = -project(s, hodge_star(d_star, geom))["14"]
+    if d_phi != star_phi.scale(tau0) + wedge(tau1, phi).scale(3) + hodge_star(tau3, geom):
+        raise StructureError("d phi reconstruction failed")
+    if d_star != wedge(tau1, star_phi).scale(4) + wedge(tau2, phi):
+        raise StructureError("d star-phi reconstruction failed")
+    return TorsionClasses(
         "g2",
         {"tau0": tau0, "tau1": tau1, "tau2": tau2, "tau3": tau3, "lee": tau1.scale(4)},
     )
-    # reconstruction and representation checks
-    if s.d(phi) != star_phi.scale(tau0) + wedge(tau1, phi).scale(3) + star_tau3:
-        raise StructureError("d phi reconstruction failed")
-    if s.d(star_phi) != wedge(tau1, star_phi).scale(4) + wedge(tau2, phi):
-        raise StructureError("d star-phi reconstruction failed")
-    if not wedge(tau3, phi).is_zero() or not wedge(tau3, star_phi).is_zero():
-        raise StructureError("tau3 is not in Lambda^3_27")
-    if not (wedge(tau2, phi) + hodge_star(tau2, geom)).is_zero():
-        raise StructureError("tau2 is not in Lambda^2_14")
-    return out
 
 
 def torsion_spin7(s: GStructure) -> TorsionClasses:
-    """theta = -(1/7) star(star dPsi ^ Psi); zeta5 = dPsi - theta ^ Psi."""
-    field = s.field
+    """dPsi = theta ^ Psi + zeta5, read off ``project``:
+    star dPsi = star(theta ^ Psi) + star zeta5."""
     geom = s.geometry
-    psi = s.form("psi")
-    d_psi = s.d(psi)
-    theta = hodge_star(wedge(hodge_star(d_psi, geom), psi), geom).scale(Fraction(-1, 7))
-    zeta5 = d_psi - wedge(theta, psi)
-    relee = hodge_star(wedge(hodge_star(zeta5, geom), psi), geom).scale(Fraction(-1, 7))
-    if not relee.is_zero():
-        raise StructureError("zeta5 still carries a Lee component")
-    return TorsionClasses("spin7", {"lee": theta, "zeta5": zeta5})
+    star_d_psi = hodge_star(s.d(s.form("psi")), geom)
+    zeta5 = -hodge_star(project(s, star_d_psi)["48"], geom)  # star star = -1 on 3-forms, n = 8
+    return TorsionClasses("spin7", {"lee": _vector_part(s, star_d_psi), "zeta5": zeta5})
 
 
 def lee_form(s: GStructure) -> KForm:
@@ -653,45 +617,6 @@ def d_c_omega(s: GStructure) -> KForm:
     """d^c omega(X,Y,Z) = -d omega(JX, JY, JZ): minus the pullback of d omega
     by J, which substitutes e^a -> sum_c J^a_c e^c."""
     return -transform_form(s.d(s.form("omega")), s.j_matrix, s.field)
-
-
-def _form_eval3(f: KForm, x, y, z, field: Field) -> Scalar:
-    acc = field.zero()
-    for m, c in f.coeffs.items():
-        i, j, k = indices_of(m)
-        xi, xj, xk = x.components[i - 1], x.components[j - 1], x.components[k - 1]
-        yi, yj, yk = y.components[i - 1], y.components[j - 1], y.components[k - 1]
-        zi, zj, zk = z.components[i - 1], z.components[j - 1], z.components[k - 1]
-        det = (
-            xi * (yj * zk - yk * zj)
-            - xj * (yi * zk - yk * zi)
-            + xk * (yi * zj - yj * zi)
-        )
-        acc = acc + c * det
-    return acc
-
-
-def type_3003_projection(s: GStructure, gamma: KForm) -> KForm:
-    """Real (3,0)+(0,3) part of a 3-form:
-    1/4 [g(X,Y,Z) - g(JX,JY,Z) - g(JX,Y,JZ) - g(X,JY,JZ)]."""
-    field = s.field
-    n = s.n
-    basis = [VectorField.basis(n, field, i) for i in range(1, n + 1)]
-    jb = [s.apply_j(b) for b in basis]
-    coeffs = {}
-    quarter = field.scalar(Fraction(1, 4))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                v = (
-                    _form_eval3(gamma, basis[i], basis[j], basis[k], field)
-                    - _form_eval3(gamma, jb[i], jb[j], basis[k], field)
-                    - _form_eval3(gamma, jb[i], basis[j], jb[k], field)
-                    - _form_eval3(gamma, basis[i], jb[j], jb[k], field)
-                ) * quarter
-                if not v.is_zero():
-                    coeffs[(1 << i) | (1 << j) | (1 << k)] = v
-    return KForm(n, 3, field, coeffs)
 
 
 def bismut_torsion(s: GStructure, torsion: TorsionClasses | None = None) -> KForm:

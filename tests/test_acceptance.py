@@ -6,8 +6,6 @@ comparison table is visible on failure.
 
 from fractions import Fraction
 
-import pytest
-
 from conftest import (
     Q,
     fixture_structure,
@@ -19,13 +17,12 @@ from conftest import (
 from gtorsion.forms import (
     FrameGeometry,
     KForm,
-    VectorField,
     form_inner,
     hodge_star,
     interior,
     wedge,
 )
-from gtorsion.frames import LieAlgebraFrame, bismut_connection, curvature
+from gtorsion.frames import bismut_connection, curvature
 from gtorsion.reduction import (
     central_extend,
     reduce_g2,
@@ -43,7 +40,6 @@ from gtorsion.structures import (
     bismut_torsion,
     g2_assemble,
     lee_form,
-    project,
     solve_skew_torsion,
     spin7_assemble,
     su3_assemble,

@@ -1,7 +1,7 @@
-"""Compute-once analysis: a verdict builds each structure's torsion classes,
-H and connections once, the oracle stays independent of H, builds one
-derivation per index pair, and agrees with H off a diagonal metric, and a
-verdict leaves no cyclic garbage behind."""
+"""Compute-once analysis: a verdict builds each structure's torsion classes
+(read off ``project``), H and connections once, the oracle stays
+independent of H, builds one derivation per index pair, and agrees with H
+off a diagonal metric, and a verdict leaves no cyclic garbage behind."""
 
 import collections
 import gc
@@ -70,6 +70,21 @@ def test_check_builds_each_item_once(monkeypatch):
     assert dict(nij) == {s: 1}
     assert dict(h) == {s: 1}
     assert dict(conn) == {doc.frame(): 1}
+
+
+@pytest.mark.parametrize("name", registry.names())
+def test_torsion_classes_read_off_project_once(monkeypatch, name):
+    # the solver splits d of each defining form through project (su3: d omega,
+    # star d Omega+ and star d Omega-; g2: star d phi and star d star phi;
+    # spin7: star d Psi), and a check verdict builds the classes once
+    doc = parse(registry.input_text(name))
+    s = doc.structure()
+    solver, splits = {"su3": ("torsion_su3", 3), "g2": ("torsion_g2", 2), "spin7": ("torsion_spin7", 1)}[s.kind]
+    torsion = _count_calls(monkeypatch, solver)
+    proj = _count_calls(monkeypatch, "project")  # keyed by structure
+    engine.run_check(doc)
+    assert dict(torsion) == {s: 1}
+    assert dict(proj) == {s: splits}
 
 
 def test_oracle_never_reads_h(monkeypatch):

@@ -7,7 +7,6 @@ import pytest
 
 from conftest import (
     Q,
-    Q2,
     random_kform,
     random_posdef_geometry,
     random_vector,

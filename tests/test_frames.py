@@ -9,7 +9,6 @@ from conftest import (
     Q,
     heisenberg_frame,
     random_kform,
-    random_vector,
     rotation_matrix,
     rotate_frame_and_forms,
     su2_frame,
@@ -22,17 +21,13 @@ from gtorsion.forms import (
     KForm,
     VectorField,
     form_inner,
-    hodge_star,
     interior,
-    musical,
-    wedge,
 )
 from gtorsion.frames import (
     FrameError,
     LieAlgebraFrame,
     bismut_connection,
     cartan_three_form,
-    ce_differential,
     change_frame,
     codifferential,
     covariant_derivative_form,

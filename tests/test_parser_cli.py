@@ -5,10 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import Q
 from gtorsion import cli, registry
 from gtorsion.cli import main
-from gtorsion.engine import run_check, run_reduce
+from gtorsion.engine import run_check
 from gtorsion.forms import GeometryError, KForm
 from gtorsion.frames import FrameError
 from gtorsion.parser import ParseError, parse
@@ -205,6 +204,23 @@ def test_cli_structure_error_exit_three(tmp_path):
         os.unlink(path)
 
 
+@pytest.mark.parametrize("d5, d6", [("e1^e2", "e1^e3"), ("e1^e3", "e1^e2")])
+def test_cli_check_su3_lambda2_8_torsion_fails_on_nijenhuis(tmp_path, capsys, d5, d6):
+    # model SU(3) forms with sigma2 != 0 (first) or pi2 != 0 (second): the
+    # torsion classes exist, and check names the real obstruction
+    p = tmp_path / "nil.gs"
+    p.write_text("\n".join([
+        "dim 6", "frame e1 e2 e3 e4 e5 e6", *(f"d e{i} = 0" for i in range(1, 5)),
+        f"d e5 = {d5}", f"d e6 = {d6}", "metric identity", "structure su3",
+        "omega = e1^e2 + e3^e4 + e5^e6",
+        "Omega+ = e1^e3^e5 - e1^e4^e6 - e2^e3^e6 - e2^e4^e5",
+    ]) + "\n")
+    assert _run_cli(["check", str(p)]) == 3
+    assert capsys.readouterr().err == (
+        "structure error: Nijenhuis tensor not skew: no skew-torsion connection exists\n"
+    )
+
+
 def test_cli_example_mode_green(capsys):
     for name in registry.names():
         assert _run_cli(["example", "--name", name, "--format", "json"]) == 0
@@ -232,7 +248,6 @@ def test_cli_extend_roundtrip(tmp_path, capsys):
     from conftest import fixture_structure
     from gtorsion.reduction import reduce_g2
     from gtorsion.report import form_str
-    from gtorsion.structures import bismut_torsion, su3_assemble
 
     s = fixture_structure("nonintG2")
     red = reduce_g2(s)

@@ -7,11 +7,9 @@ import pytest
 
 from conftest import (
     Q,
-    Q2,
     fixture_structure,
     rotation_matrix,
     rotate_frame_and_forms,
-    su2su2u1_frame,
 )
 from gtorsion.forms import (
     FrameGeometry,
@@ -19,7 +17,6 @@ from gtorsion.forms import (
     VectorField,
     interior,
     musical,
-    musical_inv,
     wedge,
     hodge_star,
 )
@@ -34,7 +31,6 @@ from gtorsion.frames import (
 from gtorsion import reduction
 from gtorsion.reduction import (
     ReductionError,
-    TransverseSlice,
     adapt_frame,
     central_extend,
     reduce_g2,
@@ -51,7 +47,6 @@ from gtorsion.structures import (
     spin7_assemble,
     su3_assemble,
     torsion_g2,
-    torsion_su3,
 )
 from gtorsion.soliton import canonical_vector
 

@@ -14,7 +14,6 @@ from conftest import (
 )
 from gtorsion.forms import FrameGeometry, KForm, VectorField, musical_inv, wedge
 from gtorsion.frames import LieAlgebraFrame
-from gtorsion.report import matrix_norm_sq
 from gtorsion.soliton import (
     PreconditionError,
     SolitonData,
@@ -34,7 +33,6 @@ from gtorsion.structures import (
     model_form,
     torsion_g2,
     torsion_spin7,
-    torsion_su3,
 )
 
 

@@ -4,15 +4,14 @@ classes, Nijenhuis, skew-torsion formulas against the independent solver."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     Q,
-    Q2,
-    Q3,
     fixture_structure,
     rotation_matrix,
     rotate_frame_and_forms,
-    su2su2u1_frame,
 )
 from gtorsion.forms import (
     FrameGeometry,
@@ -23,14 +22,14 @@ from gtorsion.forms import (
     interior,
     wedge,
     _mat_det,
+    _masks,
 )
-from gtorsion.frames import LieAlgebraFrame, cartan_three_form
+from gtorsion.frames import LieAlgebraFrame, cartan_three_form, transform_form
 from gtorsion.structures import (
     StructureError,
     ah_assemble,
     bismut_ricci_form,
     bismut_torsion,
-    d_c_omega,
     g2_assemble,
     induced_metric_g2,
     lee_form,
@@ -43,7 +42,6 @@ from gtorsion.structures import (
     torsion_g2,
     torsion_spin7,
     torsion_su3,
-    type_3003_projection,
 )
 
 
@@ -309,6 +307,74 @@ def test_torsion_spin7_model_abelian_zero():
     assert t["lee"].is_zero() and t["zeta5"].is_zero()
 
 
+@pytest.mark.parametrize("d5, d6, name", [((1, 2), (1, 3), "sigma2"), ((1, 3), (1, 2), "pi2")])
+def test_torsion_su3_lambda2_8_classes_on_nilpotent_frames(d5, d6, name):
+    # model SU(3) forms on d e5 = e^{d5}, d e6 = e^{d6}: star(beta ^ omega) =
+    # -beta on Lambda^2_8 fixes the sign that the reconstruction checks
+    d = [KForm.zero(6, 2, Q)] * 4 + [kf(6, (d5, 1)), kf(6, (d6, 1))]
+    fr = LieAlgebraFrame([f"e{i}" for i in range(1, 7)], d, FrameGeometry(6, Q))
+    t = torsion_su3(su3_assemble(*model_form("su3", 6, Q), fr))
+    assert t[name] == kf(6, ((1, 2), Fraction(-1, 3)), ((3, 4), Fraction(-1, 3)), ((5, 6), Fraction(2, 3)))
+
+
+_DIMS = {"su3": 6, "g2": 7, "spin7": 8}
+
+
+@st.composite
+def almost_lie_structures(draw, kind):
+    """Model forms on a frame with random structure constants (Jacobi not
+    required).  Some draws pull the forms back by an upper-triangular A
+    with positive diagonal, so the induced metric is A^T A."""
+    n = _DIMS[kind]
+    pairs = list(_masks(n, 2))
+    d = []
+    for _ in range(n):
+        cs = draw(st.lists(st.integers(-2, 2), min_size=len(pairs), max_size=len(pairs)))
+        d.append(KForm(n, 2, Q, {m: Q.scalar(c) for m, c in zip(pairs, cs) if c}))
+    forms = model_form(kind, n, Q)
+    forms = list(forms) if kind == "su3" else [forms]
+    geom = FrameGeometry(n, Q)
+    if draw(st.booleans()):
+        a = [[Q.scalar(draw(st.integers(1, 2)) if i == j else draw(st.integers(-1, 1)) if i < j else 0)
+              for j in range(n)] for i in range(n)]
+        forms = [transform_form(f, a, Q) for f in forms]
+        geom = FrameGeometry(n, Q, [[sum((a[k][i] * a[k][j] for k in range(n)), Q.zero())
+                                     for j in range(n)] for i in range(n)])
+    labels = [f"e{i}" for i in range(1, n + 1)]
+    if kind == "spin7":  # Psi is checked against the frame metric
+        return spin7_assemble(forms[0], LieAlgebraFrame(labels, d, geom, check_closure=False))
+    fr = LieAlgebraFrame(labels, d, FrameGeometry(n, Q), check_closure=False)
+    return su3_assemble(*forms, fr) if kind == "su3" else g2_assemble(forms[0], fr)
+
+
+@pytest.mark.parametrize("kind, classes", [
+    ("su3", {"pi1", "pi2", "sigma2"}), ("g2", {"tau2"}), ("spin7", {"lee", "zeta5"}),
+])
+def test_torsion_read_offs_on_random_frames(kind, classes):
+    # the fixtures have tau2 = pi1 = pi2 = sigma2 = 0; random frames reach them
+    seen = set()
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(almost_lie_structures(kind))
+    def check(s):
+        t = s.torsion  # raises unless every reconstruction check passes
+        seen.update(t.nonzero_names())
+        if s.geometry.metric != FrameGeometry(s.n, Q).metric:
+            seen.add("metric")
+        star = lambda a: hodge_star(a, s.geometry)
+        if kind == "su3":
+            split = [s.d(s.form("omega")), star(s.d(s.form("omega_plus"))), star(s.d(s.form("omega_minus")))]
+        elif kind == "g2":
+            split = [star(s.d(s.form("phi"))), star(s.d(s.form("star_phi")))]
+        else:
+            split = [star(s.d(s.form("psi"))), s.d(t["lee"])]
+        for a in split:
+            assert sum(project(s, a).values(), KForm.zero(s.n, a.k, Q)) == a
+
+    check()
+    assert classes | {"metric"} <= seen
+
+
 # -- Nijenhuis / d^c ------------------------------------------------------------
 
 
@@ -322,8 +388,9 @@ def test_nijenhuis_fixture_nonzero_and_quarter_identity():
     s = fixture_structure("nonintsu3")
     n_form = nijenhuis(s)
     assert not n_form.is_zero()
+    # the (3,0)+(0,3) part of a 3-form is its Lambda^3_{1+1} piece
     h = bismut_torsion(s)
-    assert type_3003_projection(s, h) == n_form.scale(Fraction(1, 4))
+    assert project(s, h)["1+1"] == n_form.scale(Fraction(1, 4))
 
 
 def test_torsion_formula_vs_solver_fixtures():
