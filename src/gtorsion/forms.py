@@ -5,7 +5,8 @@ Basis k-vectors are index subsets of {1..n} encoded as n-bit masks
 single field; missing masks mean zero.  All values are immutable and all
 operations are pure.  A diagonal metric takes one fast path (see
 ``FrameGeometry``): Gram minors are products, so the star and inner
-products cost O(n) per component.
+products cost O(n) per component.  Sums of products accumulate through
+``scalars._mac``, one normalization per output mask.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .linsolve import back_substitute, eliminate
-from .scalars import Field, GTorsionError, NotRepresentable, Scalar
+from .scalars import Field, GTorsionError, NotRepresentable, Scalar, _mac, _settle
 
 __all__ = [
     "KForm",
@@ -343,22 +344,19 @@ class FrameGeometry:
         return KForm(self.n, self.n, self.field, {full: c})
 
     def g(self, x: VectorField, y: VectorField) -> Scalar:
-        acc = self.field.zero()
+        acc: dict[int, list] = {}
         xs, ys = x.components, y.components
         d = self.diagonal
         if d is not None:
             one = self.field.one()
             for a, b, w in zip(xs, ys, d):
                 if not a.is_zero() and not b.is_zero():
-                    t = a * b
-                    acc = acc + (t if w is one else t * w)
-            return acc
-        for i in range(self.n):
-            if xs[i].is_zero():
-                continue
-            for j in range(self.n):
-                acc = acc + xs[i] * self.metric[i][j] * ys[j]
-        return acc
+                    _mac(acc, 0, a, b if w is one else b * w, False)
+        else:
+            for a, row in zip(xs, self.metric):
+                for gij, b in zip(row, ys):
+                    _mac(acc, 0, a * gij, b, False)
+        return _settle(self.field, acc).get(0, self.field.zero())
 
     def norm_sq(self, x: VectorField) -> Scalar:
         return self.g(x, x)
@@ -423,17 +421,12 @@ def wedge(a: KForm, b: KForm) -> KForm:
     k = a.k + b.k
     if k > a.n:
         return KForm.zero(a.n, a.n, a.field)  # convention: top-degree zero
-    acc: dict[int, Scalar] = {}
-    zero = a.field.zero()
+    acc: dict[int, list] = {}
     for ma, ca in a.coeffs.items():
         for mb, cb in b.coeffs.items():
-            if ma & mb:
-                continue
-            s = _merge_sign(ma, mb)
-            m = ma | mb
-            term = ca * cb
-            acc[m] = acc.get(m, zero) + (term if s > 0 else -term)
-    return KForm(a.n, k, a.field, acc)
+            if not ma & mb:
+                _mac(acc, ma | mb, ca, cb, _merge_sign(ma, mb) < 0)
+    return KForm(a.n, k, a.field, _settle(a.field, acc))
 
 
 def interior(x: VectorField, a: KForm) -> KForm:
@@ -441,31 +434,24 @@ def interior(x: VectorField, a: KForm) -> KForm:
         raise GeometryError(f"dimension mismatch: {x.n} vs {a.n}")
     if a.k == 0:
         return KForm.zero(a.n, 0, a.field)
-    acc: dict[int, Scalar] = {}
-    zero = a.field.zero()
+    acc: dict[int, list] = {}
     for m, c in a.coeffs.items():
         pos = 0
         mm = m
         while mm:
             low = mm & -mm
-            i = low.bit_length()  # 1-based index
-            comp = x.components[i - 1]
+            comp = x.components[low.bit_length() - 1]
             if not comp.is_zero():
-                term = c * comp
-                if pos & 1:
-                    term = -term
-                nm = m ^ low
-                acc[nm] = acc.get(nm, zero) + term
+                _mac(acc, m ^ low, c, comp, pos & 1)
             pos += 1
             mm ^= low
-    return KForm(a.n, a.k - 1, a.field, acc)
+    return KForm(a.n, a.k - 1, a.field, _settle(a.field, acc))
 
 
 def derivation(a: KForm, action) -> KForm:
     """The degree-0 derivation extending e^j -> sum_t action[j][t] e^t to the
     form a; ``action`` is sparse, {j: {t: Scalar}} with 0-based indices."""
-    acc: dict[int, Scalar] = {}
-    zero = a.field.zero()
+    acc: dict[int, list] = {}
     for m, c in a.coeffs.items():
         mm = m
         while mm:
@@ -480,12 +466,9 @@ def derivation(a: KForm, action) -> KForm:
             lead = (rest & (low - 1)).bit_count()
             for t, v in row.items():
                 bit = 1 << t
-                if rest & bit:
-                    continue
-                nm = rest | bit
-                prev = acc.get(nm, zero)
-                acc[nm] = prev - c * v if (lead + (rest & (bit - 1)).bit_count()) & 1 else prev + c * v
-    return KForm(a.n, a.k, a.field, acc)
+                if not rest & bit:
+                    _mac(acc, rest | bit, c, v, (lead + (rest & (bit - 1)).bit_count()) & 1)
+    return KForm(a.n, a.k, a.field, _settle(a.field, acc))
 
 
 def skew_three_form(n: int, field: Field, t) -> KForm | None:
@@ -521,27 +504,24 @@ def _raised(a: KForm, geom: FrameGeometry) -> dict[int, Scalar]:
             w = geom.subset_gram(m, m)
             out[m] = c if w is one else c * w
         return out
-    out = {}
+    acc: dict[int, list] = {}
     for im in _masks(a.n, a.k):
-        val = a.field.zero()
         for mb, cb in a.coeffs.items():
             g = geom.subset_gram(im, mb)
             if not g.is_zero():
-                val = val + cb * g
-        if not val.is_zero():
-            out[im] = val
-    return out
+                _mac(acc, im, cb, g, False)
+    return _settle(a.field, acc)
 
 
 def form_inner(a: KForm, b: KForm, geom: FrameGeometry) -> Scalar:
     if a.k != b.k:
         raise GeometryError(f"degree mismatch: {a.k} vs {b.k}")
-    acc = a.field.zero()
+    acc: dict[int, list] = {}
     for m, ca in _raised(a, geom).items():
         cb = b.coeffs.get(m)
         if cb is not None:
-            acc = acc + ca * cb
-    return acc
+            _mac(acc, 0, ca, cb, False)
+    return _settle(a.field, acc).get(0, a.field.zero())
 
 
 def hodge_star(a: KForm, geom: FrameGeometry) -> KForm:
@@ -612,13 +592,11 @@ def contract_2_3(f: KForm, h: KForm, geom: FrameGeometry) -> KForm:
     fup = _raised(f, geom)
     # the sum over ordered pairs is twice the sum over a < b: for each term
     # H_pqr e^{pqr}, pair (p, q) meets Z = r, (p, r) meets -q, (q, r) meets p
-    acc: dict[int, Scalar] = {}
-    zero = field.zero()
+    acc: dict[int, list] = {}
     for m, hv in h.coeffs.items():
         p, q, r = (1 << (i - 1) for i in indices_of(m))
-        for pair, z, sign in ((p | q, r, 1), (p | r, q, -1), (q | r, p, 1)):
+        for pair, z, neg in ((p | q, r, False), (p | r, q, True), (q | r, p, False)):
             fv = fup.get(pair)
             if fv is not None:
-                term = fv * hv
-                acc[z] = acc.get(z, zero) + (term if sign > 0 else -term)
-    return KForm(f.n, 1, field, acc)
+                _mac(acc, z, fv, hv, neg)
+    return KForm(f.n, 1, field, _settle(field, acc))

@@ -5,7 +5,8 @@ encode the structure constants: de^i = -sum_{j<k} c^i_{jk} e^{jk}.  Each
 tensor here is a dict of its nonzero entries: the structure constants (once
 per frame), the connection symbols Gamma^l_{ij} and the Riemann components.
 So d, Levi-Civita, Bismut and curvature cost products of nonzero entries
-only, and a flat connection costs almost nothing.
+only, and a flat connection costs almost nothing.  Their sums of products
+accumulate through ``scalars._mac``, one normalization per output entry.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .forms import (
     skew_three_form,
     wedge,
 )
-from .scalars import Field, GTorsionError, Scalar
+from .scalars import Field, GTorsionError, Scalar, _mac, _settle
 
 __all__ = [
     "LieAlgebraFrame",
@@ -150,13 +151,12 @@ def _last_index(t: dict, geom: FrameGeometry, up: bool) -> dict:
         one = geom.field.one()
         return {(i, j, k): v if d[k] is one else v * d[k] for (i, j, k), v in t.items()}
     m = geom.inverse_metric() if up else geom.metric
-    out = {}
-    zero = geom.field.zero()
+    acc = {}
     for (i, j, k), v in t.items():
         for l, x in enumerate(m[k]):  # m is symmetric
             if not x.is_zero():
-                out[(i, j, l)] = out.get((i, j, l), zero) + v * x
-    return {key: v for key, v in out.items() if not v.is_zero()}
+                _mac(acc, (i, j, l), v, x, False)
+    return _settle(geom.field, acc)
 
 
 class ConnectionCoeffs:
@@ -246,18 +246,14 @@ def ce_differential(frame: LieAlgebraFrame, a: KForm) -> KForm:
     n, field = frame.n, frame.field
     if a.k >= n:
         return KForm.zero(n, min(a.k + 1, n), field)
-    acc: dict[int, Scalar] = {}
-    zero = field.zero()
+    acc: dict[int, list] = {}
     for m, coef in a.coeffs.items():
         for p, ip in enumerate(indices_of(m)):
             rest = m ^ (1 << (ip - 1))
             for md, cd in frame.coframe_d[ip - 1].coeffs.items():
-                if md & rest:
-                    continue
-                term = coef * cd
-                neg = (p & 1) != (_merge_sign(md, rest) < 0)
-                acc[md | rest] = acc.get(md | rest, zero) + (-term if neg else term)
-    return KForm(n, a.k + 1, field, acc)
+                if not md & rest:
+                    _mac(acc, md | rest, coef, cd, (p & 1) != (_merge_sign(md, rest) < 0))
+    return KForm(n, a.k + 1, field, _settle(field, acc))
 
 
 def codifferential(frame, a: KForm, geom: FrameGeometry | None = None) -> KForm:
@@ -279,15 +275,12 @@ def levi_civita(frame: LieAlgebraFrame, geom: FrameGeometry | None = None) -> Co
     geom = geom or frame.geometry
     field = frame.field
     half = field.scalar(Fraction(1, 2))
-    zero = field.zero()
     low = {}
     # c_abc feeds (i, j, k) = (a, b, c) with +, (c, a, b) with - and (b, c, a) with +
     for (a, b, c), v in _last_index(frame.constants, geom, up=False).items():
-        hv = v * half
-        for key, w in (((a, b, c), hv), ((c, a, b), -hv), ((b, c, a), hv)):
-            low[key] = low.get(key, zero) + w
-    low = {key: v for key, v in low.items() if not v.is_zero()}
-    return ConnectionCoeffs(frame, _last_index(low, geom, up=True))
+        for key, neg in (((a, b, c), False), ((c, a, b), True), ((b, c, a), False)):
+            _mac(low, key, v, half, neg)
+    return ConnectionCoeffs(frame, _last_index(_settle(field, low), geom, up=True))
 
 
 def bismut_connection(frame: LieAlgebraFrame, h: KForm, geom: FrameGeometry | None = None, lc: ConnectionCoeffs | None = None) -> ConnectionCoeffs:
@@ -329,29 +322,24 @@ def curvature(frame: LieAlgebraFrame, conn: ConnectionCoeffs, geom: FrameGeometr
     for (i, j, l), v in conn.entries.items():
         by_first[i].append((j, l, v))
         by_second[j].append((i, l, v))
-    r: dict[tuple[int, int, int, int], Scalar] = {}
+    acc: dict[tuple[int, int, int, int], list] = {}
     # Gamma^m_{jk} Gamma^l_{im} enters R_{ijk} with + and R_{jik} with -
     for (j, k, m), v in conn.entries.items():
         for i, l, w in by_second[m]:
-            if i == j:
-                continue
-            term = w * v
-            if i < j:
-                r[(i, j, k, l)] = r.get((i, j, k, l), zero) + term
-            else:
-                r[(j, i, k, l)] = r.get((j, i, k, l), zero) - term
+            if i != j:
+                _mac(acc, (i, j, k, l) if i < j else (j, i, k, l), w, v, i > j)
     for (i, j, m), c in frame.constants.items():
         if i < j:
             for k, l, w in by_first[m]:
-                r[(i, j, k, l)] = r.get((i, j, k, l), zero) - c * w
-    r = {key: v for key, v in r.items() if not v.is_zero()}
+                _mac(acc, (i, j, k, l), c, w, True)
+    r = _settle(field, acc)
     # Rc(e_j, e_k) = sum_a R^a_{ajk}: the coframe pairing is metric-free
-    ricci = [[zero] * n for _ in range(n)]
+    acc = {}
     for (i, j, k, l), v in r.items():
-        if l == i:
-            ricci[j][k] = ricci[j][k] + v
-        elif l == j:
-            ricci[i][k] = ricci[i][k] - v
+        if l == i or l == j:
+            _mac(acc, (j, k) if l == i else (i, k), v, field.one(), l != i)
+    rc = _settle(field, acc)
+    ricci = [[rc.get((j, k), zero) for k in range(n)] for j in range(n)]
     return CurvatureData(n, field, r, ricci)
 
 
@@ -373,12 +361,13 @@ def covariant_derivative_oneform(frame: LieAlgebraFrame, conn: ConnectionCoeffs,
     if theta.k != 1:
         raise GeometryError("needs a 1-form")
     n, field = frame.n, frame.field
-    out = [[field.zero()] * n for _ in range(n)]
+    acc = {}
     for (i, j, t), g in conn.entries.items():
         c = theta.coeffs.get(1 << t)
         if c is not None:
-            out[i][j] = out[i][j] - c * g
-    return out
+            _mac(acc, (i, j), c, g, True)
+    out = _settle(field, acc)
+    return [[out.get((i, j), field.zero()) for j in range(n)] for i in range(n)]
 
 
 def change_frame(frame: LieAlgebraFrame, a_rows, new_labels=None, base_geometry: FrameGeometry | None = None, validate: bool = True) -> LieAlgebraFrame:
@@ -431,25 +420,27 @@ def transform_bilinear(m, b_rows, field: Field):
     """A (0,2)-tensor m at the vectors F_i = sum_p B[i][p] E_p, the rows of
     ``b_rows``: m(F_i, F_j) = (B m B^T)_ij (fewer rows: the block they span)."""
     nonzero = [[p for p, x in enumerate(bi) if not x.is_zero()] for bi in b_rows]
-    out = []
-    for bi, ps in zip(b_rows, nonzero):
-        row = []
-        for bj, qs in zip(b_rows, nonzero):
-            val = field.zero()
+    acc = {}
+    for i, (bi, ps) in enumerate(zip(b_rows, nonzero)):
+        for j, (bj, qs) in enumerate(zip(b_rows, nonzero)):
             for p in ps:
                 for q in qs:
-                    val = val + bi[p] * m[p][q] * bj[q]
-            row.append(val)
-        out.append(row)
-    return out
+                    if not m[p][q].is_zero():
+                        _mac(acc, (i, j), bi[p] * m[p][q], bj[q], False)
+    out = _settle(field, acc)
+    return [[out.get((i, j), field.zero()) for j in range(len(b_rows))] for i in range(len(b_rows))]
 
 
 def transform_vector(x: VectorField, a_rows, field: Field) -> VectorField:
     """Components of x in the new frame with coframe f = A e: x_new = A x
     (A a matrix of Scalars)."""
-    return VectorField(x.n, field, [
-        sum((a * c for a, c in zip(row, x.components) if not a.is_zero()), field.zero()) for row in a_rows
-    ])
+    acc = {}
+    for i, row in enumerate(a_rows):
+        for a, c in zip(row, x.components):
+            if not a.is_zero() and not c.is_zero():
+                _mac(acc, i, a, c, False)
+    out = _settle(field, acc)
+    return VectorField(x.n, field, [out.get(i, field.zero()) for i in range(len(a_rows))])
 
 
 def cartan_three_form(frame: LieAlgebraFrame, geom: FrameGeometry | None = None) -> KForm:

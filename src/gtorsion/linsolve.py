@@ -8,12 +8,16 @@ inverses, dense solves and the positive-definiteness test all read its run.
 mostly reduce to zero (rank 56 in 448-512 rows for Spin(7)).  Its pivots stay
 fully reduced: a 1 in their own column, a 0 in every other pivot column.  A
 row is then reduced in one pass over its pivot columns, with no cascade of
-fill, and the solution is read off the pivots at full rank.
+fill, and the solution is read off the pivots at full rank.  Row updates go
+through the scalar accumulator (``scalars._mac``), the one multiply-accumulate
+path: a row reduced against many pivots normalizes each entry once.
 """
 
 from __future__ import annotations
 
-from .scalars import Field, Scalar
+from .scalars import Field, Scalar, _mac, _settle
+
+_RHS = -1  # key of the right-hand side in a sparse row; columns are >= 0
 
 __all__ = ["eliminate", "back_substitute", "solve_dense", "solve_unique_sparse", "LinearSolveError"]
 
@@ -86,9 +90,9 @@ def solve_unique_sparse(rows, nunknowns: int, field: Field):
     solution list.  Raises LinearSolveError("no solution") if inconsistent and
     LinearSolveError("non-unique solution") if rank-deficient.
     """
-    zero = field.zero()
-    # pivots[lead] = [rest, rhs]: x_lead + sum rest[c] x_c = rhs, no pivot column in rest
-    pivots: dict[int, list] = {}
+    zero, one = field.zero(), field.one()
+    # pivots[lead]: x_lead + sum_c piv[c] x_c = piv[_RHS], no pivot column among the c
+    pivots: dict[int, dict] = {}
     queue = [({c: v for c, v in row.items() if not v.is_zero()}, rhs) for row, rhs in rows]
     # short rows first keeps elimination fill low
     queue.sort(key=lambda item: len(item[0]))
@@ -98,45 +102,48 @@ def solve_unique_sparse(rows, nunknowns: int, field: Field):
         if sol is not None:
             deferred.append((row, rhs))
             continue
-        new = {c: v for c, v in row.items() if c not in pivots}
+        # the row minus f times the pivot of each pivot column; other entries carry over
+        acc = {}
+        _mac(acc, _RHS, rhs, one, False)
         for c, f in row.items():
-            if c in pivots:
-                rhs = rhs - f * pivots[c][1]
-                _axpy(new, -f, pivots[c][0], zero)
-        if not new:
-            if not rhs.is_zero():
+            for k, v in pivots[c].items() if c in pivots else ((c, one),):
+                _mac(acc, k, f, v, c in pivots)
+        new = _settle(field, acc)
+        # the last column: on the oracle's systems this leaves less fill than the first
+        lead = max(new, default=_RHS)
+        if lead == _RHS:
+            if new:
                 raise LinearSolveError("no solution")
             continue
-        # the last column: on the oracle's systems this leaves less fill than the first
-        lead = max(new)
         inv = new.pop(lead).inverse()
         new = {c: v * inv for c, v in new.items()}
-        rhs = rhs * inv
         for piv in pivots.values():
-            f = piv[0].pop(lead, None)
+            f = piv.pop(lead, None)
             if f is not None:
-                _axpy(piv[0], -f, new, zero)
-                piv[1] = piv[1] - f * rhs
-        pivots[lead] = [new, rhs]
+                _axpy(piv, -f, new)
+        pivots[lead] = new
         if len(pivots) == nunknowns:
-            sol = [pivots[c][1] for c in range(nunknowns)]
+            sol = [pivots[c].get(_RHS, zero) for c in range(nunknowns)]
     if sol is None:
         raise LinearSolveError("non-unique solution")
     # remaining rows only need to be consistent with the solution
     for row, rhs in deferred:
-        acc = rhs
+        acc = {}
+        _mac(acc, _RHS, rhs, one, False)
         for c, v in row.items():
-            acc = acc - v * sol[c]
-        if not acc.is_zero():
+            _mac(acc, _RHS, v, sol[c], True)
+        if _settle(field, acc):
             raise LinearSolveError("no solution")
     return sol
 
 
-def _axpy(row: dict, f: Scalar, other: dict, zero: Scalar) -> None:
+def _axpy(row: dict, f: Scalar, other: dict) -> None:
     """row += f * other in place, dropping entries that cancel."""
+    acc = {}
+    one = f.field.one()
     for c, v in other.items():
-        w = row.get(c, zero) + f * v
-        if w.is_zero():
-            row.pop(c, None)
-        else:
-            row[c] = w
+        w = row.pop(c, None)
+        if w is not None:
+            _mac(acc, c, w, one, False)
+        _mac(acc, c, f, v, False)
+    row.update(_settle(f.field, acc))

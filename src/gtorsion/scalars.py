@@ -11,6 +11,10 @@ compare by identity, and ``zero()`` / ``one()`` return one object per
 field.  Scalars from different fields never mix silently; binary
 operations raise ``FieldMismatch``.  Plain ints and Fractions lift into any
 field.
+
+The accumulator is the one multiply-accumulate path: ``_mac`` adds +-x*y
+into a raw [p, q, den] int triple per output key, and ``_settle`` turns each
+key into a canonical Scalar once, so a sum of N products pays one gcd, not 2N.
 """
 
 from __future__ import annotations
@@ -180,6 +184,38 @@ def _norm(field: Field, p: int, q: int, den: int) -> "Scalar":
     return Scalar(field, p, q, den)
 
 
+def _mac(acc: dict, key, x: "Scalar", y: "Scalar", neg) -> None:
+    """acc[key] += x*y, or -x*y when ``neg``, held as raw [p, q, den] ints
+    (den the lcm of the terms' dens) until ``_settle``."""
+    field = x.field
+    if y.field is not field:
+        raise FieldMismatch(f"mixed-field arithmetic: {field!r} vs {y.field!r}")
+    xp, xq, yp, yq = x.p, x.q, y.p, y.q
+    if xq or yq:
+        p, q = xp * yp + field.d * xq * yq, xp * yq + xq * yp
+    else:
+        p, q = xp * yp, 0
+    if neg:
+        p, q = -p, -q
+    den = x.den * y.den
+    t = acc.get(key)
+    if t is None:
+        acc[key] = [p, q, den]
+    elif t[2] == den:
+        t[0] += p
+        t[1] += q
+    else:
+        g = gcd(t[2], den)
+        a, b = den // g, t[2] // g
+        t[:] = t[0] * a + p * b, t[1] * a + q * b, t[2] * a
+
+
+def _settle(field: Field, acc: dict) -> dict:
+    """The nonzero sums of an ``_mac`` accumulator as canonical Scalars, in
+    key order of first use: one ``_norm`` per key."""
+    return {key: _norm(field, p, q, den) for key, (p, q, den) in acc.items() if p or q}
+
+
 def _from_parts(field: Field, a: Fraction, b: Fraction) -> "Scalar":
     """The scalar a + b sqrt d from its rational parts."""
     ad, bd = a.denominator, b.denominator
@@ -243,8 +279,10 @@ class Scalar:
 
     # -- arithmetic ----------------------------------------------------
 
+    # A Scalar of the same field skips ``_coerce``, which lifts or raises.
     def __add__(self, other):
-        return _sum(self, self._coerce(other), False)
+        o = other if other.__class__ is Scalar and other.field is self.field else self._coerce(other)
+        return _sum(self, o, False)
 
     __radd__ = __add__
 
@@ -254,13 +292,14 @@ class Scalar:
         return Scalar(self.field, -self.p, -self.q, self.den)
 
     def __sub__(self, other):
-        return _sum(self, self._coerce(other), True)
+        o = other if other.__class__ is Scalar and other.field is self.field else self._coerce(other)
+        return _sum(self, o, True)
 
     def __rsub__(self, other):
         return _sum(self._coerce(other), self, True)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is Scalar and other.field is self.field else self._coerce(other)
         xp, xq = self.p, self.q
         if not xp and not xq:
             return self

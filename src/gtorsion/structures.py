@@ -396,11 +396,18 @@ def project(structure: GStructure, a: KForm) -> dict:
     ``a``; each component is re-verified against its defining linear
     condition.  On SU(3), star(beta ^ omega) = -beta for beta in Lambda^2_8.
     """
+    return _split(structure, a)[0]
+
+
+def _split(structure: GStructure, a: KForm) -> tuple[dict, KForm | None]:
+    """``project``'s pieces of ``a`` and the ``_vector_part`` 1-form they
+    read (None for G2 and Spin(7) 2-forms), so no caller computes it again."""
     kind = structure.kind
     if kind not in ("g2", "spin7", "su3"):
         raise StructureError(f"no projections for kind {kind!r}")
     if a.k not in (2, 3):
         raise StructureError(f"{kind} projections cover degrees 2 and 3 only")
+    alpha = _vector_part(structure, a) if (kind, a.k) in _VECTOR_PART else None
     geom = structure.geometry
     field = structure.field
     if kind == "g2":
@@ -414,13 +421,13 @@ def project(structure: GStructure, a: KForm) -> dict:
                 raise StructureError("Lambda^2_7 component fails its defining condition")
             if not (wedge(p14, phi) + hodge_star(p14, geom)).is_zero():
                 raise StructureError("Lambda^2_14 component fails its defining condition")
-            return {"7": p7, "14": p14}
+            return {"7": p7, "14": p14}, alpha
         p1 = phi.scale(form_inner(a, phi, geom) / field.scalar(7))
-        p7 = hodge_star(wedge(_vector_part(structure, a), phi), geom)
+        p7 = hodge_star(wedge(alpha, phi), geom)
         p27 = a - p1 - p7
         if not wedge(p27, phi).is_zero() or not wedge(p27, star_phi).is_zero():
             raise StructureError("Lambda^3_27 component fails its defining condition")
-        return {"1": p1, "7": p7, "27": p27}
+        return {"1": p1, "7": p7, "27": p27}, alpha
     if kind == "spin7":
         psi = structure.form("psi")
         if a.k == 2:
@@ -431,26 +438,26 @@ def project(structure: GStructure, a: KForm) -> dict:
                 raise StructureError("Lambda^2_7 component fails its defining condition")
             if not (hodge_star(wedge(psi, p21), geom) - p21).is_zero():
                 raise StructureError("Lambda^2_21 component fails its defining condition")
-            return {"7": p7, "21": p21}
-        p8 = hodge_star(wedge(_vector_part(structure, a), psi), geom)
+            return {"7": p7, "21": p21}, alpha
+        p8 = hodge_star(wedge(alpha, psi), geom)
         p48 = a - p8
         if not wedge(p48, psi).is_zero():
             raise StructureError("Lambda^3_48 component fails its defining condition")
-        return {"8": p8, "48": p48}
+        return {"8": p8, "48": p48}, alpha
     omega = structure.form("omega")  # su3
     op = structure.form("omega_plus")
     om = structure.form("omega_minus")
     if a.k == 2:
         p1 = omega.scale(form_inner(a, omega, geom) / field.scalar(3))
-        p6 = hodge_star(wedge(_vector_part(structure, a), op), geom)
+        p6 = hodge_star(wedge(alpha, op), geom)
         p8 = a - p1 - p6
         if not wedge(wedge(p8, omega), omega).is_zero() or not wedge(p8, op).is_zero():
             raise StructureError("Lambda^2_8 component fails its defining condition")
-        return {"1": p1, "6": p6, "8": p8}
+        return {"1": p1, "6": p6, "8": p8}, alpha
     cplus = form_inner(a, op, geom) / field.scalar(4)
     cminus = form_inner(a, om, geom) / field.scalar(4)
     p11 = op.scale(cplus) + om.scale(cminus)
-    p6 = wedge(_vector_part(structure, a), omega)
+    p6 = wedge(alpha, omega)
     p12 = a - p11 - p6
     if (
         not wedge(p12, omega).is_zero()
@@ -458,7 +465,7 @@ def project(structure: GStructure, a: KForm) -> dict:
         or not wedge(p12, om).is_zero()
     ):
         raise StructureError("Lambda^3_12 component fails its defining condition")
-    return {"1+1": p11, "6": p6, "12": p12}
+    return {"1+1": p11, "6": p6, "12": p12}, alpha
 
 
 # -- torsion classes -------------------------------------------------------
@@ -469,7 +476,7 @@ def torsion_su3(s: GStructure) -> TorsionClasses:
     d omega  = -(3/2) sigma0 Omega+ + (3/2) pi0 Omega- + nu1 ^ omega + nu3
     d Omega+ = pi0 omega^2 + pi1 ^ Omega+ - pi2 ^ omega
     d Omega- = sigma0 omega^2 + (J pi1) ^ Omega+ - sigma2 ^ omega,
-    read off ``project``: nu1 and nu3 from d omega; pi1 and pi2 from
+    read off ``_split``: nu1 and nu3 from d omega; pi1 and pi2 from
     star d Omega+ = 2 pi0 omega + star(pi1 ^ Omega+) + pi2; sigma2 from
     star d Omega- likewise.  The reconstructions are verified exactly.
     """
@@ -481,20 +488,19 @@ def torsion_su3(s: GStructure) -> TorsionClasses:
 
     sigma0 = -(form_inner(d_omega, op, geom)) / field.scalar(6)
     pi0 = form_inner(d_omega, om, geom) / field.scalar(6)
-    nu1 = _vector_part(s, d_omega)
-    nu3 = project(s, d_omega)["12"]
+    split, nu1 = _split(s, d_omega)
+    nu3 = split["12"]
 
     pi0_b = form_inner(d_op, om2, geom) / field.scalar(12)
     if not (pi0 - pi0_b).is_zero():
         raise StructureError("inconsistent pi0 between d omega and d Omega+")
-    star_d_op = hodge_star(d_op, geom)
-    pi1 = _vector_part(s, star_d_op)
-    pi2 = project(s, star_d_op)["8"]
+    split, pi1 = _split(s, hodge_star(d_op, geom))
+    pi2 = split["8"]
 
     sigma0_b = form_inner(d_om, om2, geom) / field.scalar(12)
     if not (sigma0 - sigma0_b).is_zero():
         raise StructureError("inconsistent sigma0 between d omega and d Omega-")
-    sigma2 = project(s, hodge_star(d_om, geom))["8"]
+    sigma2 = _split(s, hodge_star(d_om, geom))[0]["8"]
 
     r1 = op.scale(field.scalar(Fraction(-3, 2)) * sigma0) + om.scale(field.scalar(Fraction(3, 2)) * pi0) + wedge(nu1, omega) + nu3
     if r1 != d_omega:
@@ -521,7 +527,7 @@ def torsion_g2(s: GStructure) -> TorsionClasses:
     """Fernandez-Gray components:
     d phi      = tau0 (star phi) + 3 tau1 ^ phi + star tau3
     d star phi = 4 tau1 ^ (star phi) + tau2 ^ phi
-    with the Lee form theta = 4 tau1, read off ``project``:
+    with the Lee form theta = 4 tau1, read off ``_split``:
     star d phi = tau0 phi + star(3 tau1 ^ phi) + tau3 and
     star d star phi = star(4 tau1 ^ star phi) - tau2.
     """
@@ -531,9 +537,10 @@ def torsion_g2(s: GStructure) -> TorsionClasses:
     d_phi, d_star = s.d(phi), s.d(star_phi)
     star_d_phi = hodge_star(d_phi, geom)
     tau0 = form_inner(d_phi, star_phi, geom) / field.scalar(7)
-    tau1 = _vector_part(s, star_d_phi).scale(Fraction(1, 3))
-    tau3 = project(s, star_d_phi)["27"]
-    tau2 = -project(s, hodge_star(d_star, geom))["14"]
+    split, alpha = _split(s, star_d_phi)
+    tau1 = alpha.scale(Fraction(1, 3))
+    tau3 = split["27"]
+    tau2 = -_split(s, hodge_star(d_star, geom))[0]["14"]
     if d_phi != star_phi.scale(tau0) + wedge(tau1, phi).scale(3) + hodge_star(tau3, geom):
         raise StructureError("d phi reconstruction failed")
     if d_star != wedge(tau1, star_phi).scale(4) + wedge(tau2, phi):
@@ -545,12 +552,12 @@ def torsion_g2(s: GStructure) -> TorsionClasses:
 
 
 def torsion_spin7(s: GStructure) -> TorsionClasses:
-    """dPsi = theta ^ Psi + zeta5, read off ``project``:
+    """dPsi = theta ^ Psi + zeta5, read off ``_split``:
     star dPsi = star(theta ^ Psi) + star zeta5."""
     geom = s.geometry
-    star_d_psi = hodge_star(s.d(s.form("psi")), geom)
-    zeta5 = -hodge_star(project(s, star_d_psi)["48"], geom)  # star star = -1 on 3-forms, n = 8
-    return TorsionClasses("spin7", {"lee": _vector_part(s, star_d_psi), "zeta5": zeta5})
+    split, lee = _split(s, hodge_star(s.d(s.form("psi")), geom))
+    zeta5 = -hodge_star(split["48"], geom)  # star star = -1 on 3-forms, n = 8
+    return TorsionClasses("spin7", {"lee": lee, "zeta5": zeta5})
 
 
 def lee_form(s: GStructure) -> KForm:

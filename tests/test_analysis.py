@@ -1,5 +1,5 @@
 """Compute-once analysis: a verdict builds each structure's torsion classes
-(read off ``project``), H and connections once, the oracle stays
+(read off ``project``'s split), H and connections once, the oracle stays
 independent of H, builds one derivation per index pair, and agrees with H
 off a diagonal metric, and a verdict leaves no cyclic garbage behind."""
 
@@ -74,17 +74,21 @@ def test_check_builds_each_item_once(monkeypatch):
 
 @pytest.mark.parametrize("name", registry.names())
 def test_torsion_classes_read_off_project_once(monkeypatch, name):
-    # the solver splits d of each defining form through project (su3: d omega,
+    # the solver splits d of each defining form once through project's
+    # _split, which also returns the vector-type 1-form (su3: d omega,
     # star d Omega+ and star d Omega-; g2: star d phi and star d star phi;
     # spin7: star d Psi), and a check verdict builds the classes once
     doc = parse(registry.input_text(name))
     s = doc.structure()
     solver, splits = {"su3": ("torsion_su3", 3), "g2": ("torsion_g2", 2), "spin7": ("torsion_spin7", 1)}[s.kind]
     torsion = _count_calls(monkeypatch, solver)
-    proj = _count_calls(monkeypatch, "project")  # keyed by structure
+    proj = _count_calls(monkeypatch, "_split")  # keyed by structure
+    vector = _count_calls(monkeypatch, "_vector_part")
     engine.run_check(doc)
     assert dict(torsion) == {s: 1}
     assert dict(proj) == {s: splits}
+    # one vector-type 1-form per split that reads one: all but g2's 2-form
+    assert dict(vector) == {s: splits - (s.kind == "g2")}
 
 
 def test_oracle_never_reads_h(monkeypatch):

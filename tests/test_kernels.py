@@ -1,25 +1,34 @@
 """The shared exact kernels: dense elimination (determinant, inverse, solve,
 positive-definiteness), the sparse overdetermined solve, the skew 3-form
-packer and the derivation action."""
+packer, the derivation action, and the fused multiply-accumulate kernels
+checked term by term against plain Scalar sums."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import Q, Q2, random_kform
+from conftest import Q, Q2, Q3, random_kform
+from gtorsion import scalars
 from gtorsion.forms import (
     FrameGeometry,
     GeometryError,
     KForm,
+    VectorField,
     _mat_det,
     _mat_inverse,
+    contract_2_3,
     derivation,
+    indices_of,
+    interior,
     skew_three_form,
     wedge,
 )
-from gtorsion.linsolve import LinearSolveError, solve_dense, solve_unique_sparse
+from gtorsion.frames import LieAlgebraFrame, ce_differential
+from gtorsion.linsolve import LinearSolveError, _axpy, solve_dense, solve_unique_sparse
+from gtorsion.scalars import FieldMismatch
 
 
 def cofactor_det(m, field):
@@ -207,3 +216,269 @@ def consistent_systems(draw):
 def test_sparse_solve_matches_dense_core(system):
     field, core, b, rows = system
     assert solve_unique_sparse(rows, len(core), field) == solve_dense(core, b, field)
+
+
+# -- fused multiply-accumulate kernels ----------------------------------------
+#
+# Each reference below sums its terms one by one with plain Scalar + and *,
+# the way the kernels summed before they accumulated through scalars._mac.
+
+N = 5
+DENS = [1, 2, 3, 5, 7, 14, 35]  # non-unit and mixed denominators
+
+
+def _value(field):
+    rat = st.builds(Fraction, st.integers(-4, 4), st.sampled_from(DENS))
+    if field is Q:
+        return rat.map(Q.scalar)
+    return st.tuples(rat, rat).map(lambda ab: field.scalar(ab[0]) + field.sqrt_d() * ab[1])
+
+
+def _forms(field, k):
+    masks = [m for m in range(1 << N) if m.bit_count() == k]
+    return st.dictionaries(st.sampled_from(masks), _value(field), max_size=len(masks)).map(
+        lambda c: KForm(N, k, field, c)
+    )
+
+
+def _sign(idx):
+    """Parity of the permutation sorting distinct indices, by inversions."""
+    inversions = sum(a > b for i, a in enumerate(idx) for b in idx[i + 1:])
+    return -1 if inversions & 1 else 1
+
+
+def _collect(field, k, terms):
+    """The k-form sum of (indices, Scalar) terms: repeated indices vanish,
+    keys that sum to zero are dropped."""
+    acc = {}
+    for idx, v in terms:
+        if len(set(idx)) < len(idx):
+            continue
+        m = sum(1 << (i - 1) for i in idx)
+        acc[m] = acc.get(m, field.zero()) + (v if _sign(idx) > 0 else -v)
+    return KForm(N, k, field, {m: v for m, v in acc.items() if not v.is_zero()})
+
+
+def ref_wedge(a, b):
+    return _collect(a.field, a.k + b.k, [
+        (indices_of(ma) + indices_of(mb), ca * cb) for ma, ca in a.coeffs.items() for mb, cb in b.coeffs.items()
+    ])
+
+
+def ref_interior(x, a):
+    terms = []
+    for m, c in a.coeffs.items():
+        idx = indices_of(m)
+        for p, i in enumerate(idx):
+            v = c * x.components[i - 1]
+            terms.append((idx[:p] + idx[p + 1:], -v if p & 1 else v))
+    return _collect(a.field, a.k - 1, terms)
+
+
+def ref_derivation(a, action):
+    terms = []
+    for m, c in a.coeffs.items():
+        idx = indices_of(m)
+        for p, i in enumerate(idx):
+            for t, v in action.get(i - 1, {}).items():
+                terms.append((idx[:p] + (t + 1,) + idx[p + 1:], c * v))
+    return _collect(a.field, a.k, terms)
+
+
+def ref_ce_differential(coframe_d, a):
+    terms = []
+    for m, c in a.coeffs.items():
+        idx = indices_of(m)
+        for p, i in enumerate(idx):
+            for md, cd in coframe_d[i - 1].coeffs.items():
+                v = c * cd
+                terms.append((indices_of(md) + idx[:p] + idx[p + 1:], -v if p & 1 else v))
+    return _collect(a.field, a.k + 1, terms)
+
+
+def _component(form, idx):
+    if len(set(idx)) < len(idx):
+        return form.field.zero()
+    c = form.coeffs.get(sum(1 << (i - 1) for i in idx), form.field.zero())
+    return c if _sign(idx) > 0 else -c
+
+
+def ref_contract_2_3(f, h, ginv):
+    """(1/2) sum over ordered (a, b) of F^{ab} H(e_a, e_b, e_z), diagonal g."""
+    field, half = f.field, f.field.scalar(Fraction(1, 2))
+    terms = []
+    for z in range(1, N + 1):
+        for a in range(1, N + 1):
+            for b in range(1, N + 1):
+                fup = _component(f, (a, b)) * ginv[a - 1] * ginv[b - 1]
+                terms.append(((z,), half * fup * _component(h, (a, b, z))))
+    return _collect(field, 1, terms)
+
+
+def ref_axpy(row, f, other):
+    out = dict(row)
+    for c, v in other.items():
+        out[c] = out.get(c, f.field.zero()) + f * v
+    return {c: v for c, v in out.items() if not v.is_zero()}
+
+
+FIELDS = [Q, Q3]
+
+
+@st.composite
+def kernel_inputs(draw):
+    field = draw(st.sampled_from(FIELDS))
+    ka = draw(st.integers(1, 3))
+    a = draw(_forms(field, ka))
+    # a 1-form wedged with itself cancels on every key
+    b = a if ka == 1 and draw(st.booleans()) else draw(_forms(field, draw(st.integers(0, N - ka))))
+    x = VectorField(N, field, [draw(_value(field)) for _ in range(N)])
+    action = draw(st.dictionaries(st.integers(0, N - 1), st.dictionaries(st.integers(0, N - 1), _value(field))))
+    coframe_d = [draw(_forms(field, 2)) for _ in range(N)]
+    return field, a, b, x, action, coframe_d
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_inputs())
+def test_fused_kernels_match_termwise_sums(inputs):
+    field, a, b, x, action, coframe_d = inputs
+    assert_same = _assert_same_form
+    assert_same(wedge(a, b), ref_wedge(a, b))
+    assert_same(interior(x, a), ref_interior(x, a))
+    assert_same(derivation(a, action), ref_derivation(a, action))
+    frame = LieAlgebraFrame([f"e{i}" for i in range(1, N + 1)], coframe_d, FrameGeometry(N, field), check_closure=False)
+    assert_same(ce_differential(frame, a), ref_ce_differential(coframe_d, a))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FIELDS).flatmap(lambda F: st.tuples(_forms(F, 2), _forms(F, 3))), st.booleans())
+def test_fused_contract_2_3_matches_termwise_sum(fh, diagonal):
+    f, h = fh
+    field = f.field
+    g = [field.scalar(v) for v in ((1, 2, 1, 3, Fraction(1, 5)) if diagonal else (1,) * N)]
+    geom = FrameGeometry(N, field, [[g[i] if i == j else 0 for j in range(N)] for i in range(N)])
+    _assert_same_form(contract_2_3(f, h, geom), ref_contract_2_3(f, h, [v.inverse() for v in g]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FIELDS).flatmap(lambda F: st.tuples(
+    st.dictionaries(st.integers(0, 6), _value(F).filter(lambda v: not v.is_zero())),
+    _value(F),
+    st.dictionaries(st.integers(0, 6), _value(F)),
+)))
+def test_fused_axpy_matches_termwise_sum(case):
+    row, f, other = case
+    want = ref_axpy(row, f, other)
+    got = dict(row)
+    _axpy(got, f, other)
+    assert got == want
+    assert all(_canonical(v) for v in got.values())
+
+
+def _canonical(v):
+    return v.den > 0 and gcd(v.p, v.q, v.den) == 1 and not v.is_zero()
+
+
+def _assert_same_form(got, want):
+    assert (got.n, got.k, got.field) == (want.n, want.k, want.field)
+    assert got.coeffs == want.coeffs  # a cancelled key is absent, not zero
+    assert all(_canonical(v) and v.field is got.field for v in got.coeffs.values())
+
+
+def _q(x):
+    return Q.scalar(Fraction(x))
+
+
+def e(*idx):
+    return sum(1 << (i - 1) for i in idx)
+
+
+def test_fused_kernels_drop_keys_that_cancel():
+    # every cancelled key pairs a raw 6/70 with a 3/35: equal values, mixed dens
+    a = KForm(N, 2, Q, {e(1, 2): _q("2/5"), e(1, 3): _q(1)})
+    b = KForm(N, 1, Q, {e(3): _q("3/14"), e(2): _q("3/35"), e(4): _q("1/3")})
+    w = wedge(a, b)  # e123: 2/5 * 3/14 - 3/35
+    assert e(1, 2, 3) not in w.coeffs and w == ref_wedge(a, b)
+    assert set(w.coeffs) == {e(1, 2, 4), e(1, 3, 4)}
+
+    a = KForm(N, 2, Q, {e(1, 3): _q("2/5"), e(2, 3): _q(1)})
+    x = VectorField(N, Q, [_q("3/14"), _q("-3/35"), _q("1/3"), 0, 0])
+    i = interior(x, a)  # e3: 2/5 * 3/14 - 3/35
+    assert e(3) not in i.coeffs and i == ref_interior(x, a)
+
+    action = {2: {1: _q("3/14"), 0: _q("6/35")}}  # e3 -> 3/14 e2 + 6/35 e1
+    a = KForm(N, 2, Q, {e(1, 3): _q("2/5"), e(2, 3): _q("1/2")})
+    dv = derivation(a, action)  # e12: 2/5 * 3/14 - 1/2 * 6/35
+    assert not dv.coeffs and dv == ref_derivation(a, action)
+
+    coframe_d = [KForm(N, 2, Q, {e(2, 3): _q("2/5")}), KForm.zero(N, 2, Q), KForm.zero(N, 2, Q),
+                 KForm(N, 2, Q, {e(2, 3): _q("-3/35")}), KForm.zero(N, 2, Q)]
+    frame = LieAlgebraFrame([f"e{i}" for i in range(1, N + 1)], coframe_d, FrameGeometry(N, Q))
+    theta = KForm(N, 1, Q, {e(1): _q("3/14"), e(4): _q(1), e(5): _q(7)})
+    assert not ce_differential(frame, theta).coeffs  # e23: 3/14 * 2/5 - 3/35
+
+    f = KForm(N, 2, Q, {e(1, 2): _q("2/5"), e(1, 3): _q(1)})
+    h = KForm(N, 3, Q, {e(1, 2, 4): _q("3/14"), e(1, 3, 4): _q("-3/35"), e(1, 2, 5): _q(1)})
+    c = contract_2_3(f, h, FrameGeometry(N, Q))  # e4: 2/5 * 3/14 - 3/35
+    assert set(c.coeffs) == {e(5)} and c == ref_contract_2_3(f, h, [Q.one()] * N)
+
+    row = {0: _q("3/35"), 1: _q(1)}
+    _axpy(row, _q("2/5"), {0: _q("-3/14")})
+    assert row == {1: _q(1)}
+
+
+def test_fused_kernels_reject_mixed_fields():
+    msg = r"^mixed-field arithmetic: QQ vs QQ\(sqrt3\)$"
+    qa = KForm(N, 1, Q, {1: Q.one(), 2: _q("1/2")})
+    q3 = KForm(N, 1, Q3, {4: Q3.sqrt_d()})
+    with pytest.raises(FieldMismatch, match=msg):
+        wedge(qa, q3)
+    with pytest.raises(FieldMismatch, match=msg):
+        interior(VectorField(N, Q3, [Q3.sqrt_d()] * N), qa)
+    with pytest.raises(FieldMismatch, match=msg):
+        derivation(qa, {0: {2: Q3.sqrt_d()}})
+    coframe_d = [KForm(N, 2, Q3, {e(2, 3): Q3.sqrt_d()})] + [KForm.zero(N, 2, Q3)] * (N - 1)
+    frame = LieAlgebraFrame([f"e{i}" for i in range(1, N + 1)], coframe_d, FrameGeometry(N, Q3))
+    with pytest.raises(FieldMismatch, match=msg):
+        ce_differential(frame, qa)
+    f = KForm(N, 2, Q, {3: Q.one()})
+    h = KForm(N, 3, Q3, {7: Q3.sqrt_d()})
+    with pytest.raises(FieldMismatch, match=msg):
+        contract_2_3(f, h, FrameGeometry(N, Q))
+    with pytest.raises(FieldMismatch, match=msg):
+        _axpy({0: Q.one()}, Q.one(), {0: Q3.sqrt_d()})
+
+
+def _count_norms(monkeypatch):
+    calls = []
+    orig = scalars._norm
+
+    def counting(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(scalars, "_norm", counting)
+    return calls
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_fused_kernels_normalize_once_per_output_mask(monkeypatch, field):
+    # dense forms with mixed denominators: every output mask gets many terms
+    def dense(k, shift):
+        coeffs = {}
+        for m in range(1 << 7):
+            if m.bit_count() == k:
+                v = field.scalar(Fraction(m % 5 - 2 or 1, DENS[(m + shift) % len(DENS)]))
+                coeffs[m] = v + field.sqrt_d() * Fraction(1, 1 + m % 3) if field is Q3 else v
+        return KForm(7, k, field, coeffs)
+
+    a, b = dense(2, 0), dense(3, 1)
+    action = {j: {t: field.scalar(Fraction(j - t, DENS[(j * 7 + t) % len(DENS)])) for t in range(7)} for j in range(7)}
+    calls = _count_norms(monkeypatch)
+    w = wedge(a, b)
+    assert 0 < len(calls) <= 35  # the 5-forms of n = 7
+    assert len(w.coeffs) <= len(calls)
+    calls.clear()
+    d = derivation(b, action)
+    assert 0 < len(calls) <= 35  # the 3-forms of n = 7
+    assert len(d.coeffs) <= len(calls)

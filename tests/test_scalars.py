@@ -67,6 +67,18 @@ def test_mixed_fields_rejected():
         Q.scalar(1)._coerce(Q3.sqrt_d())
 
 
+def test_same_field_fast_path_keeps_lifts_and_mismatch_message():
+    # a same-field Scalar skips _coerce; ints and Fractions still lift, and a
+    # Scalar of another field still raises with the mismatch message
+    x = Q3.scalar(Fraction(1, 2)) + Q3.sqrt_d()
+    assert x + 1 == 1 + x == Q3.scalar(Fraction(3, 2)) + Q3.sqrt_d()
+    assert x - Fraction(1, 2) == Q3.sqrt_d()
+    assert x * 2 == 2 * x == x + x
+    for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v):
+        with pytest.raises(FieldMismatch, match=r"^mixed-field arithmetic: QQ\(sqrt3\) vs QQ\(sqrt2\)$"):
+            op(x, Q2.sqrt_d())
+
+
 def test_sign_ordering():
     # sqrt3 - 3/2 > 0, sqrt3 - 7/4 < 0
     assert (Q3.sqrt_d() - Q3.scalar(Fraction(3, 2))).sign() == 1
