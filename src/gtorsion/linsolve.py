@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from .scalars import Field, Scalar, _mac, _settle
 
-_RHS = -1  # key of the right-hand side in a sparse row; columns are >= 0
-
 __all__ = ["eliminate", "back_substitute", "solve_dense", "solve_unique_sparse", "LinearSolveError"]
+
+_RHS = -1  # key of the right-hand side in a sparse row; columns are >= 0
 
 
 class LinearSolveError(ValueError):
