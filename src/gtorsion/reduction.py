@@ -216,11 +216,11 @@ class TransverseSlice:
                 )
         return KForm(self.n, a.k + 1, self.field, dict(da.coeffs))
 
-    def bracket(self, x: VectorField, y: VectorField) -> VectorField:
-        xa = VectorField(self.ambient.n, self.field, list(x.components) + [self.field.zero()])
-        ya = VectorField(self.ambient.n, self.field, list(y.components) + [self.field.zero()])
-        br = self.ambient.bracket(xa, ya)
-        return VectorField(self.n, self.field, br.components[: self.n])
+    @cached_property
+    def constants(self) -> dict:
+        """The ambient structure constants c^k_{ij} with i, j, k all on the
+        slice: the bracket of slice vectors, projected to the slice."""
+        return {key: c for key, c in self.ambient.constants.items() if max(key) < self.n}
 
     def basis_vector(self, i: int) -> VectorField:
         return VectorField.basis(self.n, self.field, i)

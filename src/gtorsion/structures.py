@@ -25,6 +25,7 @@ from .forms import (
     VectorField,
     _mat_det,
     _masks,
+    _merge_sign,
     derivation,
     form_inner,
     hodge_star,
@@ -34,6 +35,7 @@ from .forms import (
     wedge,
 )
 from .frames import (
+    _last_index,
     bismut_connection,
     covariant_derivative_form,
     curvature,
@@ -42,7 +44,7 @@ from .frames import (
     transform_vector,
 )
 from .linsolve import LinearSolveError, solve_unique_sparse
-from .scalars import Field, GTorsionError, NotRepresentable, Scalar
+from .scalars import Field, GTorsionError, NotRepresentable, Scalar, _mac, _settle
 
 __all__ = [
     "StructureError",
@@ -132,7 +134,7 @@ class TorsionClasses:
 class GStructure:
     """Tagged structure: kind, defining forms, frame, derived metric data.
 
-    ``frame`` is anything with n / field / geometry / d(form) / bracket;
+    ``frame`` is anything with n / field / geometry / d(form) / constants;
     the structure's own ``geometry`` (induced metric) is what every metric
     computation uses.
 
@@ -206,25 +208,28 @@ class GStructure:
 
 
 def _j_from_metric_omega(omega: KForm, geom: FrameGeometry):
-    """J^a_c = sum_b g^{ab} omega_{bc}; requires J^2 = -Id."""
+    """J^a_c = sum_b g^{ab} omega_{bc}, summed over omega's nonzero terms;
+    requires J^2 = -Id."""
     n = geom.n
     field = geom.field
     ginv = geom.inverse_metric()
-    j = []
-    for a in range(n):
-        row = []
-        for c in range(n):
-            val = field.zero()
-            for b in range(n):
-                w = omega.coeff(b + 1, c + 1)
-                if not w.is_zero():
-                    val = val + ginv[a][b] * w
-            row.append(val)
-        j.append(row)
-    for i in range(1, n + 1):
-        e = VectorField.basis(n, field, i)
-        if transform_vector(transform_vector(e, j, field), j, field) != -e:
-            raise StructureError("J^2 != -Id: omega and metric are not compatible")
+    acc = {}
+    for m, w in omega.coeffs.items():
+        b, c = (i - 1 for i in indices_of(m))
+        for a, row in enumerate(ginv):
+            if not row[b].is_zero():
+                _mac(acc, (a, c), row[b], w, False)
+            if not row[c].is_zero():
+                _mac(acc, (a, b), row[c], w, True)
+    jd = _settle(field, acc)
+    j = [[jd.get((a, c), field.zero()) for c in range(n)] for a in range(n)]
+    sq = {}
+    for (a, b), x in jd.items():
+        for c, y in enumerate(j[b]):
+            if not y.is_zero():
+                _mac(sq, (a, c), x, y, False)
+    if _settle(field, sq) != {(a, a): -field.one() for a in range(n)}:
+        raise StructureError("J^2 != -Id: omega and metric are not compatible")
     return j
 
 
@@ -274,19 +279,34 @@ def su3_assemble(omega: KForm, omega_plus: KForm, frame) -> GStructure:
 
 def induced_metric_g2(phi: KForm, frame=None, field: Field | None = None) -> FrameGeometry:
     """Metric of a positive 3-form on n=7 via
-    (e_i . phi) ^ (e_j . phi) ^ phi = 6 B_ij e^{1..7}, g = (det B)^{-1/9} B."""
+    (e_i . phi) ^ (e_j . phi) ^ phi = 6 B_ij e^{1..7}, g = (det B)^{-1/9} B.
+
+    The top coefficient of a ^ b ^ phi for 2-forms a, b is
+    sum_{A, B} a_A b_B sgn(A, B) comp[A | B] over disjoint masks, where
+    comp[M] = sgn(M, M^c) phi_{M^c}; so B_ij = 1/6 sum_B (e_j . phi)_B u_i[B]
+    with u_i = sum_A (e_i . phi)_A sgn(A, B) comp[A | B] built once per i
+    (the 1/6 is folded into comp)."""
     if phi.k != 3 or phi.n != 7:
         raise StructureError("g2 metric needs a 3-form on n = 7")
     field = field or phi.field
     full = (1 << 7) - 1
-    b = []
-    ints = [interior(VectorField.basis(7, field, i), phi) for i in range(1, 8)]
-    for i in range(7):
-        row = []
-        for j in range(7):
-            top = wedge(wedge(ints[i], ints[j]), phi)
-            row.append(top.coeffs.get(full, field.zero()) / field.scalar(6))
-        b.append(row)
+    sixth = field.scalar(Fraction(1, 6))
+    comp = {full ^ m: c * sixth * _merge_sign(full ^ m, m) for m, c in phi.coeffs.items()}
+    ints = [interior(VectorField.basis(7, field, i), phi).coeffs for i in range(1, 8)]
+    acc = {}
+    for i, a in enumerate(ints):
+        u = {}
+        for ma, ca in a.items():
+            for m, cm in comp.items():
+                if m & ma == ma:
+                    _mac(u, m ^ ma, ca, cm, _merge_sign(ma, m ^ ma) < 0)
+        u = _settle(field, u)
+        for j in range(i, 7):  # B is symmetric
+            for mb, cb in ints[j].items():
+                if mb in u:
+                    _mac(acc, (i, j), cb, u[mb], False)
+    entries = _settle(field, acc)
+    b = [[entries.get((min(i, j), max(i, j)), field.zero()) for j in range(7)] for i in range(7)]
     # phi fixes the orientation as well: B is definite w.r.t. exactly one
     # sign of the volume form when phi is positive.
     det = _mat_det(b, field)
@@ -587,33 +607,39 @@ def lee_form(s: GStructure) -> KForm:
 
 
 def nijenhuis(s: GStructure) -> KForm:
-    """Nijenhuis 3-form N(X,Y,Z) = g(N(X,Y), Z); errors when not skew."""
+    """Nijenhuis 3-form N(X,Y,Z) = g(N(X,Y), Z); errors when not skew.
+
+    From the structure constants: with q(i, b) = [J e_i, e_b] =
+    sum_a J^a_i [e_a, e_b],
+    N(e_i, e_j) = sum_b J^b_j q(i, b) - J(q(i, j) - q(j, i)) - [e_i, e_j].
+    """
     if s.kind not in ("ah", "su3"):
         raise StructureError("Nijenhuis tensor needs an almost complex structure")
     field = s.field
     n = s.n
-    geom = s.geometry
-    basis = [VectorField.basis(n, field, i) for i in range(1, n + 1)]
-    jb = [s.apply_j(b) for b in basis]
-    frame = s.frame
-
-    def nvec(i, j):
-        t = frame.bracket(jb[i], jb[j])
-        t = t - s.apply_j(frame.bracket(jb[i], basis[j]))
-        t = t - s.apply_j(frame.bracket(basis[i], jb[j]))
-        t = t - frame.bracket(basis[i], basis[j])
-        return t
-
-    # N is skew in its first two slots by definition; the packer checks the rest
-    zero = field.zero()
-    vals = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            nv = nvec(i, j)
+    j = s.j_matrix
+    rows = [[(c, x) for c, x in enumerate(row) if not x.is_zero()] for row in j]
+    one = field.one()
+    q, acc = {}, {}
+    for (a, b, k), c in s.frame.constants.items():
+        for i, x in rows[a]:
+            _mac(q, (i, b, k), x, c, False)
+        if a < b:
+            _mac(acc, (a, b, k), c, one, True)
+    # N(e_i, e_j)^k for i < j; N is skew in its first two slots by definition
+    for (i, b, l), v in _settle(field, q).items():
+        for jj, x in rows[b]:
+            if i < jj:
+                _mac(acc, (i, jj, l), x, v, False)
+        if i != b:
+            key = (i, b) if i < b else (b, i)
             for k in range(n):
-                v = geom.g(nv, basis[k])
-                vals[(i, j, k)] = v
-                vals[(j, i, k)] = -v
+                if not j[k][l].is_zero():
+                    _mac(acc, (*key, k), j[k][l], v, i < b)
+    low = _last_index(_settle(field, acc), s.geometry, up=False)
+    vals = {**low, **{(jj, i, k): -v for (i, jj, k), v in low.items()}}
+    # the packer checks the rest of the skew symmetry
+    zero = field.zero()
     h = skew_three_form(n, field, lambda i, j, k: vals.get((i, j, k), zero))
     if h is None:
         raise StructureError("Nijenhuis tensor not skew: no skew-torsion connection exists")

@@ -72,6 +72,32 @@ def test_check_builds_each_item_once(monkeypatch):
     assert dict(conn) == {doc.frame(): 1}
 
 
+def test_g2_metric_makes_no_wedge(monkeypatch):
+    # B_ij pairs e_j . phi with one vector u_i per i: no top-form wedge
+    phi = parse(registry.input_text("nonintG2")).structure().form("phi")
+    wedges = _count_calls(monkeypatch, "wedge", key=lambda a: a.k)
+    structures.induced_metric_g2(phi)
+    assert not wedges
+
+
+def test_nijenhuis_makes_no_bracket(monkeypatch):
+    # N reads the structure constants, also on a transverse slice
+    reduced = reduction.reduce_g2(parse(registry.input_text("nonintG2")).structure()).reduced_structure
+    s = parse(registry.input_text("nonintsu3")).structure()
+    brackets = collections.Counter()
+    orig = frames.LieAlgebraFrame.bracket
+
+    def bracket(frame, x, y):
+        brackets[frame] += 1
+        return orig(frame, x, y)
+
+    monkeypatch.setattr(frames.LieAlgebraFrame, "bracket", bracket)
+    for t in (s, reduced):
+        structures.nijenhuis(t)
+    assert not brackets
+    assert not hasattr(reduction.TransverseSlice, "bracket")
+
+
 @pytest.mark.parametrize("name", registry.names())
 def test_torsion_classes_read_off_project_once(monkeypatch, name):
     # the solver splits d of each defining form once through project's

@@ -1,6 +1,7 @@
 """Structure layer: model forms, assembly/validation, projections, torsion
 classes, Nijenhuis, skew-torsion formulas against the independent solver."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     Q,
+    Q2,
     fixture_structure,
     rotation_matrix,
     rotate_frame_and_forms,
@@ -20,11 +22,13 @@ from gtorsion.forms import (
     form_inner,
     hodge_star,
     interior,
+    skew_three_form,
     wedge,
     _mat_det,
     _masks,
 )
 from gtorsion.frames import LieAlgebraFrame, cartan_three_form, transform_form
+from gtorsion.reduction import TransverseSlice, reduce_g2
 from gtorsion.structures import (
     StructureError,
     ah_assemble,
@@ -140,8 +144,59 @@ def test_g2_metric_rejects_indefinite():
     terms = dict(phi.coeffs)
     m = next(iter(terms))
     terms[m] = -terms[m]
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match=r"^not a positive 3-form$"):
         induced_metric_g2(KForm(7, 3, Q, terms))
+
+
+def test_g2_metric_rejects_degenerate():
+    with pytest.raises(StructureError, match=r"^not a positive 3-form \(det B = 0\)$"):
+        induced_metric_g2(kf(7, ((1, 2, 3), 1), ((1, 4, 5), 1)))
+
+
+@pytest.mark.parametrize("term", sorted(model_form("g2", 7, Q).coeffs))
+def test_g2_metric_rejects_missing_ninth_root(term):
+    # doubling any one term of the model gives det B = 8
+    terms = dict(model_form("g2", 7, Q).coeffs)
+    terms[term] = terms[term] * 2
+    with pytest.raises(StructureError, match=r"^metric not representable exactly: det B = 8 has no 9th root in QQ$"):
+        induced_metric_g2(KForm(7, 3, Q, terms))
+
+
+@st.composite
+def moved_g2_forms(draw):
+    """+-phi for the model phi, pulled back by a positive diagonal D, then a
+    unipotent shear S, then a rational rotation R, over QQ or QQ(sqrt2); so
+    det B = det(RSD)^9 keeps its 9th root."""
+    field = draw(st.sampled_from([Q, Q2]))
+    scales = [Fraction(1), Fraction(2), Fraction(1, 2)]
+    unit = [field.one()] + ([field.sqrt_d()] if field is Q2 else [])
+    diag = [field.scalar(draw(st.sampled_from(scales))) * draw(st.sampled_from(unit)) for _ in range(7)]
+    shear = [
+        [field.one() if i == j else field.zero() if i > j
+         else field.scalar(draw(st.integers(-1, 1))) + draw(st.sampled_from(unit)) * draw(st.integers(-1, 1))
+         for j in range(7)]
+        for i in range(7)
+    ]
+    rot = rotation_matrix(7, random.Random(draw(st.integers(0, 2**16))), field, planes=draw(st.integers(0, 2)))
+    phi = model_form("g2", 7, field)
+    phi = transform_form(phi, [[x if i == j else field.zero() for j in range(7)] for i, x in enumerate(diag)], field)
+    phi = transform_form(transform_form(phi, shear, field), rot, field)
+    return -phi if draw(st.booleans()) else phi
+
+
+def test_g2_metric_closed_form_matches_brute_force():
+    signs = set()
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(moved_g2_forms())
+    def check(phi):
+        geom = induced_metric_g2(phi)
+        oracle, sign = brute_hitchin_metric(phi)
+        assert geom.metric == oracle and geom.orientation_sign == sign
+        signs.add(sign)
+
+    check()
+    assert signs == {1, -1}
 
 
 # -- assembly ----------------------------------------------------------------
@@ -376,6 +431,85 @@ def test_torsion_read_offs_on_random_frames(kind, classes):
 
 
 # -- Nijenhuis / d^c ------------------------------------------------------------
+
+
+def brute_nijenhuis(s):
+    """Reference: g(N(e_i, e_j), e_k) with N(X,Y) = [JX,JY] - J[JX,Y] -
+    J[X,JY] - [X,Y] from four brackets per pair; None when not skew."""
+    n, field, geom = s.n, s.field, s.geometry
+    amb = getattr(s.frame, "ambient", None)
+
+    def bracket(x, y):  # a transverse slice brackets in its ambient frame
+        if amb is None:
+            return s.frame.bracket(x, y)
+        pad = lambda v: VectorField(amb.n, field, list(v.components) + [field.zero()])
+        return VectorField(n, field, amb.bracket(pad(x), pad(y)).components[:n])
+
+    basis = [VectorField.basis(n, field, i) for i in range(1, n + 1)]
+    jb = [s.apply_j(b) for b in basis]
+    vals = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            nv = (bracket(jb[i], jb[j]) - s.apply_j(bracket(jb[i], basis[j]))
+                  - s.apply_j(bracket(basis[i], jb[j])) - bracket(basis[i], basis[j]))
+            for k in range(n):
+                vals[(i, j, k)] = geom.g(nv, basis[k])
+                vals[(j, i, k)] = -vals[(i, j, k)]
+    return skew_three_form(n, field, lambda i, j, k: vals.get((i, j, k), field.zero()))
+
+
+def _nijenhuis_matches_reference(s) -> bool:
+    """nijenhuis(s) equals the bracket reference, or both find N not skew;
+    True when N is skew."""
+    want = brute_nijenhuis(s)
+    if want is None:
+        with pytest.raises(StructureError, match="^Nijenhuis tensor not skew: no skew-torsion connection exists$"):
+            nijenhuis(s)
+        return False
+    assert nijenhuis(s) == want
+    return True
+
+
+def test_nijenhuis_matches_brackets_on_random_frames():
+    seen = set()
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(almost_lie_structures("su3"))
+    def check(s):
+        seen.add(_nijenhuis_matches_reference(s))
+
+    check()
+    assert False in seen
+
+
+def test_nijenhuis_matches_brackets_on_moved_fixture():
+    # random almost-Lie frames almost never have a skew N; the fixture's N
+    # is skew and stays so in every frame, here with off-diagonal metrics
+    s = fixture_structure("nonintsu3")
+    dense = []
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(-1, 1), min_size=15, max_size=15), st.integers(0, 2**16))
+    def check(upper, seed):
+        it = iter(upper)
+        shear = [[Q.one() if i == j else Q.scalar(next(it)) if i < j else Q.zero() for j in range(6)]
+                 for i in range(6)]
+        rot = rotation_matrix(6, random.Random(seed), Q)
+        fr, forms = rotate_frame_and_forms(s.frame, [s.form("omega"), s.form("omega_plus")], shear)
+        fr, forms = rotate_frame_and_forms(fr, forms, rot)
+        moved = su3_assemble(*forms, fr)
+        assert _nijenhuis_matches_reference(moved) and not moved.nijenhuis.is_zero()
+        dense.append(moved.geometry.diagonal is None)
+
+    check()
+    assert any(dense)
+
+
+def test_nijenhuis_matches_brackets_on_transverse_slice():
+    # the SU(3) quotient of nonintG2 lives on a transverse slice
+    reduced = reduce_g2(fixture_structure("nonintG2")).reduced_structure
+    assert isinstance(reduced.frame, TransverseSlice)
+    assert _nijenhuis_matches_reference(reduced) and not reduced.nijenhuis.is_zero()
 
 
 def test_nijenhuis_integrable_zero():
