@@ -2,28 +2,33 @@
 
 Small systems only (at most a few hundred rows); plain Gaussian elimination
 with exact division.  ``eliminate`` is the one dense kernel: determinants,
-inverses, dense solves and the positive-definiteness test all read its run.
+inverses and the positive-definiteness test all read its run.
 
-``solve_unique_sparse``, behind the torsion oracle, meets systems whose rows
-mostly reduce to zero (rank 56 in 448-512 rows for Spin(7)).  Its pivots stay
-fully reduced: a 1 in their own column, a 0 in every other pivot column.  A
-row is then reduced in one pass over its pivot columns, with no cascade of
-fill, and the solution is read off the pivots at full rank.  Row updates go
-through the scalar accumulator (``scalars._mac``), the one multiply-accumulate
-path: a row reduced against many pivots normalizes each entry once.
+``echelon`` is the one sparse kernel.  Its pivots stay fully reduced (a 1 in
+their own column, a 0 in every other pivot column), so a row is reduced in one
+pass over its pivot columns with no cascade of fill.  Keys < 0 are right-hand
+sides: the torsion oracle reduces each structure form's derivation matrix
+against n of them at once (rank 7 in at most 70 rows for Spin(7)), and
+``solve_unique_sparse`` runs the same loop on the n*r rows left (56 for
+Spin(7)).  Row updates go through the scalar accumulator (``scalars._mac``),
+the one multiply-accumulate path: each entry is normalized once.
 """
 
 from __future__ import annotations
 
 from .scalars import Field, Scalar, _mac, _settle
 
-__all__ = ["eliminate", "back_substitute", "solve_dense", "solve_unique_sparse", "LinearSolveError"]
+__all__ = ["eliminate", "back_substitute", "echelon", "solve_unique_sparse", "LinearSolveError", "InconsistentSystem"]
 
-_RHS = -1  # key of the right-hand side in a sparse row; columns are >= 0
+_RHS = -1  # key of the one right-hand side in a sparse row; columns are >= 0
 
 
 class LinearSolveError(ValueError):
     pass
+
+
+class InconsistentSystem(LinearSolveError):
+    """Some combination of the rows reads 0 = c with c != 0."""
 
 
 def eliminate(rows, n: int) -> int | None:
@@ -71,49 +76,29 @@ def back_substitute(rows, n: int):
     return sol
 
 
-def solve_dense(a, b, field: Field):
-    """Solve A x = b for square exact A.  Raises on singular A.
+def echelon(rows, field: Field) -> dict[int, dict]:
+    """Row-reduce sparse rows to fully reduced pivots, shortest rows first.
 
-    No code in the package calls it; the tests use it as the dense
-    reference for ``solve_unique_sparse``."""
-    n = len(a)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    if eliminate(m, n) is None:
-        raise LinearSolveError("singular system")
-    return [x[0] for x in back_substitute(m, n)]
-
-
-def solve_unique_sparse(rows, nunknowns: int, field: Field):
-    """Solve an overdetermined sparse system requiring a unique solution.
-
-    ``rows`` is an iterable of ({col: Scalar}, rhs Scalar) pairs.  Returns the
-    solution list.  Raises LinearSolveError("no solution") if inconsistent and
-    LinearSolveError("non-unique solution") if rank-deficient.
+    A row is {key: Scalar}: keys >= 0 are columns of unknowns, keys < 0 are
+    right-hand sides and never lead.  Returns pivots[lead], which reads
+    x_lead + sum_c piv[c] x_c = piv[rhs key] with the lead's 1 implied and no
+    pivot column among the c.  Raises InconsistentSystem when a row reduces
+    to right-hand sides alone.
     """
-    zero, one = field.zero(), field.one()
-    # pivots[lead]: x_lead + sum_c piv[c] x_c = piv[_RHS], no pivot column among the c
+    one = field.one()
     pivots: dict[int, dict] = {}
-    queue = [({c: v for c, v in row.items() if not v.is_zero()}, rhs) for row, rhs in rows]
-    # short rows first keeps elimination fill low
-    queue.sort(key=lambda item: len(item[0]))
-    sol = None
-    deferred = []
-    for row, rhs in queue:
-        if sol is not None:
-            deferred.append((row, rhs))
-            continue
+    for row in sorted(rows, key=len):  # short rows first keeps elimination fill low
         # the row minus f times the pivot of each pivot column; other entries carry over
         acc = {}
-        _mac(acc, _RHS, rhs, one, False)
         for c, f in row.items():
             for k, v in pivots[c].items() if c in pivots else ((c, one),):
                 _mac(acc, k, f, v, c in pivots)
         new = _settle(field, acc)
         # the last column: on the oracle's systems this leaves less fill than the first
         lead = max(new, default=_RHS)
-        if lead == _RHS:
+        if lead < 0:
             if new:
-                raise LinearSolveError("no solution")
+                raise InconsistentSystem("no solution")
             continue
         inv = new.pop(lead).inverse()
         new = {c: v * inv for c, v in new.items()}
@@ -122,19 +107,21 @@ def solve_unique_sparse(rows, nunknowns: int, field: Field):
             if f is not None:
                 _axpy(piv, -f, new)
         pivots[lead] = new
-        if len(pivots) == nunknowns:
-            sol = [pivots[c].get(_RHS, zero) for c in range(nunknowns)]
-    if sol is None:
+    return pivots
+
+
+def solve_unique_sparse(rows, nunknowns: int, field: Field):
+    """Solve an overdetermined sparse system requiring a unique solution.
+
+    ``rows`` is an iterable of ({col: Scalar}, rhs Scalar) pairs.  Returns the
+    solution list.  Raises InconsistentSystem("no solution") if inconsistent
+    and LinearSolveError("non-unique solution") if rank-deficient.  Once every
+    column has a pivot, each further row reduces to its residual alone.
+    """
+    pivots = echelon([{**row, _RHS: rhs} for row, rhs in rows], field)
+    if len(pivots) < nunknowns:
         raise LinearSolveError("non-unique solution")
-    # remaining rows only need to be consistent with the solution
-    for row, rhs in deferred:
-        acc = {}
-        _mac(acc, _RHS, rhs, one, False)
-        for c, v in row.items():
-            _mac(acc, _RHS, v, sol[c], True)
-        if _settle(field, acc):
-            raise LinearSolveError("no solution")
-    return sol
+    return [pivots[c].get(_RHS, field.zero()) for c in range(nunknowns)]
 
 
 def _axpy(row: dict, f: Scalar, other: dict) -> None:

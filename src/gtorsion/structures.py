@@ -43,8 +43,8 @@ from .frames import (
     transform_form,
     transform_vector,
 )
-from .linsolve import LinearSolveError, solve_unique_sparse
-from .scalars import Field, GTorsionError, NotRepresentable, Scalar, _mac, _settle
+from .linsolve import InconsistentSystem, LinearSolveError, echelon, solve_unique_sparse
+from .scalars import Field, GTorsionError, NotRepresentable, _mac, _settle
 
 __all__ = [
     "StructureError",
@@ -687,54 +687,59 @@ def bismut_torsion(s: GStructure, torsion: TorsionClasses | None = None) -> KFor
 def solve_skew_torsion(s: GStructure) -> KForm:
     """Independent route to the torsion: solve the exact linear system for
     H in Lambda^3 with D + (1/2) g^{-1} H annihilating every structure form.
+
+    Row (i, M) of a form alpha reads sum_p s(i, p) L_p[M] H_{i,t,k} =
+    -(nabla_i alpha)[M] over the pairs p = {t < k} without i, with L_p alpha
+    moved by the pair action p and s(i, p) = 1 if t < i < k, else -1: block i
+    is Lambda S_i for one mask-by-pair matrix Lambda.  One reduction of
+    [Lambda | -nabla_0 alpha ... -nabla_{n-1} alpha] checks the rows that
+    vanish on Lambda and leaves r = rank Lambda pivot rows per block i.
     """
-    field = s.field
-    n = s.n
-    geom = s.geometry
-    frame = s.frame
+    field, n = s.field, s.n
     masks3 = list(_masks(n, 3))
     column = {K: col for col, K in enumerate(masks3)}
-    lc = s.levi_civita  # shared with the Bismut connection; H itself is never read
-    half_ginv = [[x * Fraction(1, 2) for x in row] for row in geom.inverse_metric()]
-    # the derivation e^j -> (1/2)(g^{jk} e^t - g^{jt} e^k) for each pair t < k
+    half = field.scalar(Fraction(1, 2))
+    # the nonzero entries of (1/2) g^{-1} and of its negative, by row
+    plus = [{k: x * half for k, x in enumerate(row) if not x.is_zero()} for row in s.geometry.inverse_metric()]
+    minus = [{k: -x for k, x in row.items()} for row in plus]
+    pairs = [(t, k) for t in range(n) for k in range(t + 1, n)]
+    # the derivation e^j -> (1/2)(g^{jk} e^t - g^{jt} e^k) for each pair t < k;
+    # g^{-1} is symmetric, so e^j moves only for j in rows t and k
     actions = [
-        (t, k, {j: {x: v for x, v in ((t, g[k]), (k, -g[t])) if not v.is_zero()}
-                for j, g in enumerate(half_ginv)})
-        for t in range(n) for k in range(t + 1, n)
+        {j: {x: v for x, v in ((t, plus[j].get(k)), (k, minus[j].get(t))) if v is not None}
+         for j in plus[t].keys() | plus[k].keys()}
+        for t, k in pairs
     ]
-    zero = field.zero()
+    # S_i: pair p -> (column of H_{i,t,k}, s(i, p) = -1) for the pairs without i
+    spread = [
+        {p: (column[(1 << i) | (1 << t) | (1 << k)], not t < i < k)
+         for p, (t, k) in enumerate(pairs) if i != t and i != k}
+        for i in range(n)
+    ]
+    zero, one = field.zero(), field.one()
     rows = []
-    for slot, *_ in KINDS[s.kind][1]:
-        alpha = s.forms[slot]
-        base = covariant_derivative_form(frame, lc, alpha)
-        # entries[(i, mask)][col]: the e^mask coefficient of nabla_i alpha per
-        # unit of H_K, K = masks3[col].  H = e^K moves nabla_i only for i in K,
-        # by minus sgn(i, t, k) times the pair action of the other two indices
-        # t < k, so one derivation per pair serves every column {i, t, k}.
-        entries: dict[tuple[int, int], dict[int, Scalar]] = {}
-        for t, k, action in actions:
-            moved = derivation(alpha, action).coeffs
-            negated = {mask: -v for mask, v in moved.items()}
-            for i in range(n):
-                if i == t or i == k:
-                    continue
-                col = column[(1 << i) | (1 << t) | (1 << k)]
-                # (i, t, k) is a cyclic rotation of the sorted column unless t < i < k
-                for mask, v in (negated if i < t or i > k else moved).items():
-                    entries.setdefault((i, mask), {})[col] = v
-        keys = set(entries)
-        for i in range(n):
-            keys.update((i, mask) for mask in base[i].coeffs)
-        for i, mask in sorted(keys):
-            row = entries.get((i, mask), {})
-            rhs = -base[i].coeffs.get(mask, zero)
-            if row or not rhs.is_zero():
-                rows.append((row, rhs))
     try:
+        for slot, *_ in KINDS[s.kind][1]:
+            alpha = s.forms[slot]
+            # lam[M]: row M of Lambda, and -nabla_i alpha[M] under key -1 - i
+            lam: dict[int, dict] = {}
+            for p, action in enumerate(actions):
+                for mask, v in derivation(alpha, action).coeffs.items():
+                    lam.setdefault(mask, {})[p] = v
+            # the Levi-Civita connection is shared with the Bismut one; H itself is never read
+            for i, form in enumerate(covariant_derivative_form(s.frame, s.levi_civita, alpha)):
+                for mask, v in form.coeffs.items():
+                    lam.setdefault(mask, {})[-1 - i] = -v
+            for lead, piv in echelon(list(lam.values()), field).items():
+                piv[lead] = one
+                neg = {p: -v for p, v in piv.items()}
+                for i, cols in enumerate(spread):
+                    row = {col: (neg if flip else piv)[p] for p, (col, flip) in cols.items() if p in piv}
+                    rows.append((row, piv.get(-1 - i, zero)))
         sol = solve_unique_sparse(rows, len(masks3), field)
+    except InconsistentSystem as exc:
+        raise StructureError("no skew-torsion connection: the linear system is inconsistent") from exc
     except LinearSolveError as exc:
-        if "no solution" in str(exc):
-            raise StructureError("no skew-torsion connection: the linear system is inconsistent") from exc
         raise StructureError("non-unique skew torsion: dimension count violated") from exc
     return KForm(n, 3, field, dict(zip(masks3, sol)))
 

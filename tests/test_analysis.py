@@ -1,7 +1,8 @@
 """Compute-once analysis: a verdict builds each structure's torsion classes
 (read off ``project``'s split), H and connections once, the oracle stays
-independent of H, builds one derivation per index pair, and agrees with H
-off a diagonal metric, and a verdict leaves no cyclic garbage behind."""
+independent of H, builds one derivation per index pair, reduces each form's
+derivation matrix once, solves n*r rows and agrees with H off a diagonal
+metric, and a verdict leaves no cyclic garbage behind."""
 
 import collections
 import gc
@@ -140,6 +141,21 @@ def test_oracle_one_derivation_per_index_pair(monkeypatch, name):
     n = s.n
     assert set(calls) == {id(s.forms[slot]) for slot, *_ in structures.KINDS[s.kind][1]}
     assert max(calls.values()) <= n + n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("name, rows", [
+    ("nonintG2", 49), ("nonintG2nonclosedLee", 49), ("nonintSpin7OneA", 56), ("nonintSpin7Two", 56), ("nonintsu3", 78),
+])
+def test_oracle_solves_n_rank_rows(monkeypatch, name, rows):
+    # one echelon of the derivation matrix per structure form, then its
+    # r = dim so(n) - dim stabilizer pivot rows for each index i: r = 7 for
+    # phi and Psi, 6 for omega and 7 for Omega+
+    s = parse(registry.input_text(name)).structure()
+    echelons = _count_calls(monkeypatch, "echelon", key=len)  # keyed by row count
+    solves = _count_calls(monkeypatch, "solve_unique_sparse", key=len)
+    structures.solve_skew_torsion(s)
+    assert sum(echelons.values()) == len(structures.KINDS[s.kind][1])
+    assert dict(solves) == {rows: 1}
 
 
 @pytest.mark.parametrize("name", ["nonintsu3", "nonintG2", "nonintSpin7OneA"])

@@ -27,7 +27,15 @@ from gtorsion.forms import (
     wedge,
 )
 from gtorsion.frames import LieAlgebraFrame, ce_differential
-from gtorsion.linsolve import LinearSolveError, _axpy, solve_dense, solve_unique_sparse
+from gtorsion.linsolve import (
+    InconsistentSystem,
+    LinearSolveError,
+    _axpy,
+    back_substitute,
+    echelon,
+    eliminate,
+    solve_unique_sparse,
+)
 from gtorsion.scalars import FieldMismatch
 
 
@@ -40,6 +48,16 @@ def cofactor_det(m, field):
         term = m[0][c] * cofactor_det(minor, field)
         acc = acc + term if c % 2 == 0 else acc - term
     return acc
+
+
+def solve_dense(a, b):
+    """Reference: solve A x = b for square exact A by the dense kernel; raises
+    on singular A."""
+    n = len(a)
+    m = [row[:] + [b[i]] for i, row in enumerate(a)]
+    if eliminate(m, n) is None:
+        raise LinearSolveError("singular system")
+    return [x[0] for x in back_substitute(m, n)]
 
 
 def random_matrix(n, field, rng):
@@ -72,7 +90,7 @@ def test_determinant_matches_cofactor_expansion(field, rng):
             with pytest.raises(GeometryError, match="singular metric"):
                 _mat_inverse(m, field)
             with pytest.raises(LinearSolveError, match="singular system"):
-                solve_dense(m, [field.one()] * n, field)
+                solve_dense(m, [field.one()] * n)
             continue
         inv = _mat_inverse(m, field)
         for i in range(n):
@@ -80,7 +98,7 @@ def test_determinant_matches_cofactor_expansion(field, rng):
                 entry = sum((m[i][k] * inv[k][j] for k in range(n)), field.zero())
                 assert entry == (field.one() if i == j else field.zero())
         b = [field.scalar(i + 1) for i in range(n)]
-        x = solve_dense(m, b, field)
+        x = solve_dense(m, b)
         assert [sum((m[i][k] * x[k] for k in range(n)), field.zero()) for i in range(n)] == b
     assert swapped >= 10 and singular >= 10
 
@@ -187,6 +205,16 @@ def test_sparse_rank_deficient():
         solve_unique_sparse(rows, 3, Q)
 
 
+def test_echelon_reduces_against_several_right_hand_sides():
+    # x0 + x1 = (1, 2) twice over: one pivot carries both sides (keys -1, -2)
+    rows = [{0: Q.one(), 1: Q.one(), -1: Q.one(), -2: Q.scalar(2)},
+            {0: Q.scalar(2), 1: Q.scalar(2), -1: Q.scalar(2), -2: Q.scalar(4)}]
+    assert echelon(rows, Q) == {1: {0: Q.one(), -1: Q.one(), -2: Q.scalar(2)}}
+    rows[1][-2] = Q.scalar(5)  # the second side is inconsistent
+    with pytest.raises(InconsistentSystem, match="^no solution$"):
+        echelon(rows, Q)
+
+
 def _entry(field):
     small = st.integers(-3, 3)
     if field is Q:
@@ -215,7 +243,7 @@ def consistent_systems(draw):
 @given(consistent_systems())
 def test_sparse_solve_matches_dense_core(system):
     field, core, b, rows = system
-    assert solve_unique_sparse(rows, len(core), field) == solve_dense(core, b, field)
+    assert solve_unique_sparse(rows, len(core), field) == solve_dense(core, b)
 
 
 # -- fused multiply-accumulate kernels ----------------------------------------

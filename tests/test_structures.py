@@ -2,6 +2,7 @@
 classes, Nijenhuis, skew-torsion formulas against the independent solver."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -26,10 +27,13 @@ from gtorsion.forms import (
     wedge,
     _mat_det,
     _masks,
+    derivation,
 )
-from gtorsion.frames import LieAlgebraFrame, cartan_three_form, transform_form
+from gtorsion.frames import LieAlgebraFrame, cartan_three_form, covariant_derivative_form, transform_form
+from gtorsion.linsolve import InconsistentSystem, LinearSolveError, solve_unique_sparse
 from gtorsion.reduction import TransverseSlice, reduce_g2
 from gtorsion.structures import (
+    KINDS,
     StructureError,
     ah_assemble,
     bismut_ricci_form,
@@ -527,6 +531,98 @@ def test_nijenhuis_fixture_nonzero_and_quarter_identity():
     assert project(s, h)["1+1"] == n_form.scale(Fraction(1, 4))
 
 
+# -- skew-torsion oracle ------------------------------------------------------
+
+
+def reference_skew_torsion(s):
+    """Reference: the oracle row by row.  Row (i, M) of each structure form
+    alpha holds the e^M coefficient of nabla_i alpha moved by each H_K,
+    K = {i, t, k}, against -(nabla_i alpha)[M]; all rows go to one solve."""
+    field, n = s.field, s.n
+    masks3 = list(_masks(n, 3))
+    column = {K: col for col, K in enumerate(masks3)}
+    half_ginv = [[x * Fraction(1, 2) for x in row] for row in s.geometry.inverse_metric()]
+    zero = field.zero()
+    rows = []
+    for slot, *_ in KINDS[s.kind][1]:
+        alpha = s.forms[slot]
+        base = covariant_derivative_form(s.frame, s.levi_civita, alpha)
+        entries = {}
+        for t in range(n):
+            for k in range(t + 1, n):
+                # the derivation e^j -> (1/2)(g^{jk} e^t - g^{jt} e^k)
+                action = {j: {t: g[k], k: -g[t]} for j, g in enumerate(half_ginv)}
+                moved = derivation(alpha, action).coeffs
+                for i in set(range(n)) - {t, k}:
+                    # H_{i,t,k} is +H_K for t < i < k and -H_K otherwise
+                    sign = 1 if t < i < k else -1
+                    col = column[(1 << i) | (1 << t) | (1 << k)]
+                    for mask, v in moved.items():
+                        entries.setdefault((i, mask), {})[col] = v if sign > 0 else -v
+        keys = set(entries) | {(i, mask) for i in range(n) for mask in base[i].coeffs}
+        rows += [(entries.get(key, {}), -base[key[0]].coeffs.get(key[1], zero)) for key in sorted(keys)]
+    try:
+        sol = solve_unique_sparse(rows, len(masks3), field)
+    except InconsistentSystem as exc:
+        raise StructureError("no skew-torsion connection: the linear system is inconsistent") from exc
+    except LinearSolveError as exc:
+        raise StructureError("non-unique skew torsion: dimension count violated") from exc
+    return KForm(n, 3, field, dict(zip(masks3, sol)))
+
+
+def _oracle_matches_reference(s) -> bool:
+    """solve_skew_torsion(s) equals the row-by-row reference, or both raise
+    the same StructureError; True when H exists."""
+    try:
+        want = reference_skew_torsion(s)
+    except StructureError as exc:
+        with pytest.raises(StructureError, match=f"^{re.escape(str(exc))}$"):
+            solve_skew_torsion(s)
+        return False
+    assert solve_skew_torsion(s) == want
+    return True
+
+
+@pytest.mark.parametrize("kind, outcomes", [("g2", {False}), ("spin7", {True}), ("su3", {False})])
+def test_oracle_matches_row_by_row_reference_on_random_frames(kind, outcomes):
+    # random constants give tau2 != 0 (g2) and a non-skew Nijenhuis tensor
+    # (su3), so no H; every Spin(7) structure has one
+    seen = set()
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(almost_lie_structures(kind))
+    def check(s):
+        seen.add(_oracle_matches_reference(s))
+
+    check()
+    assert outcomes <= seen
+
+
+_ASSEMBLE = {"su3": su3_assemble, "g2": g2_assemble, "spin7": spin7_assemble}
+
+
+def test_oracle_matches_row_by_row_reference_on_moved_fixtures():
+    # each fixture sheared (off-diagonal metric) and rotated: H exists in every frame
+    names = ["nonintsu3", "nonintG2", "nonintG2nonclosedLee", "nonintSpin7OneA", "nonintSpin7Two"]
+    seen = set()
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(st.sampled_from(names), st.lists(st.integers(-1, 1), min_size=28, max_size=28), st.integers(0, 2**16))
+    def check(name, upper, seed):
+        s = fixture_structure(name)
+        n, field, it = s.n, s.field, iter(upper)
+        shear = [[field.one() if i == j else field.scalar(next(it)) if i < j else field.zero() for j in range(n)]
+                 for i in range(n)]
+        fr, forms = rotate_frame_and_forms(s.frame, [s.forms[slot] for slot, *_ in KINDS[s.kind][1]], shear)
+        fr, forms = rotate_frame_and_forms(fr, forms, rotation_matrix(n, random.Random(seed), field))
+        moved = _ASSEMBLE[s.kind](*forms, fr)
+        assert _oracle_matches_reference(moved)
+        seen.add(s.kind)
+
+    check()
+    assert seen == set(_ASSEMBLE)
+
+
 def test_torsion_formula_vs_solver_fixtures():
     for name in ("nonintsu3", "nonintG2", "nonintG2nonclosedLee", "nonintSpin7OneA", "nonintSpin7Two"):
         s = fixture_structure(name)
@@ -566,7 +662,7 @@ def test_g2_tau2_nonzero_rejected():
     assert not t["tau2"].is_zero()
     with pytest.raises(StructureError):
         bismut_torsion(s, t)
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="^no skew-torsion connection: the linear system is inconsistent$"):
         solve_skew_torsion(s)
 
 
