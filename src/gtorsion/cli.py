@@ -20,6 +20,7 @@ import sys
 from .engine import run_check, run_extend, run_reduce
 from .parser import ParseError, _parse_form, parse_file
 from .scalars import GTorsionError
+from .structures import KINDS
 from . import registry
 
 EXIT_OK = 0
@@ -62,7 +63,7 @@ def build_parser():
 
     p_ext = subs.add_parser("extend", help="central extension by a closed flux")
     p_ext.add_argument("file")
-    p_ext.add_argument("--target", choices=["g2", "spin7"], default=None)
+    p_ext.add_argument("--target", choices=[k for k, row in KINDS.items() if row.reduces_to], default=None)
     _common_flags(p_ext)
 
     p_ex = subs.add_parser("example", help="run a built-in fixture against stored expectations")

@@ -21,7 +21,7 @@ from .soliton import (
     string_grs_residual,
     weighted_scalar,
 )
-from .structures import StructureError, bismut_ricci_form, solve_skew_torsion
+from .structures import KINDS, StructureError, bismut_ricci_form, solve_skew_torsion
 
 __all__ = ["run_check", "run_reduce", "run_extend"]
 
@@ -78,7 +78,7 @@ def run_check(doc, df: KForm | None = None) -> Report:
             matrix_norm_sq(s1).is_zero() and s2.is_zero() and s3.is_zero(),
         )
 
-    if s.kind in ("ah", "su3"):
+    if KINDS[s.kind].almost_complex:
         rep.set("nijenhuis_zero", s.nijenhuis.is_zero())
         rep.set("bismut_ricci_form_zero", bismut_ricci_form(s).is_zero())
     if s.kind == "spin7":
@@ -128,7 +128,7 @@ def run_extend(doc, target: str | None = None, df: KForm | None = None) -> Repor
         raise StructureError("extend needs a flux block (F = ...)")
     df = df if df is not None else (doc.df or KForm.zero(frame.n, 1, field))
     if target is None:
-        target = {"su3": "g2", "g2": "spin7"}.get(s.kind)
+        target = next((k for k, row in KINDS.items() if row.reduces_to == s.kind), None)
         if target is None:
             raise StructureError(f"no extension target for kind {s.kind!r}")
     ext = central_extend(frame, s, doc.flux, target, df=df)

@@ -108,15 +108,6 @@ class LieAlgebraFrame:
                 out[(j - 1, i - 1, k)] = coef
         return out
 
-    def structure_constants(self):
-        """Dense view c[k][i][j] = c^k_{ij} of ``constants``."""
-        n = self.n
-        zero = self.field.zero()
-        c = [[[zero] * n for _ in range(n)] for _ in range(n)]
-        for (i, j, k), v in self.constants.items():
-            c[k][i][j] = v
-        return c
-
     def bracket(self, x: VectorField, y: VectorField) -> VectorField:
         comps = [self.field.zero()] * self.n
         xs, ys = x.components, y.components
@@ -186,30 +177,6 @@ class ConnectionCoeffs:
                 comps[l] = comps[l] + xs[i] * ys[j] * v
         return VectorField(n, self.frame.field, comps)
 
-    def lowered(self, i: int, j: int, k: int, geom: FrameGeometry) -> Scalar:
-        """<nabla_{e_i} e_j, e_k>_g with 0-based indices."""
-        return _last_index(self.entries, geom, up=False).get((i, j, k), self.frame.field.zero())
-
-    def check_metric_compatibility(self, geom: FrameGeometry) -> bool:
-        low = _last_index(self.entries, geom, up=False)
-        zero = self.frame.field.zero()
-        return all((v + low.get((i, k, j), zero)).is_zero() for (i, j, k), v in low.items())
-
-    def torsion_form(self) -> KForm:
-        """g(T(X,Y), Z) as a 3-form when totally skew; raises otherwise."""
-        frame = self.frame
-        low = _last_index(self.entries, frame.geometry, up=False)
-        c = _last_index(frame.constants, frame.geometry, up=False)
-        zero = frame.field.zero()
-
-        def t(i, j, k):
-            return low.get((i, j, k), zero) - low.get((j, i, k), zero) - c.get((i, j, k), zero)
-
-        h = skew_three_form(frame.n, frame.field, t)
-        if h is None:
-            raise FrameError("connection torsion is not totally skew")
-        return h
-
 
 class CurvatureData:
     """The nonzero Riemann components ``entries[(i, j, k, l)]`` = R^l_{ijk},
@@ -221,23 +188,6 @@ class CurvatureData:
         self.field = field
         self.entries = entries
         self.ricci = ricci
-
-    def r(self, i: int, j: int, k: int) -> VectorField:
-        zero = self.field.zero()
-        if i == j:
-            return VectorField.zero(self.n, self.field)
-        a, b = (i, j) if i < j else (j, i)
-        comps = [self.entries.get((a, b, k, l), zero) for l in range(self.n)]
-        return VectorField(self.n, self.field, comps if i < j else [-v for v in comps])
-
-    @property
-    def riemann(self):
-        """Dense view: riemann[i][j][k] is the VectorField R(e_i, e_j) e_k."""
-        n = self.n
-        return [[[self.r(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)]
-
-    def is_flat(self) -> bool:
-        return not self.entries
 
 
 def ce_differential(frame: LieAlgebraFrame, a: KForm) -> KForm:

@@ -318,7 +318,7 @@ class InputDocument:
             out.append("orientation " + " ".join(perm))
         if self.structure_kind:
             out.append(f"structure {self.structure_kind}")
-            for slot, name, _, _ in KINDS[self.structure_kind][1]:
+            for slot, name, _, _ in KINDS[self.structure_kind].slots:
                 if slot in self.structure_forms:
                     out.append(f"{name} = " + form_str(self.structure_forms[slot], self.labels))
         if self.df is not None:
@@ -334,7 +334,7 @@ class InputDocument:
             if kind is None:
                 raise ParseError("no structure block in input")
             forms = []
-            for slot, name, _, _ in KINDS[kind][1]:
+            for slot, name, _, _ in KINDS[kind].slots:
                 if slot not in self.structure_forms:
                     raise ParseError(f"structure {kind} needs a '{name} = ...' line")
                 forms.append(self.structure_forms[slot])
@@ -346,7 +346,7 @@ class InputDocument:
 
 # form-line head -> (slot, name in the input, degree)
 _FORM_HEADS = {
-    name.lower(): (slot, name, degree) for _, slots in KINDS.values() for slot, name, degree, _ in slots
+    name.lower(): (slot, name, degree) for row in KINDS.values() for slot, name, degree, _ in row.slots
 }
 
 
@@ -449,7 +449,7 @@ def parse(text: str) -> InputDocument:
             kind = doc.structure_kind
             if kind is None:
                 raise ParseError(f"declare the structure before its {head} line", line_no)
-            slots = [s for s, _, _, _ in KINDS[kind][1]]
+            slots = [s for s, _, _, _ in KINDS[kind].slots]
             if slot not in slots:
                 raise ParseError(f"structure {kind} has no {head} form", line_no)
             _once(seen, name, line_no)

@@ -51,6 +51,7 @@ from .frames import (
 )
 from .scalars import GTorsionError, NotRepresentable
 from .structures import (
+    KINDS,
     GStructure,
     StructureError,
     TorsionClasses,
@@ -448,22 +449,22 @@ def _g2_verifier(red: ReductionResult, unit: GStructure, vhat_ad: VectorField, b
     return table
 
 
-# kind -> (name in messages, parallel form, reduced forms as (name, label for
-# restrict): i_V of the form, then the remainder beta of the split where the
-# reduced structure keeps it; the reduced structure; its verifier table)
-_REDUCTIONS = {
-    "g2": ("G2", "phi", (("omega", "omega"), ("omega_plus", "Omega+")), _su3_of_g2, _su3_verifier),
-    "spin7": ("Spin(7)", "psi", (("phi", "phi"),), _g2_of_spin7, _g2_verifier),
-}
+# kind -> (the reduced structure, its verifier table); the kind's parallel
+# form and the reduced kind's forms are ``KINDS`` slots
+_REDUCTIONS = {"g2": (_su3_of_g2, _su3_verifier), "spin7": (_g2_of_spin7, _g2_verifier)}
 
 
 def _reduce(s: GStructure, df: KForm | None, raw: bool, kind: str) -> ReductionResult:
     """The canonical reduction of a G2 or Spin(7) structure: split its
     parallel form along V as mu ^ alpha + beta, move the pieces to the
     slice, and verify the reduced structure."""
-    title, form_name, reduced, reduced_structure, verifier = _REDUCTIONS[kind]
+    reduced_structure, verifier = _REDUCTIONS[kind]
     if s.kind != kind:
-        raise StructureError(f"reduce_{kind} needs a {title} structure")
+        raise StructureError(f"reduce_{kind} needs {KINDS[kind].noun}")
+    form_name = KINDS[kind].slots[0][0]
+    # (slot, label for restrict): i_V of the form, then the remainder beta of
+    # the split where the reduced structure keeps it
+    reduced = [(slot, name) for slot, name, *_ in KINDS[KINDS[kind].reduces_to].slots]
     h = s.h  # a G2 structure with tau2 != 0 has none: StructureError
     field, frame, geom = s.field, s.frame, s.geometry
     df = df if df is not None else KForm.zero(s.n, 1, field)
@@ -563,20 +564,20 @@ def central_extend(frame: LieAlgebraFrame, structure: GStructure, flux: KForm, t
         raise ReductionError("flux must be a 2-form")
     if not frame.d(flux).is_zero():
         raise ReductionError("flux must be closed")
+    base = KINDS[target].reduces_to if target in KINDS else None
+    if base is None:
+        raise ReductionError(f"unknown extension target {target!r}")
+    if structure.kind != base or n != KINDS[base].dim:
+        raise ReductionError(f"{target} extension needs {KINDS[base].noun} on n = {KINDS[base].dim}")
     problems = []
+    t = structure.torsion
     if target == "g2":
-        if structure.kind != "su3" or n != 6:
-            raise ReductionError("g2 extension needs an SU(3) structure on n = 6")
-        t = structure.torsion
         if not (t["sigma0"] - field.scalar(Fraction(1, 2))).is_zero():
             problems.append(f"sigma0 = {t['sigma0']} != 1/2")
         if structure.lee != df:
             problems.append("theta_omega != df")
         alpha, beta, assemble, sign = structure.form("omega"), structure.form("omega_plus"), g2_assemble, 1
-    elif target == "spin7":
-        if structure.kind != "g2" or n != 7:
-            raise ReductionError("spin7 extension needs a G2 structure on n = 7")
-        t = structure.torsion
+    else:  # spin7
         if not t["tau2"].is_zero():
             problems.append("tau2 != 0: input admits no skew-torsion connection")
         if t["lee"] != df:
@@ -587,8 +588,6 @@ def central_extend(frame: LieAlgebraFrame, structure: GStructure, flux: KForm, t
         # a sign.
         alpha = structure.form("phi")
         beta, assemble, sign = -hodge_star(alpha, structure.geometry), spin7_assemble, -1
-    else:
-        raise ReductionError(f"unknown extension target {target!r}")
     hh = h_hat if h_hat is not None else structure.h
     if not (frame.d(hh) + wedge(flux, flux)).is_zero():
         raise ReductionError("Bianchi obstruction: d H^ + F ^ F != 0")

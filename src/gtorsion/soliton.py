@@ -37,6 +37,7 @@ from .frames import (
 )
 from .scalars import GTorsionError
 from .structures import (
+    KINDS,
     GStructure,
     StructureError,
     TorsionClasses,
@@ -103,13 +104,6 @@ class SolitonData:
         conn = bismut_connection(self.frame, self.h, self.geometry)
         return conn, curvature(self.frame, conn, self.geometry)
 
-    def bianchi(self) -> KForm:
-        """dH (or dH + F ^ F when a flux is present)."""
-        out = self.frame.d(self.h)
-        if self.flux is not None:
-            out = out + wedge(self.flux, self.flux)
-        return out
-
 
 def grs_residual(data: SolitonData):
     """Rc^{nabla(g,H)} + nabla X^flat as an n x n Scalar matrix."""
@@ -175,13 +169,12 @@ def weighted_scalar(data: SolitonData):
 
 
 def canonical_vector(s: GStructure, df: KForm | None = None, torsion: TorsionClasses | None = None) -> VectorField:
-    """V = theta^sharp - grad f ((7/6) theta^sharp for Spin(7)), theta the Lee
-    form of ``s`` or, when given, of the torsion classes ``torsion``."""
+    """V = c theta^sharp - grad f with c the kind's ``lee_factor`` (7/6 for
+    Spin(7), else 1), theta the Lee form of ``s`` or, when given, of the
+    torsion classes ``torsion``."""
     geom = s.geometry
     theta = s.lee if torsion is None else torsion["lee"]
-    if s.kind == "spin7":
-        theta = theta.scale(Fraction(7, 6))
-    v = musical_inv(theta, geom)
+    v = musical_inv(theta.scale(KINDS[s.kind].lee_factor), geom)
     if df is not None:
         v = v - musical_inv(df, geom)
     return v

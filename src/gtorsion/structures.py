@@ -16,7 +16,8 @@ Conventions fixed by the worked examples (see tests):
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from typing import NamedTuple
 
 from .forms import (
     FrameGeometry,
@@ -86,14 +87,57 @@ MODEL_PSI = [
     ((2, 4, 7, 8), -1), ((3, 5, 7, 8), 1),
 ]
 
-# kind -> (frame dimension of its model, None for any even n; its defining
-# forms in assembler order as (slot, input name, degree, model terms)).
-# Model terms None stand for the standard omega = e12 + e34 + ... on n.
+
+class Eigen(NamedTuple):
+    """``project`` by the eigenvalues of a -> star(a ^ form): ``pieces`` are
+    (name, eigenvalue), the second piece being the rest of a."""
+
+    slot: str
+    pieces: tuple
+
+
+class Graded(NamedTuple):
+    """``project`` into ``scalar`` (name, ((slot, |form|^2), ...)), the sum of
+    <a, form> form / |form|^2, or None; ``vector`` (name, slot, c), see
+    ``_split``; and the ``rest`` (name, chains of slots that wedge it to 0)."""
+
+    scalar: tuple | None
+    vector: tuple
+    rest: tuple
+
+
+class Kind(NamedTuple):
+    """One structure kind as data: the frame dimension of its model (None
+    for any even n); its defining forms in assembler order as (slot, input
+    name, degree, model terms), terms None meaning omega = e12 + e34 + ...;
+    its noun in messages; ``project``'s recipe per degree; whether it
+    carries J; the kind its reduction lands on (whose central extension
+    comes back here); c in V = c theta^sharp - grad f and in H."""
+
+    dim: int | None
+    slots: tuple
+    noun: str
+    splits: dict
+    almost_complex: bool = False
+    reduces_to: str | None = None
+    lee_factor: Fraction = Fraction(1)
+
+
 KINDS = {
-    "su3": (6, (("omega", "omega", 2, None), ("omega_plus", "Omega+", 3, MODEL_OMEGA_PLUS))),
-    "g2": (7, (("phi", "phi", 3, MODEL_PHI),)),
-    "spin7": (8, (("psi", "Psi", 4, MODEL_PSI),)),
-    "ah": (None, (("omega", "omega", 2, None),)),
+    "su3": Kind(6, (("omega", "omega", 2, None), ("omega_plus", "Omega+", 3, MODEL_OMEGA_PLUS)), "an SU(3) structure", {
+        2: Graded(("1", (("omega", 3),)), ("6", "omega_plus", Fraction(-1, 2)), ("8", (("omega", "omega"), ("omega_plus",)))),
+        3: Graded(("1+1", (("omega_plus", 4), ("omega_minus", 4))), ("6", "omega", Fraction(1, 2)),
+                  ("12", (("omega",), ("omega_plus",), ("omega_minus",)))),
+    }, almost_complex=True),
+    "g2": Kind(7, (("phi", "phi", 3, MODEL_PHI),), "a G2 structure", {
+        2: Eigen("phi", (("7", 2), ("14", -1))),
+        3: Graded(("1", (("phi", 7),)), ("7", "phi", Fraction(-1, 4)), ("27", (("phi",), ("star_phi",)))),
+    }, reduces_to="su3"),
+    "spin7": Kind(8, (("psi", "Psi", 4, MODEL_PSI),), "a Spin(7) structure", {
+        2: Eigen("psi", (("7", -3), ("21", 1))),
+        3: Graded(None, ("8", "psi", Fraction(-1, 7)), ("48", (("psi",),))),
+    }, reduces_to="g2", lee_factor=Fraction(7, 6)),
+    "ah": Kind(None, (("omega", "omega", 2, None),), "an almost Hermitian structure", {}, almost_complex=True),
 }
 
 
@@ -108,13 +152,13 @@ def _model_forms(kind: str, n: int, field: Field) -> tuple:
     """The kind's model forms in ``KINDS`` order."""
     if kind not in KINDS:
         raise StructureError(f"unknown structure kind {kind!r}")
-    dim, slots = KINDS[kind]
+    dim = KINDS[kind].dim
     if dim is None and n % 2:
         raise StructureError(f"{kind} model needs even n")
     if dim is not None and n != dim:
         raise StructureError(f"{kind} model needs n = {dim}")
     omega = [((i, i + 1), 1) for i in range(1, n, 2)]
-    return tuple(KForm.from_terms(n, field, terms or omega) for *_, terms in slots)
+    return tuple(KForm.from_terms(n, field, terms or omega) for *_, terms in KINDS[kind].slots)
 
 
 class TorsionClasses:
@@ -126,9 +170,6 @@ class TorsionClasses:
 
     def __getitem__(self, key):
         return self.components[key]
-
-    def nonzero_names(self):
-        return [name for name, val in self.components.items() if not val.is_zero()]
 
 
 class GStructure:
@@ -247,21 +288,15 @@ def su3_assemble(omega: KForm, omega_plus: KForm, frame) -> GStructure:
     if not wedge(omega, omega_plus).is_zero():
         raise StructureError("omega ^ Omega+ != 0")
     om3 = wedge(wedge(omega, omega), omega)
-    full = (1 << 6) - 1
-    om3c = om3.coeffs.get(full, field.zero())
+    om3c = om3.coeffs.get((1 << 6) - 1, field.zero())
     if om3c.is_zero():
         raise StructureError("omega^3 vanishes; omega is degenerate")
-    denom = om3c / field.scalar(6)
-    gmat = []
-    for i in range(1, 7):
-        row = []
-        io = interior(VectorField.basis(6, field, i), omega)
-        for jx in range(1, 7):
-            jo = interior(VectorField.basis(6, field, jx), omega_plus)
-            top = wedge(wedge(io, jo), omega_plus)
-            val = top.coeffs.get(full, field.zero()) * field.scalar(Fraction(-1, 2)) / denom
-            row.append(val)
-        gmat.append(row)
+    basis = [VectorField.basis(6, field, i) for i in range(1, 7)]
+    # all 36 entries, so a bad pair fails FrameGeometry's symmetry check
+    gmat = _top_pairing(
+        [interior(e, omega) for e in basis], [interior(e, omega_plus) for e in basis],
+        omega_plus, field.scalar(-3) / om3c,
+    )
     orient = 1 if om3c.sign() > 0 else -1
     geom = FrameGeometry(6, field, gmat, orientation_sign=orient)
     geom.check_positive_definite()
@@ -277,36 +312,46 @@ def su3_assemble(omega: KForm, omega_plus: KForm, frame) -> GStructure:
     )
 
 
-def induced_metric_g2(phi: KForm, frame=None, field: Field | None = None) -> FrameGeometry:
-    """Metric of a positive 3-form on n=7 via
-    (e_i . phi) ^ (e_j . phi) ^ phi = 6 B_ij e^{1..7}, g = (det B)^{-1/9} B.
+def _top_pairing(a: list, b: list | None, form: KForm, c) -> list:
+    """The matrix M_ij = c top(a_i ^ b_j ^ form) of forms whose degrees add
+    up to n; b None means b = a of even degree, M symmetric, and only the
+    entries j >= i are summed.
 
-    The top coefficient of a ^ b ^ phi for 2-forms a, b is
-    sum_{A, B} a_A b_B sgn(A, B) comp[A | B] over disjoint masks, where
-    comp[M] = sgn(M, M^c) phi_{M^c}; so B_ij = 1/6 sum_B (e_j . phi)_B u_i[B]
-    with u_i = sum_A (e_i . phi)_A sgn(A, B) comp[A | B] built once per i
-    (the 1/6 is folded into comp)."""
-    if phi.k != 3 or phi.n != 7:
-        raise StructureError("g2 metric needs a 3-form on n = 7")
-    field = field or phi.field
-    full = (1 << 7) - 1
-    sixth = field.scalar(Fraction(1, 6))
-    comp = {full ^ m: c * sixth * _merge_sign(full ^ m, m) for m, c in phi.coeffs.items()}
-    ints = [interior(VectorField.basis(7, field, i), phi).coeffs for i in range(1, 8)]
+    The top coefficient is sum_{A, B} a_A b_B sgn(A, B) comp[A | B] over
+    disjoint masks, where comp[M] = c sgn(M, M^c) form_{M^c}; so
+    M_ij = sum_B (b_j)_B u_i[B] with u_i = sum_A (a_i)_A sgn(A, B) comp[A | B]
+    built once per i.
+    """
+    field = form.field
+    full = (1 << form.n) - 1
+    comp = {full ^ m: x * c * _merge_sign(full ^ m, m) for m, x in form.coeffs.items()}
+    rows = b or a
     acc = {}
-    for i, a in enumerate(ints):
+    for i, ai in enumerate(a):
         u = {}
-        for ma, ca in a.items():
+        for ma, ca in ai.coeffs.items():
             for m, cm in comp.items():
                 if m & ma == ma:
                     _mac(u, m ^ ma, ca, cm, _merge_sign(ma, m ^ ma) < 0)
         u = _settle(field, u)
-        for j in range(i, 7):  # B is symmetric
-            for mb, cb in ints[j].items():
+        for j in range(0 if b else i, len(rows)):
+            for mb, cb in rows[j].coeffs.items():
                 if mb in u:
                     _mac(acc, (i, j), cb, u[mb], False)
     entries = _settle(field, acc)
-    b = [[entries.get((min(i, j), max(i, j)), field.zero()) for j in range(7)] for i in range(7)]
+    zero = field.zero()
+    return [[entries.get((i, j) if b or i <= j else (j, i), zero) for j in range(len(rows))] for i in range(len(a))]
+
+
+def induced_metric_g2(phi: KForm) -> FrameGeometry:
+    """Metric of a positive 3-form on n=7 via
+    (e_i . phi) ^ (e_j . phi) ^ phi = 6 B_ij e^{1..7}, g = (det B)^{-1/9} B,
+    with B from ``_top_pairing``."""
+    if phi.k != 3 or phi.n != 7:
+        raise StructureError("g2 metric needs a 3-form on n = 7")
+    field = phi.field
+    ints = [interior(VectorField.basis(7, field, i), phi) for i in range(1, 8)]
+    b = _top_pairing(ints, None, phi, field.scalar(Fraction(1, 6)))
     # phi fixes the orientation as well: B is definite w.r.t. exactly one
     # sign of the volume form when phi is positive.
     det = _mat_det(b, field)
@@ -337,7 +382,7 @@ def induced_metric_g2(phi: KForm, frame=None, field: Field | None = None) -> Fra
 def g2_assemble(phi: KForm, frame) -> GStructure:
     if frame.n != 7:
         raise StructureError("g2 needs n = 7")
-    geom = induced_metric_g2(phi, field=frame.field)
+    geom = induced_metric_g2(phi)
     _check_declared_metric(frame, geom)
     star_phi = hodge_star(phi, geom)
     return GStructure("g2", frame, geom, {"phi": phi, "star_phi": star_phi})
@@ -383,17 +428,21 @@ def _check_declared_metric(frame, geom: FrameGeometry):
 
 # -- irreducible projections ---------------------------------------------
 
-# (kind, degree of a) -> (slot of the defining form, c) in _vector_part
-_VECTOR_PART = {
-    ("g2", 3): ("phi", Fraction(-1, 4)),
-    ("spin7", 3): ("psi", Fraction(-1, 7)),
-    ("su3", 2): ("omega_plus", Fraction(-1, 2)),
-    ("su3", 3): ("omega", Fraction(1, 2)),
-}
+def project(structure: GStructure, a: KForm) -> dict:
+    """Split a 2- or 3-form into irreducible pieces for the structure kind.
+
+    Every piece is a closed formula from the kind's ``splits`` recipe
+    (``Eigen`` or ``Graded``).  Returns a dict of named components summing
+    exactly to ``a``; each component is re-verified against its defining
+    linear condition.  On SU(3), star(beta ^ omega) = -beta for beta in
+    Lambda^2_8.
+    """
+    return _split(structure, a)[0]
 
 
-def _vector_part(s: GStructure, a: KForm) -> KForm:
-    """The 1-form alpha of the vector-type piece of a 2- or 3-form ``a``:
+def _split(s: GStructure, a: KForm) -> tuple[dict, KForm | None]:
+    """``project``'s pieces of ``a`` and the vector-type 1-form alpha they
+    read (None for an eigen split), so no caller computes it again:
 
     G2      Lambda^3_7 = star(alpha ^ phi),     alpha = -1/4 star(a ^ phi);
     Spin(7) Lambda^3_8 = star(alpha ^ Psi),     alpha = -1/7 star(a ^ Psi);
@@ -403,89 +452,36 @@ def _vector_part(s: GStructure, a: KForm) -> KForm:
     with (J alpha)(X) = -alpha(JX).  Every other piece of ``a`` wedges to
     zero with that form, so alpha reads the vector-type piece alone.
     """
-    slot, c = _VECTOR_PART[s.kind, a.k]
-    alpha = hodge_star(wedge(a, s.form(slot)), s.geometry).scale(c)
-    return s.apply_j_oneform(alpha) if slot == "omega" else alpha
-
-
-def project(structure: GStructure, a: KForm) -> dict:
-    """Split a 2- or 3-form into irreducible pieces for the structure kind.
-
-    Every piece is a closed formula, the vector-type ones through
-    ``_vector_part``.  Returns a dict of named components summing exactly to
-    ``a``; each component is re-verified against its defining linear
-    condition.  On SU(3), star(beta ^ omega) = -beta for beta in Lambda^2_8.
-    """
-    return _split(structure, a)[0]
-
-
-def _split(structure: GStructure, a: KForm) -> tuple[dict, KForm | None]:
-    """``project``'s pieces of ``a`` and the ``_vector_part`` 1-form they
-    read (None for G2 and Spin(7) 2-forms), so no caller computes it again."""
-    kind = structure.kind
-    if kind not in ("g2", "spin7", "su3"):
-        raise StructureError(f"no projections for kind {kind!r}")
-    if a.k not in (2, 3):
-        raise StructureError(f"{kind} projections cover degrees 2 and 3 only")
-    alpha = _vector_part(structure, a) if (kind, a.k) in _VECTOR_PART else None
-    geom = structure.geometry
-    field = structure.field
-    if kind == "g2":
-        phi = structure.form("phi")
-        star_phi = structure.form("star_phi")
-        if a.k == 2:
-            t = hodge_star(wedge(a, phi), geom)
-            p7 = (t + a).scale(Fraction(1, 3))
-            p14 = a - p7
-            if not (wedge(p7, phi) - hodge_star(p7, geom).scale(2)).is_zero():
-                raise StructureError("Lambda^2_7 component fails its defining condition")
-            if not (wedge(p14, phi) + hodge_star(p14, geom)).is_zero():
-                raise StructureError("Lambda^2_14 component fails its defining condition")
-            return {"7": p7, "14": p14}, alpha
-        p1 = phi.scale(form_inner(a, phi, geom) / field.scalar(7))
-        p7 = hodge_star(wedge(alpha, phi), geom)
-        p27 = a - p1 - p7
-        if not wedge(p27, phi).is_zero() or not wedge(p27, star_phi).is_zero():
-            raise StructureError("Lambda^3_27 component fails its defining condition")
-        return {"1": p1, "7": p7, "27": p27}, alpha
-    if kind == "spin7":
-        psi = structure.form("psi")
-        if a.k == 2:
-            t = hodge_star(wedge(psi, a), geom)
-            p7 = (a - t).scale(Fraction(1, 4))
-            p21 = a - p7
-            if not (hodge_star(wedge(psi, p7), geom) + p7.scale(3)).is_zero():
-                raise StructureError("Lambda^2_7 component fails its defining condition")
-            if not (hodge_star(wedge(psi, p21), geom) - p21).is_zero():
-                raise StructureError("Lambda^2_21 component fails its defining condition")
-            return {"7": p7, "21": p21}, alpha
-        p8 = hodge_star(wedge(alpha, psi), geom)
-        p48 = a - p8
-        if not wedge(p48, psi).is_zero():
-            raise StructureError("Lambda^3_48 component fails its defining condition")
-        return {"8": p8, "48": p48}, alpha
-    omega = structure.form("omega")  # su3
-    op = structure.form("omega_plus")
-    om = structure.form("omega_minus")
-    if a.k == 2:
-        p1 = omega.scale(form_inner(a, omega, geom) / field.scalar(3))
-        p6 = hodge_star(wedge(alpha, op), geom)
-        p8 = a - p1 - p6
-        if not wedge(wedge(p8, omega), omega).is_zero() or not wedge(p8, op).is_zero():
-            raise StructureError("Lambda^2_8 component fails its defining condition")
-        return {"1": p1, "6": p6, "8": p8}, alpha
-    cplus = form_inner(a, op, geom) / field.scalar(4)
-    cminus = form_inner(a, om, geom) / field.scalar(4)
-    p11 = op.scale(cplus) + om.scale(cminus)
-    p6 = wedge(alpha, omega)
-    p12 = a - p11 - p6
-    if (
-        not wedge(p12, omega).is_zero()
-        or not wedge(p12, op).is_zero()
-        or not wedge(p12, om).is_zero()
-    ):
-        raise StructureError("Lambda^3_12 component fails its defining condition")
-    return {"1+1": p11, "6": p6, "12": p12}, alpha
+    splits = KINDS[s.kind].splits
+    if not splits:
+        raise StructureError(f"no projections for kind {s.kind!r}")
+    if a.k not in splits:
+        raise StructureError(f"{s.kind} projections cover degrees 2 and 3 only")
+    recipe, geom, field = splits[a.k], s.geometry, s.field
+    if isinstance(recipe, Eigen):
+        form = s.form(recipe.slot)
+        (n1, l1), (n2, l2) = recipe.pieces
+        p1 = (hodge_star(wedge(a, form), geom) - a.scale(l2)).scale(Fraction(1, l1 - l2))
+        parts, alpha = {n1: p1, n2: a - p1}, None
+        failed = [n for n, lam in recipe.pieces if hodge_star(wedge(parts[n], form), geom) != parts[n].scale(lam)]
+    else:
+        parts = {}
+        if recipe.scalar:
+            name, terms = recipe.scalar
+            multiples = [s.form(x).scale(form_inner(a, s.form(x), geom) / field.scalar(norm)) for x, norm in terms]
+            parts[name] = sum(multiples[1:], multiples[0])
+        name, slot, c = recipe.vector
+        form = s.form(slot)
+        alpha = hodge_star(wedge(a, form), geom).scale(c)
+        if form.k == 2:  # omega: alpha is read through J
+            alpha = s.apply_j_oneform(alpha)
+        parts[name] = wedge(alpha, form) if form.k == 2 else hodge_star(wedge(alpha, form), geom)
+        name, chains = recipe.rest
+        parts[name] = rest = sum((-p for p in parts.values()), a)
+        failed = [name] if any(not reduce(wedge, map(s.form, chain), rest).is_zero() for chain in chains) else []
+    if failed:
+        raise StructureError(f"Lambda^{a.k}_{failed[0]} component fails its defining condition")
+    return parts, alpha
 
 
 # -- torsion classes -------------------------------------------------------
@@ -586,7 +582,7 @@ def lee_form(s: GStructure) -> KForm:
     AH/SU(3): theta(X) = -1/2 sum_i H(JX, e_i, J e_i) computed from the
     skew torsion; G2: 4 tau1; Spin(7): the defining star formula.
     """
-    if s.kind in ("g2", "spin7"):
+    if not KINDS[s.kind].almost_complex:
         return s.torsion["lee"]
     field = s.field
     j = s.j_matrix
@@ -613,7 +609,7 @@ def nijenhuis(s: GStructure) -> KForm:
     sum_a J^a_i [e_a, e_b],
     N(e_i, e_j) = sum_b J^b_j q(i, b) - J(q(i, j) - q(j, i)) - [e_i, e_j].
     """
-    if s.kind not in ("ah", "su3"):
+    if not KINDS[s.kind].almost_complex:
         raise StructureError("Nijenhuis tensor needs an almost complex structure")
     field = s.field
     n = s.n
@@ -658,30 +654,28 @@ def bismut_torsion(s: GStructure, torsion: TorsionClasses | None = None) -> KFor
     AH/SU3: H = d^c omega + N (N must be skew);
     G2:     H = -star d phi + star(theta ^ phi) + (1/6)<d phi, star phi> phi,
             defined only when tau2 = 0;
-    Spin7:  H = -star d Psi + (7/6) star(theta ^ Psi).
+    Spin7:  H = -star d Psi + (7/6) star(theta ^ Psi),
+
+    the factor of star(theta ^ form) being the kind's ``lee_factor``.
 
     ``torsion`` defaults to the structure's own classes; pass other classes
     (say, with a flipped orientation) to evaluate the formula on them.
     Callers that want the structure's H read ``s.h``, which is built once.
     """
-    field = s.field
-    geom = s.geometry
-    if s.kind in ("ah", "su3"):
+    row = KINDS[s.kind]
+    if row.almost_complex:
         return d_c_omega(s) + s.nijenhuis
     torsion = torsion or s.torsion
-    if s.kind == "g2":
-        if not torsion["tau2"].is_zero():
-            raise StructureError("tau2 != 0: no skew-torsion connection for this G2 structure")
-        phi, star_phi = s.form("phi"), s.form("star_phi")
-        d_phi = s.d(phi)
-        theta = torsion["lee"]
-        return (
-            -hodge_star(d_phi, geom)
-            + hodge_star(wedge(theta, phi), geom)
-            + phi.scale(form_inner(d_phi, star_phi, geom) / field.scalar(6))
-        )
-    psi = s.form("psi")  # spin7, the one kind of KINDS left
-    return -hodge_star(s.d(psi), geom) + hodge_star(wedge(torsion["lee"], psi), geom).scale(Fraction(7, 6))
+    is_g2 = s.kind == "g2"
+    if is_g2 and not torsion["tau2"].is_zero():
+        raise StructureError("tau2 != 0: no skew-torsion connection for this G2 structure")
+    geom = s.geometry
+    form = s.form(row.slots[0][0])  # phi or Psi
+    d_form = s.d(form)
+    h = -hodge_star(d_form, geom) + hodge_star(wedge(torsion["lee"], form), geom).scale(row.lee_factor)
+    if is_g2:
+        h = h + form.scale(form_inner(d_form, s.form("star_phi"), geom) / s.field.scalar(6))
+    return h
 
 
 def solve_skew_torsion(s: GStructure) -> KForm:
@@ -719,7 +713,7 @@ def solve_skew_torsion(s: GStructure) -> KForm:
     zero, one = field.zero(), field.one()
     rows = []
     try:
-        for slot, *_ in KINDS[s.kind][1]:
+        for slot, *_ in KINDS[s.kind].slots:
             alpha = s.forms[slot]
             # lam[M]: row M of Lambda, and -nabla_i alpha[M] under key -1 - i
             lam: dict[int, dict] = {}
@@ -747,7 +741,7 @@ def solve_skew_torsion(s: GStructure) -> KForm:
 def bismut_ricci_form(s: GStructure) -> KForm:
     """rho(X,Y) = (1/2) sum_i R(X, Y, e_i, J e_i) for the Bismut connection;
     rho = 0 certifies reduced holonomy."""
-    if s.kind not in ("ah", "su3"):
+    if not KINDS[s.kind].almost_complex:
         raise StructureError("Bismut Ricci form needs an almost Hermitian structure")
     field = s.field
     n = s.n

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from gtorsion import registry
-from gtorsion.forms import FrameGeometry, KForm, VectorField, _mat_inverse
-from gtorsion.frames import LieAlgebraFrame, change_frame, transform_form
+from gtorsion.forms import FrameGeometry, KForm, VectorField, _mat_inverse, skew_three_form, wedge
+from gtorsion.frames import LieAlgebraFrame, _last_index, change_frame, transform_form
 from gtorsion.parser import parse
 from gtorsion.scalars import QuadraticField, RationalField
 
@@ -136,6 +136,70 @@ def random_posdef_geometry(n, field, rng):
             a[i][j] = field.scalar(Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
     g = [[sum((a[k][i] * a[k][j] for k in range(n)), field.zero()) for j in range(n)] for i in range(n)]
     return FrameGeometry(n, field, g)
+
+
+# -- dense and derived views of the sparse tensors, for tests only ---------
+
+
+def structure_constants(frame):
+    """Dense view c[k][i][j] = c^k_{ij} of ``frame.constants``."""
+    n = frame.n
+    c = [[[frame.field.zero()] * n for _ in range(n)] for _ in range(n)]
+    for (i, j, k), v in frame.constants.items():
+        c[k][i][j] = v
+    return c
+
+
+def lowered(conn, i, j, k, geom):
+    """<nabla_{e_i} e_j, e_k>_g with 0-based indices."""
+    return _last_index(conn.entries, geom, up=False).get((i, j, k), conn.frame.field.zero())
+
+
+def metric_compatible(conn, geom) -> bool:
+    low = _last_index(conn.entries, geom, up=False)
+    zero = conn.frame.field.zero()
+    return all((v + low.get((i, k, j), zero)).is_zero() for (i, j, k), v in low.items())
+
+
+def torsion_form(conn) -> KForm:
+    """g(T(X,Y), Z) of a connection with totally skew torsion, as a 3-form."""
+    frame = conn.frame
+    low = _last_index(conn.entries, frame.geometry, up=False)
+    c = _last_index(frame.constants, frame.geometry, up=False)
+    zero = frame.field.zero()
+    h = skew_three_form(
+        frame.n, frame.field,
+        lambda i, j, k: low.get((i, j, k), zero) - low.get((j, i, k), zero) - c.get((i, j, k), zero),
+    )
+    assert h is not None, "connection torsion is not totally skew"
+    return h
+
+
+def riemann_r(cur, i, j, k) -> VectorField:
+    """R(e_i, e_j) e_k from the i < j entries of a ``CurvatureData``."""
+    zero = cur.field.zero()
+    if i == j:
+        return VectorField.zero(cur.n, cur.field)
+    a, b = (i, j) if i < j else (j, i)
+    comps = [cur.entries.get((a, b, k, l), zero) for l in range(cur.n)]
+    return VectorField(cur.n, cur.field, comps if i < j else [-v for v in comps])
+
+
+def riemann(cur):
+    """Dense view: riemann(cur)[i][j][k] is R(e_i, e_j) e_k."""
+    n = cur.n
+    return [[[riemann_r(cur, i, j, k) for k in range(n)] for j in range(n)] for i in range(n)]
+
+
+def bianchi(data) -> KForm:
+    """dH of a ``SolitonData``, plus F ^ F when it carries a flux."""
+    out = data.frame.d(data.h)
+    return out if data.flux is None else out + wedge(data.flux, data.flux)
+
+
+def nonzero_names(torsion) -> list:
+    """Names of the nonzero torsion classes, in report order."""
+    return [name for name, val in torsion.components.items() if not val.is_zero()]
 
 
 @pytest.fixture

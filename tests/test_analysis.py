@@ -1,5 +1,6 @@
 """Compute-once analysis: a verdict builds each structure's torsion classes
-(read off ``project``'s split), H and connections once, the oracle stays
+(read off ``project``'s split), H and connections once, both induced
+metrics take no wedge beyond their checks, the oracle stays
 independent of H, builds one derivation per index pair, reduces each form's
 derivation matrix once, solves n*r rows and agrees with H off a diagonal
 metric, and a verdict leaves no cyclic garbage behind."""
@@ -81,6 +82,23 @@ def test_g2_metric_makes_no_wedge(monkeypatch):
     assert not wedges
 
 
+def test_su3_metric_makes_no_wedge(monkeypatch):
+    # the metric is one top-degree pairing; the wedges left are the checks
+    # omega ^ Omega+, omega ^ omega, omega^2 ^ omega and Omega+ ^ Omega-
+    doc = parse(registry.input_text("nonintsu3"))
+    s = doc.structure()
+    wedges = collections.Counter()
+    orig = structures.wedge
+
+    def wedge(a, b):
+        wedges[a.k, b.k] += 1
+        return orig(a, b)
+
+    monkeypatch.setattr(structures, "wedge", wedge)
+    structures.su3_assemble(s.form("omega"), s.form("omega_plus"), doc.frame())
+    assert dict(wedges) == {(2, 3): 1, (2, 2): 1, (4, 2): 1, (3, 3): 1}
+
+
 def test_nijenhuis_makes_no_bracket(monkeypatch):
     # N reads the structure constants, also on a transverse slice
     reduced = reduction.reduce_g2(parse(registry.input_text("nonintG2")).structure()).reduced_structure
@@ -102,20 +120,40 @@ def test_nijenhuis_makes_no_bracket(monkeypatch):
 @pytest.mark.parametrize("name", registry.names())
 def test_torsion_classes_read_off_project_once(monkeypatch, name):
     # the solver splits d of each defining form once through project's
-    # _split, which also returns the vector-type 1-form (su3: d omega,
-    # star d Omega+ and star d Omega-; g2: star d phi and star d star phi;
-    # spin7: star d Psi), and a check verdict builds the classes once
+    # _split (su3: d omega, star d Omega+ and star d Omega-; g2: star d phi
+    # and star d star phi; spin7: star d Psi), each split that reads a
+    # vector-type 1-form stars one 1-form and returns it, and a check
+    # verdict builds the classes once
     doc = parse(registry.input_text(name))
     s = doc.structure()
     solver, splits = {"su3": ("torsion_su3", 3), "g2": ("torsion_g2", 2), "spin7": ("torsion_spin7", 1)}[s.kind]
     torsion = _count_calls(monkeypatch, solver)
-    proj = _count_calls(monkeypatch, "_split")  # keyed by structure
-    vector = _count_calls(monkeypatch, "_vector_part")
+    split, star = structures._split, structures.hodge_star
+    inside, proj, stars, read = [], collections.Counter(), collections.Counter(), collections.Counter()
+
+    def counted_split(t, a):
+        inside.append(t)
+        try:
+            parts, alpha = split(t, a)
+        finally:
+            inside.pop()
+        proj[t] += 1
+        read[t] += alpha is not None
+        return parts, alpha
+
+    def counted_star(a, geom):
+        out = star(a, geom)
+        if inside and out.k == 1:
+            stars[inside[-1]] += 1
+        return out
+
+    monkeypatch.setattr(structures, "_split", counted_split)
+    monkeypatch.setattr(structures, "hodge_star", counted_star)
     engine.run_check(doc)
     assert dict(torsion) == {s: 1}
     assert dict(proj) == {s: splits}
     # one vector-type 1-form per split that reads one: all but g2's 2-form
-    assert dict(vector) == {s: splits - (s.kind == "g2")}
+    assert dict(stars) == dict(read) == {s: splits - (s.kind == "g2")}
 
 
 def test_oracle_never_reads_h(monkeypatch):

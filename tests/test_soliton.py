@@ -11,6 +11,7 @@ from conftest import (
     random_kform,
     random_vector,
     su2su2u1_frame,
+    bianchi,
 )
 from gtorsion.forms import FrameGeometry, KForm, VectorField, musical_inv, wedge
 from gtorsion.frames import LieAlgebraFrame
@@ -108,7 +109,7 @@ def test_bianchi_slot():
     f = KForm.from_terms(7, Q, [((1, 2), 1)])
     h = KForm.zero(7, 3, Q)
     data = SolitonData(fr, h, VectorField.zero(7, Q), f=f)
-    assert data.bianchi() == wedge(f, f)
+    assert bianchi(data) == wedge(f, f)
 
 
 # -- weighted scalar -------------------------------------------------------------

@@ -18,6 +18,8 @@ from conftest import (
     rotation_matrix,
     su2su2_frame,
     su2su2u1_frame,
+    riemann,
+    riemann_r,
 )
 from gtorsion.forms import FrameGeometry, _mat_inverse, _masks, form_inner, hodge_star, indices_of
 from gtorsion.frames import LieAlgebraFrame, bismut_connection, curvature, levi_civita
@@ -113,18 +115,18 @@ def test_sparse_connections_and_curvature_match_dense_formula(rng, base, metric)
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    assert list(cur.r(i, j, k).components) == r[i][j][k]
+                    assert list(riemann_r(cur, i, j, k).components) == r[i][j][k]
         assert cur.ricci == ric
-        assert cur.is_flat() == all(x.is_zero() for a in r for b in a for cc in b for x in cc)
+        assert (not cur.entries) == all(x.is_zero() for a in r for b in a for cc in b for x in cc)
 
 
 @pytest.mark.parametrize("metric", ["identity", "lam2", "spd"])
 def test_scalar_curvature_is_trace_of_full_ricci(rng, metric):
     fr = _with_metric(su2su2u1_frame(), metric, rng)
     n = fr.n
-    riemann = curvature(fr, levi_civita(fr)).riemann
+    rm = riemann(curvature(fr, levi_civita(fr)))
     ginv = _mat_inverse(fr.geometry.metric, Q)
-    ricci = [[sum((riemann[a][j][k].components[a] for a in range(n)), Q.zero()) for k in range(n)] for j in range(n)]
+    ricci = [[sum((rm[a][j][k].components[a] for a in range(n)), Q.zero()) for k in range(n)] for j in range(n)]
     full = sum((ginv[j][k] * ricci[j][k] for j in range(n) for k in range(n)), Q.zero())
     assert scalar_curvature(fr) == full
     assert not full.is_zero()
