@@ -5,8 +5,16 @@ Basis k-vectors are index subsets of {1..n} encoded as n-bit masks
 single field; missing masks mean zero.  All values are immutable and all
 operations are pure.  A diagonal metric takes one fast path (see
 ``FrameGeometry``): Gram minors are products, so the star and inner
-products cost O(n) per component.  Sums of products accumulate through
-``scalars._mac``, one normalization per output mask.
+products cost O(n) per component, and the identity metric raises no index
+at all.  Sums of products accumulate through ``scalars._mac``, one
+normalization per output mask.
+
+Kernel outputs skip the public constructor's checks: ``_trusted`` wraps
+coefficients that ``_settle`` returned (nonzero, on masks of the output
+degree) or that come from a checked form.  Merge signs and index tuples
+are read from two lazily filled module-level tables, ``_ODD`` and
+``_INDICES``; their keys are masks of n <= 8 bits, so they never hold more
+than 3^8 and 2^8 entries, and nothing is built at import.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .linsolve import back_substitute, eliminate
-from .scalars import Field, GTorsionError, NotRepresentable, Scalar, _mac, _settle
+from .scalars import Field, FieldMismatch, GTorsionError, NotRepresentable, Scalar, _mac, _settle
 
 __all__ = [
     "KForm",
@@ -53,14 +61,8 @@ def mask_of(indices: Iterable[int]) -> int:
 
 
 def indices_of(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    """The indices of a mask, ascending and 1-based."""
+    return _INDICES[mask]
 
 
 def _merge_sign(a: int, b: int) -> int:
@@ -71,6 +73,34 @@ def _merge_sign(a: int, b: int) -> int:
         parity += (a & -(low << 1)).bit_count()  # bits of a above this bit of b
         b ^= low
     return -1 if parity & 1 else 1
+
+
+class _Lazy(dict):
+    """A module-level table that computes each missing key once with
+    ``fill`` and keeps it."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+# disjoint masks a, b keyed a << 8 | b -> True when sorting a + b is odd
+_ODD = _Lazy(lambda key: _merge_sign(key >> 8, key & 0xFF) < 0)
+_INDICES = _Lazy(lambda mask: tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1))
+_new = object.__new__
+
+
+def _trusted(n: int, k: int, field: Field, coeffs: dict) -> "KForm":
+    """A KForm over ``coeffs`` without the public constructor's checks: every
+    value is a nonzero Scalar on a mask of k bits, as ``_settle`` returns
+    them or as a checked form holds them."""
+    form = _new(KForm)
+    form.n, form.k, form.field, form.coeffs = n, k, field, coeffs
+    return form
 
 
 class KForm:
@@ -129,21 +159,38 @@ class KForm:
     # -- ring structure --------------------------------------------------
 
     def __add__(self, other: "KForm") -> "KForm":
-        self._check_compatible(other)
-        acc = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            acc[m] = acc.get(m, self.field.zero()) + c
-        return KForm(self.n, self.k, self.field, acc)
+        return self._plus(other, False)
 
     def __sub__(self, other: "KForm") -> "KForm":
-        return self + (-other)
+        return self._plus(other, True)
+
+    def _plus(self, other: "KForm", negate: bool) -> "KForm":
+        """self + other, or self - other when ``negate``; sums that cancel
+        are dropped."""
+        self._check_compatible(other)
+        field = self.field
+        acc = dict(self.coeffs)
+        for m, c in other.coeffs.items():
+            t = acc.get(m)
+            if t is not None:
+                t = t - c if negate else t + c
+                if t.is_zero():
+                    del acc[m]
+                else:
+                    acc[m] = t
+            elif c.field is not field:
+                raise FieldMismatch(f"mixed-field arithmetic: {field!r} vs {c.field!r}")
+            else:
+                acc[m] = -c if negate else c
+        return _trusted(self.n, self.k, field, acc)
 
     def __neg__(self) -> "KForm":
-        return KForm(self.n, self.k, self.field, {m: -c for m, c in self.coeffs.items()})
+        return _trusted(self.n, self.k, self.field, {m: -c for m, c in self.coeffs.items()})
 
     def scale(self, c) -> "KForm":
         s = self.field.scalar(c) if not isinstance(c, Scalar) else c
-        return KForm(self.n, self.k, self.field, {m: v * s for m, v in self.coeffs.items()})
+        coeffs = {} if s.is_zero() else {m: v * s for m, v in self.coeffs.items()}
+        return _trusted(self.n, self.k, self.field, coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KForm):
@@ -297,7 +344,7 @@ class FrameGeometry:
         one = self.field.one()
         return tuple(one if x is one else _unit(x.inverse()) for x in d)
 
-    @property
+    @cached_property
     def _is_identity(self) -> bool:
         d = self.diagonal
         return d is not None and all(x is self.field.one() for x in d)
@@ -368,8 +415,8 @@ class FrameGeometry:
         cached = self._gram_cache.get(key)
         if cached is not None:
             return cached
-        ai = indices_of(a_mask)
-        bi = indices_of(b_mask)
+        ai = _INDICES[a_mask]
+        bi = _INDICES[b_mask]
         if len(ai) != len(bi):
             raise GeometryError("gram of different-size subsets")
         one = self.field.one()
@@ -422,11 +469,13 @@ def wedge(a: KForm, b: KForm) -> KForm:
     if k > a.n:
         return KForm.zero(a.n, a.n, a.field)  # convention: top-degree zero
     acc: dict[int, list] = {}
+    odd = _ODD
     for ma, ca in a.coeffs.items():
+        high = ma << 8
         for mb, cb in b.coeffs.items():
             if not ma & mb:
-                _mac(acc, ma | mb, ca, cb, _merge_sign(ma, mb) < 0)
-    return KForm(a.n, k, a.field, _settle(a.field, acc))
+                _mac(acc, ma | mb, ca, cb, odd[high | mb])
+    return _trusted(a.n, k, a.field, _settle(a.field, acc))
 
 
 def interior(x: VectorField, a: KForm) -> KForm:
@@ -445,7 +494,7 @@ def interior(x: VectorField, a: KForm) -> KForm:
                 _mac(acc, m ^ low, c, comp, pos & 1)
             pos += 1
             mm ^= low
-    return KForm(a.n, a.k - 1, a.field, _settle(a.field, acc))
+    return _trusted(a.n, a.k - 1, a.field, _settle(a.field, acc))
 
 
 def derivation(a: KForm, action) -> KForm:
@@ -468,7 +517,7 @@ def derivation(a: KForm, action) -> KForm:
                 bit = 1 << t
                 if not rest & bit:
                     _mac(acc, rest | bit, c, v, (lead + (rest & (bit - 1)).bit_count()) & 1)
-    return KForm(a.n, a.k, a.field, _settle(a.field, acc))
+    return _trusted(a.n, a.k, a.field, _settle(a.field, acc))
 
 
 def skew_three_form(n: int, field: Field, t) -> KForm | None:
@@ -490,13 +539,16 @@ def skew_three_form(n: int, field: Field, t) -> KForm | None:
                     return None
                 if not v.is_zero():
                     coeffs[(1 << i) | (1 << j) | (1 << k)] = v
-    return KForm(n, 3, field, coeffs)
+    return _trusted(n, 3, field, coeffs)
 
 
 def _raised(a: KForm, geom: FrameGeometry) -> dict[int, Scalar]:
     """The nonzero components a^I = <e^I, a> of ``a`` with every index raised
-    by g, keyed by mask: a_I prod 1/g_ii for a diagonal metric, otherwise a
+    by g, keyed by mask: a's own coefficients for the identity metric (read
+    them, never write them), a_I prod 1/g_ii for a diagonal one, otherwise a
     sum over Gram minors."""
+    if geom._is_identity:
+        return a.coeffs
     one = a.field.one()
     if geom.diagonal is not None:
         out = {}
@@ -530,12 +582,17 @@ def hodge_star(a: KForm, geom: FrameGeometry) -> KForm:
     n = a.n
     full = (1 << n) - 1
     rho = geom.sqrt_det() * geom.orientation_sign
+    # rho = +-1 (any unimodular metric) only flips signs
+    unit = rho.den == 1 and not rho.q and rho.p in (1, -1)
+    flip = unit and rho.p < 0
+    odd = _ODD
     acc: dict[int, Scalar] = {}
     for m, c in _raised(a, geom).items():
         comp = full ^ m
-        term = c * rho
-        acc[comp] = term if _merge_sign(m, comp) > 0 else -term
-    return KForm(n, n - a.k, a.field, acc)
+        if not unit:
+            c = c * rho
+        acc[comp] = -c if odd[m << 8 | comp] is not flip else c
+    return _trusted(n, n - a.k, a.field, acc)
 
 
 def _masks(n: int, k: int):
@@ -594,9 +651,9 @@ def contract_2_3(f: KForm, h: KForm, geom: FrameGeometry) -> KForm:
     # H_pqr e^{pqr}, pair (p, q) meets Z = r, (p, r) meets -q, (q, r) meets p
     acc: dict[int, list] = {}
     for m, hv in h.coeffs.items():
-        p, q, r = (1 << (i - 1) for i in indices_of(m))
+        p, q, r = (1 << (i - 1) for i in _INDICES[m])
         for pair, z, neg in ((p | q, r, False), (p | r, q, True), (q | r, p, False)):
             fv = fup.get(pair)
             if fv is not None:
                 _mac(acc, z, fv, hv, neg)
-    return KForm(f.n, 1, field, _settle(field, acc))
+    return _trusted(f.n, 1, field, _settle(field, acc))

@@ -7,6 +7,8 @@ per frame), the connection symbols Gamma^l_{ij} and the Riemann components.
 So d, Levi-Civita, Bismut and curvature cost products of nonzero entries
 only, and a flat connection costs almost nothing.  Their sums of products
 accumulate through ``scalars._mac``, one normalization per output entry.
+A change of frame moves a form by the minors of the change-of-basis matrix
+(Cauchy-Binet), one accumulation per form, with no wedge.
 """
 
 from __future__ import annotations
@@ -15,18 +17,19 @@ from fractions import Fraction
 from functools import cached_property
 
 from .forms import (
+    _INDICES,
+    _ODD,
     FrameGeometry,
     GeometryError,
     KForm,
     VectorField,
     _mat_det,
     _mat_inverse,
-    _merge_sign,
+    _trusted,
     derivation,
     hodge_star,
     indices_of,
     skew_three_form,
-    wedge,
 )
 from .scalars import Field, GTorsionError, Scalar, _mac, _settle
 
@@ -197,13 +200,14 @@ def ce_differential(frame: LieAlgebraFrame, a: KForm) -> KForm:
     if a.k >= n:
         return KForm.zero(n, min(a.k + 1, n), field)
     acc: dict[int, list] = {}
+    odd, coframe_d = _ODD, frame.coframe_d
     for m, coef in a.coeffs.items():
-        for p, ip in enumerate(indices_of(m)):
+        for p, ip in enumerate(_INDICES[m]):
             rest = m ^ (1 << (ip - 1))
-            for md, cd in frame.coframe_d[ip - 1].coeffs.items():
+            for md, cd in coframe_d[ip - 1].coeffs.items():
                 if not md & rest:
-                    _mac(acc, md | rest, coef, cd, (p & 1) != (_merge_sign(md, rest) < 0))
-    return KForm(n, a.k + 1, field, _settle(field, acc))
+                    _mac(acc, md | rest, coef, cd, (p & 1) != odd[md << 8 | rest])
+    return _trusted(n, a.k + 1, field, _settle(field, acc))
 
 
 def codifferential(frame, a: KForm, geom: FrameGeometry | None = None) -> KForm:
@@ -334,10 +338,14 @@ def change_frame(frame: LieAlgebraFrame, a_rows, new_labels=None, base_geometry:
     # d e^j in the f basis, via the old coframe in the new: e^j = sum_i ainv[j][i] f^i
     d_old = [transform_form(d, ainv, field) for d in frame.coframe_d]
     # d f^i = sum_j A[i][j] d e^j
-    new_d = [
-        sum((d.scale(x) for x, d in zip(row, d_old) if not x.is_zero()), KForm.zero(n, 2, field))
-        for row in a
-    ]
+    new_d = []
+    for row in a:
+        acc = {}
+        for x, d in zip(row, d_old):
+            if not x.is_zero():
+                for m, c in d.coeffs.items():
+                    _mac(acc, m, x, c, False)
+        new_d.append(_trusted(n, 2, field, _settle(field, acc)))
     # dual vectors: F_i = sum_k B[i][k] E_k with B = (A^{-1})^T
     b = [[ainv[k][i] for k in range(n)] for i in range(n)]
     gnew = transform_bilinear(base.metric, b, field)
@@ -350,20 +358,47 @@ def change_frame(frame: LieAlgebraFrame, a_rows, new_labels=None, base_geometry:
 
 def transform_form(form: KForm, old_in_new, field: Field) -> KForm:
     """Rewrite a form given the old coframe expressed in a new one:
-    e^j = sum_i old_in_new[j][i] f^i."""
-    n = form.n
-    one_forms = [
-        KForm(n, 1, field, {1 << i: old_in_new[j][i] for i in range(n) if not old_in_new[j][i].is_zero()})
-        for j in range(n)
-    ]
-    out = KForm.zero(n, form.k, field)
-    for m, coef in form.coeffs.items():
-        idx = indices_of(m)
-        piece = KForm.scalar_form(n, field, 1)
-        for i in idx:
-            piece = wedge(piece, one_forms[i - 1])
-        out = out + piece.scale(coef)
+    e^j = sum_i old_in_new[j][i] f^i.
+
+    By Cauchy-Binet, c e^I goes to sum_J c det M[I, J] f^J with M =
+    old_in_new.  The minors of I without its last index are expanded once
+    per call and kept in a table local to the call; each term then wedges
+    its last row of M onto them straight into the one output accumulator.
+    """
+    n, k = form.n, form.k
+    if k == 0:
+        return _trusted(n, 0, field, dict(form.coeffs))
+    rows = [[(1 << i, x) for i, x in enumerate(row) if not x.is_zero()] for row in old_in_new]
+    minors = {0: {0: field.one()}}
+    acc = {}
+    for mask, coef in form.coeffs.items():
+        top = mask.bit_length() - 1
+        _wedge_row(acc, _minors(mask ^ (1 << top), minors, rows, field), coef, rows[top])
+    return _trusted(n, k, field, _settle(field, acc))
+
+
+def _minors(mask: int, minors: dict, rows, field: Field) -> dict:
+    """The nonzero minors {J: det M[I, J]} of the rows I in ``mask``, kept
+    in ``minors``: those of the rows below its top row, wedged with the top
+    row."""
+    out = minors.get(mask)
+    if out is None:
+        top = mask.bit_length() - 1
+        acc = {}
+        _wedge_row(acc, _minors(mask ^ (1 << top), minors, rows, field), field.one(), rows[top])
+        out = minors[mask] = _settle(field, acc)
     return out
+
+
+def _wedge_row(acc: dict, minors: dict, c: Scalar, row) -> None:
+    """acc += c (sum_J minors[J] f^J) ^ (sum_i x_i f^i) for ``row`` the
+    pairs (bit of i, x_i): f^i moves past the bits of J above it."""
+    odd, one = _ODD, c.field.one()
+    for jm, d in minors.items():
+        cd = d if c is one else c if d is one else c * d
+        for bit, x in row:
+            if not jm & bit:
+                _mac(acc, jm | bit, cd, x, odd[jm << 8 | bit])
 
 
 def transform_bilinear(m, b_rows, field: Field):

@@ -11,12 +11,13 @@ sides: the torsion oracle reduces each structure form's derivation matrix
 against n of them at once (rank 7 in at most 70 rows for Spin(7)), and
 ``solve_unique_sparse`` runs the same loop on the n*r rows left (56 for
 Spin(7)).  Row updates go through the scalar accumulator (``scalars._mac``),
-the one multiply-accumulate path: each entry is normalized once.
+the one multiply-accumulate path: each entry is normalized once, a new
+pivot's entries together with their division by its lead.
 """
 
 from __future__ import annotations
 
-from .scalars import Field, Scalar, _mac, _settle
+from .scalars import Field, Scalar, _mac, _settle, _settle_over
 
 __all__ = ["eliminate", "back_substitute", "echelon", "solve_unique_sparse", "LinearSolveError", "InconsistentSystem"]
 
@@ -93,15 +94,13 @@ def echelon(rows, field: Field) -> dict[int, dict]:
         for c, f in row.items():
             for k, v in pivots[c].items() if c in pivots else ((c, one),):
                 _mac(acc, k, f, v, c in pivots)
-        new = _settle(field, acc)
         # the last column: on the oracle's systems this leaves less fill than the first
-        lead = max(new, default=_RHS)
+        lead = max((c for c, (p, q, _) in acc.items() if p or q), default=_RHS)
         if lead < 0:
-            if new:
+            if any(p or q for p, q, _ in acc.values()):
                 raise InconsistentSystem("no solution")
             continue
-        inv = new.pop(lead).inverse()
-        new = {c: v * inv for c, v in new.items()}
+        new = _settle_over(field, acc, lead)  # scaled to a leading 1 as it settles
         for piv in pivots.values():
             f = piv.pop(lead, None)
             if f is not None:

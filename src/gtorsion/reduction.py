@@ -31,6 +31,7 @@ from .forms import (
     KForm,
     VectorField,
     _mat_inverse,
+    _trusted,
     contract_2_3,
     hodge_star,
     indices_of,
@@ -195,14 +196,14 @@ class TransverseSlice:
         self.labels = amb.labels[: self.n]
 
     def embed(self, a: KForm) -> KForm:
-        return KForm(self.ambient.n, a.k, self.field, dict(a.coeffs))
+        return _trusted(self.ambient.n, a.k, self.field, dict(a.coeffs))
 
     def restrict(self, a: KForm, context: str = "form") -> KForm:
         mu_bit = 1 << (self.ambient.n - 1)
         for mask in a.coeffs:
             if mask & mu_bit:
                 raise ReductionError(f"{context} is not basic: carries a mu component")
-        return KForm(self.n, a.k, self.field, dict(a.coeffs))
+        return _trusted(self.n, a.k, self.field, dict(a.coeffs))
 
     def d(self, a: KForm) -> KForm:
         amb = self.embed(a)
@@ -215,7 +216,7 @@ class TransverseSlice:
                     "quotient differential left the basic complex at generator "
                     + "^".join(self.ambient.labels[i - 1] for i in bad)
                 )
-        return KForm(self.n, a.k + 1, self.field, dict(da.coeffs))
+        return _trusted(self.n, a.k + 1, self.field, dict(da.coeffs))
 
     @cached_property
     def constants(self) -> dict:
@@ -236,7 +237,7 @@ class TransverseSlice:
         for i in range(m):
             amb = self.ambient.coframe_d[i]
             kept = {mask: c for mask, c in amb.coeffs.items() if not mask & mu_bit}
-            dlist.append(KForm(m, 2, self.field, kept))
+            dlist.append(_trusted(m, 2, self.field, kept))
         return LieAlgebraFrame(list(self.labels), dlist, self.geometry)
 
 
@@ -619,4 +620,4 @@ def central_extend(frame: LieAlgebraFrame, structure: GStructure, flux: KForm, t
 
 def _shift(form: KForm) -> KForm:
     """The form in the frame (e0, e1, ..., en): every index moves up by one."""
-    return KForm(form.n + 1, form.k, form.field, {m << 1: c for m, c in form.coeffs.items()})
+    return _trusted(form.n + 1, form.k, form.field, {m << 1: c for m, c in form.coeffs.items()})

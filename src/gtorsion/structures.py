@@ -20,13 +20,15 @@ from functools import cached_property, reduce
 from typing import NamedTuple
 
 from .forms import (
+    _ODD,
     FrameGeometry,
     GeometryError,
     KForm,
     VectorField,
     _mat_det,
     _masks,
-    _merge_sign,
+    _trusted,
+    contract_2_3,
     derivation,
     form_inner,
     hodge_star,
@@ -324,7 +326,11 @@ def _top_pairing(a: list, b: list | None, form: KForm, c) -> list:
     """
     field = form.field
     full = (1 << form.n) - 1
-    comp = {full ^ m: x * c * _merge_sign(full ^ m, m) for m, x in form.coeffs.items()}
+    odd = _ODD
+    comp = {}
+    for m, x in form.coeffs.items():
+        xc = x * c
+        comp[full ^ m] = -xc if odd[(full ^ m) << 8 | m] else xc
     rows = b or a
     acc = {}
     for i, ai in enumerate(a):
@@ -332,7 +338,7 @@ def _top_pairing(a: list, b: list | None, form: KForm, c) -> list:
         for ma, ca in ai.coeffs.items():
             for m, cm in comp.items():
                 if m & ma == ma:
-                    _mac(u, m ^ ma, ca, cm, _merge_sign(ma, m ^ ma) < 0)
+                    _mac(u, m ^ ma, ca, cm, odd[ma << 8 | (m ^ ma)])
         u = _settle(field, u)
         for j in range(0 if b else i, len(rows)):
             for mb, cb in rows[j].coeffs.items():
@@ -440,9 +446,11 @@ def project(structure: GStructure, a: KForm) -> dict:
     return _split(structure, a)[0]
 
 
-def _split(s: GStructure, a: KForm) -> tuple[dict, KForm | None]:
-    """``project``'s pieces of ``a`` and the vector-type 1-form alpha they
-    read (None for an eigen split), so no caller computes it again:
+def _split(s: GStructure, a: KForm) -> tuple[dict, KForm | None, tuple]:
+    """``project``'s pieces of ``a``, the vector-type 1-form alpha they read
+    (None for an eigen split) and the inner products <a, form> of the scalar
+    pieces in recipe order (empty when there are none), so no caller
+    computes them again:
 
     G2      Lambda^3_7 = star(alpha ^ phi),     alpha = -1/4 star(a ^ phi);
     Spin(7) Lambda^3_8 = star(alpha ^ Psi),     alpha = -1/7 star(a ^ Psi);
@@ -462,13 +470,14 @@ def _split(s: GStructure, a: KForm) -> tuple[dict, KForm | None]:
         form = s.form(recipe.slot)
         (n1, l1), (n2, l2) = recipe.pieces
         p1 = (hodge_star(wedge(a, form), geom) - a.scale(l2)).scale(Fraction(1, l1 - l2))
-        parts, alpha = {n1: p1, n2: a - p1}, None
+        parts, alpha, inner = {n1: p1, n2: a - p1}, None, ()
         failed = [n for n, lam in recipe.pieces if hodge_star(wedge(parts[n], form), geom) != parts[n].scale(lam)]
     else:
-        parts = {}
+        parts, inner = {}, ()
         if recipe.scalar:
             name, terms = recipe.scalar
-            multiples = [s.form(x).scale(form_inner(a, s.form(x), geom) / field.scalar(norm)) for x, norm in terms]
+            inner = tuple(form_inner(a, s.form(x), geom) for x, _ in terms)
+            multiples = [s.form(x).scale(v / field.scalar(norm)) for (x, norm), v in zip(terms, inner)]
             parts[name] = sum(multiples[1:], multiples[0])
         name, slot, c = recipe.vector
         form = s.form(slot)
@@ -481,7 +490,7 @@ def _split(s: GStructure, a: KForm) -> tuple[dict, KForm | None]:
         failed = [name] if any(not reduce(wedge, map(s.form, chain), rest).is_zero() for chain in chains) else []
     if failed:
         raise StructureError(f"Lambda^{a.k}_{failed[0]} component fails its defining condition")
-    return parts, alpha
+    return parts, alpha, inner
 
 
 # -- torsion classes -------------------------------------------------------
@@ -492,7 +501,8 @@ def torsion_su3(s: GStructure) -> TorsionClasses:
     d omega  = -(3/2) sigma0 Omega+ + (3/2) pi0 Omega- + nu1 ^ omega + nu3
     d Omega+ = pi0 omega^2 + pi1 ^ Omega+ - pi2 ^ omega
     d Omega- = sigma0 omega^2 + (J pi1) ^ Omega+ - sigma2 ^ omega,
-    read off ``_split``: nu1 and nu3 from d omega; pi1 and pi2 from
+    read off ``_split``: sigma0, pi0 (from <d omega, Omega+-> of its
+    Lambda^3_{1+1} piece), nu1 and nu3 from d omega; pi1 and pi2 from
     star d Omega+ = 2 pi0 omega + star(pi1 ^ Omega+) + pi2; sigma2 from
     star d Omega- likewise.  The reconstructions are verified exactly.
     """
@@ -502,15 +512,15 @@ def torsion_su3(s: GStructure) -> TorsionClasses:
     d_omega, d_op, d_om = s.d(omega), s.d(op), s.d(om)
     om2 = wedge(omega, omega)
 
-    sigma0 = -(form_inner(d_omega, op, geom)) / field.scalar(6)
-    pi0 = form_inner(d_omega, om, geom) / field.scalar(6)
-    split, nu1 = _split(s, d_omega)
+    split, nu1, (with_op, with_om) = _split(s, d_omega)
+    sigma0 = -with_op / field.scalar(6)
+    pi0 = with_om / field.scalar(6)
     nu3 = split["12"]
 
     pi0_b = form_inner(d_op, om2, geom) / field.scalar(12)
     if not (pi0 - pi0_b).is_zero():
         raise StructureError("inconsistent pi0 between d omega and d Omega+")
-    split, pi1 = _split(s, hodge_star(d_op, geom))
+    split, pi1, _ = _split(s, hodge_star(d_op, geom))
     pi2 = split["8"]
 
     sigma0_b = form_inner(d_om, om2, geom) / field.scalar(12)
@@ -553,7 +563,7 @@ def torsion_g2(s: GStructure) -> TorsionClasses:
     d_phi, d_star = s.d(phi), s.d(star_phi)
     star_d_phi = hodge_star(d_phi, geom)
     tau0 = form_inner(d_phi, star_phi, geom) / field.scalar(7)
-    split, alpha = _split(s, star_d_phi)
+    split, alpha, _ = _split(s, star_d_phi)
     tau1 = alpha.scale(Fraction(1, 3))
     tau3 = split["27"]
     tau2 = -_split(s, hodge_star(d_star, geom))[0]["14"]
@@ -571,7 +581,7 @@ def torsion_spin7(s: GStructure) -> TorsionClasses:
     """dPsi = theta ^ Psi + zeta5, read off ``_split``:
     star dPsi = star(theta ^ Psi) + star zeta5."""
     geom = s.geometry
-    split, lee = _split(s, hodge_star(s.d(s.form("psi")), geom))
+    split, lee, _ = _split(s, hodge_star(s.d(s.form("psi")), geom))
     zeta5 = -hodge_star(split["48"], geom)  # star star = -1 on 3-forms, n = 8
     return TorsionClasses("spin7", {"lee": lee, "zeta5": zeta5})
 
@@ -579,27 +589,15 @@ def torsion_spin7(s: GStructure) -> TorsionClasses:
 def lee_form(s: GStructure) -> KForm:
     """The structure's Lee form.
 
-    AH/SU(3): theta(X) = -1/2 sum_i H(JX, e_i, J e_i) computed from the
-    skew torsion; G2: 4 tau1; Spin(7): the defining star formula.
+    AH/SU(3): theta(X) = 1/2 sum_{a,b} omega^{ab} H(e_a, e_b, JX), the
+    contraction <omega, H> pulled back by J, with omega's indices raised by
+    g, so any frame gives the same theta (on an orthonormal one it is
+    -1/2 sum_i H(JX, e_i, J e_i)); G2: 4 tau1; Spin(7): the defining star
+    formula.
     """
     if not KINDS[s.kind].almost_complex:
         return s.torsion["lee"]
-    field = s.field
-    j = s.j_matrix
-    # theta_a = -1/2 sum_{p,q,r} H_pqr J^p_a J^r_q; w[p] is the sum over q, r,
-    # taken from each nonzero H_xyz (x < y < z) and its five permutations
-    w = [field.zero()] * s.n
-    for m, c in s.h.coeffs.items():
-        x, y, z = (i - 1 for i in indices_of(m))
-        for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
-            w[p] = w[p] + c * (j[r][q] - j[q][r])
-    half = field.scalar(Fraction(-1, 2))
-    comps = {}
-    for a in range(s.n):
-        val = sum((j[p][a] * wp for p, wp in enumerate(w)), field.zero()) * half
-        if not val.is_zero():
-            comps[1 << a] = val
-    return KForm(s.n, 1, field, comps)
+    return transform_form(contract_2_3(s.form("omega"), s.h, s.geometry), s.j_matrix, s.field)
 
 
 def nijenhuis(s: GStructure) -> KForm:
@@ -739,20 +737,15 @@ def solve_skew_torsion(s: GStructure) -> KForm:
 
 
 def bismut_ricci_form(s: GStructure) -> KForm:
-    """rho(X,Y) = (1/2) sum_i R(X, Y, e_i, J e_i) for the Bismut connection;
+    """rho(X,Y) = -1/2 tr(J R(X, Y)) = -1/2 sum_{i,l} J^i_l R^l_{XYi} for the
+    Bismut connection, a trace that needs no metric, so any frame gives the
+    same rho (on an orthonormal one it is 1/2 sum_i R(X, Y, e_i, J e_i));
     rho = 0 certifies reduced holonomy."""
     if not KINDS[s.kind].almost_complex:
         raise StructureError("Bismut Ricci form needs an almost Hermitian structure")
-    field = s.field
-    n = s.n
-    geom = s.geometry
-    zero = field.zero()
-    coeffs = {}
-    for (x, y, i, l), v in s.bismut_curvature.entries.items():
-        # R(e_x, e_y, e_i, J e_i) = sum_l R^l_{xyi} g(e_l, J e_i), x < y
-        w = geom.g(VectorField.basis(n, field, l + 1), s.apply_j(VectorField.basis(n, field, i + 1)))
-        if not w.is_zero():
-            m = (1 << x) | (1 << y)
-            coeffs[m] = coeffs.get(m, zero) + v * w
-    half = field.scalar(Fraction(1, 2))
-    return KForm(n, 2, field, {m: v * half for m, v in coeffs.items()})
+    field, j = s.field, s.j_matrix
+    acc = {}
+    for (x, y, i, l), v in s.bismut_curvature.entries.items():  # x < y
+        if not j[i][l].is_zero():
+            _mac(acc, (1 << x) | (1 << y), j[i][l], v, True)
+    return _trusted(s.n, 2, field, _settle(field, acc)).scale(Fraction(1, 2))

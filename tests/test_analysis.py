@@ -1,6 +1,7 @@
 """Compute-once analysis: a verdict builds each structure's torsion classes
-(read off ``project``'s split), H and connections once, both induced
-metrics take no wedge beyond their checks, the oracle stays
+(read off ``project``'s split, with no inner product taken twice), H and
+connections once, both induced metrics and every change of frame take no
+wedge beyond their checks, the oracle stays
 independent of H, builds one derivation per index pair, reduces each form's
 derivation matrix once, solves n*r rows and agrees with H off a diagonal
 metric, and a verdict leaves no cyclic garbage behind."""
@@ -10,7 +11,7 @@ import gc
 
 import pytest
 
-from gtorsion import engine, frames, reduction, registry, soliton, structures
+from gtorsion import engine, forms, frames, reduction, registry, soliton, structures
 from gtorsion.forms import _mat_inverse
 from gtorsion.frames import change_frame, transform_form
 from gtorsion.parser import parse
@@ -82,6 +83,48 @@ def test_g2_metric_makes_no_wedge(monkeypatch):
     assert not wedges
 
 
+def test_transform_form_makes_no_wedge(monkeypatch):
+    # each term's rows of the change of basis expand into one accumulator: a
+    # dense change of frame, the J pullback in d^c omega and the Lee form
+    s = parse(registry.input_text("nonintsu3")).structure()
+    field = s.field
+    wedges = collections.Counter()
+    orig = forms.wedge
+
+    def wedge(a, b):
+        wedges[a.k, b.k] += 1
+        return orig(a, b)
+
+    for mod in [forms] + _MODULES:
+        if getattr(mod, "wedge", None) is orig:
+            monkeypatch.setattr(mod, "wedge", wedge)
+    shear = [[field.scalar(1 if j >= i else 0) for j in range(6)] for i in range(6)]
+    for name in ("omega", "omega_plus", "omega_minus"):
+        transform_form(s.form(name), shear, field)
+    change_frame(s.frame, shear)
+    structures.d_c_omega(s)
+    structures.lee_form(s)
+    assert not wedges
+
+
+def test_su3_torsion_pairs_each_form_once(monkeypatch):
+    # sigma0 and pi0 are <d omega, Omega+-> as _split's Lambda^3_{1+1} piece
+    # reads them, so no inner product is taken twice
+    s = parse(registry.input_text("nonintsu3")).structure()
+    pairs = collections.Counter()
+    orig = structures.form_inner
+
+    def form_inner(a, b, geom):
+        pairs[repr(a), repr(b)] += 1
+        return orig(a, b, geom)
+
+    monkeypatch.setattr(structures, "form_inner", form_inner)
+    structures.torsion_su3(s)
+    # <d omega, Omega+->, <d Omega+-, omega^2> and <star d Omega+-, omega>
+    assert len(pairs) == 6
+    assert set(pairs.values()) == {1}
+
+
 def test_su3_metric_makes_no_wedge(monkeypatch):
     # the metric is one top-degree pairing; the wedges left are the checks
     # omega ^ Omega+, omega ^ omega, omega^2 ^ omega and Omega+ ^ Omega-
@@ -134,12 +177,12 @@ def test_torsion_classes_read_off_project_once(monkeypatch, name):
     def counted_split(t, a):
         inside.append(t)
         try:
-            parts, alpha = split(t, a)
+            parts, alpha, inner = split(t, a)
         finally:
             inside.pop()
         proj[t] += 1
         read[t] += alpha is not None
-        return parts, alpha
+        return parts, alpha, inner
 
     def counted_star(a, geom):
         out = star(a, geom)

@@ -1,0 +1,191 @@
+"""The Lee form and the Bismut-Ricci form of almost Hermitian and SU(3)
+structures in any frame.  Both are traces: theta contracts H with omega's
+indices raised by g, rho traces J against the curvature with no metric.  So
+they agree with the frame-vector sums they replaced on orthonormal frames,
+move covariantly under any change of frame, ``check`` on a sheared
+fixture reports the fixture's values, and ``extend`` accepts a sheared
+SU(3) quotient."""
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import Q, random_kform, rotate_frame_and_forms, rotation_matrix
+from test_kinds import _Doc
+from test_reduction import quotient_su3_of_nonintG2
+from gtorsion import engine, registry
+from gtorsion.engine import run_extend
+from gtorsion.forms import FrameGeometry, KForm, VectorField, _mat_inverse, indices_of
+from gtorsion.frames import CurvatureData, LieAlgebraFrame, change_frame, transform_form
+from gtorsion.parser import parse
+from gtorsion.structures import KINDS, ah_assemble, bismut_ricci_form, lee_form, model_form, su3_assemble
+
+
+def old_lee_form(s):
+    """theta_a = -1/2 sum_{p,q,r} H_pqr J^p_a J^r_q over the frame vectors:
+    right on orthonormal frames only."""
+    field = s.field
+    j = s.j_matrix
+    w = [field.zero()] * s.n
+    for m, c in s.h.coeffs.items():
+        x, y, z = (i - 1 for i in indices_of(m))
+        for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
+            w[p] = w[p] + c * (j[r][q] - j[q][r])
+    half = field.scalar(Fraction(-1, 2))
+    comps = {}
+    for a in range(s.n):
+        val = sum((j[p][a] * wp for p, wp in enumerate(w)), field.zero()) * half
+        if not val.is_zero():
+            comps[1 << a] = val
+    return KForm(s.n, 1, field, comps)
+
+
+def old_bismut_ricci_form(s):
+    """rho(X, Y) = 1/2 sum_i R(X, Y, e_i, J e_i) over the frame vectors:
+    right on orthonormal frames only."""
+    field, n, geom = s.field, s.n, s.geometry
+    zero = field.zero()
+    coeffs = {}
+    for (x, y, i, l), v in s.bismut_curvature.entries.items():
+        w = geom.g(VectorField.basis(n, field, l + 1), s.apply_j(VectorField.basis(n, field, i + 1)))
+        if not w.is_zero():
+            m = (1 << x) | (1 << y)
+            coeffs[m] = coeffs.get(m, zero) + v * w
+    half = field.scalar(Fraction(1, 2))
+    return KForm(n, 2, field, {m: v * half for m, v in coeffs.items()})
+
+
+def _assemble(kind, forms, frame):
+    return su3_assemble(*forms, frame) if kind == "su3" else ah_assemble(forms[0], frame)
+
+
+def _in_frame(s, a):
+    """The structure s in the coframe f = A e, and A^{-1}."""
+    ainv = _mat_inverse(a, s.field)
+    forms = [transform_form(s.form(slot), ainv, s.field) for slot, *_ in KINDS[s.kind].slots]
+    return _assemble(s.kind, forms, change_frame(s.frame, a)), ainv
+
+
+def _band_shear(field, n, step):
+    """A = I + sum_i E_{i, i+step}."""
+    return [[field.scalar(1 if j in (i, i + step) else 0) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def orthonormal_structures(draw):
+    """The model SU(3) or almost Hermitian (n = 4, 6) structure in a random
+    rotated orthonormal frame, with a random H and Bismut curvature set in
+    its analysis in place of computed ones."""
+    kind, n = draw(st.sampled_from([("su3", 6), ("ah", 4), ("ah", 6)]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    forms = model_form(kind, n, Q)
+    forms = list(forms) if kind == "su3" else [forms]
+    frame, forms = rotate_frame_and_forms(LieAlgebraFrame.abelian(n, Q), forms, rotation_matrix(n, rng, planes=2))
+    s = _assemble(kind, forms, frame)
+    assert s.geometry._is_identity
+    s.h = random_kform(n, 3, Q, rng, density=0.5)
+    entries = {}
+    for x in range(n):
+        for y in range(x + 1, n):
+            for i in range(n):
+                for l in range(n):
+                    v = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                    if v and rng.random() < 0.1:
+                        entries[(x, y, i, l)] = Q.scalar(v)
+    s.bismut_curvature = CurvatureData(n, Q, entries, None)
+    return s
+
+
+def test_traces_match_frame_vector_sums_on_orthonormal_frames():
+    nonzero = []
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(orthonormal_structures())
+    def check(s):
+        theta, rho = lee_form(s), bismut_ricci_form(s)
+        assert theta == old_lee_form(s)
+        assert rho == old_bismut_ricci_form(s)
+        nonzero.append(not theta.is_zero() and not rho.is_zero())
+
+    check()
+    assert sum(nonzero) >= 20
+
+
+def _r_times_heisenberg():
+    # J e1 = -e2, J e3 = -e4 integrable, theta = e2
+    d = [KForm.from_terms(4, Q, [((3, 4), 1)])] + [KForm.zero(4, 2, Q)] * 3
+    frame = LieAlgebraFrame(["e1", "e2", "e3", "e4"], d, FrameGeometry(4, Q))
+    return ah_assemble(model_form("ah", 4, Q), frame)
+
+
+def _kodaira_thurston_su3():
+    # integrable J with rho != 0
+    d = [KForm.zero(6, 2, Q)] * 5 + [KForm.from_terms(6, Q, [((1, 2), 1)])]
+    frame = LieAlgebraFrame([f"e{i}" for i in range(1, 7)], d, FrameGeometry(6, Q))
+    return su3_assemble(*model_form("su3", 6, Q), frame)
+
+
+BASES = {"r_x_heisenberg": _r_times_heisenberg, "kodaira_thurston": _kodaira_thurston_su3}
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_traces_move_covariantly_under_shears(name):
+    s = BASES[name]()
+    n, field = s.n, s.field
+    theta, rho = lee_form(s), bismut_ricci_form(s)
+    assert not theta.is_zero() and not rho.is_zero()
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from([-1, 0, 1, Fraction(1, 2)]), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    def check(upper):
+        # the coframe f = A e, A unit upper triangular
+        entries = iter(upper)
+        a = [[field.scalar(1 if i == j else next(entries) if j > i else 0) for j in range(n)] for i in range(n)]
+        t, ainv = _in_frame(s, a)
+        assert lee_form(t) == transform_form(theta, ainv, field)
+        assert bismut_ricci_form(t) == transform_form(rho, ainv, field)
+
+    check()
+
+
+def sheared_text(name, step):
+    """The fixture in the coframe f = A e, A = I + sum_i E_{i, i+step}, as
+    input text with its metric rows."""
+    doc = parse(registry.input_text(name))
+    frame = doc.frame()
+    field = doc.field
+    a = _band_shear(field, frame.n, step)
+    new = change_frame(frame, a, new_labels=list(frame.labels), validate=False)
+    ainv = _mat_inverse(a, field)
+    doc.coframe = {lab: new.coframe_d[i] for i, lab in enumerate(frame.labels)}
+    doc.metric = new.geometry.metric
+    doc.structure_forms = {k: transform_form(v, ainv, field) for k, v in doc.structure_forms.items()}
+    return doc.serialize()
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_check_on_sheared_nonintsu3_reports_fixture_values(step):
+    # before theta became a trace, step 1 gave lee_form -2*eta1 + 2*eta2 -
+    # 2*eta5 + 2*eta6 and step 3 gave 2*eta1 + 2*eta3 - 2*eta4 + 2*eta5 -
+    # 2*eta6, both with |V|^2 = 12 and weighted scalar 32/3
+    want = json.loads(engine.run_check(parse(registry.input_text("nonintsu3"))).to_json())
+    doc = parse(sheared_text("nonintsu3", step))
+    assert any(not doc.metric[i][j].is_zero() for i in range(6) for j in range(6) if i != j)
+    got = json.loads(engine.run_check(doc).to_json())
+    for key in ("lee_form", "canonical_vector_norm_sq", "weighted_scalar", "bismut_ricci_form_zero"):
+        assert got[key] == want[key], key
+
+
+@pytest.mark.parametrize("step", [1, 2, 3, 4])
+def test_extend_on_sheared_su3_quotient(step):
+    # the SU(3) quotient of nonintG2 has theta_omega = 0 = df in every frame;
+    # before theta became a trace, steps 1, 2 and 4 failed with "extension
+    # hypotheses violated: theta_omega != df"
+    s = quotient_su3_of_nonintG2()[3]
+    t, _ = _in_frame(s, _band_shear(s.field, 6, step))
+    rep = run_extend(_Doc(t))
+    assert (rep.data["kind"], rep.data["strong_torsion"], rep.data["torsion_matches_formula"]) == ("g2", True, True)

@@ -1,6 +1,7 @@
 """Source hygiene: no module in the package or the tests imports a name that
-it never uses.  Names listed in ``__all__`` count as used, so re-exports
-stay declared in one place.  Standard library ``ast`` only."""
+it never uses (names listed in ``__all__`` count as used, so re-exports stay
+declared in one place), and merge signs have one source: ``_merge_sign`` is
+called only where it fills the sign table.  Standard library ``ast`` only."""
 
 import ast
 from pathlib import Path
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted((ROOT / "src" / "gtorsion").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+SRC = sorted((ROOT / "src" / "gtorsion").glob("*.py"))
+FILES = SRC + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,3 +47,28 @@ def test_scanner_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def call_sites(source: str, name: str) -> list[str]:
+    """The module-level statement around each call of ``name``: the names a
+    statement assigns, or the function or class it defines."""
+    out = []
+    for stmt in ast.parse(source).body:
+        calls = [n for n in ast.walk(stmt) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name]
+        if isinstance(stmt, ast.Assign):
+            where = ",".join(t.id for t in stmt.targets if isinstance(t, ast.Name))
+        else:
+            where = getattr(stmt, "name", type(stmt).__name__)
+        out += [where] * len(calls)
+    return out
+
+
+def test_call_site_scanner():
+    src = "T = L(lambda k: f(k))\ndef g():\n    return f(1) + h(f)\nclass C:\n    x = f(2)\n"
+    assert call_sites(src, "f") == ["T", "g", "C"]
+
+
+def test_merge_sign_only_fills_the_sign_table():
+    # wedge, the star, d and the top-degree pairing read forms._ODD
+    sites = [f"{path.name}:{where}" for path in SRC for where in call_sites(path.read_text(), "_merge_sign")]
+    assert sites == ["forms.py:_ODD"]

@@ -1,8 +1,11 @@
 """The shared exact kernels: dense elimination (determinant, inverse, solve,
 positive-definiteness), the sparse overdetermined solve, the skew 3-form
-packer, the derivation action, and the fused multiply-accumulate kernels
-checked term by term against plain Scalar sums."""
+packer, the derivation action, the fused multiply-accumulate kernels
+checked term by term against plain Scalar sums, the well-formedness of
+every kernel output that skips the public constructor, and the change of
+frame checked against a chain of wedges."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import Q, Q2, Q3, random_kform
+from conftest import Q, Q2, Q3, random_kform, random_posdef_geometry
 from gtorsion import scalars
 from gtorsion.forms import (
     FrameGeometry,
@@ -21,12 +24,13 @@ from gtorsion.forms import (
     _mat_inverse,
     contract_2_3,
     derivation,
+    hodge_star,
     indices_of,
     interior,
     skew_three_form,
     wedge,
 )
-from gtorsion.frames import LieAlgebraFrame, ce_differential
+from gtorsion.frames import LieAlgebraFrame, ce_differential, transform_form
 from gtorsion.linsolve import (
     InconsistentSystem,
     LinearSolveError,
@@ -510,3 +514,98 @@ def test_fused_kernels_normalize_once_per_output_mask(monkeypatch, field):
     d = derivation(b, action)
     assert 0 < len(calls) <= 35  # the 3-forms of n = 7
     assert len(d.coeffs) <= len(calls)
+
+
+# -- trusted kernel outputs and the change of frame ----------------------------
+#
+# Kernel outputs are built by ``forms._trusted``, which skips the public
+# constructor's checks.  Each output must still be what that constructor would
+# build: nonzero canonical coefficients of the form's field on masks of its
+# degree.
+
+
+def _well_formed(f):
+    return all(m.bit_count() == f.k and _canonical(c) and c.field is f.field for m, c in f.coeffs.items())
+
+
+def ref_transform_form(form, old_in_new, field):
+    """The change of frame as a chain of one-form wedges per term, summed form
+    by form."""
+    n = form.n
+    one_forms = [KForm(n, 1, field, {1 << i: old_in_new[j][i] for i in range(n)}) for j in range(n)]
+    out = KForm.zero(n, form.k, field)
+    for m, coef in form.coeffs.items():
+        piece = KForm.scalar_form(n, field, 1)
+        for i in indices_of(m):
+            piece = wedge(piece, one_forms[i - 1])
+        out = out + piece.scale(coef)
+    return out
+
+
+@st.composite
+def trusted_inputs(draw):
+    field = draw(st.sampled_from([Q, Q2]))
+    k, l = draw(st.integers(0, N)), draw(st.integers(0, N))
+    a, c, b = draw(_forms(field, k)), draw(_forms(field, k)), draw(_forms(field, l))
+    f, h = draw(_forms(field, 2)), draw(_forms(field, 3))
+    x = VectorField(N, field, [draw(_value(field)) for _ in range(N)])
+    action = draw(st.dictionaries(st.integers(0, N - 1), st.dictionaries(st.integers(0, N - 1), _value(field))))
+    coframe_d = [draw(_forms(field, 2)) for _ in range(N)]
+    m = [[draw(_value(field)) for _ in range(N)] for _ in range(N)]
+    metric = draw(st.sampled_from(["identity", "diagonal", "dense"]))
+    if metric == "identity":
+        geom = FrameGeometry(N, field)
+    elif metric == "diagonal":  # det g = 36
+        geom = FrameGeometry(N, field, [[(1, 4, 1, 9, 1)[i] if i == j else 0 for j in range(N)] for i in range(N)])
+    else:
+        geom = random_posdef_geometry(N, field, random.Random(draw(st.integers(0, 2**32))))
+    return field, a, b, c, f, h, x, action, coframe_d, m, geom
+
+
+@settings(max_examples=25, deadline=None)
+@given(trusted_inputs())
+def test_trusted_outputs_are_well_formed(inputs):
+    field, a, b, c, f, h, x, action, coframe_d, m, geom = inputs
+    frame = LieAlgebraFrame([f"e{i}" for i in range(1, N + 1)], coframe_d, geom, check_closure=False)
+    outs = {
+        "wedge": wedge(a, b), "interior": interior(x, a), "derivation": derivation(a, action),
+        "hodge_star": hodge_star(a, geom), "ce_differential": ce_differential(frame, a),
+        "transform_form": transform_form(a, m, field), "contract_2_3": contract_2_3(f, h, geom),
+        "+": a + c, "-": a - c, "neg": -a, "scale": a.scale(b.coeffs.get(0, 2)),
+    }
+    for name, out in outs.items():
+        assert _well_formed(out), name
+    # cancelled and zero entries are dropped, not kept as zeros
+    assert (a - a).coeffs == (a + -a).coeffs == a.scale(0).coeffs == a.scale(field.zero()).coeffs == {}
+    assert (a + c) - c == a
+
+
+def test_public_kform_keeps_its_checks():
+    with pytest.raises(ValueError, match="^mask 111 has wrong cardinality for degree 2$"):
+        KForm(N, 2, Q, {0b111: Q.one()})
+    with pytest.raises(ValueError, match="^mixed degrees in term list$"):
+        KForm.from_terms(N, Q, [((1, 2), 1), ((3,), 1)])
+    assert KForm(N, 2, Q, {e(1, 2): Q.zero(), e(1, 3): Q.one()}).coeffs == {e(1, 3): Q.one()}
+    assert KForm.from_terms(N, Q, [((1, 2), 1), ((2, 1), 1), ((3, 4), 0)]).coeffs == {}
+
+
+@st.composite
+def gl_changes(draw):
+    """A form over Q or Q(sqrt3) and an invertible rational matrix, dense or
+    with zero entries."""
+    field = draw(st.sampled_from(FIELDS))
+    a = draw(_forms(field, draw(st.integers(0, N))))
+    entries = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+    m = [[field.scalar(draw(entries)) for _ in range(N)] for _ in range(N)]
+    assume(not _mat_det(m, field).is_zero())
+    return field, a, m
+
+
+@settings(max_examples=60, deadline=None)
+@given(gl_changes())
+def test_transform_form_matches_wedge_chain(case):
+    field, a, m = case
+    got = transform_form(a, m, field)
+    _assert_same_form(got, ref_transform_form(a, m, field))
+    # and back: the inverse matrix undoes the change
+    assert transform_form(got, _mat_inverse(m, field), field) == a

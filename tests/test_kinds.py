@@ -97,7 +97,7 @@ def reference_split(structure, a):
 
 def _outcome(split, s, a):
     try:
-        parts, alpha = split(s, a)
+        parts, alpha = split(s, a)[:2]
     except StructureError as exc:
         return str(exc)
     return list(parts), list(parts.values()), alpha
