@@ -20,6 +20,7 @@ than 3^8 and 2^8 entries, and nothing is built at import.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from functools import cached_property
 from typing import Iterable
 
@@ -35,6 +36,7 @@ __all__ = [
     "wedge",
     "interior",
     "derivation",
+    "derivation_rows",
     "skew_three_form",
     "hodge_star",
     "form_inner",
@@ -497,27 +499,36 @@ def interior(x: VectorField, a: KForm) -> KForm:
     return _trusted(a.n, a.k - 1, a.field, _settle(a.field, acc))
 
 
-def derivation(a: KForm, action) -> KForm:
-    """The degree-0 derivation extending e^j -> sum_t action[j][t] e^t to the
-    form a; ``action`` is sparse, {j: {t: Scalar}} with 0-based indices."""
-    acc: dict[int, list] = {}
+def derivation_rows(a: KForm, actions) -> dict[int, dict[int, Scalar]]:
+    """The degree-0 derivations e^j -> sum_t actions[p][j][t] e^t (each sparse,
+    {j: {t: Scalar}}, 0-based) applied to a in one walk over its terms: rows[mask][p]
+    is the e^mask coefficient of the p-th, nonzero only, one accumulator per mask."""
+    moves = defaultdict(list)  # j -> (p, bit of t, value) over every action moving e^j
+    for p, action in enumerate(actions):
+        for j, row in action.items():
+            moves[j] += [(p, 1 << t, v) for t, v in row.items()]
+    acc = defaultdict(dict)
     for m, c in a.coeffs.items():
         mm = m
         while mm:
             low = mm & -mm
             mm ^= low
-            row = action.get(low.bit_length() - 1)
-            if not row:
+            targets = moves.get(low.bit_length() - 1)
+            if not targets:
                 continue
             rest = m ^ low
             # e^j moves to the front of e^m, e^t back into sorted position:
             # each passes the indices of ``rest`` below it
             lead = (rest & (low - 1)).bit_count()
-            for t, v in row.items():
-                bit = 1 << t
+            for p, bit, v in targets:
                 if not rest & bit:
-                    _mac(acc, rest | bit, c, v, (lead + (rest & (bit - 1)).bit_count()) & 1)
-    return _trusted(a.n, a.k, a.field, _settle(a.field, acc))
+                    _mac(acc[rest | bit], p, c, v, (lead + (rest & (bit - 1)).bit_count()) & 1)
+    return {m: row for m, col in acc.items() if (row := _settle(a.field, col))}
+
+
+def derivation(a: KForm, action) -> KForm:
+    """The derivation of one action: the one column of ``derivation_rows``."""
+    return _trusted(a.n, a.k, a.field, {m: row[0] for m, row in derivation_rows(a, (action,)).items()})
 
 
 def skew_three_form(n: int, field: Field, t) -> KForm | None:

@@ -26,7 +26,6 @@ from .forms import (
     _mat_det,
     _mat_inverse,
     _trusted,
-    derivation,
     hodge_star,
     indices_of,
     skew_three_form,
@@ -43,7 +42,6 @@ __all__ = [
     "levi_civita",
     "bismut_connection",
     "curvature",
-    "covariant_derivative_form",
     "covariant_derivative_oneform",
     "change_frame",
     "transform_form",
@@ -295,18 +293,6 @@ def curvature(frame: LieAlgebraFrame, conn: ConnectionCoeffs, geom: FrameGeometr
     rc = _settle(field, acc)
     ricci = [[rc.get((j, k), zero) for k in range(n)] for j in range(n)]
     return CurvatureData(n, field, r, ricci)
-
-
-def covariant_derivative_form(frame: LieAlgebraFrame, conn: ConnectionCoeffs, a: KForm):
-    """Tuple of KForms (nabla_{e_1} a, ..., nabla_{e_n} a).
-
-    Invariant forms differentiate purely through the connection:
-    nabla_i e^j = -Gamma^j_{it} e^t, extended as a degree-0 derivation.
-    """
-    actions = [{} for _ in range(frame.n)]
-    for (i, t, j), g in conn.entries.items():
-        actions[i].setdefault(j, {})[t] = -g
-    return tuple(derivation(a, action) for action in actions)
 
 
 def covariant_derivative_oneform(frame: LieAlgebraFrame, conn: ConnectionCoeffs, theta: KForm):

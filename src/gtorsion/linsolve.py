@@ -6,13 +6,12 @@ inverses and the positive-definiteness test all read its run.
 
 ``echelon`` is the one sparse kernel.  Its pivots stay fully reduced (a 1 in
 their own column, a 0 in every other pivot column), so a row is reduced in one
-pass over its pivot columns with no cascade of fill.  Keys < 0 are right-hand
-sides: the torsion oracle reduces each structure form's derivation matrix
-against n of them at once (rank 7 in at most 70 rows for Spin(7)), and
-``solve_unique_sparse`` runs the same loop on the n*r rows left (56 for
-Spin(7)).  Row updates go through the scalar accumulator (``scalars._mac``),
-the one multiply-accumulate path: each entry is normalized once, a new
-pivot's entries together with their division by its lead.
+pass over its pivot columns with no cascade of fill.  The torsion oracle
+reduces each structure form's derivation matrix alone (rank 7 in at most 70
+rows for Spin(7)); ``solve_unique_sparse`` carries one right-hand side, key
+-1, through the n*r rows left (56 for Spin(7)).  Row updates go through the
+scalar accumulator (``scalars._mac``), the one multiply-accumulate path: each
+entry is normalized once, a new pivot's entries with their division by its lead.
 """
 
 from __future__ import annotations

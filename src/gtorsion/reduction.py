@@ -484,21 +484,19 @@ def _reduce(s: GStructure, df: KForm | None, raw: bool, kind: str) -> ReductionR
         )
 
     # Unit-symmetry normalization: the constant rescaling g -> lam^2 g scales
-    # theta-sharp by lam^{-2}, making the canonical vector unit length.
+    # theta-sharp by lam^{-2}, making the canonical vector unit length, and
+    # each form of degree k (3 or 4) by lam^k, so nothing is reassembled.
     unit = s
     lam2 = geom.norm_sq(v)
     if not (lam2 - field.one()).is_zero():
-        try:  # Spin(7) rescales by lam2 alone, but keeps this root check
+        try:
             lam = lam2.sqrt()
         except NotRepresentable as exc:
             raise ReductionError(f"|V| = sqrt({lam2}) is not in the scalar field; rerun with field sqrt d") from exc
-        form = s.form(form_name)
-        if kind == "g2":
-            unit = g2_assemble(form.scale(lam * lam2), frame)  # phi -> lam^3 phi
-        else:  # Psi -> lam^4 Psi, g -> lam^2 g
-            metric = [[x * lam2 for x in row] for row in geom.metric]
-            scaled = FrameGeometry(8, field, metric, orientation_sign=geom.orientation_sign)
-            unit = spin7_assemble(form.scale(lam2 * lam2), frame, geometry=scaled)
+        metric = [[x * lam2 for x in row] for row in geom.metric]
+        scaled = FrameGeometry(s.n, field, metric, orientation_sign=geom.orientation_sign)
+        forms = {name: f.scale(lam2 * lam2 if f.k == 4 else lam * lam2) for name, f in s.forms.items()}
+        unit = GStructure(kind, frame, scaled, forms)
         v = canonical_vector(unit, df)
 
     red = reduce_pair(frame, unit.h, v, normalize=True, geometry=unit.geometry)

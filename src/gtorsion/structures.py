@@ -29,7 +29,7 @@ from .forms import (
     _masks,
     _trusted,
     contract_2_3,
-    derivation,
+    derivation_rows,
     form_inner,
     hodge_star,
     indices_of,
@@ -40,7 +40,6 @@ from .forms import (
 from .frames import (
     _last_index,
     bismut_connection,
-    covariant_derivative_form,
     curvature,
     levi_civita,
     transform_form,
@@ -394,12 +393,12 @@ def g2_assemble(phi: KForm, frame) -> GStructure:
     return GStructure("g2", frame, geom, {"phi": phi, "star_phi": star_phi})
 
 
-def spin7_assemble(psi: KForm, frame, geometry: FrameGeometry | None = None) -> GStructure:
+def spin7_assemble(psi: KForm, frame) -> GStructure:
     """Accepts Psi only in an adapted frame: Psi ^ Psi = 14 vol and
     star Psi = Psi under the frame metric; otherwise errors."""
     if frame.n != 8 or psi.k != 4:
         raise StructureError("spin7 needs a 4-form on n = 8")
-    geom = geometry or frame.geometry
+    geom = frame.geometry
     geom.check_positive_definite()
     if wedge(psi, psi) != geom.volume_form().scale(14):
         raise StructureError("frame not adapted: Psi ^ Psi != 14 vol")
@@ -680,12 +679,14 @@ def solve_skew_torsion(s: GStructure) -> KForm:
     """Independent route to the torsion: solve the exact linear system for
     H in Lambda^3 with D + (1/2) g^{-1} H annihilating every structure form.
 
-    Row (i, M) of a form alpha reads sum_p s(i, p) L_p[M] H_{i,t,k} =
-    -(nabla_i alpha)[M] over the pairs p = {t < k} without i, with L_p alpha
-    moved by the pair action p and s(i, p) = 1 if t < i < k, else -1: block i
-    is Lambda S_i for one mask-by-pair matrix Lambda.  One reduction of
-    [Lambda | -nabla_0 alpha ... -nabla_{n-1} alpha] checks the rows that
-    vanish on Lambda and leaves r = rank Lambda pivot rows per block i.
+    Lambda[M][p] is the e^M coefficient of a form alpha moved by the pair
+    derivation L_p, p = (t < k), from one ``derivation_rows`` walk.  D_i acts
+    on the coframe as sum_p gamma_i[p] L_p with gamma_i[p] = -2 <D_i e_t,
+    e_k>, so nabla_i alpha = Lambda gamma_i and row (i, M) reads Lambda[M] .
+    (A_i + gamma_i) = 0, A_i[p] = s(i, p) H_{i,t,k} over the pairs without
+    i, s(i, p) = 1 if t < i < k, else -1.  The r = rank Lambda pivot rows P
+    of Lambda give block i as P . A_i = -P . gamma_i; the identity needs the
+    lowered symbols skew in (t, k), which is checked on every entry.
     """
     field, n = s.field, s.n
     masks3 = list(_masks(n, 3))
@@ -695,13 +696,22 @@ def solve_skew_torsion(s: GStructure) -> KForm:
     plus = [{k: x * half for k, x in enumerate(row) if not x.is_zero()} for row in s.geometry.inverse_metric()]
     minus = [{k: -x for k, x in row.items()} for row in plus]
     pairs = [(t, k) for t in range(n) for k in range(t + 1, n)]
-    # the derivation e^j -> (1/2)(g^{jk} e^t - g^{jt} e^k) for each pair t < k;
+    # L_p: e^j -> (1/2)(g^{jk} e^t - g^{jt} e^k) for each pair t < k;
     # g^{-1} is symmetric, so e^j moves only for j in rows t and k
     actions = [
         {j: {x: v for x, v in ((t, plus[j].get(k)), (k, minus[j].get(t))) if v is not None}
          for j in plus[t].keys() | plus[k].keys()}
         for t, k in pairs
     ]
+    # (t, k) -> (i, <D_i e_t, e_k>) off the cached Levi-Civita connection; H is never read
+    symbols = {pair: [] for pair in pairs}
+    low = _last_index(s.levi_civita.entries, s.geometry, up=False)
+    for (i, t, k), v in low.items():
+        w = low.get((i, k, t))  # canonical scalars: -v has the same den
+        if w is None or (w.p, w.q, w.den) != (-v.p, -v.q, v.den):
+            raise StructureError(f"Levi-Civita symbols not skew: <D_{i + 1} e_{t + 1}, e_{k + 1}> = {v}")
+        if t < k:
+            symbols[t, k].append((i, v))
     # S_i: pair p -> (column of H_{i,t,k}, s(i, p) = -1) for the pairs without i
     spread = [
         {p: (column[(1 << i) | (1 << t) | (1 << k)], not t < i < k)
@@ -712,22 +722,18 @@ def solve_skew_torsion(s: GStructure) -> KForm:
     rows = []
     try:
         for slot, *_ in KINDS[s.kind].slots:
-            alpha = s.forms[slot]
-            # lam[M]: row M of Lambda, and -nabla_i alpha[M] under key -1 - i
-            lam: dict[int, dict] = {}
-            for p, action in enumerate(actions):
-                for mask, v in derivation(alpha, action).coeffs.items():
-                    lam.setdefault(mask, {})[p] = v
-            # the Levi-Civita connection is shared with the Bismut one; H itself is never read
-            for i, form in enumerate(covariant_derivative_form(s.frame, s.levi_civita, alpha)):
-                for mask, v in form.coeffs.items():
-                    lam.setdefault(mask, {})[-1 - i] = -v
-            for lead, piv in echelon(list(lam.values()), field).items():
+            for lead, piv in echelon(list(derivation_rows(s.forms[slot], actions).values()), field).items():
                 piv[lead] = one
                 neg = {p: -v for p, v in piv.items()}
+                # -P . gamma_i = 2 sum_p P[p] <D_i e_t, e_k>, the 2 folded into the raw sums
+                acc = {}
+                for p, x in piv.items():
+                    for i, v in symbols[pairs[p]]:
+                        _mac(acc, i, x, v, False)
+                rhs = _settle(field, {i: (a + a, b + b, den) for i, (a, b, den) in acc.items()})
                 for i, cols in enumerate(spread):
                     row = {col: (neg if flip else piv)[p] for p, (col, flip) in cols.items() if p in piv}
-                    rows.append((row, piv.get(-1 - i, zero)))
+                    rows.append((row, rhs.get(i, zero)))
         sol = solve_unique_sparse(rows, len(masks3), field)
     except InconsistentSystem as exc:
         raise StructureError("no skew-torsion connection: the linear system is inconsistent") from exc

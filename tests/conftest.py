@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from gtorsion import registry
-from gtorsion.forms import FrameGeometry, KForm, VectorField, _mat_inverse, skew_three_form, wedge
+from gtorsion.forms import FrameGeometry, KForm, VectorField, _mat_inverse, derivation, skew_three_form, wedge
 from gtorsion.frames import LieAlgebraFrame, _last_index, change_frame, transform_form
 from gtorsion.parser import parse
 from gtorsion.scalars import QuadraticField, RationalField
@@ -153,6 +153,16 @@ def structure_constants(frame):
 def lowered(conn, i, j, k, geom):
     """<nabla_{e_i} e_j, e_k>_g with 0-based indices."""
     return _last_index(conn.entries, geom, up=False).get((i, j, k), conn.frame.field.zero())
+
+
+def covariant_derivative_form(frame, conn, a):
+    """Tuple of KForms (nabla_{e_1} a, ..., nabla_{e_n} a): invariant forms
+    differentiate purely through the connection, nabla_i e^j =
+    -Gamma^j_{it} e^t, extended as a degree-0 derivation."""
+    actions = [{} for _ in range(frame.n)]
+    for (i, t, j), g in conn.entries.items():
+        actions[i].setdefault(j, {})[t] = -g
+    return tuple(derivation(a, action) for action in actions)
 
 
 def metric_compatible(conn, geom) -> bool:

@@ -2,8 +2,8 @@
 (read off ``project``'s split, with no inner product taken twice), H and
 connections once, both induced metrics and every change of frame take no
 wedge beyond their checks, the oracle stays
-independent of H, builds one derivation per index pair, reduces each form's
-derivation matrix once, solves n*r rows and agrees with H off a diagonal
+independent of H, walks each form's pair derivations once, reduces each
+form's derivation matrix once, solves n*r rows and agrees with H off a diagonal
 metric, and a verdict leaves no cyclic garbage behind."""
 
 import collections
@@ -214,14 +214,23 @@ def test_oracle_never_reads_h(monkeypatch):
 
 @pytest.mark.parametrize("name", registry.names())
 def test_oracle_one_derivation_per_index_pair(monkeypatch, name):
-    # n derivations for nabla alpha, then one per pair {t, k}, shared by the
-    # n - 2 columns {i, t, k} that contain the pair
+    # one derivation_rows walk per structure form applies the n(n-1)/2 pair
+    # derivations together, and nabla alpha is read off the Levi-Civita
+    # symbols: no other walk runs and no covariant derivative is built
     s = parse(registry.input_text(name)).structure()
-    calls = _count_calls(monkeypatch, "derivation", key=id)  # keyed by form
+    orig = forms.derivation_rows
+    walks = collections.Counter()
+
+    def counted(a, actions):
+        walks[id(a), len(actions)] += 1
+        return orig(a, actions)
+
+    monkeypatch.setattr(forms, "derivation_rows", counted)  # the single-action view calls it here
+    monkeypatch.setattr(structures, "derivation_rows", counted)
     structures.solve_skew_torsion(s)
     n = s.n
-    assert set(calls) == {id(s.forms[slot]) for slot, *_ in structures.KINDS[s.kind][1]}
-    assert max(calls.values()) <= n + n * (n - 1) // 2
+    assert dict(walks) == {(id(s.forms[slot]), n * (n - 1) // 2): 1 for slot, *_ in structures.KINDS[s.kind].slots}
+    assert not any(hasattr(mod, "covariant_derivative_form") for mod in [forms, *_MODULES])
 
 
 @pytest.mark.parametrize("name, rows", [

@@ -4,7 +4,8 @@ indices raised by g, rho traces J against the curvature with no metric.  So
 they agree with the frame-vector sums they replaced on orthonormal frames,
 move covariantly under any change of frame, ``check`` on a sheared
 fixture reports the fixture's values, and ``extend`` accepts a sheared
-SU(3) quotient."""
+SU(3) quotient.  ``reduce`` rescales to unit |V| on the declared frame, so
+a sheared G2 fixture reaches the adapted frame."""
 
 import json
 import random
@@ -189,3 +190,19 @@ def test_extend_on_sheared_su3_quotient(step):
     t, _ = _in_frame(s, _band_shear(s.field, 6, step))
     rep = run_extend(_Doc(t))
     assert (rep.data["kind"], rep.data["strong_torsion"], rep.data["torsion_matches_formula"]) == ("g2", True, True)
+
+
+@pytest.mark.parametrize("step, error", [
+    (1, "cannot normalize adapted frame: |w|^2 = 3 has no sqrt in QQ(sqrt2)"),
+    (2, "cannot normalize adapted frame: |w|^2 = 3 has no sqrt in QQ(sqrt2)"),
+    (3, None),
+])
+def test_reduce_on_sheared_nonintG2nonclosedLee(step, error):
+    # the unit-|V| rescaling takes g to lam^2 g and each form to lam^degree
+    # times it; reassembling lam^3 phi instead met the declared metric rows,
+    # and every step exited 3 with "declared frame metric disagrees with the
+    # structure-induced metric"; steps 1 and 2 now stop at the adapted
+    # frame's root (ROADMAP item 2)
+    rep = engine.run_reduce(parse(sheared_text("nonintG2nonclosedLee", step)))
+    assert rep.data.get("reduction_error") == error
+    assert rep.data.get("verifier_ok") is (None if error else True)

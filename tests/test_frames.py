@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     Q,
+    covariant_derivative_form,
     heisenberg_frame,
     random_kform,
     rotation_matrix,
@@ -35,7 +36,6 @@ from gtorsion.frames import (
     cartan_three_form,
     change_frame,
     codifferential,
-    covariant_derivative_form,
     covariant_derivative_oneform,
     curvature,
     levi_civita,

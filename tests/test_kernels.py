@@ -22,8 +22,10 @@ from gtorsion.forms import (
     VectorField,
     _mat_det,
     _mat_inverse,
+    _trusted,
     contract_2_3,
     derivation,
+    derivation_rows,
     hodge_star,
     indices_of,
     interior,
@@ -378,6 +380,16 @@ def test_fused_kernels_match_termwise_sums(inputs):
     assert_same(wedge(a, b), ref_wedge(a, b))
     assert_same(interior(x, a), ref_interior(x, a))
     assert_same(derivation(a, action), ref_derivation(a, action))
+    # several actions in one walk: column p of each row is the p-th derivation
+    flipped = {}
+    for j, row in action.items():
+        for t, v in row.items():
+            flipped.setdefault(t, {})[j] = -v
+    actions = [action, {}, flipped]
+    rows = derivation_rows(a, actions)
+    assert all(rows.values())  # a mask whose every column cancels is absent
+    for p, act in enumerate(actions):
+        assert_same(_trusted(N, a.k, field, {m: row[p] for m, row in rows.items() if p in row}), ref_derivation(a, act))
     frame = LieAlgebraFrame([f"e{i}" for i in range(1, N + 1)], coframe_d, FrameGeometry(N, field), check_closure=False)
     assert_same(ce_differential(frame, a), ref_ce_differential(coframe_d, a))
 

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from conftest import (
     Q,
     Q2,
+    covariant_derivative_form,
     fixture_structure,
     rotation_matrix,
     rotate_frame_and_forms,
     nonzero_names,
 )
+from gtorsion import registry
 from gtorsion.forms import (
     FrameGeometry,
     KForm,
@@ -29,8 +31,9 @@ from gtorsion.forms import (
     _mat_det,
     _masks,
     derivation,
+    derivation_rows,
 )
-from gtorsion.frames import LieAlgebraFrame, cartan_three_form, covariant_derivative_form, transform_form
+from gtorsion.frames import ConnectionCoeffs, LieAlgebraFrame, _last_index, cartan_three_form, transform_form
 from gtorsion.linsolve import InconsistentSystem, LinearSolveError, solve_unique_sparse
 from gtorsion.reduction import TransverseSlice, reduce_g2
 from gtorsion.structures import (
@@ -610,18 +613,80 @@ def test_oracle_matches_row_by_row_reference_on_moved_fixtures():
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(st.sampled_from(names), st.lists(st.integers(-1, 1), min_size=28, max_size=28), st.integers(0, 2**16))
     def check(name, upper, seed):
-        s = fixture_structure(name)
-        n, field, it = s.n, s.field, iter(upper)
-        shear = [[field.one() if i == j else field.scalar(next(it)) if i < j else field.zero() for j in range(n)]
-                 for i in range(n)]
-        fr, forms = rotate_frame_and_forms(s.frame, [s.forms[slot] for slot, *_ in KINDS[s.kind][1]], shear)
-        fr, forms = rotate_frame_and_forms(fr, forms, rotation_matrix(n, random.Random(seed), field))
-        moved = _ASSEMBLE[s.kind](*forms, fr)
-        assert _oracle_matches_reference(moved)
+        s = _moved_fixture(name, upper, seed)
+        assert _oracle_matches_reference(s)
         seen.add(s.kind)
 
     check()
     assert seen == set(_ASSEMBLE)
+
+
+def _moved_fixture(name, upper, seed, planes=1):
+    """The fixture in the coframe f = R A e: A unit upper-triangular with the
+    entries ``upper`` above its diagonal (row by row), R a random rotation
+    with ``planes`` Givens planes drawn from ``seed``."""
+    s = fixture_structure(name)
+    n, field, it = s.n, s.field, iter(upper)
+    shear = [[field.one() if i == j else field.scalar(next(it)) if i < j else field.zero() for j in range(n)]
+             for i in range(n)]
+    fr, forms = rotate_frame_and_forms(s.frame, [s.forms[slot] for slot, *_ in KINDS[s.kind][1]], shear)
+    fr, forms = rotate_frame_and_forms(fr, forms, rotation_matrix(n, random.Random(seed), field, planes))
+    return _ASSEMBLE[s.kind](*forms, fr)
+
+
+def _assert_lambda_gamma_is_nabla(s):
+    """Lambda gamma_i = nabla_i alpha for every structure form alpha and index
+    i: Lambda[M][p] is the e^M coefficient of alpha moved by the pair
+    derivation L_p, p = (t, k), and gamma_i[p] = -2 <D_i e_t, e_k> the lowered
+    Levi-Civita symbols.  The oracle's right-hand side rests on this identity,
+    its sign and its factor 2."""
+    n = s.n
+    half_ginv = [[x * Fraction(1, 2) for x in row] for row in s.geometry.inverse_metric()]
+    pairs = [(t, k) for t in range(n) for k in range(t + 1, n)]
+    # L_p: e^j -> (1/2)(g^{jk} e^t - g^{jt} e^k)
+    actions = [{j: {t: g[k], k: -g[t]} for j, g in enumerate(half_ginv)} for t, k in pairs]
+    low = _last_index(s.levi_civita.entries, s.geometry, up=False)
+    zero = s.field.zero()
+    for slot, *_ in KINDS[s.kind].slots:
+        alpha = s.forms[slot]
+        lam = derivation_rows(alpha, actions)
+        for i, nabla in enumerate(covariant_derivative_form(s.frame, s.levi_civita, alpha)):
+            gamma = [low.get((i, t, k), zero) * -2 for t, k in pairs]
+            got = {m: sum((v * gamma[p] for p, v in row.items()), zero) for m, row in lam.items()}
+            assert KForm(s.n, alpha.k, s.field, got) == nabla, (slot, i)
+
+
+@pytest.mark.parametrize("name", registry.names())
+def test_lambda_gamma_is_nabla_on_fixtures(name):
+    s = fixture_structure(name)
+    _assert_lambda_gamma_is_nabla(s)
+    # a rotated frame (dense symbols, identity metric) and a band-sheared one
+    # (off-diagonal metric); no shear and no rotation leave the fixture
+    band = [int(j == i + 1) for i in range(s.n) for j in range(i + 1, s.n)]
+    _assert_lambda_gamma_is_nabla(_moved_fixture(name, [0] * len(band), 5, planes=2))
+    _assert_lambda_gamma_is_nabla(_moved_fixture(name, band, 5, planes=0))
+
+
+@pytest.mark.parametrize("kind", ["su3", "g2", "spin7"])
+def test_lambda_gamma_is_nabla_on_random_frames(kind):
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(almost_lie_structures(kind))
+    def check(s):
+        _assert_lambda_gamma_is_nabla(s)
+
+    check()
+
+
+@pytest.mark.parametrize("key", [(0, 1, 1), (0, 1, 2)])
+def test_oracle_rejects_non_skew_symbols(key):
+    # the dropped consistency rows held only because <D_i e_t, e_k> is skew
+    # in (t, k): a diagonal symbol or an unpaired one breaks the identity
+    s = fixture_structure("nonintG2")
+    entries = dict(s.levi_civita.entries)
+    entries[key] = entries.get(key, s.field.zero()) + 1
+    s.levi_civita = ConnectionCoeffs(s.frame, entries)
+    with pytest.raises(StructureError, match=r"^Levi-Civita symbols not skew: <D_1 e_[23], e_[123]> = "):
+        solve_skew_torsion(s)
 
 
 def test_torsion_formula_vs_solver_fixtures():
@@ -673,7 +738,7 @@ def test_bismut_ricci_form_fixture_zero():
 
 
 def test_structure_forms_parallel_under_own_connection():
-    from gtorsion.frames import bismut_connection, covariant_derivative_form
+    from gtorsion.frames import bismut_connection
 
     for name, keys in (
         ("nonintG2", ["phi", "star_phi"]),
