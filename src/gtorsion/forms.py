@@ -6,8 +6,11 @@ single field; missing masks mean zero.  All values are immutable and all
 operations are pure.  A diagonal metric takes one fast path (see
 ``FrameGeometry``): Gram minors are products, so the star and inner
 products cost O(n) per component, and the identity metric raises no index
-at all.  Sums of products accumulate through ``scalars._mac``, one
-normalization per output mask.
+at all.  Every other minor comes from one table, the Cauchy-Binet minors
+of a matrix's leading rows (``_minors``): a change of frame, the raising
+of indices by g^{-1}, det g and Sylvester's test all read it.  Sums of
+products accumulate through ``scalars._mac``, one normalization per
+output mask.
 
 Kernel outputs skip the public constructor's checks: ``_trusted`` wraps
 coefficients that ``_settle`` returned (nonzero, on masks of the output
@@ -24,7 +27,7 @@ from collections import defaultdict
 from functools import cached_property
 from typing import Iterable
 
-from .linsolve import back_substitute, eliminate
+from .linsolve import InconsistentSystem, echelon
 from .scalars import Field, FieldMismatch, GTorsionError, NotRepresentable, Scalar, _mac, _settle
 
 __all__ = [
@@ -35,7 +38,6 @@ __all__ = [
     "indices_of",
     "wedge",
     "interior",
-    "derivation",
     "derivation_rows",
     "skew_three_form",
     "hodge_star",
@@ -44,6 +46,7 @@ __all__ = [
     "musical_inv",
     "two_form_square",
     "contract_2_3",
+    "transform_form",
     "GeometryError",
 ]
 
@@ -300,7 +303,8 @@ class FrameGeometry:
     A diagonal metric (the identity, lam^2 I, any orthogonal frame) is found
     lazily on first use; its Gram minors are products of 1/g_ii.  Unit
     diagonal entries are the field's own ``one()``, so the identity is the
-    case where every such factor is skipped.
+    case where every such factor is skipped.  Any other metric raises
+    indices by the minors of g^{-1} (``transform_form``).
     """
 
     def __init__(self, n: int, field: Field, metric=None, orientation_sign: int = 1):
@@ -323,7 +327,6 @@ class FrameGeometry:
         self.orientation_sign = orientation_sign
         self._inverse = None
         self._sqrt_det = None
-        self._gram_cache: dict[tuple[int, int], Scalar] = {}
 
     # -- diagonal fast path --------------------------------------------
 
@@ -354,10 +357,10 @@ class FrameGeometry:
     # -- metric utilities ----------------------------------------------
 
     def check_positive_definite(self):
-        """Sylvester: every leading principal minor is positive, i.e. the
-        elimination needs no row swap and every pivot is positive."""
-        m = [row[:] for row in self.metric]
-        if eliminate(m, self.n) != 0 or any(m[k][k].sign() <= 0 for k in range(self.n)):
+        """Sylvester: every leading principal minor is positive."""
+        minors, zero = _leading_minors(self.metric, self.field), self.field.zero()
+        leading = [(1 << k) - 1 for k in range(1, self.n + 1)]
+        if any(minors[m].get(m, zero).sign() <= 0 for m in leading):
             raise GeometryError("metric is not positive-definite")
 
     def inverse_metric(self):
@@ -410,31 +413,6 @@ class FrameGeometry:
     def norm_sq(self, x: VectorField) -> Scalar:
         return self.g(x, x)
 
-    def subset_gram(self, a_mask: int, b_mask: int) -> Scalar:
-        """<e^A, e^B>: the determinant of the |A| x |B| minor of the inverse
-        metric; for a diagonal metric, delta_AB prod_{i in A} 1/g_ii."""
-        key = (a_mask, b_mask) if a_mask <= b_mask else (b_mask, a_mask)
-        cached = self._gram_cache.get(key)
-        if cached is not None:
-            return cached
-        ai = _INDICES[a_mask]
-        bi = _INDICES[b_mask]
-        if len(ai) != len(bi):
-            raise GeometryError("gram of different-size subsets")
-        one = self.field.one()
-        dinv = self.diagonal_inverse
-        if dinv is not None and a_mask != b_mask:
-            val = self.field.zero()
-        elif dinv is not None:
-            val = math.prod((dinv[i - 1] for i in ai if dinv[i - 1] is not one), start=one)
-        elif not ai:
-            val = one
-        else:
-            ginv = self.inverse_metric()
-            val = _mat_det([[ginv[i - 1][j - 1] for j in bi] for i in ai], self.field)
-        self._gram_cache[key] = val
-        return val
-
 
 def _unit(x: Scalar) -> Scalar:
     """x, or its field's ``one()`` when x equals one (canonical ints 1, 0, 1),
@@ -443,22 +421,83 @@ def _unit(x: Scalar) -> Scalar:
 
 
 def _mat_det(m, field: Field) -> Scalar:
-    a = [row[:] for row in m]
-    swaps = eliminate(a, len(a))
-    if swaps is None:
-        return field.zero()
-    det = -field.one() if swaps & 1 else field.one()
-    for i, row in enumerate(a):
-        det = det * row[i]
-    return det
+    """det m: the top entry of its minors table."""
+    full = (1 << len(m)) - 1
+    return _leading_minors(m, field)[full].get(full, field.zero())
 
 
 def _mat_inverse(m, field: Field):
+    """m^{-1} by one ``echelon`` run: row i reads sum_j m_ij x_j = e_i, with
+    e_i under the right-hand-side key -1-i, so column r of the solution is
+    column r of the inverse."""
     n = len(m)
-    a = [row[:] + [field.one() if i == j else field.zero() for j in range(n)] for i, row in enumerate(m)]
-    if eliminate(a, n) is None:
+    one, zero = field.one(), field.zero()
+    rows = [{**{j: x for j, x in enumerate(row) if not x.is_zero()}, -1 - i: one} for i, row in enumerate(m)]
+    try:
+        pivots = echelon(rows, field)
+    except InconsistentSystem:
+        pivots = {}
+    if len(pivots) < n:
         raise GeometryError("singular metric")
-    return back_substitute(a, n)
+    return [[pivots[c].get(-1 - r, zero) for r in range(n)] for c in range(n)]
+
+
+def _leading_minors(m, field: Field) -> dict:
+    """The minors table of a square matrix: {I: {J: det m[I, J]}} for every
+    set I of leading rows, nonzero minors only."""
+    minors = {0: {0: field.one()}}
+    _minors((1 << len(m)) - 1, minors, _sparse_rows(m), field)
+    return minors
+
+
+def _sparse_rows(m) -> list:
+    """Row j of m as the pairs (bit of i, m[j][i]) of its nonzero entries."""
+    return [[(1 << i, x) for i, x in enumerate(row) if not x.is_zero()] for row in m]
+
+
+def _minors(mask: int, minors: dict, rows, field: Field) -> dict:
+    """The nonzero minors {J: det M[I, J]} of the rows I in ``mask``, kept
+    in ``minors``: those of the rows below its top row, wedged with the top
+    row."""
+    out = minors.get(mask)
+    if out is None:
+        top = mask.bit_length() - 1
+        acc = {}
+        _wedge_row(acc, _minors(mask ^ (1 << top), minors, rows, field), field.one(), rows[top])
+        out = minors[mask] = _settle(field, acc)
+    return out
+
+
+def _wedge_row(acc: dict, minors: dict, c: Scalar, row) -> None:
+    """acc += c (sum_J minors[J] f^J) ^ (sum_i x_i f^i) for ``row`` the
+    pairs (bit of i, x_i): f^i moves past the bits of J above it."""
+    odd, one = _ODD, c.field.one()
+    for jm, d in minors.items():
+        cd = d if c is one else c if d is one else c * d
+        for bit, x in row:
+            if not jm & bit:
+                _mac(acc, jm | bit, cd, x, odd[jm << 8 | bit])
+
+
+def transform_form(form: KForm, old_in_new, field: Field) -> KForm:
+    """Rewrite a form given the old coframe expressed in a new one:
+    e^j = sum_i old_in_new[j][i] f^i.
+
+    By Cauchy-Binet, c e^I goes to sum_J c det M[I, J] f^J with M =
+    old_in_new.  The minors of I without its last index are expanded once
+    per call and kept in a table local to the call; each term then wedges
+    its last row of M onto them straight into the one output accumulator.
+    """
+    n, k = form.n, form.k
+    if k == 0:
+        return _trusted(n, 0, field, dict(form.coeffs))
+    rows = _sparse_rows(old_in_new)
+    minors = {0: {0: field.one()}}
+    acc = {}
+    for mask, coef in form.coeffs.items():
+        top = mask.bit_length() - 1
+        _wedge_row(acc, _minors(mask ^ (1 << top), minors, rows, field), coef, rows[top])
+    return _trusted(n, k, field, _settle(field, acc))
 
 
 # -- core operations ----------------------------------------------------
@@ -526,11 +565,6 @@ def derivation_rows(a: KForm, actions) -> dict[int, dict[int, Scalar]]:
     return {m: row for m, col in acc.items() if (row := _settle(a.field, col))}
 
 
-def derivation(a: KForm, action) -> KForm:
-    """The derivation of one action: the one column of ``derivation_rows``."""
-    return _trusted(a.n, a.k, a.field, {m: row[0] for m, row in derivation_rows(a, (action,)).items()})
-
-
 def skew_three_form(n: int, field: Field, t) -> KForm | None:
     """The 3-form with components t(i, j, k) (0-based), or None when t is not
     totally skew: it must change sign under every transposition of its
@@ -556,24 +590,19 @@ def skew_three_form(n: int, field: Field, t) -> KForm | None:
 def _raised(a: KForm, geom: FrameGeometry) -> dict[int, Scalar]:
     """The nonzero components a^I = <e^I, a> of ``a`` with every index raised
     by g, keyed by mask: a's own coefficients for the identity metric (read
-    them, never write them), a_I prod 1/g_ii for a diagonal one, otherwise a
-    sum over Gram minors."""
+    them, never write them), a_I prod 1/g_ii for a diagonal one, otherwise
+    sum_J a_J det g^{-1}[J, I], the change of frame by g^{-1}."""
     if geom._is_identity:
         return a.coeffs
+    dinv = geom.diagonal_inverse
+    if dinv is None:
+        return transform_form(a, geom.inverse_metric(), a.field).coeffs
     one = a.field.one()
-    if geom.diagonal is not None:
-        out = {}
-        for m, c in a.coeffs.items():
-            w = geom.subset_gram(m, m)
-            out[m] = c if w is one else c * w
-        return out
-    acc: dict[int, list] = {}
-    for im in _masks(a.n, a.k):
-        for mb, cb in a.coeffs.items():
-            g = geom.subset_gram(im, mb)
-            if not g.is_zero():
-                _mac(acc, im, cb, g, False)
-    return _settle(a.field, acc)
+    out = {}
+    for m, c in a.coeffs.items():
+        w = math.prod((dinv[i - 1] for i in _INDICES[m] if dinv[i - 1] is not one), start=one)
+        out[m] = c if w is one else c * w
+    return out
 
 
 def form_inner(a: KForm, b: KForm, geom: FrameGeometry) -> Scalar:

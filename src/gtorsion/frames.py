@@ -8,7 +8,8 @@ So d, Levi-Civita, Bismut and curvature cost products of nonzero entries
 only, and a flat connection costs almost nothing.  Their sums of products
 accumulate through ``scalars._mac``, one normalization per output entry.
 A change of frame moves a form by the minors of the change-of-basis matrix
-(Cauchy-Binet), one accumulation per form, with no wedge.
+(Cauchy-Binet, ``forms.transform_form``), one accumulation per form, with
+no wedge.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .forms import (
     hodge_star,
     indices_of,
     skew_three_form,
+    transform_form,
 )
 from .scalars import Field, GTorsionError, Scalar, _mac, _settle
 
@@ -340,51 +342,6 @@ def change_frame(frame: LieAlgebraFrame, a_rows, new_labels=None, base_geometry:
     geom = FrameGeometry(n, field, gnew, orientation_sign=sign)
     labels = new_labels or [f"f{i}" for i in range(1, n + 1)]
     return LieAlgebraFrame(labels, new_d, geom, check_closure=frame.closed and validate)
-
-
-def transform_form(form: KForm, old_in_new, field: Field) -> KForm:
-    """Rewrite a form given the old coframe expressed in a new one:
-    e^j = sum_i old_in_new[j][i] f^i.
-
-    By Cauchy-Binet, c e^I goes to sum_J c det M[I, J] f^J with M =
-    old_in_new.  The minors of I without its last index are expanded once
-    per call and kept in a table local to the call; each term then wedges
-    its last row of M onto them straight into the one output accumulator.
-    """
-    n, k = form.n, form.k
-    if k == 0:
-        return _trusted(n, 0, field, dict(form.coeffs))
-    rows = [[(1 << i, x) for i, x in enumerate(row) if not x.is_zero()] for row in old_in_new]
-    minors = {0: {0: field.one()}}
-    acc = {}
-    for mask, coef in form.coeffs.items():
-        top = mask.bit_length() - 1
-        _wedge_row(acc, _minors(mask ^ (1 << top), minors, rows, field), coef, rows[top])
-    return _trusted(n, k, field, _settle(field, acc))
-
-
-def _minors(mask: int, minors: dict, rows, field: Field) -> dict:
-    """The nonzero minors {J: det M[I, J]} of the rows I in ``mask``, kept
-    in ``minors``: those of the rows below its top row, wedged with the top
-    row."""
-    out = minors.get(mask)
-    if out is None:
-        top = mask.bit_length() - 1
-        acc = {}
-        _wedge_row(acc, _minors(mask ^ (1 << top), minors, rows, field), field.one(), rows[top])
-        out = minors[mask] = _settle(field, acc)
-    return out
-
-
-def _wedge_row(acc: dict, minors: dict, c: Scalar, row) -> None:
-    """acc += c (sum_J minors[J] f^J) ^ (sum_i x_i f^i) for ``row`` the
-    pairs (bit of i, x_i): f^i moves past the bits of J above it."""
-    odd, one = _ODD, c.field.one()
-    for jm, d in minors.items():
-        cd = d if c is one else c if d is one else c * d
-        for bit, x in row:
-            if not jm & bit:
-                _mac(acc, jm | bit, cd, x, odd[jm << 8 | bit])
 
 
 def transform_bilinear(m, b_rows, field: Field):

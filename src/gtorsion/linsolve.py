@@ -1,24 +1,26 @@
-"""Exact dense/sparse linear solving over a Scalar field.
+"""Exact sparse linear solving over a Scalar field.
 
-Small systems only (at most a few hundred rows); plain Gaussian elimination
-with exact division.  ``eliminate`` is the one dense kernel: determinants,
-inverses and the positive-definiteness test all read its run.
+Small systems only (at most a few hundred rows); Gauss-Jordan elimination
+with exact division.  ``echelon`` is the one elimination kernel: the torsion
+oracle, ``solve_unique_sparse`` and the metric inverse (``forms._mat_inverse``,
+one right-hand side per unit vector) read its run.  Determinants and the
+positive-definiteness test eliminate nothing: they read minors.
 
-``echelon`` is the one sparse kernel.  Its pivots stay fully reduced (a 1 in
-their own column, a 0 in every other pivot column), so a row is reduced in one
-pass over its pivot columns with no cascade of fill.  The torsion oracle
-reduces each structure form's derivation matrix alone (rank 7 in at most 70
-rows for Spin(7)); ``solve_unique_sparse`` carries one right-hand side, key
--1, through the n*r rows left (56 for Spin(7)).  Row updates go through the
-scalar accumulator (``scalars._mac``), the one multiply-accumulate path: each
-entry is normalized once, a new pivot's entries with their division by its lead.
+Its pivots stay fully reduced (a 1 in their own column, a 0 in every other
+pivot column), so a row is reduced in one pass over its pivot columns with no
+cascade of fill.  The torsion oracle reduces each structure form's derivation
+matrix alone (rank 7 in at most 70 rows for Spin(7)); ``solve_unique_sparse``
+carries one right-hand side, key -1, through the n*r rows left (56 for
+Spin(7)).  Row updates go through the scalar accumulator (``scalars._mac``),
+the one multiply-accumulate path: each entry is normalized once, a new pivot's
+entries with their division by its lead.
 """
 
 from __future__ import annotations
 
 from .scalars import Field, Scalar, _mac, _settle, _settle_over
 
-__all__ = ["eliminate", "back_substitute", "echelon", "solve_unique_sparse", "LinearSolveError", "InconsistentSystem"]
+__all__ = ["echelon", "solve_unique_sparse", "LinearSolveError", "InconsistentSystem"]
 
 _RHS = -1  # key of the one right-hand side in a sparse row; columns are >= 0
 
@@ -29,51 +31,6 @@ class LinearSolveError(ValueError):
 
 class InconsistentSystem(LinearSolveError):
     """Some combination of the rows reads 0 = c with c != 0."""
-
-
-def eliminate(rows, n: int) -> int | None:
-    """Forward-eliminate ``rows`` in place below the diagonal of their first
-    n columns, pivoting on the first nonzero entry of each column.
-
-    Returns the number of row swaps, or None when the n x n part is singular.
-    Later columns (an augmented right-hand side) are carried along.  Entries
-    below the diagonal are left stale; only the upper triangle is meaningful.
-    """
-    swaps = 0
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
-        if piv is None:
-            return None
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            swaps += 1
-        prow = rows[col]
-        inv = prow[col].inverse()
-        width = len(prow)
-        for r in range(col + 1, n):
-            row = rows[r]
-            f = row[col] * inv
-            if f.is_zero():
-                continue
-            for c in range(col + 1, width):
-                row[c] = row[c] - f * prow[c]
-    return swaps
-
-
-def back_substitute(rows, n: int):
-    """Solve the triangular system left by ``eliminate``: one solution row per
-    unknown, holding the values for each augmented column."""
-    sol = [None] * n
-    for i in range(n - 1, -1, -1):
-        row = rows[i]
-        acc = row[n:]
-        for j in range(i + 1, n):
-            f = row[j]
-            if not f.is_zero():
-                acc = [x - f * y for x, y in zip(acc, sol[j])]
-        inv = row[i].inverse()
-        sol[i] = [x * inv for x in acc]
-    return sol
 
 
 def echelon(rows, field: Field) -> dict[int, dict]:

@@ -38,6 +38,7 @@ from .forms import (
     interior,
     musical,
     musical_inv,
+    transform_form,
     wedge,
 )
 from .frames import (
@@ -47,7 +48,6 @@ from .frames import (
     covariant_derivative_oneform,
     levi_civita,
     transform_bilinear,
-    transform_form,
     transform_vector,
 )
 from .scalars import GTorsionError, NotRepresentable
@@ -153,20 +153,11 @@ def adapt_frame(frame: LieAlgebraFrame, v: VectorField, geometry=None) -> Adapte
 
 def _check_killing(frame, v: VectorField, geom):
     n = frame.n
-    zero = frame.field.zero()
-
-    def pair(x: VectorField, j: int):
-        """g(x, e_j) by row j of the metric."""
-        acc = zero
-        for c, gjk in zip(x.components, geom.metric[j]):
-            if not c.is_zero():
-                acc = acc + c * gjk
-        return acc
-
-    brackets = [frame.bracket(v, frame.basis_vector(i + 1)) for i in range(n)]  # [V, e_i]
+    basis = [frame.basis_vector(i + 1) for i in range(n)]
+    brackets = [frame.bracket(v, e) for e in basis]  # [V, e_i]
     for i in range(n):
         for j in range(i, n):
-            val = pair(brackets[i], j) + pair(brackets[j], i)
+            val = geom.g(brackets[i], basis[j]) + geom.g(brackets[j], basis[i])
             if not val.is_zero():
                 raise ReductionError(
                     f"V is not Killing: L_V g ({frame.labels[i]}, {frame.labels[j]}) != 0"

@@ -35,6 +35,7 @@ from .forms import (
     indices_of,
     interior,
     skew_three_form,
+    transform_form,
     wedge,
 )
 from .frames import (
@@ -42,7 +43,6 @@ from .frames import (
     bismut_connection,
     curvature,
     levi_civita,
-    transform_form,
     transform_vector,
 )
 from .linsolve import InconsistentSystem, LinearSolveError, echelon, solve_unique_sparse

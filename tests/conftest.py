@@ -7,7 +7,16 @@ from fractions import Fraction
 import pytest
 
 from gtorsion import registry
-from gtorsion.forms import FrameGeometry, KForm, VectorField, _mat_inverse, derivation, skew_three_form, wedge
+from gtorsion.forms import (
+    FrameGeometry,
+    KForm,
+    VectorField,
+    _mat_inverse,
+    _trusted,
+    derivation_rows,
+    skew_three_form,
+    wedge,
+)
 from gtorsion.frames import LieAlgebraFrame, _last_index, change_frame, transform_form
 from gtorsion.parser import parse
 from gtorsion.scalars import QuadraticField, RationalField
@@ -153,6 +162,12 @@ def structure_constants(frame):
 def lowered(conn, i, j, k, geom):
     """<nabla_{e_i} e_j, e_k>_g with 0-based indices."""
     return _last_index(conn.entries, geom, up=False).get((i, j, k), conn.frame.field.zero())
+
+
+def derivation(a, action):
+    """The degree-0 derivation e^j -> sum_t action[j][t] e^t applied to a:
+    the one column of ``derivation_rows``."""
+    return _trusted(a.n, a.k, a.field, {m: row[0] for m, row in derivation_rows(a, (action,)).items()})
 
 
 def covariant_derivative_form(frame, conn, a):

@@ -1,7 +1,9 @@
 """Source hygiene: no module in the package or the tests imports a name that
 it never uses (names listed in ``__all__`` count as used, so re-exports stay
-declared in one place), and merge signs have one source: ``_merge_sign`` is
-called only where it fills the sign table.  Standard library ``ast`` only."""
+declared in one place), and each kernel has one home: ``_merge_sign`` is
+called only where it fills the sign table, ``echelon`` is the one row
+reduction and ``_wedge_row`` is called only by the minors table and the change
+of frame.  Standard library ``ast`` only."""
 
 import ast
 from pathlib import Path
@@ -72,3 +74,16 @@ def test_merge_sign_only_fills_the_sign_table():
     # wedge, the star, d and the top-degree pairing read forms._ODD
     sites = [f"{path.name}:{where}" for path in SRC for where in call_sites(path.read_text(), "_merge_sign")]
     assert sites == ["forms.py:_ODD"]
+
+
+def test_echelon_is_the_one_row_reduction():
+    sites = sorted(f"{path.name}:{where}" for path in SRC for where in call_sites(path.read_text(), "echelon"))
+    assert sites == ["forms.py:_mat_inverse", "linsolve.py:solve_unique_sparse", "structures.py:solve_skew_torsion"]
+    defined = {node.name for path in SRC for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"eliminate", "back_substitute"}
+
+
+def test_wedge_row_only_expands_minors():
+    sites = sorted(f"{path.name}:{where}" for path in SRC for where in call_sites(path.read_text(), "_wedge_row"))
+    assert sites == ["forms.py:_minors", "forms.py:transform_form"]

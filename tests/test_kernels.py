@@ -1,5 +1,6 @@
-"""The shared exact kernels: dense elimination (determinant, inverse, solve,
-positive-definiteness), the sparse overdetermined solve, the skew 3-form
+"""The shared exact kernels: the minors table (determinant,
+positive-definiteness) and the elimination kernel (inverse, the sparse
+overdetermined solve) against cofactor expansion, the skew 3-form
 packer, the derivation action, the fused multiply-accumulate kernels
 checked term by term against plain Scalar sums, the well-formedness of
 every kernel output that skips the public constructor, and the change of
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import Q, Q2, Q3, random_kform, random_posdef_geometry
+from conftest import Q, Q2, Q3, derivation, random_kform, random_posdef_geometry
 from gtorsion import scalars
 from gtorsion.forms import (
     FrameGeometry,
@@ -24,7 +25,6 @@ from gtorsion.forms import (
     _mat_inverse,
     _trusted,
     contract_2_3,
-    derivation,
     derivation_rows,
     hodge_star,
     indices_of,
@@ -37,9 +37,7 @@ from gtorsion.linsolve import (
     InconsistentSystem,
     LinearSolveError,
     _axpy,
-    back_substitute,
     echelon,
-    eliminate,
     solve_unique_sparse,
 )
 from gtorsion.scalars import FieldMismatch
@@ -57,13 +55,14 @@ def cofactor_det(m, field):
 
 
 def solve_dense(a, b):
-    """Reference: solve A x = b for square exact A by the dense kernel; raises
-    on singular A."""
-    n = len(a)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    if eliminate(m, n) is None:
+    """Reference: solve A x = b for square exact A by Cramer's rule on
+    ``cofactor_det``; raises on singular A."""
+    field = b[0].field
+    det = cofactor_det(a, field)
+    if det.is_zero():
         raise LinearSolveError("singular system")
-    return [x[0] for x in back_substitute(m, n)]
+    # x_c = det(A with column c replaced by b) / det A
+    return [cofactor_det([row[:c] + [bi] + row[c + 1:] for row, bi in zip(a, b)], field) / det for c in range(len(a))]
 
 
 def random_matrix(n, field, rng):
@@ -115,6 +114,40 @@ def test_positive_definite_rejects_zero_leading_minor():
     assert g.det_metric() == Q.one()
     with pytest.raises(GeometryError, match="metric is not positive-definite"):
         g.check_positive_definite()
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """A symmetric matrix over Q or Q(sqrt2): small random entries, where
+    leading minors are often zero, or A^T D A for an invertible
+    upper-triangular A and a diagonal D that is positive, has one -1
+    (indefinite) or has one 0 (a zero leading minor from that row on)."""
+    field = draw(st.sampled_from([Q, Q2]))
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["entries", "definite", "indefinite", "degenerate"]))
+    if kind == "entries":
+        upper = {(i, j): draw(_entry(field)) for i in range(n) for j in range(i, n)}
+        return field, [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    nonzero = _entry(field).filter(lambda x: not x.is_zero())
+    a = [[draw(nonzero) if j == i else draw(_entry(field)) if j > i else field.zero() for j in range(n)] for i in range(n)]
+    d = [field.scalar(draw(st.sampled_from([1, 2]))) for _ in range(n)]
+    if kind != "definite":
+        d[draw(st.integers(0, n - 1))] = field.scalar(-1 if kind == "indefinite" else 0)
+    return field, [[sum((a[k][i] * d[k] * a[k][j] for k in range(n)), field.zero()) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_matrices())
+def test_positive_definite_exactly_when_leading_cofactor_minors_are_positive(case):
+    field, m = case
+    n = len(m)
+    sylvester = all(cofactor_det([row[:k] for row in m[:k]], field).sign() > 0 for k in range(1, n + 1))
+    g = FrameGeometry(n, field, m)
+    if sylvester:
+        g.check_positive_definite()
+    else:
+        with pytest.raises(GeometryError, match="^metric is not positive-definite$"):
+            g.check_positive_definite()
 
 
 # -- skew 3-form packer --------------------------------------------------------
@@ -235,7 +268,7 @@ def consistent_systems(draw):
     field = draw(st.sampled_from([Q, Q2]))
     n = draw(st.integers(1, 5))
     core = [[draw(_entry(field)) for _ in range(n)] for _ in range(n)]
-    assume(_mat_det(core, field) != field.zero())
+    assume(not cofactor_det(core, field).is_zero())
     b = [draw(_entry(field)) for _ in range(n)]
     rows = [(dict(enumerate(row)), rhs) for row, rhs in zip(core, b)]
     for _ in range(draw(st.integers(0, 2 * n))):

@@ -13,6 +13,7 @@ from conftest import (
     Q,
     Q2,
     covariant_derivative_form,
+    derivation,
     fixture_structure,
     rotation_matrix,
     rotate_frame_and_forms,
@@ -30,7 +31,6 @@ from gtorsion.forms import (
     wedge,
     _mat_det,
     _masks,
-    derivation,
     derivation_rows,
 )
 from gtorsion.frames import ConnectionCoeffs, LieAlgebraFrame, _last_index, cartan_three_form, transform_form
