@@ -37,8 +37,8 @@ def _torsion_report(s, torsion, labels):
 
 
 def run_check(doc, df: KForm | None = None) -> Report:
-    frame = doc.frame()
     s = doc.structure()
+    frame = s.frame
     labels = list(frame.labels)
     field = frame.field
     rep = Report()
@@ -61,7 +61,7 @@ def run_check(doc, df: KForm | None = None) -> Report:
     df = df if df is not None else (doc.df or KForm.zero(frame.n, 1, field))
     v = canonical_vector(s, df)
     rep.set("canonical_vector", vector_str(v, labels))
-    cert = parallel_certificate(frame, h, v, s.geometry, conn=s.bismut)
+    cert = parallel_certificate(s.bismut, v)
     rep.set("canonical_vector_parallel", cert["parallel"])
     rep.set("canonical_vector_norm_sq", scalar_str(cert["norm_sq"]))
 
@@ -90,7 +90,7 @@ def run_reduce(doc, df: KForm | None = None, raw: bool = False) -> Report:
     rep = run_check(doc, df=df)
     rep.set("command", "reduce")
     s = doc.structure()
-    frame = doc.frame()
+    frame = s.frame
     labels = list(frame.labels)
     df = df if df is not None else (doc.df or KForm.zero(frame.n, 1, frame.field))
     reducer = {"g2": reduce_g2, "spin7": reduce_spin7}.get(s.kind)
@@ -121,8 +121,8 @@ def run_reduce(doc, df: KForm | None = None, raw: bool = False) -> Report:
 
 
 def run_extend(doc, target: str | None = None, df: KForm | None = None) -> Report:
-    frame = doc.frame()
     s = doc.structure()
+    frame = s.frame
     field = frame.field
     if doc.flux is None:
         raise StructureError("extend needs a flux block (F = ...)")
@@ -131,7 +131,7 @@ def run_extend(doc, target: str | None = None, df: KForm | None = None) -> Repor
         target = next((k for k, row in KINDS.items() if row.reduces_to == s.kind), None)
         if target is None:
             raise StructureError(f"no extension target for kind {s.kind!r}")
-    ext = central_extend(frame, s, doc.flux, target, df=df)
+    ext = central_extend(s, doc.flux, target, df=df)
     new_frame = ext["frame"]
     labels = list(new_frame.labels)
     rep = Report()

@@ -9,7 +9,8 @@ only, and a flat connection costs almost nothing.  Their sums of products
 accumulate through ``scalars._mac``, one normalization per output entry.
 A change of frame moves a form by the minors of the change-of-basis matrix
 (Cauchy-Binet, ``forms.transform_form``), one accumulation per form, with
-no wedge.
+no wedge.  A frame carries one metric, its ``geometry``, which every
+function here reads; a structure's frame carries the structure's metric.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ class FrameError(GTorsionError, ValueError):
 class LieAlgebraFrame:
     """Frame labels, coframe differentials and geometry.
 
+    The frame caches only its metric-free ``constants``, so a copy with
+    another ``geometry`` (a structure's metric) shares them safely.
     ``check_closure=False`` skips the d^2 = 0 (Jacobi) gate; computations on
     such frames are formal and ``closed`` records the failure.
     """
@@ -210,11 +213,10 @@ def ce_differential(frame: LieAlgebraFrame, a: KForm) -> KForm:
     return _trusted(n, a.k + 1, field, _settle(field, acc))
 
 
-def codifferential(frame, a: KForm, geom: FrameGeometry | None = None) -> KForm:
+def codifferential(frame, a: KForm) -> KForm:
     """d* = (-1)^{n(k+1)+1} star d star on k-forms; ``frame`` is a
     LieAlgebraFrame or anything with its ``n``, ``field``, ``geometry`` and ``d``."""
-    geom = geom or frame.geometry
-    n, k = frame.n, a.k
+    n, k, geom = frame.n, a.k, frame.geometry
     if k == 0:
         return KForm.zero(n, 0, frame.field)
     sds = hodge_star(frame.d(hodge_star(a, geom)), geom)
@@ -222,11 +224,11 @@ def codifferential(frame, a: KForm, geom: FrameGeometry | None = None) -> KForm:
     return sds if sign > 0 else -sds
 
 
-def levi_civita(frame: LieAlgebraFrame, geom: FrameGeometry | None = None) -> ConnectionCoeffs:
+def levi_civita(frame: LieAlgebraFrame) -> ConnectionCoeffs:
     """Koszul formula on invariant fields:
     2<D_X Y, Z> = <[X,Y],Z> - <[Y,Z],X> + <[Z,X],Y>, i.e. the lowered
     symbols (1/2)(c_ijk - c_jki + c_kij), raised by g^{-1}."""
-    geom = geom or frame.geometry
+    geom = frame.geometry
     field = frame.field
     half = field.scalar(Fraction(1, 2))
     low = {}
@@ -237,15 +239,14 @@ def levi_civita(frame: LieAlgebraFrame, geom: FrameGeometry | None = None) -> Co
     return ConnectionCoeffs(frame, _last_index(_settle(field, low), geom, up=True))
 
 
-def bismut_connection(frame: LieAlgebraFrame, h: KForm, geom: FrameGeometry | None = None, lc: ConnectionCoeffs | None = None) -> ConnectionCoeffs:
+def bismut_connection(frame: LieAlgebraFrame, h: KForm, lc: ConnectionCoeffs | None = None) -> ConnectionCoeffs:
     """nabla = D + (1/2) g^{-1} H: <nabla_i e_j, e_k> = <D_i e_j, e_k> + H(e_i,e_j,e_k)/2.
 
-    ``lc`` is the Levi-Civita connection D of (frame, geom) when already built.
+    ``lc`` is the Levi-Civita connection D of ``frame`` when already built.
     """
     if h.k != 3:
         raise GeometryError("torsion form must have degree 3")
-    geom = geom or frame.geometry
-    lc = lc or levi_civita(frame, geom)
+    lc = lc or levi_civita(frame)
     field = frame.field
     half = field.scalar(Fraction(1, 2))
     low = {}
@@ -257,12 +258,12 @@ def bismut_connection(frame: LieAlgebraFrame, h: KForm, geom: FrameGeometry | No
             low[(j, i, k)] = -hv
     entries = dict(lc.entries)
     zero = field.zero()
-    for key, v in _last_index(low, geom, up=True).items():
+    for key, v in _last_index(low, frame.geometry, up=True).items():
         entries[key] = entries.get(key, zero) + v
     return ConnectionCoeffs(frame, {key: v for key, v in entries.items() if not v.is_zero()})
 
 
-def curvature(frame: LieAlgebraFrame, conn: ConnectionCoeffs, geom: FrameGeometry | None = None) -> CurvatureData:
+def curvature(frame: LieAlgebraFrame, conn: ConnectionCoeffs) -> CurvatureData:
     """R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X,Y]} Z,
     summed over products of nonzero entries only:
     R^l_{ijk} = sum_m (Gamma^m_{jk} Gamma^l_{im} - Gamma^m_{ik} Gamma^l_{jm}
@@ -312,15 +313,14 @@ def covariant_derivative_oneform(frame: LieAlgebraFrame, conn: ConnectionCoeffs,
     return [[out.get((i, j), field.zero()) for j in range(n)] for i in range(n)]
 
 
-def change_frame(frame: LieAlgebraFrame, a_rows, new_labels=None, base_geometry: FrameGeometry | None = None, validate: bool = True) -> LieAlgebraFrame:
+def change_frame(frame: LieAlgebraFrame, a_rows, new_labels=None, validate: bool = True) -> LieAlgebraFrame:
     """New frame with coframe f^i = sum_j A[i][j] e^j.
 
-    The metric (``base_geometry`` or the frame's) transforms so the geometry
-    is unchanged; returns the new LieAlgebraFrame (valid by construction when
-    the input frame is, so ``validate=False`` may skip the closure re-check).
+    The frame's metric transforms so the geometry is unchanged; returns the
+    new LieAlgebraFrame (valid by construction when the input frame is, so
+    ``validate=False`` may skip the closure re-check).
     """
-    n, field = frame.n, frame.field
-    base = base_geometry or frame.geometry
+    n, field, base = frame.n, frame.field, frame.geometry
     a = [[x if isinstance(x, Scalar) else field.scalar(x) for x in row] for row in a_rows]
     ainv = _mat_inverse(a, field)
     # d e^j in the f basis, via the old coframe in the new: e^j = sum_i ainv[j][i] f^i
@@ -371,9 +371,9 @@ def transform_vector(x: VectorField, a_rows, field: Field) -> VectorField:
     return VectorField(x.n, field, [out.get(i, field.zero()) for i in range(len(a_rows))])
 
 
-def cartan_three_form(frame: LieAlgebraFrame, geom: FrameGeometry | None = None) -> KForm:
+def cartan_three_form(frame: LieAlgebraFrame) -> KForm:
     """H(X,Y,Z) = <[X,Y], Z>_g; requires the result to be totally skew."""
-    c = _last_index(frame.constants, geom or frame.geometry, up=False)
+    c = _last_index(frame.constants, frame.geometry, up=False)
     zero = frame.field.zero()
     h = skew_three_form(frame.n, frame.field, lambda i, j, k: c.get((i, j, k), zero))
     if h is None:

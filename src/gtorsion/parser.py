@@ -41,6 +41,7 @@ from .scalars import Field, GTorsionError, QuadraticField, RationalField, Scalar
 from .structures import (
     KINDS,
     GStructure,
+    StructureError,
     _model_forms,
     ah_assemble,
     g2_assemble,
@@ -292,8 +293,6 @@ class InputDocument:
             n = self.dim
             dlist = [self.coframe.get(lab, KForm.zero(n, 2, self.field)) for lab in self.labels]
             geom = FrameGeometry(n, self.field, self.metric, orientation_sign=self.orientation_sign)
-            if self.metric is not None:
-                geom.declared_explicitly = True
             try:
                 self._frame = LieAlgebraFrame(self.labels, dlist, geom)
             except FrameError as exc:
@@ -340,7 +339,11 @@ class InputDocument:
                 forms.append(self.structure_forms[slot])
             # looked up per call, so a rebound module global is the one called
             assemble = {"su3": su3_assemble, "g2": g2_assemble, "spin7": spin7_assemble, "ah": ah_assemble}
-            self._structure = assemble[kind](*forms, fr)
+            s = assemble[kind](*forms, fr)
+            # SU(3) and G2 induce their metric; declared rows must match it
+            if self.metric is not None and s.geometry.metric != fr.geometry.metric:
+                raise StructureError("declared frame metric disagrees with the structure-induced metric")
+            self._structure = s
         return self._structure
 
 

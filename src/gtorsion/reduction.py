@@ -18,7 +18,9 @@ SU(3)) moves to the slice.  ``central_extend`` rebuilds mu ^ alpha + beta.
 A reduction builds no connection or curvature: it reads them from the input
 structure's analysis (the constant rescaling g -> lam^2 g, H -> lam^2 H to
 unit |V| leaves them unchanged) and moves a (0,2)-tensor M into the adapted
-frame as B M B^T, the adapted vectors being the rows of B.
+frame as B M B^T, the adapted vectors being the rows of B.  Every metric
+is a frame's: the input structure's frame carries g, the unit-|V|
+structure's copy of it lam^2 g, and the slice the transverse g^.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .structures import (
     GStructure,
     StructureError,
     TorsionClasses,
+    _on_metric,
     bismut_torsion,
     g2_assemble,
     project,
@@ -108,18 +111,18 @@ class AdaptedFrame:
         return transform_vector(x, self.a_rows, self.frame.field)
 
 
-def adapt_frame(frame: LieAlgebraFrame, v: VectorField, geometry=None) -> AdaptedFrame:
+def adapt_frame(frame: LieAlgebraFrame, v: VectorField) -> AdaptedFrame:
     """Gram-Schmidt an orthonormal frame around V (placed last, normalized).
 
     Requires L_V g = 0 (V Killing); errors when a norm has no square root
     in the scalar field.
     """
-    geom = geometry or frame.geometry
+    geom = frame.geometry
     field = frame.field
     n = frame.n
     if v.is_zero():
         raise ReductionError("V = 0: nothing to reduce along")
-    _check_killing(frame, v, geom)
+    _check_killing(frame, v)
     pivot = next(i for i, c in enumerate(v.components) if not c.is_zero())
     order = [i for i in range(n) if i != pivot]
     built = [(v, geom.norm_sq(v))]  # (vector, |vector|^2): V, then the complement
@@ -147,12 +150,12 @@ def adapt_frame(frame: LieAlgebraFrame, v: VectorField, geometry=None) -> Adapte
     binv = _mat_inverse(b, field)
     a_rows = [[binv[j][i] for j in range(n)] for i in range(n)]
     labels = [f"f{i}" for i in range(1, n)] + ["mu"]
-    new_frame = change_frame(frame, a_rows, new_labels=labels, base_geometry=geom)
+    new_frame = change_frame(frame, a_rows, new_labels=labels)
     return AdaptedFrame(new_frame, a_rows, b)
 
 
-def _check_killing(frame, v: VectorField, geom):
-    n = frame.n
+def _check_killing(frame, v: VectorField):
+    geom, n = frame.geometry, frame.n
     basis = [frame.basis_vector(i + 1) for i in range(n)]
     brackets = [frame.bracket(v, e) for e in basis]  # [V, e_i]
     for i in range(n):
@@ -234,8 +237,8 @@ class TransverseSlice:
 
 class ReductionResult:
     # the input structure of a reduction, once one sets it; its analysis
-    # supplies the Levi-Civita and Bismut connections of (frame, geometry),
-    # which the constant rescaling to unit |V| leaves unchanged
+    # supplies the Levi-Civita and Bismut connections, which the constant
+    # rescaling of the frame's metric to unit |V| leaves unchanged
     structure = None
 
     def __init__(self, **kw):
@@ -257,17 +260,17 @@ class ReductionResult:
     # norms, which can leave the scalar field; build it only when used
     @cached_property
     def adapted(self) -> AdaptedFrame:
-        return adapt_frame(self.frame, self.v, self.geometry)
+        return adapt_frame(self.frame, self.v)
 
     @cached_property
     def transverse(self) -> TransverseSlice:
         return TransverseSlice(self.adapted)
 
 
-def reduce_pair(frame, h: KForm, v: VectorField, normalize: bool = False, geometry=None) -> ReductionResult:
+def reduce_pair(frame, h: KForm, v: VectorField, normalize: bool = False) -> ReductionResult:
     """String-ansatz split along a Bismut-parallel unit V:
     mu = V^flat, F = d mu, g = mu x mu + g^, H = mu ^ F + H^ with H^ basic."""
-    geom = geometry or frame.geometry
+    geom = frame.geometry
     field = frame.field
     if normalize:
         nrm2 = geom.norm_sq(v)
@@ -291,7 +294,6 @@ def reduce_pair(frame, h: KForm, v: VectorField, normalize: bool = False, geomet
     anomaly = frame.d(h_hat) + wedge(f2, f2)
     return ReductionResult(
         frame=frame,
-        geometry=geom,
         v=v,
         mu=mu,
         flux=f2,
@@ -470,7 +472,7 @@ def _reduce(s: GStructure, df: KForm | None, raw: bool, kind: str) -> ReductionR
         mu_g = _gauge_covector(w) if len(reduced) > 1 else None
         split = split_parallel_form(s.form(form_name), w, mu_g)
         return ReductionResult(
-            frame=frame, geometry=geom, v=w, mu=mu_g, flux=frame.d(theta), h=h, raw=True,
+            frame=frame, v=w, mu=mu_g, flux=frame.d(theta), h=h, raw=True,
             forms={name: x for (name, _), x in zip(reduced, split)},
         )
 
@@ -487,10 +489,10 @@ def _reduce(s: GStructure, df: KForm | None, raw: bool, kind: str) -> ReductionR
         metric = [[x * lam2 for x in row] for row in geom.metric]
         scaled = FrameGeometry(s.n, field, metric, orientation_sign=geom.orientation_sign)
         forms = {name: f.scale(lam2 * lam2 if f.k == 4 else lam * lam2) for name, f in s.forms.items()}
-        unit = GStructure(kind, frame, scaled, forms)
+        unit = GStructure(kind, _on_metric(frame, scaled), forms)
         v = canonical_vector(unit, df)
 
-    red = reduce_pair(frame, unit.h, v, normalize=True, geometry=unit.geometry)
+    red = reduce_pair(unit.frame, unit.h, v, normalize=True)
     red.structure = s
     ad = red.adapted
     vhat_ad = ad.vector_to_adapted(red.v)
@@ -526,10 +528,9 @@ def splitting_check(red: ReductionResult) -> dict:
     """The three equivalent splitting conditions
     (1) d H^ = 0, (2) d mu = 0, (3) D mu = 0 (Levi-Civita)."""
     frame = red.frame
-    geom = red.geometry
     c1 = frame.d(red.h_hat).is_zero()
     c2 = red.flux.is_zero()
-    lc = red.structure.levi_civita if red.structure is not None else levi_civita(frame, geom)
+    lc = red.structure.levi_civita if red.structure is not None else levi_civita(frame)
     dmu = covariant_derivative_oneform(frame, lc, red.mu)
     c3 = all(x.is_zero() for row in dmu for x in row)
     if not (c1 == c2 == c3):
@@ -537,7 +538,7 @@ def splitting_check(red: ReductionResult) -> dict:
     return {"dH_hat = 0": c1, "d mu = 0": c2, "D mu = 0": c3}
 
 
-def central_extend(frame: LieAlgebraFrame, structure: GStructure, flux: KForm, target: str, df: KForm | None = None, h_hat: KForm | None = None) -> dict:
+def central_extend(structure: GStructure, flux: KForm, target: str, df: KForm | None = None, h_hat: KForm | None = None) -> dict:
     """Append a generator e0 with d e0 = F and build the extended structure.
 
     The inverse of the reduction: the parallel form is mu ^ alpha + beta with
@@ -547,6 +548,7 @@ def central_extend(frame: LieAlgebraFrame, structure: GStructure, flux: KForm, t
     needs constant-type G2 input with theta_phi = df.  The anomaly
     dH^ + F ^ F must vanish (Bianchi).
     """
+    frame = structure.frame
     field = frame.field
     n = frame.n
     df = df if df is not None else KForm.zero(n, 1, field)
@@ -557,7 +559,7 @@ def central_extend(frame: LieAlgebraFrame, structure: GStructure, flux: KForm, t
     base = KINDS[target].reduces_to if target in KINDS else None
     if base is None:
         raise ReductionError(f"unknown extension target {target!r}")
-    if structure.kind != base or n != KINDS[base].dim:
+    if structure.kind != base:
         raise ReductionError(f"{target} extension needs {KINDS[base].noun} on n = {KINDS[base].dim}")
     problems = []
     t = structure.torsion

@@ -10,7 +10,8 @@ The defining equations:
 
 where F^2 acts as the endomorphism square F_i^k F_kj (the negative of the
 positive-definite pairing <i_X F, i_Y F>); this sign is pinned by the
-reduced worked examples.
+reduced worked examples.  The metric is always the frame's (on a
+structure's frame, the structure's).
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class PreconditionError(GTorsionError, ValueError):
 
 class SolitonData:
     """Frame + torsion 3-form + soliton vector; optional invariant closed df
-    and string flux F.
+    and string flux F.  The metric is the frame's.
 
     Data built by ``SolitonData.of(s, ...)`` carries the structure ``s``,
     and the residuals read its connections and curvature from the
@@ -72,44 +73,42 @@ class SolitonData:
 
     structure = None
 
-    def __init__(self, frame, h: KForm, x: VectorField, df: KForm | None = None, f: KForm | None = None, geometry=None):
+    def __init__(self, frame, h: KForm, x: VectorField, df: KForm | None = None, f: KForm | None = None):
         self.frame = frame
-        self.geometry = geometry or frame.geometry
         if h.k != 3:
             raise ValueError("H must be a 3-form")
         self.h = h
         self.x = x
-        field = frame.field
-        self.df = df if df is not None else KForm.zero(frame.n, 1, field)
+        self.df = df if df is not None else KForm.zero(frame.n, 1, frame.field)
         if not frame.d(self.df).is_zero():
             raise ValueError("df must be closed")
         self.flux = f
 
     @classmethod
     def of(cls, s: GStructure, x: VectorField, df: KForm | None = None, f: KForm | None = None):
-        """Soliton data on the frame and metric of ``s`` with H = ``s.h``."""
-        data = cls(s.frame, s.h, x, df=df, f=f, geometry=s.geometry)
+        """Soliton data on the frame of ``s`` with H = ``s.h``."""
+        data = cls(s.frame, s.h, x, df=df, f=f)
         data.structure = s
         return data
 
     def levi_civita(self):
         s = self.structure
-        return s.levi_civita if s is not None else levi_civita(self.frame, self.geometry)
+        return s.levi_civita if s is not None else levi_civita(self.frame)
 
     def bismut(self):
         """The Bismut connection of (g, H) and its curvature."""
         s = self.structure
         if s is not None:
             return s.bismut, s.bismut_curvature
-        conn = bismut_connection(self.frame, self.h, self.geometry)
-        return conn, curvature(self.frame, conn, self.geometry)
+        conn = bismut_connection(self.frame, self.h)
+        return conn, curvature(self.frame, conn)
 
 
 def grs_residual(data: SolitonData):
     """Rc^{nabla(g,H)} + nabla X^flat as an n x n Scalar matrix."""
-    frame, geom = data.frame, data.geometry
+    frame = data.frame
     conn, cur = data.bismut()
-    xflat = musical(data.x, geom)
+    xflat = musical(data.x, frame.geometry)
     nx = covariant_derivative_oneform(frame, conn, xflat)
     n = frame.n
     return [[cur.ricci[i][j] + nx[i][j] for j in range(n)] for i in range(n)]
@@ -119,21 +118,21 @@ def string_grs_residual(data: SolitonData):
     """The triple (Rc^nabla + F^2 + nabla X^flat, d*F - <F,H> + i_X F, dH + F^F)."""
     if data.flux is None:
         raise ValueError("string residual needs a flux 2-form F")
-    frame, geom = data.frame, data.geometry
+    frame, geom = data.frame, data.frame.geometry
     n = frame.n
     f = data.flux
     mat = grs_residual(data)
     fsq = two_form_square(f, geom)
     slot1 = [[mat[i][j] - fsq[i][j] for j in range(n)] for i in range(n)]
-    slot2 = codifferential(frame, f, geom) - contract_2_3(f, data.h, geom) + interior(data.x, f)
+    slot2 = codifferential(frame, f) - contract_2_3(f, data.h, geom) + interior(data.x, f)
     slot3 = frame.d(data.h) + wedge(f, f)
     return slot1, slot2, slot3
 
 
-def divergence(frame, x: VectorField, geometry=None, lc=None):
+def divergence(frame, x: VectorField, lc=None):
     """Trace of the Levi-Civita covariant derivative of X:
     sum_{i,j} X^j Gamma^i_{ij}."""
-    lc = lc or levi_civita(frame, geometry or frame.geometry)
+    lc = lc or levi_civita(frame)
     acc = frame.field.zero()
     for (i, j, l), v in lc.entries.items():
         if l == i and not x.components[j].is_zero():
@@ -141,13 +140,12 @@ def divergence(frame, x: VectorField, geometry=None, lc=None):
     return acc
 
 
-def scalar_curvature(frame, geometry=None, lc=None):
+def scalar_curvature(frame, lc=None):
     """Riemannian scalar curvature: the g-trace of the Levi-Civita Ricci
     tensor, which ``curvature`` sums from nonzero Riemann entries."""
-    geom = geometry or frame.geometry
-    lc = lc or levi_civita(frame, geom)
-    ricci = curvature(frame, lc, geom).ricci
-    ginv = geom.inverse_metric()
+    lc = lc or levi_civita(frame)
+    ricci = curvature(frame, lc).ricci
+    ginv = frame.geometry.inverse_metric()
     acc = frame.field.zero()
     for i, row in enumerate(ricci):
         for j, rc in enumerate(row):
@@ -158,12 +156,12 @@ def scalar_curvature(frame, geometry=None, lc=None):
 
 def weighted_scalar(data: SolitonData):
     """R - (1/12)|H|^2 + 2 div X - |X|^2 (equals lambda + |V|^2 on solitons)."""
-    frame, geom = data.frame, data.geometry
+    frame, geom = data.frame, data.frame.geometry
     field = frame.field
     lc = data.levi_civita()
-    r = scalar_curvature(frame, geom, lc)
+    r = scalar_curvature(frame, lc)
     h2 = form_inner(data.h, data.h, geom)
-    divx = divergence(frame, data.x, geom, lc)
+    divx = divergence(frame, data.x, lc)
     x2 = geom.norm_sq(data.x)
     return r - h2 * field.scalar(Fraction(1, 12)) + divx * field.scalar(2) - x2
 
@@ -180,16 +178,13 @@ def canonical_vector(s: GStructure, df: KForm | None = None, torsion: TorsionCla
     return v
 
 
-def parallel_certificate(frame, h: KForm, v: VectorField, geometry=None, conn=None) -> dict:
-    """Check nabla^{Bismut} V = 0; |V| is then automatically constant.
-
-    ``conn`` is the Bismut connection of (frame, geometry, h) when already built.
-    """
-    geom = geometry or frame.geometry
-    conn = conn or bismut_connection(frame, h, geom)
+def parallel_certificate(conn, v: VectorField) -> dict:
+    """Check nabla V = 0 for the Bismut connection ``conn``; |V| is then
+    automatically constant."""
+    frame = conn.frame
     derivs = [conn.nabla(frame.basis_vector(i + 1), v) for i in range(frame.n)]
     parallel = all(d.is_zero() for d in derivs)
-    return {"parallel": parallel, "norm_sq": geom.norm_sq(v)}
+    return {"parallel": parallel, "norm_sq": frame.geometry.norm_sq(v)}
 
 
 def g2_rigidity_identity(s: GStructure, df: KForm | None = None, torsion: TorsionClasses | None = None):
@@ -219,6 +214,6 @@ def spin7_dilatino_residual(s: GStructure, torsion: TorsionClasses | None = None
     geom = s.geometry
     theta = torsion["lee"]
     zeta = torsion["zeta5"]
-    dstar = codifferential(s.frame, theta, geom).coeffs.get(0, field.zero())
+    dstar = codifferential(s.frame, theta).coeffs.get(0, field.zero())
     coef = field.scalar(Fraction(7, 6))
     return coef * dstar + coef * form_inner(theta, theta, geom) - form_inner(zeta, zeta, geom)

@@ -176,9 +176,10 @@ class TorsionClasses:
 class GStructure:
     """Tagged structure: kind, defining forms, frame, derived metric data.
 
-    ``frame`` is anything with n / field / geometry / d(form) / constants;
-    the structure's own ``geometry`` (induced metric) is what every metric
-    computation uses.
+    ``frame`` is anything with n / field / geometry / d(form) / constants,
+    and its ``geometry`` is the structure's metric (``s.geometry``): SU(3)
+    and G2 put their induced metric on a copy of the input frame
+    (``_on_metric``), so every frame-level call on ``s.frame`` sees it.
 
     The cached properties below are the structure's compute-once analysis:
     each item is built on first use and kept on the structure, so check,
@@ -187,10 +188,9 @@ class GStructure:
     analysis by reference counting alone.
     """
 
-    def __init__(self, kind, frame, geometry, forms: dict, j_matrix=None):
+    def __init__(self, kind, frame, forms: dict, j_matrix=None):
         self.kind = kind
         self.frame = frame
-        self.geometry = geometry
         self.forms = forms
         self.j_matrix = j_matrix
         self.field = frame.field
@@ -198,6 +198,10 @@ class GStructure:
     @property
     def n(self):
         return self.frame.n
+
+    @property
+    def geometry(self) -> FrameGeometry:
+        return self.frame.geometry
 
     def form(self, name: str) -> KForm:
         return self.forms[name]
@@ -236,17 +240,17 @@ class GStructure:
 
     @cached_property
     def levi_civita(self):
-        return levi_civita(self.frame, self.geometry)
+        return levi_civita(self.frame)
 
     @cached_property
     def bismut(self):
         """Connection with skew torsion H."""
-        return bismut_connection(self.frame, self.h, self.geometry, lc=self.levi_civita)
+        return bismut_connection(self.frame, self.h, lc=self.levi_civita)
 
     @cached_property
     def bismut_curvature(self):
         """Curvature (nonzero Riemann entries and Ricci) of the Bismut connection."""
-        return curvature(self.frame, self.bismut, self.geometry)
+        return curvature(self.frame, self.bismut)
 
 
 def _j_from_metric_omega(omega: KForm, geom: FrameGeometry):
@@ -304,13 +308,8 @@ def su3_assemble(omega: KForm, omega_plus: KForm, frame) -> GStructure:
     omega_minus = hodge_star(omega_plus, geom)
     if om3 != wedge(omega_plus, omega_minus).scale(Fraction(3, 2)):
         raise StructureError("volume identity omega^3 = 3/2 Omega+ ^ Omega- fails")
-    j = _j_from_metric_omega(omega, geom)
-    _check_declared_metric(frame, geom)
-    return GStructure(
-        "su3", frame, geom,
-        {"omega": omega, "omega_plus": omega_plus, "omega_minus": omega_minus},
-        j_matrix=j,
-    )
+    forms = {"omega": omega, "omega_plus": omega_plus, "omega_minus": omega_minus}
+    return GStructure("su3", _on_metric(frame, geom), forms, j_matrix=_j_from_metric_omega(omega, geom))
 
 
 def _top_pairing(a: list, b: list | None, form: KForm, c) -> list:
@@ -388,9 +387,8 @@ def g2_assemble(phi: KForm, frame) -> GStructure:
     if frame.n != 7:
         raise StructureError("g2 needs n = 7")
     geom = induced_metric_g2(phi)
-    _check_declared_metric(frame, geom)
     star_phi = hodge_star(phi, geom)
-    return GStructure("g2", frame, geom, {"phi": phi, "star_phi": star_phi})
+    return GStructure("g2", _on_metric(frame, geom), {"phi": phi, "star_phi": star_phi})
 
 
 def spin7_assemble(psi: KForm, frame) -> GStructure:
@@ -404,31 +402,24 @@ def spin7_assemble(psi: KForm, frame) -> GStructure:
         raise StructureError("frame not adapted: Psi ^ Psi != 14 vol")
     if hodge_star(psi, geom) != psi:
         raise StructureError("frame not adapted: Psi is not self-dual")
-    return GStructure("spin7", frame, geom, {"psi": psi})
+    return GStructure("spin7", frame, {"psi": psi})
 
 
 def ah_assemble(omega: KForm, frame) -> GStructure:
     """Almost Hermitian structure from omega and the frame metric."""
     if frame.n % 2 or frame.n < 4:
         raise StructureError(f"almost Hermitian needs even n >= 4, got n = {frame.n}")
-    geom = frame.geometry
-    geom.check_positive_definite()
-    j = _j_from_metric_omega(omega, geom)
-    return GStructure("ah", frame, geom, {"omega": omega}, j_matrix=j)
+    frame.geometry.check_positive_definite()
+    return GStructure("ah", frame, {"omega": omega}, j_matrix=_j_from_metric_omega(omega, frame.geometry))
 
 
-def _check_declared_metric(frame, geom: FrameGeometry):
-    declared = getattr(frame.geometry, "metric", None)
-    if declared is None:
-        return
-    if getattr(frame.geometry, "declared_explicitly", False):
-        n = geom.n
-        for i in range(n):
-            for j in range(n):
-                if not (declared[i][j] - geom.metric[i][j]).is_zero():
-                    raise StructureError(
-                        "declared frame metric disagrees with the structure-induced metric"
-                    )
+def _on_metric(base, geom: FrameGeometry):
+    """A shallow copy of the frame ``base`` whose geometry is ``geom``.
+    Frames cache nothing but their metric-free ``constants``, so the copy
+    shares them; keep every metric-dependent cache off frames."""
+    out = object.__new__(type(base))
+    out.__dict__ = {**base.__dict__, "geometry": geom}
+    return out
 
 
 # -- irreducible projections ---------------------------------------------

@@ -33,6 +33,19 @@ PYTHAGOREAN = [
     (Fraction(20, 29), Fraction(21, 29)),
 ]
 
+# the balanced G2 structure on S^3 x T^4: phi = model on su(2) + R^4, the
+# su(2) block on (e5, e6, e7); theta = 0, tau0 = 6/7, strong torsion, V = 0
+S3XT4_G2 = """dim 7
+field rational
+frame e1 e2 e3 e4 e5 e6 e7
+d e5 = e6^e7
+d e6 = e7^e5
+d e7 = e5^e6
+metric identity
+structure g2
+phi = model
+"""
+
 
 def fixture_doc(name):
     return parse(registry.input_text(name))

@@ -199,8 +199,8 @@ def test_criterion_5_spin7_su3():
            s.frame.d(t["lee"]) == dtheta_stated, s.frame.d(t["lee"]))
     _check(failures, "dilatino residual = 0", spin7_dilatino_residual(s, t).is_zero())
     h = bismut_torsion(s, t)
-    conn = bismut_connection(s.frame, h, s.geometry)
-    cur = curvature(s.frame, conn, s.geometry)
+    conn = bismut_connection(s.frame, h)
+    cur = curvature(s.frame, conn)
     _check(failures, "Bismut curvature of (g, H_Psi) identically zero", not cur.entries)
     _finish("criterion 5 (spin7 su3 example)", failures)
 
@@ -214,7 +214,7 @@ def test_criterion_6_soliton_residuals():
         s = fixture_structure(name)
         h = bismut_torsion(s)
         v = canonical_vector(s)  # theta# resp. (7/6) theta#
-        res = grs_residual(SolitonData(s.frame, h, v, geometry=s.geometry))
+        res = grs_residual(SolitonData(s.frame, h, v))
         ok = all(x.is_zero() for row in res for x in row)
         _check(failures, f"Rc + nabla X-flat = 0 on {name}", ok)
     _finish("criterion 6 (soliton residuals)", failures)
@@ -350,7 +350,7 @@ def test_criterion_8_property_suites(rng):
             rot = rotation_matrix(7, rng, field=base.field)
             fr2, (phi2,) = rotate_frame_and_forms(base.frame, [base.form("phi")], rot)
             s2 = g2_assemble(phi2, fr2)
-            red = reduce_pair(fr2, bismut_torsion(s2), canonical_vector(s2), normalize=True, geometry=s2.geometry)
+            red = reduce_pair(s2.frame, bismut_torsion(s2), canonical_vector(s2), normalize=True)
             if red.h != wedge(red.mu, red.flux) + red.h_hat:
                 failures.append("string ansatz reassembly failed")
             if not red.anomaly.is_zero():
@@ -363,7 +363,7 @@ def test_criterion_8_property_suites(rng):
     qfr = red.transverse.as_lie_frame()
     qs = su3_assemble(red.omega, red.omega_plus, qfr)
     h_hat = KForm(6, 3, s.field, dict(red.adapted.to_adapted(red.h_hat).coeffs))
-    ext = central_extend(qfr, qs, KForm.zero(6, 2, s.field), "g2", h_hat=h_hat)
+    ext = central_extend(qs, KForm.zero(6, 2, s.field), "g2", h_hat=h_hat)
     if not (ext["strong"] and ext["torsion_matches"]):
         failures.append("reduce/extend round trip failed")
     tally += 1

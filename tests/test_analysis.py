@@ -44,8 +44,9 @@ def test_reduce_builds_each_item_once_per_structure(monkeypatch):
     ambient = doc.structure()
     assert dict(torsion) == {ambient: 1}
     assert h[ambient] == 1
-    # one Bismut connection, on the ambient frame; none in the adapted frame
-    assert dict(conn) == {doc.frame(): 1}
+    # one Bismut connection, on the ambient structure's frame; none in the
+    # adapted frame
+    assert dict(conn) == {ambient.frame: 1}
 
 
 @pytest.mark.parametrize("name", ["nonintG2", "nonintG2nonclosedLee"])
@@ -57,7 +58,7 @@ def test_reduce_builds_no_geometry_of_its_own(monkeypatch, name):
     conn = _count_calls(monkeypatch, "bismut_connection")
     cur = _count_calls(monkeypatch, "curvature")
     engine.run_reduce(doc)
-    frame = doc.frame()
+    frame = doc.structure().frame
     assert dict(lc) == {frame: 1}
     assert dict(conn) == {frame: 1}
     assert dict(cur) == {frame: 2}  # the Bismut and Levi-Civita curvatures
@@ -72,7 +73,7 @@ def test_check_builds_each_item_once(monkeypatch):
     s = doc.structure()
     assert dict(nij) == {s: 1}
     assert dict(h) == {s: 1}
-    assert dict(conn) == {doc.frame(): 1}
+    assert dict(conn) == {s.frame: 1}
 
 
 def test_g2_metric_makes_no_wedge(monkeypatch):

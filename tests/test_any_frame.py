@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Q, random_kform, rotate_frame_and_forms, rotation_matrix
+from conftest import Q, S3XT4_G2, random_kform, rotate_frame_and_forms, rotation_matrix
 from test_kinds import _Doc
 from test_reduction import quotient_su3_of_nonintG2
 from gtorsion import engine, registry
@@ -153,10 +153,10 @@ def test_traces_move_covariantly_under_shears(name):
     check()
 
 
-def sheared_text(name, step):
-    """The fixture in the coframe f = A e, A = I + sum_i E_{i, i+step}, as
+def sheared_text(text, step):
+    """The input in the coframe f = A e, A = I + sum_i E_{i, i+step}, as
     input text with its metric rows."""
-    doc = parse(registry.input_text(name))
+    doc = parse(text)
     frame = doc.frame()
     field = doc.field
     a = _band_shear(field, frame.n, step)
@@ -168,16 +168,27 @@ def sheared_text(name, step):
     return doc.serialize()
 
 
+_INPUTS = {**{name: registry.input_text(name) for name in registry.names()}, "s3xt4": S3XT4_G2}
+
+
 @pytest.mark.parametrize("step", [1, 2, 3])
-def test_check_on_sheared_nonintsu3_reports_fixture_values(step):
-    # before theta became a trace, step 1 gave lee_form -2*eta1 + 2*eta2 -
-    # 2*eta5 + 2*eta6 and step 3 gave 2*eta1 + 2*eta3 - 2*eta4 + 2*eta5 -
-    # 2*eta6, both with |V|^2 = 12 and weighted scalar 32/3
-    want = json.loads(engine.run_check(parse(registry.input_text("nonintsu3"))).to_json())
-    doc = parse(sheared_text("nonintsu3", step))
-    assert any(not doc.metric[i][j].is_zero() for i in range(6) for j in range(6) if i != j)
+@pytest.mark.parametrize("name", sorted(_INPUTS))
+def test_check_on_sheared_input_reports_unsheared_values(name, step):
+    # the declared metric rows are not diagonal, so the frame's metric meets
+    # the structure's; before theta became a trace, sheared nonintsu3 gave
+    # lee_form -2*eta1 + 2*eta2 - 2*eta5 + 2*eta6 (step 1) and 2*eta1 +
+    # 2*eta3 - 2*eta4 + 2*eta5 - 2*eta6 (step 3), both with |V|^2 = 12 and
+    # weighted scalar 32/3
+    want = json.loads(engine.run_check(parse(_INPUTS[name])).to_json())
+    doc = parse(sheared_text(_INPUTS[name], step))
+    n = doc.dim
+    assert any(not doc.metric[i][j].is_zero() for i in range(n) for j in range(n) if i != j)
     got = json.loads(engine.run_check(doc).to_json())
-    for key in ("lee_form", "canonical_vector_norm_sq", "weighted_scalar", "bismut_ricci_form_zero"):
+    keys = ["strong_torsion", "torsion_oracle_agree", "grs_residual_zero", "weighted_scalar", "canonical_vector_norm_sq"]
+    keys += [key for key in ("dilatino_residual", "nijenhuis_zero", "bismut_ricci_form_zero") if key in want]
+    if want["lee_form"] == "0":  # a zero form reads 0 in every frame
+        keys.append("lee_form")
+    for key in keys:
         assert got[key] == want[key], key
 
 
@@ -203,6 +214,6 @@ def test_reduce_on_sheared_nonintG2nonclosedLee(step, error):
     # and every step exited 3 with "declared frame metric disagrees with the
     # structure-induced metric"; steps 1 and 2 now stop at the adapted
     # frame's root (ROADMAP item 2)
-    rep = engine.run_reduce(parse(sheared_text("nonintG2nonclosedLee", step)))
+    rep = engine.run_reduce(parse(sheared_text(registry.input_text("nonintG2nonclosedLee"), step)))
     assert rep.data.get("reduction_error") == error
     assert rep.data.get("verifier_ok") is (None if error else True)

@@ -3,7 +3,8 @@ it never uses (names listed in ``__all__`` count as used, so re-exports stay
 declared in one place), and each kernel has one home: ``_merge_sign`` is
 called only where it fills the sign table, ``echelon`` is the one row
 reduction and ``_wedge_row`` is called only by the minors table and the change
-of frame.  Standard library ``ast`` only."""
+of frame.  A frame carries its one metric, so no function takes a metric
+beside a frame.  Standard library ``ast`` only."""
 
 import ast
 from pathlib import Path
@@ -87,3 +88,26 @@ def test_echelon_is_the_one_row_reduction():
 def test_wedge_row_only_expands_minors():
     sites = sorted(f"{path.name}:{where}" for path in SRC for where in call_sites(path.read_text(), "_wedge_row"))
     assert sites == ["forms.py:_minors", "forms.py:transform_form"]
+
+
+def metric_beside_frame(source: str) -> list[str]:
+    """Functions and methods with a ``frame`` parameter and a ``geom``,
+    ``geometry`` or ``base_geometry`` one."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            if "frame" in names and names & {"geom", "geometry", "base_geometry"}:
+                out.append(node.name)
+    return out
+
+
+def test_metric_beside_frame_scanner():
+    src = "def f(frame, geom=None): pass\nclass C:\n    def g(self, frame, *, geometry): pass\ndef h(frame, lc): pass\n"
+    assert metric_beside_frame(src) == ["f", "g"]
+
+
+def test_no_metric_parameter_beside_a_frame():
+    # a structure's frame carries the structure's metric
+    assert [f"{path.name}:{name}" for path in SRC for name in metric_beside_frame(path.read_text())] == []

@@ -160,9 +160,6 @@ class _Doc:
     def __init__(self, s):
         self.s, self.flux, self.df = s, KForm.zero(s.n, 2, s.field), None
 
-    def frame(self):
-        return self.s.frame
-
     def structure(self):
         return self.s
 
@@ -205,7 +202,7 @@ def test_central_extend_accepts_the_ambient_kinds():
     accepted = set()
     for target in [*KINDS, "spin8"]:
         with pytest.raises(ReductionError) as info:
-            central_extend(s.frame, s, KForm.zero(6, 2, Q), target)
+            central_extend(s, KForm.zero(6, 2, Q), target)
         if str(info.value) != f"unknown extension target {target!r}":
             accepted.add(target)
     assert accepted == set(_ambient().values())

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import S3XT4_G2
 from gtorsion import cli, registry
 from gtorsion.cli import main
 from gtorsion.engine import run_check
@@ -270,6 +271,22 @@ def test_cli_extend_roundtrip(tmp_path, capsys):
     assert data["torsion_matches_formula"] is True
 
 
+@pytest.mark.parametrize("name", ["nonintG2", "nonintsu3"])
+def test_cli_declared_metric_must_equal_induced_one_line_exit_3(tmp_path, capsys, name):
+    # phi and (omega, Omega+) induce the identity, so declared rows of 2 I
+    # disagree with the structure's metric
+    text = registry.input_text(name)
+    n = parse(text).dim
+    rows = "".join(" ".join("2" if i == j else "0" for j in range(n)) + "\n" for i in range(n))
+    assert "metric identity\n" in text
+    p = tmp_path / "declared.gs"
+    p.write_text(text.replace("metric identity\n", "metric rows\n" + rows))
+    assert _run_cli(["check", str(p)]) == 3
+    assert capsys.readouterr().err == (
+        "structure error: declared frame metric disagrees with the structure-induced metric\n"
+    )
+
+
 def test_cli_df_flag(tmp_path, capsys):
     p = tmp_path / "g2.gs"
     p.write_text(registry.input_text("nonintG2"))
@@ -279,15 +296,12 @@ def test_cli_df_flag(tmp_path, capsys):
     assert data["canonical_vector"] == "0"
 
 
-# S^3 x T^4 with phi = model: theta = 0, so with df != 0 the canonical vector
-# is -grad f while the raw presentation along theta^sharp is empty
-_S3XT4 = "dim 7\nframe e1 e2 e3 e4 e5 e6 e7\nd e5 = e6^e7\nd e6 = e7^e5\nd e7 = e5^e6\nstructure g2\nphi = model\n"
-
-
 @pytest.mark.parametrize("flags", [[], ["--raw-lee"]], ids=["reduce", "raw-lee"])
 def test_cli_reduce_g2_zero_lee_one_line_exit_3(tmp_path, capsys, flags):
+    # S^3 x T^4 has theta = 0, so with df != 0 the canonical vector is
+    # -grad f while the raw presentation along theta^sharp is empty
     p = tmp_path / "s3xt4.gs"
-    p.write_text(_S3XT4)
+    p.write_text(S3XT4_G2)
     assert _run_cli(["reduce", str(p), "--df", "e1", *flags]) == 3
     assert capsys.readouterr().err == (
         "structure error: raw reduction needs theta != 0: "

@@ -57,7 +57,7 @@ from gtorsion.soliton import canonical_vector
 
 def test_adapt_frame_coordinate_direction():
     s = fixture_structure("nonintG2")
-    ad = adapt_frame(s.frame, VectorField.basis(7, s.field, 7), s.geometry)
+    ad = adapt_frame(s.frame, VectorField.basis(7, s.field, 7))
     # transverse coframe stays e1..e6, mu is e7
     for i in range(7):
         expected = KForm(7, 1, s.field, {1 << i: s.field.one()})
@@ -68,7 +68,7 @@ def test_adapt_frame_rotated_direction():
     s = fixture_structure("nonintG2nonclosedLee")
     f = s.field
     v = VectorField(7, f, [0, 0, -1, 1, 0, 0, 0])
-    ad = adapt_frame(s.frame, v, s.geometry)
+    ad = adapt_frame(s.frame, v)
     # the last adapted vector is V/|V| = (e4 - e3)/sqrt2, and the complement
     # contains (e3 + e4)/sqrt2
     half_rt2 = f.sqrt_d() * f.scalar(Fraction(1, 2))
@@ -96,7 +96,7 @@ def test_adapt_frame_rejects_nonkilling():
 def test_adapt_frame_rejects_zero():
     s = fixture_structure("nonintG2")
     with pytest.raises(ReductionError):
-        adapt_frame(s.frame, VectorField.zero(7, s.field), s.geometry)
+        adapt_frame(s.frame, VectorField.zero(7, s.field))
 
 
 # -- reduce_pair -------------------------------------------------------------
@@ -106,7 +106,7 @@ def test_reduce_pair_roundtrip_identity():
     s = fixture_structure("nonintG2")
     h = bismut_torsion(s)
     v = canonical_vector(s)
-    red = reduce_pair(s.frame, h, v, geometry=s.geometry)
+    red = reduce_pair(s.frame, h, v)
     assert red.h == wedge(red.mu, red.flux) + red.h_hat
     # g = mu (x) mu + g^ holds by construction of the adapted orthonormal frame
     assert red.anomaly.is_zero()
@@ -118,8 +118,8 @@ def test_reduce_pair_requires_unit_or_normalize():
     h = bismut_torsion(s)
     v = canonical_vector(s)  # |V| = sqrt2
     with pytest.raises(ReductionError, match="normalize"):
-        reduce_pair(s.frame, h, v, geometry=s.geometry)
-    red = reduce_pair(s.frame, h, v, normalize=True, geometry=s.geometry)
+        reduce_pair(s.frame, h, v)
+    red = reduce_pair(s.frame, h, v, normalize=True)
     assert red.anomaly.is_zero()
 
 
@@ -127,7 +127,7 @@ def test_reduce_pair_rejects_nonparallel():
     s = fixture_structure("nonintG2")
     v = VectorField.basis(7, s.field, 1)  # Killing but d mu != i_V H when H = 0
     with pytest.raises(ReductionError, match="parallel"):
-        reduce_pair(s.frame, KForm.zero(7, 3, s.field), v, geometry=s.geometry)
+        reduce_pair(s.frame, KForm.zero(7, 3, s.field), v)
 
 
 def test_reduce_pair_abelian_trivial():
@@ -144,7 +144,7 @@ def test_reduce_pair_basic_checks_oneA():
     s = fixture_structure("nonintSpin7OneA")
     h = bismut_torsion(s)
     v = canonical_vector(s)
-    red = reduce_pair(s.frame, h, v, normalize=True, geometry=s.geometry)
+    red = reduce_pair(s.frame, h, v, normalize=True)
     assert interior(red.v, red.h_hat).is_zero()
     assert interior(red.v, s.frame.d(red.h_hat)).is_zero()
 
@@ -298,7 +298,7 @@ def test_splitting_equivalence_randomized(rng):
             fr2, (phi2,) = rotate_frame_and_forms(base.frame, [base.form("phi")], rot)
             s2 = g2_assemble(phi2, fr2)
             v = canonical_vector(s2)
-            red = reduce_pair(fr2, bismut_torsion(s2), v, normalize=True, geometry=s2.geometry)
+            red = reduce_pair(s2.frame, bismut_torsion(s2), v, normalize=True)
             sp = splitting_check(red)  # raises if the three disagree
             assert len(set(sp.values())) == 1
             cases += 1
@@ -320,7 +320,7 @@ def quotient_su3_of_nonintG2():
 
 def test_central_extend_roundtrip():
     s, red, qfr, qs, h_hat, flux = quotient_su3_of_nonintG2()
-    ext = central_extend(qfr, qs, flux, "g2", h_hat=h_hat)
+    ext = central_extend(qs, flux, "g2", h_hat=h_hat)
     assert ext["strong"] and ext["torsion_matches"]
     # the extended structure is the original one up to the frame isomorphism
     # sending the new generator to the last slot
@@ -341,7 +341,7 @@ def test_central_extend_f_zero_is_product():
     # F = 0: the extension splits as a product (flux-free string ansatz)
     s, red, qfr, qs, h_hat, flux = quotient_su3_of_nonintG2()
     assert flux.is_zero()
-    ext = central_extend(qfr, qs, KForm.zero(6, 2, s.field), "g2", h_hat=h_hat)
+    ext = central_extend(qs, KForm.zero(6, 2, s.field), "g2", h_hat=h_hat)
     ext_s = ext["structure"]
     red2 = reduce_g2(ext_s)
     assert all(splitting_check(red2).values())
@@ -350,7 +350,7 @@ def test_central_extend_f_zero_is_product():
 def test_central_extend_rejects_wrong_sigma0():
     s = fixture_structure("nonintsu3")  # sigma0 = -2
     with pytest.raises(ReductionError, match="sigma0"):
-        central_extend(s.frame, s, KForm.zero(6, 2, s.field), "g2")
+        central_extend(s, KForm.zero(6, 2, s.field), "g2")
 
 
 def test_central_extend_bianchi_obstruction():
@@ -359,7 +359,7 @@ def test_central_extend_bianchi_obstruction():
     bad_flux = KForm.from_terms(6, f, [((2, 3), 1), ((5, 6), 1)])  # closed, F ^ F != 0
     assert qfr.d(bad_flux).is_zero()
     with pytest.raises(ReductionError, match="Bianchi"):
-        central_extend(qfr, qs, bad_flux, "g2", h_hat=h_hat)
+        central_extend(qs, bad_flux, "g2", h_hat=h_hat)
 
 
 def test_central_extend_rejects_nonclosed_flux():
@@ -368,7 +368,7 @@ def test_central_extend_rejects_nonclosed_flux():
     nonclosed = KForm.from_terms(6, f, [((1, 4), 1)])  # crosses the two factors
     assert not qfr.d(nonclosed).is_zero()
     with pytest.raises(ReductionError, match="closed"):
-        central_extend(qfr, qs, nonclosed, "g2", h_hat=h_hat)
+        central_extend(qs, nonclosed, "g2", h_hat=h_hat)
 
 
 def test_central_extend_spin7_target():
@@ -379,7 +379,7 @@ def test_central_extend_spin7_target():
     s = s3xt4_g2()
     t = torsion_g2(s)
     assert t["lee"].is_zero()
-    ext = central_extend(s.frame, s, KForm.zero(7, 2, Q), "spin7")
+    ext = central_extend(s, KForm.zero(7, 2, Q), "spin7")
     assert ext["strong"] and ext["torsion_matches"]
     assert ext["structure"].kind == "spin7"
 
@@ -391,14 +391,13 @@ def _heisenberg_g2():
     return g2_assemble(model_form("g2", 7, Q), fr)
 
 
-def _extend(structure, target, frame=None, df=None):
-    frame = frame or structure.frame
-    return central_extend(frame, structure, KForm.zero(frame.n, 2, frame.field), target, df=df)
+def _extend(structure, target, df=None):
+    return central_extend(structure, KForm.zero(structure.n, 2, structure.field), target, df=df)
 
 
 def _extend_quotient_with_df():
     s, red, qfr, qs, h_hat, flux = quotient_su3_of_nonintG2()
-    return central_extend(qfr, qs, flux, "g2", df=KForm.from_terms(6, s.field, [((1,), 1)]), h_hat=h_hat)
+    return central_extend(qs, flux, "g2", df=KForm.from_terms(6, s.field, [((1,), 1)]), h_hat=h_hat)
 
 
 def _extend_s3xt4_with_df():
@@ -414,21 +413,13 @@ def _extend_s3xt4_with_df():
         (lambda: reduce_spin7(fixture_structure("nonintG2")), StructureError, "reduce_spin7 needs a Spin(7) structure"),
         (lambda: reduce_g2(_heisenberg_g2()), StructureError, "tau2 != 0: no skew-torsion connection for this G2 structure"),
         (lambda: _extend(fixture_structure("nonintG2"), "g2"), ReductionError, "g2 extension needs an SU(3) structure on n = 6"),
-        (
-            lambda: _extend(fixture_structure("nonintsu3"), "g2", frame=fixture_structure("nonintG2").frame),
-            ReductionError, "g2 extension needs an SU(3) structure on n = 6",
-        ),
         (lambda: _extend(fixture_structure("nonintsu3"), "spin7"), ReductionError, "spin7 extension needs a G2 structure on n = 7"),
-        (
-            lambda: _extend(fixture_structure("nonintG2"), "spin7", frame=fixture_structure("nonintsu3").frame),
-            ReductionError, "spin7 extension needs a G2 structure on n = 7",
-        ),
         (lambda: _extend(fixture_structure("nonintsu3"), "spin8"), ReductionError, "unknown extension target 'spin8'"),
         (_extend_quotient_with_df, ReductionError, "extension hypotheses violated: theta_omega != df"),
         (_extend_s3xt4_with_df, ReductionError, "extension hypotheses violated: theta_phi != df"),
     ],
     ids=[
-        "reduce_g2-kind", "reduce_spin7-kind", "reduce_g2-tau2", "g2-kind", "g2-dim", "spin7-kind", "spin7-dim",
+        "reduce_g2-kind", "reduce_spin7-kind", "reduce_g2-tau2", "g2-kind", "spin7-kind",
         "unknown-target", "g2-theta-df", "spin7-theta-df",
     ],
 )
@@ -449,7 +440,7 @@ def test_anomaly_vanishes_randomized(rng):
             rot = rotation_matrix(7, rng, field=base.field)
             fr2, (phi2,) = rotate_frame_and_forms(base.frame, [base.form("phi")], rot)
             s2 = g2_assemble(phi2, fr2)
-            red = reduce_pair(fr2, bismut_torsion(s2), canonical_vector(s2), normalize=True, geometry=s2.geometry)
+            red = reduce_pair(s2.frame, bismut_torsion(s2), canonical_vector(s2), normalize=True)
             assert red.anomaly.is_zero()
             cases += 1
     base = fixture_structure("nonintSpin7OneA")
@@ -457,7 +448,7 @@ def test_anomaly_vanishes_randomized(rng):
         rot = rotation_matrix(8, rng, field=base.field)
         fr2, (psi2,) = rotate_frame_and_forms(base.frame, [base.form("psi")], rot)
         s2 = spin7_assemble(psi2, fr2)
-        red = reduce_pair(fr2, bismut_torsion(s2), canonical_vector(s2), normalize=True, geometry=s2.geometry)
+        red = reduce_pair(s2.frame, bismut_torsion(s2), canonical_vector(s2), normalize=True)
         assert red.anomaly.is_zero()
         cases += 1
     assert cases == 20

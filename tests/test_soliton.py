@@ -7,14 +7,17 @@ import pytest
 
 from conftest import (
     Q,
+    S3XT4_G2,
     fixture_structure,
     random_kform,
     random_vector,
     su2su2u1_frame,
     bianchi,
 )
+from gtorsion import registry
 from gtorsion.forms import FrameGeometry, KForm, VectorField, musical_inv, wedge
-from gtorsion.frames import LieAlgebraFrame
+from gtorsion.frames import LieAlgebraFrame, bismut_connection, levi_civita
+from gtorsion.parser import parse
 from gtorsion.soliton import (
     PreconditionError,
     SolitonData,
@@ -62,7 +65,7 @@ def test_grs_residual_vanishes_on_fixtures(name, factor):
     s = fixture_structure(name)
     h = bismut_torsion(s)
     v = canonical_vector(s)
-    data = SolitonData(s.frame, h, v, geometry=s.geometry)
+    data = SolitonData(s.frame, h, v)
     assert zero_matrix(grs_residual(data))
 
 
@@ -124,11 +127,11 @@ def test_weighted_scalar_abelian_zero():
 def test_weighted_scalar_regression_values():
     # frozen regression constants for the built-in fixtures
     s = fixture_structure("nonintsu3")
-    data = SolitonData(s.frame, bismut_torsion(s), VectorField.zero(6, s.field), geometry=s.geometry)
+    data = SolitonData(s.frame, bismut_torsion(s), VectorField.zero(6, s.field))
     assert weighted_scalar(data) == s.field.scalar(Fraction(68, 3))
 
     g = fixture_structure("nonintG2")
-    datag = SolitonData(g.frame, bismut_torsion(g), canonical_vector(g), geometry=g.geometry)
+    datag = SolitonData(g.frame, bismut_torsion(g), canonical_vector(g))
     assert weighted_scalar(datag) == g.field.scalar(Fraction(11, 6))
 
 
@@ -138,6 +141,21 @@ def test_scalar_curvature_round_su2_product():
 
     fr = su2su2_frame(Q, scale=-2)
     assert scalar_curvature(fr) == Q.scalar(12)
+
+
+def test_frame_calls_on_a_structure_frame_read_its_metric():
+    # doubling the three e1 terms of phi makes it induce diag(4, 1, ..., 1)
+    # under "metric identity"; a frame-level call on s.frame must use that
+    # metric (with the identity it gave another Levi-Civita connection and
+    # scalar curvature 3)
+    text = registry.input_text("nonintG2")
+    for term in ("e1^e4^e7", "e1^e2^e3", "e1^e5^e6"):
+        assert text.count(term) == 1
+        text = text.replace(term, "2*" + term)
+    s = parse(text).structure()
+    assert s.geometry.metric == [[Q.scalar(4 if i == j == 0 else int(i == j)) for j in range(7)] for i in range(7)]
+    assert levi_civita(s.frame).entries == s.levi_civita.entries
+    assert scalar_curvature(s.frame) == scalar_curvature(s.frame, s.levi_civita) == Q.scalar(Fraction(3, 2))
 
 
 def test_divergence_unimodular_zero(rng):
@@ -154,7 +172,7 @@ def test_canonical_vector_g2_fixture():
     s = fixture_structure("nonintG2")
     v = canonical_vector(s)
     assert v == VectorField.basis(7, s.field, 7)
-    cert = parallel_certificate(s.frame, bismut_torsion(s), v, s.geometry)
+    cert = parallel_certificate(s.bismut, v)
     assert cert["parallel"] and cert["norm_sq"] == s.field.one()
 
 
@@ -169,7 +187,7 @@ def test_canonical_vector_spin7_two_certificate():
     v = canonical_vector(s, torsion=t)
     # V = (7/6) theta-sharp
     assert v == musical_inv(t["lee"].scale(Fraction(7, 6)), s.geometry)
-    cert = parallel_certificate(s.frame, bismut_torsion(s, t), v, s.geometry)
+    cert = parallel_certificate(bismut_connection(s.frame, bismut_torsion(s, t)), v)
     assert cert["parallel"]
     assert cert["norm_sq"] == s.field.scalar(4)
 
@@ -190,12 +208,7 @@ def torsion_free_g2():
 
 def s3xt4_g2():
     """theta = 0, tau0 = 6/7, strong torsion: su(2) block on (5,6,7)."""
-    d = [KForm.zero(7, 2, Q) for _ in range(7)]
-    d[4] = KForm.from_terms(7, Q, [((6, 7), 1)])
-    d[5] = KForm.from_terms(7, Q, [((7, 5), 1)])
-    d[6] = KForm.from_terms(7, Q, [((5, 6), 1)])
-    fr = LieAlgebraFrame([f"e{i}" for i in range(1, 8)], d, FrameGeometry(7, Q))
-    return g2_assemble(model_form("g2", 7, Q), fr)
+    return parse(S3XT4_G2).structure()
 
 
 def test_rigidity_torsion_free():

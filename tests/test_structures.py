@@ -699,7 +699,7 @@ def test_su3_fixture_strong_and_cartan():
     s = fixture_structure("nonintsu3")
     h = bismut_torsion(s)
     assert s.frame.d(h).is_zero()
-    assert h == -cartan_three_form(s.frame, s.geometry)
+    assert h == -cartan_three_form(s.frame)
 
 
 def test_g2_fixture_h_phi_inner_identity():
@@ -715,7 +715,7 @@ def test_spin7_two_fixture_flat_cartan():
     s = fixture_structure("nonintSpin7Two")
     h = bismut_torsion(s)
     assert s.frame.d(h).is_zero()
-    assert h == -cartan_three_form(s.frame, s.geometry)
+    assert h == -cartan_three_form(s.frame)
 
 
 def test_g2_tau2_nonzero_rejected():
@@ -746,7 +746,7 @@ def test_structure_forms_parallel_under_own_connection():
         ("nonintSpin7OneA", ["psi"]),
     ):
         s = fixture_structure(name)
-        conn = bismut_connection(s.frame, bismut_torsion(s), s.geometry)
+        conn = bismut_connection(s.frame, bismut_torsion(s))
         for key in keys:
             derivs = covariant_derivative_form(s.frame, conn, s.form(key))
             assert all(d.is_zero() for d in derivs), (name, key)
