@@ -26,7 +26,7 @@ from .structures import KINDS, StructureError, bismut_ricci_form, solve_skew_tor
 __all__ = ["run_check", "run_reduce", "run_extend"]
 
 
-def _torsion_report(s, torsion, labels):
+def _torsion_report(torsion, labels):
     out = {}
     for name, val in torsion.components.items():
         if hasattr(val, "coeffs"):
@@ -49,7 +49,7 @@ def run_check(doc, df: KForm | None = None) -> Report:
     rep.set("frame", {"labels": labels, "unimodular": frame.is_unimodular()})
 
     if s.torsion is not None:
-        rep.set("torsion", _torsion_report(s, s.torsion, labels))
+        rep.set("torsion", _torsion_report(s.torsion, labels))
     rep.set("lee_form", form_str(s.lee, labels))
 
     h = s.h
@@ -66,9 +66,9 @@ def run_check(doc, df: KForm | None = None) -> Report:
     rep.set("canonical_vector_norm_sq", scalar_str(cert["norm_sq"]))
 
     data = SolitonData.of(s, v, df=df)
-    res = grs_residual(data)
-    rep.set("grs_residual_norm_sq", scalar_str(matrix_norm_sq(res)))
-    rep.set("grs_residual_zero", matrix_norm_sq(res).is_zero())
+    res_sq = matrix_norm_sq(grs_residual(data))
+    rep.set("grs_residual_norm_sq", scalar_str(res_sq))
+    rep.set("grs_residual_zero", res_sq.is_zero())
     rep.set("weighted_scalar", scalar_str(weighted_scalar(data)))
     if doc.flux is not None:
         data_f = SolitonData.of(s, v, df=df, f=doc.flux)
@@ -111,7 +111,7 @@ def run_reduce(doc, df: KForm | None = None, raw: bool = False) -> Report:
         return rep
     tlabels = list(red.transverse.labels)
     out = {name: form_str(x, tlabels) for name, x in red.forms.items()}
-    out["torsion"] = _torsion_report(red.reduced_structure, red.reduced_torsion, tlabels)
+    out["torsion"] = _torsion_report(red.reduced_torsion, tlabels)
     out["anomaly_zero"] = red.anomaly.is_zero()
     out["verifier"] = {k: bool(v) for k, v in red.verifier.items()}
     out["splitting"] = splitting_check(red)

@@ -26,15 +26,20 @@ every written-out form; ``structure`` before its forms, which are the ones
 ``structures.KINDS`` lists for the kind.  ``vector V`` is a parse error: the
 canonical vector is computed from the structure and df.  A frame label with
 no ``d`` line is closed: omitting ``d e7`` means d e7 = 0.
-Coefficients are rationals or sqrt-d-linear expressions such as
-``(sqrt3+1)/7``; ``^`` is the wedge.  Whitespace around operators is free.
+One grammar reads every coefficient and form: an expression is a sum of
+products, a product holds at most one wedge chain (``e1^e2``, ``^`` the
+wedge) among its signed numbers, ``sqrtd`` symbols and parenthesised scalars
+such as ``(sqrt3+1)/7``, ``/`` divides by a nonzero scalar factor, and a
+``metric rows`` entry is a product with no chain.  Error columns count from
+the start of the line.  Whitespace around operators is free.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 
-from .forms import FrameGeometry, KForm, _sort_sign, mask_of
+from .forms import FrameGeometry, KForm, _sort_sign
 from .frames import FrameError, LieAlgebraFrame
 from .report import form_str, scalar_str
 from .scalars import Field, GTorsionError, QuadraticField, RationalField, Scalar
@@ -71,204 +76,117 @@ class ParseError(GTorsionError, ValueError):
         self.col = col
 
 
-TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()=]))"
-)
+_TOKEN = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()=])|(?P<bad>\S)")
+_SQRT = re.compile(r"sqrt(\d+)")
+_SIGNS = ("+", "-")
 
 
-def _tokenize(text: str, line_no: int | str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos]!r}", line_no, pos + 1)
-            break
-        if m.group("number"):
-            out.append(("num", int(m.group("number")), m.start() + 1))
-        elif m.group("name"):
-            out.append(("name", m.group("name"), m.start() + 1))
-        else:
-            out.append(("op", m.group("op"), m.start() + 1))
-        pos = m.end()
-    return out
+class _Expr:
+    """Recursive-descent parser of the expression in ``code`` from ``start``
+    on.  A token is (kind, value, column): kind is "num" (an int value),
+    "name", "end" or the operator itself, and columns count from 1 at the
+    start of ``code``.  ``labels`` maps each frame label to its 1-based index;
+    an empty map reads scalars only."""
 
-
-class _ExprParser:
-    """Recursive-descent parser for scalar coefficients and form terms."""
-
-    def __init__(self, tokens, field: Field, labels, line_no: int | str):
-        self.toks = tokens
+    def __init__(self, code: str, start: int, field: Field, labels: dict, line: int | str):
+        self.field, self.labels, self.line = field, labels, line
+        toks = []
+        for m in _TOKEN.finditer(code, start):
+            kind, val = m.lastgroup, m.group()
+            if kind == "num":
+                val = int(val)
+            elif kind == "op":
+                kind = val
+            elif kind == "bad":
+                raise ParseError(f"unexpected character {val!r}", line, m.start() + 1)
+            toks.append((kind, val, m.start() + 1))
+        toks.append(("end", None, len(code.rstrip()) + 1))
+        self.toks = toks
         self.i = 0
-        self.field = field
-        self.labels = {lab: k + 1 for k, lab in enumerate(labels or [])}
-        self.line = line_no
 
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else (None, None, None)
-
-    def next(self):
-        t = self.peek()
+    def take(self):
+        tok = self.toks[self.i]
         self.i += 1
-        return t
+        return tok
 
-    def expect_op(self, op):
-        kind, val, col = self.next()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", self.line, col)
+    def sum(self, chains: bool) -> list:
+        """Products joined by + and -: a list of (chain or None, coefficient)."""
+        terms = [self.product(chains)]
+        while self.toks[self.i][0] in _SIGNS:
+            negate = self.take()[0] == "-"
+            chain, coef = self.product(chains)
+            terms.append((chain, -coef if negate else coef))
+        return terms
 
-    def at_end(self):
-        return self.i >= len(self.toks)
-
-    # scalars ---------------------------------------------------------------
-
-    def _sqrt_atom(self, name, col) -> Scalar:
-        m = re.fullmatch(r"sqrt(\d+)", name)
-        if not m:
-            raise ParseError(f"unknown symbol {name!r}", self.line, col)
-        d = int(m.group(1))
-        if not isinstance(self.field, QuadraticField):
-            raise ParseError(
-                f"sqrt{d} needs 'field sqrt {d}' declared first", self.line, col
-            )
-        if self.field.d != d:
-            raise ParseError(
-                f"sqrt{d} does not live in QQ(sqrt{self.field.d})", self.line, col
-            )
-        return self.field.sqrt_d()
-
-    def _divide(self, val: Scalar) -> Scalar:
-        """val / (the next scalar factor); a zero divisor is a ParseError."""
-        col = self.peek()[2]
-        rhs = self.scalar_factor()
-        if rhs.is_zero():
-            raise ParseError("division by zero", self.line, col)
-        return val / rhs
-
-    def scalar_expr(self) -> Scalar:
-        val = self.scalar_term()
+    def product(self, chains: bool) -> tuple:
+        """Signed factors joined by * and /, at most one of them a wedge chain
+        (read only when ``chains``): (chain or None, coefficient)."""
+        coef = chain = None
+        negate = divide = False
         while True:
-            kind, op, _ = self.peek()
-            if kind == "op" and op in "+-":
-                self.next()
-                rhs = self.scalar_term()
-                val = val + rhs if op == "+" else val - rhs
+            kind, val, col = self.take()
+            while kind in _SIGNS:
+                negate ^= kind == "-"
+                kind, val, col = self.take()
+            if chains and not divide and kind == "name" and val in self.labels:
+                if chain is not None:
+                    raise ParseError("a product holds at most one wedge chain", self.line, col)
+                chain = self.chain(val)
             else:
-                return val
+                x = self.factor(kind, val, col, chains and not divide)
+                if divide:
+                    if x.is_zero():
+                        raise ParseError("division by zero", self.line, col)
+                    x = x.inverse()
+                coef = x if coef is None else coef * x
+            kind = self.toks[self.i][0]
+            if kind != "*" and kind != "/":
+                break
+            self.i += 1
+            divide = kind == "/"
+        if coef is None:
+            coef = self.field.one()
+        return chain, -coef if negate else coef
 
-    def scalar_term(self) -> Scalar:
-        val = self.scalar_factor()
-        while True:
-            kind, op, _ = self.peek()
-            if kind == "op" and op in "*/":
-                self.next()
-                val = val * self.scalar_factor() if op == "*" else self._divide(val)
-            else:
-                return val
-
-    def scalar_factor(self) -> Scalar:
-        kind, val, col = self.next()
-        if kind == "op" and val == "-":
-            return -self.scalar_factor()
-        if kind == "op" and val == "+":
-            return self.scalar_factor()
+    def factor(self, kind, val, col, chains: bool) -> Scalar:
+        """A number, sqrt symbol or parenthesised sum of scalars."""
         if kind == "num":
             return self.field.scalar(val)
         if kind == "name":
-            return self._sqrt_atom(val, col)
-        if kind == "op" and val == "(":
-            inner = self.scalar_expr()
-            self.expect_op(")")
-            return inner
-        raise ParseError("expected a number, sqrt-symbol, or parenthesis", self.line, col)
+            m = _SQRT.fullmatch(val)
+            if not m:
+                raise ParseError(f"unknown symbol {val!r}", self.line, col)
+            d = int(m.group(1))
+            if not isinstance(self.field, QuadraticField):
+                raise ParseError(f"sqrt{d} needs 'field sqrt {d}' declared first", self.line, col)
+            if self.field.d != d:
+                raise ParseError(f"sqrt{d} does not live in QQ(sqrt{self.field.d})", self.line, col)
+            return self.field.sqrt_d()
+        if kind == "(":
+            terms = self.sum(False)
+            total = terms[0][1]
+            for _, coef in terms[1:]:
+                total = total + coef
+            kind, _, col = self.take()
+            if kind != ")":
+                raise ParseError("expected ')'", self.line, col)
+            return total
+        expected = "a coefficient or frame label" if chains else "a number, sqrt-symbol, or parenthesis"
+        raise ParseError(f"expected {expected}", self.line, col)
 
-    # forms -----------------------------------------------------------------
-
-    def form_expr(self, n: int):
-        """Returns (terms, degree) with terms a list of (label-indices, Scalar)."""
-        terms = []
-        degree = None
-        sign = 1
-        kind, val, col = self.peek()
-        if kind == "op" and val in "+-":
-            self.next()
-            sign = -1 if val == "-" else 1
-        while True:
-            coef, chain = self.form_term()
-            if sign < 0:
-                coef = -coef
-            if chain:
-                if degree is None:
-                    degree = len(chain)
-                elif degree != len(chain):
-                    raise ParseError(
-                        f"mixed degrees {degree} and {len(chain)} in one expression", self.line
-                    )
-                terms.append((chain, coef))
-            elif not coef.is_zero():
-                raise ParseError("a bare scalar is only allowed as the literal 0", self.line)
-            kind, val, col = self.peek()
-            if kind is None:
-                return terms, degree
-            if kind == "op" and val in "+-":
-                self.next()
-                sign = -1 if val == "-" else 1
-                continue
-            raise ParseError(f"unexpected token {val!r}", self.line, col)
-
-    def form_term(self):
-        """One product: scalar factors and at most one wedge chain."""
-        coef = self.field.one()
-        chain = None
-        expect_factor = True
-        while True:
-            kind, val, col = self.peek()
-            if expect_factor:
-                if kind == "num":
-                    self.next()
-                    coef = coef * self.field.scalar(val)
-                elif kind == "op" and val == "(":
-                    self.next()
-                    inner = self.scalar_expr()
-                    self.expect_op(")")
-                    coef = coef * inner
-                elif kind == "name":
-                    if val in self.labels:
-                        chain = self._wedge_chain()
-                    else:
-                        self.next()
-                        coef = coef * self._sqrt_atom(val, col)
-                elif kind == "op" and val == "-":
-                    self.next()
-                    coef = -coef
-                    continue
-                else:
-                    raise ParseError("expected a coefficient or frame label", self.line, col)
-                expect_factor = False
-                continue
-            if kind == "op" and val == "*":
-                self.next()
-                expect_factor = True
-                continue
-            if kind == "op" and val == "/":
-                self.next()
-                coef = self._divide(coef)
-                continue
-            return coef, chain
-
-    def _wedge_chain(self):
-        chain = []
-        while True:
-            kind, val, col = self.next()
-            if kind != "name" or val not in self.labels:
+    def chain(self, label: str) -> list[int]:
+        """Frame labels joined by ^ from ``label`` on, as 1-based indices."""
+        out = [self.labels[label]]
+        while self.toks[self.i][0] == "^":
+            kind, val, col = self.toks[self.i + 1]
+            self.i += 2
+            if kind == "name" and val in self.labels:
+                out.append(self.labels[val])
+            elif kind == "name":
                 raise ParseError(f"unknown frame label {val!r}", self.line, col)
-            chain.append(self.labels[val])
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "^":
-                self.next()
-                continue
-            return chain
+            else:
+                raise ParseError("expected a frame label after '^'", self.line, col)
+        return out
 
 
 class InputDocument:
@@ -353,35 +271,22 @@ _FORM_HEADS = {
 }
 
 
+def _statements(text: str):
+    """(line number, the line before any ``#``) for each line with a statement."""
+    for line_no, raw in enumerate(text.splitlines(), 1):
+        code = raw.split("#", 1)[0]
+        if code.strip():
+            yield line_no, code
+
+
 def parse(text: str) -> InputDocument:
     doc = InputDocument()
-    lines = text.splitlines()
-    metric_rows_pending = 0
-    metric_rows = []
     seen = set()  # statements that may appear once: a repeat is an error
-    i = 0
-    while i < len(lines):
-        raw = lines[i]
-        line_no = i + 1
-        i += 1
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if metric_rows_pending:
-            toks = _tokenize(stripped, line_no)
-            p = _ExprParser(toks, doc.field, [], line_no)
-            row = []
-            while not p.at_end():
-                row.append(p.scalar_term())
-            if len(row) != doc.dim:
-                raise ParseError(f"metric row needs {doc.dim} entries", line_no)
-            metric_rows.append(row)
-            metric_rows_pending -= 1
-            if not metric_rows_pending:
-                doc.metric = metric_rows
-            continue
-        head, _, rest = stripped.partition(" ")
+    statements = _statements(text)
+    for line_no, code in statements:
+        head, _, rest = code.strip().partition(" ")
         head_l = head.lower()
+        expr = code.find("=") + 1 or len(code)  # where the text after the first '=' starts
         if head_l == "dim":
             _once(seen, "dim", line_no)
             try:
@@ -391,7 +296,7 @@ def parse(text: str) -> InputDocument:
             if not 1 <= doc.dim <= 8:
                 raise ParseError("dim must be between 1 and 8", line_no)
         elif head_l == "field":
-            if doc.labels is not None or metric_rows_pending or doc.metric or doc.structure_forms:
+            if doc.labels is not None or doc.metric or doc.structure_forms:
                 raise ParseError("declare field before frame, metric rows and forms", line_no)
             parts = rest.split()
             if parts[:1] == ["rational"]:
@@ -419,12 +324,11 @@ def parse(text: str) -> InputDocument:
         elif head_l == "d":
             if doc.labels is None:
                 raise ParseError("declare the frame before structure equations", line_no)
-            lhs, _, rhs = rest.partition("=")
-            lab = lhs.strip()
+            lab = rest.partition("=")[0].strip()
             if lab not in doc.labels:
                 raise ParseError(f"unknown frame label {lab!r}", line_no)
             _once(seen, f"d {lab}", line_no)
-            doc.coframe[lab] = _parse_form(rhs, doc, 2, line_no)
+            doc.coframe[lab] = _parse_form(code, doc, 2, line_no, expr)
         elif head_l == "metric":
             spec = rest.strip().lower()
             if spec == "identity":
@@ -432,8 +336,10 @@ def parse(text: str) -> InputDocument:
             elif spec == "rows":
                 if doc.dim is None:
                     raise ParseError("declare dim before the metric", line_no)
-                metric_rows_pending = doc.dim
-                metric_rows = []
+                rows = [_metric_row(row, doc, row_no) for row_no, row in islice(statements, doc.dim)]
+                if len(rows) < doc.dim:
+                    raise ParseError(f"metric rows: expected {doc.dim} rows, got {len(rows)} before end of input")
+                doc.metric = rows
             else:
                 raise ParseError("metric must be 'identity' or 'rows'", line_no)
         elif head_l == "orientation":
@@ -456,35 +362,28 @@ def parse(text: str) -> InputDocument:
             if slot not in slots:
                 raise ParseError(f"structure {kind} has no {head} form", line_no)
             _once(seen, name, line_no)
-            lhs_rest = rest.partition("=")[2]
-            if lhs_rest.strip().lower() == "model":
+            if code[expr:].strip().lower() == "model":
                 if doc.dim is None:
                     raise ParseError(f"declare dim before the {name} model", line_no)
                 doc.structure_forms[slot] = _model_forms(kind, doc.dim, doc.field)[slots.index(slot)]
             else:
-                doc.structure_forms[slot] = _parse_form(lhs_rest, doc, degree, line_no)
+                doc.structure_forms[slot] = _parse_form(code, doc, degree, line_no, expr)
         elif head_l == "vector":
-            name, _, expr = rest.partition("=")
-            name = name.strip()
+            name = rest.partition("=")[0].strip()
             if name.lower() == "df":
                 _once(seen, "vector df", line_no)
-                doc.df = _parse_form(expr, doc, 1, line_no)
+                doc.df = _parse_form(code, doc, 1, line_no, expr)
             elif name == "V":
                 raise ParseError("vector V is computed from the structure and df, not read: remove the line", line_no)
             else:
                 raise ParseError("vector must declare V or df", line_no)
         elif head_l == "flux":
-            name, _, expr = rest.partition("=")
-            if name.strip() != "F":
+            if rest.partition("=")[0].strip() != "F":
                 raise ParseError("flux must declare F", line_no)
             _once(seen, "flux F", line_no)
-            doc.flux = _parse_form(expr, doc, 2, line_no)
+            doc.flux = _parse_form(code, doc, 2, line_no, expr)
         else:
             raise ParseError(f"unknown statement {head!r}", line_no)
-    if metric_rows_pending:
-        raise ParseError(
-            f"metric rows: expected {doc.dim} rows, got {len(metric_rows)} before end of input"
-        )
     if doc.dim is None or doc.labels is None:
         raise ParseError("input needs at least 'dim' and 'frame' declarations")
     return doc
@@ -497,29 +396,42 @@ def _once(seen: set, statement: str, line_no: int):
     seen.add(statement)
 
 
-def _parse_form(expr: str, doc: InputDocument, degree: int, line_no: int | str) -> KForm:
+def _metric_row(code: str, doc: InputDocument, line_no: int) -> list[Scalar]:
+    """One ``metric rows`` line: dim products with no chain."""
+    p = _Expr(code, 0, doc.field, {}, line_no)
+    row = []
+    while p.toks[p.i][0] != "end":
+        row.append(p.product(False)[1])
+    if len(row) != doc.dim:
+        raise ParseError(f"metric row needs {doc.dim} entries", line_no)
+    return row
+
+
+def _parse_form(text: str, doc: InputDocument, degree: int, line_no: int | str, start: int = 0) -> KForm:
+    """The ``degree``-form written in ``text`` from ``start`` on."""
     if doc.labels is None:
         raise ParseError(f"declare the frame before a {degree}-form", line_no)
-    toks = _tokenize(expr, line_no)
-    if not toks:
+    p = _Expr(text, start, doc.field, {lab: k for k, lab in enumerate(doc.labels, 1)}, line_no)
+    if p.toks[0][0] == "end":
         raise ParseError("empty expression", line_no)
-    if len(toks) == 1 and toks[0][0] == "num" and toks[0][1] == 0:
-        return KForm.zero(doc.dim, degree, doc.field)
-    p = _ExprParser(toks, doc.field, doc.labels, line_no)
-    terms, deg = p.form_expr(doc.dim)
+    terms = p.sum(True)
+    kind, val, col = p.take()
+    if kind != "end":
+        raise ParseError(f"unexpected token {val!r}", line_no, col)
+    deg = None
+    for chain, coef in terms:
+        if chain is None:
+            if not coef.is_zero():
+                raise ParseError("a bare scalar is only allowed as the literal 0", line_no)
+        elif deg is None:
+            deg = len(chain)
+        elif deg != len(chain):
+            raise ParseError(f"mixed degrees {deg} and {len(chain)} in one expression", line_no)
     if deg is None:
         return KForm.zero(doc.dim, degree, doc.field)
     if deg != degree:
         raise ParseError(f"expected a {degree}-form, got degree {deg}", line_no)
-    acc = {}
-    zero = doc.field.zero()
-    for chain, coef in terms:
-        m = mask_of(chain)
-        if m < 0:
-            continue  # repeated label wedges to zero
-        s = _sort_sign(tuple(chain))
-        acc[m] = acc.get(m, zero) + (coef if s > 0 else -coef)
-    return KForm(doc.dim, degree, doc.field, acc)
+    return KForm.from_terms(doc.dim, doc.field, [t for t in terms if t[0] is not None])
 
 
 def parse_file(path) -> InputDocument:

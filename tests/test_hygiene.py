@@ -1,10 +1,10 @@
 """Source hygiene: no module in the package or the tests imports a name that
 it never uses (names listed in ``__all__`` count as used, so re-exports stay
 declared in one place), and each kernel has one home: ``_merge_sign`` is
-called only where it fills the sign table, ``echelon`` is the one row
-reduction and ``_wedge_row`` is called only by the minors table and the change
-of frame.  A frame carries its one metric, so no function takes a metric
-beside a frame.  Standard library ``ast`` only."""
+called only where it fills the sign table, ``mask_of`` only inside ``KForm``,
+``echelon`` is the one row reduction and ``_wedge_row`` is called only by the
+minors table and the change of frame.  A frame carries its one metric, so no
+function takes a metric beside a frame.  Standard library ``ast`` only."""
 
 import ast
 from pathlib import Path
@@ -75,6 +75,13 @@ def test_merge_sign_only_fills_the_sign_table():
     # wedge, the star, d and the top-degree pairing read forms._ODD
     sites = [f"{path.name}:{where}" for path in SRC for where in call_sites(path.read_text(), "_merge_sign")]
     assert sites == ["forms.py:_ODD"]
+
+
+def test_mask_of_only_inside_kform():
+    # KForm.from_terms and KForm.coeff: the parser builds forms through
+    # from_terms, so it keeps no accumulation path of its own
+    sites = [f"{path.name}:{where}" for path in SRC for where in call_sites(path.read_text(), "mask_of")]
+    assert sites == ["forms.py:KForm", "forms.py:KForm"]
 
 
 def test_echelon_is_the_one_row_reduction():

@@ -4,15 +4,18 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import S3XT4_G2
+from conftest import Q, Q2, Q3, S3XT4_G2
 from gtorsion import cli, registry
 from gtorsion.cli import main
 from gtorsion.engine import run_check
 from gtorsion.forms import GeometryError, KForm
 from gtorsion.frames import FrameError
-from gtorsion.parser import ParseError, parse
+from gtorsion.parser import ParseError, _parse_form, parse
 from gtorsion.reduction import ReductionError
+from gtorsion.report import form_str, scalar_str
 from gtorsion.scalars import GTorsionError, NotRepresentable
 from gtorsion.soliton import PreconditionError
 from gtorsion.structures import StructureError
@@ -322,6 +325,77 @@ def test_parse_truncated_metric_rows():
         parse("dim 2\nframe a b\nmetric rows\n  2 0\n")
 
 
+_E3 = "dim 3\nframe e1 e2 e3\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a second chain in one product was dropped (e3^e4 kept, exit 0) or
+        # misread as one chain of degree 1
+        ("dim 4\nframe e1 e2 e3 e4\nd e1 = e2^e3*e3^e4\n", "a product holds at most one wedge chain (line 3, col 14)"),
+        (_E3 + "d e1 = e2*e3\n", "a product holds at most one wedge chain (line 3, col 11)"),
+        (_E3 + "d e1 = e1^\n", "expected a frame label after '^' (line 3, col 11)"),
+        (_E3 + "d e1 = e1^2\n", "expected a frame label after '^' (line 3, col 11)"),
+        (_E3 + "d e1 = e2^e3 +   )\n", "expected a coefficient or frame label (line 3, col 18)"),
+        (_E3 + "d e1 = e2^e3 +\n", "expected a coefficient or frame label (line 3, col 15)"),
+        (_E3 + "  d e1 = (1 + 2*e2^e3\n", "unknown symbol 'e2' (line 3, col 17)"),
+        (_E3 + "d e1 = e2^e3 ? e1\n", "unexpected character '?' (line 3, col 14)"),
+        ("dim 2\nframe a b\nmetric rows\n  1 0  # first row\n  0 1/0\n", "division by zero (line 5, col 7)"),
+        ("dim 2\nframe a b\nmetric rows\n\n  1 0\n  0 (1\n", "expected ')' (line 6, col 7)"),
+    ],
+    ids=["two-chains", "two-labels", "trailing-wedge", "wedge-number", "token-after-spaces",
+         "trailing-plus", "chain-in-parentheses", "bad-character", "metric-zero-divisor", "metric-open-parenthesis"],
+)
+def test_expression_errors_name_the_token_and_its_column_in_the_line(tmp_path, capsys, text, message):
+    p = tmp_path / "input.gs"
+    p.write_text(text)
+    assert _run_cli(["check", str(p)]) == 2
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
+def _header(n, field):
+    return f"dim {n}\n" + (f"field sqrt {field.d}\n" if field.d else "") + "frame " + " ".join(f"e{i}" for i in range(1, n + 1)) + "\n"
+
+
+_FIELDS = st.sampled_from([Q, Q2, Q3])
+_INTS = st.one_of(st.integers(-9, 9), st.integers(-10**30, 10**30))
+
+
+@st.composite
+def _scalars(draw, field):
+    den = draw(st.one_of(st.integers(1, 9), st.integers(1, 10**20)))
+    c = field.scalar(Fraction(draw(_INTS), den))
+    return c + field.sqrt_d() * Fraction(draw(_INTS), den) if field.d else c
+
+
+@st.composite
+def _forms(draw):
+    field, n = draw(_FIELDS), draw(st.integers(1, 8))
+    k = draw(st.integers(1, n))  # a bare scalar (degree 0) is no input
+    masks = [m for m in range(1 << n) if m.bit_count() == k]
+    coeffs = {m: draw(_scalars(field)) for m in draw(st.lists(st.sampled_from(masks), max_size=6, unique=True))}
+    return field, KForm(n, k, field, coeffs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_forms())
+def test_form_str_parses_back_to_the_same_form(case):
+    field, form = case
+    labels = [f"e{i}" for i in range(1, form.n + 1)]
+    doc = parse(_header(form.n, field))
+    assert _parse_form(form_str(form, labels), doc, form.k, 1) == form
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_scalar_str_metric_rows_parse_back_to_the_same_matrix(data):
+    field, n = data.draw(_FIELDS), data.draw(st.integers(1, 8))
+    rows = [[data.draw(_scalars(field)) for _ in range(n)] for _ in range(n)]
+    text = _header(n, field) + "metric rows\n" + "".join(" ".join(f"({scalar_str(x)})" for x in row) + "\n" for row in rows)
+    assert parse(text).metric == rows
+
+
 _SU3_FRAME = "dim 6\nframe e1 e2 e3 e4 e5 e6\n"
 
 
@@ -334,7 +408,7 @@ _SU3_FRAME = "dim 6\nframe e1 e2 e3 e4 e5 e6\n"
         (registry.input_text("nonintG2"), ["--df", "e1"], 2, "closed 1-form"),
         (None, [], 2, "cannot read"),
         ("dim 2\nframe e1 e2\nstructure ah\nomega = e1^e2\n", [], 3, "even n >= 4"),
-        ("dim 3\nframe e1 e2 e3\nd e1 = 1/0*e2^e3\n", [], 2, "division by zero (line 3, col 4)"),
+        ("dim 3\nframe e1 e2 e3\nd e1 = 1/0*e2^e3\n", [], 2, "division by zero (line 3, col 10)"),
         (registry.input_text("nonintG2"), ["--df", "1/0*e1"], 2, "parse error: division by zero (--df, col 3)"),
         (_SU3_FRAME + "structure su3\nomega = 0\nOmega+ = model\n", [], 3, "omega is degenerate"),
         (_SU3_FRAME + "structure su3\nPsi = model\n", [], 2, "structure su3 has no Psi form (line 4)"),
