@@ -150,8 +150,9 @@ class KForm:
             m = mask_of(idx)
             if m < 0:
                 continue  # repeated index wedges to zero
-            sign = _sort_sign(idx)
-            val = field.scalar(c) * sign
+            val = field.scalar(c)
+            if _sort_sign(idx) < 0:
+                val = -val
             acc[m] = acc.get(m, field.zero()) + val
         if deg is None:
             raise ValueError("empty term list needs an explicit degree")

@@ -3,10 +3,12 @@
 A frame stores the coframe differentials de^i (degree-2 KForms), which
 encode the structure constants: de^i = -sum_{j<k} c^i_{jk} e^{jk}.  Each
 tensor here is a dict of its nonzero entries: the structure constants (once
-per frame), the connection symbols Gamma^l_{ij} and the Riemann components.
-So d, Levi-Civita, Bismut and curvature cost products of nonzero entries
-only, and a flat connection costs almost nothing.  Their sums of products
-accumulate through ``scalars._mac``, one normalization per output entry.
+per frame) and the connection symbols Gamma^l_{ij}.  So d, Levi-Civita,
+Bismut and curvature cost products of nonzero entries only, and a flat
+connection costs almost nothing.  Curvature is read as traces: the Ricci
+tensor is contracted straight off the symbols, and no Riemann tensor is
+built.  Sums of products accumulate through ``scalars._mac``, one
+normalization per output entry.
 A change of frame moves a form by the minors of the change-of-basis matrix
 (Cauchy-Binet, ``forms.transform_form``), one accumulation per form, with
 no wedge.  A frame carries one metric, its ``geometry``, which every
@@ -38,7 +40,6 @@ from .scalars import Field, GTorsionError, Scalar, _mac, _settle
 __all__ = [
     "LieAlgebraFrame",
     "ConnectionCoeffs",
-    "CurvatureData",
     "FrameError",
     "ce_differential",
     "codifferential",
@@ -184,18 +185,6 @@ class ConnectionCoeffs:
         return VectorField(n, self.frame.field, comps)
 
 
-class CurvatureData:
-    """The nonzero Riemann components ``entries[(i, j, k, l)]`` = R^l_{ijk},
-    the e_l component of R(e_i, e_j) e_k, stored for i < j only (R is skew
-    in i, j), plus the dense Ricci matrix."""
-
-    def __init__(self, n: int, field: Field, entries: dict, ricci):
-        self.n = n
-        self.field = field
-        self.entries = entries
-        self.ricci = ricci
-
-
 def ce_differential(frame: LieAlgebraFrame, a: KForm) -> KForm:
     """Extend the coframe differentials as a degree +1 antiderivation:
     d(c e^I) = sum_p (-1)^p c (d e^{i_p}) ^ e^{I - i_p}, accumulated in one dict."""
@@ -263,39 +252,35 @@ def bismut_connection(frame: LieAlgebraFrame, h: KForm, lc: ConnectionCoeffs | N
     return ConnectionCoeffs(frame, {key: v for key, v in entries.items() if not v.is_zero()})
 
 
-def curvature(frame: LieAlgebraFrame, conn: ConnectionCoeffs) -> CurvatureData:
-    """R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X,Y]} Z,
-    summed over products of nonzero entries only:
-    R^l_{ijk} = sum_m (Gamma^m_{jk} Gamma^l_{im} - Gamma^m_{ik} Gamma^l_{jm}
-                       - c^m_{ij} Gamma^l_{mk});
-    Ricci by trace over the first slot: Rc(X,Y) = sum_a <R(e_a,X)Y, e^a>.
+def curvature(frame: LieAlgebraFrame, conn: ConnectionCoeffs):
+    """The Ricci tensor Rc(X, Y) = tr(Z -> R(Z, X) Y) of ``conn`` as a dense
+    n x n matrix, contracted straight off the symbols with no Riemann tensor:
+    with R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X,Y]} Z,
+    Rc_jk = sum_m Gamma^m_{jk} tau_m - sum_{a,m} Gamma^a_{jm} Gamma^m_{ak}
+            - sum_{a,m} c^m_{aj} Gamma^a_{mk},   tau_m = sum_a Gamma^a_{am}.
+    The coframe pairing of the trace is metric-free.
     """
     n, field = frame.n, frame.field
-    zero = field.zero()
-    by_first = [[] for _ in range(n)]  # m -> (k, l, Gamma^l_{mk})
-    by_second = [[] for _ in range(n)]  # m -> (i, l, Gamma^l_{im})
+    one, zero = field.one(), field.zero()
+    tau, by_ends = {}, {}  # by_ends: (i, l) -> [(j, Gamma^l_{ij})]
     for (i, j, l), v in conn.entries.items():
-        by_first[i].append((j, l, v))
-        by_second[j].append((i, l, v))
-    acc: dict[tuple[int, int, int, int], list] = {}
-    # Gamma^m_{jk} Gamma^l_{im} enters R_{ijk} with + and R_{jik} with -
-    for (j, k, m), v in conn.entries.items():
-        for i, l, w in by_second[m]:
-            if i != j:
-                _mac(acc, (i, j, k, l) if i < j else (j, i, k, l), w, v, i > j)
-    for (i, j, m), c in frame.constants.items():
-        if i < j:
-            for k, l, w in by_first[m]:
-                _mac(acc, (i, j, k, l), c, w, True)
-    r = _settle(field, acc)
-    # Rc(e_j, e_k) = sum_a R^a_{ajk}: the coframe pairing is metric-free
+        by_ends.setdefault((i, l), []).append((j, v))
+        if l == i:
+            _mac(tau, j, v, one, False)
+    tau = _settle(field, tau)
     acc = {}
-    for (i, j, k, l), v in r.items():
-        if l == i or l == j:
-            _mac(acc, (j, k) if l == i else (i, k), v, field.one(), l != i)
+    for (j, k, m), v in conn.entries.items():
+        t = tau.get(m)
+        if t is not None:
+            _mac(acc, (j, k), v, t, False)
+    for (j, m, a), v in conn.entries.items():
+        for k, w in by_ends.get((a, m), ()):
+            _mac(acc, (j, k), v, w, True)
+    for (a, j, m), c in frame.constants.items():
+        for k, w in by_ends.get((m, a), ()):
+            _mac(acc, (j, k), c, w, True)
     rc = _settle(field, acc)
-    ricci = [[rc.get((j, k), zero) for k in range(n)] for j in range(n)]
-    return CurvatureData(n, field, r, ricci)
+    return [[rc.get((j, k), zero) for k in range(n)] for j in range(n)]
 
 
 def covariant_derivative_oneform(frame: LieAlgebraFrame, conn: ConnectionCoeffs, theta: KForm):

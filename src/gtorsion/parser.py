@@ -258,8 +258,9 @@ class InputDocument:
             # looked up per call, so a rebound module global is the one called
             assemble = {"su3": su3_assemble, "g2": g2_assemble, "spin7": spin7_assemble, "ah": ah_assemble}
             s = assemble[kind](*forms, fr)
-            # SU(3) and G2 induce their metric; declared rows must match it
-            if self.metric is not None and s.geometry.metric != fr.geometry.metric:
+            # SU(3) and G2 induce their metric; the declared one (rows or
+            # the identity) must match it
+            if s.geometry.metric != fr.geometry.metric:
                 raise StructureError("declared frame metric disagrees with the structure-induced metric")
             self._structure = s
         return self._structure
@@ -397,10 +398,14 @@ def _once(seen: set, statement: str, line_no: int):
 
 
 def _metric_row(code: str, doc: InputDocument, line_no: int) -> list[Scalar]:
-    """One ``metric rows`` line: dim products with no chain."""
+    """One ``metric rows`` line: dim whitespace-separated products with no
+    chain.  A ``+`` after an entry would join two entries into a sum, which
+    is written in parentheses, so it is an error."""
     p = _Expr(code, 0, doc.field, {}, line_no)
     row = []
     while p.toks[p.i][0] != "end":
+        if row and p.toks[p.i][0] == "+":
+            raise ParseError("metric row entries are separated by spaces: write a sum as (a + b)", line_no, p.toks[p.i][2])
         row.append(p.product(False)[1])
     if len(row) != doc.dim:
         raise ParseError(f"metric row needs {doc.dim} entries", line_no)

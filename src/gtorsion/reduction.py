@@ -18,9 +18,13 @@ SU(3)) moves to the slice.  ``central_extend`` rebuilds mu ^ alpha + beta.
 A reduction builds no connection or curvature: it reads them from the input
 structure's analysis (the constant rescaling g -> lam^2 g, H -> lam^2 H to
 unit |V| leaves them unchanged) and moves a (0,2)-tensor M into the adapted
-frame as B M B^T, the adapted vectors being the rows of B.  Every metric
-is a frame's: the input structure's frame carries g, the unit-|V|
-structure's copy of it lam^2 g, and the slice the transverse g^.
+frame as B M B^T, the adapted vectors being the rows of B.  Nor does the
+unit-|V| copy analyse itself: torsion is first order, so it inherits the
+input's torsion classes, Lee form and H, each of degree k scaled by
+lam^(k-1), and only the input and the slice run the torsion solvers and
+the closed formula for H.  Every metric is a frame's: the input
+structure's frame carries g, the unit-|V| structure's copy of it lam^2 g,
+and the slice the transverse g^.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from .frames import (
     transform_bilinear,
     transform_vector,
 )
-from .scalars import GTorsionError, NotRepresentable
+from .scalars import GTorsionError, NotRepresentable, _mac, _settle
 from .structures import (
     KINDS,
     GStructure,
@@ -155,16 +159,23 @@ def adapt_frame(frame: LieAlgebraFrame, v: VectorField) -> AdaptedFrame:
 
 
 def _check_killing(frame, v: VectorField):
-    geom, n = frame.geometry, frame.n
-    basis = [frame.basis_vector(i + 1) for i in range(n)]
-    brackets = [frame.bracket(v, e) for e in basis]  # [V, e_i]
-    for i in range(n):
-        for j in range(i, n):
-            val = geom.g(brackets[i], basis[j]) + geom.g(brackets[j], basis[i])
-            if not val.is_zero():
-                raise ReductionError(
-                    f"V is not Killing: L_V g ({frame.labels[i]}, {frame.labels[j]}) != 0"
-                )
+    """L_V g = 0: (L_V g)(e_i, e_j) = -<[V, e_i], e_j> - <e_i, [V, e_j]>, with
+    [V, e_i] = sum_{a,k} V^a c^k_{ai} e_k from one pass over the structure
+    constants; names the first failing pair i <= j."""
+    field, xs, metric = frame.field, v.components, frame.geometry.metric
+    acc = {}
+    for (a, i, k), c in frame.constants.items():
+        if not xs[a].is_zero():
+            _mac(acc, (i, k), xs[a], c, False)
+    sym = {}  # (i, j) -> <[V, e_i], e_j> + <[V, e_j], e_i> for i < j (twice it for i = j)
+    for (i, k), x in _settle(field, acc).items():
+        for j, g in enumerate(metric[k]):
+            if not g.is_zero():
+                _mac(sym, (i, j) if i <= j else (j, i), x, g, False)
+    bad = _settle(field, sym)
+    if bad:
+        i, j = min(bad)
+        raise ReductionError(f"V is not Killing: L_V g ({frame.labels[i]}, {frame.labels[j]}) != 0")
 
 
 class TransverseSlice:
@@ -289,9 +300,10 @@ def reduce_pair(frame, h: KForm, v: VectorField, normalize: bool = False) -> Red
     h_hat = h - wedge(mu, f2)
     if not interior(v, h_hat).is_zero():
         raise ReductionError("H^ is not basic: i_V H^ != 0")
-    if not interior(v, frame.d(h_hat)).is_zero():
+    dh_hat = frame.d(h_hat)
+    if not interior(v, dh_hat).is_zero():
         raise ReductionError("H^ is not basic: L_V H^ != 0")
-    anomaly = frame.d(h_hat) + wedge(f2, f2)
+    anomaly = dh_hat + wedge(f2, f2)
     return ReductionResult(
         frame=frame,
         v=v,
@@ -331,7 +343,7 @@ def string_residual_on_slice(red: ReductionResult, ambient: GStructure, df: KFor
     sl = red.transverse
     m = sl.n
     # Rc^q + F^2_endo + nabla df = (Rc^amb + F^2_pos) - F^2_pos + nabla df
-    ric = ambient.bismut_curvature.ricci
+    ric = ambient.bismut_ricci
     ndf = covariant_derivative_oneform(ambient.frame, ambient.bismut, df)
     mat = [[r + x for r, x in zip(ric_row, ndf_row)] for ric_row, ndf_row in zip(ric, ndf)]
     slot1 = transform_bilinear(mat, red.adapted.b[:m], sl.field)
@@ -443,6 +455,40 @@ def _g2_verifier(red: ReductionResult, unit: GStructure, vhat_ad: VectorField, b
     return table
 
 
+def _unit_length(s: GStructure, v: VectorField) -> tuple[GStructure, VectorField]:
+    """s and its canonical vector V after the constant rescaling g -> lam^2 g,
+    lam = |V|, that makes V unit length; s and V themselves when |V| = 1.
+
+    The rescaling scales V by lam^{-2} and each form of degree k (3 or 4) by
+    lam^k, so nothing is reassembled.  Torsion is first order, so the copy
+    inherits the input's analysis instead of re-running it: each degree-k
+    torsion class and H scale by lam^(k-1), and theta is unchanged.
+    """
+    geom, field = s.geometry, s.field
+    lam2 = geom.norm_sq(v)
+    if (lam2 - field.one()).is_zero():
+        return s, v
+    try:
+        lam = lam2.sqrt()
+    except NotRepresentable as exc:
+        raise ReductionError(f"|V| = sqrt({lam2}) is not in the scalar field; rerun with field sqrt d") from exc
+    metric = [[x * lam2 for x in row] for row in geom.metric]
+    scaled = FrameGeometry(s.n, field, metric, orientation_sign=geom.orientation_sign)
+    power = {-1: lam.inverse(), 1: lam, 2: lam2, 3: lam * lam2, 4: lam2 * lam2}  # lam^e
+    unit = GStructure(s.kind, _on_metric(s.frame, scaled), {name: f.scale(power[f.k]) for name, f in s.forms.items()})
+    unit.torsion = TorsionClasses(s.kind, {name: _rescaled(x, power) for name, x in s.torsion.components.items()})
+    unit.lee, unit.h = s.lee, s.h.scale(lam2)
+    return unit, v.scale(lam2.inverse())
+
+
+def _rescaled(x, power: dict):
+    """A torsion piece of degree k (a Scalar: k = 0) under g -> lam^2 g: x
+    times lam^(k-1), ``power[e]`` being lam^e."""
+    if not isinstance(x, KForm):
+        return x * power[-1]
+    return x if x.k == 1 else x.scale(power[x.k - 1])
+
+
 # kind -> (the reduced structure, its verifier table); the kind's parallel
 # form and the reduced kind's forms are ``KINDS`` slots
 _REDUCTIONS = {"g2": (_su3_of_g2, _su3_verifier), "spin7": (_g2_of_spin7, _g2_verifier)}
@@ -476,22 +522,7 @@ def _reduce(s: GStructure, df: KForm | None, raw: bool, kind: str) -> ReductionR
             forms={name: x for (name, _), x in zip(reduced, split)},
         )
 
-    # Unit-symmetry normalization: the constant rescaling g -> lam^2 g scales
-    # theta-sharp by lam^{-2}, making the canonical vector unit length, and
-    # each form of degree k (3 or 4) by lam^k, so nothing is reassembled.
-    unit = s
-    lam2 = geom.norm_sq(v)
-    if not (lam2 - field.one()).is_zero():
-        try:
-            lam = lam2.sqrt()
-        except NotRepresentable as exc:
-            raise ReductionError(f"|V| = sqrt({lam2}) is not in the scalar field; rerun with field sqrt d") from exc
-        metric = [[x * lam2 for x in row] for row in geom.metric]
-        scaled = FrameGeometry(s.n, field, metric, orientation_sign=geom.orientation_sign)
-        forms = {name: f.scale(lam2 * lam2 if f.k == 4 else lam * lam2) for name, f in s.forms.items()}
-        unit = GStructure(kind, _on_metric(frame, scaled), forms)
-        v = canonical_vector(unit, df)
-
+    unit, v = _unit_length(s, v)
     red = reduce_pair(unit.frame, unit.h, v, normalize=True)
     red.structure = s
     ad = red.adapted

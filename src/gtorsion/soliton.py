@@ -96,10 +96,10 @@ class SolitonData:
         return s.levi_civita if s is not None else levi_civita(self.frame)
 
     def bismut(self):
-        """The Bismut connection of (g, H) and its curvature."""
+        """The Bismut connection of (g, H) and its Ricci tensor."""
         s = self.structure
         if s is not None:
-            return s.bismut, s.bismut_curvature
+            return s.bismut, s.bismut_ricci
         conn = bismut_connection(self.frame, self.h)
         return conn, curvature(self.frame, conn)
 
@@ -107,11 +107,11 @@ class SolitonData:
 def grs_residual(data: SolitonData):
     """Rc^{nabla(g,H)} + nabla X^flat as an n x n Scalar matrix."""
     frame = data.frame
-    conn, cur = data.bismut()
+    conn, ricci = data.bismut()
     xflat = musical(data.x, frame.geometry)
     nx = covariant_derivative_oneform(frame, conn, xflat)
     n = frame.n
-    return [[cur.ricci[i][j] + nx[i][j] for j in range(n)] for i in range(n)]
+    return [[ricci[i][j] + nx[i][j] for j in range(n)] for i in range(n)]
 
 
 def string_grs_residual(data: SolitonData):
@@ -142,9 +142,9 @@ def divergence(frame, x: VectorField, lc=None):
 
 def scalar_curvature(frame, lc=None):
     """Riemannian scalar curvature: the g-trace of the Levi-Civita Ricci
-    tensor, which ``curvature`` sums from nonzero Riemann entries."""
+    tensor, which ``curvature`` contracts off the connection symbols."""
     lc = lc or levi_civita(frame)
-    ricci = curvature(frame, lc).ricci
+    ricci = curvature(frame, lc)
     ginv = frame.geometry.inverse_metric()
     acc = frame.field.zero()
     for i, row in enumerate(ricci):

@@ -248,8 +248,8 @@ class GStructure:
         return bismut_connection(self.frame, self.h, lc=self.levi_civita)
 
     @cached_property
-    def bismut_curvature(self):
-        """Curvature (nonzero Riemann entries and Ricci) of the Bismut connection."""
+    def bismut_ricci(self):
+        """The Ricci tensor of the Bismut connection, a dense matrix."""
         return curvature(self.frame, self.bismut)
 
 
@@ -734,15 +734,37 @@ def solve_skew_torsion(s: GStructure) -> KForm:
 
 
 def bismut_ricci_form(s: GStructure) -> KForm:
-    """rho(X,Y) = -1/2 tr(J R(X, Y)) = -1/2 sum_{i,l} J^i_l R^l_{XYi} for the
-    Bismut connection, a trace that needs no metric, so any frame gives the
-    same rho (on an orthonormal one it is 1/2 sum_i R(X, Y, e_i, J e_i));
-    rho = 0 certifies reduced holonomy."""
+    """rho(X,Y) = -1/2 tr(J R(X, Y)) for the Bismut connection, read as a
+    trace of its symbols with no curvature tensor: with Gamma_X the matrix
+    (Gamma_X)^l_k = Gamma^l_{Xk}, R(X, Y) = [Gamma_X, Gamma_Y] - Gamma_{[X,Y]},
+    so tr(J R(X, Y)) = tr(J Gamma_X Gamma_Y) - tr(J Gamma_Y Gamma_X)
+    - sum_m c^m_{XY} tr(J Gamma_m).  A trace needs no metric, so any frame
+    gives the same rho (on an orthonormal one it is
+    1/2 sum_i R(X, Y, e_i, J e_i)); rho = 0 certifies reduced holonomy."""
     if not KINDS[s.kind].almost_complex:
         raise StructureError("Bismut Ricci form needs an almost Hermitian structure")
-    field, j = s.field, s.j_matrix
+    field, j, n = s.field, s.j_matrix, s.n
+    cols = [[(i, j[i][l]) for i in range(n) if not j[i][l].is_zero()] for l in range(n)]
+    # (J Gamma_x)^i_m = sum_l J^i_l Gamma^l_{xm}
     acc = {}
-    for (x, y, i, l), v in s.bismut_curvature.entries.items():  # x < y
-        if not j[i][l].is_zero():
-            _mac(acc, (1 << x) | (1 << y), j[i][l], v, True)
-    return _trusted(s.n, 2, field, _settle(field, acc)).scale(Fraction(1, 2))
+    for (x, m, l), v in s.bismut.entries.items():
+        for i, w in cols[l]:
+            _mac(acc, (x, i, m), w, v, False)
+    jg = _settle(field, acc)
+    by_pair = {}  # (i, m) -> [(x, (J Gamma_x)^i_m)]
+    trace = {}  # m -> tr(J Gamma_m)
+    for (x, i, m), v in jg.items():
+        by_pair.setdefault((i, m), []).append((x, v))
+        if i == m:
+            trace[x] = trace[x] + v if x in trace else v
+    # -1/2 tr(J Gamma_x Gamma_y) enters rho_xy for x < y, +1/2 for x > y;
+    # (J Gamma_x Gamma_y)^i_i = sum_m (J Gamma_x)^i_m Gamma^m_{yi}
+    acc = {}
+    for (y, i, m), v in s.bismut.entries.items():
+        for x, w in by_pair.get((i, m), ()):
+            if x != y:
+                _mac(acc, (1 << x) | (1 << y), w, v, x < y)
+    for (x, y, m), c in s.frame.constants.items():
+        if x < y and m in trace:
+            _mac(acc, (1 << x) | (1 << y), c, trace[m], False)
+    return _trusted(n, 2, field, _settle(field, acc)).scale(Fraction(1, 2))

@@ -132,6 +132,26 @@ def rotate_frame_and_forms(frame, forms, rot):
     return new_frame, [transform_form(f, rinv, field) for f in forms]
 
 
+def band_shear(field, n, step):
+    """A = I + sum_i E_{i, i+step}."""
+    return [[field.scalar(1 if j in (i, i + step) else 0) for j in range(n)] for i in range(n)]
+
+
+def sheared_text(text, step):
+    """The input in the coframe f = A e, A = I + sum_i E_{i, i+step}, as
+    input text with its metric rows."""
+    doc = parse(text)
+    frame = doc.frame()
+    field = doc.field
+    a = band_shear(field, frame.n, step)
+    new = change_frame(frame, a, new_labels=list(frame.labels), validate=False)
+    ainv = _mat_inverse(a, field)
+    doc.coframe = {lab: new.coframe_d[i] for i, lab in enumerate(frame.labels)}
+    doc.metric = new.geometry.metric
+    doc.structure_forms = {k: transform_form(v, ainv, field) for k, v in doc.structure_forms.items()}
+    return doc.serialize()
+
+
 def random_kform(n, k, field, rng, density=0.4, span=4):
     from gtorsion.forms import _masks
 
@@ -213,8 +233,65 @@ def torsion_form(conn) -> KForm:
     return h
 
 
+class Riemann:
+    """The Riemann tensor of an invariant connection: the reference for the
+    traces ``frames.curvature`` and ``structures.bismut_ricci_form`` take off
+    the symbols without it.  ``entries[(i, j, k, l)]`` is R^l_{ijk}, the e_l
+    component of R(e_i, e_j) e_k, for i < j only (R is skew in i, j):
+    R^l_{ijk} = sum_m (Gamma^m_{jk} Gamma^l_{im} - Gamma^m_{ik} Gamma^l_{jm}
+                       - c^m_{ij} Gamma^l_{mk}),
+    summed in plain scalar arithmetic over products of nonzero entries."""
+
+    def __init__(self, conn):
+        frame = conn.frame
+        self.n, self.field = n, field = frame.n, frame.field
+        by_first = [[] for _ in range(n)]  # m -> (k, l, Gamma^l_{mk})
+        by_second = [[] for _ in range(n)]  # m -> (i, l, Gamma^l_{im})
+        for (i, j, l), v in conn.entries.items():
+            by_first[i].append((j, l, v))
+            by_second[j].append((i, l, v))
+        acc = {}
+
+        def add(key, x):
+            acc[key] = acc[key] + x if key in acc else x
+
+        # Gamma^m_{jk} Gamma^l_{im} enters R_{ijk} with + and R_{jik} with -
+        for (j, k, m), v in conn.entries.items():
+            for i, l, w in by_second[m]:
+                if i != j:
+                    add((i, j, k, l) if i < j else (j, i, k, l), w * v if i < j else -(w * v))
+        for (i, j, m), c in frame.constants.items():
+            if i < j:
+                for k, l, w in by_first[m]:
+                    add((i, j, k, l), -(c * w))
+        self.entries = {key: v for key, v in acc.items() if not v.is_zero()}
+
+    @property
+    def ricci(self):
+        """Rc(e_j, e_k) = sum_a R^a_{ajk}, a dense matrix."""
+        n, zero = self.n, self.field.zero()
+        rc = [[zero] * n for _ in range(n)]
+        for (i, j, k, l), v in self.entries.items():
+            if l == i:
+                rc[j][k] = rc[j][k] + v
+            elif l == j:
+                rc[i][k] = rc[i][k] - v
+        return rc
+
+    def ricci_form(self, j) -> KForm:
+        """rho(X, Y) = -1/2 tr(J R(X, Y)) = -1/2 sum_{i,l} J^i_l R^l_{XYi},
+        J the matrix j[i][l] = J^i_l."""
+        coeffs = {}
+        for (x, y, i, l), v in self.entries.items():
+            if not j[i][l].is_zero():
+                m = (1 << x) | (1 << y)
+                coeffs[m] = coeffs.get(m, self.field.zero()) - j[i][l] * v
+        half = self.field.scalar(Fraction(1, 2))
+        return KForm(self.n, 2, self.field, {m: v * half for m, v in coeffs.items()})
+
+
 def riemann_r(cur, i, j, k) -> VectorField:
-    """R(e_i, e_j) e_k from the i < j entries of a ``CurvatureData``."""
+    """R(e_i, e_j) e_k from the i < j entries of a ``Riemann``."""
     zero = cur.field.zero()
     if i == j:
         return VectorField.zero(cur.n, cur.field)

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from conftest import (
     Q,
+    Riemann,
     fixture_structure,
     random_kform,
     random_vector,
@@ -23,7 +24,7 @@ from gtorsion.forms import (
     interior,
     wedge,
 )
-from gtorsion.frames import bismut_connection, curvature
+from gtorsion.frames import bismut_connection
 from gtorsion.reduction import (
     central_extend,
     reduce_g2,
@@ -200,8 +201,7 @@ def test_criterion_5_spin7_su3():
     _check(failures, "dilatino residual = 0", spin7_dilatino_residual(s, t).is_zero())
     h = bismut_torsion(s, t)
     conn = bismut_connection(s.frame, h)
-    cur = curvature(s.frame, conn)
-    _check(failures, "Bismut curvature of (g, H_Psi) identically zero", not cur.entries)
+    _check(failures, "Bismut curvature of (g, H_Psi) identically zero", not Riemann(conn).entries)
     _finish("criterion 5 (spin7 su3 example)", failures)
 
 

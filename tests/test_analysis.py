@@ -49,6 +49,24 @@ def test_reduce_builds_each_item_once_per_structure(monkeypatch):
     assert dict(conn) == {ambient.frame: 1}
 
 
+@pytest.mark.parametrize("name", ["nonintG2", "nonintG2nonclosedLee", "nonintSpin7OneA", "nonintSpin7Two"])
+def test_reduce_analyses_only_the_input_and_the_slice(monkeypatch, name):
+    # the unit-|V| copy (|V| != 1 on all but nonintG2) inherits its input's
+    # torsion classes and H scaled by powers of lam, so both are built once
+    # on the input and once on the slice, and never on the copy; the slice
+    # of nonintSpin7Two is never reached (its adapted frame needs a root)
+    doc = parse(registry.input_text(name))
+    solvers = [_count_calls(monkeypatch, solver) for solver in ("torsion_su3", "torsion_g2", "torsion_spin7")]
+    h = _count_calls(monkeypatch, "bismut_torsion")
+    rep = engine.run_reduce(doc)
+    s = doc.structure()
+    for counts in (sum(solvers, collections.Counter()), h):
+        sliced = [t for t in counts if t is not s]
+        assert counts[s] == 1 and set(counts.values()) == {1}
+        assert len(sliced) == ("reduction" in rep.data)
+        assert all(isinstance(t.frame, reduction.TransverseSlice) for t in sliced)
+
+
 @pytest.mark.parametrize("name", ["nonintG2", "nonintG2nonclosedLee"])
 def test_reduce_builds_no_geometry_of_its_own(monkeypatch, name):
     # a reduce verdict builds what its check builds, also when it reduces

@@ -1,8 +1,9 @@
 """The Lee form and the Bismut-Ricci form of almost Hermitian and SU(3)
 structures in any frame.  Both are traces: theta contracts H with omega's
-indices raised by g, rho traces J against the curvature with no metric.  So
-they agree with the frame-vector sums they replaced on orthonormal frames,
-move covariantly under any change of frame, ``check`` on a sheared
+indices raised by g, rho traces J against the Bismut symbols with no metric
+and no curvature tensor.  So they agree with the frame-vector sums they
+replaced on orthonormal frames, move covariantly under any change of frame
+(as does the Nijenhuis form), ``check`` on a sheared
 fixture reports the fixture's values, and ``extend`` accepts a sheared
 SU(3) quotient.  ``reduce`` rescales to unit |V| on the declared frame, so
 a sheared G2 fixture reaches the adapted frame."""
@@ -15,15 +16,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Q, S3XT4_G2, random_kform, rotate_frame_and_forms, rotation_matrix
+from conftest import (
+    Q,
+    S3XT4_G2,
+    Riemann,
+    band_shear,
+    fixture_structure,
+    random_kform,
+    rotate_frame_and_forms,
+    rotation_matrix,
+    sheared_text,
+    su2su2_frame,
+)
 from test_kinds import _Doc
 from test_reduction import quotient_su3_of_nonintG2
 from gtorsion import engine, registry
 from gtorsion.engine import run_extend
 from gtorsion.forms import FrameGeometry, KForm, VectorField, _mat_inverse, indices_of
-from gtorsion.frames import CurvatureData, LieAlgebraFrame, change_frame, transform_form
+from gtorsion.frames import ConnectionCoeffs, LieAlgebraFrame, change_frame, transform_form
 from gtorsion.parser import parse
-from gtorsion.structures import KINDS, ah_assemble, bismut_ricci_form, lee_form, model_form, su3_assemble
+from gtorsion.structures import (
+    KINDS,
+    ah_assemble,
+    bismut_ricci_form,
+    lee_form,
+    model_form,
+    nijenhuis,
+    su3_assemble,
+)
 
 
 def old_lee_form(s):
@@ -46,12 +66,13 @@ def old_lee_form(s):
 
 
 def old_bismut_ricci_form(s):
-    """rho(X, Y) = 1/2 sum_i R(X, Y, e_i, J e_i) over the frame vectors:
-    right on orthonormal frames only."""
+    """rho(X, Y) = 1/2 sum_i R(X, Y, e_i, J e_i) over the frame vectors, R
+    the Riemann tensor of the Bismut connection: right on orthonormal frames
+    only."""
     field, n, geom = s.field, s.n, s.geometry
     zero = field.zero()
     coeffs = {}
-    for (x, y, i, l), v in s.bismut_curvature.entries.items():
+    for (x, y, i, l), v in Riemann(s.bismut).entries.items():
         w = geom.g(VectorField.basis(n, field, l + 1), s.apply_j(VectorField.basis(n, field, i + 1)))
         if not w.is_zero():
             m = (1 << x) | (1 << y)
@@ -71,33 +92,36 @@ def _in_frame(s, a):
     return _assemble(s.kind, forms, change_frame(s.frame, a)), ainv
 
 
-def _band_shear(field, n, step):
-    """A = I + sum_i E_{i, i+step}."""
-    return [[field.scalar(1 if j in (i, i + step) else 0) for j in range(n)] for i in range(n)]
+def _su2_frame(n):
+    """su(2) + R (n = 4) or su(2) + su(2) (n = 6) on the identity metric:
+    nonzero structure constants, so rho's bracket term is exercised."""
+    if n == 6:
+        return su2su2_frame()
+    d = [KForm.from_terms(4, Q, [(pair, -2)]) for pair in ((2, 3), (3, 1), (1, 2))] + [KForm.zero(4, 2, Q)]
+    return LieAlgebraFrame(["e1", "e2", "e3", "e4"], d, FrameGeometry(4, Q))
 
 
 @st.composite
 def orthonormal_structures(draw):
-    """The model SU(3) or almost Hermitian (n = 4, 6) structure in a random
-    rotated orthonormal frame, with a random H and Bismut curvature set in
-    its analysis in place of computed ones."""
+    """The model SU(3) or almost Hermitian (n = 4, 6) structure on su(2) + R
+    or su(2) + su(2) in a random rotated orthonormal frame, with a random H
+    and Bismut connection set in its analysis in place of computed ones."""
     kind, n = draw(st.sampled_from([("su3", 6), ("ah", 4), ("ah", 6)]))
     rng = random.Random(draw(st.integers(0, 2**32)))
     forms = model_form(kind, n, Q)
     forms = list(forms) if kind == "su3" else [forms]
-    frame, forms = rotate_frame_and_forms(LieAlgebraFrame.abelian(n, Q), forms, rotation_matrix(n, rng, planes=2))
+    frame, forms = rotate_frame_and_forms(_su2_frame(n), forms, rotation_matrix(n, rng, planes=2))
     s = _assemble(kind, forms, frame)
     assert s.geometry._is_identity
     s.h = random_kform(n, 3, Q, rng, density=0.5)
     entries = {}
-    for x in range(n):
-        for y in range(x + 1, n):
-            for i in range(n):
-                for l in range(n):
-                    v = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-                    if v and rng.random() < 0.1:
-                        entries[(x, y, i, l)] = Q.scalar(v)
-    s.bismut_curvature = CurvatureData(n, Q, entries, None)
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
+                v = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                if v and rng.random() < 0.1:
+                    entries[(i, j, l)] = Q.scalar(v)
+    s.bismut = ConnectionCoeffs(s.frame, entries)
     return s
 
 
@@ -133,39 +157,40 @@ def _kodaira_thurston_su3():
 BASES = {"r_x_heisenberg": _r_times_heisenberg, "kodaira_thurston": _kodaira_thurston_su3}
 
 
+def _assert_covariant(s, a):
+    """theta, rho and N of s in the coframe f = A e are those of s moved by
+    A^{-1}, and rho is the J-trace of the Bismut curvature tensor there."""
+    t, ainv = _in_frame(s, a)
+    for trace in (lee_form, bismut_ricci_form, nijenhuis):
+        assert trace(t) == transform_form(trace(s), ainv, s.field), trace.__name__
+    assert bismut_ricci_form(t) == Riemann(t.bismut).ricci_form(t.j_matrix)
+
+
 @pytest.mark.parametrize("name", BASES)
 def test_traces_move_covariantly_under_shears(name):
+    # J is integrable on both bases, so N = 0 here; nonintsu3 below has N != 0
     s = BASES[name]()
     n, field = s.n, s.field
-    theta, rho = lee_form(s), bismut_ricci_form(s)
-    assert not theta.is_zero() and not rho.is_zero()
+    assert not lee_form(s).is_zero() and not bismut_ricci_form(s).is_zero()
 
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(st.lists(st.sampled_from([-1, 0, 1, Fraction(1, 2)]), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
     def check(upper):
         # the coframe f = A e, A unit upper triangular
         entries = iter(upper)
-        a = [[field.scalar(1 if i == j else next(entries) if j > i else 0) for j in range(n)] for i in range(n)]
-        t, ainv = _in_frame(s, a)
-        assert lee_form(t) == transform_form(theta, ainv, field)
-        assert bismut_ricci_form(t) == transform_form(rho, ainv, field)
+        _assert_covariant(s, [[field.scalar(1 if i == j else next(entries) if j > i else 0) for j in range(n)] for i in range(n)])
 
     check()
 
 
-def sheared_text(text, step):
-    """The input in the coframe f = A e, A = I + sum_i E_{i, i+step}, as
-    input text with its metric rows."""
-    doc = parse(text)
-    frame = doc.frame()
-    field = doc.field
-    a = _band_shear(field, frame.n, step)
-    new = change_frame(frame, a, new_labels=list(frame.labels), validate=False)
-    ainv = _mat_inverse(a, field)
-    doc.coframe = {lab: new.coframe_d[i] for i, lab in enumerate(frame.labels)}
-    doc.metric = new.geometry.metric
-    doc.structure_forms = {k: transform_form(v, ainv, field) for k, v in doc.structure_forms.items()}
-    return doc.serialize()
+@pytest.mark.parametrize("step", [1, 2, 3, 4])
+def test_traces_and_nijenhuis_move_covariantly_on_nonintsu3(step):
+    # the Bismut connection of nonintsu3 is flat, so rho and the J-trace of
+    # the reference tensor are both 0; kodaira_thurston above has rho != 0
+    s = fixture_structure("nonintsu3")
+    assert not s.nijenhuis.is_zero()
+    assert bismut_ricci_form(s) == Riemann(s.bismut).ricci_form(s.j_matrix)
+    _assert_covariant(s, band_shear(s.field, 6, step))
 
 
 _INPUTS = {**{name: registry.input_text(name) for name in registry.names()}, "s3xt4": S3XT4_G2}
@@ -198,7 +223,7 @@ def test_extend_on_sheared_su3_quotient(step):
     # before theta became a trace, steps 1, 2 and 4 failed with "extension
     # hypotheses violated: theta_omega != df"
     s = quotient_su3_of_nonintG2()[3]
-    t, _ = _in_frame(s, _band_shear(s.field, 6, step))
+    t, _ = _in_frame(s, band_shear(s.field, 6, step))
     rep = run_extend(_Doc(t))
     assert (rep.data["kind"], rep.data["strong_torsion"], rep.data["torsion_matches_formula"]) == ("g2", True, True)
 

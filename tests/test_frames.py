@@ -18,6 +18,7 @@ from conftest import (
     fixture_doc,
     lowered,
     metric_compatible,
+    Riemann,
     riemann_r,
     structure_constants,
     torsion_form,
@@ -209,24 +210,25 @@ def test_cartan_connection_flat():
     fr = su2su2_frame(Q, scale=-2)
     h = cartan_three_form(fr)
     assert h == KForm.from_terms(6, Q, [((1, 2, 3), 2), ((4, 5, 6), 2)])
-    conn = bismut_connection(fr, h)
-    assert not curvature(fr, conn).entries
-    conn2 = bismut_connection(fr, -h)
-    assert not curvature(fr, conn2).entries
+    zero = [[Q.zero()] * 6 for _ in range(6)]
+    for conn in (bismut_connection(fr, h), bismut_connection(fr, -h)):
+        assert not Riemann(conn).entries
+        assert curvature(fr, conn) == zero
 
 
 def test_round_su2_ricci():
     fr = su2_frame()  # de1 = -2 e23
-    cur = curvature(fr, levi_civita(fr))
+    ricci = curvature(fr, levi_civita(fr))
     for i in range(3):
         for j in range(3):
-            assert cur.ricci[i][j] == (Q.scalar(2) if i == j else Q.zero())
+            assert ricci[i][j] == (Q.scalar(2) if i == j else Q.zero())
 
 
 def test_flat_abelian_curvature():
     fr = LieAlgebraFrame(["e1", "e2", "e3"], [KForm.zero(3, 2, Q)] * 3, FrameGeometry(3, Q))
-    cur = curvature(fr, levi_civita(fr))
-    assert not cur.entries
+    lc = levi_civita(fr)
+    assert not Riemann(lc).entries
+    assert all(x.is_zero() for row in curvature(fr, lc) for x in row)
 
 
 # -- first Bianchi with torsion ----------------------------------------------
@@ -241,7 +243,7 @@ def test_first_bianchi_torsion_correction(rng):
         geom = fr.geometry
         h = random_kform(6, 3, Q, rng, density=0.25, span=2)
         conn = bismut_connection(fr, h)
-        cur = curvature(fr, conn)
+        cur = Riemann(conn)
         basis = [fr.basis_vector(i) for i in range(1, 7)]
 
         def t_vec(x, y):

@@ -274,16 +274,30 @@ def test_cli_extend_roundtrip(tmp_path, capsys):
     assert data["torsion_matches_formula"] is True
 
 
-@pytest.mark.parametrize("name", ["nonintG2", "nonintsu3"])
-def test_cli_declared_metric_must_equal_induced_one_line_exit_3(tmp_path, capsys, name):
+def _rows_of_two(text):
     # phi and (omega, Omega+) induce the identity, so declared rows of 2 I
     # disagree with the structure's metric
-    text = registry.input_text(name)
     n = parse(text).dim
     rows = "".join(" ".join("2" if i == j else "0" for j in range(n)) + "\n" for i in range(n))
+    return text.replace("metric identity\n", "metric rows\n" + rows)
+
+
+def _e1_terms_doubled(text):
+    # phi with its three e1 terms doubled induces diag(4, 1, ..., 1), which
+    # disagrees with the declared identity (this input once exited 0)
+    for term in ("e1^e4^e7", "e1^e2^e3", "e1^e5^e6"):
+        text = text.replace(term, "2*" + term)
+    return text
+
+
+@pytest.mark.parametrize("name, declare", [
+    ("nonintG2", _rows_of_two), ("nonintsu3", _rows_of_two), ("nonintG2", _e1_terms_doubled),
+], ids=["nonintG2", "nonintsu3", "nonintG2-identity"])
+def test_cli_declared_metric_must_equal_induced_one_line_exit_3(tmp_path, capsys, name, declare):
+    text = registry.input_text(name)
     assert "metric identity\n" in text
     p = tmp_path / "declared.gs"
-    p.write_text(text.replace("metric identity\n", "metric rows\n" + rows))
+    p.write_text(declare(text))
     assert _run_cli(["check", str(p)]) == 3
     assert capsys.readouterr().err == (
         "structure error: declared frame metric disagrees with the structure-induced metric\n"
@@ -320,6 +334,11 @@ def test_cli_reduce_spin7_zero_lee_raw_phi_zero(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["raw_reduction"] == {"phi": "0", "flux": "0"}
 
 
+def test_metric_row_sum_in_parentheses_is_one_entry():
+    doc = parse("dim 2\nframe a b\nmetric rows\n  (1 + 2) -1\n  -1 1\n")
+    assert doc.metric == [[Q.scalar(3), Q.scalar(-1)], [Q.scalar(-1), Q.one()]]
+
+
 def test_parse_truncated_metric_rows():
     with pytest.raises(ParseError, match="expected 2 rows, got 1"):
         parse("dim 2\nframe a b\nmetric rows\n  2 0\n")
@@ -343,9 +362,13 @@ _E3 = "dim 3\nframe e1 e2 e3\n"
         (_E3 + "d e1 = e2^e3 ? e1\n", "unexpected character '?' (line 3, col 14)"),
         ("dim 2\nframe a b\nmetric rows\n  1 0  # first row\n  0 1/0\n", "division by zero (line 5, col 7)"),
         ("dim 2\nframe a b\nmetric rows\n\n  1 0\n  0 (1\n", "expected ')' (line 6, col 7)"),
+        # read as the two entries 1 and 2 before
+        ("dim 2\nframe a b\nmetric rows\n  1 + 2\n  0 1\n",
+         "metric row entries are separated by spaces: write a sum as (a + b) (line 4, col 5)"),
     ],
     ids=["two-chains", "two-labels", "trailing-wedge", "wedge-number", "token-after-spaces",
-         "trailing-plus", "chain-in-parentheses", "bad-character", "metric-zero-divisor", "metric-open-parenthesis"],
+         "trailing-plus", "chain-in-parentheses", "bad-character", "metric-zero-divisor", "metric-open-parenthesis",
+         "metric-binary-plus"],
 )
 def test_expression_errors_name_the_token_and_its_column_in_the_line(tmp_path, capsys, text, message):
     p = tmp_path / "input.gs"

@@ -1,5 +1,6 @@
 """Symmetry reduction, theorem verifiers, splitting, central extension."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -8,9 +9,13 @@ import pytest
 from conftest import (
     Q,
     fixture_structure,
+    random_posdef_geometry,
+    random_vector,
     rotation_matrix,
     rotate_frame_and_forms,
     nonzero_names,
+    sheared_text,
+    su2su2u1_frame,
 )
 from gtorsion.forms import (
     FrameGeometry,
@@ -29,7 +34,8 @@ from gtorsion.frames import (
     levi_civita,
     transform_bilinear,
 )
-from gtorsion import reduction
+from gtorsion import reduction, registry
+from gtorsion.parser import parse
 from gtorsion.reduction import (
     ReductionError,
     adapt_frame,
@@ -41,6 +47,7 @@ from gtorsion.reduction import (
     splitting_check,
 )
 from gtorsion.structures import (
+    GStructure,
     StructureError,
     bismut_torsion,
     g2_assemble,
@@ -91,6 +98,39 @@ def test_adapt_frame_rejects_nonkilling():
     fr = LieAlgebraFrame([f"e{i}" for i in range(1, 8)], d, FrameGeometry(7, Q))
     with pytest.raises(ReductionError, match="Killing"):
         adapt_frame(fr, VectorField.basis(7, Q, 2))
+
+
+def _first_nonkilling_pair(frame, v):
+    """The first i <= j with <[V, e_i], e_j> + <[V, e_j], e_i> != 0, from n
+    brackets and n^2 metric pairings; None when V is Killing."""
+    geom, n = frame.geometry, frame.n
+    basis = [frame.basis_vector(i + 1) for i in range(n)]
+    brackets = [frame.bracket(v, e) for e in basis]
+    for i in range(n):
+        for j in range(i, n):
+            if not (geom.g(brackets[i], basis[j]) + geom.g(brackets[j], basis[i])).is_zero():
+                return i, j
+    return None
+
+
+def test_killing_check_names_the_first_failing_pair(rng):
+    heis = [KForm.from_terms(7, Q, [((2, 3), 1)])] + [KForm.zero(7, 2, Q)] * 6
+    outcomes = Counter()
+    for coframe_d in (heis, su2su2u1_frame().coframe_d, fixture_structure("nonintG2").frame.coframe_d):
+        for metric in ("identity", "spd"):
+            geom = FrameGeometry(7, Q) if metric == "identity" else random_posdef_geometry(7, Q, rng)
+            fr = LieAlgebraFrame([f"e{i}" for i in range(1, 8)], coframe_d, geom)
+            for v in [VectorField.basis(7, Q, k) for k in (1, 2, 7)] + [random_vector(7, Q, rng) for _ in range(3)]:
+                want = _first_nonkilling_pair(fr, v)
+                outcomes[want is None] += 1
+                if want is None:
+                    reduction._check_killing(fr, v)
+                    continue
+                with pytest.raises(ReductionError) as exc:
+                    reduction._check_killing(fr, v)
+                i, j = want
+                assert str(exc.value) == f"V is not Killing: L_V g (e{i + 1}, e{j + 1}) != 0"
+    assert outcomes[True] >= 5 and outcomes[False] >= 10
 
 
 def test_adapt_frame_rejects_zero():
@@ -273,15 +313,51 @@ def test_change_of_basis_matches_adapted_frame_rebuild(name):
         (s.levi_civita, levi_civita(ad.frame)),
         (s.bismut, bismut_connection(ad.frame, ad.to_adapted(red.h))),
     ):
-        ric = curvature(s.frame, conn).ricci
-        assert transform_bilinear(ric, ad.b, f) == curvature(ad.frame, rebuilt).ricci
+        ric = curvature(s.frame, conn)
+        assert transform_bilinear(ric, ad.b, f) == curvature(ad.frame, rebuilt)
         nabla_theta = covariant_derivative_oneform(s.frame, conn, theta)
         assert transform_bilinear(nabla_theta, ad.b, f) == covariant_derivative_oneform(
             ad.frame, rebuilt, theta_ad
         )
     # the Levi-Civita Ricci tensor is nonzero, so a transposed B would show
-    lc_ric = curvature(s.frame, s.levi_civita).ricci
+    lc_ric = curvature(s.frame, s.levi_civita)
     assert any(not x.is_zero() for row in lc_ric for x in row)
+
+
+def _rotated(name, seed):
+    base = fixture_structure(name)
+    rot = rotation_matrix(base.n, random.Random(seed), field=base.field, planes=2)
+    fr, (form,) = rotate_frame_and_forms(base.frame, [base.form("phi" if base.kind == "g2" else "psi")], rot)
+    return (g2_assemble if base.kind == "g2" else spin7_assemble)(form, fr)
+
+
+# the fixtures whose canonical vector has |V| != 1: reduce rescales them
+_NON_UNIT = ["nonintG2nonclosedLee", "nonintSpin7OneA", "nonintSpin7Two"]
+_UNIT_INPUTS = {
+    **{name: lambda name=name: fixture_structure(name) for name in _NON_UNIT},
+    **{f"{name}-rotated": lambda name=name: _rotated(name, 7) for name in _NON_UNIT},
+    "nonintG2nonclosedLee-sheared3": lambda: parse(sheared_text(registry.input_text("nonintG2nonclosedLee"), 3)).structure(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNIT_INPUTS))
+def test_unit_copy_inherits_what_a_fresh_copy_computes(case):
+    # the unit-|V| copy takes the input's torsion classes, Lee form and H
+    # scaled by powers of lam instead of computing them; a fresh structure on
+    # the same frame and forms computes them, reconstruction checks included
+    s = _UNIT_INPUTS[case]()
+    v = canonical_vector(s)
+    assert not (s.geometry.norm_sq(v) - s.field.one()).is_zero()
+    unit, v_unit = reduction._unit_length(s, v)
+    assert {"torsion", "lee", "h"} <= set(vars(unit))
+    fresh = GStructure(unit.kind, unit.frame, dict(unit.forms))
+    assert list(fresh.torsion.components) == list(unit.torsion.components)
+    for name, x in fresh.torsion.components.items():
+        assert unit.torsion[name] == x, name
+    assert fresh.lee == unit.lee
+    assert fresh.h == unit.h
+    assert canonical_vector(fresh) == v_unit
+    assert unit.geometry.norm_sq(v_unit) == s.field.one()
 
 
 # -- splitting equivalence on randomized rotations --------------------------------

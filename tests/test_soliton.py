@@ -145,14 +145,17 @@ def test_scalar_curvature_round_su2_product():
 
 def test_frame_calls_on_a_structure_frame_read_its_metric():
     # doubling the three e1 terms of phi makes it induce diag(4, 1, ..., 1)
-    # under "metric identity"; a frame-level call on s.frame must use that
-    # metric (with the identity it gave another Levi-Civita connection and
-    # scalar curvature 3)
+    # on a frame whose own metric is the identity; a frame-level call on
+    # s.frame must use the induced metric (with the identity it gave another
+    # Levi-Civita connection and scalar curvature 3).  The structure is
+    # assembled directly, since parsing rejects the declared identity.
     text = registry.input_text("nonintG2")
     for term in ("e1^e4^e7", "e1^e2^e3", "e1^e5^e6"):
         assert text.count(term) == 1
         text = text.replace(term, "2*" + term)
-    s = parse(text).structure()
+    doc = parse(text)
+    assert doc.frame().geometry._is_identity
+    s = g2_assemble(doc.structure_forms["phi"], doc.frame())
     assert s.geometry.metric == [[Q.scalar(4 if i == j == 0 else int(i == j)) for j in range(7)] for i in range(7)]
     assert levi_civita(s.frame).entries == s.levi_civita.entries
     assert scalar_curvature(s.frame) == scalar_curvature(s.frame, s.levi_civita) == Q.scalar(Fraction(3, 2))

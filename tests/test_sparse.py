@@ -1,7 +1,9 @@
 """The sparse tensor layer against dense component formulas.
 
-Connections and curvature are stored by nonzero entries, and a diagonal
-metric takes a product fast path for Gram minors and the Hodge star.  The
+Connections are stored by nonzero entries, the Ricci tensor is contracted
+off them (checked against the trace of conftest's Riemann reference, itself
+checked against a dense formula here), and a diagonal metric takes a
+product fast path for Gram minors and the Hodge star.  The
 oracles here loop over every index and use only the coframe differentials,
 the metric rows and a determinant written out in this file.
 """
@@ -18,6 +20,7 @@ from conftest import (
     rotation_matrix,
     su2su2_frame,
     su2su2u1_frame,
+    Riemann,
     riemann,
     riemann_r,
 )
@@ -122,23 +125,26 @@ def test_sparse_connections_and_curvature_match_dense_formula(rng, base, metric)
         for i in range(n):
             for j in range(n):
                 assert list(conn.gamma[i][j].components) == gam[i][j]
-        cur = curvature(fr, conn)
+        ref = Riemann(conn)
         r, ric = _dense_curvature(c, gam)
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    assert list(riemann_r(cur, i, j, k).components) == r[i][j][k]
-        assert cur.ricci == ric
-        assert (not cur.entries) == all(x.is_zero() for a in r for b in a for cc in b for x in cc)
+                    assert list(riemann_r(ref, i, j, k).components) == r[i][j][k]
+        assert (not ref.entries) == all(x.is_zero() for a in r for b in a for cc in b for x in cc)
+        # the Ricci tensor contracted off the symbols is the reference's trace
+        assert curvature(fr, conn) == ref.ricci == ric
 
 
 @pytest.mark.parametrize("metric", ["identity", "lam2", "spd"])
 def test_scalar_curvature_is_trace_of_full_ricci(rng, metric):
     fr = _with_metric(su2su2u1_frame(), metric, rng)
     n = fr.n
-    rm = riemann(curvature(fr, levi_civita(fr)))
+    lc = levi_civita(fr)
+    rm = riemann(Riemann(lc))
     ginv = _adjugate_inverse(fr.geometry.metric)
     ricci = [[sum((rm[a][j][k].components[a] for a in range(n)), Q.zero()) for k in range(n)] for j in range(n)]
+    assert curvature(fr, lc) == ricci
     full = sum((ginv[j][k] * ricci[j][k] for j in range(n) for k in range(n)), Q.zero())
     assert scalar_curvature(fr) == full
     assert not full.is_zero()
