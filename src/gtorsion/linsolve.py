@@ -8,12 +8,15 @@ positive-definiteness test eliminate nothing: they read minors.
 
 Its pivots stay fully reduced (a 1 in their own column, a 0 in every other
 pivot column), so a row is reduced in one pass over its pivot columns with no
-cascade of fill.  The torsion oracle reduces each structure form's derivation
-matrix alone (rank 7 in at most 70 rows for Spin(7)); ``solve_unique_sparse``
-carries one right-hand side, key -1, through the n*r rows left (56 for
-Spin(7)).  Row updates go through the scalar accumulator (``scalars._mac``),
-the one multiply-accumulate path: each entry is normalized once, a new pivot's
-entries with their division by its lead.
+cascade of fill.  Rows are taken by last column, then length: leads then come
+bottom-up, so a new pivot seldom has to be eliminated from older ones.  Fully
+reduced pivots do not depend on the row order, so neither does any caller's
+result.  The torsion oracle reduces the derivation rows of all its structure
+forms in one run, each row once up to sign; ``solve_unique_sparse`` carries
+one right-hand side, key -1, where it is nonzero, through the n*r rows left
+(56 for Spin(7)).  Row updates go through the scalar accumulator
+(``scalars._mac``), the one multiply-accumulate path: each entry is
+normalized once, a new pivot's entries with their division by its lead.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ class InconsistentSystem(LinearSolveError):
 
 
 def echelon(rows, field: Field) -> dict[int, dict]:
-    """Row-reduce sparse rows to fully reduced pivots, shortest rows first.
+    """Row-reduce sparse rows to fully reduced pivots, taken by last column
+    and then by length.
 
     A row is {key: Scalar}: keys >= 0 are columns of unknowns, keys < 0 are
     right-hand sides and never lead.  Returns pivots[lead], which reads
@@ -44,7 +48,8 @@ def echelon(rows, field: Field) -> dict[int, dict]:
     """
     one = field.one()
     pivots: dict[int, dict] = {}
-    for row in sorted(rows, key=len):  # short rows first keeps elimination fill low
+    # by last column, then length: leads come bottom-up and short rows keep fill low
+    for row in sorted(rows, key=lambda row: (max(row, default=_RHS), len(row))):
         # the row minus f times the pivot of each pivot column; other entries carry over
         acc = {}
         for c, f in row.items():
@@ -71,9 +76,10 @@ def solve_unique_sparse(rows, nunknowns: int, field: Field):
     ``rows`` is an iterable of ({col: Scalar}, rhs Scalar) pairs.  Returns the
     solution list.  Raises InconsistentSystem("no solution") if inconsistent
     and LinearSolveError("non-unique solution") if rank-deficient.  Once every
-    column has a pivot, each further row reduces to its residual alone.
+    column has a pivot, each further row reduces to its residual alone.  A
+    zero right-hand side is not carried.
     """
-    pivots = echelon([{**row, _RHS: rhs} for row, rhs in rows], field)
+    pivots = echelon([row if rhs.is_zero() else {**row, _RHS: rhs} for row, rhs in rows], field)
     if len(pivots) < nunknowns:
         raise LinearSolveError("non-unique solution")
     return [pivots[c].get(_RHS, field.zero()) for c in range(nunknowns)]

@@ -47,6 +47,7 @@ from .structures import (
     KINDS,
     GStructure,
     StructureError,
+    _check_spin7_orbit,
     _model_forms,
     ah_assemble,
     g2_assemble,
@@ -262,6 +263,9 @@ class InputDocument:
             # the identity) must match it
             if s.geometry.metric != fr.geometry.metric:
                 raise StructureError("declared frame metric disagrees with the structure-induced metric")
+            # assembly checks a declared Psi's norm and self-duality, not its orbit
+            if kind == "spin7":
+                _check_spin7_orbit(s)
             self._structure = s
         return self._structure
 
@@ -399,13 +403,17 @@ def _once(seen: set, statement: str, line_no: int):
 
 def _metric_row(code: str, doc: InputDocument, line_no: int) -> list[Scalar]:
     """One ``metric rows`` line: dim whitespace-separated products with no
-    chain.  A ``+`` after an entry would join two entries into a sum, which
-    is written in parentheses, so it is an error."""
+    chain.  A ``+`` after an entry, or a ``-`` after an entry and before a
+    space, would join two entries into a sum or difference, which is written
+    in parentheses, so it is an error; ``1 -2`` is the entries 1 and -2."""
     p = _Expr(code, 0, doc.field, {}, line_no)
     row = []
     while p.toks[p.i][0] != "end":
-        if row and p.toks[p.i][0] == "+":
-            raise ParseError("metric row entries are separated by spaces: write a sum as (a + b)", line_no, p.toks[p.i][2])
+        kind, _, col = p.toks[p.i]
+        if row and kind == "+":
+            raise ParseError("metric row entries are separated by spaces: write a sum as (a + b)", line_no, col)
+        if row and kind == "-" and code[col:col + 1].isspace():
+            raise ParseError("metric row entries are separated by spaces: write a difference as (a - b)", line_no, col)
         row.append(p.product(False)[1])
     if len(row) != doc.dim:
         raise ParseError(f"metric row needs {doc.dim} entries", line_no)

@@ -311,6 +311,7 @@ def reduce_pair(frame, h: KForm, v: VectorField, normalize: bool = False) -> Red
         flux=f2,
         h=h,
         h_hat=h_hat,
+        dh_hat=dh_hat,
         anomaly=anomaly,
     )
 
@@ -559,7 +560,7 @@ def splitting_check(red: ReductionResult) -> dict:
     """The three equivalent splitting conditions
     (1) d H^ = 0, (2) d mu = 0, (3) D mu = 0 (Levi-Civita)."""
     frame = red.frame
-    c1 = frame.d(red.h_hat).is_zero()
+    c1 = red.dh_hat.is_zero()
     c2 = red.flux.is_zero()
     lc = red.structure.levi_civita if red.structure is not None else levi_civita(frame)
     dmu = covariant_derivative_oneform(frame, lc, red.mu)

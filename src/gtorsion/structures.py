@@ -25,6 +25,7 @@ from .forms import (
     GeometryError,
     KForm,
     VectorField,
+    _Lazy,
     _mat_det,
     _masks,
     _trusted,
@@ -34,6 +35,7 @@ from .forms import (
     hodge_star,
     indices_of,
     interior,
+    musical,
     skew_three_form,
     transform_form,
     wedge,
@@ -113,7 +115,9 @@ class Kind(NamedTuple):
     name, degree, model terms), terms None meaning omega = e12 + e34 + ...;
     its noun in messages; ``project``'s recipe per degree; whether it
     carries J; the kind its reduction lands on (whose central extension
-    comes back here); c in V = c theta^sharp - grad f and in H."""
+    comes back here); c in V = c theta^sharp - grad f and in H; the
+    dimension of the group G in SO(n) that fixes the defining forms, None
+    for U(n/2) of dimension (n/2)^2."""
 
     dim: int | None
     slots: tuple
@@ -122,6 +126,7 @@ class Kind(NamedTuple):
     almost_complex: bool = False
     reduces_to: str | None = None
     lee_factor: Fraction = Fraction(1)
+    stabilizer: int | None = None
 
 
 KINDS = {
@@ -129,15 +134,15 @@ KINDS = {
         2: Graded(("1", (("omega", 3),)), ("6", "omega_plus", Fraction(-1, 2)), ("8", (("omega", "omega"), ("omega_plus",)))),
         3: Graded(("1+1", (("omega_plus", 4), ("omega_minus", 4))), ("6", "omega", Fraction(1, 2)),
                   ("12", (("omega",), ("omega_plus",), ("omega_minus",)))),
-    }, almost_complex=True),
+    }, almost_complex=True, stabilizer=8),
     "g2": Kind(7, (("phi", "phi", 3, MODEL_PHI),), "a G2 structure", {
         2: Eigen("phi", (("7", 2), ("14", -1))),
         3: Graded(("1", (("phi", 7),)), ("7", "phi", Fraction(-1, 4)), ("27", (("phi",), ("star_phi",)))),
-    }, reduces_to="su3"),
+    }, reduces_to="su3", stabilizer=14),
     "spin7": Kind(8, (("psi", "Psi", 4, MODEL_PSI),), "a Spin(7) structure", {
         2: Eigen("psi", (("7", -3), ("21", 1))),
         3: Graded(None, ("8", "psi", Fraction(-1, 7)), ("48", (("psi",),))),
-    }, reduces_to="g2", lee_factor=Fraction(7, 6)),
+    }, reduces_to="g2", lee_factor=Fraction(7, 6), stabilizer=21),
     "ah": Kind(None, (("omega", "omega", 2, None),), "an almost Hermitian structure", {}, almost_complex=True),
 }
 
@@ -405,6 +410,22 @@ def spin7_assemble(psi: KForm, frame) -> GStructure:
     return GStructure("spin7", frame, {"psi": psi})
 
 
+def _check_spin7_orbit(s: GStructure) -> None:
+    """A declared Psi is a Spin(7) form of the frame's orientation.  Its
+    stabilizer in so(8) is 21-dimensional (the oracle checks it), so it is a
+    Spin(7), whose invariant 4-forms are one line: Psi is +-A*Psi_model with
+    A in SO(8), given Psi ^ Psi = 14 vol and star Psi = Psi.  The sign shows
+    on one plane: star(X^flat ^ Y^flat ^ Psi) = i_Y i_X Psi, so beta =
+    e_1^flat ^ e_2^flat - i_{e_2} i_{e_1} Psi is 4 times the Lambda^2_7 part
+    of e_1^flat ^ e_2^flat, where star(beta ^ Psi) = -3 beta; for -Psi_model
+    that would need e_1 ^ e_2 = 0."""
+    geom, psi = s.geometry, s.forms["psi"]
+    e1, e2 = (VectorField.basis(s.n, s.field, i) for i in (1, 2))
+    beta = wedge(musical(e1, geom), musical(e2, geom)) - interior(e2, interior(e1, psi))
+    if hodge_star(wedge(beta, psi), geom) != beta.scale(-3):
+        raise StructureError("Psi is not in the Spin(7) orbit: star(beta ^ Psi) != -3 beta on the first two frame vectors")
+
+
 def ah_assemble(omega: KForm, frame) -> GStructure:
     """Almost Hermitian structure from omega and the frame metric."""
     if frame.n % 2 or frame.n < 4:
@@ -666,6 +687,32 @@ def bismut_torsion(s: GStructure, torsion: TorsionClasses | None = None) -> KFor
     return h
 
 
+def _oracle_layout(n: int) -> tuple:
+    """The oracle's index data for n: the 3-masks (H's columns), the pairs
+    t < k and, per pair p, its spread over the i outside it: (i, column of
+    H_{i,t,k}, s(i, p) = -1)."""
+    masks3 = list(_masks(n, 3))
+    column = {K: col for col, K in enumerate(masks3)}
+    pairs = [(t, k) for t in range(n) for k in range(t + 1, n)]
+    spread = [
+        [(i, column[(1 << i) | (1 << t) | (1 << k)], not t < i < k) for i in range(n) if i != t and i != k]
+        for t, k in pairs
+    ]
+    return masks3, pairs, spread
+
+
+_ORACLE_LAYOUT = _Lazy(_oracle_layout)
+
+
+def _up_to_sign(row: dict) -> frozenset:
+    """A key that two sparse rows share exactly when they agree up to sign:
+    the set of entries, negated if the one in the first column is negative."""
+    first = row[min(row)]
+    if first.p < 0 or (not first.p and first.q < 0):
+        return frozenset((c, -v.p, -v.q, v.den) for c, v in row.items())
+    return frozenset((c, v.p, v.q, v.den) for c, v in row.items())
+
+
 def solve_skew_torsion(s: GStructure) -> KForm:
     """Independent route to the torsion: solve the exact linear system for
     H in Lambda^3 with D + (1/2) g^{-1} H annihilating every structure form.
@@ -675,18 +722,20 @@ def solve_skew_torsion(s: GStructure) -> KForm:
     on the coframe as sum_p gamma_i[p] L_p with gamma_i[p] = -2 <D_i e_t,
     e_k>, so nabla_i alpha = Lambda gamma_i and row (i, M) reads Lambda[M] .
     (A_i + gamma_i) = 0, A_i[p] = s(i, p) H_{i,t,k} over the pairs without
-    i, s(i, p) = 1 if t < i < k, else -1.  The r = rank Lambda pivot rows P
-    of Lambda give block i as P . A_i = -P . gamma_i; the identity needs the
-    lowered symbols skew in (t, k), which is checked on every entry.
+    i, s(i, p) = 1 if t < i < k, else -1.  Stage 1 reduces every form's rows
+    in one ``echelon``, each row once up to sign (there is no right-hand
+    side, so a repeat checks nothing): its r pivot rows P span the rows of
+    all the Lambdas, and r = dim so(n) - dim G for the joint stabilizer G,
+    which is checked against ``KINDS``.  Stage 2 solves block i as P . A_i =
+    -P . gamma_i, n*r rows; the identity needs the lowered symbols skew in
+    (t, k), which is checked on every entry.
     """
     field, n = s.field, s.n
-    masks3 = list(_masks(n, 3))
-    column = {K: col for col, K in enumerate(masks3)}
+    masks3, pairs, spread = _ORACLE_LAYOUT[n]
     half = field.scalar(Fraction(1, 2))
     # the nonzero entries of (1/2) g^{-1} and of its negative, by row
     plus = [{k: x * half for k, x in enumerate(row) if not x.is_zero()} for row in s.geometry.inverse_metric()]
     minus = [{k: -x for k, x in row.items()} for row in plus]
-    pairs = [(t, k) for t in range(n) for k in range(t + 1, n)]
     # L_p: e^j -> (1/2)(g^{jk} e^t - g^{jt} e^k) for each pair t < k;
     # g^{-1} is symmetric, so e^j moves only for j in rows t and k
     actions = [
@@ -703,28 +752,32 @@ def solve_skew_torsion(s: GStructure) -> KForm:
             raise StructureError(f"Levi-Civita symbols not skew: <D_{i + 1} e_{t + 1}, e_{k + 1}> = {v}")
         if t < k:
             symbols[t, k].append((i, v))
-    # S_i: pair p -> (column of H_{i,t,k}, s(i, p) = -1) for the pairs without i
-    spread = [
-        {p: (column[(1 << i) | (1 << t) | (1 << k)], not t < i < k)
-         for p, (t, k) in enumerate(pairs) if i != t and i != k}
-        for i in range(n)
-    ]
+    kind = KINDS[s.kind]
+    unique = {}  # each row once up to sign: with no right-hand side a repeat checks nothing
+    for slot, *_ in kind.slots:
+        for row in derivation_rows(s.forms[slot], actions).values():
+            unique.setdefault(_up_to_sign(row), row)
+    pivots = echelon(list(unique.values()), field)
+    stabilizer = len(pairs) - len(pivots)
+    want = (n // 2) ** 2 if kind.stabilizer is None else kind.stabilizer
+    if stabilizer != want:
+        raise StructureError(f"the structure forms' stabilizer has dimension {stabilizer}, not {want}: not {kind.noun}")
     zero, one = field.zero(), field.one()
     rows = []
+    for lead, piv in pivots.items():
+        piv[lead] = one
+        acc = {}
+        block = [{} for _ in range(n)]
+        for p, x in piv.items():
+            # -P . gamma_i = 2 sum_p P[p] <D_i e_t, e_k>, the 2 folded into the raw sums
+            for i, v in symbols[pairs[p]]:
+                _mac(acc, i, x, v, False)
+            neg = -x
+            for i, col, flip in spread[p]:
+                block[i][col] = neg if flip else x
+        rhs = _settle(field, {i: (a + a, b + b, den) for i, (a, b, den) in acc.items()})
+        rows += [(row, rhs.get(i, zero)) for i, row in enumerate(block)]
     try:
-        for slot, *_ in KINDS[s.kind].slots:
-            for lead, piv in echelon(list(derivation_rows(s.forms[slot], actions).values()), field).items():
-                piv[lead] = one
-                neg = {p: -v for p, v in piv.items()}
-                # -P . gamma_i = 2 sum_p P[p] <D_i e_t, e_k>, the 2 folded into the raw sums
-                acc = {}
-                for p, x in piv.items():
-                    for i, v in symbols[pairs[p]]:
-                        _mac(acc, i, x, v, False)
-                rhs = _settle(field, {i: (a + a, b + b, den) for i, (a, b, den) in acc.items()})
-                for i, cols in enumerate(spread):
-                    row = {col: (neg if flip else piv)[p] for p, (col, flip) in cols.items() if p in piv}
-                    rows.append((row, rhs.get(i, zero)))
         sol = solve_unique_sparse(rows, len(masks3), field)
     except InconsistentSystem as exc:
         raise StructureError("no skew-torsion connection: the linear system is inconsistent") from exc

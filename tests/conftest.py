@@ -33,6 +33,13 @@ PYTHAGOREAN = [
     (Fraction(20, 29), Fraction(21, 29)),
 ]
 
+# self-dual with Psi ^ Psi = 14 vol, as Spin(7) assembly checks, but outside
+# the model orbit: the 14 Cayley terms all with sign +1 (labels e0..e7)
+PSI_ALL_PLUS = (
+    "e0^e1^e2^e3 + e4^e5^e6^e7 + e0^e1^e4^e5 + e2^e3^e6^e7 + e0^e1^e6^e7 + e2^e3^e4^e5 + e0^e2^e4^e6"
+    " + e1^e3^e5^e7 + e0^e2^e5^e7 + e1^e3^e4^e6 + e0^e3^e4^e7 + e1^e2^e5^e6 + e0^e3^e5^e6 + e1^e2^e4^e7"
+)
+
 # the balanced G2 structure on S^3 x T^4: phi = model on su(2) + R^4, the
 # su(2) block on (e5, e6, e7); theta = 0, tau0 = 6/7, strong torsion, V = 0
 S3XT4_G2 = """dim 7

@@ -253,18 +253,46 @@ def test_oracle_one_derivation_per_index_pair(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name, rows", [
-    ("nonintG2", 49), ("nonintG2nonclosedLee", 49), ("nonintSpin7OneA", 56), ("nonintSpin7Two", 56), ("nonintsu3", 78),
+    ("nonintG2", 49), ("nonintG2nonclosedLee", 49), ("nonintSpin7OneA", 56), ("nonintSpin7Two", 56), ("nonintsu3", 42),
 ])
 def test_oracle_solves_n_rank_rows(monkeypatch, name, rows):
-    # one echelon of the derivation matrix per structure form, then its
-    # r = dim so(n) - dim stabilizer pivot rows for each index i: r = 7 for
-    # phi and Psi, 6 for omega and 7 for Omega+
+    # one echelon of every structure form's derivation rows together, then
+    # its r = dim so(n) - dim stabilizer pivot rows for each index i: r = 7
+    # for phi, for Psi and for omega and Omega+ together
     s = parse(registry.input_text(name)).structure()
     echelons = _count_calls(monkeypatch, "echelon", key=len)  # keyed by row count
     solves = _count_calls(monkeypatch, "solve_unique_sparse", key=len)
     structures.solve_skew_torsion(s)
-    assert sum(echelons.values()) == len(structures.KINDS[s.kind][1])
+    assert sum(echelons.values()) == 1
     assert dict(solves) == {rows: 1}
+
+
+@pytest.mark.parametrize("name", registry.names())
+def test_oracle_eliminates_each_derivation_row_once_up_to_sign(monkeypatch, name):
+    # Stage 1 has no right-hand side, so a row equal to an earlier one up to
+    # sign checks nothing: its one echelon gets every form's rows, each once
+    s = parse(registry.input_text(name)).structure()
+    walked, eliminated = [], []
+    walk, eliminate = structures.derivation_rows, structures.echelon
+
+    def walks(a, actions):
+        rows = walk(a, actions)
+        walked.extend(rows.values())
+        return rows
+
+    def eliminates(rows, field):
+        eliminated.append(list(rows))
+        return eliminate(rows, field)
+
+    monkeypatch.setattr(structures, "derivation_rows", walks)
+    monkeypatch.setattr(structures, "echelon", eliminates)
+    structures.solve_skew_torsion(s)
+    [rows] = eliminated
+    negated = [{c: -v for c, v in row.items()} for row in rows]
+    for i, row in enumerate(rows):
+        assert row not in rows[:i] and row not in negated[:i]
+    assert all(row in rows or row in negated for row in walked)
+    assert len(rows) < len(walked)
 
 
 @pytest.mark.parametrize("name", ["nonintsu3", "nonintG2", "nonintSpin7OneA"])

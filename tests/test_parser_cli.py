@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Q, Q2, Q3, S3XT4_G2
+from conftest import PSI_ALL_PLUS, Q, Q2, Q3, S3XT4_G2, sheared_text
 from gtorsion import cli, registry
 from gtorsion.cli import main
 from gtorsion.engine import run_check
@@ -304,6 +304,29 @@ def test_cli_declared_metric_must_equal_induced_one_line_exit_3(tmp_path, capsys
     )
 
 
+def _psi_minus_model(text):
+    doc = parse(text)
+    return form_str(-doc.structure_forms["psi"], list(doc.labels))
+
+
+@pytest.mark.parametrize("step", [0, 1])
+@pytest.mark.parametrize("psi", [lambda text: PSI_ALL_PLUS, _psi_minus_model], ids=["all-plus", "minus-model"])
+@pytest.mark.parametrize("command", ["check", "reduce"])
+def test_cli_spin7_form_outside_the_model_orbit_one_line_exit_3(tmp_path, capsys, command, psi, step):
+    # the all-plus form has a 9-dimensional stabilizer, minus the model form
+    # a Spin(7) one but the other orbit; check exited 0 on both before, with
+    # torsion_oracle_agree false; the band shear (step 1) makes the flat of
+    # e1 and e2 differ from e^1 and e^2
+    text = registry.input_text("nonintSpin7OneA")
+    text = text.replace("Psi = model", "Psi = " + psi(text))
+    p = tmp_path / "psi.gs"
+    p.write_text(sheared_text(text, step) if step else text)
+    assert _run_cli([command, str(p)]) == 3
+    assert capsys.readouterr().err == (
+        "structure error: Psi is not in the Spin(7) orbit: star(beta ^ Psi) != -3 beta on the first two frame vectors\n"
+    )
+
+
 def test_cli_df_flag(tmp_path, capsys):
     p = tmp_path / "g2.gs"
     p.write_text(registry.input_text("nonintG2"))
@@ -339,6 +362,11 @@ def test_metric_row_sum_in_parentheses_is_one_entry():
     assert doc.metric == [[Q.scalar(3), Q.scalar(-1)], [Q.scalar(-1), Q.one()]]
 
 
+def test_metric_row_sign_before_a_number_starts_an_entry():
+    doc = parse("dim 2\nframe a b\nmetric rows\n  2 -1\n  - 1 1\n")
+    assert doc.metric == [[Q.scalar(2), Q.scalar(-1)], [Q.scalar(-1), Q.one()]]
+
+
 def test_parse_truncated_metric_rows():
     with pytest.raises(ParseError, match="expected 2 rows, got 1"):
         parse("dim 2\nframe a b\nmetric rows\n  2 0\n")
@@ -365,10 +393,13 @@ _E3 = "dim 3\nframe e1 e2 e3\n"
         # read as the two entries 1 and 2 before
         ("dim 2\nframe a b\nmetric rows\n  1 + 2\n  0 1\n",
          "metric row entries are separated by spaces: write a sum as (a + b) (line 4, col 5)"),
+        # read as the two entries 1 and -2 before
+        ("dim 2\nframe a b\nmetric rows\n  1 - 2\n  0 1\n",
+         "metric row entries are separated by spaces: write a difference as (a - b) (line 4, col 5)"),
     ],
     ids=["two-chains", "two-labels", "trailing-wedge", "wedge-number", "token-after-spaces",
          "trailing-plus", "chain-in-parentheses", "bad-character", "metric-zero-divisor", "metric-open-parenthesis",
-         "metric-binary-plus"],
+         "metric-binary-plus", "metric-binary-minus"],
 )
 def test_expression_errors_name_the_token_and_its_column_in_the_line(tmp_path, capsys, text, message):
     p = tmp_path / "input.gs"

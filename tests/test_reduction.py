@@ -34,7 +34,7 @@ from gtorsion.frames import (
     levi_civita,
     transform_bilinear,
 )
-from gtorsion import reduction, registry
+from gtorsion import frames, reduction, registry
 from gtorsion.parser import parse
 from gtorsion.reduction import (
     ReductionError,
@@ -236,6 +236,19 @@ def test_reduce_g2_fixture_values():
     assert red.reduced_torsion["sigma0"] == f.scalar(Fraction(1, 2))
     assert red.verifier_ok()
     assert all(splitting_check(red).values())
+
+
+@pytest.mark.parametrize("name", ["nonintG2", "nonintG2nonclosedLee", "nonintSpin7OneA"])
+def test_splitting_check_reads_dh_hat_off_the_reduction(monkeypatch, name):
+    # reduce_pair takes d H^ for the L_V H^ check and the anomaly; the
+    # splitting check reads it there and takes no differential of its own
+    red = reduce_g2(fixture_structure(name)) if "G2" in name else reduce_spin7(fixture_structure(name))
+    calls = []
+    monkeypatch.setattr(frames, "ce_differential", lambda *args: calls.append(args))
+    sp = splitting_check(red)
+    monkeypatch.undo()
+    assert calls == []
+    assert sp["dH_hat = 0"] == red.frame.d(red.h_hat).is_zero()
 
 
 def test_reduce_g2_raw_fixture():

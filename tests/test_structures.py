@@ -18,6 +18,8 @@ from conftest import (
     rotation_matrix,
     rotate_frame_and_forms,
     nonzero_names,
+    sheared_text,
+    PSI_ALL_PLUS,
 )
 from gtorsion import registry
 from gtorsion.forms import (
@@ -35,6 +37,7 @@ from gtorsion.forms import (
 )
 from gtorsion.frames import ConnectionCoeffs, LieAlgebraFrame, _last_index, cartan_three_form, transform_form
 from gtorsion.linsolve import InconsistentSystem, LinearSolveError, solve_unique_sparse
+from gtorsion.parser import parse
 from gtorsion.reduction import TransverseSlice, reduce_g2
 from gtorsion.structures import (
     KINDS,
@@ -619,6 +622,26 @@ def test_oracle_matches_row_by_row_reference_on_moved_fixtures():
 
     check()
     assert seen == set(_ASSEMBLE)
+
+
+@pytest.mark.parametrize("step", [0, 1])
+def test_oracle_rejects_forms_with_the_wrong_stabilizer(step):
+    # self-dual with Psi ^ Psi = 14 vol, so spin7_assemble takes it, but its
+    # derivation matrix has rank 19: stabilizer of dimension 28 - 19 = 9
+    text = registry.input_text("nonintSpin7OneA").replace("Psi = model", "Psi = " + PSI_ALL_PLUS)
+    doc = parse(sheared_text(text, step) if step else text)
+    s = spin7_assemble(doc.structure_forms["psi"], doc.frame())
+    with pytest.raises(StructureError, match=r"^the structure forms' stabilizer has dimension 9, not 21: not a Spin\(7\) structure$"):
+        solve_skew_torsion(s)
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+@pytest.mark.parametrize("name", registry.names())
+def test_oracle_matches_row_by_row_reference_on_sheared_fixtures(name, step):
+    # g^{-1} is not diagonal, so other derivation rows repeat up to sign than
+    # in an orthonormal frame
+    s = parse(sheared_text(registry.input_text(name), step)).structure()
+    assert _oracle_matches_reference(s)
 
 
 def _moved_fixture(name, upper, seed, planes=1):
