@@ -107,7 +107,7 @@ def main(argv=None) -> int:
         if args.command == "check":
             rep = run_check(doc, df=df)
         elif args.command == "reduce":
-            rep = run_reduce(doc, df=df, raw=args.raw_lee)
+            rep = run_reduce(doc, df=df, raw_only=args.raw_lee)
         else:
             rep = run_extend(doc, target=args.target, df=df)
         _emit(rep, args)

@@ -8,6 +8,7 @@ from .report import Report, form_str, matrix_norm_sq, scalar_str, vector_str
 from .reduction import (
     ReductionError,
     central_extend,
+    raw_reduction,
     reduce_g2,
     reduce_spin7,
     splitting_check,
@@ -36,6 +37,16 @@ def _torsion_report(torsion, labels):
     return out
 
 
+def _potential(doc, df: KForm | None) -> KForm:
+    """The soliton potential's gradient: ``df`` (the --df flag), else the
+    document's df block, else 0."""
+    df = df if df is not None else doc.df
+    if df is not None:
+        return df
+    s = doc.structure()
+    return KForm.zero(s.n, 1, s.field)
+
+
 def run_check(doc, df: KForm | None = None) -> Report:
     s = doc.structure()
     frame = s.frame
@@ -58,7 +69,7 @@ def run_check(doc, df: KForm | None = None) -> Report:
     rep.set("strong_torsion", strong)
     rep.set("torsion_oracle_agree", solve_skew_torsion(s) == h)
 
-    df = df if df is not None else (doc.df or KForm.zero(frame.n, 1, field))
+    df = _potential(doc, df)
     v = canonical_vector(s, df)
     rep.set("canonical_vector", vector_str(v, labels))
     cert = parallel_certificate(s.bismut, v)
@@ -86,26 +97,25 @@ def run_check(doc, df: KForm | None = None) -> Report:
     return rep
 
 
-def run_reduce(doc, df: KForm | None = None, raw: bool = False) -> Report:
+def run_reduce(doc, df: KForm | None = None, raw_only: bool = False) -> Report:
+    """``check``, then the raw presentation (``raw_reduction``) and, unless
+    ``raw_only``, the normalized reduction; a ``ReductionError`` in either
+    pass is reported under its own key and does not stop the other."""
+    df = _potential(doc, df)
     rep = run_check(doc, df=df)
     rep.set("command", "reduce")
     s = doc.structure()
-    frame = s.frame
-    labels = list(frame.labels)
-    df = df if df is not None else (doc.df or KForm.zero(frame.n, 1, frame.field))
-    reducer = {"g2": reduce_g2, "spin7": reduce_spin7}.get(s.kind)
-    if reducer is None:
-        raise StructureError(f"no canonical reduction for kind {s.kind!r}")
-
-    rawred = reducer(s, df, raw=True)
-    rawdict = {name: form_str(x, labels) for name, x in rawred.forms.items()}
-    rawdict["flux"] = form_str(rawred.flux, labels)
-    rep.set("raw_reduction", rawdict)
-    if raw:
+    labels = list(s.frame.labels)
+    try:
+        # an input kind without a reduction raises StructureError here
+        rep.set("raw_reduction", {name: form_str(x, labels) for name, x in raw_reduction(s).items()})
+    except ReductionError as exc:
+        rep.set("raw_reduction_error", str(exc))
+    if raw_only:
         return rep
 
     try:
-        red = reducer(s, df, raw=False)
+        red = {"g2": reduce_g2, "spin7": reduce_spin7}[s.kind](s, df)
     except ReductionError as exc:
         rep.set("reduction_error", str(exc))
         return rep
@@ -122,23 +132,20 @@ def run_reduce(doc, df: KForm | None = None, raw: bool = False) -> Report:
 
 def run_extend(doc, target: str | None = None, df: KForm | None = None) -> Report:
     s = doc.structure()
-    frame = s.frame
-    field = frame.field
     if doc.flux is None:
         raise StructureError("extend needs a flux block (F = ...)")
-    df = df if df is not None else (doc.df or KForm.zero(frame.n, 1, field))
     if target is None:
         target = next((k for k, row in KINDS.items() if row.reduces_to == s.kind), None)
         if target is None:
             raise StructureError(f"no extension target for kind {s.kind!r}")
-    ext = central_extend(s, doc.flux, target, df=df)
+    ext = central_extend(s, doc.flux, target, df=_potential(doc, df))
     new_frame = ext["frame"]
     labels = list(new_frame.labels)
     rep = Report()
     rep.set("command", "extend")
     rep.set("kind", ext["structure"].kind)
     rep.set("dim", new_frame.n)
-    rep.set("field", repr(field))
+    rep.set("field", repr(s.field))
     rep.set("frame", {
         "labels": labels,
         "equations": {

@@ -158,10 +158,6 @@ class KForm:
             raise ValueError("empty term list needs an explicit degree")
         return cls(n, deg, field, acc)
 
-    @classmethod
-    def scalar_form(cls, n: int, field: Field, value) -> "KForm":
-        return cls(n, 0, field, {0: field.scalar(value)})
-
     # -- ring structure --------------------------------------------------
 
     def __add__(self, other: "KForm") -> "KForm":
@@ -212,14 +208,6 @@ class KForm:
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs.values())
-
-    def coeff(self, *indices: int) -> Scalar:
-        idx = tuple(indices)
-        m = mask_of(idx)
-        if m < 0:
-            return self.field.zero()
-        c = self.coeffs.get(m, self.field.zero())
-        return c * _sort_sign(idx)
 
     def _check_compatible(self, other: "KForm"):
         if self.n != other.n:

@@ -32,7 +32,6 @@ from .forms import (
     _trusted,
     hodge_star,
     indices_of,
-    skew_three_form,
     transform_form,
 )
 from .scalars import Field, GTorsionError, Scalar, _mac, _settle
@@ -50,7 +49,6 @@ __all__ = [
     "change_frame",
     "transform_form",
     "transform_bilinear",
-    "cartan_three_form",
 ]
 
 
@@ -95,13 +93,6 @@ class LieAlgebraFrame:
                 return i, dd
         return None
 
-    @classmethod
-    def abelian(cls, n: int, field: Field, labels=None) -> "LieAlgebraFrame":
-        labels = labels or [f"e{i}" for i in range(1, n + 1)]
-        geom = FrameGeometry(n, field)
-        z = [KForm.zero(n, 2, field) for _ in range(n)]
-        return cls(labels, z, geom)
-
     @cached_property
     def constants(self) -> dict[tuple[int, int, int], Scalar]:
         """The nonzero structure constants: ``constants[(i, j, k)]`` is
@@ -115,14 +106,6 @@ class LieAlgebraFrame:
                 out[(j - 1, i - 1, k)] = coef
         return out
 
-    def bracket(self, x: VectorField, y: VectorField) -> VectorField:
-        comps = [self.field.zero()] * self.n
-        xs, ys = x.components, y.components
-        for (i, j, k), c in self.constants.items():
-            if not xs[i].is_zero() and not ys[j].is_zero():
-                comps[k] = comps[k] + xs[i] * ys[j] * c
-        return VectorField(self.n, self.field, comps)
-
     def is_unimodular(self) -> bool:
         """Every trace sum_k c^k_{ik} vanishes."""
         tr = [self.field.zero()] * self.n
@@ -133,9 +116,6 @@ class LieAlgebraFrame:
 
     def d(self, a: KForm) -> KForm:
         return ce_differential(self, a)
-
-    def basis_vector(self, i: int) -> VectorField:
-        return VectorField.basis(self.n, self.field, i)
 
     def __repr__(self):
         return f"LieAlgebraFrame({', '.join(self.labels)})"
@@ -354,13 +334,3 @@ def transform_vector(x: VectorField, a_rows, field: Field) -> VectorField:
                 _mac(acc, i, a, c, False)
     out = _settle(field, acc)
     return VectorField(x.n, field, [out.get(i, field.zero()) for i in range(len(a_rows))])
-
-
-def cartan_three_form(frame: LieAlgebraFrame) -> KForm:
-    """H(X,Y,Z) = <[X,Y], Z>_g; requires the result to be totally skew."""
-    c = _last_index(frame.constants, frame.geometry, up=False)
-    zero = frame.field.zero()
-    h = skew_three_form(frame.n, frame.field, lambda i, j, k: c.get((i, j, k), zero))
-    if h is None:
-        raise FrameError("bracket pairing is not totally skew; no Cartan 3-form")
-    return h

@@ -79,6 +79,7 @@ __all__ = [
     "adapt_frame",
     "reduce_pair",
     "split_parallel_form",
+    "raw_reduction",
     "reduce_g2",
     "reduce_spin7",
     "splitting_check",
@@ -95,7 +96,7 @@ class AdaptedFrame:
 
     ``frame``: the rotated LieAlgebraFrame; ``b``: the adapted vectors as
     rows, F_i = sum_k b[i][k] E_k; ``a_rows``: coframe change f = A e with
-    A = (B^{-1})^T; ``to_adapted``/``to_ambient`` move forms between frames.
+    A = (B^{-1})^T; ``to_adapted`` moves a form into the adapted frame.
     """
 
     def __init__(self, frame: LieAlgebraFrame, a_rows, b):
@@ -107,9 +108,6 @@ class AdaptedFrame:
     def to_adapted(self, form: KForm) -> KForm:
         # old coframe in the new: e^j = sum_i ainv[j][i] f^i
         return transform_form(form, self.ainv, self.frame.field)
-
-    def to_ambient(self, form: KForm) -> KForm:
-        return transform_form(form, self.a_rows, self.frame.field)
 
     def vector_to_adapted(self, x: VectorField) -> VectorField:
         return transform_vector(x, self.a_rows, self.frame.field)
@@ -228,9 +226,6 @@ class TransverseSlice:
         """The ambient structure constants c^k_{ij} with i, j, k all on the
         slice: the bracket of slice vectors, projected to the slice."""
         return {key: c for key, c in self.ambient.constants.items() if max(key) < self.n}
-
-    def basis_vector(self, i: int) -> VectorField:
-        return VectorField.basis(self.n, self.field, i)
 
     def as_lie_frame(self) -> LieAlgebraFrame:
         """Materialize the quotient as a Lie algebra frame when the projected
@@ -495,7 +490,27 @@ def _rescaled(x, power: dict):
 _REDUCTIONS = {"g2": (_su3_of_g2, _su3_verifier), "spin7": (_g2_of_spin7, _g2_verifier)}
 
 
-def _reduce(s: GStructure, df: KForm | None, raw: bool, kind: str) -> ReductionResult:
+def raw_reduction(s: GStructure) -> dict:
+    """The unnormalized presentation of the reduction of a G2 or Spin(7)
+    structure, in the ambient frame: the parallel form split along
+    theta^sharp as mu_g ^ alpha + beta, with the gauge covector
+    mu_g = e^{j0} / (theta#)^{j0} at the first index j0 where theta^sharp is
+    nonzero, and the flux d theta.  Returns the reduced kind's forms (alpha,
+    then beta where the reduced structure keeps it) and ``flux``, in report
+    order."""
+    reduces_to = KINDS[s.kind].reduces_to
+    if reduces_to is None:
+        raise StructureError(f"no canonical reduction for kind {s.kind!r}")
+    names = [slot for slot, *_ in KINDS[reduces_to].slots]
+    theta = s.torsion["lee"]
+    w = musical_inv(theta, s.geometry)
+    # only beta needs the gauge covector
+    mu_g = _gauge_covector(w) if len(names) > 1 else None
+    split = split_parallel_form(s.form(KINDS[s.kind].slots[0][0]), w, mu_g)
+    return {**dict(zip(names, split)), "flux": s.frame.d(theta)}
+
+
+def _reduce(s: GStructure, df: KForm | None, kind: str) -> ReductionResult:
     """The canonical reduction of a G2 or Spin(7) structure: split its
     parallel form along V as mu ^ alpha + beta, move the pieces to the
     slice, and verify the reduced structure."""
@@ -506,23 +521,10 @@ def _reduce(s: GStructure, df: KForm | None, raw: bool, kind: str) -> ReductionR
     # (slot, label for restrict): i_V of the form, then the remainder beta of
     # the split where the reduced structure keeps it
     reduced = [(slot, name) for slot, name, *_ in KINDS[KINDS[kind].reduces_to].slots]
-    h = s.h  # a G2 structure with tau2 != 0 has none: StructureError
-    field, frame, geom = s.field, s.frame, s.geometry
-    df = df if df is not None else KForm.zero(s.n, 1, field)
+    df = df if df is not None else KForm.zero(s.n, 1, s.field)
     v = canonical_vector(s, df)
     if v.is_zero():
         raise ReductionError("rigid case: V = 0, no reduction")
-    if raw:
-        # only beta needs the gauge covector
-        theta = s.torsion["lee"]
-        w = musical_inv(theta, geom)
-        mu_g = _gauge_covector(w) if len(reduced) > 1 else None
-        split = split_parallel_form(s.form(form_name), w, mu_g)
-        return ReductionResult(
-            frame=frame, v=w, mu=mu_g, flux=frame.d(theta), h=h, raw=True,
-            forms={name: x for (name, _), x in zip(reduced, split)},
-        )
-
     unit, v = _unit_length(s, v)
     red = reduce_pair(unit.frame, unit.h, v, normalize=True)
     red.structure = s
@@ -540,20 +542,14 @@ def _reduce(s: GStructure, df: KForm | None, raw: bool, kind: str) -> ReductionR
     return red
 
 
-def reduce_g2(s: GStructure, df: KForm | None = None, raw: bool = False) -> ReductionResult:
-    """Reduce a strong-torsion G2 structure along V = theta^sharp - grad f.
-
-    ``raw=True`` reproduces the unnormalized presentation: the pair
-    (i_{theta#} phi, phi - mu_g ^ i_{theta#} phi) in the ambient frame,
-    with the gauge covector mu_g = e^{j0} / V^{j0} at the first index j0
-    where V is nonzero.
-    """
-    return _reduce(s, df, raw, "g2")
+def reduce_g2(s: GStructure, df: KForm | None = None) -> ReductionResult:
+    """Reduce a strong-torsion G2 structure along V = theta^sharp - grad f."""
+    return _reduce(s, df, "g2")
 
 
-def reduce_spin7(s: GStructure, df: KForm | None = None, raw: bool = False) -> ReductionResult:
+def reduce_spin7(s: GStructure, df: KForm | None = None) -> ReductionResult:
     """Reduce a strong-torsion Spin(7) structure along V = (7/6) theta^sharp - grad f."""
-    return _reduce(s, df, raw, "spin7")
+    return _reduce(s, df, "spin7")
 
 
 def splitting_check(red: ReductionResult) -> dict:
@@ -570,7 +566,7 @@ def splitting_check(red: ReductionResult) -> dict:
     return {"dH_hat = 0": c1, "d mu = 0": c2, "D mu = 0": c3}
 
 
-def central_extend(structure: GStructure, flux: KForm, target: str, df: KForm | None = None, h_hat: KForm | None = None) -> dict:
+def central_extend(structure: GStructure, flux: KForm, target: str, df: KForm | None = None) -> dict:
     """Append a generator e0 with d e0 = F and build the extended structure.
 
     The inverse of the reduction: the parallel form is mu ^ alpha + beta with
@@ -578,7 +574,7 @@ def central_extend(structure: GStructure, flux: KForm, target: str, df: KForm | 
     (phi, -star phi) for the Spin(7) target.  G2 target needs SU(3) input
     with sigma0 = 1/2, pi0 constant and theta_omega = df; Spin(7) target
     needs constant-type G2 input with theta_phi = df.  The anomaly
-    dH^ + F ^ F must vanish (Bianchi).
+    dH^ + F ^ F must vanish (Bianchi), H^ being the input's skew torsion.
     """
     frame = structure.frame
     field = frame.field
@@ -612,8 +608,8 @@ def central_extend(structure: GStructure, flux: KForm, target: str, df: KForm | 
         # a sign.
         alpha = structure.form("phi")
         beta, assemble, sign = -hodge_star(alpha, structure.geometry), spin7_assemble, -1
-    hh = h_hat if h_hat is not None else structure.h
-    if not (frame.d(hh) + wedge(flux, flux)).is_zero():
+    h_hat = structure.h
+    if not (frame.d(h_hat) + wedge(flux, flux)).is_zero():
         raise ReductionError("Bianchi obstruction: d H^ + F ^ F != 0")
     if problems:
         raise ReductionError("extension hypotheses violated: " + "; ".join(problems))
@@ -627,7 +623,7 @@ def central_extend(structure: GStructure, flux: KForm, target: str, df: KForm | 
     mu = KForm(n + 1, 1, field, {1: field.one()})
     form = wedge(mu, _shift(alpha)) + _shift(beta)
     ext = assemble(form, new_frame)
-    h_up = wedge(mu, _shift(flux)) + _shift(hh)
+    h_up = wedge(mu, _shift(flux)) + _shift(h_hat)
     if not new_frame.d(h_up).is_zero():
         raise ReductionError("extension failed to be strong torsion: d H != 0")
     return {

@@ -129,10 +129,10 @@ def string_grs_residual(data: SolitonData):
     return slot1, slot2, slot3
 
 
-def divergence(frame, x: VectorField, lc=None):
+def divergence(frame, x: VectorField, lc):
     """Trace of the Levi-Civita covariant derivative of X:
-    sum_{i,j} X^j Gamma^i_{ij}."""
-    lc = lc or levi_civita(frame)
+    sum_{i,j} X^j Gamma^i_{ij}, with ``lc`` the frame's Levi-Civita
+    connection."""
     acc = frame.field.zero()
     for (i, j, l), v in lc.entries.items():
         if l == i and not x.components[j].is_zero():
@@ -140,10 +140,10 @@ def divergence(frame, x: VectorField, lc=None):
     return acc
 
 
-def scalar_curvature(frame, lc=None):
-    """Riemannian scalar curvature: the g-trace of the Levi-Civita Ricci
-    tensor, which ``curvature`` contracts off the connection symbols."""
-    lc = lc or levi_civita(frame)
+def scalar_curvature(frame, lc):
+    """Riemannian scalar curvature: the g-trace of the Ricci tensor of the
+    frame's Levi-Civita connection ``lc``, which ``curvature`` contracts off
+    the connection symbols."""
     ricci = curvature(frame, lc)
     ginv = frame.geometry.inverse_metric()
     acc = frame.field.zero()
@@ -182,7 +182,7 @@ def parallel_certificate(conn, v: VectorField) -> dict:
     """Check nabla V = 0 for the Bismut connection ``conn``; |V| is then
     automatically constant."""
     frame = conn.frame
-    derivs = [conn.nabla(frame.basis_vector(i + 1), v) for i in range(frame.n)]
+    derivs = [conn.nabla(VectorField.basis(frame.n, frame.field, i + 1), v) for i in range(frame.n)]
     parallel = all(d.is_zero() for d in derivs)
     return {"parallel": parallel, "norm_sq": frame.geometry.norm_sq(v)}
 
@@ -205,11 +205,11 @@ def g2_rigidity_identity(s: GStructure, df: KForm | None = None, torsion: Torsio
     return lhs, rhs
 
 
-def spin7_dilatino_residual(s: GStructure, torsion: TorsionClasses | None = None):
+def spin7_dilatino_residual(s: GStructure):
     """(7/6) d*theta + (7/6)|theta|^2 - |zeta5|^2, zero on strong torsion."""
     if s.kind != "spin7":
         raise StructureError("dilatino residual is for Spin(7) structures")
-    torsion = torsion or s.torsion
+    torsion = s.torsion
     field = s.field
     geom = s.geometry
     theta = torsion["lee"]

@@ -45,7 +45,6 @@ from .frames import (
     bismut_connection,
     curvature,
     levi_civita,
-    transform_vector,
 )
 from .linsolve import InconsistentSystem, LinearSolveError, echelon, solve_unique_sparse
 from .scalars import Field, GTorsionError, NotRepresentable, _mac, _settle
@@ -55,7 +54,6 @@ __all__ = [
     "KINDS",
     "GStructure",
     "TorsionClasses",
-    "model_form",
     "induced_metric_g2",
     "su3_assemble",
     "g2_assemble",
@@ -147,13 +145,6 @@ KINDS = {
 }
 
 
-def model_form(kind: str, n: int, field: Field):
-    """Model structure form on the standard oriented orthonormal frame; the
-    pair (omega, Omega+) for su3."""
-    forms = _model_forms(kind, n, field)
-    return forms if len(forms) > 1 else forms[0]
-
-
 def _model_forms(kind: str, n: int, field: Field) -> tuple:
     """The kind's model forms in ``KINDS`` order."""
     if kind not in KINDS:
@@ -213,9 +204,6 @@ class GStructure:
 
     def d(self, a: KForm) -> KForm:
         return self.frame.d(a)
-
-    def apply_j(self, x: VectorField) -> VectorField:
-        return transform_vector(x, self.j_matrix, self.field)
 
     def apply_j_oneform(self, alpha: KForm) -> KForm:
         """(J alpha)(X) = -alpha(JX): minus the pullback of alpha by J."""

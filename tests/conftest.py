@@ -12,13 +12,16 @@ from gtorsion.forms import (
     KForm,
     VectorField,
     _mat_inverse,
+    _sort_sign,
     _trusted,
     derivation_rows,
+    mask_of,
     skew_three_form,
     wedge,
 )
 from gtorsion.frames import LieAlgebraFrame, _last_index, change_frame, transform_form
 from gtorsion.parser import parse
+from gtorsion.structures import _model_forms
 from gtorsion.scalars import QuadraticField, RationalField
 
 Q = RationalField()
@@ -311,6 +314,49 @@ def riemann(cur):
     """Dense view: riemann(cur)[i][j][k] is R(e_i, e_j) e_k."""
     n = cur.n
     return [[[riemann_r(cur, i, j, k) for k in range(n)] for j in range(n)] for i in range(n)]
+
+
+# -- references that only the tests read --------------------------------------
+
+
+def coeff(form, *indices):
+    """The coefficient of e^{i1...ik} in ``form`` for indices in any order:
+    zero on a repeated index, else signed by the sorting permutation."""
+    m = mask_of(indices)
+    if m < 0:
+        return form.field.zero()
+    return form.coeffs.get(m, form.field.zero()) * _sort_sign(tuple(indices))
+
+
+def bracket(frame, x, y) -> VectorField:
+    """[X, Y] = sum X^i Y^j c^k_{ij} e_k from ``frame.constants``."""
+    comps = [frame.field.zero()] * frame.n
+    xs, ys = x.components, y.components
+    for (i, j, k), c in frame.constants.items():
+        if not xs[i].is_zero() and not ys[j].is_zero():
+            comps[k] = comps[k] + xs[i] * ys[j] * c
+    return VectorField(frame.n, frame.field, comps)
+
+
+def cartan_three_form(frame) -> KForm:
+    """H(X,Y,Z) = <[X,Y], Z>_g, which must be totally skew."""
+    c = _last_index(frame.constants, frame.geometry, up=False)
+    zero = frame.field.zero()
+    h = skew_three_form(frame.n, frame.field, lambda i, j, k: c.get((i, j, k), zero))
+    assert h is not None, "bracket pairing is not totally skew"
+    return h
+
+
+def to_ambient(adapted, form) -> KForm:
+    """A form of an ``AdaptedFrame`` moved back to the ambient frame."""
+    return transform_form(form, adapted.a_rows, adapted.frame.field)
+
+
+def model_form(kind, n, field):
+    """The kind's model form on the standard frame; the pair (omega, Omega+)
+    for su3."""
+    forms = _model_forms(kind, n, field)
+    return forms if len(forms) > 1 else forms[0]
 
 
 def bianchi(data) -> KForm:

@@ -161,21 +161,10 @@ def test_su3_metric_makes_no_wedge(monkeypatch):
     assert dict(wedges) == {(2, 3): 1, (2, 2): 1, (4, 2): 1, (3, 3): 1}
 
 
-def test_nijenhuis_makes_no_bracket(monkeypatch):
-    # N reads the structure constants, also on a transverse slice
-    reduced = reduction.reduce_g2(parse(registry.input_text("nonintG2")).structure()).reduced_structure
-    s = parse(registry.input_text("nonintsu3")).structure()
-    brackets = collections.Counter()
-    orig = frames.LieAlgebraFrame.bracket
-
-    def bracket(frame, x, y):
-        brackets[frame] += 1
-        return orig(frame, x, y)
-
-    monkeypatch.setattr(frames.LieAlgebraFrame, "bracket", bracket)
-    for t in (s, reduced):
-        structures.nijenhuis(t)
-    assert not brackets
+def test_nijenhuis_makes_no_bracket():
+    # N reads the structure constants, also on a transverse slice: neither
+    # frame type has a bracket to call (the test reference lives in conftest)
+    assert not hasattr(frames.LieAlgebraFrame, "bracket")
     assert not hasattr(reduction.TransverseSlice, "bracket")
 
 

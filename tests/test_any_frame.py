@@ -22,6 +22,7 @@ from conftest import (
     Riemann,
     band_shear,
     fixture_structure,
+    model_form,
     random_kform,
     rotate_frame_and_forms,
     rotation_matrix,
@@ -33,14 +34,13 @@ from test_reduction import quotient_su3_of_nonintG2
 from gtorsion import engine, registry
 from gtorsion.engine import run_extend
 from gtorsion.forms import FrameGeometry, KForm, VectorField, _mat_inverse, indices_of
-from gtorsion.frames import ConnectionCoeffs, LieAlgebraFrame, change_frame, transform_form
+from gtorsion.frames import ConnectionCoeffs, LieAlgebraFrame, change_frame, transform_form, transform_vector
 from gtorsion.parser import parse
 from gtorsion.structures import (
     KINDS,
     ah_assemble,
     bismut_ricci_form,
     lee_form,
-    model_form,
     nijenhuis,
     su3_assemble,
 )
@@ -73,7 +73,7 @@ def old_bismut_ricci_form(s):
     zero = field.zero()
     coeffs = {}
     for (x, y, i, l), v in Riemann(s.bismut).entries.items():
-        w = geom.g(VectorField.basis(n, field, l + 1), s.apply_j(VectorField.basis(n, field, i + 1)))
+        w = geom.g(VectorField.basis(n, field, l + 1), transform_vector(VectorField.basis(n, field, i + 1), s.j_matrix, field))
         if not w.is_zero():
             m = (1 << x) | (1 << y)
             coeffs[m] = coeffs.get(m, zero) + v * w

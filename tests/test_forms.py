@@ -7,6 +7,8 @@ import pytest
 
 from conftest import (
     Q,
+    coeff,
+    model_form,
     random_kform,
     random_posdef_geometry,
     random_vector,
@@ -26,7 +28,6 @@ from gtorsion.forms import (
     two_form_square,
     wedge,
 )
-from gtorsion.structures import model_form
 
 
 def kf(n, *terms, field=Q):
@@ -120,7 +121,7 @@ def test_interior_antiderivation(rng):
 
 
 def test_interior_zero_form():
-    a = KForm.scalar_form(7, Q, 5)
+    a = KForm(7, 0, Q, {0: Q.scalar(5)})
     assert interior(VectorField.basis(7, Q, 1), a).is_zero()
 
 
@@ -310,10 +311,10 @@ def brute_contract_2_3(f, h, geom):
                 fab = field.zero()
                 for i in range(1, n + 1):
                     for j in range(1, n + 1):
-                        c = f.coeff(i, j)
+                        c = coeff(f, i, j)
                         if not c.is_zero():
                             fab = fab + ginv[a - 1][i - 1] * ginv[b - 1][j - 1] * c
-                hv = h.coeff(a, b, z)
+                hv = coeff(h, a, b, z)
                 if not hv.is_zero() and not fab.is_zero():
                     total = total + fab * hv
         total = total * field.scalar(Fraction(1, 2))

@@ -7,6 +7,8 @@ import pytest
 
 from conftest import (
     Q,
+    bracket,
+    cartan_three_form,
     covariant_derivative_form,
     heisenberg_frame,
     random_kform,
@@ -34,7 +36,6 @@ from gtorsion.frames import (
     FrameError,
     LieAlgebraFrame,
     bismut_connection,
-    cartan_three_form,
     change_frame,
     codifferential,
     covariant_derivative_oneform,
@@ -98,8 +99,9 @@ def test_d_top_degree_vanishes():
 
 def test_structure_constants_roundtrip():
     fr = su2_frame()
-    assert fr.bracket(fr.basis_vector(2), fr.basis_vector(3)) == VectorField(3, Q, [2, 0, 0])
-    assert fr.bracket(fr.basis_vector(3), fr.basis_vector(2)) == VectorField(3, Q, [-2, 0, 0])
+    e2, e3 = VectorField.basis(3, Q, 2), VectorField.basis(3, Q, 3)
+    assert bracket(fr, e2, e3) == VectorField(3, Q, [2, 0, 0])
+    assert bracket(fr, e3, e2) == VectorField(3, Q, [-2, 0, 0])
 
 
 # -- Levi-Civita ------------------------------------------------------------
@@ -107,10 +109,10 @@ def test_structure_constants_roundtrip():
 
 def koszul_oracle(frame, geom, i, j, k):
     """2 <D_i e_j, e_k> from the brackets, written out directly."""
-    ei, ej, ek = (frame.basis_vector(x + 1) for x in (i, j, k))
-    t = geom.g(frame.bracket(ei, ej), ek)
-    t = t - geom.g(frame.bracket(ej, ek), ei)
-    t = t + geom.g(frame.bracket(ek, ei), ej)
+    ei, ej, ek = (VectorField.basis(frame.n, frame.field, x + 1) for x in (i, j, k))
+    t = geom.g(bracket(frame, ei, ej), ek)
+    t = t - geom.g(bracket(frame, ej, ek), ei)
+    t = t + geom.g(bracket(frame, ek, ei), ej)
     return t
 
 
@@ -118,7 +120,7 @@ def test_levi_civita_su2_biinvariant():
     fr = su2_frame()
     lc = levi_civita(fr)
     # half the bracket on a bi-invariant metric
-    assert lc.nabla(fr.basis_vector(2), fr.basis_vector(3)) == VectorField(3, Q, [1, 0, 0])
+    assert lc.nabla(VectorField.basis(3, Q, 2), VectorField.basis(3, Q, 3)) == VectorField(3, Q, [1, 0, 0])
     for i in range(3):
         for j in range(3):
             for k in range(3):
@@ -244,7 +246,7 @@ def test_first_bianchi_torsion_correction(rng):
         h = random_kform(6, 3, Q, rng, density=0.25, span=2)
         conn = bismut_connection(fr, h)
         cur = Riemann(conn)
-        basis = [fr.basis_vector(i) for i in range(1, 7)]
+        basis = [VectorField.basis(6, Q, i) for i in range(1, 7)]
 
         def t_vec(x, y):
             # g(T(X,Y), .) = H(X,Y,.)
@@ -281,7 +283,7 @@ def test_codifferential_examples():
     fr = su2su2u1_frame()
     e7 = KForm.from_terms(7, Q, [((7,), 1)])
     assert codifferential(fr, e7).is_zero()
-    assert codifferential(fr, KForm.scalar_form(7, Q, 5)).is_zero()
+    assert codifferential(fr, KForm(7, 0, Q, {0: Q.scalar(5)})).is_zero()
 
 
 def test_codifferential_adjoint_on_unimodular(rng):

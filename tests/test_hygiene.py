@@ -4,7 +4,9 @@ declared in one place), and each kernel has one home: ``_merge_sign`` is
 called only where it fills the sign table, ``mask_of`` only inside ``KForm``,
 ``echelon`` is the one row reduction and ``_wedge_row`` is called only by the
 minors table and the change of frame.  A frame carries its one metric, so no
-function takes a metric beside a frame.  Standard library ``ast`` only."""
+function takes a metric beside a frame.  Every public function and method in
+the package has a reader in the package or is named in ``API`` with the
+reason it stays.  Standard library ``ast`` only."""
 
 import ast
 from pathlib import Path
@@ -78,10 +80,10 @@ def test_merge_sign_only_fills_the_sign_table():
 
 
 def test_mask_of_only_inside_kform():
-    # KForm.from_terms and KForm.coeff: the parser builds forms through
-    # from_terms, so it keeps no accumulation path of its own
+    # KForm.from_terms: the parser builds forms through it, so it keeps no
+    # accumulation path of its own
     sites = [f"{path.name}:{where}" for path in SRC for where in call_sites(path.read_text(), "mask_of")]
-    assert sites == ["forms.py:KForm", "forms.py:KForm"]
+    assert sites == ["forms.py:KForm"]
 
 
 def test_echelon_is_the_one_row_reduction():
@@ -118,3 +120,77 @@ def test_metric_beside_frame_scanner():
 def test_no_metric_parameter_beside_a_frame():
     # a structure's frame carries the structure's metric
     assert [f"{path.name}:{name}" for path in SRC for name in metric_beside_frame(path.read_text())] == []
+
+
+def public_defs(tree: ast.Module):
+    """(qualified name, node) of each public function at module level and
+    each public method of a module-level class."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            out.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            out += [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")]
+    return out
+
+
+def read_names(tree: ast.AST, skip: ast.AST) -> set[str]:
+    """Every name and attribute read in ``tree`` outside the subtree ``skip``
+    (a string in ``__all__`` is no read)."""
+    out, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def unread_public_defs(sources: dict[str, str]) -> list[str]:
+    """``module:qualname`` of each public function or method whose name
+    nothing in ``sources`` reads outside its own definition."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    return [f"{module}:{qual}" for module, tree in trees.items() for qual, node in public_defs(tree)
+            if not any(node.name in read_names(t, node) for t in trees.values())]
+
+
+def test_unread_public_def_scanner():
+    sources = {
+        "a.py": (
+            "__all__ = ['f', 'g']\ndef f():\n    return f()\ndef g():\n    pass\n"
+            "class C:\n    def m(self):\n        pass\n    def n(self):\n        return self.m()\n"
+            "    def _p(self):\n        pass\n"
+        ),
+        "b.py": "from a import g\ng()\n",
+    }
+    assert unread_public_defs(sources) == ["a.py:f", "a.py:C.n"]
+
+
+# Public names that stay without a reader in the package, and why.
+API = {
+    "cli.py:main": "the gtorsion console entry point",
+    "cli.py:_ArgumentParser.parse_known_args": "argparse hook, called by parse_args",
+    "cli.py:_ArgumentParser.error": "argparse hook, called on every argparse error",
+    "engine.py:run_check": "engine entry point",
+    "engine.py:run_reduce": "engine entry point",
+    "engine.py:run_extend": "engine entry point",
+    "registry.py:names": "registry entry point",
+    "registry.py:input_text": "registry entry point",
+    "registry.py:run_example": "registry entry point",
+    "frames.py:ConnectionCoeffs.gamma": "bench/spans.py keys traced connections by it",
+    "parser.py:InputDocument.serialize": "bench/gen.py writes its rotated inputs with it",
+    "reduction.py:TransverseSlice.as_lie_frame": "bench/gen.py builds its SU(3) quotient input with it",
+    "soliton.py:g2_rigidity_identity": "the rigid-case verdict of ROADMAP item 3 reports it",
+}
+
+
+def test_every_public_def_has_a_reader_in_the_package():
+    sources = {path.name: path.read_text() for path in SRC}
+    assert [name for name in unread_public_defs(sources) if name not in API] == []
+    defined = {f"{module}:{qual}" for module, text in sources.items() for qual, _ in public_defs(ast.parse(text))}
+    assert sorted(set(API) - defined) == []

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import Q, Q2, Q3, derivation, random_kform, random_posdef_geometry
+from conftest import Q, Q2, Q3, coeff, derivation, random_kform, random_posdef_geometry
 from gtorsion import scalars
 from gtorsion.forms import (
     FrameGeometry,
@@ -155,7 +155,7 @@ def test_positive_definite_exactly_when_leading_cofactor_minors_are_positive(cas
 
 def test_skew_three_form_roundtrip(rng):
     h = random_kform(6, 3, Q, rng, density=0.5)
-    assert skew_three_form(6, Q, lambda i, j, k: h.coeff(i + 1, j + 1, k + 1)) == h
+    assert skew_three_form(6, Q, lambda i, j, k: coeff(h, i + 1, j + 1, k + 1)) == h
 
 
 def test_skew_three_form_rejects_partial_skewness():
@@ -174,7 +174,7 @@ def test_skew_three_form_rejects_repeated_index_entry():
     def t(i, j, k):
         if (i, j, k) == (0, 0, 1):
             return Q.one()
-        return h.coeff(i + 1, j + 1, k + 1)
+        return coeff(h, i + 1, j + 1, k + 1)
 
     assert skew_three_form(3, Q, t) is None
 
@@ -580,7 +580,7 @@ def ref_transform_form(form, old_in_new, field):
     one_forms = [KForm(n, 1, field, {1 << i: old_in_new[j][i] for i in range(n)}) for j in range(n)]
     out = KForm.zero(n, form.k, field)
     for m, coef in form.coeffs.items():
-        piece = KForm.scalar_form(n, field, 1)
+        piece = KForm(n, 0, field, {0: field.one()})
         for i in indices_of(m):
             piece = wedge(piece, one_forms[i - 1])
         out = out + piece.scale(coef)

@@ -336,17 +336,38 @@ def test_cli_df_flag(tmp_path, capsys):
     assert data["canonical_vector"] == "0"
 
 
-@pytest.mark.parametrize("flags", [[], ["--raw-lee"]], ids=["reduce", "raw-lee"])
-def test_cli_reduce_g2_zero_lee_one_line_exit_3(tmp_path, capsys, flags):
-    # S^3 x T^4 has theta = 0, so with df != 0 the canonical vector is
-    # -grad f while the raw presentation along theta^sharp is empty
+@pytest.mark.parametrize("flags, reduction_error", [
+    (["--df", "e1"], "df is not basic: carries a mu component"),
+    (["--df", "e1", "--raw-lee"], None),
+    ([], "rigid case: V = 0, no reduction"),
+], ids=["reduce", "raw-lee", "rigid"])
+def test_cli_reduce_g2_zero_lee_reports_each_pass(tmp_path, capsys, flags, reduction_error):
+    # S^3 x T^4 has theta = 0, so the raw presentation along theta^sharp has
+    # no gauge covector; its error does not stop the normalized pass along
+    # V = -grad f, which stops because V = -e1 moves f, or because V = 0
     p = tmp_path / "s3xt4.gs"
     p.write_text(S3XT4_G2)
-    assert _run_cli(["reduce", str(p), "--df", "e1", *flags]) == 3
-    assert capsys.readouterr().err == (
-        "structure error: raw reduction needs theta != 0: "
-        "the gauge covector mu_g = e^j0 / (theta#)^j0 is undefined\n"
+    assert _run_cli(["reduce", str(p), *flags, "--format", "json"]) == 0
+    out = capsys.readouterr()
+    data = json.loads(out.out)
+    assert out.err == ""
+    assert data["raw_reduction_error"] == (
+        "raw reduction needs theta != 0: the gauge covector mu_g = e^j0 / (theta#)^j0 is undefined"
     )
+    assert data.get("reduction_error") == reduction_error
+    assert "raw_reduction" not in data and "reduction" not in data
+
+
+@pytest.mark.parametrize("text, message", [
+    (registry.input_text("nonintsu3"), "no canonical reduction for kind 'su3'"),
+    ("dim 7\nframe e1 e2 e3 e4 e5 e6 e7\nd e1 = e2^e3\nstructure g2\nphi = model\n",
+     "tau2 != 0: no skew-torsion connection for this G2 structure"),
+], ids=["su3", "g2-tau2"])
+def test_cli_reduce_structure_error_exits_3(tmp_path, capsys, text, message):
+    p = tmp_path / "in.gs"
+    p.write_text(text)
+    assert _run_cli(["reduce", str(p)]) == 3
+    assert capsys.readouterr().err == f"structure error: {message}\n"
 
 
 def test_cli_reduce_spin7_zero_lee_raw_phi_zero(tmp_path, capsys):

@@ -8,7 +8,9 @@ import pytest
 
 from conftest import (
     Q,
+    bracket,
     fixture_structure,
+    model_form,
     random_posdef_geometry,
     random_vector,
     rotation_matrix,
@@ -16,6 +18,7 @@ from conftest import (
     nonzero_names,
     sheared_text,
     su2su2u1_frame,
+    to_ambient,
 )
 from gtorsion.forms import (
     FrameGeometry,
@@ -40,6 +43,7 @@ from gtorsion.reduction import (
     ReductionError,
     adapt_frame,
     central_extend,
+    raw_reduction,
     reduce_g2,
     reduce_pair,
     reduce_spin7,
@@ -51,7 +55,6 @@ from gtorsion.structures import (
     StructureError,
     bismut_torsion,
     g2_assemble,
-    model_form,
     spin7_assemble,
     su3_assemble,
     torsion_g2,
@@ -81,11 +84,11 @@ def test_adapt_frame_rotated_direction():
     half_rt2 = f.sqrt_d() * f.scalar(Fraction(1, 2))
     mu = ad.to_adapted(musical(v.scale(f.sqrt_d().inverse() * f.scalar(Fraction(1, 2)).inverse() * f.scalar(Fraction(1, 2))), s.geometry))
     # simpler: the mu coframe element expressed in ambient terms
-    amb_mu = ad.to_ambient(KForm(7, 1, f, {1 << 6: f.one()}))
+    amb_mu = to_ambient(ad, KForm(7, 1, f, {1 << 6: f.one()}))
     assert amb_mu == KForm(7, 1, f, {1 << 3: half_rt2, 1 << 2: -half_rt2})
     found = False
     for i in range(6):
-        amb = ad.to_ambient(KForm(7, 1, f, {1 << i: f.one()}))
+        amb = to_ambient(ad, KForm(7, 1, f, {1 << i: f.one()}))
         if amb == KForm(7, 1, f, {1 << 2: half_rt2, 1 << 3: half_rt2}):
             found = True
     assert found
@@ -104,8 +107,8 @@ def _first_nonkilling_pair(frame, v):
     """The first i <= j with <[V, e_i], e_j> + <[V, e_j], e_i> != 0, from n
     brackets and n^2 metric pairings; None when V is Killing."""
     geom, n = frame.geometry, frame.n
-    basis = [frame.basis_vector(i + 1) for i in range(n)]
-    brackets = [frame.bracket(v, e) for e in basis]
+    basis = [VectorField.basis(n, frame.field, i + 1) for i in range(n)]
+    brackets = [bracket(frame, v, e) for e in basis]
     for i in range(n):
         for j in range(i, n):
             if not (geom.g(brackets[i], basis[j]) + geom.g(brackets[j], basis[i])).is_zero():
@@ -253,15 +256,16 @@ def test_splitting_check_reads_dh_hat_off_the_reduction(monkeypatch, name):
 
 def test_reduce_g2_raw_fixture():
     s = fixture_structure("nonintG2nonclosedLee")
-    red = reduce_g2(s, raw=True)
+    red = raw_reduction(s)
     f = s.field
-    assert red.omega == KForm.from_terms(
+    assert list(red) == ["omega", "omega_plus", "flux"]
+    assert red["omega"] == KForm.from_terms(
         7, f, [((1, 6), 1), ((2, 5), 1), ((3, 7), -1), ((1, 5), 1), ((2, 6), -1), ((4, 7), -1)]
     )
-    assert red.omega_plus == KForm.from_terms(
+    assert red["omega_plus"] == KForm.from_terms(
         7, f, [((1, 2, 7), 1), ((1, 4, 6), -1), ((2, 4, 5), -1), ((5, 6, 7), 1), ((1, 3, 6), -1), ((2, 3, 5), -1)]
     )
-    assert red.flux == KForm.from_terms(7, f, [((5, 6), 1), ((1, 2), -1)])
+    assert red["flux"] == KForm.from_terms(7, f, [((5, 6), 1), ((1, 2), -1)])
 
 
 def test_reduce_g2_nonclosed_verifier():
@@ -289,7 +293,7 @@ def test_reduce_spin7_fixture_values():
 
 def test_reduce_spin7_raw_oneA_printed_14_terms():
     s = fixture_structure("nonintSpin7OneA")
-    red = reduce_spin7(s, raw=True)
+    red = raw_reduction(s)
     f = s.field
     c = Fraction(6, 7)
     # i_{theta#} Psi, frame labels e0..e7 at positions 1..8
@@ -299,13 +303,13 @@ def test_reduce_spin7_raw_oneA_printed_14_terms():
         ((1, 4, 8), -c), ((1, 5, 8), -c), ((2, 6, 8), c), ((3, 6, 8), -c),
         ((2, 7, 8), -c), ((3, 7, 8), -c),
     ])
-    assert red.phi == expected
+    assert list(red) == ["phi", "flux"]
+    assert red["phi"] == expected
 
 
 def test_reduce_spin7_two_raw_and_field_limit():
     s = fixture_structure("nonintSpin7Two")
-    red = reduce_spin7(s, raw=True)
-    assert len(red.phi.coeffs) == 49
+    assert len(raw_reduction(s)["phi"].coeffs) == 49
     with pytest.raises(ReductionError, match="sqrt"):
         reduce_spin7(s)
 
@@ -409,7 +413,9 @@ def quotient_su3_of_nonintG2():
 
 def test_central_extend_roundtrip():
     s, red, qfr, qs, h_hat, flux = quotient_su3_of_nonintG2()
-    ext = central_extend(qs, flux, "g2", h_hat=h_hat)
+    # the extension reads H^ off the quotient: its own H is the reduced H^
+    assert qs.h == h_hat
+    ext = central_extend(qs, flux, "g2")
     assert ext["strong"] and ext["torsion_matches"]
     # the extended structure is the original one up to the frame isomorphism
     # sending the new generator to the last slot
@@ -430,7 +436,7 @@ def test_central_extend_f_zero_is_product():
     # F = 0: the extension splits as a product (flux-free string ansatz)
     s, red, qfr, qs, h_hat, flux = quotient_su3_of_nonintG2()
     assert flux.is_zero()
-    ext = central_extend(qs, KForm.zero(6, 2, s.field), "g2", h_hat=h_hat)
+    ext = central_extend(qs, KForm.zero(6, 2, s.field), "g2")
     ext_s = ext["structure"]
     red2 = reduce_g2(ext_s)
     assert all(splitting_check(red2).values())
@@ -448,7 +454,7 @@ def test_central_extend_bianchi_obstruction():
     bad_flux = KForm.from_terms(6, f, [((2, 3), 1), ((5, 6), 1)])  # closed, F ^ F != 0
     assert qfr.d(bad_flux).is_zero()
     with pytest.raises(ReductionError, match="Bianchi"):
-        central_extend(qs, bad_flux, "g2", h_hat=h_hat)
+        central_extend(qs, bad_flux, "g2")
 
 
 def test_central_extend_rejects_nonclosed_flux():
@@ -457,7 +463,7 @@ def test_central_extend_rejects_nonclosed_flux():
     nonclosed = KForm.from_terms(6, f, [((1, 4), 1)])  # crosses the two factors
     assert not qfr.d(nonclosed).is_zero()
     with pytest.raises(ReductionError, match="closed"):
-        central_extend(qs, nonclosed, "g2", h_hat=h_hat)
+        central_extend(qs, nonclosed, "g2")
 
 
 def test_central_extend_spin7_target():
@@ -486,7 +492,7 @@ def _extend(structure, target, df=None):
 
 def _extend_quotient_with_df():
     s, red, qfr, qs, h_hat, flux = quotient_su3_of_nonintG2()
-    return central_extend(qs, flux, "g2", df=KForm.from_terms(6, s.field, [((1,), 1)]), h_hat=h_hat)
+    return central_extend(qs, flux, "g2", df=KForm.from_terms(6, s.field, [((1,), 1)]))
 
 
 def _extend_s3xt4_with_df():

@@ -9,6 +9,7 @@ from conftest import (
     Q,
     S3XT4_G2,
     fixture_structure,
+    model_form,
     random_kform,
     random_vector,
     su2su2u1_frame,
@@ -34,7 +35,6 @@ from gtorsion.soliton import (
 from gtorsion.structures import (
     bismut_torsion,
     g2_assemble,
-    model_form,
     torsion_g2,
     torsion_spin7,
 )
@@ -140,7 +140,7 @@ def test_scalar_curvature_round_su2_product():
     from conftest import su2su2_frame
 
     fr = su2su2_frame(Q, scale=-2)
-    assert scalar_curvature(fr) == Q.scalar(12)
+    assert scalar_curvature(fr, levi_civita(fr)) == Q.scalar(12)
 
 
 def test_frame_calls_on_a_structure_frame_read_its_metric():
@@ -158,14 +158,14 @@ def test_frame_calls_on_a_structure_frame_read_its_metric():
     s = g2_assemble(doc.structure_forms["phi"], doc.frame())
     assert s.geometry.metric == [[Q.scalar(4 if i == j == 0 else int(i == j)) for j in range(7)] for i in range(7)]
     assert levi_civita(s.frame).entries == s.levi_civita.entries
-    assert scalar_curvature(s.frame) == scalar_curvature(s.frame, s.levi_civita) == Q.scalar(Fraction(3, 2))
+    assert scalar_curvature(s.frame, levi_civita(s.frame)) == scalar_curvature(s.frame, s.levi_civita) == Q.scalar(Fraction(3, 2))
 
 
 def test_divergence_unimodular_zero(rng):
     fr = su2su2u1_frame(Q)
     for _ in range(5):
         x = random_vector(7, Q, rng)
-        assert divergence(fr, x).is_zero()
+        assert divergence(fr, x, levi_civita(fr)).is_zero()
 
 
 # -- canonical vector -------------------------------------------------------------
@@ -249,4 +249,4 @@ def test_dilatino_torsion_free_termwise_zero():
     s = spin7_assemble(model_form("spin7", 8, Q), abelian(8))
     t = torsion_spin7(s)
     assert t["lee"].is_zero() and t["zeta5"].is_zero()
-    assert spin7_dilatino_residual(s, t).is_zero()
+    assert spin7_dilatino_residual(s).is_zero()

@@ -14,6 +14,7 @@ import pytest
 
 from conftest import (
     Q,
+    coeff,
     random_kform,
     random_posdef_geometry,
     rotate_frame_and_forms,
@@ -82,7 +83,7 @@ def _dense_connection(frame, h=None):
     """Gamma[i][j][l] from the Koszul formula, plus (1/2) g^{-1} H."""
     n, g = frame.n, frame.geometry.metric
     ginv = _adjugate_inverse(g)
-    c = [[[-frame.coframe_d[k].coeff(i + 1, j + 1) for k in range(n)] for j in range(n)] for i in range(n)]
+    c = [[[-coeff(frame.coframe_d[k], i + 1, j + 1) for k in range(n)] for j in range(n)] for i in range(n)]
 
     def low_c(i, j, k):  # <[e_i, e_j], e_k>
         return sum((c[i][j][m] * g[m][k] for m in range(n)), Q.zero())
@@ -93,7 +94,7 @@ def _dense_connection(frame, h=None):
         for j in range(n):
             low = [(low_c(i, j, k) - low_c(j, k, i) + low_c(k, i, j)) * half for k in range(n)]
             if h is not None:
-                low = [x + h.coeff(i + 1, j + 1, k + 1) * half for k, x in enumerate(low)]
+                low = [x + coeff(h, i + 1, j + 1, k + 1) * half for k, x in enumerate(low)]
             for l in range(n):
                 gam[i][j][l] = sum((ginv[l][k] * low[k] for k in range(n)), Q.zero())
     return c, gam
@@ -146,7 +147,7 @@ def test_scalar_curvature_is_trace_of_full_ricci(rng, metric):
     ricci = [[sum((rm[a][j][k].components[a] for a in range(n)), Q.zero()) for k in range(n)] for j in range(n)]
     assert curvature(fr, lc) == ricci
     full = sum((ginv[j][k] * ricci[j][k] for j in range(n) for k in range(n)), Q.zero())
-    assert scalar_curvature(fr) == full
+    assert scalar_curvature(fr, lc) == full
     assert not full.is_zero()
 
 

@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 from conftest import (
     Q,
     Q2,
+    bracket,
+    cartan_three_form,
     covariant_derivative_form,
     derivation,
     fixture_structure,
+    model_form,
     rotation_matrix,
     rotate_frame_and_forms,
     nonzero_names,
@@ -35,7 +38,7 @@ from gtorsion.forms import (
     _masks,
     derivation_rows,
 )
-from gtorsion.frames import ConnectionCoeffs, LieAlgebraFrame, _last_index, cartan_three_form, transform_form
+from gtorsion.frames import ConnectionCoeffs, LieAlgebraFrame, _last_index, transform_form, transform_vector
 from gtorsion.linsolve import InconsistentSystem, LinearSolveError, solve_unique_sparse
 from gtorsion.parser import parse
 from gtorsion.reduction import TransverseSlice, reduce_g2
@@ -48,7 +51,6 @@ from gtorsion.structures import (
     g2_assemble,
     induced_metric_g2,
     lee_form,
-    model_form,
     nijenhuis,
     project,
     solve_skew_torsion,
@@ -218,7 +220,7 @@ def test_su3_assemble_model():
     s = su3_assemble(om, op, abelian(6))
     assert s.geometry._is_identity
     # standard J: J e1 = -e2 on the first block
-    assert s.apply_j(VectorField.basis(6, Q, 1)) == VectorField(6, Q, [0, -1, 0, 0, 0, 0])
+    assert transform_vector(VectorField.basis(6, Q, 1), s.j_matrix, Q) == VectorField(6, Q, [0, -1, 0, 0, 0, 0])
     assert s.form("omega_minus") == kf(6, ((1, 3, 6), 1), ((1, 4, 5), 1), ((2, 3, 5), 1), ((2, 4, 6), -1))
 
 
@@ -450,19 +452,22 @@ def brute_nijenhuis(s):
     n, field, geom = s.n, s.field, s.geometry
     amb = getattr(s.frame, "ambient", None)
 
-    def bracket(x, y):  # a transverse slice brackets in its ambient frame
+    def br(x, y):  # a transverse slice brackets in its ambient frame
         if amb is None:
-            return s.frame.bracket(x, y)
+            return bracket(s.frame, x, y)
         pad = lambda v: VectorField(amb.n, field, list(v.components) + [field.zero()])
-        return VectorField(n, field, amb.bracket(pad(x), pad(y)).components[:n])
+        return VectorField(n, field, bracket(amb, pad(x), pad(y)).components[:n])
+
+    def apply_j(x):
+        return transform_vector(x, s.j_matrix, field)
 
     basis = [VectorField.basis(n, field, i) for i in range(1, n + 1)]
-    jb = [s.apply_j(b) for b in basis]
+    jb = [apply_j(b) for b in basis]
     vals = {}
     for i in range(n):
         for j in range(i + 1, n):
-            nv = (bracket(jb[i], jb[j]) - s.apply_j(bracket(jb[i], basis[j]))
-                  - s.apply_j(bracket(basis[i], jb[j])) - bracket(basis[i], basis[j]))
+            nv = (br(jb[i], jb[j]) - apply_j(br(jb[i], basis[j]))
+                  - apply_j(br(basis[i], jb[j])) - br(basis[i], basis[j]))
             for k in range(n):
                 vals[(i, j, k)] = geom.g(nv, basis[k])
                 vals[(j, i, k)] = -vals[(i, j, k)]
