@@ -190,7 +190,7 @@ class KForm:
         return _trusted(self.n, self.k, self.field, {m: -c for m, c in self.coeffs.items()})
 
     def scale(self, c) -> "KForm":
-        s = self.field.scalar(c) if not isinstance(c, Scalar) else c
+        s = self.field.scalar(c)
         coeffs = {} if s.is_zero() else {m: v * s for m, v in self.coeffs.items()}
         return _trusted(self.n, self.k, self.field, coeffs)
 
@@ -267,7 +267,7 @@ class VectorField:
         return VectorField(self.n, self.field, [-a for a in self.components])
 
     def scale(self, c) -> "VectorField":
-        s = c if isinstance(c, Scalar) else self.field.scalar(c)
+        s = self.field.scalar(c)
         return VectorField(self.n, self.field, [a * s for a in self.components])
 
     def is_zero(self) -> bool:

@@ -17,7 +17,6 @@ function here reads; a structure's frame carries the structure's metric.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 
 from .forms import (
@@ -199,7 +198,7 @@ def levi_civita(frame: LieAlgebraFrame) -> ConnectionCoeffs:
     symbols (1/2)(c_ijk - c_jki + c_kij), raised by g^{-1}."""
     geom = frame.geometry
     field = frame.field
-    half = field.scalar(Fraction(1, 2))
+    half = field.scalar(1, 2)
     low = {}
     # c_abc feeds (i, j, k) = (a, b, c) with +, (c, a, b) with - and (b, c, a) with +
     for (a, b, c), v in _last_index(frame.constants, geom, up=False).items():
@@ -217,7 +216,7 @@ def bismut_connection(frame: LieAlgebraFrame, h: KForm, lc: ConnectionCoeffs | N
         raise GeometryError("torsion form must have degree 3")
     lc = lc or levi_civita(frame)
     field = frame.field
-    half = field.scalar(Fraction(1, 2))
+    half = field.scalar(1, 2)
     low = {}
     for mask, v in h.coeffs.items():
         hv = v * half

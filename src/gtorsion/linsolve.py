@@ -11,7 +11,10 @@ pivot column), so a row is reduced in one pass over its pivot columns with no
 cascade of fill.  Rows are taken by last column, then length: leads then come
 bottom-up, so a new pivot seldom has to be eliminated from older ones.  Fully
 reduced pivots do not depend on the row order, so neither does any caller's
-result.  The torsion oracle reduces the derivation rows of all its structure
+result.  Forward-only elimination with one back substitution is slower,
+because fully reduced pivots keep rows short (23,758 against 18,740 ``_mac``
+calls on the oracle's 45 seed-1 ``rotated`` Stage-2 systems, same results).
+The torsion oracle reduces the derivation rows of all its structure
 forms in one run, each row once up to sign; ``solve_unique_sparse`` carries
 one right-hand side, key -1, where it is nonzero, through the n*r rows left
 (56 for Spin(7)).  Row updates go through the scalar accumulator

@@ -29,7 +29,6 @@ and the slice the transverse g^.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 
 from .forms import (
@@ -399,23 +398,23 @@ def _su3_verifier(red: ReductionResult, unit: GStructure, vhat_ad: VectorField, 
     om_min = struct.form("omega_minus")
     om2 = wedge(omega, omega)
     table = {
-        "sigma0 = 1/2": rt["sigma0"] == field.scalar(Fraction(1, 2)),
+        "sigma0 = 1/2": rt["sigma0"] == field.scalar(1, 2),
         "sigma2 = 0": rt["sigma2"].is_zero(),
         "pi2 = 0": rt["pi2"].is_zero(),
-        "nu1 = df/2": rt["nu1"] == df_sl.scale(Fraction(1, 2)),
+        "nu1 = df/2": rt["nu1"] == df_sl.scale(field.scalar(1, 2)),
         "pi1 = df": rt["pi1"] == df_sl,
-        "pi0 = 7/12 tau0": rt["pi0"] == field.scalar(Fraction(7, 12)) * tau0,
+        "pi0 = 7/12 tau0": rt["pi0"] == field.scalar(7, 12) * tau0,
     }
     # nu3 = (1/8) tau0 Omega- + (1/4) df ^ omega - i_V(star tau3)
     st_ad = red.adapted.to_adapted(hodge_star(unit.torsion["tau3"], unit.geometry))
     iv_st = sl.restrict(interior(vhat_ad, st_ad), "i_V star tau3")
-    nu3_expected = om_min.scale(field.scalar(Fraction(1, 8)) * tau0) + wedge(df_sl, omega).scale(Fraction(1, 4)) - iv_st
+    nu3_expected = om_min.scale(field.scalar(1, 8) * tau0) + wedge(df_sl, omega).scale(field.scalar(1, 4)) - iv_st
     table["nu3 identity"] = rt["nu3"] == nu3_expected
     # e^f d(e^-f Omega-) = 1/2 omega^2 and e^f d(e^-f Omega+) = (7/12) tau0 omega^2
     dmin = sl.d(om_min) - wedge(df_sl, om_min)
-    table["d Omega- identity"] = dmin == om2.scale(Fraction(1, 2))
+    table["d Omega- identity"] = dmin == om2.scale(field.scalar(1, 2))
     dplus = sl.d(omega_plus) - wedge(df_sl, omega_plus)
-    table["d Omega+ identity"] = dplus == om2.scale(field.scalar(Fraction(7, 12)) * tau0)
+    table["d Omega+ identity"] = dplus == om2.scale(field.scalar(7, 12) * tau0)
     # Lee form of the reduced structure equals df
     table["theta_omega = df"] = struct.lee == df_sl
     # H^ = d^c omega + N, the closed formula for the reduced structure's H
@@ -430,7 +429,7 @@ def _g2_verifier(red: ReductionResult, unit: GStructure, vhat_ad: VectorField, b
     """The transverse identities of the G2 quotient of Spin(7)."""
     sl, struct, rt, df_sl, phi = red.transverse, red.reduced_structure, red.reduced_torsion, red.df_slice, red.phi
     table = {
-        "tau0 = -6/7": rt["tau0"] == sl.field.scalar(Fraction(-6, 7)),
+        "tau0 = -6/7": rt["tau0"] == sl.field.scalar(-6, 7),
         "tau2 = 0": rt["tau2"].is_zero(),
     }
     star_phi = hodge_star(phi, sl.geometry)  # star in the i_V vol orientation
@@ -438,7 +437,7 @@ def _g2_verifier(red: ReductionResult, unit: GStructure, vhat_ad: VectorField, b
     # star tau3 = (3/28) theta_phi ^ phi - i_V zeta5 (orientation-free 4-form)
     iv_z = sl.restrict(interior(vhat_ad, red.adapted.to_adapted(unit.torsion["zeta5"])), "i_V zeta5")
     lhs = hodge_star(rt["tau3"], sl.geometry)
-    table["star tau3 identity"] = lhs == wedge(rt["lee"], phi).scale(Fraction(3, 28)) - iv_z
+    table["star tau3 identity"] = lhs == wedge(rt["lee"], phi).scale(sl.field.scalar(3, 28)) - iv_z
     table["theta_phi = df"] = rt["lee"] == df_sl
     # Psi = mu ^ phi + star phi: the remainder of the split is star phi
     table["Psi = mu^phi + star phi"] = beta_ad == sl.embed(star_phi)
@@ -592,7 +591,7 @@ def central_extend(structure: GStructure, flux: KForm, target: str, df: KForm | 
     problems = []
     t = structure.torsion
     if target == "g2":
-        if not (t["sigma0"] - field.scalar(Fraction(1, 2))).is_zero():
+        if not (t["sigma0"] - field.scalar(1, 2)).is_zero():
             problems.append(f"sigma0 = {t['sigma0']} != 1/2")
         if structure.lee != df:
             problems.append("theta_omega != df")

@@ -2,15 +2,15 @@
 
 A Scalar is the number (p + q*sqrt(d)) / den held as three plain ints in
 canonical form: den > 0, gcd(p, q, den) = 1, and q = 0 in QQ.  Equal
-values therefore have equal (p, q, den), so equality compares ints, and
-the rational parts ``a``, ``b`` (value = a + b*sqrt(d)) are built as
-Fractions only on request.
+values therefore have equal (p, q, den), so equality and hashing read ints.
+Scalar is the package's only exact number: roots and rational constants
+are computed on the int triple too.
 
 Fields are interned: ``QuadraticField(3) is QuadraticField(3)``, so fields
 compare by identity, and ``zero()`` / ``one()`` return one object per
 field.  Scalars from different fields never mix silently; binary
-operations raise ``FieldMismatch``.  Plain ints and Fractions lift into any
-field.
+operations raise ``FieldMismatch``.  Plain ints, exact rationals such as
+Fractions and QQ scalars lift into any field.
 
 The accumulator is the one multiply-accumulate path: ``_mac`` adds +-x*y
 into a raw [p, q, den] int triple per output key, and ``_settle`` turns each
@@ -20,7 +20,6 @@ key into a canonical Scalar once, so a sum of N products pays one gcd, not 2N.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from math import gcd
 
 __all__ = [
@@ -76,17 +75,17 @@ def _int_root(x: int, r: int) -> int | None:
     return y if y**r == x else None
 
 
-def _frac_root(x: Fraction, r: int) -> Fraction | None:
-    """Exact r-th root of a nonnegative Fraction, or None."""
-    if x < 0:
+def _frac_root(n: int, m: int, r: int) -> tuple[int, int] | None:
+    """Exact r-th root (a, b), meaning a/b, of the rational n/m (m > 0), or
+    None: the roots of n/m in lowest terms."""
+    if n < 0:
         return None
-    if x == 0:
-        return Fraction(0)
-    a = _int_root(x.numerator, r)
-    b = _int_root(x.denominator, r)
+    g = gcd(n, m)
+    a = _int_root(n // g, r) if n else 0
+    b = _int_root(m // g, r)
     if a is None or b is None:
         return None
-    return Fraction(a, b)
+    return a, b
 
 
 def _ratstr(n: int, d: int) -> str:
@@ -115,21 +114,27 @@ class Field:
             Field._interned[d] = field
         return field
 
-    def scalar(self, value) -> "Scalar":
-        if isinstance(value, Scalar):
-            if value.field is self:
-                return value
-            if value.field.d == 0:  # QQ lifts into every field
-                return Scalar(self, value.p, 0, value.den)
-            raise FieldMismatch(f"cannot lift {value!r} into {self!r}")
-        if isinstance(value, int):
-            if value == 0:
-                return self._zero
-            if value == 1:
+    def scalar(self, num, den: int = 1) -> "Scalar":
+        """num/den in this field.  ``num`` is an int, a Scalar (a QQ one
+        lifts into every field) or an exact rational with int ``numerator``
+        and ``denominator``, such as a Fraction; ``den`` is a nonzero int."""
+        if isinstance(num, Scalar):
+            if num.field is self and den == 1:
+                return num
+            if num.field is not self and num.field.d:
+                raise FieldMismatch(f"cannot lift {num!r} into {self!r}")
+            p, q, m = num.p, num.q, num.den
+        elif isinstance(num, int):
+            if num == 1 == den:
                 return self._one
-            return Scalar(self, int(value), 0, 1)
-        v = Fraction(value)
-        return Scalar(self, v.numerator, 0, v.denominator)
+            p, q, m = int(num), 0, 1
+        else:
+            p, q, m = getattr(num, "numerator", None), 0, getattr(num, "denominator", None)
+            if not (isinstance(p, int) and isinstance(m, int)):
+                raise FieldMismatch(f"cannot coerce {num!r} into {self!r}")
+        if not den:
+            raise ZeroDivisionError("scalar with zero denominator")
+        return _norm(self, p, q, m * den)
 
     def zero(self) -> "Scalar":
         return self._zero
@@ -229,13 +234,6 @@ def _settle_over(field: Field, acc: dict, key) -> dict:
     return {k: _norm(field, p * a + d * q * b, p * b + q * a, den * e) for k, (p, q, den) in acc.items() if p or q}
 
 
-def _from_parts(field: Field, a: Fraction, b: Fraction) -> "Scalar":
-    """The scalar a + b sqrt d from its rational parts."""
-    ad, bd = a.denominator, b.denominator
-    den = math.lcm(ad, bd)
-    return _norm(field, a.numerator * (den // ad), b.numerator * (den // bd), den)
-
-
 def _sum(x: "Scalar", y: "Scalar", negate: bool) -> "Scalar":
     """x + y, or x - y when ``negate``; both scalars in one field."""
     yp, yq, yd = y.p, y.q, y.den
@@ -267,16 +265,6 @@ class Scalar:
         self.q = q
         self.den = den
 
-    @property
-    def a(self) -> Fraction:
-        """The rational part of a + b sqrt(d)."""
-        return Fraction(self.p, self.den)
-
-    @property
-    def b(self) -> Fraction:
-        """The sqrt(d) coefficient of a + b sqrt(d); 0 in QQ."""
-        return Fraction(self.q, self.den)
-
     # -- helpers -------------------------------------------------------
 
     def _coerce(self, other) -> "Scalar":
@@ -286,9 +274,7 @@ class Scalar:
                     f"mixed-field arithmetic: {self.field!r} vs {other.field!r}"
                 )
             return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.scalar(other)
-        raise FieldMismatch(f"cannot coerce {other!r} into {self.field!r}")
+        return self.field.scalar(other)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -357,7 +343,7 @@ class Scalar:
         return self.p == o.p and self.q == o.q and self.den == o.den
 
     def __hash__(self):
-        return hash((self.field, self.a, self.b))
+        return hash((self.field, self.p, self.q, self.den))
 
     def sign(self) -> int:
         """-1, 0, or +1, exactly."""
@@ -383,25 +369,25 @@ class Scalar:
         if self.sign() < 0:
             raise NotRepresentable("sqrt of negative scalar")
         field, d = self.field, self.field.d
-        a, b = self.a, self.b
-        zero = Fraction(0)
-        if b == 0:
-            r = _frac_root(a, 2)
+        p, q, den = self.p, self.q, self.den
+        if not q:
+            r = _frac_root(p, den, 2)
             if r is not None:
-                return _from_parts(field, r, zero)
+                return _norm(field, r[0], 0, r[1])
             if d:
-                q = _frac_root(a / d, 2)
-                if q is not None:
-                    return _from_parts(field, zero, q)
-            raise NotRepresentable(f"sqrt({a}) not in {field!r}")
-        # solve (p + q sqrt d)^2 = a + b sqrt d
-        disc = a * a - d * b * b
-        rd = _frac_root(disc, 2)
+                r = _frac_root(p, den * d, 2)
+                if r is not None:
+                    return _norm(field, 0, r[0], r[1])
+            raise NotRepresentable(f"sqrt({self}) not in {field!r}")
+        # (P + B sqrt d)^2 = (p + q sqrt d)/den gives P^2 = (p +- sqrt(p^2 - d q^2))/(2 den)
+        # and B = q/(2 P den); with P = x/y the root is (2 x^2 den + q y^2 sqrt d)/(2 x y den)
+        rd = _frac_root(p * p - d * q * q, 1, 2)
         if rd is not None:
-            for p2 in ((a + rd) / 2, (a - rd) / 2):
-                p = _frac_root(p2, 2)
-                if p is not None and p != 0:
-                    cand = _from_parts(field, p, b / (2 * p))
+            for n in (p + rd[0], p - rd[0]):
+                r = _frac_root(n, 2 * den, 2)
+                if r is not None and r[0]:
+                    x, y = r
+                    cand = _norm(field, 2 * x * x * den, q * y * y, 2 * x * y * den)
                     if cand.sign() >= 0 and cand * cand == self:
                         return cand
                     cand = -cand
@@ -417,21 +403,20 @@ class Scalar:
         if self.sign() < 0:
             raise NotRepresentable("root of negative scalar")
         field, d = self.field, self.field.d
-        a, b = self.a, self.b
-        zero = Fraction(0)
-        if b == 0:
-            v = _frac_root(a, r)
+        p, q, den = self.p, self.q, self.den
+        if not q:
+            v = _frac_root(p, den, r)
             if v is not None:
-                return _from_parts(field, v, zero)
+                return _norm(field, v[0], 0, v[1])
             if d and r % 2 == 0:
-                q = _frac_root(a / Fraction(d) ** (r // 2), r)
-                if q is not None:
-                    return _from_parts(field, zero, q)
-        elif a == 0 and r % 2 == 1:
-            # (q sqrt d)^r = q^r d^{(r-1)/2} sqrt d
-            q = _frac_root(b / Fraction(d) ** ((r - 1) // 2), r)
-            if q is not None:
-                return _from_parts(field, zero, q)
+                v = _frac_root(p, den * d ** (r // 2), r)
+                if v is not None:
+                    return _norm(field, 0, v[0], v[1])
+        elif not p and r % 2 == 1:
+            # (b sqrt d)^r = b^r d^{(r-1)/2} sqrt d
+            v = _frac_root(q, den * d ** ((r - 1) // 2), r)
+            if v is not None:
+                return _norm(field, 0, v[0], v[1])
         raise NotRepresentable(f"{r}-th root of {self!r} not in {field!r}")
 
     # -- display -------------------------------------------------------

@@ -16,8 +16,6 @@ structure's frame, the structure's).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .forms import (
     KForm,
     VectorField,
@@ -41,8 +39,6 @@ from .structures import (
     KINDS,
     GStructure,
     StructureError,
-    TorsionClasses,
-    bismut_torsion,
 )
 
 __all__ = [
@@ -163,16 +159,14 @@ def weighted_scalar(data: SolitonData):
     h2 = form_inner(data.h, data.h, geom)
     divx = divergence(frame, data.x, lc)
     x2 = geom.norm_sq(data.x)
-    return r - h2 * field.scalar(Fraction(1, 12)) + divx * field.scalar(2) - x2
+    return r - h2 * field.scalar(1, 12) + divx * field.scalar(2) - x2
 
 
-def canonical_vector(s: GStructure, df: KForm | None = None, torsion: TorsionClasses | None = None) -> VectorField:
+def canonical_vector(s: GStructure, df: KForm | None = None) -> VectorField:
     """V = c theta^sharp - grad f with c the kind's ``lee_factor`` (7/6 for
-    Spin(7), else 1), theta the Lee form of ``s`` or, when given, of the
-    torsion classes ``torsion``."""
+    Spin(7), else 1) and theta the Lee form of ``s``."""
     geom = s.geometry
-    theta = s.lee if torsion is None else torsion["lee"]
-    v = musical_inv(theta.scale(KINDS[s.kind].lee_factor), geom)
+    v = musical_inv(s.lee.scale(KINDS[s.kind].lee_factor), geom)
     if df is not None:
         v = v - musical_inv(df, geom)
     return v
@@ -187,22 +181,17 @@ def parallel_certificate(conn, v: VectorField) -> dict:
     return {"parallel": parallel, "norm_sq": frame.geometry.norm_sq(v)}
 
 
-def g2_rigidity_identity(s: GStructure, df: KForm | None = None, torsion: TorsionClasses | None = None):
+def g2_rigidity_identity(s: GStructure, df: KForm | None = None):
     """With V = 0 and constant f the pointwise identity
     |H_phi|^2 = (49/36) tau0^2 holds; returns both sides."""
     if s.kind != "g2":
         raise StructureError("rigidity identity is for G2 structures")
-    torsion = torsion or s.torsion
     if df is not None and not df.is_zero():
         raise PreconditionError("rigidity identity needs constant f (df = 0)")
-    v = canonical_vector(s, df, torsion)
-    if not v.is_zero():
+    if not canonical_vector(s, df).is_zero():
         raise PreconditionError("rigidity identity needs V = 0 (Lee form dual minus grad f)")
-    h = bismut_torsion(s, torsion)
-    field = s.field
-    lhs = form_inner(h, h, s.geometry)
-    rhs = field.scalar(Fraction(49, 36)) * torsion["tau0"] * torsion["tau0"]
-    return lhs, rhs
+    tau0 = s.torsion["tau0"]
+    return form_inner(s.h, s.h, s.geometry), s.field.scalar(49, 36) * tau0 * tau0
 
 
 def spin7_dilatino_residual(s: GStructure):
@@ -215,5 +204,5 @@ def spin7_dilatino_residual(s: GStructure):
     theta = torsion["lee"]
     zeta = torsion["zeta5"]
     dstar = codifferential(s.frame, theta).coeffs.get(0, field.zero())
-    coef = field.scalar(Fraction(7, 6))
+    coef = field.scalar(7, 6)
     return coef * dstar + coef * form_inner(theta, theta, geom) - form_inner(zeta, zeta, geom)

@@ -15,7 +15,6 @@ Conventions fixed by the worked examples (see tests):
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, reduce
 from typing import NamedTuple
 
@@ -47,7 +46,7 @@ from .frames import (
     levi_civita,
 )
 from .linsolve import InconsistentSystem, LinearSolveError, echelon, solve_unique_sparse
-from .scalars import Field, GTorsionError, NotRepresentable, _mac, _settle
+from .scalars import Field, GTorsionError, NotRepresentable, RationalField, Scalar, _mac, _settle
 
 __all__ = [
     "StructureError",
@@ -75,6 +74,8 @@ __all__ = [
 class StructureError(GTorsionError, ValueError):
     pass
 
+
+QQ = RationalField()  # the KINDS constants are QQ scalars: they lift into every field
 
 MODEL_OMEGA_PLUS = [((1, 3, 5), 1), ((1, 4, 6), -1), ((2, 3, 6), -1), ((2, 4, 5), -1)]
 MODEL_PHI = [
@@ -123,24 +124,24 @@ class Kind(NamedTuple):
     splits: dict
     almost_complex: bool = False
     reduces_to: str | None = None
-    lee_factor: Fraction = Fraction(1)
+    lee_factor: Scalar = QQ.one()
     stabilizer: int | None = None
 
 
 KINDS = {
     "su3": Kind(6, (("omega", "omega", 2, None), ("omega_plus", "Omega+", 3, MODEL_OMEGA_PLUS)), "an SU(3) structure", {
-        2: Graded(("1", (("omega", 3),)), ("6", "omega_plus", Fraction(-1, 2)), ("8", (("omega", "omega"), ("omega_plus",)))),
-        3: Graded(("1+1", (("omega_plus", 4), ("omega_minus", 4))), ("6", "omega", Fraction(1, 2)),
+        2: Graded(("1", (("omega", 3),)), ("6", "omega_plus", QQ.scalar(-1, 2)), ("8", (("omega", "omega"), ("omega_plus",)))),
+        3: Graded(("1+1", (("omega_plus", 4), ("omega_minus", 4))), ("6", "omega", QQ.scalar(1, 2)),
                   ("12", (("omega",), ("omega_plus",), ("omega_minus",)))),
     }, almost_complex=True, stabilizer=8),
     "g2": Kind(7, (("phi", "phi", 3, MODEL_PHI),), "a G2 structure", {
         2: Eigen("phi", (("7", 2), ("14", -1))),
-        3: Graded(("1", (("phi", 7),)), ("7", "phi", Fraction(-1, 4)), ("27", (("phi",), ("star_phi",)))),
+        3: Graded(("1", (("phi", 7),)), ("7", "phi", QQ.scalar(-1, 4)), ("27", (("phi",), ("star_phi",)))),
     }, reduces_to="su3", stabilizer=14),
     "spin7": Kind(8, (("psi", "Psi", 4, MODEL_PSI),), "a Spin(7) structure", {
         2: Eigen("psi", (("7", -3), ("21", 1))),
-        3: Graded(None, ("8", "psi", Fraction(-1, 7)), ("48", (("psi",),))),
-    }, reduces_to="g2", lee_factor=Fraction(7, 6), stabilizer=21),
+        3: Graded(None, ("8", "psi", QQ.scalar(-1, 7)), ("48", (("psi",),))),
+    }, reduces_to="g2", lee_factor=QQ.scalar(7, 6), stabilizer=21),
     "ah": Kind(None, (("omega", "omega", 2, None),), "an almost Hermitian structure", {}, almost_complex=True),
 }
 
@@ -299,7 +300,7 @@ def su3_assemble(omega: KForm, omega_plus: KForm, frame) -> GStructure:
     geom = FrameGeometry(6, field, gmat, orientation_sign=orient)
     geom.check_positive_definite()
     omega_minus = hodge_star(omega_plus, geom)
-    if om3 != wedge(omega_plus, omega_minus).scale(Fraction(3, 2)):
+    if om3 != wedge(omega_plus, omega_minus).scale(field.scalar(3, 2)):
         raise StructureError("volume identity omega^3 = 3/2 Omega+ ^ Omega- fails")
     forms = {"omega": omega, "omega_plus": omega_plus, "omega_minus": omega_minus}
     return GStructure("su3", _on_metric(frame, geom), forms, j_matrix=_j_from_metric_omega(omega, geom))
@@ -348,7 +349,7 @@ def induced_metric_g2(phi: KForm) -> FrameGeometry:
         raise StructureError("g2 metric needs a 3-form on n = 7")
     field = phi.field
     ints = [interior(VectorField.basis(7, field, i), phi) for i in range(1, 8)]
-    b = _top_pairing(ints, None, phi, field.scalar(Fraction(1, 6)))
+    b = _top_pairing(ints, None, phi, field.scalar(1, 6))
     # phi fixes the orientation as well: B is definite w.r.t. exactly one
     # sign of the volume form when phi is positive.
     det = _mat_det(b, field)
@@ -468,7 +469,7 @@ def _split(s: GStructure, a: KForm) -> tuple[dict, KForm | None, tuple]:
     if isinstance(recipe, Eigen):
         form = s.form(recipe.slot)
         (n1, l1), (n2, l2) = recipe.pieces
-        p1 = (hodge_star(wedge(a, form), geom) - a.scale(l2)).scale(Fraction(1, l1 - l2))
+        p1 = (hodge_star(wedge(a, form), geom) - a.scale(l2)).scale(field.scalar(1, l1 - l2))
         parts, alpha, inner = {n1: p1, n2: a - p1}, None, ()
         failed = [n for n, lam in recipe.pieces if hodge_star(wedge(parts[n], form), geom) != parts[n].scale(lam)]
     else:
@@ -527,7 +528,7 @@ def torsion_su3(s: GStructure) -> TorsionClasses:
         raise StructureError("inconsistent sigma0 between d omega and d Omega-")
     sigma2 = _split(s, hodge_star(d_om, geom))[0]["8"]
 
-    r1 = op.scale(field.scalar(Fraction(-3, 2)) * sigma0) + om.scale(field.scalar(Fraction(3, 2)) * pi0) + wedge(nu1, omega) + nu3
+    r1 = op.scale(field.scalar(-3, 2) * sigma0) + om.scale(field.scalar(3, 2) * pi0) + wedge(nu1, omega) + nu3
     if r1 != d_omega:
         raise StructureError("d omega reconstruction failed")
     if om2.scale(pi0) + wedge(pi1, op) - wedge(pi2, omega) != d_op:
@@ -563,7 +564,7 @@ def torsion_g2(s: GStructure) -> TorsionClasses:
     star_d_phi = hodge_star(d_phi, geom)
     tau0 = form_inner(d_phi, star_phi, geom) / field.scalar(7)
     split, alpha, _ = _split(s, star_d_phi)
-    tau1 = alpha.scale(Fraction(1, 3))
+    tau1 = alpha.scale(field.scalar(1, 3))
     tau3 = split["27"]
     tau2 = -_split(s, hodge_star(d_star, geom))[0]["14"]
     if d_phi != star_phi.scale(tau0) + wedge(tau1, phi).scale(3) + hodge_star(tau3, geom):
@@ -720,7 +721,7 @@ def solve_skew_torsion(s: GStructure) -> KForm:
     """
     field, n = s.field, s.n
     masks3, pairs, spread = _ORACLE_LAYOUT[n]
-    half = field.scalar(Fraction(1, 2))
+    half = field.scalar(1, 2)
     # the nonzero entries of (1/2) g^{-1} and of its negative, by row
     plus = [{k: x * half for k, x in enumerate(row) if not x.is_zero()} for row in s.geometry.inverse_metric()]
     minus = [{k: -x for k, x in row.items()} for row in plus]
@@ -808,4 +809,4 @@ def bismut_ricci_form(s: GStructure) -> KForm:
     for (x, y, m), c in s.frame.constants.items():
         if x < y and m in trace:
             _mac(acc, (1 << x) | (1 << y), c, trace[m], False)
-    return _trusted(n, 2, field, _settle(field, acc)).scale(Fraction(1, 2))
+    return _trusted(n, 2, field, _settle(field, acc)).scale(field.scalar(1, 2))

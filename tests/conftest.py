@@ -22,7 +22,7 @@ from gtorsion.forms import (
 from gtorsion.frames import LieAlgebraFrame, _last_index, change_frame, transform_form
 from gtorsion.parser import parse
 from gtorsion.structures import _model_forms
-from gtorsion.scalars import QuadraticField, RationalField
+from gtorsion.scalars import NotRepresentable, QuadraticField, RationalField, _int_root
 
 Q = RationalField()
 Q2 = QuadraticField(2)
@@ -363,6 +363,82 @@ def bianchi(data) -> KForm:
     """dH of a ``SolitonData``, plus F ^ F when it carries a flux."""
     out = data.frame.d(data.h)
     return out if data.flux is None else out + wedge(data.flux, data.flux)
+
+
+def rational_parts(x) -> tuple:
+    """(a, b) with the scalar x = a + b sqrt(d), as Fractions; b = 0 in QQ."""
+    return Fraction(x.p, x.den), Fraction(x.q, x.den)
+
+
+def _frac_root(x, r):
+    """Exact r-th root of a nonnegative Fraction, or None: the reference
+    for ``scalars._frac_root``."""
+    if x < 0:
+        return None
+    if x == 0:
+        return Fraction(0)
+    a = _int_root(x.numerator, r)
+    b = _int_root(x.denominator, r)
+    if a is None or b is None:
+        return None
+    return Fraction(a, b)
+
+
+def _from_parts(field, a, b):
+    """The scalar a + b sqrt(d) from Fraction parts."""
+    sqrt_d = field.sqrt_d() if field.d else field.zero()
+    return field.scalar(a) + sqrt_d * field.scalar(b)
+
+
+def ref_sqrt(x):
+    """``Scalar.sqrt`` computed on the Fraction parts a + b sqrt(d)."""
+    if x.sign() < 0:
+        raise NotRepresentable("sqrt of negative scalar")
+    field, d = x.field, x.field.d
+    a, b = rational_parts(x)
+    if b == 0:
+        r = _frac_root(a, 2)
+        if r is not None:
+            return _from_parts(field, r, 0)
+        if d:
+            q = _frac_root(a / d, 2)
+            if q is not None:
+                return _from_parts(field, 0, q)
+        raise NotRepresentable(f"sqrt({a}) not in {field!r}")
+    # solve (p + q sqrt d)^2 = a + b sqrt d
+    rd = _frac_root(a * a - d * b * b, 2)
+    if rd is not None:
+        for p2 in ((a + rd) / 2, (a - rd) / 2):
+            p = _frac_root(p2, 2)
+            if p is not None and p != 0:
+                for cand in (_from_parts(field, p, b / (2 * p)), _from_parts(field, -p, -b / (2 * p))):
+                    if cand.sign() >= 0 and cand * cand == x:
+                        return cand
+    raise NotRepresentable(f"sqrt({x!r}) not in {field!r}")
+
+
+def ref_root(x, r):
+    """``Scalar.root`` computed on the Fraction parts a + b sqrt(d)."""
+    if r == 2:
+        return ref_sqrt(x)
+    if x.sign() < 0:
+        raise NotRepresentable("root of negative scalar")
+    field, d = x.field, x.field.d
+    a, b = rational_parts(x)
+    if b == 0:
+        v = _frac_root(a, r)
+        if v is not None:
+            return _from_parts(field, v, 0)
+        if d and r % 2 == 0:
+            q = _frac_root(a / Fraction(d) ** (r // 2), r)
+            if q is not None:
+                return _from_parts(field, 0, q)
+    elif a == 0 and r % 2 == 1:
+        # (q sqrt d)^r = q^r d^{(r-1)/2} sqrt d
+        q = _frac_root(b / Fraction(d) ** ((r - 1) // 2), r)
+        if q is not None:
+            return _from_parts(field, 0, q)
+    raise NotRepresentable(f"{r}-th root of {x!r} not in {field!r}")
 
 
 def nonzero_names(torsion) -> list:

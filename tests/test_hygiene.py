@@ -1,14 +1,19 @@
 """Source hygiene: no module in the package or the tests imports a name that
 it never uses (names listed in ``__all__`` count as used, so re-exports stay
-declared in one place), and each kernel has one home: ``_merge_sign`` is
+declared in one place), no package module imports ``fractions``, ``decimal``
+or ``numbers`` (a Scalar is the one exact number, and the command-line import
+stays free of them), and each kernel has one home: ``_merge_sign`` is
 called only where it fills the sign table, ``mask_of`` only inside ``KForm``,
 ``echelon`` is the one row reduction and ``_wedge_row`` is called only by the
 minors table and the change of frame.  A frame carries its one metric, so no
 function takes a metric beside a frame.  Every public function and method in
 the package has a reader in the package or is named in ``API`` with the
-reason it stays.  Standard library ``ast`` only."""
+reason it stays.  Standard library only."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,6 +57,45 @@ def test_scanner_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+NUMERIC_TOWER = {"fractions", "decimal", "numbers"}
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules that ``source`` imports, anywhere."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_imported_modules_scanner():
+    src = "import os.path\nfrom fractions import Fraction\nfrom . import x\ndef f():\n    import decimal\n"
+    assert imported_modules(src) == {"os", "fractions", "decimal"}
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_no_package_module_imports_the_numeric_tower(path):
+    assert imported_modules(path.read_text()) & NUMERIC_TOWER == set()
+
+
+def test_command_line_import_loads_no_numeric_tower():
+    # -S: no site hooks, so every module loaded after the snapshot is the
+    # package's doing
+    code = (
+        "import sys\nbefore = set(sys.modules)\n"
+        "import gtorsion.engine, gtorsion.registry, gtorsion.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(out.stdout.split())
+    assert "gtorsion.cli" in loaded
+    assert loaded & (NUMERIC_TOWER | {"_decimal", "_pydecimal"}) == set()
 
 
 def call_sites(source: str, name: str) -> list[str]:

@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import PSI_ALL_PLUS, Q, Q2, Q3, S3XT4_G2, sheared_text
@@ -133,6 +133,28 @@ def test_parse_serialize_roundtrip():
             assert doc2.flux == doc1.flux
         # a second serialize is byte-identical (canonical form)
         assert doc2.serialize() == doc1.serialize()
+
+
+_ACCEPTED = {**{name: registry.input_text(name) for name in registry.names()}, "s3xt4": S3XT4_G2}
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_ACCEPTED)), step=st.integers(0, 3), df=st.booleans())
+@example(name="nonintsu3", step=0, df=False)  # metric identity, SU(3)
+@example(name="s3xt4", step=0, df=True)  # metric identity, G2
+@example(name="nonintSpin7Two", step=2, df=False)  # non-diagonal metric rows
+def test_accepted_document_round_trips_to_the_same_structure_and_report(name, step, df):
+    # step 0 keeps the declared frame; a band shear declares non-diagonal rows
+    text = sheared_text(_ACCEPTED[name], step) if step else _ACCEPTED[name]
+    doc1 = parse(text + ("vector df = 0\n" if df else ""))
+    assert ("metric identity" in text) == (step == 0)
+    doc2 = parse(doc1.serialize())
+    s1, s2 = doc1.structure(), doc2.structure()
+    assert (s2.kind, s2.frame.labels, s2.frame.coframe_d) == (s1.kind, s1.frame.labels, s1.frame.coframe_d)
+    assert (s2.geometry.metric, s2.geometry.orientation_sign) == (s1.geometry.metric, s1.geometry.orientation_sign)
+    assert s2.forms == s1.forms
+    assert run_check(doc2).to_json() == run_check(doc1).to_json()
+    assert doc2.serialize() == doc1.serialize()
 
 
 def test_missing_d_line_means_closed():

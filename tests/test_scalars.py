@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rational_parts as _parts
+from conftest import ref_root, ref_sqrt
 from gtorsion.scalars import (
     FieldMismatch,
     NotRepresentable,
@@ -113,6 +115,19 @@ def test_higher_roots():
 def test_float_never_implicit():
     with pytest.raises(FieldMismatch):
         Q.scalar(1) + 0.5  # floats do not silently enter exact fields
+    with pytest.raises(FieldMismatch, match=r"^cannot coerce 0\.5 into QQ\(sqrt2\)$"):
+        Q2.scalar(0.5)
+
+
+def test_scalar_lifts_ints_fractions_and_rational_scalars():
+    # Fractions are duck-typed exact rationals; a QQ scalar lifts, a den divides
+    assert Q3.scalar(Q.scalar(Fraction(7, 6))) == Q3.scalar(7, 6) == Q3.scalar(Fraction(14, 12))
+    assert Q2.scalar(Q2.sqrt_d(), -2) == Q2.sqrt_d() * Q2.scalar(Fraction(-1, 2))
+    assert Q2.scalar(3, 3) == Q2.one() and Q2.scalar(0, 5).is_zero()
+    with pytest.raises(FieldMismatch):
+        Q2.scalar(Q3.sqrt_d())
+    with pytest.raises(ZeroDivisionError):
+        Q.scalar(1, 0)
 
 
 def test_str_canonical():
@@ -170,10 +185,6 @@ def _sqrt_d(field):
     return field.sqrt_d() if field.d else field.zero()
 
 
-def _parts(x):
-    return (x.a, x.b)
-
-
 def _add(x, y):
     return (x[0] + y[0], x[1] + y[1])
 
@@ -213,8 +224,9 @@ def _check_canonical(x):
     assert gcd(x.p, x.q, x.den) == 1
     if not x.field.d:
         assert x.q == 0
-    assert x == x.field.scalar(x.a) + _sqrt_d(x.field) * x.field.scalar(x.b)
-    assert hash(x) == hash(x.field.scalar(x.a) + _sqrt_d(x.field) * x.field.scalar(x.b))
+    a, b = _parts(x)
+    assert x == x.field.scalar(a) + _sqrt_d(x.field) * x.field.scalar(b)
+    assert hash(x) == hash(x.field.scalar(a) + _sqrt_d(x.field) * x.field.scalar(b))
 
 
 @st.composite
@@ -259,3 +271,60 @@ def test_kernel_matches_fraction_pair_reference(ops):
         for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v, lambda u, v: u / v):
             with pytest.raises(FieldMismatch):
                 op(x, z)
+
+
+# -- roots on the int triple against the Fraction-based reference ------------
+#
+# ``ref_sqrt`` and ``ref_root`` in conftest are the roots as computed on the
+# Fraction parts a + b sqrt(d); the kernel computes them on (p, q, den) and
+# must agree on every value and every NotRepresentable message.
+
+nonzero = st.integers(-40, 40).filter(bool)
+
+
+@st.composite
+def radicands(draw):
+    field = draw(st.sampled_from(FIELDS))
+    n, m = draw(st.integers(-40, 40)), draw(st.integers(1, 30))
+    q = draw(nonzero) if field.d else 0
+    x = field.scalar(n, m) + _sqrt_d(field) * field.scalar(q, draw(st.integers(1, 30)))
+    shape = draw(st.sampled_from(["power", "power of a monomial", "rational", "monomial", "any"]))
+    r = draw(st.integers(2, 9))
+    if shape == "power":  # an r-th power: the root exists in the field
+        return r, _pow(x, r)
+    if shape == "power of a monomial":
+        return r, _pow(_sqrt_d(field) * field.scalar(q, m) if field.d else field.scalar(n, m), r)
+    if shape == "rational":  # with non-square denominators
+        return r, field.scalar(n, m)
+    if shape == "monomial":
+        return r, _sqrt_d(field) * field.scalar(n, m)
+    return r, x
+
+
+def _pow(x, r):
+    out = x.field.one()
+    for _ in range(r):
+        out = out * x
+    return out
+
+
+def _outcome(f, *args):
+    try:
+        return ("value", f(*args))
+    except Exception as exc:  # the message must match, not only the type
+        return (type(exc).__name__, str(exc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(radicands())
+def test_roots_match_the_fraction_reference(case):
+    r, y = case
+    assert _outcome(y.sqrt) == _outcome(ref_sqrt, y)
+    assert _outcome(y.root, r) == _outcome(ref_root, y, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(bool))
+def test_fraction_lifts_like_its_int_pair(field, n, m):
+    assert field.scalar(Fraction(n, m)) == field.scalar(n, m)
+    assert _parts(field.scalar(n, m)) == (Fraction(n, m), 0)

@@ -187,7 +187,7 @@ def test_canonical_vector_su3_fixture_zero():
 def test_canonical_vector_spin7_two_certificate():
     s = fixture_structure("nonintSpin7Two")
     t = torsion_spin7(s)
-    v = canonical_vector(s, torsion=t)
+    v = canonical_vector(s)
     # V = (7/6) theta-sharp
     assert v == musical_inv(t["lee"].scale(Fraction(7, 6)), s.geometry)
     cert = parallel_certificate(bismut_connection(s.frame, bismut_torsion(s, t)), v)
@@ -224,7 +224,7 @@ def test_rigidity_balanced_strong_example():
     t = torsion_g2(s)
     assert t["lee"].is_zero()
     assert s.frame.d(bismut_torsion(s, t)).is_zero()
-    lhs, rhs = g2_rigidity_identity(s, torsion=t)
+    lhs, rhs = g2_rigidity_identity(s)
     assert lhs == rhs == Q.one()
 
 
