@@ -75,12 +75,7 @@ def build_parser():
 
 def _load(args):
     doc = parse_file(args.file)
-    df = None
-    if args.df is not None:
-        df = _parse_form(args.df, doc, 1, "--df")
-    declared = df if df is not None else doc.df
-    if declared is not None and not doc.frame().d(declared).is_zero():
-        raise ParseError("df must be a closed 1-form: d(df) != 0")
+    df = None if args.df is None else _parse_form(args.df, doc, 1, "--df")
     return doc, df
 
 

@@ -4,6 +4,7 @@ commands from a parsed input document."""
 from __future__ import annotations
 
 from .forms import KForm
+from .parser import ParseError
 from .report import Report, form_str, matrix_norm_sq, scalar_str, vector_str
 from .reduction import (
     ReductionError,
@@ -14,7 +15,6 @@ from .reduction import (
     splitting_check,
 )
 from .soliton import (
-    SolitonData,
     canonical_vector,
     grs_residual,
     parallel_certificate,
@@ -39,15 +39,19 @@ def _torsion_report(torsion, labels):
 
 def _potential(doc, df: KForm | None) -> KForm:
     """The soliton potential's gradient: ``df`` (the --df flag), else the
-    document's df block, else 0."""
+    document's df block, else 0.  Every command reads it first, so a df that
+    is not closed is reported before any structure error."""
     df = df if df is not None else doc.df
-    if df is not None:
-        return df
-    s = doc.structure()
-    return KForm.zero(s.n, 1, s.field)
+    if df is None:
+        s = doc.structure()
+        return KForm.zero(s.n, 1, s.field)
+    if not doc.frame().d(df).is_zero():
+        raise ParseError("df must be a closed 1-form: d(df) != 0")
+    return df
 
 
 def run_check(doc, df: KForm | None = None) -> Report:
+    df = _potential(doc, df)
     s = doc.structure()
     frame = s.frame
     labels = list(frame.labels)
@@ -69,21 +73,18 @@ def run_check(doc, df: KForm | None = None) -> Report:
     rep.set("strong_torsion", strong)
     rep.set("torsion_oracle_agree", solve_skew_torsion(s) == h)
 
-    df = _potential(doc, df)
     v = canonical_vector(s, df)
     rep.set("canonical_vector", vector_str(v, labels))
     cert = parallel_certificate(s.bismut, v)
     rep.set("canonical_vector_parallel", cert["parallel"])
     rep.set("canonical_vector_norm_sq", scalar_str(cert["norm_sq"]))
 
-    data = SolitonData.of(s, v, df=df)
-    res_sq = matrix_norm_sq(grs_residual(data))
+    res_sq = matrix_norm_sq(grs_residual(s, v))
     rep.set("grs_residual_norm_sq", scalar_str(res_sq))
     rep.set("grs_residual_zero", res_sq.is_zero())
-    rep.set("weighted_scalar", scalar_str(weighted_scalar(data)))
+    rep.set("weighted_scalar", scalar_str(weighted_scalar(s, v)))
     if doc.flux is not None:
-        data_f = SolitonData.of(s, v, df=df, f=doc.flux)
-        s1, s2, s3 = string_grs_residual(data_f)
+        s1, s2, s3 = string_grs_residual(s, v, doc.flux)
         rep.set(
             "string_grs_residual_zero",
             matrix_norm_sq(s1).is_zero() and s2.is_zero() and s3.is_zero(),
@@ -131,6 +132,7 @@ def run_reduce(doc, df: KForm | None = None, raw_only: bool = False) -> Report:
 
 
 def run_extend(doc, target: str | None = None, df: KForm | None = None) -> Report:
+    df = _potential(doc, df)
     s = doc.structure()
     if doc.flux is None:
         raise StructureError("extend needs a flux block (F = ...)")
@@ -138,7 +140,7 @@ def run_extend(doc, target: str | None = None, df: KForm | None = None) -> Repor
         target = next((k for k, row in KINDS.items() if row.reduces_to == s.kind), None)
         if target is None:
             raise StructureError(f"no extension target for kind {s.kind!r}")
-    ext = central_extend(s, doc.flux, target, df=_potential(doc, df))
+    ext = central_extend(s, doc.flux, target, df=df)
     new_frame = ext["frame"]
     labels = list(new_frame.labels)
     rep = Report()

@@ -207,14 +207,11 @@ def levi_civita(frame: LieAlgebraFrame) -> ConnectionCoeffs:
     return ConnectionCoeffs(frame, _last_index(_settle(field, low), geom, up=True))
 
 
-def bismut_connection(frame: LieAlgebraFrame, h: KForm, lc: ConnectionCoeffs | None = None) -> ConnectionCoeffs:
-    """nabla = D + (1/2) g^{-1} H: <nabla_i e_j, e_k> = <D_i e_j, e_k> + H(e_i,e_j,e_k)/2.
-
-    ``lc`` is the Levi-Civita connection D of ``frame`` when already built.
-    """
+def bismut_connection(frame: LieAlgebraFrame, h: KForm, lc: ConnectionCoeffs) -> ConnectionCoeffs:
+    """nabla = D + (1/2) g^{-1} H: <nabla_i e_j, e_k> = <D_i e_j, e_k> + H(e_i,e_j,e_k)/2,
+    with ``lc`` the Levi-Civita connection D of ``frame``."""
     if h.k != 3:
         raise GeometryError("torsion form must have degree 3")
-    lc = lc or levi_civita(frame)
     field = frame.field
     half = field.scalar(1, 2)
     low = {}

@@ -15,16 +15,19 @@ G2 -> SU(3) and Spin(7) -> G2 run one driver: the parallel form splits along
 V as mu ^ alpha + beta (``split_parallel_form``), and alpha (with beta for
 SU(3)) moves to the slice.  ``central_extend`` rebuilds mu ^ alpha + beta.
 
-A reduction builds no connection or curvature: it reads them from the input
-structure's analysis (the constant rescaling g -> lam^2 g, H -> lam^2 H to
-unit |V| leaves them unchanged) and moves a (0,2)-tensor M into the adapted
-frame as B M B^T, the adapted vectors being the rows of B.  Nor does the
-unit-|V| copy analyse itself: torsion is first order, so it inherits the
-input's torsion classes, Lee form and H, each of degree k scaled by
-lam^(k-1), and only the input and the slice run the torsion solvers and
-the closed formula for H.  Every metric is a frame's: the input
-structure's frame carries g, the unit-|V| structure's copy of it lam^2 g,
-and the slice the transverse g^.
+After V is found, every step of the normalized reduction reads one
+structure, the unit-|V| copy of the input (``_unit_length``), and the
+``ReductionResult`` carries it.  The copy does not analyse itself: the
+constant rescaling g -> lam^2 g, H -> lam^2 H to unit |V| leaves the
+Levi-Civita and Bismut connections and the Bismut Ricci tensor unchanged,
+so it inherits them from the input, and torsion is first order, so it
+inherits the input's torsion classes, Lee form and H, each of degree k
+scaled by lam^(k-1).  So a reduction builds no connection or curvature, and
+only the input and the slice run the torsion solvers and the closed formula
+for H.  A (0,2)-tensor M moves into the adapted frame as B M B^T, the
+adapted vectors being the rows of B.  Every metric is a frame's: the input
+structure's frame carries g, the unit-|V| copy's lam^2 g, and the slice the
+transverse g^.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .forms import (
     VectorField,
     _mat_inverse,
     _trusted,
-    contract_2_3,
     hodge_star,
     indices_of,
     interior,
@@ -49,9 +51,7 @@ from .forms import (
 from .frames import (
     LieAlgebraFrame,
     change_frame,
-    codifferential,
     covariant_derivative_oneform,
-    levi_civita,
     transform_bilinear,
     transform_vector,
 )
@@ -68,7 +68,7 @@ from .structures import (
     spin7_assemble,
     su3_assemble,
 )
-from .soliton import canonical_vector
+from .soliton import canonical_vector, flux_residual
 
 __all__ = [
     "ReductionError",
@@ -241,15 +241,22 @@ class TransverseSlice:
 
 
 class ReductionResult:
-    # the input structure of a reduction, once one sets it; its analysis
-    # supplies the Levi-Civita and Bismut connections, which the constant
-    # rescaling of the frame's metric to unit |V| leaves unchanged
-    structure = None
+    """The split of a structure with skew torsion H along a Bismut-parallel
+    unit vector V: ``reduce_pair`` sets the structure, V, mu = V^flat, the
+    flux F = d mu, H^ = H - mu ^ F, d H^ and the anomaly d H^ + F ^ F;
+    ``_reduce`` then sets the reduced forms (in report order), the reduced
+    structure and its torsion classes, df, F and H^ on the slice, and the
+    verifier table."""
 
-    def __init__(self, **kw):
-        self.__dict__.update(kw)
-        self.verifier = kw.get("verifier", {})
-        self.forms = kw.get("forms", {})  # reduced form name -> form, in report order
+    def __init__(self, structure: GStructure, v: VectorField, mu: KForm, flux: KForm,
+                 h_hat: KForm, dh_hat: KForm, anomaly: KForm):
+        self.structure = structure
+        self.v, self.mu, self.flux = v, mu, flux
+        self.h_hat, self.dh_hat, self.anomaly = h_hat, dh_hat, anomaly
+        self.forms = {}  # reduced form name -> form, in report order
+        self.verifier = {}
+        self.reduced_structure = self.reduced_torsion = None
+        self.df_slice = self.flux_slice = self.h_hat_slice = None
 
     def __getattr__(self, name):
         # the reduced forms read as attributes: red.omega, red.omega_plus, red.phi
@@ -265,29 +272,20 @@ class ReductionResult:
     # norms, which can leave the scalar field; build it only when used
     @cached_property
     def adapted(self) -> AdaptedFrame:
-        return adapt_frame(self.frame, self.v)
+        return adapt_frame(self.structure.frame, self.v)
 
     @cached_property
     def transverse(self) -> TransverseSlice:
         return TransverseSlice(self.adapted)
 
 
-def reduce_pair(frame, h: KForm, v: VectorField, normalize: bool = False) -> ReductionResult:
-    """String-ansatz split along a Bismut-parallel unit V:
+def reduce_pair(s: GStructure, v: VectorField) -> ReductionResult:
+    """String-ansatz split of ``s`` along a Bismut-parallel unit V:
     mu = V^flat, F = d mu, g = mu x mu + g^, H = mu ^ F + H^ with H^ basic."""
-    geom = frame.geometry
-    field = frame.field
-    if normalize:
-        nrm2 = geom.norm_sq(v)
-        if nrm2.is_zero():
-            raise ReductionError("V = 0: nothing to reduce along")
-        try:
-            v = v.scale(nrm2.sqrt().inverse())
-        except NotRepresentable as exc:
-            raise ReductionError(f"|V| = sqrt({nrm2}) is not in the scalar field") from exc
-    elif not (geom.norm_sq(v) - field.one()).is_zero():
-        raise ReductionError("|V| != 1 (pass normalize=True to rescale)")
-    mu = musical(v, geom)
+    frame, h = s.frame, s.h
+    if not (s.geometry.norm_sq(v) - s.field.one()).is_zero():
+        raise ReductionError("|V| != 1")
+    mu = musical(v, s.geometry)
     f2 = frame.d(mu)
     if f2 != interior(v, h):
         raise ReductionError("d mu != i_V H: V is not Bismut-parallel for this torsion")
@@ -297,17 +295,7 @@ def reduce_pair(frame, h: KForm, v: VectorField, normalize: bool = False) -> Red
     dh_hat = frame.d(h_hat)
     if not interior(v, dh_hat).is_zero():
         raise ReductionError("H^ is not basic: L_V H^ != 0")
-    anomaly = dh_hat + wedge(f2, f2)
-    return ReductionResult(
-        frame=frame,
-        v=v,
-        mu=mu,
-        flux=f2,
-        h=h,
-        h_hat=h_hat,
-        dh_hat=dh_hat,
-        anomaly=anomaly,
-    )
+    return ReductionResult(s, v, mu, f2, h_hat, dh_hat, dh_hat + wedge(f2, f2))
 
 
 def split_parallel_form(phi: KForm, v: VectorField, mu: KForm | None):
@@ -324,28 +312,23 @@ def _slice_form(red: ReductionResult, ambient_form: KForm, context: str) -> KFor
     return red.transverse.restrict(ad, context)
 
 
-def string_residual_on_slice(red: ReductionResult, ambient: GStructure, df: KForm) -> dict:
+def string_residual_on_slice(red: ReductionResult, df: KForm) -> dict:
     """Verifier entries for the string-GRS residual triple of the transverse
     data (g^, F, H^, f), with df, F and H^ on the slice read from ``red``.
 
     Slot 1 uses the submersion identity Rc^q = Rc^ambient|hor + <i.F, i.F>
     (see module docstring) combined with the endomorphism-square F^2 term:
     it is the horizontal block of the ambient Rc^nabla + nabla df, with
-    nabla and Rc^nabla read from the analysis of ``ambient`` and moved into
-    the adapted frame by a change of basis.  Slots 2 and 3 are computed
-    directly on the slice.
+    nabla and Rc^nabla read from the analysis of ``red.structure`` and moved
+    into the adapted frame by a change of basis.  Slot 2 is the flux
+    equation on the slice, slot 3 the anomaly.
     """
-    sl = red.transverse
-    m = sl.n
+    sl, s = red.transverse, red.structure
     # Rc^q + F^2_endo + nabla df = (Rc^amb + F^2_pos) - F^2_pos + nabla df
-    ric = ambient.bismut_ricci
-    ndf = covariant_derivative_oneform(ambient.frame, ambient.bismut, df)
-    mat = [[r + x for r, x in zip(ric_row, ndf_row)] for ric_row, ndf_row in zip(ric, ndf)]
-    slot1 = transform_bilinear(mat, red.adapted.b[:m], sl.field)
-    # one-form equation: d*F - <F, H^> + i_{df#} F on the slice
-    f_sl, h_hat_sl = red.flux_slice, red.h_hat_slice
-    xvec = musical_inv(red.df_slice, sl.geometry)
-    slot2 = codifferential(sl, f_sl) - contract_2_3(f_sl, h_hat_sl, sl.geometry) + interior(xvec, f_sl)
+    ndf = covariant_derivative_oneform(s.frame, s.bismut, df)
+    mat = [[r + x for r, x in zip(ric_row, ndf_row)] for ric_row, ndf_row in zip(s.bismut_ricci, ndf)]
+    slot1 = transform_bilinear(mat, red.adapted.b[: sl.n], sl.field)
+    slot2 = flux_residual(sl, red.flux_slice, red.h_hat_slice, musical_inv(red.df_slice, sl.geometry))
     return {
         "string GRS slot1": all(x.is_zero() for row in slot1 for x in row),
         "string GRS slot2": slot2.is_zero(),
@@ -389,9 +372,10 @@ def _g2_of_spin7(red: ReductionResult):
     })
 
 
-def _su3_verifier(red: ReductionResult, unit: GStructure, vhat_ad: VectorField, beta_ad: KForm) -> dict:
+def _su3_verifier(red: ReductionResult, vhat_ad: VectorField, beta_ad: KForm) -> dict:
     """The displayed transverse identities of the SU(3) quotient of G2."""
     sl, struct, rt, df_sl = red.transverse, red.reduced_structure, red.reduced_torsion, red.df_slice
+    unit = red.structure
     field = sl.field
     omega, omega_plus = red.omega, red.omega_plus
     tau0 = unit.torsion["tau0"]
@@ -425,9 +409,10 @@ def _su3_verifier(red: ReductionResult, unit: GStructure, vhat_ad: VectorField, 
     return table
 
 
-def _g2_verifier(red: ReductionResult, unit: GStructure, vhat_ad: VectorField, beta_ad: KForm) -> dict:
+def _g2_verifier(red: ReductionResult, vhat_ad: VectorField, beta_ad: KForm) -> dict:
     """The transverse identities of the G2 quotient of Spin(7)."""
     sl, struct, rt, df_sl, phi = red.transverse, red.reduced_structure, red.reduced_torsion, red.df_slice, red.phi
+    unit = red.structure
     table = {
         "tau0 = -6/7": rt["tau0"] == sl.field.scalar(-6, 7),
         "tau2 = 0": rt["tau2"].is_zero(),
@@ -442,7 +427,7 @@ def _g2_verifier(red: ReductionResult, unit: GStructure, vhat_ad: VectorField, b
     # Psi = mu ^ phi + star phi: the remainder of the split is star phi
     table["Psi = mu^phi + star phi"] = beta_ad == sl.embed(star_phi)
     # d theta_Psi lands in Lambda^2_21 upstairs and Lambda^2_14 downstairs
-    dtheta = red.frame.d(red.structure.torsion["lee"])
+    dtheta = unit.d(unit.torsion["lee"])
     table["d theta in Lambda^2_21"] = project(unit, dtheta)["7"].is_zero()
     table["d theta in Lambda^2_14"] = project(struct, _slice_form(red, dtheta, "d theta"))["7"].is_zero()
     # H^ = H_phi of the reduced structure
@@ -455,9 +440,10 @@ def _unit_length(s: GStructure, v: VectorField) -> tuple[GStructure, VectorField
     lam = |V|, that makes V unit length; s and V themselves when |V| = 1.
 
     The rescaling scales V by lam^{-2} and each form of degree k (3 or 4) by
-    lam^k, so nothing is reassembled.  Torsion is first order, so the copy
-    inherits the input's analysis instead of re-running it: each degree-k
-    torsion class and H scale by lam^(k-1), and theta is unchanged.
+    lam^k, so nothing is reassembled.  The copy inherits the input's
+    analysis instead of re-running it: the connections and the Bismut Ricci
+    tensor are unchanged, and, torsion being first order, each degree-k
+    torsion class and H scale by lam^(k-1) while theta is unchanged.
     """
     geom, field = s.geometry, s.field
     lam2 = geom.norm_sq(v)
@@ -473,6 +459,7 @@ def _unit_length(s: GStructure, v: VectorField) -> tuple[GStructure, VectorField
     unit = GStructure(s.kind, _on_metric(s.frame, scaled), {name: f.scale(power[f.k]) for name, f in s.forms.items()})
     unit.torsion = TorsionClasses(s.kind, {name: _rescaled(x, power) for name, x in s.torsion.components.items()})
     unit.lee, unit.h = s.lee, s.h.scale(lam2)
+    unit.levi_civita, unit.bismut, unit.bismut_ricci = s.levi_civita, s.bismut, s.bismut_ricci
     return unit, v.scale(lam2.inverse())
 
 
@@ -525,8 +512,7 @@ def _reduce(s: GStructure, df: KForm | None, kind: str) -> ReductionResult:
     if v.is_zero():
         raise ReductionError("rigid case: V = 0, no reduction")
     unit, v = _unit_length(s, v)
-    red = reduce_pair(unit.frame, unit.h, v, normalize=True)
-    red.structure = s
+    red = reduce_pair(unit, v)
     ad = red.adapted
     vhat_ad = ad.vector_to_adapted(red.v)
     split = split_parallel_form(ad.to_adapted(unit.form(form_name)), vhat_ad, ad.to_adapted(red.mu))
@@ -536,8 +522,8 @@ def _reduce(s: GStructure, df: KForm | None, kind: str) -> ReductionResult:
     red.df_slice = _slice_form(red, df, "df")
     red.flux_slice = _slice_form(red, red.flux, "F")
     red.h_hat_slice = _slice_form(red, red.h_hat, "H^")
-    grs = string_residual_on_slice(red, s, df)
-    red.verifier = {**verifier(red, unit, vhat_ad, split[1]), **grs}
+    grs = string_residual_on_slice(red, df)
+    red.verifier = {**verifier(red, vhat_ad, split[1]), **grs}
     return red
 
 
@@ -554,11 +540,10 @@ def reduce_spin7(s: GStructure, df: KForm | None = None) -> ReductionResult:
 def splitting_check(red: ReductionResult) -> dict:
     """The three equivalent splitting conditions
     (1) d H^ = 0, (2) d mu = 0, (3) D mu = 0 (Levi-Civita)."""
-    frame = red.frame
+    s = red.structure
     c1 = red.dh_hat.is_zero()
     c2 = red.flux.is_zero()
-    lc = red.structure.levi_civita if red.structure is not None else levi_civita(frame)
-    dmu = covariant_derivative_oneform(frame, lc, red.mu)
+    dmu = covariant_derivative_oneform(s.frame, s.levi_civita, red.mu)
     c3 = all(x.is_zero() for row in dmu for x in row)
     if not (c1 == c2 == c3):
         raise ReductionError("splitting conditions failed to be equivalent")

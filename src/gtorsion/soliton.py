@@ -10,8 +10,11 @@ The defining equations:
 
 where F^2 acts as the endomorphism square F_i^k F_kj (the negative of the
 positive-definite pairing <i_X F, i_Y F>); this sign is pinned by the
-reduced worked examples.  The metric is always the frame's (on a
-structure's frame, the structure's).
+reduced worked examples.  Every residual takes a structure and reads g, H,
+the Levi-Civita and Bismut connections and the Bismut Ricci tensor from its
+compute-once analysis; none builds a connection.  The flux equation
+(``flux_residual``) is shared with the reduction, which evaluates it on the
+transverse slice.
 """
 
 from __future__ import annotations
@@ -27,13 +30,7 @@ from .forms import (
     two_form_square,
     wedge,
 )
-from .frames import (
-    bismut_connection,
-    codifferential,
-    covariant_derivative_oneform,
-    curvature,
-    levi_civita,
-)
+from .frames import codifferential, covariant_derivative_oneform, curvature
 from .scalars import GTorsionError
 from .structures import (
     KINDS,
@@ -42,9 +39,9 @@ from .structures import (
 )
 
 __all__ = [
-    "SolitonData",
     "grs_residual",
     "string_grs_residual",
+    "flux_residual",
     "weighted_scalar",
     "canonical_vector",
     "parallel_certificate",
@@ -58,71 +55,23 @@ class PreconditionError(GTorsionError, ValueError):
     pass
 
 
-class SolitonData:
-    """Frame + torsion 3-form + soliton vector; optional invariant closed df
-    and string flux F.  The metric is the frame's.
-
-    Data built by ``SolitonData.of(s, ...)`` carries the structure ``s``,
-    and the residuals read its connections and curvature from the
-    structure's analysis instead of rebuilding them.
-    """
-
-    structure = None
-
-    def __init__(self, frame, h: KForm, x: VectorField, df: KForm | None = None, f: KForm | None = None):
-        self.frame = frame
-        if h.k != 3:
-            raise ValueError("H must be a 3-form")
-        self.h = h
-        self.x = x
-        self.df = df if df is not None else KForm.zero(frame.n, 1, frame.field)
-        if not frame.d(self.df).is_zero():
-            raise ValueError("df must be closed")
-        self.flux = f
-
-    @classmethod
-    def of(cls, s: GStructure, x: VectorField, df: KForm | None = None, f: KForm | None = None):
-        """Soliton data on the frame of ``s`` with H = ``s.h``."""
-        data = cls(s.frame, s.h, x, df=df, f=f)
-        data.structure = s
-        return data
-
-    def levi_civita(self):
-        s = self.structure
-        return s.levi_civita if s is not None else levi_civita(self.frame)
-
-    def bismut(self):
-        """The Bismut connection of (g, H) and its Ricci tensor."""
-        s = self.structure
-        if s is not None:
-            return s.bismut, s.bismut_ricci
-        conn = bismut_connection(self.frame, self.h)
-        return conn, curvature(self.frame, conn)
-
-
-def grs_residual(data: SolitonData):
+def grs_residual(s: GStructure, x: VectorField):
     """Rc^{nabla(g,H)} + nabla X^flat as an n x n Scalar matrix."""
-    frame = data.frame
-    conn, ricci = data.bismut()
-    xflat = musical(data.x, frame.geometry)
-    nx = covariant_derivative_oneform(frame, conn, xflat)
-    n = frame.n
-    return [[ricci[i][j] + nx[i][j] for j in range(n)] for i in range(n)]
+    nx = covariant_derivative_oneform(s.frame, s.bismut, musical(x, s.geometry))
+    return [[r + y for r, y in zip(r_row, nx_row)] for r_row, nx_row in zip(s.bismut_ricci, nx)]
 
 
-def string_grs_residual(data: SolitonData):
+def flux_residual(frame, f: KForm, h: KForm, x: VectorField) -> KForm:
+    """d*F - <F,H> + i_X F, the flux equation of string GRS; ``frame`` is a
+    LieAlgebraFrame or a transverse slice."""
+    return codifferential(frame, f) - contract_2_3(f, h, frame.geometry) + interior(x, f)
+
+
+def string_grs_residual(s: GStructure, x: VectorField, f: KForm):
     """The triple (Rc^nabla + F^2 + nabla X^flat, d*F - <F,H> + i_X F, dH + F^F)."""
-    if data.flux is None:
-        raise ValueError("string residual needs a flux 2-form F")
-    frame, geom = data.frame, data.frame.geometry
-    n = frame.n
-    f = data.flux
-    mat = grs_residual(data)
-    fsq = two_form_square(f, geom)
-    slot1 = [[mat[i][j] - fsq[i][j] for j in range(n)] for i in range(n)]
-    slot2 = codifferential(frame, f) - contract_2_3(f, data.h, geom) + interior(data.x, f)
-    slot3 = frame.d(data.h) + wedge(f, f)
-    return slot1, slot2, slot3
+    fsq = two_form_square(f, s.geometry)
+    slot1 = [[m - q for m, q in zip(m_row, q_row)] for m_row, q_row in zip(grs_residual(s, x), fsq)]
+    return slot1, flux_residual(s.frame, f, s.h, x), s.d(s.h) + wedge(f, f)
 
 
 def divergence(frame, x: VectorField, lc):
@@ -150,15 +99,13 @@ def scalar_curvature(frame, lc):
     return acc
 
 
-def weighted_scalar(data: SolitonData):
+def weighted_scalar(s: GStructure, x: VectorField):
     """R - (1/12)|H|^2 + 2 div X - |X|^2 (equals lambda + |V|^2 on solitons)."""
-    frame, geom = data.frame, data.frame.geometry
-    field = frame.field
-    lc = data.levi_civita()
-    r = scalar_curvature(frame, lc)
-    h2 = form_inner(data.h, data.h, geom)
-    divx = divergence(frame, data.x, lc)
-    x2 = geom.norm_sq(data.x)
+    geom, field, lc = s.geometry, s.field, s.levi_civita
+    r = scalar_curvature(s.frame, lc)
+    h2 = form_inner(s.h, s.h, geom)
+    divx = divergence(s.frame, x, lc)
+    x2 = geom.norm_sq(x)
     return r - h2 * field.scalar(1, 12) + divx * field.scalar(2) - x2
 
 

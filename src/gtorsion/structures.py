@@ -239,7 +239,7 @@ class GStructure:
     @cached_property
     def bismut(self):
         """Connection with skew torsion H."""
-        return bismut_connection(self.frame, self.h, lc=self.levi_civita)
+        return bismut_connection(self.frame, self.h, self.levi_civita)
 
     @cached_property
     def bismut_ricci(self):

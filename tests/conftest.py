@@ -17,11 +17,10 @@ from gtorsion.forms import (
     derivation_rows,
     mask_of,
     skew_three_form,
-    wedge,
 )
 from gtorsion.frames import LieAlgebraFrame, _last_index, change_frame, transform_form
 from gtorsion.parser import parse
-from gtorsion.structures import _model_forms
+from gtorsion.structures import GStructure, _model_forms
 from gtorsion.scalars import NotRepresentable, QuadraticField, RationalField, _int_root
 
 Q = RationalField()
@@ -151,9 +150,15 @@ def sheared_text(text, step):
     """The input in the coframe f = A e, A = I + sum_i E_{i, i+step}, as
     input text with its metric rows."""
     doc = parse(text)
+    return coframe_text(text, band_shear(doc.field, doc.dim, step))
+
+
+def coframe_text(text, a):
+    """The input in the coframe f = A e, A an invertible matrix of scalars of
+    the input's field, as input text with its metric rows."""
+    doc = parse(text)
     frame = doc.frame()
     field = doc.field
-    a = band_shear(field, frame.n, step)
     new = change_frame(frame, a, new_labels=list(frame.labels), validate=False)
     ainv = _mat_inverse(a, field)
     doc.coframe = {lab: new.coframe_d[i] for i, lab in enumerate(frame.labels)}
@@ -359,10 +364,14 @@ def model_form(kind, n, field):
     return forms if len(forms) > 1 else forms[0]
 
 
-def bianchi(data) -> KForm:
-    """dH of a ``SolitonData``, plus F ^ F when it carries a flux."""
-    out = data.frame.d(data.h)
-    return out if data.flux is None else out + wedge(data.flux, data.flux)
+def with_h(frame, h) -> GStructure:
+    """A structure on ``frame`` with no forms whose skew torsion is ``h``:
+    the soliton and reduction routines read H, the connections and the
+    curvature from a structure's analysis, and this one builds them from
+    ``frame`` and ``h`` alone."""
+    s = GStructure(None, frame, {})
+    s.h = h
+    return s
 
 
 def rational_parts(x) -> tuple:

@@ -25,6 +25,7 @@ from gtorsion.forms import (
     wedge,
 )
 from gtorsion.frames import bismut_connection
+from gtorsion import reduction
 from gtorsion.reduction import (
     central_extend,
     raw_reduction,
@@ -34,7 +35,6 @@ from gtorsion.reduction import (
     splitting_check,
 )
 from gtorsion.soliton import (
-    SolitonData,
     canonical_vector,
     grs_residual,
     spin7_dilatino_residual,
@@ -201,7 +201,7 @@ def test_criterion_5_spin7_su3():
            s.frame.d(t["lee"]) == dtheta_stated, s.frame.d(t["lee"]))
     _check(failures, "dilatino residual = 0", spin7_dilatino_residual(s).is_zero())
     h = bismut_torsion(s, t)
-    conn = bismut_connection(s.frame, h)
+    conn = bismut_connection(s.frame, h, s.levi_civita)
     _check(failures, "Bismut curvature of (g, H_Psi) identically zero", not Riemann(conn).entries)
     _finish("criterion 5 (spin7 su3 example)", failures)
 
@@ -213,9 +213,8 @@ def test_criterion_6_soliton_residuals():
     failures = []
     for name in ("nonintG2", "nonintG2nonclosedLee", "nonintSpin7OneA", "nonintSpin7Two"):
         s = fixture_structure(name)
-        h = bismut_torsion(s)
         v = canonical_vector(s)  # theta# resp. (7/6) theta#
-        res = grs_residual(SolitonData(s.frame, h, v))
+        res = grs_residual(s, v)
         ok = all(x.is_zero() for row in res for x in row)
         _check(failures, f"Rc + nabla X-flat = 0 on {name}", ok)
     _finish("criterion 6 (soliton residuals)", failures)
@@ -351,8 +350,8 @@ def test_criterion_8_property_suites(rng):
             rot = rotation_matrix(7, rng, field=base.field)
             fr2, (phi2,) = rotate_frame_and_forms(base.frame, [base.form("phi")], rot)
             s2 = g2_assemble(phi2, fr2)
-            red = reduce_pair(s2.frame, bismut_torsion(s2), canonical_vector(s2), normalize=True)
-            if red.h != wedge(red.mu, red.flux) + red.h_hat:
+            red = reduce_pair(*reduction._unit_length(s2, canonical_vector(s2)))
+            if red.structure.h != wedge(red.mu, red.flux) + red.h_hat:
                 failures.append("string ansatz reassembly failed")
             if not red.anomaly.is_zero():
                 failures.append("anomaly nonzero on strong input")

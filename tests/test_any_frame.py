@@ -3,10 +3,10 @@ structures in any frame.  Both are traces: theta contracts H with omega's
 indices raised by g, rho traces J against the Bismut symbols with no metric
 and no curvature tensor.  So they agree with the frame-vector sums they
 replaced on orthonormal frames, move covariantly under any change of frame
-(as does the Nijenhuis form), ``check`` on a sheared
-fixture reports the fixture's values, and ``extend`` accepts a sheared
-SU(3) quotient.  ``reduce`` rescales to unit |V| on the declared frame, so
-a sheared G2 fixture reaches the adapted frame."""
+(as does the Nijenhuis form), ``check`` on a fixture in a sheared or a
+drawn frame reports the fixture's values, and ``extend`` accepts the SU(3)
+quotient in such frames.  ``reduce`` rescales to unit |V| on the declared
+frame, so a sheared G2 fixture reaches the adapted frame."""
 
 import json
 import random
@@ -21,6 +21,7 @@ from conftest import (
     S3XT4_G2,
     Riemann,
     band_shear,
+    coframe_text,
     fixture_structure,
     model_form,
     random_kform,
@@ -196,36 +197,74 @@ def test_traces_and_nijenhuis_move_covariantly_on_nonintsu3(step):
 _INPUTS = {**{name: registry.input_text(name) for name in registry.names()}, "s3xt4": S3XT4_G2}
 
 
-@pytest.mark.parametrize("step", [1, 2, 3])
+@st.composite
+def drawn_frames(draw, field, n):
+    """A = U P for the coframe f = A e: U unit upper triangular with entries
+    drawn from -1, 0, 1 and 1/2, P the matrix of a drawn even permutation of
+    the n labels (so A keeps the orientation)."""
+    perm = draw(st.permutations(range(n)))
+    if sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n)) % 2:
+        perm[0], perm[1] = perm[1], perm[0]
+    upper = iter(draw(st.lists(st.sampled_from([-1, 0, 1, Fraction(1, 2)]), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)))
+    u = [[1 if i == j else next(upper) if j > i else 0 for j in range(n)] for i in range(n)]
+    a = [[field.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(n):  # (U P)[i][perm[k]] = U[i][k]
+            a[i][perm[k]] = field.scalar(u[i][k])
+    return a
+
+
+def _in_drawn_frames(field, n, check):
+    """Run ``check(A)`` on a few drawn frames A (``drawn_frames``)."""
+    settings(max_examples=2, deadline=None, derandomize=True)(given(drawn_frames(field, n))(check))()
+
+
+@pytest.mark.parametrize("step", [1, 2, 3, "drawn"])
 @pytest.mark.parametrize("name", sorted(_INPUTS))
 def test_check_on_sheared_input_reports_unsheared_values(name, step):
-    # the declared metric rows are not diagonal, so the frame's metric meets
-    # the structure's; before theta became a trace, sheared nonintsu3 gave
-    # lee_form -2*eta1 + 2*eta2 - 2*eta5 + 2*eta6 (step 1) and 2*eta1 +
-    # 2*eta3 - 2*eta4 + 2*eta5 - 2*eta6 (step 3), both with |V|^2 = 12 and
-    # weighted scalar 32/3
-    want = json.loads(engine.run_check(parse(_INPUTS[name])).to_json())
-    doc = parse(sheared_text(_INPUTS[name], step))
-    n = doc.dim
-    assert any(not doc.metric[i][j].is_zero() for i in range(n) for j in range(n) if i != j)
-    got = json.loads(engine.run_check(doc).to_json())
+    # the declared metric rows of a band shear are not diagonal, so the
+    # frame's metric meets the structure's; before theta became a trace,
+    # sheared nonintsu3 gave lee_form -2*eta1 + 2*eta2 - 2*eta5 + 2*eta6
+    # (step 1) and 2*eta1 + 2*eta3 - 2*eta4 + 2*eta5 - 2*eta6 (step 3), both
+    # with |V|^2 = 12 and weighted scalar 32/3
+    text = _INPUTS[name]
+    doc = parse(text)
+    want = json.loads(engine.run_check(doc).to_json())
     keys = ["strong_torsion", "torsion_oracle_agree", "grs_residual_zero", "weighted_scalar", "canonical_vector_norm_sq"]
     keys += [key for key in ("dilatino_residual", "nijenhuis_zero", "bismut_ricci_form_zero") if key in want]
     if want["lee_form"] == "0":  # a zero form reads 0 in every frame
         keys.append("lee_form")
-    for key in keys:
-        assert got[key] == want[key], key
+
+    def check(a):
+        got = json.loads(engine.run_check(parse(coframe_text(text, a))).to_json())
+        for key in keys:
+            assert got[key] == want[key], key
+
+    n = doc.dim
+    if step == "drawn":
+        _in_drawn_frames(doc.field, n, check)
+        return
+    a = band_shear(doc.field, n, step)
+    sheared = parse(coframe_text(text, a))
+    assert any(not sheared.metric[i][j].is_zero() for i in range(n) for j in range(n) if i != j)
+    check(a)
 
 
-@pytest.mark.parametrize("step", [1, 2, 3, 4])
+@pytest.mark.parametrize("step", [1, 2, 3, 4, "drawn"])
 def test_extend_on_sheared_su3_quotient(step):
     # the SU(3) quotient of nonintG2 has theta_omega = 0 = df in every frame;
     # before theta became a trace, steps 1, 2 and 4 failed with "extension
     # hypotheses violated: theta_omega != df"
     s = quotient_su3_of_nonintG2()[3]
-    t, _ = _in_frame(s, band_shear(s.field, 6, step))
-    rep = run_extend(_Doc(t))
-    assert (rep.data["kind"], rep.data["strong_torsion"], rep.data["torsion_matches_formula"]) == ("g2", True, True)
+
+    def check(a):
+        rep = run_extend(_Doc(_in_frame(s, a)[0]))
+        assert (rep.data["kind"], rep.data["strong_torsion"], rep.data["torsion_matches_formula"]) == ("g2", True, True)
+
+    if step == "drawn":
+        _in_drawn_frames(s.field, 6, check)
+    else:
+        check(band_shear(s.field, 6, step))
 
 
 @pytest.mark.parametrize("step, error", [

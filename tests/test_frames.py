@@ -189,7 +189,7 @@ def test_levi_civita_unique_by_independent_solve(rng):
 def test_bismut_zero_torsion_is_levi_civita():
     fr = su2su2_frame()
     lc = levi_civita(fr)
-    bc = bismut_connection(fr, KForm.zero(6, 3, Q))
+    bc = bismut_connection(fr, KForm.zero(6, 3, Q), lc)
     for i in range(6):
         for j in range(6):
             assert bc.gamma[i][j] == lc.gamma[i][j]
@@ -201,7 +201,7 @@ def test_bismut_torsion_roundtrip(rng):
         rot = rotation_matrix(6, rng)
         fr, _ = rotate_frame_and_forms(su2su2_frame(), [], rot)
         h = random_kform(6, 3, Q, rng, density=0.3)
-        bc = bismut_connection(fr, h)
+        bc = bismut_connection(fr, h, levi_civita(fr))
         assert torsion_form(bc) == h
         assert metric_compatible(bc, fr.geometry)
         cases += 1
@@ -213,7 +213,8 @@ def test_cartan_connection_flat():
     h = cartan_three_form(fr)
     assert h == KForm.from_terms(6, Q, [((1, 2, 3), 2), ((4, 5, 6), 2)])
     zero = [[Q.zero()] * 6 for _ in range(6)]
-    for conn in (bismut_connection(fr, h), bismut_connection(fr, -h)):
+    lc = levi_civita(fr)
+    for conn in (bismut_connection(fr, h, lc), bismut_connection(fr, -h, lc)):
         assert not Riemann(conn).entries
         assert curvature(fr, conn) == zero
 
@@ -244,7 +245,7 @@ def test_first_bianchi_torsion_correction(rng):
         fr, _ = rotate_frame_and_forms(su2su2_frame(), [], rot)
         geom = fr.geometry
         h = random_kform(6, 3, Q, rng, density=0.25, span=2)
-        conn = bismut_connection(fr, h)
+        conn = bismut_connection(fr, h, levi_civita(fr))
         cur = Riemann(conn)
         basis = [VectorField.basis(6, Q, i) for i in range(1, 7)]
 
@@ -308,7 +309,7 @@ def test_parallel_volume(rng):
         rot = rotation_matrix(6, rng)
         fr, _ = rotate_frame_and_forms(su2su2_frame(), [], rot)
         h = random_kform(6, 3, Q, rng, density=0.3)
-        conn = bismut_connection(fr, h)
+        conn = bismut_connection(fr, h, levi_civita(fr))
         vol = fr.geometry.volume_form()
         assert all(f.is_zero() for f in covariant_derivative_form(fr, conn, vol))
 
@@ -316,7 +317,7 @@ def test_parallel_volume(rng):
 def test_covariant_derivative_oneform_matches_form_version(rng):
     fr = su2su2u1_frame()
     h = random_kform(7, 3, Q, rng, density=0.3)
-    conn = bismut_connection(fr, h)
+    conn = bismut_connection(fr, h, levi_civita(fr))
     theta = random_kform(7, 1, Q, rng, density=0.8)
     mat = covariant_derivative_oneform(fr, conn, theta)
     forms = covariant_derivative_form(fr, conn, theta)

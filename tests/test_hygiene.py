@@ -5,10 +5,11 @@ or ``numbers`` (a Scalar is the one exact number, and the command-line import
 stays free of them), and each kernel has one home: ``_merge_sign`` is
 called only where it fills the sign table, ``mask_of`` only inside ``KForm``,
 ``echelon`` is the one row reduction and ``_wedge_row`` is called only by the
-minors table and the change of frame.  A frame carries its one metric, so no
-function takes a metric beside a frame.  Every public function and method in
-the package has a reader in the package or is named in ``API`` with the
-reason it stays.  Standard library only."""
+minors table and the change of frame, and the connections and the Bismut
+curvature are built only in a structure's analysis.  A frame carries its
+one metric, so no function takes a metric beside a frame.  Every public
+function and method in the package has a reader in the package or is named
+in ``API`` with the reason it stays.  Standard library only."""
 
 import ast
 import os
@@ -141,6 +142,25 @@ def test_echelon_is_the_one_row_reduction():
 def test_wedge_row_only_expands_minors():
     sites = sorted(f"{path.name}:{where}" for path in SRC for where in call_sites(path.read_text(), "_wedge_row"))
     assert sites == ["forms.py:_minors", "forms.py:transform_form"]
+
+
+def test_connections_are_built_only_in_the_analysis():
+    # GStructure's cached properties build the Levi-Civita and Bismut
+    # connections and the Bismut Ricci tensor; soliton.scalar_curvature
+    # traces the Levi-Civita Ricci tensor, and the soliton residuals and the
+    # reduction read the rest from a structure
+    sites = {name: sorted(f"{path.name}:{where}" for path in SRC for where in call_sites(path.read_text(), name))
+             for name in ("levi_civita", "bismut_connection", "curvature")}
+    assert sites == {
+        "levi_civita": ["structures.py:GStructure"],
+        "bismut_connection": ["structures.py:GStructure"],
+        "curvature": ["soliton.py:scalar_curvature", "structures.py:GStructure"],
+    }
+    for path in SRC:
+        if path.name in ("reduction.py", "soliton.py"):
+            names = {alias.asname or alias.name for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+            assert names & {"levi_civita", "bismut_connection"} == set(), path.name
 
 
 def metric_beside_frame(source: str) -> list[str]:

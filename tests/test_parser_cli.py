@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import PSI_ALL_PLUS, Q, Q2, Q3, S3XT4_G2, sheared_text
-from gtorsion import cli, registry
+from gtorsion import cli, engine, registry
 from gtorsion.cli import main
 from gtorsion.engine import run_check
 from gtorsion.forms import GeometryError, KForm
@@ -544,6 +544,22 @@ def test_cli_bad_input_one_line_and_exit_code(tmp_path, capsys, text, flags, cod
     err = capsys.readouterr().err
     assert message in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["run_check", "run_reduce", "run_extend"])
+@pytest.mark.parametrize("metric", ["induced", "disagreeing"])
+def test_engine_rejects_a_df_block_that_is_not_closed(command, metric):
+    # every command reads the potential before the structure, so in-process
+    # callers get the CLI's parse error, ahead of a structure error too
+    text = registry.input_text("nonintG2") + "vector df = e1\nflux F = 0\n"
+    if metric == "disagreeing":  # phi with its e1 terms doubled induces diag(4, 1, ..., 1)
+        for term in ("e1^e4^e7", "e1^e2^e3", "e1^e5^e6"):
+            text = text.replace(term, "2*" + term)
+        with pytest.raises(StructureError, match="declared frame metric disagrees"):
+            parse(text).structure()
+    with pytest.raises(ParseError) as info:
+        getattr(engine, command)(parse(text))
+    assert str(info.value) == "df must be a closed 1-form: d(df) != 0"
 
 
 def test_cli_removed_flag_before_subcommand_one_line(capsys):

@@ -19,6 +19,7 @@ from conftest import (
     sheared_text,
     su2su2u1_frame,
     to_ambient,
+    with_h,
 )
 from gtorsion.forms import (
     FrameGeometry,
@@ -53,7 +54,6 @@ from gtorsion.reduction import (
 from gtorsion.structures import (
     GStructure,
     StructureError,
-    bismut_torsion,
     g2_assemble,
     spin7_assemble,
     su3_assemble,
@@ -147,22 +147,19 @@ def test_adapt_frame_rejects_zero():
 
 def test_reduce_pair_roundtrip_identity():
     s = fixture_structure("nonintG2")
-    h = bismut_torsion(s)
-    v = canonical_vector(s)
-    red = reduce_pair(s.frame, h, v)
-    assert red.h == wedge(red.mu, red.flux) + red.h_hat
+    red = reduce_pair(s, canonical_vector(s))
+    assert s.h == wedge(red.mu, red.flux) + red.h_hat
     # g = mu (x) mu + g^ holds by construction of the adapted orthonormal frame
     assert red.anomaly.is_zero()
     assert interior(red.v, red.h_hat).is_zero()
 
 
-def test_reduce_pair_requires_unit_or_normalize():
+def test_reduce_pair_requires_unit_length():
     s = fixture_structure("nonintG2nonclosedLee")
-    h = bismut_torsion(s)
     v = canonical_vector(s)  # |V| = sqrt2
-    with pytest.raises(ReductionError, match="normalize"):
-        reduce_pair(s.frame, h, v)
-    red = reduce_pair(s.frame, h, v, normalize=True)
+    with pytest.raises(ReductionError, match=r"\|V\| != 1"):
+        reduce_pair(s, v)
+    red = reduce_pair(*reduction._unit_length(s, v))
     assert red.anomaly.is_zero()
 
 
@@ -170,7 +167,7 @@ def test_reduce_pair_rejects_nonparallel():
     s = fixture_structure("nonintG2")
     v = VectorField.basis(7, s.field, 1)  # Killing but d mu != i_V H when H = 0
     with pytest.raises(ReductionError, match="parallel"):
-        reduce_pair(s.frame, KForm.zero(7, 3, s.field), v)
+        reduce_pair(with_h(s.frame, KForm.zero(7, 3, s.field)), v)
 
 
 def test_reduce_pair_abelian_trivial():
@@ -179,15 +176,13 @@ def test_reduce_pair_abelian_trivial():
         [KForm.zero(7, 2, Q)] * 7,
         FrameGeometry(7, Q),
     )
-    red = reduce_pair(fr, KForm.zero(7, 3, Q), VectorField.basis(7, Q, 7))
+    red = reduce_pair(with_h(fr, KForm.zero(7, 3, Q)), VectorField.basis(7, Q, 7))
     assert red.flux.is_zero() and red.h_hat.is_zero() and red.anomaly.is_zero()
 
 
 def test_reduce_pair_basic_checks_oneA():
     s = fixture_structure("nonintSpin7OneA")
-    h = bismut_torsion(s)
-    v = canonical_vector(s)
-    red = reduce_pair(s.frame, h, v, normalize=True)
+    red = reduce_pair(*reduction._unit_length(s, canonical_vector(s)))
     assert interior(red.v, red.h_hat).is_zero()
     assert interior(red.v, s.frame.d(red.h_hat)).is_zero()
 
@@ -251,7 +246,7 @@ def test_splitting_check_reads_dh_hat_off_the_reduction(monkeypatch, name):
     sp = splitting_check(red)
     monkeypatch.undo()
     assert calls == []
-    assert sp["dH_hat = 0"] == red.frame.d(red.h_hat).is_zero()
+    assert sp["dH_hat = 0"] == red.structure.frame.d(red.h_hat).is_zero()
 
 
 def test_reduce_g2_raw_fixture():
@@ -328,7 +323,7 @@ def test_change_of_basis_matches_adapted_frame_rebuild(name):
     theta_ad = ad.to_adapted(theta)
     for conn, rebuilt in (
         (s.levi_civita, levi_civita(ad.frame)),
-        (s.bismut, bismut_connection(ad.frame, ad.to_adapted(red.h))),
+        (s.bismut, bismut_connection(ad.frame, ad.to_adapted(red.structure.h), levi_civita(ad.frame))),
     ):
         ric = curvature(s.frame, conn)
         assert transform_bilinear(ric, ad.b, f) == curvature(ad.frame, rebuilt)
@@ -390,8 +385,7 @@ def test_splitting_equivalence_randomized(rng):
             rot = rotation_matrix(7, rng, field=base.field)
             fr2, (phi2,) = rotate_frame_and_forms(base.frame, [base.form("phi")], rot)
             s2 = g2_assemble(phi2, fr2)
-            v = canonical_vector(s2)
-            red = reduce_pair(s2.frame, bismut_torsion(s2), v, normalize=True)
+            red = reduce_pair(*reduction._unit_length(s2, canonical_vector(s2)))
             sp = splitting_check(red)  # raises if the three disagree
             assert len(set(sp.values())) == 1
             cases += 1
@@ -535,7 +529,7 @@ def test_anomaly_vanishes_randomized(rng):
             rot = rotation_matrix(7, rng, field=base.field)
             fr2, (phi2,) = rotate_frame_and_forms(base.frame, [base.form("phi")], rot)
             s2 = g2_assemble(phi2, fr2)
-            red = reduce_pair(s2.frame, bismut_torsion(s2), canonical_vector(s2), normalize=True)
+            red = reduce_pair(*reduction._unit_length(s2, canonical_vector(s2)))
             assert red.anomaly.is_zero()
             cases += 1
     base = fixture_structure("nonintSpin7OneA")
@@ -543,7 +537,7 @@ def test_anomaly_vanishes_randomized(rng):
         rot = rotation_matrix(8, rng, field=base.field)
         fr2, (psi2,) = rotate_frame_and_forms(base.frame, [base.form("psi")], rot)
         s2 = spin7_assemble(psi2, fr2)
-        red = reduce_pair(s2.frame, bismut_torsion(s2), canonical_vector(s2), normalize=True)
+        red = reduce_pair(*reduction._unit_length(s2, canonical_vector(s2)))
         assert red.anomaly.is_zero()
         cases += 1
     assert cases == 20

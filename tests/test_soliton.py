@@ -13,7 +13,7 @@ from conftest import (
     random_kform,
     random_vector,
     su2su2u1_frame,
-    bianchi,
+    with_h,
 )
 from gtorsion import registry
 from gtorsion.forms import FrameGeometry, KForm, VectorField, musical_inv, wedge
@@ -21,7 +21,6 @@ from gtorsion.frames import LieAlgebraFrame, bismut_connection, levi_civita
 from gtorsion.parser import parse
 from gtorsion.soliton import (
     PreconditionError,
-    SolitonData,
     canonical_vector,
     divergence,
     g2_rigidity_identity,
@@ -63,26 +62,21 @@ def zero_matrix(mat):
 ])
 def test_grs_residual_vanishes_on_fixtures(name, factor):
     s = fixture_structure(name)
-    h = bismut_torsion(s)
-    v = canonical_vector(s)
-    data = SolitonData(s.frame, h, v)
-    assert zero_matrix(grs_residual(data))
+    assert zero_matrix(grs_residual(s, canonical_vector(s)))
 
 
 def test_grs_residual_abelian_trivial():
-    fr = abelian(5)
-    data = SolitonData(fr, KForm.zero(5, 3, Q), VectorField.zero(5, Q))
-    assert zero_matrix(grs_residual(data))
+    s = with_h(abelian(5), KForm.zero(5, 3, Q))
+    assert zero_matrix(grs_residual(s, VectorField.zero(5, Q)))
 
 
 def test_grs_residual_linear_in_x(rng):
-    fr = su2su2u1_frame(Q)
-    h = random_kform(7, 3, Q, rng, density=0.3)
+    s = with_h(su2su2u1_frame(Q), random_kform(7, 3, Q, rng, density=0.3))
     x1 = random_vector(7, Q, rng)
     x2 = random_vector(7, Q, rng)
 
     def res(x):
-        return grs_residual(SolitonData(fr, h, x))
+        return grs_residual(s, x)
 
     r12 = res(x1 + x2)
     r1 = res(x1)
@@ -96,10 +90,10 @@ def test_grs_residual_linear_in_x(rng):
 def test_string_residual_f_zero_specializes(rng):
     fr = su2su2u1_frame(Q)
     h = random_kform(7, 3, Q, rng, density=0.3)
+    s = with_h(fr, h)
     x = random_vector(7, Q, rng)
-    f = KForm.zero(7, 2, Q)
-    s1, s2, s3 = string_grs_residual(SolitonData(fr, h, x, f=f))
-    base = grs_residual(SolitonData(fr, h, x))
+    s1, s2, s3 = string_grs_residual(s, x, KForm.zero(7, 2, Q))
+    base = grs_residual(s, x)
     for i in range(7):
         for j in range(7):
             assert s1[i][j] == base[i][j]
@@ -108,31 +102,28 @@ def test_string_residual_f_zero_specializes(rng):
 
 
 def test_bianchi_slot():
-    fr = su2su2u1_frame(Q)
-    f = KForm.from_terms(7, Q, [((1, 2), 1)])
-    h = KForm.zero(7, 3, Q)
-    data = SolitonData(fr, h, VectorField.zero(7, Q), f=f)
-    assert bianchi(data) == wedge(f, f)
+    # slot 3 of the string residual is dH + F ^ F
+    f = KForm.from_terms(7, Q, [((1, 2), 1), ((4, 5), 1)])
+    s = with_h(su2su2u1_frame(Q), KForm.zero(7, 3, Q))
+    assert not wedge(f, f).is_zero()
+    assert string_grs_residual(s, VectorField.zero(7, Q), f)[2] == wedge(f, f)
 
 
 # -- weighted scalar -------------------------------------------------------------
 
 
 def test_weighted_scalar_abelian_zero():
-    fr = abelian(6)
-    data = SolitonData(fr, KForm.zero(6, 3, Q), VectorField.zero(6, Q))
-    assert weighted_scalar(data).is_zero()
+    s = with_h(abelian(6), KForm.zero(6, 3, Q))
+    assert weighted_scalar(s, VectorField.zero(6, Q)).is_zero()
 
 
 def test_weighted_scalar_regression_values():
     # frozen regression constants for the built-in fixtures
     s = fixture_structure("nonintsu3")
-    data = SolitonData(s.frame, bismut_torsion(s), VectorField.zero(6, s.field))
-    assert weighted_scalar(data) == s.field.scalar(Fraction(68, 3))
+    assert weighted_scalar(s, VectorField.zero(6, s.field)) == s.field.scalar(Fraction(68, 3))
 
     g = fixture_structure("nonintG2")
-    datag = SolitonData(g.frame, bismut_torsion(g), canonical_vector(g))
-    assert weighted_scalar(datag) == g.field.scalar(Fraction(11, 6))
+    assert weighted_scalar(g, canonical_vector(g)) == g.field.scalar(Fraction(11, 6))
 
 
 def test_scalar_curvature_round_su2_product():
@@ -190,7 +181,7 @@ def test_canonical_vector_spin7_two_certificate():
     v = canonical_vector(s)
     # V = (7/6) theta-sharp
     assert v == musical_inv(t["lee"].scale(Fraction(7, 6)), s.geometry)
-    cert = parallel_certificate(bismut_connection(s.frame, bismut_torsion(s, t)), v)
+    cert = parallel_certificate(bismut_connection(s.frame, bismut_torsion(s, t), levi_civita(s.frame)), v)
     assert cert["parallel"]
     assert cert["norm_sq"] == s.field.scalar(4)
 

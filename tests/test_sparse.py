@@ -120,7 +120,7 @@ def test_sparse_connections_and_curvature_match_dense_formula(rng, base, metric)
     assert (fr.geometry.diagonal is None) == (metric == "spd")
     h = random_kform(n, 3, Q, rng, density=0.3)
     lc = levi_civita(fr)
-    for conn, dense_h in ((lc, None), (bismut_connection(fr, h, lc=lc), h)):
+    for conn, dense_h in ((lc, None), (bismut_connection(fr, h, lc), h)):
         c, gam = _dense_connection(fr, dense_h)
         assert all(not v.is_zero() for v in conn.entries.values())
         for i in range(n):

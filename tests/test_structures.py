@@ -774,7 +774,7 @@ def test_structure_forms_parallel_under_own_connection():
         ("nonintSpin7OneA", ["psi"]),
     ):
         s = fixture_structure(name)
-        conn = bismut_connection(s.frame, bismut_torsion(s))
+        conn = bismut_connection(s.frame, bismut_torsion(s), s.levi_civita)
         for key in keys:
             derivs = covariant_derivative_form(s.frame, conn, s.form(key))
             assert all(d.is_zero() for d in derivs), (name, key)
