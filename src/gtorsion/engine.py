@@ -75,7 +75,7 @@ def run_check(doc, df: KForm | None = None) -> Report:
 
     v = canonical_vector(s, df)
     rep.set("canonical_vector", vector_str(v, labels))
-    cert = parallel_certificate(s.bismut, v)
+    cert = parallel_certificate(s, v)
     rep.set("canonical_vector_parallel", cert["parallel"])
     rep.set("canonical_vector_norm_sq", scalar_str(cert["norm_sq"]))
 

@@ -8,7 +8,9 @@ operations are pure.  A diagonal metric takes one fast path (see
 products cost O(n) per component, and the identity metric raises no index
 at all.  Every other minor comes from one table, the Cauchy-Binet minors
 of a matrix's leading rows (``_minors``): a change of frame, the raising
-of indices by g^{-1}, det g and Sylvester's test all read it.  Sums of
+of indices by g^{-1}, det g and Sylvester's test all read it.  A change of
+frame keeps its table in a ``CoframeChange``, so the forms it moves share
+the minors.  Sums of
 products accumulate through ``scalars._mac``, one normalization per
 output mask.
 
@@ -47,6 +49,7 @@ __all__ = [
     "two_form_square",
     "contract_2_3",
     "transform_form",
+    "CoframeChange",
     "GeometryError",
 ]
 
@@ -468,25 +471,42 @@ def _wedge_row(acc: dict, minors: dict, c: Scalar, row) -> None:
                 _mac(acc, jm | bit, cd, x, odd[jm << 8 | bit])
 
 
+class CoframeChange:
+    """A change of coframe given by the old coframe in the new one,
+    e^j = sum_i M[j][i] f^i, with the Cauchy-Binet minors table of M.
+
+    Every form moved by one change shares the table, so the minors of each
+    set of rows of M are expanded once per change of basis, not once per
+    form.
+    """
+
+    __slots__ = ("field", "rows", "minors")
+
+    def __init__(self, old_in_new, field: Field):
+        self.field = field
+        self.rows = _sparse_rows(old_in_new)
+        self.minors = {0: {0: field.one()}}
+
+    def move(self, form: KForm) -> KForm:
+        """The form in the new coframe: c e^I goes to sum_J c det M[I, J] f^J.
+        Each term wedges its top row of M onto the table's minors of the
+        rest of I, straight into the one output accumulator."""
+        n, k, field = form.n, form.k, self.field
+        if k == 0:
+            return _trusted(n, 0, field, dict(form.coeffs))
+        rows, minors = self.rows, self.minors
+        acc = {}
+        for mask, coef in form.coeffs.items():
+            top = mask.bit_length() - 1
+            _wedge_row(acc, _minors(mask ^ (1 << top), minors, rows, field), coef, rows[top])
+        return _trusted(n, k, field, _settle(field, acc))
+
+
 def transform_form(form: KForm, old_in_new, field: Field) -> KForm:
     """Rewrite a form given the old coframe expressed in a new one:
-    e^j = sum_i old_in_new[j][i] f^i.
-
-    By Cauchy-Binet, c e^I goes to sum_J c det M[I, J] f^J with M =
-    old_in_new.  The minors of I without its last index are expanded once
-    per call and kept in a table local to the call; each term then wedges
-    its last row of M onto them straight into the one output accumulator.
-    """
-    n, k = form.n, form.k
-    if k == 0:
-        return _trusted(n, 0, field, dict(form.coeffs))
-    rows = _sparse_rows(old_in_new)
-    minors = {0: {0: field.one()}}
-    acc = {}
-    for mask, coef in form.coeffs.items():
-        top = mask.bit_length() - 1
-        _wedge_row(acc, _minors(mask ^ (1 << top), minors, rows, field), coef, rows[top])
-    return _trusted(n, k, field, _settle(field, acc))
+    e^j = sum_i old_in_new[j][i] f^i, by Cauchy-Binet (``CoframeChange``)
+    with a minors table for this one form."""
+    return CoframeChange(old_in_new, field).move(form)
 
 
 # -- core operations ----------------------------------------------------

@@ -10,9 +10,10 @@ tensor is contracted straight off the symbols, and no Riemann tensor is
 built.  Sums of products accumulate through ``scalars._mac``, one
 normalization per output entry.
 A change of frame moves a form by the minors of the change-of-basis matrix
-(Cauchy-Binet, ``forms.transform_form``), one accumulation per form, with
-no wedge.  A frame carries one metric, its ``geometry``, which every
-function here reads; a structure's frame carries the structure's metric.
+(Cauchy-Binet, ``forms.CoframeChange``), one accumulation per form, with
+no wedge, and the forms one change moves share one minors table.  A frame
+carries one metric, its ``geometry``, which every function here reads; a
+structure's frame carries the structure's metric.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from functools import cached_property
 from .forms import (
     _INDICES,
     _ODD,
+    CoframeChange,
     FrameGeometry,
     GeometryError,
     KForm,
@@ -277,16 +279,31 @@ def covariant_derivative_oneform(frame: LieAlgebraFrame, conn: ConnectionCoeffs,
 def change_frame(frame: LieAlgebraFrame, a_rows, new_labels=None, validate: bool = True) -> LieAlgebraFrame:
     """New frame with coframe f^i = sum_j A[i][j] e^j.
 
-    The frame's metric transforms so the geometry is unchanged; returns the
-    new LieAlgebraFrame (valid by construction when the input frame is, so
-    ``validate=False`` may skip the closure re-check).
+    The frame's metric transforms so the geometry is unchanged, and the
+    orientation sign picks up the sign of det A.  The new frame always
+    records whether it is ``closed`` (d^2 = 0); ``validate=False`` only
+    skips raising when it is not, which cannot happen when the input frame
+    is closed.
     """
     n, field, base = frame.n, frame.field, frame.geometry
     a = [[x if isinstance(x, Scalar) else field.scalar(x) for x in row] for row in a_rows]
     ainv = _mat_inverse(a, field)
-    # d e^j in the f basis, via the old coframe in the new: e^j = sum_i ainv[j][i] f^i
-    d_old = [transform_form(d, ainv, field) for d in frame.coframe_d]
-    # d f^i = sum_j A[i][j] d e^j
+    # dual vectors: F_i = sum_k B[i][k] E_k with B = (A^{-1})^T
+    b = [[ainv[k][i] for k in range(n)] for i in range(n)]
+    gnew = transform_bilinear(base.metric, b, field)
+    sign = base.orientation_sign * _mat_det(a, field).sign()
+    geom = FrameGeometry(n, field, gnew, orientation_sign=sign)
+    labels = new_labels or [f"f{i}" for i in range(1, n + 1)]
+    new_d = _new_differentials(frame, a, CoframeChange(ainv, field))
+    return LieAlgebraFrame(labels, new_d, geom, check_closure=frame.closed and validate)
+
+
+def _new_differentials(frame: LieAlgebraFrame, a, old_in_new: CoframeChange) -> list[KForm]:
+    """The differentials d f^i = sum_j A[i][j] d e^j of the coframe f = A e,
+    each d e^j moved into the f basis by ``old_in_new``, the change for
+    e = A^{-1} f."""
+    n, field = frame.n, frame.field
+    d_old = [old_in_new.move(d) for d in frame.coframe_d]
     new_d = []
     for row in a:
         acc = {}
@@ -295,14 +312,7 @@ def change_frame(frame: LieAlgebraFrame, a_rows, new_labels=None, validate: bool
                 for m, c in d.coeffs.items():
                     _mac(acc, m, x, c, False)
         new_d.append(_trusted(n, 2, field, _settle(field, acc)))
-    # dual vectors: F_i = sum_k B[i][k] E_k with B = (A^{-1})^T
-    b = [[ainv[k][i] for k in range(n)] for i in range(n)]
-    gnew = transform_bilinear(base.metric, b, field)
-    det_a = _mat_det(a, field)
-    sign = base.orientation_sign * det_a.sign()
-    geom = FrameGeometry(n, field, gnew, orientation_sign=sign)
-    labels = new_labels or [f"f{i}" for i in range(1, n + 1)]
-    return LieAlgebraFrame(labels, new_d, geom, check_closure=frame.closed and validate)
+    return new_d
 
 
 def transform_bilinear(m, b_rows, field: Field):

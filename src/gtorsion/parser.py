@@ -154,6 +154,9 @@ class _Expr:
         if kind == "num":
             return self.field.scalar(val)
         if kind == "name":
+            if val in self.labels:  # a chain is read only outside parentheses and divisors
+                raise ParseError(f"parentheses and divisors hold scalars only, not the frame label {val!r}",
+                                 self.line, col)
             m = _SQRT.fullmatch(val)
             if not m:
                 raise ParseError(f"unknown symbol {val!r}", self.line, col)

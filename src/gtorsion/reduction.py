@@ -3,9 +3,12 @@
 Reduction happens at the Lie-algebra level: an adapted orthonormal frame is
 built with V/|V| last, the transverse geometry lives on the first n-1
 directions, and the quotient differential acts on basic forms (killed by
-i_V and L_V) through the ambient one.  The quotient of a group by a
-non-ideal direction is not itself a Lie algebra, so transverse curvature
-uses the submersion identity
+i_V and L_V) through the ambient one.  The adapted frame needs no
+elimination: Gram-Schmidt keeps each vector with its covector, the coframe
+rows are A = D^{-1} B g (D = diag(|b_i|^2) = 1) with A B^T = 1 checked
+exactly, and one minors table of B^T moves every form into the frame.
+The quotient of a group by a non-ideal direction is not itself a Lie
+algebra, so transverse curvature uses the submersion identity
 
     Rc^{q}(X, Y) = Rc^{ambient}(X, Y) + <i_X F, i_Y F>      (X, Y horizontal)
 
@@ -35,22 +38,21 @@ from __future__ import annotations
 from functools import cached_property
 
 from .forms import (
+    CoframeChange,
     FrameGeometry,
     KForm,
     VectorField,
-    _mat_inverse,
     _trusted,
     hodge_star,
     indices_of,
     interior,
     musical,
     musical_inv,
-    transform_form,
     wedge,
 )
 from .frames import (
     LieAlgebraFrame,
-    change_frame,
+    _new_differentials,
     covariant_derivative_oneform,
     transform_bilinear,
     transform_vector,
@@ -95,18 +97,19 @@ class AdaptedFrame:
 
     ``frame``: the rotated LieAlgebraFrame; ``b``: the adapted vectors as
     rows, F_i = sum_k b[i][k] E_k; ``a_rows``: coframe change f = A e with
-    A = (B^{-1})^T; ``to_adapted`` moves a form into the adapted frame.
+    A = D^{-1} B g, D = diag(|F_i|^2) = 1, so that A B^T = 1;
+    ``old_in_new``: the ``CoframeChange`` for e = B^T f, whose one minors
+    table the frame's own differentials and every ``to_adapted`` read.
     """
 
-    def __init__(self, frame: LieAlgebraFrame, a_rows, b):
+    def __init__(self, frame: LieAlgebraFrame, a_rows, b, old_in_new: CoframeChange):
         self.frame = frame
         self.a_rows = a_rows
         self.b = b
-        self.ainv = [list(col) for col in zip(*b)]  # A^{-1} = B^T
+        self.old_in_new = old_in_new
 
     def to_adapted(self, form: KForm) -> KForm:
-        # old coframe in the new: e^j = sum_i ainv[j][i] f^i
-        return transform_form(form, self.ainv, self.frame.field)
+        return self.old_in_new.move(form)
 
     def vector_to_adapted(self, x: VectorField) -> VectorField:
         return transform_vector(x, self.a_rows, self.frame.field)
@@ -116,43 +119,104 @@ def adapt_frame(frame: LieAlgebraFrame, v: VectorField) -> AdaptedFrame:
     """Gram-Schmidt an orthonormal frame around V (placed last, normalized).
 
     Requires L_V g = 0 (V Killing); errors when a norm has no square root
-    in the scalar field.
+    in the scalar field.  No elimination runs: the coframe rows
+    A = D^{-1} B g are the Gram-Schmidt covectors, A B^T = 1 is checked
+    exactly, and B^T moves forms to the new frame.
     """
-    geom = frame.geometry
     field = frame.field
     n = frame.n
     if v.is_zero():
         raise ReductionError("V = 0: nothing to reduce along")
     _check_killing(frame, v)
-    pivot = next(i for i, c in enumerate(v.components) if not c.is_zero())
-    order = [i for i in range(n) if i != pivot]
-    built = [(v, geom.norm_sq(v))]  # (vector, |vector|^2): V, then the complement
-    for i in order:
-        w = VectorField.basis(n, field, i + 1)
-        # subtract projections onto V and the vectors built so far
-        for u, u_sq in built:
-            c = geom.g(w, u) / u_sq
-            if not c.is_zero():
-                w = w - u.scale(c)
-        if w.is_zero():
-            raise ReductionError("degenerate complement while adapting the frame")
-        built.append((w, geom.norm_sq(w)))
-    normed = []
-    for w, w_sq in built[1:] + built[:1]:
+    built = _gram_schmidt(frame, v)
+    b_rows, b_flats = [], []
+    for w, w_flat, w_sq in built[1:] + built[:1]:
         try:
             nrm = w_sq.sqrt()
         except NotRepresentable as exc:
             raise ReductionError(
                 f"cannot normalize adapted frame: |w|^2 = {w_sq} has no sqrt in {field!r}"
             ) from exc
-        normed.append(w.scale(nrm.inverse()))
-    # coframe rows: f^i = A[i][.] e^. with A = (B^{-1})^T for B rows the vectors
-    b = [[x for x in w.components] for w in normed]
-    binv = _mat_inverse(b, field)
-    a_rows = [[binv[j][i] for j in range(n)] for i in range(n)]
+        inv = nrm.inverse()
+        b_rows.append({j: x * inv for j, x in w.items()})
+        b_flats.append({j: x * inv for j, x in w_flat.items()})
+    one, zero = field.one(), field.zero()
+    d = [one] * n  # D = diag(|b_i|^2): the frame is orthonormal
+    _check_coframe(b_flats, b_rows, d, field)
+    b = [[row.get(j, zero) for j in range(n)] for row in b_rows]
+    # A = D^{-1} B g: row i is the covector of b_i over |b_i|^2
+    a_rows = [[row.get(j, zero) if di is one else row.get(j, zero) / di for j in range(n)]
+              for row, di in zip(b_flats, d)]
+    old_in_new = CoframeChange([list(col) for col in zip(*b)], field)  # A^{-1} = B^T
+    # det A has the sign of det B: Gram-Schmidt adds earlier rows only, so
+    # det B is det [V; e_i, i != p] = (-1)^p V^p over the norms, p the first
+    # index where V is nonzero, times (-1)^(n-1) for moving V to the end
+    p = next(i for i, c in enumerate(v.components) if not c.is_zero())
+    sign = frame.geometry.orientation_sign * v.components[p].sign() * (-1) ** (p + n - 1)
+    metric = [[di if i == j else zero for j in range(n)] for i, di in enumerate(d)]
     labels = [f"f{i}" for i in range(1, n)] + ["mu"]
-    new_frame = change_frame(frame, a_rows, new_labels=labels)
-    return AdaptedFrame(new_frame, a_rows, b)
+    new_frame = LieAlgebraFrame(
+        labels,
+        _new_differentials(frame, a_rows, old_in_new),
+        FrameGeometry(n, field, metric, orientation_sign=sign),
+        check_closure=frame.closed,
+    )
+    return AdaptedFrame(new_frame, a_rows, b, old_in_new)
+
+
+def _gram_schmidt(frame: LieAlgebraFrame, v: VectorField) -> list:
+    """V, then e_i minus its projections on the vectors before it for each
+    i other than the first index where V is nonzero, as triples (u, g u,
+    |u|^2) of sparse {index: Scalar} rows.  Classical Gram-Schmidt, equal to
+    the modified one in exact arithmetic: <e_i, u> is entry i of g u, one
+    lookup."""
+    geom, field = frame.geometry, frame.field
+    one = field.one()
+    metric = [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in geom.metric]
+    vec = {i: c for i, c in enumerate(v.components) if not c.is_zero()}
+    acc = {}
+    for i, c in vec.items():
+        for j, x in metric[i].items():
+            _mac(acc, j, c, x, False)
+    built = [(vec, _settle(field, acc), geom.norm_sq(v))]
+    pivot = min(vec)
+    for i in range(frame.n):
+        if i == pivot:
+            continue
+        w_acc, flat_acc = {}, {}
+        _mac(w_acc, i, one, one, False)
+        for j, x in metric[i].items():
+            _mac(flat_acc, j, x, one, False)
+        for u, u_flat, u_sq in built:
+            x = u_flat.get(i)
+            if x is not None:
+                c = x / u_sq
+                for j, y in u.items():
+                    _mac(w_acc, j, c, y, True)
+                for j, y in u_flat.items():
+                    _mac(flat_acc, j, c, y, True)
+        w, w_flat = _settle(field, w_acc), _settle(field, flat_acc)
+        if not w:
+            raise ReductionError("degenerate complement while adapting the frame")
+        # |w|^2 = <w, e_i>, w being orthogonal to each u
+        built.append((w, w_flat, w_flat.get(i, field.zero())))
+    return built
+
+
+def _check_coframe(flats, rows, d, field):
+    """A B^T = 1 exactly for A = D^{-1} B g: the products (B g) B^T of the
+    covector rows ``flats`` with the vector rows ``rows`` are diag(d)."""
+    cols = {}  # k -> [(j, B[j][k])]
+    for j, row in enumerate(rows):
+        for k, x in row.items():
+            cols.setdefault(k, []).append((j, x))
+    acc = {}
+    for i, row in enumerate(flats):
+        for k, x in row.items():
+            for j, y in cols.get(k, ()):
+                _mac(acc, (i, j), x, y, False)
+    if _settle(field, acc) != {(i, i): di for i, di in enumerate(d)}:
+        raise ReductionError("adapted coframe check failed: A B^T != 1")
 
 
 def _check_killing(frame, v: VectorField):

@@ -119,13 +119,13 @@ def canonical_vector(s: GStructure, df: KForm | None = None) -> VectorField:
     return v
 
 
-def parallel_certificate(conn, v: VectorField) -> dict:
-    """Check nabla V = 0 for the Bismut connection ``conn``; |V| is then
-    automatically constant."""
-    frame = conn.frame
-    derivs = [conn.nabla(VectorField.basis(frame.n, frame.field, i + 1), v) for i in range(frame.n)]
+def parallel_certificate(s: GStructure, v: VectorField) -> dict:
+    """Check nabla V = 0 for the Bismut connection of ``s``; |V| is then
+    automatically constant, and ``norm_sq`` is |V|^2 in the metric of ``s``."""
+    conn = s.bismut
+    derivs = [conn.nabla(VectorField.basis(s.n, s.field, i + 1), v) for i in range(s.n)]
     parallel = all(d.is_zero() for d in derivs)
-    return {"parallel": parallel, "norm_sq": frame.geometry.norm_sq(v)}
+    return {"parallel": parallel, "norm_sq": s.geometry.norm_sq(v)}
 
 
 def g2_rigidity_identity(s: GStructure, df: KForm | None = None):

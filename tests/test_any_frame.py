@@ -6,10 +6,12 @@ replaced on orthonormal frames, move covariantly under any change of frame
 (as does the Nijenhuis form), ``check`` on a fixture in a sheared or a
 drawn frame reports the fixture's values, and ``extend`` accepts the SU(3)
 quotient in such frames.  ``reduce`` rescales to unit |V| on the declared
-frame, so a sheared G2 fixture reaches the adapted frame."""
+frame, so a sheared G2 fixture reaches the adapted frame, which matches the
+elimination route in drawn frames too."""
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -31,12 +33,13 @@ from conftest import (
     su2su2_frame,
 )
 from test_kinds import _Doc
-from test_reduction import quotient_su3_of_nonintG2
-from gtorsion import engine, registry
+from test_reduction import check_adapted_frame, check_moved_forms, quotient_su3_of_nonintG2
+from gtorsion import engine, reduction, registry
 from gtorsion.engine import run_extend
 from gtorsion.forms import FrameGeometry, KForm, VectorField, _mat_inverse, indices_of
 from gtorsion.frames import ConnectionCoeffs, LieAlgebraFrame, change_frame, transform_form, transform_vector
 from gtorsion.parser import parse
+from gtorsion.soliton import canonical_vector
 from gtorsion.structures import (
     KINDS,
     ah_assemble,
@@ -265,6 +268,30 @@ def test_extend_on_sheared_su3_quotient(step):
         _in_drawn_frames(s.field, 6, check)
     else:
         check(band_shear(s.field, 6, step))
+
+
+@pytest.mark.parametrize("name", ["nonintG2", "nonintG2nonclosedLee", "nonintSpin7OneA"])
+def test_adapted_frame_in_drawn_frames(name, monkeypatch):
+    # a drawn frame's metric is not diagonal, so the Gram-Schmidt covectors
+    # differ from the vectors; where a complement norm has no root, the
+    # reference Gram-Schmidt meets the same one first (nonintSpin7Two, whose
+    # declared frame already stops there, is left to the fixture test)
+    text = registry.input_text(name)
+    doc = parse(text)
+    outcomes = Counter()
+
+    def check(a):
+        s = parse(coframe_text(text, a)).structure()
+        unit, v = reduction._unit_length(s, canonical_vector(s))
+        metric = unit.geometry.metric
+        diagonal = all(metric[i][j].is_zero() for i in range(s.n) for j in range(s.n) if i != j)
+        ad = check_adapted_frame(unit.frame, v)
+        outcomes["diagonal" if diagonal else "sheared", ad is not None] += 1
+        if ad is not None:
+            assert check_moved_forms(monkeypatch, s).verifier_ok()
+
+    settings(max_examples=8, deadline=None, derandomize=True)(given(drawn_frames(doc.field, doc.dim))(check))()
+    assert outcomes["sheared", True] >= 1, outcomes
 
 
 @pytest.mark.parametrize("step, error", [

@@ -4,9 +4,10 @@ declared in one place), no package module imports ``fractions``, ``decimal``
 or ``numbers`` (a Scalar is the one exact number, and the command-line import
 stays free of them), and each kernel has one home: ``_merge_sign`` is
 called only where it fills the sign table, ``mask_of`` only inside ``KForm``,
-``echelon`` is the one row reduction and ``_wedge_row`` is called only by the
-minors table and the change of frame, and the connections and the Bismut
-curvature are built only in a structure's analysis.  A frame carries its
+``echelon`` is the one row reduction, the adapted frame of a reduction runs
+none, ``_wedge_row`` is called only by the minors table and the change of
+frame, and the connections and the Bismut curvature are built only in a
+structure's analysis.  A frame carries its
 one metric, so no function takes a metric beside a frame.  Every public
 function and method in the package has a reader in the package or is named
 in ``API`` with the reason it stays.  Standard library only."""
@@ -141,7 +142,16 @@ def test_echelon_is_the_one_row_reduction():
 
 def test_wedge_row_only_expands_minors():
     sites = sorted(f"{path.name}:{where}" for path in SRC for where in call_sites(path.read_text(), "_wedge_row"))
-    assert sites == ["forms.py:_minors", "forms.py:transform_form"]
+    assert sites == ["forms.py:CoframeChange", "forms.py:_minors"]
+
+
+def test_adapted_frame_runs_no_elimination():
+    # the adapted coframe is read off the Gram-Schmidt covectors and
+    # certified by A B^T = 1, so reduction needs no inverse
+    tree = ast.parse((ROOT / "src" / "gtorsion" / "reduction.py").read_text())
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert names & {"_mat_inverse", "echelon"} == set()
 
 
 def test_connections_are_built_only_in_the_analysis():
@@ -247,6 +257,7 @@ API = {
     "registry.py:input_text": "registry entry point",
     "registry.py:run_example": "registry entry point",
     "frames.py:ConnectionCoeffs.gamma": "bench/spans.py keys traced connections by it",
+    "frames.py:change_frame": "bench/gen.py builds its rotated frames with it",
     "parser.py:InputDocument.serialize": "bench/gen.py writes its rotated inputs with it",
     "reduction.py:TransverseSlice.as_lie_frame": "bench/gen.py builds its SU(3) quotient input with it",
     "soliton.py:g2_rigidity_identity": "the rigid-case verdict of ROADMAP item 3 reports it",

@@ -429,7 +429,9 @@ _E3 = "dim 3\nframe e1 e2 e3\n"
         (_E3 + "d e1 = e1^2\n", "expected a frame label after '^' (line 3, col 11)"),
         (_E3 + "d e1 = e2^e3 +   )\n", "expected a coefficient or frame label (line 3, col 18)"),
         (_E3 + "d e1 = e2^e3 +\n", "expected a coefficient or frame label (line 3, col 15)"),
-        (_E3 + "  d e1 = (1 + 2*e2^e3\n", "unknown symbol 'e2' (line 3, col 17)"),
+        (_E3 + "  d e1 = (1 + 2*e2^e3\n", "parentheses and divisors hold scalars only, not the frame label 'e2' (line 3, col 17)"),
+        (_E3 + "d e1 = (-1/4)*(e2^e3)\n", "parentheses and divisors hold scalars only, not the frame label 'e2' (line 3, col 16)"),
+        (_E3 + "d e1 = e2^e3/e1\n", "parentheses and divisors hold scalars only, not the frame label 'e1' (line 3, col 14)"),
         (_E3 + "d e1 = e2^e3 ? e1\n", "unexpected character '?' (line 3, col 14)"),
         ("dim 2\nframe a b\nmetric rows\n  1 0  # first row\n  0 1/0\n", "division by zero (line 5, col 7)"),
         ("dim 2\nframe a b\nmetric rows\n\n  1 0\n  0 (1\n", "expected ')' (line 6, col 7)"),
@@ -441,8 +443,8 @@ _E3 = "dim 3\nframe e1 e2 e3\n"
          "metric row entries are separated by spaces: write a difference as (a - b) (line 4, col 5)"),
     ],
     ids=["two-chains", "two-labels", "trailing-wedge", "wedge-number", "token-after-spaces",
-         "trailing-plus", "chain-in-parentheses", "bad-character", "metric-zero-divisor", "metric-open-parenthesis",
-         "metric-binary-plus", "metric-binary-minus"],
+         "trailing-plus", "chain-in-parentheses", "form-in-parentheses", "label-divisor", "bad-character",
+         "metric-zero-divisor", "metric-open-parenthesis", "metric-binary-plus", "metric-binary-minus"],
 )
 def test_expression_errors_name_the_token_and_its_column_in_the_line(tmp_path, capsys, text, message):
     p = tmp_path / "input.gs"

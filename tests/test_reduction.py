@@ -25,6 +25,7 @@ from gtorsion.forms import (
     FrameGeometry,
     KForm,
     VectorField,
+    _mat_inverse,
     interior,
     musical,
     wedge,
@@ -37,6 +38,7 @@ from gtorsion.frames import (
     curvature,
     levi_civita,
     transform_bilinear,
+    transform_form,
 )
 from gtorsion import frames, reduction, registry
 from gtorsion.parser import parse
@@ -51,6 +53,7 @@ from gtorsion.reduction import (
     split_parallel_form,
     splitting_check,
 )
+from gtorsion.scalars import NotRepresentable
 from gtorsion.structures import (
     GStructure,
     StructureError,
@@ -59,7 +62,7 @@ from gtorsion.structures import (
     su3_assemble,
     torsion_g2,
 )
-from gtorsion.soliton import canonical_vector
+from gtorsion.soliton import canonical_vector, parallel_certificate
 
 
 # -- adapt_frame -------------------------------------------------------------
@@ -140,6 +143,101 @@ def test_adapt_frame_rejects_zero():
     s = fixture_structure("nonintG2")
     with pytest.raises(ReductionError):
         adapt_frame(s.frame, VectorField.zero(7, s.field))
+
+
+def reference_adapted_vectors(frame, v):
+    """The adapted vectors B (rows) by modified Gram-Schmidt over VectorField
+    arithmetic and full inner products, V/|V| last; the error text instead
+    when a norm has no root in the field."""
+    geom, field, n = frame.geometry, frame.field, frame.n
+    pivot = next(i for i, c in enumerate(v.components) if not c.is_zero())
+    built = [(v, geom.norm_sq(v))]
+    for i in range(n):
+        if i != pivot:
+            w = VectorField.basis(n, field, i + 1)
+            for u, u_sq in built:
+                w = w - u.scale(geom.g(w, u) / u_sq)
+            built.append((w, geom.norm_sq(w)))
+    rows = []
+    for w, w_sq in built[1:] + built[:1]:
+        try:
+            nrm = w_sq.sqrt()
+        except NotRepresentable:
+            return f"cannot normalize adapted frame: |w|^2 = {w_sq} has no sqrt in {field!r}"
+        rows.append(list(w.scale(nrm.inverse()).components))
+    return rows
+
+
+def _transpose(m):
+    return [list(col) for col in zip(*m)]
+
+
+def check_adapted_frame(frame, v):
+    """adapt_frame(frame, v) against the elimination route: B is the
+    reference Gram-Schmidt's, A B^T = 1, B g B^T = 1, the last row is V/|V|,
+    A is (B^{-1})^T by ``_mat_inverse``, and the frame is the one
+    ``change_frame`` builds from that A.  Returns the adapted frame, or None
+    when a norm has no root and adapt_frame raises the reference's error."""
+    want = reference_adapted_vectors(frame, v)
+    if isinstance(want, str):
+        with pytest.raises(ReductionError) as exc:
+            adapt_frame(frame, v)
+        assert str(exc.value) == want
+        return None
+    ad = adapt_frame(frame, v)
+    field, n = frame.field, frame.n
+    one = [[field.scalar(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    assert ad.b == want
+    assert [[sum((x * y for x, y in zip(arow, brow)), field.zero()) for brow in ad.b] for arow in ad.a_rows] == one
+    assert transform_bilinear(frame.geometry.metric, ad.b, field) == one
+    assert ad.b[-1] == list(v.scale(frame.geometry.norm_sq(v).sqrt().inverse()).components)
+    a_ref = _transpose(_mat_inverse(ad.b, field))
+    assert ad.a_rows == a_ref
+    ref = frames.change_frame(frame, a_ref, new_labels=ad.frame.labels)
+    assert ad.frame.coframe_d == ref.coframe_d
+    assert ad.frame.geometry.metric == ref.geometry.metric
+    assert ad.frame.geometry.orientation_sign == ref.geometry.orientation_sign
+    return ad
+
+
+def check_moved_forms(monkeypatch, s):
+    """Reduce s and check every form the reduction moves into the adapted
+    frame: read through the frame's one minors table, it equals
+    ``transform_form`` with a table of its own."""
+    moved = []
+    to_adapted = reduction.AdaptedFrame.to_adapted
+
+    def spy(self, form):
+        out = to_adapted(self, form)
+        moved.append((self, form, out))
+        return out
+
+    monkeypatch.setattr(reduction.AdaptedFrame, "to_adapted", spy)
+    red = (reduce_g2 if s.kind == "g2" else reduce_spin7)(s)
+    monkeypatch.undo()
+    ad = red.adapted
+    bt = _transpose(ad.b)
+    assert all(frame is ad for frame, _, _ in moved)
+    for _, form, out in moved:
+        assert out == transform_form(form, bt, s.field)
+    # the parallel form, mu, df, F and H^, then the verifier's torsion forms
+    assert len(moved) >= 6
+    for form in (red.mu, red.flux, red.h_hat):
+        assert any(x is form for _, x, _ in moved)
+    return red
+
+
+_REDUCIBLE = ["nonintG2", "nonintG2nonclosedLee", "nonintSpin7OneA", "nonintSpin7Two"]
+
+
+@pytest.mark.parametrize("name", _REDUCIBLE)
+def test_adapted_frame_matches_the_elimination_route(name, monkeypatch):
+    s = fixture_structure(name)
+    unit, v = reduction._unit_length(s, canonical_vector(s))
+    if check_adapted_frame(unit.frame, v) is None:
+        assert name == "nonintSpin7Two"  # |w|^2 = 3 - sqrt3/2 has no root
+        return
+    assert check_moved_forms(monkeypatch, s).verifier_ok()
 
 
 # -- reduce_pair -------------------------------------------------------------
@@ -368,8 +466,15 @@ def test_unit_copy_inherits_what_a_fresh_copy_computes(case):
         assert unit.torsion[name] == x, name
     assert fresh.lee == unit.lee
     assert fresh.h == unit.h
+    # the connections and the Bismut Ricci tensor are scale-invariant
+    assert {"levi_civita", "bismut", "bismut_ricci"} <= set(vars(unit))
+    assert fresh.levi_civita.entries == unit.levi_civita.entries
+    assert fresh.bismut.entries == unit.bismut.entries
+    assert fresh.bismut_ricci == unit.bismut_ricci
     assert canonical_vector(fresh) == v_unit
     assert unit.geometry.norm_sq(v_unit) == s.field.one()
+    # V is certified in the copy's own metric, not the input's
+    assert parallel_certificate(unit, v_unit) == {"parallel": True, "norm_sq": s.field.one()}
 
 
 # -- splitting equivalence on randomized rotations --------------------------------

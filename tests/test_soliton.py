@@ -17,7 +17,7 @@ from conftest import (
 )
 from gtorsion import registry
 from gtorsion.forms import FrameGeometry, KForm, VectorField, musical_inv, wedge
-from gtorsion.frames import LieAlgebraFrame, bismut_connection, levi_civita
+from gtorsion.frames import LieAlgebraFrame, levi_civita
 from gtorsion.parser import parse
 from gtorsion.soliton import (
     PreconditionError,
@@ -166,7 +166,7 @@ def test_canonical_vector_g2_fixture():
     s = fixture_structure("nonintG2")
     v = canonical_vector(s)
     assert v == VectorField.basis(7, s.field, 7)
-    cert = parallel_certificate(s.bismut, v)
+    cert = parallel_certificate(s, v)
     assert cert["parallel"] and cert["norm_sq"] == s.field.one()
 
 
@@ -181,7 +181,7 @@ def test_canonical_vector_spin7_two_certificate():
     v = canonical_vector(s)
     # V = (7/6) theta-sharp
     assert v == musical_inv(t["lee"].scale(Fraction(7, 6)), s.geometry)
-    cert = parallel_certificate(bismut_connection(s.frame, bismut_torsion(s, t), levi_civita(s.frame)), v)
+    cert = parallel_certificate(with_h(s.frame, bismut_torsion(s, t)), v)
     assert cert["parallel"]
     assert cert["norm_sq"] == s.field.scalar(4)
 
