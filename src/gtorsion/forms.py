@@ -1,25 +1,33 @@
 """Graded exterior algebra over an oriented inner-product frame, n <= 8.
 
 Basis k-vectors are index subsets of {1..n} encoded as n-bit masks
-(bit i-1 set means index i is present).  Coefficients are Scalars from a
-single field; missing masks mean zero.  All values are immutable and all
-operations are pure.  A diagonal metric takes one fast path (see
-``FrameGeometry``): Gram minors are products, so the star and inner
-products cost O(n) per component, and the identity metric raises no index
-at all.  Every other minor comes from one table, the Cauchy-Binet minors
-of a matrix's leading rows (``_minors``): a change of frame, the raising
-of indices by g^{-1}, det g and Sylvester's test all read it.  A change of
-frame keeps its table in a ``CoframeChange``, so the forms it moves share
-the minors.  Sums of
-products accumulate through ``scalars._mac``, one normalization per
-output mask.
+(bit i-1 set means index i is present).  A form holds one integer body:
+a positive denominator shared by the whole form, the int numerators of
+the rational parts keyed by mask and, apart from them, those of the
+sqrt(d) parts (empty over QQ, so no kernel touches them there).  The
+coefficient at a mask is (p + q sqrt d)/den, and missing masks mean zero.
+The body is canonical: no zero entries, and den and every numerator have
+gcd 1.  So ==, ``is_zero`` and hashing compare ints, and a kernel sums
+int products straight into its output's numerators and normalizes the
+form once, by one gcd over den and every numerator, not once per
+coefficient.  ``coeffs`` is a read-only view of canonical Scalars, built
+on first read and kept; the public constructor, ``from_terms`` and
+``_trusted`` take Scalars.  All values are immutable and all operations
+are pure.
 
-Kernel outputs skip the public constructor's checks: ``_trusted`` wraps
-coefficients that ``_settle`` returned (nonzero, on masks of the output
-degree) or that come from a checked form.  Merge signs and index tuples
-are read from two lazily filled module-level tables, ``_ODD`` and
-``_INDICES``; their keys are masks of n <= 8 bits, so they never hold more
-than 3^8 and 2^8 entries, and nothing is built at import.
+A diagonal metric is found lazily (see ``FrameGeometry``); the identity
+raises no index at all.  Every other raise, and every minor of a matrix
+that is not diagonal, comes from one table, the Cauchy-Binet minors of a matrix's leading rows
+(``_minors``), held in a ``CoframeChange``: a change of frame, the
+raising of indices by g^{-1} (one change cached per geometry), det g and
+Sylvester's test all read it, so the forms one change moves share the
+minors.  The table holds the minors of the matrix scaled to ints by one
+denominator.
+
+Merge signs and index tuples are read from two lazily filled module-level
+tables, ``_ODD`` and ``_INDICES``; their keys are masks of n <= 8 bits, so
+they never hold more than 3^8 and 2^8 entries, and nothing is built at
+import.
 """
 
 from __future__ import annotations
@@ -27,10 +35,12 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from functools import cached_property
+from math import gcd, lcm
+from types import MappingProxyType
 from typing import Iterable
 
 from .linsolve import InconsistentSystem, echelon
-from .scalars import Field, FieldMismatch, GTorsionError, NotRepresentable, Scalar, _mac, _settle
+from .scalars import Field, FieldMismatch, GTorsionError, NotRepresentable, Scalar, _mac, _norm, _settle
 
 __all__ = [
     "KForm",
@@ -102,19 +112,126 @@ _INDICES = _Lazy(lambda mask: tuple(i + 1 for i in range(mask.bit_length()) if m
 _new = object.__new__
 
 
-def _trusted(n: int, k: int, field: Field, coeffs: dict) -> "KForm":
-    """A KForm over ``coeffs`` without the public constructor's checks: every
-    value is a nonzero Scalar on a mask of k bits, as ``_settle`` returns
-    them or as a checked form holds them."""
+def _mismatch(x: Field, y: Field) -> FieldMismatch:
+    return FieldMismatch(f"mixed-field arithmetic: {x!r} vs {y!r}")
+
+
+def _from_body(n: int, k: int, field: Field, den: int, p: dict, q: dict) -> "KForm":
+    """A KForm over a canonical body, as a kernel or another form holds it;
+    the dicts are shared, never written."""
     form = _new(KForm)
-    form.n, form.k, form.field, form.coeffs = n, k, field, coeffs
+    form.n, form.k, form.field, form._den, form._p, form._q, form._view = n, k, field, den, p, q, None
     return form
 
 
-class KForm:
-    """Invariant k-form: dimension n, degree k, {mask: Scalar} coefficients."""
+def _normalize(n: int, k: int, field: Field, den: int, p: dict, q: dict) -> "KForm":
+    """The KForm over the raw sums den, p, q (den > 0): zero entries are
+    dropped and one gcd over den and every numerator is divided out."""
+    g = gcd(den, *p.values(), *q.values()) if den != 1 else 1
+    if g != 1:
+        den //= g
+        p = {m: v // g for m, v in p.items() if v}
+        q = {m: v // g for m, v in q.items() if v}
+    else:
+        if 0 in p.values():
+            p = {m: v for m, v in p.items() if v}
+        if 0 in q.values():
+            q = {m: v for m, v in q.items() if v}
+    return _from_body(n, k, field, den, p, q)
 
-    __slots__ = ("n", "k", "field", "coeffs")
+
+def _trusted(n: int, k: int, field: Field, coeffs: dict) -> "KForm":
+    """A KForm over ``coeffs`` without the public constructor's checks: every
+    value is a nonzero canonical Scalar on a mask of k bits, as ``_settle``
+    returns them or as a checked form holds them."""
+    form = _new(KForm)
+    form.n, form.k, form.field = n, k, field
+    _fill(form, coeffs)
+    return form
+
+
+def _fill(form: "KForm", coeffs: dict) -> None:
+    """Give ``form`` the body of the canonical Scalars ``coeffs`` and keep
+    them as its view: den is the lcm of theirs, which leaves it canonical."""
+    den = 1
+    for c in coeffs.values():
+        if den % c.den:
+            den = lcm(den, c.den)
+    p, q = {}, {}
+    for m, c in coeffs.items():
+        s = den // c.den
+        if c.p:
+            p[m] = c.p * s
+        if c.q:
+            q[m] = c.q * s
+    form._den, form._p, form._q, form._view = den, p, q, MappingProxyType(coeffs)
+
+
+def _axpy_ints(acc: dict, c: int, x: dict) -> None:
+    """acc += c x on int dicts keyed by mask."""
+    if not c:
+        return
+    if c == 1 and not acc:
+        acc.update(x)
+        return
+    get = acc.get
+    for m, v in x.items():
+        acc[m] = get(m, 0) + c * v
+
+
+def _sum_ints(x: dict, s: int, y: dict, t: int) -> dict:
+    """s x + t y on int dicts keyed by mask."""
+    out = dict(x) if s == 1 else {m: s * v for m, v in x.items()}
+    get = out.get
+    for m, v in y.items():
+        out[m] = get(m, 0) + t * v
+    return out
+
+
+def _combination(n: int, k: int, field: Field, terms) -> "KForm":
+    """sum c f over the ``terms`` (cp, cq, cden, den, p, q): the scalar
+    c = (cp + cq sqrt d)/cden times the body f = (den, p, q), summed over
+    one denominator and normalized by one gcd."""
+    den = 1
+    for t in terms:
+        den = lcm(den, t[2] * t[3])
+    d = field.d
+    p, q = {}, {}
+    for cp, cq, cden, fden, fp, fq in terms:
+        s = den // (cden * fden)
+        cp, cq = cp * s, cq * s
+        _axpy_ints(p, cp, fp)
+        if fq:
+            _axpy_ints(q, cp, fq)
+            _axpy_ints(p, d * cq, fq)
+        if cq:
+            _axpy_ints(q, cq, fp)
+    return _normalize(n, k, field, den, p, q)
+
+
+def _product(kernel, d: int, xp: dict, xq: dict, yp, yq) -> tuple[dict, dict]:
+    """The rational and sqrt(d) numerators of the bilinear ``kernel`` at
+    x = xp + xq sqrt d and y = yp + yq sqrt d, where kernel(u, v, acc) adds
+    its int map of u, v into acc; yq is falsy when y is rational.  Over QQ
+    the kernel runs once."""
+    p, q = {}, {}
+    kernel(xp, yp, p)
+    if xq or yq:
+        if xq and yq:
+            kernel({m: d * v for m, v in xq.items()}, yq, p)
+        if yq:
+            kernel(xp, yq, q)
+        if xq:
+            kernel(xq, yp, q)
+    return p, q
+
+
+class KForm:
+    """Invariant k-form: dimension n, degree k and its integer body (den,
+    rational numerators, sqrt(d) numerators); ``coeffs`` is the
+    {mask: Scalar} view."""
+
+    __slots__ = ("n", "k", "field", "_den", "_p", "_q", "_view")
 
     def __init__(self, n: int, k: int, field: Field, coeffs: dict[int, Scalar] | None = None):
         if not 1 <= n <= 8:
@@ -130,8 +247,21 @@ class KForm:
                 if m.bit_count() != k:
                     raise ValueError(f"mask {m:b} has wrong cardinality for degree {k}")
                 if not c.is_zero():
-                    clean[m] = c
-        self.coeffs = clean
+                    clean[m] = c if c.field is field else field.scalar(c)
+        _fill(self, clean)
+
+    @property
+    def coeffs(self) -> MappingProxyType:
+        """The nonzero coefficients {mask: Scalar}, canonical, read-only."""
+        view = self._view
+        if view is None:
+            field, den, p, q = self.field, self._den, self._p, self._q
+            out = {m: _norm(field, v, q.get(m, 0), den) for m, v in p.items()}
+            for m, v in q.items():
+                if m not in p:
+                    out[m] = _norm(field, 0, v, den)
+            view = self._view = MappingProxyType(out)
+        return view
 
     # -- constructors --------------------------------------------------
 
@@ -174,43 +304,37 @@ class KForm:
         are dropped."""
         self._check_compatible(other)
         field = self.field
-        acc = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            t = acc.get(m)
-            if t is not None:
-                t = t - c if negate else t + c
-                if t.is_zero():
-                    del acc[m]
-                else:
-                    acc[m] = t
-            elif c.field is not field:
-                raise FieldMismatch(f"mixed-field arithmetic: {field!r} vs {c.field!r}")
-            else:
-                acc[m] = -c if negate else c
-        return _trusted(self.n, self.k, field, acc)
+        if other.field is not field and (other._p or other._q):
+            raise _mismatch(field, other.field)
+        den = lcm(self._den, other._den)
+        s, t = den // self._den, den // other._den
+        p = _sum_ints(self._p, s, other._p, -t if negate else t)
+        q = _sum_ints(self._q, s, other._q, -t if negate else t) if self._q or other._q else {}
+        return _normalize(self.n, self.k, field, den, p, q)
 
     def __neg__(self) -> "KForm":
-        return _trusted(self.n, self.k, self.field, {m: -c for m, c in self.coeffs.items()})
+        return _from_body(self.n, self.k, self.field, self._den,
+                          {m: -v for m, v in self._p.items()}, {m: -v for m, v in self._q.items()})
 
     def scale(self, c) -> "KForm":
-        s = self.field.scalar(c)
-        coeffs = {} if s.is_zero() else {m: v * s for m, v in self.coeffs.items()}
-        return _trusted(self.n, self.k, self.field, coeffs)
+        s = c if c.__class__ is int else self.field.scalar(c)
+        term = (s, 0, 1) if s.__class__ is int else (s.p, s.q, s.den)
+        return _combination(self.n, self.k, self.field, ((*term, self._den, self._p, self._q),))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KForm):
             return NotImplemented
         if self.n != other.n or self.k != other.k:
             return False
-        for m in self.coeffs.keys() | other.coeffs.keys():
-            a = self.coeffs.get(m, self.field.zero())
-            b = other.coeffs.get(m, other.field.zero())
-            if not (a - b).is_zero():
-                return False
-        return True
+        if other.field is not self.field and (self._p or self._q or other._p or other._q):
+            raise _mismatch(self.field, other.field)
+        return self._den == other._den and self._p == other._p and self._q == other._q
+
+    def __hash__(self):
+        return hash((self.n, self.k, self._den, frozenset(self._p.items()), frozenset(self._q.items())))
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs.values())
+        return not self._p and not self._q
 
     def _check_compatible(self, other: "KForm"):
         if self.n != other.n:
@@ -219,13 +343,20 @@ class KForm:
             raise GeometryError(f"degree mismatch: {self.k} vs {other.k}")
 
     def __repr__(self):
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return f"KForm({self.n},{self.k}; 0)"
         parts = []
-        for m in sorted(self.coeffs):
+        for m in sorted(coeffs):
             idx = "".join(str(i) for i in indices_of(m))
-            parts.append(f"({self.coeffs[m]})e{idx}")
+            parts.append(f"({coeffs[m]})e{idx}")
         return f"KForm({self.n},{self.k}; " + " + ".join(parts) + ")"
+
+
+def _support(form: KForm) -> list[int]:
+    """The masks of ``form`` in the order of its ``coeffs`` view."""
+    p = form._p
+    return [*p, *(m for m in form._q if m not in p)]
 
 
 def _sort_sign(idx: tuple[int, ...]) -> int:
@@ -254,11 +385,12 @@ class VectorField:
 
     @classmethod
     def zero(cls, n: int, field: Field) -> "VectorField":
-        return cls(n, field, [0] * n)
+        return cls(n, field, [field.zero()] * n)
 
     @classmethod
     def basis(cls, n: int, field: Field, i: int) -> "VectorField":
-        return cls(n, field, [1 if j == i else 0 for j in range(1, n + 1)])
+        one, zero = field.one(), field.zero()
+        return cls(n, field, [one if j == i else zero for j in range(1, n + 1)])
 
     def __add__(self, other: "VectorField") -> "VectorField":
         return VectorField(self.n, self.field, [a + b for a, b in zip(self.components, other.components)])
@@ -293,10 +425,11 @@ class FrameGeometry:
     relative to label order.
 
     A diagonal metric (the identity, lam^2 I, any orthogonal frame) is found
-    lazily on first use; its Gram minors are products of 1/g_ii.  Unit
-    diagonal entries are the field's own ``one()``, so the identity is the
-    case where every such factor is skipped.  Any other metric raises
-    indices by the minors of g^{-1} (``transform_form``).
+    lazily on first use.  Unit diagonal entries are the field's own
+    ``one()``, so the identity is the case where no index is raised.  Any
+    other metric raises indices by the minors of g^{-1}, read from one
+    ``CoframeChange`` kept on the geometry, so each set of rows of g^{-1}
+    is expanded once however many forms are raised.
     """
 
     def __init__(self, n: int, field: Field, metric=None, orientation_sign: int = 1):
@@ -346,13 +479,29 @@ class FrameGeometry:
         d = self.diagonal
         return d is not None and all(x is self.field.one() for x in d)
 
+    @cached_property
+    def _raise(self) -> "CoframeChange":
+        """g^{-1} as a change of frame: moving a form by it raises every index."""
+        return CoframeChange(self.inverse_metric(), self.field)
+
+    @cached_property
+    def _rho(self) -> tuple[int, int, int]:
+        """The ints (p, q, den) of rho = +-sqrt(det g), signed by the orientation."""
+        r, s = self.sqrt_det(), self.orientation_sign
+        return r.p * s, r.q * s, r.den
+
     # -- metric utilities ----------------------------------------------
 
     def check_positive_definite(self):
-        """Sylvester: every leading principal minor is positive."""
-        minors, zero = _leading_minors(self.metric, self.field), self.field.zero()
-        leading = [(1 << k) - 1 for k in range(1, self.n + 1)]
-        if any(minors[m].get(m, zero).sign() <= 0 for m in leading):
+        """Sylvester: every leading principal minor is positive (for a
+        diagonal metric, every diagonal entry)."""
+        d = self.diagonal
+        if d is not None:
+            ok = all(x.sign() > 0 for x in d)
+        else:
+            table = CoframeChange(self.metric, self.field)
+            ok = all(table.minor((1 << k) - 1).sign() > 0 for k in range(1, self.n + 1))
+        if not ok:
             raise GeometryError("metric is not positive-definite")
 
     def inverse_metric(self):
@@ -414,8 +563,7 @@ def _unit(x: Scalar) -> Scalar:
 
 def _mat_det(m, field: Field) -> Scalar:
     """det m: the top entry of its minors table."""
-    full = (1 << len(m)) - 1
-    return _leading_minors(m, field)[full].get(full, field.zero())
+    return CoframeChange(m, field).minor((1 << len(m)) - 1)
 
 
 def _mat_inverse(m, field: Field):
@@ -434,72 +582,99 @@ def _mat_inverse(m, field: Field):
     return [[pivots[c].get(-1 - r, zero) for r in range(n)] for c in range(n)]
 
 
-def _leading_minors(m, field: Field) -> dict:
-    """The minors table of a square matrix: {I: {J: det m[I, J]}} for every
-    set I of leading rows, nonzero minors only."""
-    minors = {0: {0: field.one()}}
-    _minors((1 << len(m)) - 1, minors, _sparse_rows(m), field)
-    return minors
+def _minors(mask: int, minors: tuple, rows: tuple, d: int) -> None:
+    """Fill ``minors`` (rational and sqrt(d) numerators {I: {J: det M[I, J]}},
+    M the int matrix whose rows ``rows`` holds the same way) at the rows I
+    in ``mask``: the minors of the rows below its top row, wedged with the
+    top row."""
+    if mask in minors[0]:
+        return
+    top = mask.bit_length() - 1
+    rest = mask ^ (1 << top)
+    _minors(rest, minors, rows, d)
+    acc = ({}, {})
+    for i, part in enumerate((minors[0][rest], minors[1][rest])):
+        for j, row in enumerate((rows[0][top], rows[1][top])):
+            if part and row:
+                _wedge_row(acc[(i + j) & 1], part, d if i & j else 1, row)
+    for table, sums in zip(minors, acc):
+        table[mask] = {m: v for m, v in sums.items() if v}
 
 
-def _sparse_rows(m) -> list:
-    """Row j of m as the pairs (bit of i, m[j][i]) of its nonzero entries."""
-    return [[(1 << i, x) for i, x in enumerate(row) if not x.is_zero()] for row in m]
-
-
-def _minors(mask: int, minors: dict, rows, field: Field) -> dict:
-    """The nonzero minors {J: det M[I, J]} of the rows I in ``mask``, kept
-    in ``minors``: those of the rows below its top row, wedged with the top
-    row."""
-    out = minors.get(mask)
-    if out is None:
-        top = mask.bit_length() - 1
-        acc = {}
-        _wedge_row(acc, _minors(mask ^ (1 << top), minors, rows, field), field.one(), rows[top])
-        out = minors[mask] = _settle(field, acc)
-    return out
-
-
-def _wedge_row(acc: dict, minors: dict, c: Scalar, row) -> None:
-    """acc += c (sum_J minors[J] f^J) ^ (sum_i x_i f^i) for ``row`` the
-    pairs (bit of i, x_i): f^i moves past the bits of J above it."""
-    odd, one = _ODD, c.field.one()
-    for jm, d in minors.items():
-        cd = d if c is one else c if d is one else c * d
+def _wedge_row(acc: dict, minors: dict, c: int, row) -> None:
+    """acc += c (sum_J minors[J] f^J) ^ (sum_i x_i f^i) on ints, for ``row``
+    the pairs (bit of i, x_i): f^i moves past the bits of J above it."""
+    odd, get = _ODD, acc.get
+    for jm, v in minors.items():
+        cv = c * v
         for bit, x in row:
             if not jm & bit:
-                _mac(acc, jm | bit, cd, x, odd[jm << 8 | bit])
+                key = jm | bit
+                if odd[jm << 8 | bit]:
+                    acc[key] = get(key, 0) - cv * x
+                else:
+                    acc[key] = get(key, 0) + cv * x
 
 
 class CoframeChange:
     """A change of coframe given by the old coframe in the new one,
     e^j = sum_i M[j][i] f^i, with the Cauchy-Binet minors table of M.
 
-    Every form moved by one change shares the table, so the minors of each
-    set of rows of M are expanded once per change of basis, not once per
-    form.
+    M is held as the int matrix den M, rational and sqrt(d) parts apart, so
+    the table holds int minors, and a minor of k rows of M is the table's
+    over den^k.  Every form moved by one change shares the table, so the
+    minors of each set of rows of M are expanded once per change of basis,
+    not once per form.
     """
 
-    __slots__ = ("field", "rows", "minors")
+    __slots__ = ("field", "den", "rows", "minors")
 
     def __init__(self, old_in_new, field: Field):
         self.field = field
-        self.rows = _sparse_rows(old_in_new)
-        self.minors = {0: {0: field.one()}}
+        den = 1
+        for row in old_in_new:
+            for x in row:
+                if den % x.den:
+                    den = lcm(den, x.den)
+        self.den = den
+        # row j of den M as the pairs (bit of i, int) of its nonzero rational
+        # parts, then of its nonzero sqrt(d) parts
+        self.rows = (
+            [[(1 << i, x.p * (den // x.den)) for i, x in enumerate(row) if x.p] for row in old_in_new],
+            [[(1 << i, x.q * (den // x.den)) for i, x in enumerate(row) if x.q] for row in old_in_new]
+            if field.d else [[]] * len(old_in_new),
+        )
+        self.minors = ({0: {0: 1}}, {0: {}})
+
+    def minor(self, mask: int) -> Scalar:
+        """det M[I, I] for the rows and columns I in ``mask``."""
+        _minors(mask, self.minors, self.rows, self.field.d)
+        return _norm(self.field, self.minors[0][mask].get(mask, 0), self.minors[1][mask].get(mask, 0),
+                     self.den ** mask.bit_count())
 
     def move(self, form: KForm) -> KForm:
         """The form in the new coframe: c e^I goes to sum_J c det M[I, J] f^J.
         Each term wedges its top row of M onto the table's minors of the
-        rest of I, straight into the one output accumulator."""
+        rest of I, straight into the one output body over den^k."""
         n, k, field = form.n, form.k, self.field
+        if form.field is not field and form.field.d and not form.is_zero():
+            raise _mismatch(form.field, field)
         if k == 0:
-            return _trusted(n, 0, field, dict(form.coeffs))
-        rows, minors = self.rows, self.minors
-        acc = {}
-        for mask, coef in form.coeffs.items():
-            top = mask.bit_length() - 1
-            _wedge_row(acc, _minors(mask ^ (1 << top), minors, rows, field), coef, rows[top])
-        return _trusted(n, k, field, _settle(field, acc))
+            return _from_body(n, 0, field, form._den, form._p, form._q)
+        minors, rows, d = self.minors, self.rows, field.d
+        acc = ({}, {})
+        for i, part in enumerate((form._p, form._q)):
+            for mask, c in part.items():
+                top = mask.bit_length() - 1
+                rest = mask ^ (1 << top)
+                if rest not in minors[0]:
+                    _minors(rest, minors, rows, d)
+                for j, sub in enumerate((minors[0][rest], minors[1][rest])):
+                    for l, row in enumerate((rows[0][top], rows[1][top])):
+                        if sub and row:
+                            e = i + j + l  # a power of sqrt d
+                            _wedge_row(acc[e & 1], sub, c * d if e > 1 else c, row)
+        return _normalize(n, k, field, form._den * self.den**k, *acc)
 
 
 def transform_form(form: KForm, old_in_new, field: Field) -> KForm:
@@ -510,6 +685,23 @@ def transform_form(form: KForm, old_in_new, field: Field) -> KForm:
 
 
 # -- core operations ----------------------------------------------------
+#
+# Each kernel below is an int map kernel(x, y, acc) of the numerators of
+# its two arguments; ``_product`` runs it on the rational and sqrt(d)
+# parts, and the output is normalized once.
+
+
+def _wedge_ints(x: dict, y: dict, acc: dict) -> None:
+    odd, get = _ODD, acc.get
+    for ma, va in x.items():
+        high = ma << 8
+        for mb, vb in y.items():
+            if not ma & mb:
+                m = ma | mb
+                if odd[high | mb]:
+                    acc[m] = get(m, 0) - va * vb
+                else:
+                    acc[m] = get(m, 0) + va * vb
 
 
 def wedge(a: KForm, b: KForm) -> KForm:
@@ -518,14 +710,22 @@ def wedge(a: KForm, b: KForm) -> KForm:
     k = a.k + b.k
     if k > a.n:
         return KForm.zero(a.n, a.n, a.field)  # convention: top-degree zero
-    acc: dict[int, list] = {}
-    odd = _ODD
-    for ma, ca in a.coeffs.items():
-        high = ma << 8
-        for mb, cb in b.coeffs.items():
-            if not ma & mb:
-                _mac(acc, ma | mb, ca, cb, odd[high | mb])
-    return _trusted(a.n, k, a.field, _settle(a.field, acc))
+    field = a.field
+    if b.field is not field and not a.is_zero() and not b.is_zero():
+        raise _mismatch(field, b.field)
+    p, q = _product(_wedge_ints, field.d, a._p, a._q, b._p, b._q)
+    return _normalize(a.n, k, field, a._den * b._den, p, q)
+
+
+def _interior_ints(x: dict, comps: list, acc: dict) -> None:
+    # comps: the pairs (bit of i, X^i) of the vector's nonzero components;
+    # e^i moves to the front of e^m past the bits of m below it
+    get = acc.get
+    for m, c in x.items():
+        for bit, v in comps:
+            if m & bit:
+                key = m ^ bit
+                acc[key] = get(key, 0) + (-c * v if (m & (bit - 1)).bit_count() & 1 else c * v)
 
 
 def interior(x: VectorField, a: KForm) -> KForm:
@@ -533,18 +733,16 @@ def interior(x: VectorField, a: KForm) -> KForm:
         raise GeometryError(f"dimension mismatch: {x.n} vs {a.n}")
     if a.k == 0:
         return KForm.zero(a.n, 0, a.field)
-    acc: dict[int, list] = {}
-    for m, c in a.coeffs.items():
-        pos = 0
-        mm = m
-        while mm:
-            low = mm & -mm
-            comp = x.components[low.bit_length() - 1]
-            if not comp.is_zero():
-                _mac(acc, m ^ low, c, comp, pos & 1)
-            pos += 1
-            mm ^= low
-    return _trusted(a.n, a.k - 1, a.field, _settle(a.field, acc))
+    field = a.field
+    comps = [(1 << i, c) for i, c in enumerate(x.components) if not c.is_zero()]
+    for _, c in comps:
+        if c.field is not field and not a.is_zero():
+            raise _mismatch(field, c.field)
+    den = lcm(*(c.den for _, c in comps))
+    xp = [(bit, c.p * (den // c.den)) for bit, c in comps if c.p]
+    xq = [(bit, c.q * (den // c.den)) for bit, c in comps if c.q]
+    p, q = _product(_interior_ints, field.d, a._p, a._q, xp, xq)
+    return _normalize(a.n, a.k - 1, field, a._den * den, p, q)
 
 
 def derivation_rows(a: KForm, actions) -> dict[int, dict[int, Scalar]]:
@@ -587,42 +785,41 @@ def skew_three_form(n: int, field: Field, t) -> KForm | None:
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 v = t(i, j, k)
-                odd = (t(j, i, k), t(i, k, j), t(k, j, i))
-                even = (t(j, k, i), t(k, i, j))
-                if not all((w + v).is_zero() for w in odd) or not all((w - v).is_zero() for w in even):
+                # canonical Scalars: w = -v and w = v compare ints
+                minus, plus = (-v.p, -v.q, v.den), (v.p, v.q, v.den)
+                if any((w.p, w.q, w.den) != minus for w in (t(j, i, k), t(i, k, j), t(k, j, i))):
+                    return None
+                if any((w.p, w.q, w.den) != plus for w in (t(j, k, i), t(k, i, j))):
                     return None
                 if not v.is_zero():
                     coeffs[(1 << i) | (1 << j) | (1 << k)] = v
     return _trusted(n, 3, field, coeffs)
 
 
-def _raised(a: KForm, geom: FrameGeometry) -> dict[int, Scalar]:
-    """The nonzero components a^I = <e^I, a> of ``a`` with every index raised
-    by g, keyed by mask: a's own coefficients for the identity metric (read
-    them, never write them), a_I prod 1/g_ii for a diagonal one, otherwise
-    sum_J a_J det g^{-1}[J, I], the change of frame by g^{-1}."""
-    if geom._is_identity:
-        return a.coeffs
-    dinv = geom.diagonal_inverse
-    if dinv is None:
-        return transform_form(a, geom.inverse_metric(), a.field).coeffs
-    one = a.field.one()
-    out = {}
-    for m, c in a.coeffs.items():
-        w = math.prod((dinv[i - 1] for i in _INDICES[m] if dinv[i - 1] is not one), start=one)
-        out[m] = c if w is one else c * w
-    return out
+def _raised(a: KForm, geom: FrameGeometry) -> KForm:
+    """``a`` with every index raised by g, a^I = <e^I, a>: ``a`` itself for
+    the identity metric, otherwise sum_J a_J det g^{-1}[J, I], the change of
+    frame by g^{-1} that the geometry keeps."""
+    return a if geom._is_identity else geom._raise.move(a)
+
+
+def _dot_ints(x: dict, y: dict, acc: dict) -> None:
+    s = 0
+    for m, v in x.items():
+        w = y.get(m)
+        if w:
+            s += v * w
+    acc[0] = acc.get(0, 0) + s
 
 
 def form_inner(a: KForm, b: KForm, geom: FrameGeometry) -> Scalar:
     if a.k != b.k:
         raise GeometryError(f"degree mismatch: {a.k} vs {b.k}")
-    acc: dict[int, list] = {}
-    for m, ca in _raised(a, geom).items():
-        cb = b.coeffs.get(m)
-        if cb is not None:
-            _mac(acc, 0, ca, cb, False)
-    return _settle(a.field, acc).get(0, a.field.zero())
+    up, field = _raised(a, geom), a.field
+    if b.field is not field and not up.is_zero() and not b.is_zero():
+        raise _mismatch(field, b.field)
+    p, q = _product(_dot_ints, field.d, up._p, up._q, b._p, b._q)
+    return _norm(field, p[0], q.get(0, 0), up._den * b._den)
 
 
 def hodge_star(a: KForm, geom: FrameGeometry) -> KForm:
@@ -630,18 +827,16 @@ def hodge_star(a: KForm, geom: FrameGeometry) -> KForm:
     star(a) = rho sum_I eps(I, I^c) a^I e^{I^c}, rho = +-sqrt(det g)."""
     n = a.n
     full = (1 << n) - 1
-    rho = geom.sqrt_det() * geom.orientation_sign
-    # rho = +-1 (any unimodular metric) only flips signs
-    unit = rho.den == 1 and not rho.q and rho.p in (1, -1)
-    flip = unit and rho.p < 0
+    up = _raised(a, geom)
+    rp, rq, rden = geom._rho
     odd = _ODD
-    acc: dict[int, Scalar] = {}
-    for m, c in _raised(a, geom).items():
-        comp = full ^ m
-        if not unit:
-            c = c * rho
-        acc[comp] = -c if odd[m << 8 | comp] is not flip else c
-    return _trusted(n, n - a.k, a.field, acc)
+    p = {full ^ m: -v if odd[m << 8 | (full ^ m)] else v for m, v in up._p.items()}
+    q = {full ^ m: -v if odd[m << 8 | (full ^ m)] else v for m, v in up._q.items()}
+    if rden == 1 and not rq and rp in (1, -1):  # rho = +-1 (any unimodular metric) only flips signs
+        if rp < 0:
+            p, q = {m: -v for m, v in p.items()}, {m: -v for m, v in q.items()}
+        return _from_body(n, n - a.k, a.field, up._den, p, q)
+    return _combination(n, n - a.k, a.field, ((rp, rq, rden, up._den, p, q),))
 
 
 def _masks(n: int, k: int):
@@ -673,7 +868,7 @@ def musical_inv(a: KForm, geom: FrameGeometry) -> VectorField:
     """Sharp: degree-1 form -> vector via the inverse metric."""
     if a.k != 1:
         raise GeometryError("sharp needs a 1-form")
-    up = _raised(a, geom)
+    up = _raised(a, geom).coeffs
     zero = geom.field.zero()
     return VectorField(geom.n, geom.field, [up.get(1 << i, zero) for i in range(geom.n)])
 
@@ -690,19 +885,25 @@ def two_form_square(f: KForm, geom: FrameGeometry):
     ]
 
 
+def _contract_ints(x: dict, y: dict, acc: dict) -> None:
+    # the sum over ordered pairs is twice the sum over a < b: for each term
+    # H_pqr e^{pqr} of x, pair (p, q) of y meets Z = r, (p, r) meets -q, (q, r) meets p
+    get = acc.get
+    for m, hv in x.items():
+        p, q, r = (1 << (i - 1) for i in _INDICES[m])
+        for pair, z, neg in ((p | q, r, False), (p | r, q, True), (q | r, p, False)):
+            fv = y.get(pair)
+            if fv:
+                acc[z] = get(z, 0) + (-fv * hv if neg else fv * hv)
+
+
 def contract_2_3(f: KForm, h: KForm, geom: FrameGeometry) -> KForm:
     """<F,H>(Z) = 1/2 sum_{a,b} F^{ab} H(e_a, e_b, Z), indices raised by g."""
     if f.k != 2 or h.k != 3:
         raise GeometryError("contract_2_3 needs degrees (2, 3)")
     field = f.field
     fup = _raised(f, geom)
-    # the sum over ordered pairs is twice the sum over a < b: for each term
-    # H_pqr e^{pqr}, pair (p, q) meets Z = r, (p, r) meets -q, (q, r) meets p
-    acc: dict[int, list] = {}
-    for m, hv in h.coeffs.items():
-        p, q, r = (1 << (i - 1) for i in _INDICES[m])
-        for pair, z, neg in ((p | q, r, False), (p | r, q, True), (q | r, p, False)):
-            fv = fup.get(pair)
-            if fv is not None:
-                _mac(acc, z, fv, hv, neg)
-    return _trusted(f.n, 1, field, _settle(field, acc))
+    if h.field is not field and not fup.is_zero() and not h.is_zero():
+        raise _mismatch(field, h.field)
+    p, q = _product(_contract_ints, field.d, h._p, h._q, fup._p, fup._q)
+    return _normalize(f.n, 1, field, h._den * fup._den, p, q)

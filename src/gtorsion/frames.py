@@ -7,8 +7,10 @@ per frame) and the connection symbols Gamma^l_{ij}.  So d, Levi-Civita,
 Bismut and curvature cost products of nonzero entries only, and a flat
 connection costs almost nothing.  Curvature is read as traces: the Ricci
 tensor is contracted straight off the symbols, and no Riemann tensor is
-built.  Sums of products accumulate through ``scalars._mac``, one
-normalization per output entry.
+built.  Sums of products of the tensors accumulate through
+``scalars._mac``, one normalization per output entry; d works on the forms'
+integer bodies, with the coframe differentials over one denominator (kept
+per frame), and normalizes each output form once.
 A change of frame moves a form by the minors of the change-of-basis matrix
 (Cauchy-Binet, ``forms.CoframeChange``), one accumulation per form, with
 no wedge, and the forms one change moves share one minors table.  A frame
@@ -19,6 +21,7 @@ structure's frame carries the structure's metric.
 from __future__ import annotations
 
 from functools import cached_property
+from math import lcm
 
 from .forms import (
     _INDICES,
@@ -28,9 +31,12 @@ from .forms import (
     GeometryError,
     KForm,
     VectorField,
+    _combination,
     _mat_det,
     _mat_inverse,
-    _trusted,
+    _mismatch,
+    _normalize,
+    _product,
     hodge_star,
     indices_of,
     transform_form,
@@ -107,6 +113,16 @@ class LieAlgebraFrame:
                 out[(j - 1, i - 1, k)] = coef
         return out
 
+    @cached_property
+    def _coframe_body(self) -> tuple:
+        """The differentials de^i over one denominator, as ``ce_differential``
+        reads them: (den, rational numerators per i, sqrt(d) numerators per
+        i or None when every de^i is rational)."""
+        den = lcm(*(d._den for d in self.coframe_d))
+        p = [{m: v * (den // d._den) for m, v in d._p.items()} for d in self.coframe_d]
+        q = [{m: v * (den // d._den) for m, v in d._q.items()} for d in self.coframe_d]
+        return den, p, q if any(q) else None
+
     def is_unimodular(self) -> bool:
         """Every trace sum_k c^k_{ik} vanishes."""
         tr = [self.field.zero()] * self.n
@@ -156,31 +172,32 @@ class ConnectionCoeffs:
             comps[i][j][l] = v
         return [[VectorField(n, field, c) for c in row] for row in comps]
 
-    def nabla(self, x: VectorField, y: VectorField) -> VectorField:
-        n = self.frame.n
-        comps = [self.frame.field.zero()] * n
-        xs, ys = x.components, y.components
-        for (i, j, l), v in self.entries.items():
-            if not xs[i].is_zero() and not ys[j].is_zero():
-                comps[l] = comps[l] + xs[i] * ys[j] * v
-        return VectorField(n, self.frame.field, comps)
+
+def _d_ints(x: dict, ds: list, acc: dict) -> None:
+    odd, get = _ODD, acc.get
+    for m, c in x.items():
+        for p, i in enumerate(_INDICES[m]):
+            rest = m ^ (1 << (i - 1))
+            for md, cd in ds[i - 1].items():
+                if not md & rest:
+                    key = md | rest
+                    if (p & 1) != odd[md << 8 | rest]:
+                        acc[key] = get(key, 0) - c * cd
+                    else:
+                        acc[key] = get(key, 0) + c * cd
 
 
 def ce_differential(frame: LieAlgebraFrame, a: KForm) -> KForm:
     """Extend the coframe differentials as a degree +1 antiderivation:
-    d(c e^I) = sum_p (-1)^p c (d e^{i_p}) ^ e^{I - i_p}, accumulated in one dict."""
+    d(c e^I) = sum_p (-1)^p c (d e^{i_p}) ^ e^{I - i_p}, summed into one body."""
     n, field = frame.n, frame.field
     if a.k >= n:
         return KForm.zero(n, min(a.k + 1, n), field)
-    acc: dict[int, list] = {}
-    odd, coframe_d = _ODD, frame.coframe_d
-    for m, coef in a.coeffs.items():
-        for p, ip in enumerate(_INDICES[m]):
-            rest = m ^ (1 << (ip - 1))
-            for md, cd in coframe_d[ip - 1].coeffs.items():
-                if not md & rest:
-                    _mac(acc, md | rest, coef, cd, (p & 1) != odd[md << 8 | rest])
-    return _trusted(n, a.k + 1, field, _settle(field, acc))
+    den, dp, dq = frame._coframe_body
+    if a.field is not field and not a.is_zero():
+        raise _mismatch(a.field, field)
+    p, q = _product(_d_ints, field.d, a._p, a._q, dp, dq)
+    return _normalize(n, a.k + 1, field, a._den * den, p, q)
 
 
 def codifferential(frame, a: KForm) -> KForm:
@@ -304,15 +321,10 @@ def _new_differentials(frame: LieAlgebraFrame, a, old_in_new: CoframeChange) -> 
     e = A^{-1} f."""
     n, field = frame.n, frame.field
     d_old = [old_in_new.move(d) for d in frame.coframe_d]
-    new_d = []
-    for row in a:
-        acc = {}
-        for x, d in zip(row, d_old):
-            if not x.is_zero():
-                for m, c in d.coeffs.items():
-                    _mac(acc, m, x, c, False)
-        new_d.append(_trusted(n, 2, field, _settle(field, acc)))
-    return new_d
+    return [
+        _combination(n, 2, field, [(x.p, x.q, x.den, d._den, d._p, d._q) for x, d in zip(row, d_old) if not x.is_zero()])
+        for row in a
+    ]
 
 
 def transform_bilinear(m, b_rows, field: Field):

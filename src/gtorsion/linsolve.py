@@ -20,6 +20,9 @@ one right-hand side, key -1, where it is nonzero, through the n*r rows left
 (56 for Spin(7)).  Row updates go through the scalar accumulator
 (``scalars._mac``), the one multiply-accumulate path: each entry is
 normalized once, a new pivot's entries with their division by its lead.
+Rows stay on Scalars, unlike the forms' integer bodies: an echelon on int
+rows over one denominator per row, tried on the 90 seed-1 ``rotated``
+oracle systems, gave identical pivots and no speedup.
 """
 
 from __future__ import annotations

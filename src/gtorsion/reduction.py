@@ -42,7 +42,9 @@ from .forms import (
     FrameGeometry,
     KForm,
     VectorField,
-    _trusted,
+    _from_body,
+    _normalize,
+    _support,
     hodge_star,
     indices_of,
     interior,
@@ -262,27 +264,25 @@ class TransverseSlice:
         self.labels = amb.labels[: self.n]
 
     def embed(self, a: KForm) -> KForm:
-        return _trusted(self.ambient.n, a.k, self.field, dict(a.coeffs))
+        return _from_body(self.ambient.n, a.k, self.field, a._den, a._p, a._q)
 
     def restrict(self, a: KForm, context: str = "form") -> KForm:
         mu_bit = 1 << (self.ambient.n - 1)
-        for mask in a.coeffs:
-            if mask & mu_bit:
-                raise ReductionError(f"{context} is not basic: carries a mu component")
-        return _trusted(self.n, a.k, self.field, dict(a.coeffs))
+        if any(mask & mu_bit for mask in _support(a)):
+            raise ReductionError(f"{context} is not basic: carries a mu component")
+        return _from_body(self.n, a.k, self.field, a._den, a._p, a._q)
 
     def d(self, a: KForm) -> KForm:
-        amb = self.embed(a)
-        da = self.ambient.d(amb)
+        da = self.ambient.d(self.embed(a))
         mu_bit = 1 << (self.ambient.n - 1)
-        for mask in da.coeffs:
+        for mask in _support(da):
             if mask & mu_bit:
                 bad = indices_of(mask)
                 raise ReductionError(
                     "quotient differential left the basic complex at generator "
                     + "^".join(self.ambient.labels[i - 1] for i in bad)
                 )
-        return _trusted(self.n, a.k + 1, self.field, dict(da.coeffs))
+        return _from_body(self.n, a.k + 1, self.field, da._den, da._p, da._q)
 
     @cached_property
     def constants(self) -> dict:
@@ -299,8 +299,8 @@ class TransverseSlice:
         dlist = []
         for i in range(m):
             amb = self.ambient.coframe_d[i]
-            kept = {mask: c for mask, c in amb.coeffs.items() if not mask & mu_bit}
-            dlist.append(_trusted(m, 2, self.field, kept))
+            kept = [{mask: v for mask, v in part.items() if not mask & mu_bit} for part in (amb._p, amb._q)]
+            dlist.append(_normalize(m, 2, self.field, amb._den, *kept))
         return LieAlgebraFrame(list(self.labels), dlist, self.geometry)
 
 
@@ -687,4 +687,5 @@ def central_extend(structure: GStructure, flux: KForm, target: str, df: KForm | 
 
 def _shift(form: KForm) -> KForm:
     """The form in the frame (e0, e1, ..., en): every index moves up by one."""
-    return _trusted(form.n + 1, form.k, form.field, {m << 1: c for m, c in form.coeffs.items()})
+    p, q = ({m << 1: v for m, v in part.items()} for part in (form._p, form._q))
+    return _from_body(form.n + 1, form.k, form.field, form._den, p, q)

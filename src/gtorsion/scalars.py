@@ -12,9 +12,12 @@ field.  Scalars from different fields never mix silently; binary
 operations raise ``FieldMismatch``.  Plain ints, exact rationals such as
 Fractions and QQ scalars lift into any field.
 
-The accumulator is the one multiply-accumulate path: ``_mac`` adds +-x*y
-into a raw [p, q, den] int triple per output key, and ``_settle`` turns each
-key into a canonical Scalar once, so a sum of N products pays one gcd, not 2N.
+The accumulator is the one multiply-accumulate path on Scalars: ``_mac``
+adds +-x*y into a raw [p, q, den] int triple per output key, and ``_settle``
+turns each key into a canonical Scalar once, so a sum of N products pays one
+gcd, not 2N.  The exterior-algebra kernels do not use it: a form's integer
+body (``forms``) shares one denominator and is normalized by one gcd per
+form, and ``_norm`` builds a form's Scalar view only when it is read.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from .forms import (
     wedge,
 )
 from .frames import codifferential, covariant_derivative_oneform, curvature
-from .scalars import GTorsionError
+from .scalars import GTorsionError, _mac, _settle
 from .structures import (
     KINDS,
     GStructure,
@@ -122,10 +122,12 @@ def canonical_vector(s: GStructure, df: KForm | None = None) -> VectorField:
 def parallel_certificate(s: GStructure, v: VectorField) -> dict:
     """Check nabla V = 0 for the Bismut connection of ``s``; |V| is then
     automatically constant, and ``norm_sq`` is |V|^2 in the metric of ``s``."""
-    conn = s.bismut
-    derivs = [conn.nabla(VectorField.basis(s.n, s.field, i + 1), v) for i in range(s.n)]
-    parallel = all(d.is_zero() for d in derivs)
-    return {"parallel": parallel, "norm_sq": s.geometry.norm_sq(v)}
+    # nabla_i V = sum_j V^j Gamma^l_ij, every i in one pass over the symbols
+    comps, acc = v.components, {}
+    for (i, j, l), g in s.bismut.entries.items():
+        if not comps[j].is_zero():
+            _mac(acc, (i, l), comps[j], g, False)
+    return {"parallel": not _settle(s.field, acc), "norm_sq": s.geometry.norm_sq(v)}
 
 
 def g2_rigidity_identity(s: GStructure, df: KForm | None = None):

@@ -25,8 +25,10 @@ from .forms import (
     KForm,
     VectorField,
     _Lazy,
+    _dot_ints,
     _mat_det,
     _masks,
+    _product,
     _trusted,
     contract_2_3,
     derivation_rows,
@@ -46,7 +48,7 @@ from .frames import (
     levi_civita,
 )
 from .linsolve import InconsistentSystem, LinearSolveError, echelon, solve_unique_sparse
-from .scalars import Field, GTorsionError, NotRepresentable, RationalField, Scalar, _mac, _settle
+from .scalars import Field, GTorsionError, NotRepresentable, RationalField, Scalar, _mac, _norm, _settle
 
 __all__ = [
     "StructureError",
@@ -191,6 +193,7 @@ class GStructure:
         self.forms = forms
         self.j_matrix = j_matrix
         self.field = frame.field
+        self._d_forms = {}
 
     @property
     def n(self):
@@ -211,6 +214,14 @@ class GStructure:
         return -transform_form(alpha, self.j_matrix, self.field)
 
     # -- compute-once analysis --------------------------------------------
+
+    def d_form(self, name: str) -> KForm:
+        """d of the structure form ``name``, computed once per structure: the
+        torsion classes and the closed formula for H share it."""
+        out = self._d_forms.get(name)
+        if out is None:
+            out = self._d_forms[name] = self.d(self.forms[name])
+        return out
 
     @cached_property
     def torsion(self) -> TorsionClasses | None:
@@ -306,39 +317,46 @@ def su3_assemble(omega: KForm, omega_plus: KForm, frame) -> GStructure:
     return GStructure("su3", _on_metric(frame, geom), forms, j_matrix=_j_from_metric_omega(omega, geom))
 
 
-def _top_pairing(a: list, b: list | None, form: KForm, c) -> list:
+def _top_pairing(a: list, b: list | None, form: KForm, c: Scalar) -> list:
     """The matrix M_ij = c top(a_i ^ b_j ^ form) of forms whose degrees add
     up to n; b None means b = a of even degree, M symmetric, and only the
     entries j >= i are summed.
 
     The top coefficient is sum_{A, B} a_A b_B sgn(A, B) comp[A | B] over
-    disjoint masks, where comp[M] = c sgn(M, M^c) form_{M^c}; so
-    M_ij = sum_B (b_j)_B u_i[B] with u_i = sum_A (a_i)_A sgn(A, B) comp[A | B]
-    built once per i.
+    disjoint masks, where comp[M] = sgn(M, M^c) form_{M^c}; so
+    M_ij = c sum_B (b_j)_B u_i[B] with u_i = sum_A (a_i)_A sgn(A, B) comp[A | B]
+    built once per i.  All of it runs on the forms' int bodies, and each
+    entry is one Scalar.
     """
-    field = form.field
+    field, d = form.field, form.field.d
     full = (1 << form.n) - 1
     odd = _ODD
-    comp = {}
-    for m, x in form.coeffs.items():
-        xc = x * c
-        comp[full ^ m] = -xc if odd[(full ^ m) << 8 | m] else xc
+    comp = [{full ^ m: -v if odd[(full ^ m) << 8 | m] else v for m, v in part.items()} for part in (form._p, form._q)]
     rows = b or a
-    acc = {}
+    out = [[None] * len(rows) for _ in a]
     for i, ai in enumerate(a):
-        u = {}
-        for ma, ca in ai.coeffs.items():
-            for m, cm in comp.items():
-                if m & ma == ma:
-                    _mac(u, m ^ ma, ca, cm, odd[ma << 8 | (m ^ ma)])
-        u = _settle(field, u)
+        up, uq = _product(_under_ints, d, ai._p, ai._q, *comp)
         for j in range(0 if b else i, len(rows)):
-            for mb, cb in rows[j].coeffs.items():
-                if mb in u:
-                    _mac(acc, (i, j), cb, u[mb], False)
-    entries = _settle(field, acc)
-    zero = field.zero()
-    return [[entries.get((i, j) if b or i <= j else (j, i), zero) for j in range(len(rows))] for i in range(len(a))]
+            bj = rows[j]
+            p, q = _product(_dot_ints, d, bj._p, bj._q, up, uq)
+            p, q = p[0], q.get(0, 0)
+            out[i][j] = _norm(field, p * c.p + d * q * c.q, p * c.q + q * c.p, bj._den * ai._den * form._den * c.den)
+            if not b:
+                out[j][i] = out[i][j]
+    return out
+
+
+def _under_ints(x: dict, comp: dict, acc: dict) -> None:
+    """acc[M - A] += x_A sgn(A, M - A) comp[M] for every mask A of x inside M."""
+    odd, get = _ODD, acc.get
+    for ma, ca in x.items():
+        for m, cm in comp.items():
+            if m & ma == ma:
+                key = m ^ ma
+                if odd[ma << 8 | key]:
+                    acc[key] = get(key, 0) - ca * cm
+                else:
+                    acc[key] = get(key, 0) + ca * cm
 
 
 def induced_metric_g2(phi: KForm) -> FrameGeometry:
@@ -509,7 +527,7 @@ def torsion_su3(s: GStructure) -> TorsionClasses:
     field = s.field
     geom = s.geometry
     omega, op, om = s.form("omega"), s.form("omega_plus"), s.form("omega_minus")
-    d_omega, d_op, d_om = s.d(omega), s.d(op), s.d(om)
+    d_omega, d_op, d_om = s.d_form("omega"), s.d_form("omega_plus"), s.d_form("omega_minus")
     om2 = wedge(omega, omega)
 
     split, nu1, (with_op, with_om) = _split(s, d_omega)
@@ -560,7 +578,7 @@ def torsion_g2(s: GStructure) -> TorsionClasses:
     field = s.field
     geom = s.geometry
     phi, star_phi = s.form("phi"), s.form("star_phi")
-    d_phi, d_star = s.d(phi), s.d(star_phi)
+    d_phi, d_star = s.d_form("phi"), s.d_form("star_phi")
     star_d_phi = hodge_star(d_phi, geom)
     tau0 = form_inner(d_phi, star_phi, geom) / field.scalar(7)
     split, alpha, _ = _split(s, star_d_phi)
@@ -581,7 +599,7 @@ def torsion_spin7(s: GStructure) -> TorsionClasses:
     """dPsi = theta ^ Psi + zeta5, read off ``_split``:
     star dPsi = star(theta ^ Psi) + star zeta5."""
     geom = s.geometry
-    split, lee, _ = _split(s, hodge_star(s.d(s.form("psi")), geom))
+    split, lee, _ = _split(s, hodge_star(s.d_form("psi"), geom))
     zeta5 = -hodge_star(split["48"], geom)  # star star = -1 on 3-forms, n = 8
     return TorsionClasses("spin7", {"lee": lee, "zeta5": zeta5})
 
@@ -643,7 +661,7 @@ def nijenhuis(s: GStructure) -> KForm:
 def d_c_omega(s: GStructure) -> KForm:
     """d^c omega(X,Y,Z) = -d omega(JX, JY, JZ): minus the pullback of d omega
     by J, which substitutes e^a -> sum_c J^a_c e^c."""
-    return -transform_form(s.d(s.form("omega")), s.j_matrix, s.field)
+    return -transform_form(s.d_form("omega"), s.j_matrix, s.field)
 
 
 def bismut_torsion(s: GStructure, torsion: TorsionClasses | None = None) -> KForm:
@@ -668,8 +686,8 @@ def bismut_torsion(s: GStructure, torsion: TorsionClasses | None = None) -> KFor
     if is_g2 and not torsion["tau2"].is_zero():
         raise StructureError("tau2 != 0: no skew-torsion connection for this G2 structure")
     geom = s.geometry
-    form = s.form(row.slots[0][0])  # phi or Psi
-    d_form = s.d(form)
+    slot = row.slots[0][0]  # phi or Psi
+    form, d_form = s.form(slot), s.d_form(slot)
     h = -hodge_star(d_form, geom) + hodge_star(wedge(torsion["lee"], form), geom).scale(row.lee_factor)
     if is_g2:
         h = h + form.scale(form_inner(d_form, s.form("star_phi"), geom) / s.field.scalar(6))

@@ -212,6 +212,19 @@ def lowered(conn, i, j, k, geom):
     return _last_index(conn.entries, geom, up=False).get((i, j, k), conn.frame.field.zero())
 
 
+def nabla(conn, x, y) -> VectorField:
+    """nabla_X Y of invariant fields, summed symbol by symbol with Scalar
+    arithmetic: the reference for the package's one-pass sums over
+    ``conn.entries``."""
+    n, field = conn.frame.n, conn.frame.field
+    comps = [field.zero()] * n
+    xs, ys = x.components, y.components
+    for (i, j, l), v in conn.entries.items():
+        if not xs[i].is_zero() and not ys[j].is_zero():
+            comps[l] = comps[l] + xs[i] * ys[j] * v
+    return VectorField(n, field, comps)
+
+
 def derivation(a, action):
     """The degree-0 derivation e^j -> sum_t action[j][t] e^t applied to a:
     the one column of ``derivation_rows``."""
@@ -331,6 +344,114 @@ def coeff(form, *indices):
     if m < 0:
         return form.field.zero()
     return form.coeffs.get(m, form.field.zero()) * _sort_sign(tuple(indices))
+
+
+# Scalar-by-Scalar references for the exterior-algebra kernels: each sums
+# its terms one Scalar at a time and returns the {mask: Scalar} coefficients
+# of the result, nonzero only.
+
+
+def _parity(idx) -> int:
+    """The sign of the permutation sorting distinct indices, by inversions."""
+    return -1 if sum(a > b for i, a in enumerate(idx) for b in idx[i + 1:]) & 1 else 1
+
+
+def _indices(mask):
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def ref_collect(field, terms) -> dict:
+    """The sum of (indices, Scalar) terms: repeated indices vanish."""
+    acc = {}
+    for idx, v in terms:
+        if len(set(idx)) < len(idx):
+            continue
+        m = sum(1 << (i - 1) for i in idx)
+        acc[m] = acc.get(m, field.zero()) + (v if _parity(idx) > 0 else -v)
+    return {m: v for m, v in acc.items() if not v.is_zero()}
+
+
+def ref_wedge(a, b) -> dict:
+    return ref_collect(a.field, [
+        (_indices(ma) + _indices(mb), ca * cb) for ma, ca in a.coeffs.items() for mb, cb in b.coeffs.items()
+    ])
+
+
+def ref_interior(x, a) -> dict:
+    terms = []
+    for m, c in a.coeffs.items():
+        idx = _indices(m)
+        for p, i in enumerate(idx):
+            v = c * x.components[i - 1]
+            terms.append((idx[:p] + idx[p + 1:], -v if p & 1 else v))
+    return ref_collect(a.field, terms)
+
+
+def ref_d(coframe_d, a) -> dict:
+    """d(c e^I) = sum_p (-1)^p c (d e^{i_p}) ^ e^{I - i_p}."""
+    terms = []
+    for m, c in a.coeffs.items():
+        idx = _indices(m)
+        for p, i in enumerate(idx):
+            for md, cd in coframe_d[i - 1].coeffs.items():
+                v = c * cd
+                terms.append((_indices(md) + idx[:p] + idx[p + 1:], -v if p & 1 else v))
+    return ref_collect(a.field, terms)
+
+
+def ref_combination(field, terms) -> dict:
+    """sum c a over (Scalar c, form a) pairs."""
+    return ref_collect(field, [(_indices(m), c * v) for c, a in terms for m, v in a.coeffs.items()])
+
+
+def ref_det(m):
+    """det m by cofactor expansion along the first row (n >= 1)."""
+    field = m[0][0].field
+    if len(m) == 1:
+        return m[0][0]
+    out = field.zero()
+    for c, x in enumerate(m[0]):
+        if not x.is_zero():
+            minor = ref_det([row[:c] + row[c + 1:] for row in m[1:]])
+            out = out + x * minor if c % 2 == 0 else out - x * minor
+    return out
+
+
+def ref_move(a, m) -> dict:
+    """a in the coframe f with e^j = sum_i m[j][i] f^i: the f^I coefficient
+    is sum_J a_J det m[J, I].  With m = g^{-1} these are a's raised
+    components a^I."""
+    field, n = a.field, a.n
+    out = {}
+    for im in range(1 << n):
+        if im.bit_count() == a.k:
+            cols = [i - 1 for i in _indices(im)]
+            v = field.zero()
+            for jm, c in a.coeffs.items():
+                sub = [[m[j - 1][i] for i in cols] for j in _indices(jm)]
+                v = v + c * (ref_det(sub) if sub else field.one())
+            if not v.is_zero():
+                out[im] = v
+    return out
+
+
+def ref_star(a, geom, ginv) -> dict:
+    """star a = rho sum_I eps(I, I^c) a^I e^{I^c}, rho = +-sqrt(det g)."""
+    full = (1 << a.n) - 1
+    rho = geom.sqrt_det() * geom.orientation_sign
+    out = {}
+    for m, v in ref_move(a, ginv).items():
+        out[full ^ m] = rho * v if _parity(_indices(m) + _indices(full ^ m)) > 0 else -(rho * v)
+    return out
+
+
+def ref_inner(a, b, ginv):
+    """<a, b> = sum_I a^I b_I."""
+    out = a.field.zero()
+    for m, v in ref_move(a, ginv).items():
+        if m in b.coeffs:
+            out = out + v * b.coeffs[m]
+    return out
 
 
 def bracket(frame, x, y) -> VectorField:

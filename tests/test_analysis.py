@@ -11,6 +11,7 @@ import gc
 
 import pytest
 
+from conftest import sheared_text
 from gtorsion import engine, forms, frames, reduction, registry, soliton, structures
 from gtorsion.forms import _mat_inverse
 from gtorsion.frames import change_frame, transform_form
@@ -92,6 +93,53 @@ def test_check_builds_each_item_once(monkeypatch):
     assert dict(nij) == {s: 1}
     assert dict(h) == {s: 1}
     assert dict(conn) == {s.frame: 1}
+
+
+@pytest.mark.parametrize("name", registry.names())
+def test_check_differentiates_each_structure_form_once(monkeypatch, name):
+    # the torsion classes and the closed formula for H share the structure's
+    # d of each defining form
+    doc = parse(registry.input_text(name))
+    forms_of_s = set(doc.structure().forms.values())
+    seen = collections.Counter()
+    orig = frames.ce_differential
+
+    def counted(frame, a):
+        seen[a] += 1
+        return orig(frame, a)
+
+    monkeypatch.setattr(frames, "ce_differential", counted)
+    engine.run_check(doc)
+    assert {a: c for a, c in seen.items() if a in forms_of_s and c > 1} == {}
+    assert any(a in forms_of_s for a in seen)
+
+
+@pytest.mark.parametrize("name", ["nonintG2", "nonintSpin7OneA", "nonintsu3"])
+def test_raises_expand_each_row_set_of_g_inverse_once(monkeypatch, name):
+    # a band shear makes the metric non-diagonal, so star and the inner
+    # products raise indices by the minors of g^{-1}; the geometry keeps one
+    # change of frame for g^{-1}, so each set of its rows is expanded once
+    doc = parse(sheared_text(registry.input_text(name), 1))
+    expanded, depth = [], [0]
+    orig_minors, orig_raised = forms._minors, forms._raised
+
+    def minors(mask, table, rows, d):
+        if depth[0] and mask not in table[0]:
+            expanded.append((repr(rows), mask))
+        return orig_minors(mask, table, rows, d)
+
+    def raised(a, geom):
+        depth[0] += 1
+        try:
+            return orig_raised(a, geom)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(forms, "_minors", minors)
+    monkeypatch.setattr(forms, "_raised", raised)
+    engine.run_check(doc)
+    assert expanded
+    assert len(expanded) == len(set(expanded))
 
 
 def test_g2_metric_makes_no_wedge(monkeypatch):

@@ -4,15 +4,27 @@ randomized property suites."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     Q,
+    Q2,
+    Q3,
     coeff,
     model_form,
     random_kform,
     random_posdef_geometry,
     random_vector,
+    ref_combination,
+    ref_d,
+    ref_inner,
+    ref_interior,
+    ref_move,
+    ref_star,
+    ref_wedge,
 )
+from gtorsion.frames import LieAlgebraFrame, ce_differential, transform_form
 from gtorsion.forms import (
     FrameGeometry,
     GeometryError,
@@ -329,3 +341,94 @@ def test_contract_2_3_oracle(rng):
             f = random_kform(5, 2, Q, rng)
             h = random_kform(5, 3, Q, rng)
             assert contract_2_3(f, h, geom) == brute_contract_2_3(f, h, geom)
+
+
+# -- integer bodies against Scalar-by-Scalar references ------------------------
+#
+# A form holds one denominator and int numerators; every kernel below sums
+# ints and normalizes once.  Each result must equal the reference summed one
+# Scalar at a time, and equal forms must have equal bodies and hashes.
+
+DENS = [1, 2, 3, 4, 5, 6, 7, 12, 35]  # mixed denominators: common factors and coprime ones
+# diagonal metrics whose determinant is a square, so the star stays exact
+DIAGONALS = {3: [2, Fraction(1, 2), 9], 4: [2, Fraction(1, 2), 3, Fraction(1, 3)],
+             5: [2, Fraction(1, 2), 3, Fraction(1, 3), 4], 6: [2, Fraction(1, 2), 3, Fraction(1, 3), 5, Fraction(1, 5)]}
+
+
+def _values(field):
+    rat = st.builds(Fraction, st.integers(-6, 6), st.sampled_from(DENS))
+    if field is Q:
+        return rat.map(Q.scalar)
+    return st.tuples(rat, rat).map(lambda pq: field.scalar(pq[0]) + field.sqrt_d() * pq[1])
+
+
+def _forms(field, n, k):
+    masks = [m for m in range(1 << n) if m.bit_count() == k]
+    return st.dictionaries(st.sampled_from(masks), _values(field), max_size=len(masks)).map(
+        lambda c: KForm(n, k, field, c))
+
+
+@st.composite
+def body_cases(draw):
+    field = draw(st.sampled_from([Q, Q2, Q3]))
+    n = draw(st.integers(3, 6))
+    k = draw(st.integers(0, n))
+    a, a2 = draw(_forms(field, n, k)), draw(_forms(field, n, k))
+    b = draw(_forms(field, n, draw(st.integers(0, n - k))))
+    x = VectorField(n, field, [draw(_values(field)) for _ in range(n)])
+    coframe_d = [draw(_forms(field, n, 2)) for _ in range(n)]
+    c = draw(_values(field))
+    sign = draw(st.sampled_from([1, -1]))
+    zero = field.zero()
+    diag = [[field.scalar(DIAGONALS[n][i]) if i == j else zero for j in range(n)] for i in range(n)]
+    # g = U^T U, U upper triangular with rational diagonal: det g is a square,
+    # and over QQ(sqrt d) the entries of g and g^{-1} carry sqrt d parts
+    u = [[field.scalar(draw(st.integers(1, 3))) if i == j else draw(_values(field)) if j > i else zero
+          for j in range(n)] for i in range(n)]
+    dense = [[sum((u[t][i] * u[t][j] for t in range(n)), zero) for j in range(n)] for i in range(n)]
+    geoms = [FrameGeometry(n, field, orientation_sign=sign), FrameGeometry(n, field, diag, orientation_sign=sign),
+             FrameGeometry(n, field, dense, orientation_sign=sign)]
+    m = [[draw(st.one_of(st.just(zero), _values(field))) for _ in range(n)] for _ in range(n)]
+    return field, n, a, a2, b, x, coframe_d, c, geoms, m
+
+
+def _same(got, want: dict, k):
+    """got has the reference coefficients, and the body and hash of the form
+    the public constructor builds from them."""
+    ref = KForm(got.n, k, got.field, want)
+    assert got.k == k and dict(got.coeffs) == want
+    assert got == ref and hash(got) == hash(ref)
+    assert (got._den, got._p, got._q) == (ref._den, ref._p, ref._q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(body_cases())
+def test_bodies_match_scalar_references(case):
+    field, n, a, a2, b, x, coframe_d, c, geoms, m = case
+    one = field.one()
+    _same(transform_form(a, m, field), ref_move(a, m), a.k)
+    _same(wedge(a, b), ref_wedge(a, b), a.k + b.k)
+    if a.k:
+        _same(interior(x, a), ref_interior(x, a), a.k - 1)
+    if a.k < n:
+        frame = LieAlgebraFrame([f"e{i}" for i in range(1, n + 1)], coframe_d, FrameGeometry(n, field), check_closure=False)
+        _same(ce_differential(frame, a), ref_d(coframe_d, a), a.k + 1)
+    _same(a + a2, ref_combination(field, [(one, a), (one, a2)]), a.k)
+    _same(a - a2, ref_combination(field, [(one, a), (-one, a2)]), a.k)
+    _same(-a, ref_combination(field, [(-one, a)]), a.k)
+    _same(a.scale(c), ref_combination(field, [(c, a)]), a.k)
+    _same(a.scale(-3), ref_combination(field, [(field.scalar(-3), a)]), a.k)
+    # kernel outputs as inputs: bodies that no constructor built
+    w = wedge(a, b) - wedge(a2, b)
+    _same(w, ref_combination(field, [(one, wedge(a, b)), (-one, wedge(a2, b))]), a.k + b.k)
+    for geom in geoms:
+        ginv = geom.inverse_metric()
+        assert [[sum((g * h for g, h in zip(row, col)), field.zero()) for col in zip(*ginv)] for row in geom.metric] == \
+            [[one if i == j else field.zero() for j in range(n)] for i in range(n)]
+        _same(hodge_star(a, geom), ref_star(a, geom, ginv), n - a.k)
+        _same(hodge_star(w, geom), ref_star(w, geom, ginv), n - w.k)
+        assert form_inner(a, a2, geom) == ref_inner(a, a2, ginv)
+    # equal forms, built different ways, have equal bodies and hashes
+    back = (a + a2) - a2
+    assert back == a and hash(back) == hash(a) and (back._den, back._p, back._q) == (a._den, a._p, a._q)
+    assert (a - a).is_zero() and (a - a) == KForm.zero(n, a.k, field) and hash(a - a) == hash(KForm.zero(n, a.k, field))

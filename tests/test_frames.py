@@ -20,6 +20,7 @@ from conftest import (
     fixture_doc,
     lowered,
     metric_compatible,
+    nabla,
     Riemann,
     riemann_r,
     structure_constants,
@@ -120,7 +121,7 @@ def test_levi_civita_su2_biinvariant():
     fr = su2_frame()
     lc = levi_civita(fr)
     # half the bracket on a bi-invariant metric
-    assert lc.nabla(VectorField.basis(3, Q, 2), VectorField.basis(3, Q, 3)) == VectorField(3, Q, [1, 0, 0])
+    assert nabla(lc, VectorField.basis(3, Q, 2), VectorField.basis(3, Q, 3)) == VectorField(3, Q, [1, 0, 0])
     for i in range(3):
         for j in range(3):
             for k in range(3):
@@ -263,7 +264,7 @@ def test_first_bianchi_torsion_correction(rng):
             return VectorField(6, Q, comps)
 
         def nabla_t(x, y, z):
-            return conn.nabla(x, t_vec(y, z)) - t_vec(conn.nabla(x, y), z) - t_vec(y, conn.nabla(x, z))
+            return nabla(conn, x, t_vec(y, z)) - t_vec(nabla(conn, x, y), z) - t_vec(y, nabla(conn, x, z))
 
         picks = [(0, 1, 2), (1, 3, 5), (0, 4, 2)]
         for (i, j, k) in picks:

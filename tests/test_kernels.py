@@ -14,8 +14,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import Q, Q2, Q3, coeff, derivation, random_kform, random_posdef_geometry
-from gtorsion import scalars
+from conftest import Q, Q2, Q3, coeff, derivation, random_kform, random_posdef_geometry, su2su2_frame
+from gtorsion import forms, scalars
 from gtorsion.forms import (
     FrameGeometry,
     GeometryError,
@@ -40,7 +40,7 @@ from gtorsion.linsolve import (
     echelon,
     solve_unique_sparse,
 )
-from gtorsion.scalars import FieldMismatch
+from gtorsion.scalars import FieldMismatch, Scalar
 
 
 def cofactor_det(m, field):
@@ -534,7 +534,8 @@ def _count_norms(monkeypatch):
         calls.append(args)
         return orig(*args)
 
-    monkeypatch.setattr(scalars, "_norm", counting)
+    for mod in (scalars, forms):
+        monkeypatch.setattr(mod, "_norm", counting)
     return calls
 
 
@@ -553,12 +554,38 @@ def test_fused_kernels_normalize_once_per_output_mask(monkeypatch, field):
     action = {j: {t: field.scalar(Fraction(j - t, DENS[(j * 7 + t) % len(DENS)])) for t in range(7)} for j in range(7)}
     calls = _count_norms(monkeypatch)
     w = wedge(a, b)
-    assert 0 < len(calls) <= 35  # the 5-forms of n = 7
-    assert len(w.coeffs) <= len(calls)
+    assert not calls  # the body is normalized once, by one gcd over the form
+    # the Scalar view is built on first read, one normalization per mask
+    assert 0 < len(w.coeffs) == len(calls) <= 35  # the 5-forms of n = 7
     calls.clear()
     d = derivation(b, action)
     assert 0 < len(calls) <= 35  # the 3-forms of n = 7
     assert len(d.coeffs) <= len(calls)
+
+
+@pytest.mark.parametrize("field", [Q, Q3])
+def test_body_kernels_build_no_scalar(monkeypatch, field):
+    # wedge, star, d, + and - sum ints into one body per form: on forms whose
+    # coeffs are never read, no Scalar is built
+    rng = random.Random(5)
+    frame = su2su2_frame(field)
+    root = field.sqrt_d() if field is Q3 else field.one()
+    a0 = random_kform(6, 2, field, rng) + KForm(6, 2, field, {e(1, 4): field.scalar(Fraction(2, 3)) + root})
+    b0 = random_kform(6, 1, field, rng)
+    diagonal = [[(1, 4, 1, 9, 1, 1)[i] if i == j else 0 for j in range(6)] for i in range(6)]
+    geoms = [FrameGeometry(6, field), FrameGeometry(6, field, diagonal), random_posdef_geometry(6, field, rng)]
+    for geom in geoms:  # the geometry's own caches: sqrt det g and the minors of g^{-1}
+        hodge_star(frame.d(wedge(a0, b0)), geom)
+    a, b = wedge(a0, b0), a0 + a0  # body forms: their coeffs are never read
+    built = []
+    init = Scalar.__init__
+    monkeypatch.setattr(Scalar, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    for geom in geoms:
+        s = hodge_star(frame.d(a + a - wedge(b, b0)), geom)  # 3-form -> 4-form -> 2-form
+        hodge_star(wedge(s, b) - wedge(b, s) + wedge(s, s), geom)
+    monkeypatch.undo()
+    assert built == []
+    assert a._view is None and b._view is None
 
 
 # -- trusted kernel outputs and the change of frame ----------------------------

@@ -10,6 +10,7 @@ from conftest import (
     S3XT4_G2,
     fixture_structure,
     model_form,
+    nabla,
     random_kform,
     random_vector,
     su2su2u1_frame,
@@ -184,6 +185,16 @@ def test_canonical_vector_spin7_two_certificate():
     cert = parallel_certificate(with_h(s.frame, bismut_torsion(s, t)), v)
     assert cert["parallel"]
     assert cert["norm_sq"] == s.field.scalar(4)
+
+
+@pytest.mark.parametrize("name", registry.names())
+def test_parallel_certificate_matches_nabla_of_each_frame_vector(name, rng):
+    # one pass over the Bismut symbols gives every nabla_{e_i} V at once
+    s = fixture_structure(name)
+    basis = [VectorField.basis(s.n, s.field, i) for i in range(1, s.n + 1)]
+    for v in [canonical_vector(s), *basis, random_vector(s.n, s.field, rng)]:
+        want = all(nabla(s.bismut, e, v).is_zero() for e in basis)
+        assert parallel_certificate(s, v) == {"parallel": want, "norm_sq": s.geometry.norm_sq(v)}
 
 
 def test_canonical_vector_with_df():
