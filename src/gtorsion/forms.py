@@ -179,15 +179,6 @@ def _axpy_ints(acc: dict, c: int, x: dict) -> None:
         acc[m] = get(m, 0) + c * v
 
 
-def _sum_ints(x: dict, s: int, y: dict, t: int) -> dict:
-    """s x + t y on int dicts keyed by mask."""
-    out = dict(x) if s == 1 else {m: s * v for m, v in x.items()}
-    get = out.get
-    for m, v in y.items():
-        out[m] = get(m, 0) + t * v
-    return out
-
-
 def _combination(n: int, k: int, field: Field, terms) -> "KForm":
     """sum c f over the ``terms`` (cp, cq, cden, den, p, q): the scalar
     c = (cp + cq sqrt d)/cden times the body f = (den, p, q), summed over
@@ -306,11 +297,8 @@ class KForm:
         field = self.field
         if other.field is not field and (other._p or other._q):
             raise _mismatch(field, other.field)
-        den = lcm(self._den, other._den)
-        s, t = den // self._den, den // other._den
-        p = _sum_ints(self._p, s, other._p, -t if negate else t)
-        q = _sum_ints(self._q, s, other._q, -t if negate else t) if self._q or other._q else {}
-        return _normalize(self.n, self.k, field, den, p, q)
+        return _combination(self.n, self.k, field, ((1, 0, 1, self._den, self._p, self._q),
+                                                    (-1 if negate else 1, 0, 1, other._den, other._p, other._q)))
 
     def __neg__(self) -> "KForm":
         return _from_body(self.n, self.k, self.field, self._den,
@@ -493,15 +481,9 @@ class FrameGeometry:
     # -- metric utilities ----------------------------------------------
 
     def check_positive_definite(self):
-        """Sylvester: every leading principal minor is positive (for a
-        diagonal metric, every diagonal entry)."""
-        d = self.diagonal
-        if d is not None:
-            ok = all(x.sign() > 0 for x in d)
-        else:
-            table = CoframeChange(self.metric, self.field)
-            ok = all(table.minor((1 << k) - 1).sign() > 0 for k in range(1, self.n + 1))
-        if not ok:
+        """Sylvester: every leading principal minor is positive."""
+        table = CoframeChange(self.metric, self.field)
+        if any(table.minor((1 << k) - 1).sign() <= 0 for k in range(1, self.n + 1)):
             raise GeometryError("metric is not positive-definite")
 
     def inverse_metric(self):
@@ -592,13 +574,13 @@ def _minors(mask: int, minors: tuple, rows: tuple, d: int) -> None:
     top = mask.bit_length() - 1
     rest = mask ^ (1 << top)
     _minors(rest, minors, rows, d)
-    acc = ({}, {})
-    for i, part in enumerate((minors[0][rest], minors[1][rest])):
-        for j, row in enumerate((rows[0][top], rows[1][top])):
-            if part and row:
-                _wedge_row(acc[(i + j) & 1], part, d if i & j else 1, row)
-    for table, sums in zip(minors, acc):
-        table[mask] = {m: v for m, v in sums.items() if v}
+    mp, mq, rp, rq = minors[0][rest], minors[1][rest], rows[0][top], rows[1][top]
+    p, q = {}, {}
+    for acc, part, c, row in ((p, mp, 1, rp), (q, mp, 1, rq), (q, mq, 1, rp), (p, mq, d, rq)):
+        if part and row:
+            _wedge_row(acc, part, c, row)
+    minors[0][mask] = {m: v for m, v in p.items() if v}
+    minors[1][mask] = {m: v for m, v in q.items() if v}
 
 
 def _wedge_row(acc: dict, minors: dict, c: int, row) -> None:
@@ -631,18 +613,21 @@ class CoframeChange:
 
     def __init__(self, old_in_new, field: Field):
         self.field = field
-        den = 1
+        den, entries = 1, []
         for row in old_in_new:
-            for x in row:
+            nonzero = [(1 << i, x) for i, x in enumerate(row) if x.p or x.q]
+            for _, x in nonzero:
+                if x.q and x.field is not field:
+                    raise _mismatch(field, x.field)
                 if den % x.den:
                     den = lcm(den, x.den)
+            entries.append(nonzero)
         self.den = den
         # row j of den M as the pairs (bit of i, int) of its nonzero rational
         # parts, then of its nonzero sqrt(d) parts
         self.rows = (
-            [[(1 << i, x.p * (den // x.den)) for i, x in enumerate(row) if x.p] for row in old_in_new],
-            [[(1 << i, x.q * (den // x.den)) for i, x in enumerate(row) if x.q] for row in old_in_new]
-            if field.d else [[]] * len(old_in_new),
+            [[(bit, x.p * (den // x.den)) for bit, x in row if x.p] for row in entries],
+            [[(bit, x.q * (den // x.den)) for bit, x in row if x.q] for row in entries],
         )
         self.minors = ({0: {0: 1}}, {0: {}})
 

@@ -443,8 +443,9 @@ def ah_assemble(omega: KForm, frame) -> GStructure:
 
 def _on_metric(base, geom: FrameGeometry):
     """A shallow copy of the frame ``base`` whose geometry is ``geom``.
-    Frames cache nothing but their metric-free ``constants``, so the copy
-    shares them; keep every metric-dependent cache off frames."""
+    Frames cache nothing but their metric-free ``constants`` and
+    ``_coframe_body``, so the copy shares them; keep every metric-dependent
+    cache off frames."""
     out = object.__new__(type(base))
     out.__dict__ = {**base.__dict__, "geometry": geom}
     return out

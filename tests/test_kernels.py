@@ -524,6 +524,15 @@ def test_fused_kernels_reject_mixed_fields():
         contract_2_3(f, h, FrameGeometry(N, Q))
     with pytest.raises(FieldMismatch, match=msg):
         _axpy({0: Q.one()}, Q.one(), {0: Q3.sqrt_d()})
+    mixed = [[Q3.sqrt_d() if i == j == 0 else Q.one() if i == j else Q.zero() for j in range(N)] for i in range(N)]
+    with pytest.raises(FieldMismatch, match=msg):
+        transform_form(qa, mixed, Q)
+    # det [[1, sqrt3], [sqrt3, 1]] = -2: read without sqrt3 it is the identity
+    geom = FrameGeometry(2, Q, [[Q.one(), Q3.sqrt_d()], [Q3.sqrt_d(), Q.one()]])
+    with pytest.raises(FieldMismatch, match=msg):
+        geom.check_positive_definite()
+    with pytest.raises(FieldMismatch, match=msg):
+        geom.det_metric()
 
 
 def _count_norms(monkeypatch):
