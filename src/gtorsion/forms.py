@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from collections.abc import Iterable
 from functools import cached_property
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Iterable
 
 from .linsolve import InconsistentSystem, echelon
 from .scalars import Field, FieldMismatch, GTorsionError, NotRepresentable, Scalar, _mac, _norm, _settle

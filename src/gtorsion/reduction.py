@@ -458,10 +458,11 @@ def _su3_verifier(red: ReductionResult, vhat_ad: VectorField, beta_ad: KForm) ->
     iv_st = sl.restrict(interior(vhat_ad, st_ad), "i_V star tau3")
     nu3_expected = om_min.scale(field.scalar(1, 8) * tau0) + wedge(df_sl, omega).scale(field.scalar(1, 4)) - iv_st
     table["nu3 identity"] = rt["nu3"] == nu3_expected
-    # e^f d(e^-f Omega-) = 1/2 omega^2 and e^f d(e^-f Omega+) = (7/12) tau0 omega^2
-    dmin = sl.d(om_min) - wedge(df_sl, om_min)
+    # e^f d(e^-f Omega-) = 1/2 omega^2 and e^f d(e^-f Omega+) = (7/12) tau0 omega^2;
+    # the slice structure's torsion classes already took both d's on the slice
+    dmin = struct.d_form("omega_minus") - wedge(df_sl, om_min)
     table["d Omega- identity"] = dmin == om2.scale(field.scalar(1, 2))
-    dplus = sl.d(omega_plus) - wedge(df_sl, omega_plus)
+    dplus = struct.d_form("omega_plus") - wedge(df_sl, omega_plus)
     table["d Omega+ identity"] = dplus == om2.scale(field.scalar(7, 12) * tau0)
     # Lee form of the reduced structure equals df
     table["theta_omega = df"] = struct.lee == df_sl

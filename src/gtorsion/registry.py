@@ -7,7 +7,7 @@ doubles as a regression gate; drift exits nonzero.
 
 from __future__ import annotations
 
-from importlib import resources
+import os
 
 from .engine import run_check, run_reduce
 from .parser import parse
@@ -30,7 +30,10 @@ def names():
 def input_text(name: str) -> str:
     if name not in _COMMANDS:
         raise KeyError(f"unknown example {name!r}")
-    return resources.files("gtorsion.data").joinpath(f"{name}.gs").read_text(encoding="utf-8")
+    # a plain open (universal newlines, as Path.read_text) loads no
+    # importlib.resources, pathlib or zipfile
+    with open(os.path.join(os.path.dirname(__file__), "data", f"{name}.gs"), encoding="utf-8") as f:
+        return f.read()
 
 
 def _flatten(value, prefix="", out=None):

@@ -7,8 +7,6 @@ so JSON output is byte-stable.
 
 from __future__ import annotations
 
-import json
-
 from .forms import KForm, VectorField, indices_of
 from .scalars import Scalar
 
@@ -74,6 +72,8 @@ class Report:
         return self
 
     def to_json(self) -> str:
+        import json  # only a --format json run pays for it
+
         return json.dumps(self.data, ensure_ascii=False, indent=2)
 
     def to_text(self) -> str:

@@ -15,8 +15,8 @@ Conventions fixed by the worked examples (see tests):
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property, reduce
-from typing import NamedTuple
 
 from .forms import (
     _ODD,
@@ -92,42 +92,27 @@ MODEL_PSI = [
 ]
 
 
-class Eigen(NamedTuple):
-    """``project`` by the eigenvalues of a -> star(a ^ form): ``pieces`` are
-    (name, eigenvalue), the second piece being the rest of a."""
+Eigen = namedtuple("Eigen", "slot pieces")
+Eigen.__doc__ = """``project`` by the eigenvalues of a -> star(a ^ form): ``pieces`` are
+(name, eigenvalue), the second piece being the rest of a."""
 
-    slot: str
-    pieces: tuple
+Graded = namedtuple("Graded", "scalar vector rest")
+Graded.__doc__ = """``project`` into ``scalar`` (name, ((slot, |form|^2), ...)), the sum of
+<a, form> form / |form|^2, or None; ``vector`` (name, slot, c), see
+``_split``; and the ``rest`` (name, chains of slots that wedge it to 0)."""
 
-
-class Graded(NamedTuple):
-    """``project`` into ``scalar`` (name, ((slot, |form|^2), ...)), the sum of
-    <a, form> form / |form|^2, or None; ``vector`` (name, slot, c), see
-    ``_split``; and the ``rest`` (name, chains of slots that wedge it to 0)."""
-
-    scalar: tuple | None
-    vector: tuple
-    rest: tuple
-
-
-class Kind(NamedTuple):
-    """One structure kind as data: the frame dimension of its model (None
-    for any even n); its defining forms in assembler order as (slot, input
-    name, degree, model terms), terms None meaning omega = e12 + e34 + ...;
-    its noun in messages; ``project``'s recipe per degree; whether it
-    carries J; the kind its reduction lands on (whose central extension
-    comes back here); c in V = c theta^sharp - grad f and in H; the
-    dimension of the group G in SO(n) that fixes the defining forms, None
-    for U(n/2) of dimension (n/2)^2."""
-
-    dim: int | None
-    slots: tuple
-    noun: str
-    splits: dict
-    almost_complex: bool = False
-    reduces_to: str | None = None
-    lee_factor: Scalar = QQ.one()
-    stabilizer: int | None = None
+Kind = namedtuple(
+    "Kind", "dim slots noun splits almost_complex reduces_to lee_factor stabilizer",
+    defaults=(False, None, QQ.one(), None),
+)
+Kind.__doc__ = """One structure kind as data: the frame dimension of its model (None
+for any even n); its defining forms in assembler order as (slot, input
+name, degree, model terms), terms None meaning omega = e12 + e34 + ...;
+its noun in messages; ``project``'s recipe per degree; whether it
+carries J; the kind its reduction lands on (whose central extension
+comes back here); c in V = c theta^sharp - grad f and in H; the
+dimension of the group G in SO(n) that fixes the defining forms, None
+for U(n/2) of dimension (n/2)^2."""
 
 
 KINDS = {

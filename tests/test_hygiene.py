@@ -2,7 +2,8 @@
 it never uses (names listed in ``__all__`` count as used, so re-exports stay
 declared in one place), no package module imports ``fractions``, ``decimal``
 or ``numbers`` (a Scalar is the one exact number, and the command-line import
-stays free of them), and each kernel has one home: ``_merge_sign`` is
+stays free of them, as of ``json``, ``typing`` and ``importlib.resources``,
+which a default run does not use), and each kernel has one home: ``_merge_sign`` is
 called only where it fills the sign table, ``mask_of`` only inside ``KForm``,
 ``echelon`` is the one row reduction, the adapted frame of a reduction runs
 none, ``_wedge_row`` is called only by the minors table and the change of
@@ -13,6 +14,7 @@ function and method in the package has a reader in the package or is named
 in ``API`` with the reason it stays.  Standard library only."""
 
 import ast
+import functools
 import os
 import subprocess
 import sys
@@ -85,9 +87,11 @@ def test_no_package_module_imports_the_numeric_tower(path):
     assert imported_modules(path.read_text()) & NUMERIC_TOWER == set()
 
 
-def test_command_line_import_loads_no_numeric_tower():
-    # -S: no site hooks, so every module loaded after the snapshot is the
-    # package's doing
+@functools.cache
+def command_line_modules() -> frozenset[str]:
+    """The modules that importing the command-line modules loads, in a fresh
+    interpreter run with -S: no site hooks (a .pth file may preload modules),
+    so every module loaded after the snapshot is the package's doing."""
     code = (
         "import sys\nbefore = set(sys.modules)\n"
         "import gtorsion.engine, gtorsion.registry, gtorsion.cli\n"
@@ -95,9 +99,22 @@ def test_command_line_import_loads_no_numeric_tower():
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-    loaded = set(out.stdout.split())
+    return frozenset(out.stdout.split())
+
+
+def test_command_line_import_loads_no_numeric_tower():
+    loaded = command_line_modules()
     assert "gtorsion.cli" in loaded
     assert loaded & (NUMERIC_TOWER | {"_decimal", "_pydecimal"}) == set()
+
+
+# loaded only where a run uses them: json when a report is written as JSON;
+# typing, importlib.resources and what they pull in, never
+ON_DEMAND = {"json", "typing", "importlib.resources", "pathlib", "zipfile", "tempfile"}
+
+
+def test_command_line_import_loads_only_what_a_run_uses():
+    assert command_line_modules() & ON_DEMAND == set()
 
 
 def call_sites(source: str, name: str) -> list[str]:

@@ -15,7 +15,7 @@ from gtorsion.cli import build_parser
 from gtorsion.engine import run_extend
 from gtorsion.forms import KForm, VectorField, form_inner, hodge_star, interior, wedge
 from gtorsion.reduction import ReductionError, central_extend
-from gtorsion.structures import KINDS, StructureError, _split, ah_assemble
+from gtorsion.structures import KINDS, Eigen, Graded, Kind, StructureError, _split, ah_assemble
 from test_reduction import quotient_su3_of_nonintG2
 from test_soliton import s3xt4_g2
 from test_structures import almost_lie_structures
@@ -162,6 +162,19 @@ class _Doc:
 
     def structure(self):
         return self.s
+
+
+def test_kind_rows_keep_their_fields_and_defaults():
+    assert Kind._fields == (
+        "dim", "slots", "noun", "splits", "almost_complex", "reduces_to", "lee_factor", "stabilizer",
+    )
+    ah = KINDS["ah"]
+    assert ah.dim is None and ah.almost_complex
+    assert ah.lee_factor == 1 and ah.stabilizer is None and ah.reduces_to is None
+    assert not KINDS["g2"].almost_complex and KINDS["g2"].lee_factor == 1
+    assert KINDS["spin7"].lee_factor == Q.scalar(7, 6) and KINDS["spin7"].reduces_to == "g2"
+    assert Graded._fields == ("scalar", "vector", "rest") and Eigen._fields == ("slot", "pieces")
+    assert KINDS["g2"].splits[2] == Eigen(slot="phi", pieces=(("7", 2), ("14", -1)))
 
 
 def _ambient():

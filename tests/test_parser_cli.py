@@ -1,7 +1,11 @@
 """Input grammar, CLI behavior, exit codes, report determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +23,8 @@ from gtorsion.report import form_str, scalar_str
 from gtorsion.scalars import GTorsionError, NotRepresentable
 from gtorsion.soliton import PreconditionError
 from gtorsion.structures import StructureError
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 MINI = """
 # toy frame
@@ -267,6 +273,31 @@ def test_cli_emit_input(capsys):
     assert _run_cli(["example", "--name", "nonintG2", "--emit-input"]) == 0
     out = capsys.readouterr().out
     assert "structure g2" in out
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_cli_example_in_a_fresh_interpreter(fmt):
+    # -S: no site hooks preload json, so this runs the path that imports it
+    # when the report is written
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-S", "-m", "gtorsion.cli", "example", "--name", "nonintsu3", "--format", fmt],
+        env=env, capture_output=True, text=True,
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    rep, failures = registry.run_example("nonintsu3")
+    assert failures == []
+    assert out.stdout == (rep.to_json() if fmt == "json" else rep.to_text()) + "\n"
+
+
+@pytest.mark.parametrize("name", registry.names())
+def test_input_text_is_the_bundled_file(name):
+    assert registry.input_text(name) == (SRC / "gtorsion" / "data" / f"{name}.gs").read_text(encoding="utf-8")
+
+
+def test_input_text_unknown_name():
+    with pytest.raises(KeyError, match="nosuch"):
+        registry.input_text("nosuch")
 
 
 def test_cli_extend_roundtrip(tmp_path, capsys):
