@@ -33,13 +33,12 @@ import.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from collections.abc import Iterable
 from functools import cached_property
 from math import gcd, lcm
 from types import MappingProxyType
 
-from .linsolve import InconsistentSystem, echelon
+from .linsolve import InconsistentSystem, echelon, int_row
 from .scalars import Field, FieldMismatch, GTorsionError, NotRepresentable, Scalar, _mac, _norm, _settle
 
 __all__ = [
@@ -553,15 +552,15 @@ def _mat_inverse(m, field: Field):
     e_i under the right-hand-side key -1-i, so column r of the solution is
     column r of the inverse."""
     n = len(m)
-    one, zero = field.one(), field.zero()
-    rows = [{**{j: x for j, x in enumerate(row) if not x.is_zero()}, -1 - i: one} for i, row in enumerate(m)]
+    rows = [int_row({**dict(enumerate(row)), -1 - i: field.one()}, field) for i, row in enumerate(m)]
     try:
         pivots = echelon(rows, field)
     except InconsistentSystem:
         pivots = {}
     if len(pivots) < n:
         raise GeometryError("singular metric")
-    return [[pivots[c].get(-1 - r, zero) for r in range(n)] for c in range(n)]
+    return [[_norm(field, pivots[c][0].get(-1 - r, 0), pivots[c][1].get(-1 - r, 0), pivots[c][0][c]) for r in range(n)]
+            for c in range(n)]
 
 
 def _minors(mask: int, minors: tuple, rows: tuple, d: int) -> None:
@@ -730,22 +729,16 @@ def interior(x: VectorField, a: KForm) -> KForm:
     return _normalize(a.n, a.k - 1, field, a._den * den, p, q)
 
 
-def derivation_rows(a: KForm, actions) -> dict[int, dict[int, Scalar]]:
-    """The degree-0 derivations e^j -> sum_t actions[p][j][t] e^t (each sparse,
-    {j: {t: Scalar}}, 0-based) applied to a in one walk over its terms: rows[mask][p]
-    is the e^mask coefficient of the p-th, nonzero only, one accumulator per mask."""
-    moves = defaultdict(list)  # j -> (p, bit of t, value) over every action moving e^j
-    for p, action in enumerate(actions):
-        for j, row in action.items():
-            moves[j] += [(p, 1 << t, v) for t, v in row.items()]
-    acc = defaultdict(dict)
-    for m, c in a.coeffs.items():
+def _derive_ints(x: dict, moves: dict, acc: dict) -> None:
+    """acc[mask][p] += the e^mask coefficient of x moved by derivation p, on
+    ints; ``moves`` maps the bit of j to (p, bit of t, value) per move."""
+    for m, c in x.items():
         mm = m
         while mm:
             low = mm & -mm
             mm ^= low
-            targets = moves.get(low.bit_length() - 1)
-            if not targets:
+            targets = moves.get(low)
+            if targets is None:
                 continue
             rest = m ^ low
             # e^j moves to the front of e^m, e^t back into sorted position:
@@ -753,8 +746,37 @@ def derivation_rows(a: KForm, actions) -> dict[int, dict[int, Scalar]]:
             lead = (rest & (low - 1)).bit_count()
             for p, bit, v in targets:
                 if not rest & bit:
-                    _mac(acc[rest | bit], p, c, v, (lead + (rest & (bit - 1)).bit_count()) & 1)
-    return {m: row for m, col in acc.items() if (row := _settle(a.field, col))}
+                    key = rest | bit
+                    row = acc.get(key)
+                    if row is None:
+                        row = acc[key] = {}
+                    row[p] = row.get(p, 0) + (-c * v if (lead + (rest & (bit - 1)).bit_count()) & 1 else c * v)
+
+
+def derivation_rows(a: KForm, actions) -> dict[int, tuple[dict, dict]]:
+    """The degree-0 derivations e^j -> sum_t actions[p][j][t] e^t (each sparse,
+    {j: {t: (vp, vq)}}, 0-based, the ints of (vp + vq sqrt d)/D over one D
+    for all) applied to a in one walk over its integer body: rows[mask] is
+    the int row (p, q) of the e^mask coefficients of the derivations, over
+    a's denominator times D, nonzero only."""
+    moves = ({}, {})  # bit of j -> (p, bit of t, value): rational parts, then sqrt(d) parts
+    for p, action in enumerate(actions):
+        for j, row in action.items():
+            for t, v in row.items():
+                for part, x in zip(moves, v):
+                    if x:
+                        part.setdefault(1 << j, []).append((p, 1 << t, x))
+    acc_p, acc_q = _product(_derive_ints, a.field.d, a._p, a._q, *moves)
+    rows = {}
+    for m in (*acc_p, *(m for m in acc_q if m not in acc_p)):
+        p, q = acc_p.get(m, {}), acc_q.get(m, {})
+        if 0 in p.values():
+            p = {c: v for c, v in p.items() if v}
+        if 0 in q.values():
+            q = {c: v for c, v in q.items() if v}
+        if p or q:
+            rows[m] = (p, q)
+    return rows
 
 
 def skew_three_form(n: int, field: Field, t) -> KForm | None:

@@ -1,35 +1,44 @@
-"""Exact sparse linear solving over a Scalar field.
+"""Exact sparse linear solving over QQ and QQ(sqrt d) on integer rows.
 
-Small systems only (at most a few hundred rows); Gauss-Jordan elimination
-with exact division.  ``echelon`` is the one elimination kernel: the torsion
-oracle, ``solve_unique_sparse`` and the metric inverse (``forms._mat_inverse``,
-one right-hand side per unit vector) read its run.  Determinants and the
-positive-definiteness test eliminate nothing: they read minors.
+Small systems only (at most a few hundred rows).  ``echelon`` is the one
+elimination kernel: the torsion oracle, ``solve_unique_sparse`` and the metric
+inverse (``forms._mat_inverse``, one right-hand side per unit vector) read its
+run.  Determinants and the positive-definiteness test eliminate nothing: they
+read minors.
 
-Its pivots stay fully reduced (a 1 in their own column, a 0 in every other
-pivot column), so a row is reduced in one pass over its pivot columns with no
-cascade of fill.  Rows are taken by last column, then length: leads then come
-bottom-up, so a new pivot seldom has to be eliminated from older ones.  Fully
-reduced pivots do not depend on the row order, so neither does any caller's
-result.  Forward-only elimination with one back substitution is slower,
-because fully reduced pivots keep rows short (23,758 against 18,740 ``_mac``
-calls on the oracle's 45 seed-1 ``rotated`` Stage-2 systems, same results).
-The torsion oracle reduces the derivation rows of all its structure
-forms in one run, each row once up to sign; ``solve_unique_sparse`` carries
-one right-hand side, key -1, where it is nonzero, through the n*r rows left
-(56 for Spin(7)).  Row updates go through the scalar accumulator
-(``scalars._mac``), the one multiply-accumulate path: each entry is
-normalized once, a new pivot's entries with their division by its lead.
-Rows stay on Scalars, unlike the forms' integer bodies: an echelon on int
-rows over one denominator per row, tried on the 90 seed-1 ``rotated``
-oracle systems, gave identical pivots and no speedup.
+A row is an equation, so it needs no denominator: it is two dicts of ints,
+the rational and the sqrt(d) numerators by column, as a ``KForm`` body holds
+them (the second empty over QQ); ``int_row`` clears a Scalar row's
+denominators.  Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968):
+rows are combined by cross-multiplication, and each pivot row is kept
+primitive, the gcd of its ints divided out and its lead positive, in place of
+Bareiss's exact division.  A lead with a sqrt(d) part is first made rational
+by the lead's conjugate, so a solution is one ``_norm`` per unknown.  Pivots
+stay fully reduced (0 in every other pivot column), so a row is reduced in one
+pass over its pivot columns, and a fully reduced primitive pivot is unique: no
+result depends on the row order or on a factor of any row.  Rows are taken by
+last column, then length, so leads come bottom-up and a new pivot seldom has
+to be eliminated from older ones; forward-only elimination with one back
+substitution did more work (on Scalar rows: 23,758 against 18,740
+multiply-accumulates on the 45 seed-1 ``rotated`` Stage-2 systems).
+An earlier int-row echelon (one denominator per row, 90 seed-1 ``rotated``
+oracle systems) gave no speedup: it converted Scalar rows at its boundary.
+Here no Scalar row is built: the oracle's derivation walk and Stage-2 rows
+are ints, and its Stage 1 is homogeneous, so its rows need no denominator.
+On the 45 seed-1 ``rotated`` inputs (in-process, 41 interleaved passes,
+connections cached) the oracle runs 1.20x faster than on Scalar rows
+(quartiles 1.12-1.33): the walk and Stage 1 2.0x, Stage 2 3% slower, its
+rows being so short that a row operation costs its bookkeeping, not its
+arithmetic; on the five examples, 1.08x.
 """
 
 from __future__ import annotations
 
-from .scalars import Field, Scalar, _mac, _settle, _settle_over
+from math import gcd, lcm
 
-__all__ = ["echelon", "solve_unique_sparse", "LinearSolveError", "InconsistentSystem"]
+from .scalars import Field, FieldMismatch, Scalar, _norm
+
+__all__ = ["echelon", "solve_unique_sparse", "int_row", "LinearSolveError", "InconsistentSystem"]
 
 _RHS = -1  # key of the one right-hand side in a sparse row; columns are >= 0
 
@@ -42,62 +51,120 @@ class InconsistentSystem(LinearSolveError):
     """Some combination of the rows reads 0 = c with c != 0."""
 
 
-def echelon(rows, field: Field) -> dict[int, dict]:
-    """Row-reduce sparse rows to fully reduced pivots, taken by last column
-    and then by length.
+def int_row(row: dict, field: Field) -> tuple[dict, dict]:
+    """The row {key: Scalar} of ``field`` as an int row of the same equation:
+    its entries times the lcm of their denominators, zeros dropped."""
+    den = 1
+    for x in row.values():
+        if x.q and x.field is not field:
+            raise FieldMismatch(f"mixed-field arithmetic: {field!r} vs {x.field!r}")
+        if den % x.den:
+            den = lcm(den, x.den)
+    return {c: x.p * (den // x.den) for c, x in row.items() if x.p}, {c: x.q * (den // x.den) for c, x in row.items() if x.q}
 
-    A row is {key: Scalar}: keys >= 0 are columns of unknowns, keys < 0 are
-    right-hand sides and never lead.  Returns pivots[lead], which reads
-    x_lead + sum_c piv[c] x_c = piv[rhs key] with the lead's 1 implied and no
-    pivot column among the c.  Raises InconsistentSystem when a row reduces
-    to right-hand sides alone.
+
+def _last(row: tuple) -> int:
+    """The last key of an int row (-1 when it has none)."""
+    p, q = row
+    return max(max(p, default=_RHS), max(q)) if q else max(p, default=_RHS)
+
+
+def _primitive(p: dict, q: dict, last: int) -> tuple[dict, dict]:
+    """The nonzero int row over the gcd of its ints, its entry at ``last``
+    (its last key) made positive."""
+    g = gcd(*p.values(), *q.values()) if q else gcd(*p.values())
+    if (p.get(last) or q[last]) < 0:
+        g = -g
+    if g == 1:
+        return p, q
+    return {c: v // g for c, v in p.items()}, {c: v // g for c, v in q.items()}
+
+
+def _axpy(acc: tuple, fp: int, fq: int, row: tuple, d: int) -> None:
+    """acc += (fp + fq sqrt d) row on int rows, in place; a sum that cancels
+    stays as a 0."""
+    ap, aq = acc
+    p, q = row
+    if fp:
+        get = ap.get  # the rational part inline: over QQ it is all there is
+        for c, v in p.items():
+            ap[c] = get(c, 0) + fp * v
+    if q or fq:
+        for f, src, out in ((fp, q, aq), (fq, p, aq), (d * fq, q, ap)):
+            if f and src:
+                get = out.get
+                for c, v in src.items():
+                    out[c] = get(c, 0) + f * v
+
+
+def echelon(rows, field: Field) -> dict[int, tuple[dict, dict]]:
+    """Row-reduce int rows to fully reduced primitive pivots.
+
+    A row is (p, q), {key: int} each: keys >= 0 are columns of unknowns, keys
+    < 0 are right-hand sides and never lead.  Returns pivots[lead], an int row
+    reading sum_c piv[c] x_c = piv[rhs key], with a positive int at the lead,
+    its last column, and 0 at every other pivot column.  Raises
+    InconsistentSystem when a row reduces to right-hand sides alone.  The rows
+    given are not changed.
     """
-    one = field.one()
-    pivots: dict[int, dict] = {}
-    # by last column, then length: leads come bottom-up and short rows keep fill low
-    for row in sorted(rows, key=lambda row: (max(row, default=_RHS), len(row))):
-        # the row minus f times the pivot of each pivot column; other entries carry over
-        acc = {}
-        for c, f in row.items():
-            for k, v in pivots[c].items() if c in pivots else ((c, one),):
-                _mac(acc, k, f, v, c in pivots)
-        # the last column: on the oracle's systems this leaves less fill than the first
-        lead = max((c for c, (p, q, _) in acc.items() if p or q), default=_RHS)
+    d = field.d
+    pivots: dict[int, tuple[dict, dict]] = {}
+    for p, q in sorted(rows, key=lambda row: (_last(row), len(row[0]) + len(row[1]))):
+        hits = [c for c in p if c in pivots]
+        if q:
+            hits += [c for c in q if c in pivots and c not in p]
+        if hits:
+            # m row - (m/L_c) row[c] P_c over the pivots P_c hit, m the lcm of their leads L_c
+            m = 1
+            for c in hits:
+                if m % pivots[c][0][c]:
+                    m = lcm(m, pivots[c][0][c])
+            acc = ({c: m * v for c, v in p.items()} if m != 1 else dict(p), {c: m * v for c, v in q.items()} if q else {})
+            for c in hits:
+                s = m // pivots[c][0][c]
+                _axpy(acc, -s * p.get(c, 0), -s * q.get(c, 0) if q else 0, pivots[c], d)
+            p, q = acc
+            if 0 in p.values():  # zeros dropped inline here and below: these paths are hot
+                p = {c: v for c, v in p.items() if v}
+            if 0 in q.values():
+                q = {c: v for c, v in q.items() if v}
+        lead = _last((p, q))  # the last column: on the oracle's systems this leaves less fill than the first
         if lead < 0:
-            if any(p or q for p, q, _ in acc.values()):
+            if p or q:
                 raise InconsistentSystem("no solution")
             continue
-        new = _settle_over(field, acc, lead)  # scaled to a leading 1 as it settles
-        for piv in pivots.values():
-            f = piv.pop(lead, None)
-            if f is not None:
-                _axpy(piv, -f, new)
+        if lead in q:  # times the conjugate of the lead, which leaves it rational
+            acc = ({}, {})
+            _axpy(acc, p.get(lead, 0), -q[lead], (p, q), d)
+            p, q = ({c: v for c, v in part.items() if v} for part in acc)
+        new = _primitive(p, q, lead)
+        top = new[0][lead]
+        for c, (pp, pq) in pivots.items():
+            fp, fq = pp.get(lead, 0), pq.get(lead, 0) if pq else 0
+            if fp or fq:  # the pivot times the new lead minus its entry times the new row, over their gcd
+                g = gcd(top, fp, fq)
+                t = top // g
+                ap, aq = acc = ({k: t * v for k, v in pp.items()} if t != 1 else dict(pp), {k: t * v for k, v in pq.items()} if pq else {})
+                _axpy(acc, -fp // g, -fq // g, new, d)
+                if 0 in ap.values():
+                    ap = {k: v for k, v in ap.items() if v}
+                if 0 in aq.values():
+                    aq = {k: v for k, v in aq.items() if v}
+                pivots[c] = _primitive(ap, aq, c)
         pivots[lead] = new
     return pivots
 
 
-def solve_unique_sparse(rows, nunknowns: int, field: Field):
+def solve_unique_sparse(rows, nunknowns: int, field: Field) -> list[Scalar]:
     """Solve an overdetermined sparse system requiring a unique solution.
 
-    ``rows`` is an iterable of ({col: Scalar}, rhs Scalar) pairs.  Returns the
-    solution list.  Raises InconsistentSystem("no solution") if inconsistent
-    and LinearSolveError("non-unique solution") if rank-deficient.  Once every
-    column has a pivot, each further row reduces to its residual alone.  A
-    zero right-hand side is not carried.
+    ``rows`` are int rows as ``echelon`` takes them, the right-hand side under
+    key -1 where it is nonzero.  Returns the solution, one ``_norm`` per
+    unknown.  Raises InconsistentSystem("no solution") if inconsistent and
+    LinearSolveError("non-unique solution") if rank-deficient.  Once every
+    column has a pivot, each further row reduces to its residual alone.
     """
-    pivots = echelon([row if rhs.is_zero() else {**row, _RHS: rhs} for row, rhs in rows], field)
+    pivots = echelon(rows, field)
     if len(pivots) < nunknowns:
         raise LinearSolveError("non-unique solution")
-    return [pivots[c].get(_RHS, field.zero()) for c in range(nunknowns)]
-
-
-def _axpy(row: dict, f: Scalar, other: dict) -> None:
-    """row += f * other in place, dropping entries that cancel."""
-    acc = {}
-    one = f.field.one()
-    for c, v in other.items():
-        w = row.pop(c, None)
-        if w is not None:
-            _mac(acc, c, w, one, False)
-        _mac(acc, c, f, v, False)
-    row.update(_settle(f.field, acc))
+    return [_norm(field, pivots[c][0].get(_RHS, 0), pivots[c][1].get(_RHS, 0), pivots[c][0][c]) for c in range(nunknowns)]

@@ -224,19 +224,6 @@ def _settle(field: Field, acc: dict) -> dict:
     return {key: _norm(field, p, q, den) for key, (p, q, den) in acc.items() if p or q}
 
 
-def _settle_over(field: Field, acc: dict, key) -> dict:
-    """``_settle`` of an ``_mac`` accumulator divided by its nonzero sum at
-    ``key``, which is popped: the inverse is folded into the raw ints, so
-    each other key still costs one ``_norm``."""
-    p0, q0, den0 = acc.pop(key)
-    d = field.d
-    if q0:  # 1/((p0 + q0 sqrt d)/den0) = den0 (p0 - q0 sqrt d)/(p0^2 - d q0^2)
-        a, b, e = den0 * p0, -den0 * q0, p0 * p0 - d * q0 * q0
-    else:
-        a, b, e = den0, 0, p0
-    return {k: _norm(field, p * a + d * q * b, p * b + q * a, den * e) for k, (p, q, den) in acc.items() if p or q}
-
-
 def _sum(x: "Scalar", y: "Scalar", negate: bool) -> "Scalar":
     """x + y, or x - y when ``negate``; both scalars in one field."""
     yp, yq, yd = y.p, y.q, y.den

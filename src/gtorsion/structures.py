@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, reduce
+from math import lcm
 
 from .forms import (
     _ODD,
@@ -47,7 +48,7 @@ from .frames import (
     curvature,
     levi_civita,
 )
-from .linsolve import InconsistentSystem, LinearSolveError, echelon, solve_unique_sparse
+from .linsolve import InconsistentSystem, LinearSolveError, _last, _primitive, echelon, solve_unique_sparse
 from .scalars import Field, GTorsionError, NotRepresentable, RationalField, Scalar, _mac, _norm, _settle
 
 __all__ = [
@@ -697,15 +698,6 @@ def _oracle_layout(n: int) -> tuple:
 _ORACLE_LAYOUT = _Lazy(_oracle_layout)
 
 
-def _up_to_sign(row: dict) -> frozenset:
-    """A key that two sparse rows share exactly when they agree up to sign:
-    the set of entries, negated if the one in the first column is negative."""
-    first = row[min(row)]
-    if first.p < 0 or (not first.p and first.q < 0):
-        return frozenset((c, -v.p, -v.q, v.den) for c, v in row.items())
-    return frozenset((c, v.p, v.q, v.den) for c, v in row.items())
-
-
 def solve_skew_torsion(s: GStructure) -> KForm:
     """Independent route to the torsion: solve the exact linear system for
     H in Lambda^3 with D + (1/2) g^{-1} H annihilating every structure form.
@@ -716,67 +708,80 @@ def solve_skew_torsion(s: GStructure) -> KForm:
     e_k>, so nabla_i alpha = Lambda gamma_i and row (i, M) reads Lambda[M] .
     (A_i + gamma_i) = 0, A_i[p] = s(i, p) H_{i,t,k} over the pairs without
     i, s(i, p) = 1 if t < i < k, else -1.  Stage 1 reduces every form's rows
-    in one ``echelon``, each row once up to sign (there is no right-hand
-    side, so a repeat checks nothing): its r pivot rows P span the rows of
-    all the Lambdas, and r = dim so(n) - dim G for the joint stabilizer G,
-    which is checked against ``KINDS``.  Stage 2 solves block i as P . A_i =
-    -P . gamma_i, n*r rows; the identity needs the lowered symbols skew in
-    (t, k), which is checked on every entry.
+    in one ``echelon``, each row once up to a rational factor: it has no
+    right-hand side, so a row's scale is free and a multiple checks nothing,
+    and the walk runs on ints, with G = D g^{-1} in place of (1/2) g^{-1} =
+    G/(2D).  Its r pivot rows P span the rows of all the Lambdas, and r =
+    dim so(n) - dim G for the joint stabilizer G, which is checked against
+    ``KINDS``.  Stage 2 solves block i as P . A_i = -P . gamma_i, n*r int
+    rows assembled from the pivots and the symbols over their denominator
+    E, for y = (E/2) H; the identity needs the lowered symbols skew in
+    (t, k), which is checked on every entry.  Only the solution is built as
+    Scalars, one per unknown.
     """
-    field, n = s.field, s.n
+    field, n, d = s.field, s.n, s.field.d
     masks3, pairs, spread = _ORACLE_LAYOUT[n]
-    half = field.scalar(1, 2)
-    # the nonzero entries of (1/2) g^{-1} and of its negative, by row
-    plus = [{k: x * half for k, x in enumerate(row) if not x.is_zero()} for row in s.geometry.inverse_metric()]
-    minus = [{k: -x for k, x in row.items()} for row in plus]
-    # L_p: e^j -> (1/2)(g^{jk} e^t - g^{jt} e^k) for each pair t < k;
-    # g^{-1} is symmetric, so e^j moves only for j in rows t and k
+    # the nonzero entries of G = D g^{-1} and of -G, by row, as (rational, sqrt(d)) ints
+    ginv = s.geometry.inverse_metric()
+    gden = lcm(*(x.den for row in ginv for x in row))
+    plus = [{k: (x.p * (gden // x.den), x.q * (gden // x.den)) for k, x in enumerate(row) if x.p or x.q} for row in ginv]
+    minus = [{k: (-a, -b) for k, (a, b) in row.items()} for row in plus]
+    # L_p: e^j -> (G^{jk} e^t - G^{jt} e^k)/(2D) for each pair t < k;
+    # G is symmetric, so e^j moves only for j in rows t and k
     actions = [
         {j: {x: v for x, v in ((t, plus[j].get(k)), (k, minus[j].get(t))) if v is not None}
          for j in plus[t].keys() | plus[k].keys()}
         for t, k in pairs
     ]
-    # (t, k) -> (i, <D_i e_t, e_k>) off the cached Levi-Civita connection; H is never read
+    # (t, k) -> (i, E <D_i e_t, e_k>) as (i, rational, sqrt(d)) ints, E the
+    # symbols' denominator, off the cached Levi-Civita connection; H is never read
     symbols = {pair: [] for pair in pairs}
     low = _last_index(s.levi_civita.entries, s.geometry, up=False)
+    e = lcm(*(v.den for v in low.values()))
     for (i, t, k), v in low.items():
         w = low.get((i, k, t))  # canonical scalars: -v has the same den
         if w is None or (w.p, w.q, w.den) != (-v.p, -v.q, v.den):
             raise StructureError(f"Levi-Civita symbols not skew: <D_{i + 1} e_{t + 1}, e_{k + 1}> = {v}")
         if t < k:
-            symbols[t, k].append((i, v))
+            symbols[t, k].append((i, v.p * (e // v.den), v.q * (e // v.den)))
     kind = KINDS[s.kind]
-    unique = {}  # each row once up to sign: with no right-hand side a repeat checks nothing
+    unique = {}  # each row once up to a rational factor: with no right-hand side a multiple checks nothing
     for slot, *_ in kind.slots:
-        for row in derivation_rows(s.forms[slot], actions).values():
-            unique.setdefault(_up_to_sign(row), row)
+        for p, q in derivation_rows(s.forms[slot], actions).values():
+            p, q = row = _primitive(p, q, _last((p, q)))
+            unique.setdefault((frozenset(p.items()), frozenset(q.items())) if q else frozenset(p.items()), row)
     pivots = echelon(list(unique.values()), field)
     stabilizer = len(pairs) - len(pivots)
     want = (n // 2) ** 2 if kind.stabilizer is None else kind.stabilizer
     if stabilizer != want:
         raise StructureError(f"the structure forms' stabilizer has dimension {stabilizer}, not {want}: not {kind.noun}")
-    zero, one = field.zero(), field.one()
     rows = []
-    for lead, piv in pivots.items():
-        piv[lead] = one
-        acc = {}
-        block = [{} for _ in range(n)]
-        for p, x in piv.items():
-            # -P . gamma_i = 2 sum_p P[p] <D_i e_t, e_k>, the 2 folded into the raw sums
-            for i, v in symbols[pairs[p]]:
-                _mac(acc, i, x, v, False)
-            neg = -x
-            for i, col, flip in spread[p]:
-                block[i][col] = neg if flip else x
-        rhs = _settle(field, {i: (a + a, b + b, den) for i, (a, b, den) in acc.items()})
-        rows += [(row, rhs.get(i, zero)) for i, row in enumerate(block)]
+    for piv in pivots.values():
+        # P . A_i = -P . gamma_i = (2/E) sum_p P[p] E <D_i e_t, e_k>: the rows
+        # solve for y = (E/2) H, right-hand side under key -1; a sqrt(d) part
+        # of P meets one of a symbol in d
+        rhs = ([0] * n, [0] * n)
+        block = [({}, {}) for _ in range(n)]
+        for a, part in enumerate(piv):
+            for p, x in part.items():
+                for i, vp, vq in symbols[pairs[p]]:
+                    rhs[a][i] += x * vp
+                    if vq:
+                        rhs[1 - a][i] += x * vq * (d if a else 1)
+                for i, col, flip in spread[p]:
+                    block[i][a][col] = -x if flip else x
+        for i, row in enumerate(block):
+            for a in (0, 1):
+                if rhs[a][i]:
+                    row[a][-1] = rhs[a][i]
+        rows += block
     try:
         sol = solve_unique_sparse(rows, len(masks3), field)
     except InconsistentSystem as exc:
         raise StructureError("no skew-torsion connection: the linear system is inconsistent") from exc
     except LinearSolveError as exc:
         raise StructureError("non-unique skew torsion: dimension count violated") from exc
-    return KForm(n, 3, field, dict(zip(masks3, sol)))
+    return KForm(n, 3, field, dict(zip(masks3, sol))).scale(field.scalar(2, e))
 
 
 def bismut_ricci_form(s: GStructure) -> KForm:

@@ -1,6 +1,7 @@
 """Shared builders: worked-example structures (loaded from the registry
 data files) plus rational-orthogonal randomization helpers."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,9 +20,10 @@ from gtorsion.forms import (
     skew_three_form,
 )
 from gtorsion.frames import LieAlgebraFrame, _last_index, change_frame, transform_form
+from gtorsion.linsolve import int_row
 from gtorsion.parser import parse
 from gtorsion.structures import GStructure, _model_forms
-from gtorsion.scalars import NotRepresentable, QuadraticField, RationalField, _int_root
+from gtorsion.scalars import NotRepresentable, QuadraticField, RationalField, _int_root, _norm
 
 Q = RationalField()
 Q2 = QuadraticField(2)
@@ -225,10 +227,25 @@ def nabla(conn, x, y) -> VectorField:
     return VectorField(n, field, comps)
 
 
+def derivation_columns(a, actions):
+    """``derivation_rows`` on actions of Scalars, {j: {t: Scalar}} each: the
+    actions go in as ints over one denominator D, and each row comes back as
+    {p: Scalar}, its ints over a's denominator times D."""
+    flat = {(p, j, t): v for p, action in enumerate(actions) for j, row in action.items() for t, v in row.items()}
+    vp, vq = int_row(flat, a.field)
+    ints = [{} for _ in actions]
+    for key in vp.keys() | vq.keys():
+        p, j, t = key
+        ints[p].setdefault(j, {})[t] = (vp.get(key, 0), vq.get(key, 0))
+    den = a._den * math.lcm(1, *(v.den for v in flat.values()))
+    return {m: {c: _norm(a.field, p.get(c, 0), q.get(c, 0), den) for c in p.keys() | q.keys()}
+            for m, (p, q) in derivation_rows(a, ints).items()}
+
+
 def derivation(a, action):
     """The degree-0 derivation e^j -> sum_t action[j][t] e^t applied to a:
     the one column of ``derivation_rows``."""
-    return _trusted(a.n, a.k, a.field, {m: row[0] for m, row in derivation_rows(a, (action,)).items()})
+    return _trusted(a.n, a.k, a.field, {m: row[0] for m, row in derivation_columns(a, (action,)).items()})
 
 
 def covariant_derivative_form(frame, conn, a):

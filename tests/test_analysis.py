@@ -3,16 +3,19 @@
 connections once, both induced metrics and every change of frame take no
 wedge beyond their checks, the oracle stays
 independent of H, walks each form's pair derivations once, reduces each
-form's derivation matrix once, solves n*r rows and agrees with H off a diagonal
-metric, and a verdict leaves no cyclic garbage behind."""
+form's derivation matrix once, each row once up to a rational factor, on int
+rows that build no Scalar but the entries of H, solves n*r rows and agrees
+with H off a diagonal metric, and a verdict leaves no cyclic garbage behind."""
 
 import collections
 import gc
+import math
+from fractions import Fraction
 
 import pytest
 
 from conftest import sheared_text
-from gtorsion import engine, forms, frames, reduction, registry, soliton, structures
+from gtorsion import engine, forms, frames, linsolve, reduction, registry, soliton, structures
 from gtorsion.forms import _mat_inverse
 from gtorsion.frames import change_frame, transform_form
 from gtorsion.parser import parse
@@ -112,6 +115,28 @@ def test_check_differentiates_each_structure_form_once(monkeypatch, name):
     engine.run_check(doc)
     assert {a: c for a, c in seen.items() if a in forms_of_s and c > 1} == {}
     assert any(a in forms_of_s for a in seen)
+
+
+@pytest.mark.parametrize("name, calls", [
+    ("nonintG2", 25), ("nonintG2nonclosedLee", 25), ("nonintSpin7OneA", 27), ("nonintSpin7Two", 15),
+])
+def test_reduce_differentiates_the_slice_forms_once(monkeypatch, name, calls):
+    # both verifiers read d of the slice structure's forms from its analysis:
+    # the G2 one takes star phi and d star phi from the slice G2 structure
+    # (nonintSpin7OneA made 28 calls when it differentiated them again);
+    # nonintSpin7Two stops before the slice, as its adapted frame needs a
+    # root outside QQ(sqrt3), so no verifier runs there
+    doc = parse(registry.input_text(name))
+    seen = [0]
+    orig = frames.ce_differential
+
+    def counted(frame, a):
+        seen[0] += 1
+        return orig(frame, a)
+
+    monkeypatch.setattr(frames, "ce_differential", counted)
+    engine.run_reduce(doc)
+    assert seen[0] == calls
 
 
 @pytest.mark.parametrize("name", ["nonintG2", "nonintSpin7OneA", "nonintsu3"])
@@ -304,10 +329,20 @@ def test_oracle_solves_n_rank_rows(monkeypatch, name, rows):
     assert dict(solves) == {rows: 1}
 
 
+def _ratios(row):
+    """An int row (p, q) up to a nonzero rational factor: each entry over the
+    first nonzero int of its first column."""
+    p, q = row
+    first = min(p.keys() | q.keys())
+    unit = p.get(first) or q[first]
+    return frozenset((c, part, Fraction(v, unit)) for part, ints in enumerate(row) for c, v in ints.items())
+
+
 @pytest.mark.parametrize("name", registry.names())
 def test_oracle_eliminates_each_derivation_row_once_up_to_sign(monkeypatch, name):
     # Stage 1 has no right-hand side, so a row equal to an earlier one up to
-    # sign checks nothing: its one echelon gets every form's rows, each once
+    # any nonzero rational factor (a sign among them) checks nothing: its one
+    # echelon gets every form's rows, each once, and each primitive
     s = parse(registry.input_text(name)).structure()
     walked, eliminated = [], []
     walk, eliminate = structures.derivation_rows, structures.echelon
@@ -325,11 +360,29 @@ def test_oracle_eliminates_each_derivation_row_once_up_to_sign(monkeypatch, name
     monkeypatch.setattr(structures, "echelon", eliminates)
     structures.solve_skew_torsion(s)
     [rows] = eliminated
-    negated = [{c: -v for c, v in row.items()} for row in rows]
-    for i, row in enumerate(rows):
-        assert row not in rows[:i] and row not in negated[:i]
-    assert all(row in rows or row in negated for row in walked)
+    kept = [_ratios(row) for row in rows]
+    assert len(set(kept)) == len(kept)
+    assert {_ratios(row) for row in walked} == set(kept)
     assert len(rows) < len(walked)
+    assert all(math.gcd(*p.values(), *q.values()) == 1 for p, q in rows)
+
+
+@pytest.mark.parametrize("name", registry.names())
+def test_oracle_builds_one_scalar_per_unknown_in_linsolve(monkeypatch, name):
+    # both eliminations run on int rows: the only Scalars linsolve builds
+    # during the oracle are the entries of H, one ``_norm`` each
+    s = parse(registry.input_text(name)).structure()
+    s.levi_civita  # the connection is the structure's, built outside the count
+    built = []
+    norm = linsolve._norm
+
+    def counted(*args):
+        built.append(args)
+        return norm(*args)
+
+    monkeypatch.setattr(linsolve, "_norm", counted)
+    structures.solve_skew_torsion(s)
+    assert 0 < len(built) <= math.comb(s.n, 3)
 
 
 @pytest.mark.parametrize("name", ["nonintsu3", "nonintG2", "nonintSpin7OneA"])

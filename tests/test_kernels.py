@@ -1,11 +1,13 @@
 """The shared exact kernels: the minors table (determinant,
 positive-definiteness) and the elimination kernel (inverse, the sparse
-overdetermined solve) against cofactor expansion, the skew 3-form
+overdetermined solve) against cofactor expansion, the solve's independence
+of the order and the scale of its rows, the skew 3-form
 packer, the derivation action, the fused multiply-accumulate kernels
 checked term by term against plain Scalar sums, the well-formedness of
 every kernel output that skips the public constructor, and the change of
 frame checked against a chain of wedges."""
 
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import Q, Q2, Q3, coeff, derivation, random_kform, random_posdef_geometry, su2su2_frame
+from conftest import Q, Q2, Q3, coeff, derivation, derivation_columns, random_kform, random_posdef_geometry, su2su2_frame
 from gtorsion import forms, scalars
 from gtorsion.forms import (
     FrameGeometry,
@@ -25,7 +27,6 @@ from gtorsion.forms import (
     _mat_inverse,
     _trusted,
     contract_2_3,
-    derivation_rows,
     hodge_star,
     indices_of,
     interior,
@@ -38,6 +39,7 @@ from gtorsion.linsolve import (
     LinearSolveError,
     _axpy,
     echelon,
+    int_row,
     solve_unique_sparse,
 )
 from gtorsion.scalars import FieldMismatch, Scalar
@@ -219,7 +221,9 @@ def test_derivation_leibniz(rng):
 
 
 def _rows(field, *rows):
-    return [({c: field.scalar(v) for c, v in row.items()}, field.scalar(rhs)) for row, rhs in rows]
+    """Int rows of the equations sum_c row[c] x_c = rhs, the right-hand side
+    under key -1."""
+    return [int_row({**{c: field.scalar(v) for c, v in row.items()}, -1: field.scalar(rhs)}, field) for row, rhs in rows]
 
 
 def test_sparse_inconsistent_before_full_rank():
@@ -234,7 +238,7 @@ def test_sparse_inconsistent_deferred_row():
     rows = _rows(Q, ({0: 1}, 1), ({1: 1}, 2), ({2: 1}, 3), ({0: 1, 1: 1, 2: 1}, 7))
     with pytest.raises(LinearSolveError, match="^no solution$"):
         solve_unique_sparse(rows, 3, Q)
-    rows[-1] = (rows[-1][0], Q.scalar(6))
+    rows[-1][0][-1] = 6
     assert solve_unique_sparse(rows, 3, Q) == [Q.scalar(1), Q.scalar(2), Q.scalar(3)]
 
 
@@ -246,10 +250,10 @@ def test_sparse_rank_deficient():
 
 def test_echelon_reduces_against_several_right_hand_sides():
     # x0 + x1 = (1, 2) twice over: one pivot carries both sides (keys -1, -2)
-    rows = [{0: Q.one(), 1: Q.one(), -1: Q.one(), -2: Q.scalar(2)},
-            {0: Q.scalar(2), 1: Q.scalar(2), -1: Q.scalar(2), -2: Q.scalar(4)}]
-    assert echelon(rows, Q) == {1: {0: Q.one(), -1: Q.one(), -2: Q.scalar(2)}}
-    rows[1][-2] = Q.scalar(5)  # the second side is inconsistent
+    rows = [int_row({0: Q.one(), 1: Q.one(), -1: Q.one(), -2: Q.scalar(2)}, Q),
+            int_row({0: Q.scalar(2), 1: Q.scalar(2), -1: Q.scalar(2), -2: Q.scalar(4)}, Q)]
+    assert echelon(rows, Q) == {1: ({1: 1, 0: 1, -1: 1, -2: 2}, {})}
+    rows[1][0][-2] = 5  # the second side is inconsistent
     with pytest.raises(InconsistentSystem, match="^no solution$"):
         echelon(rows, Q)
 
@@ -282,7 +286,54 @@ def consistent_systems(draw):
 @given(consistent_systems())
 def test_sparse_solve_matches_dense_core(system):
     field, core, b, rows = system
-    assert solve_unique_sparse(rows, len(core), field) == solve_dense(core, b)
+    assert solve_unique_sparse([int_row({**row, -1: rhs}, field) for row, rhs in rows], len(core), field) == solve_dense(core, b)
+
+
+def _nonzero_factor(field):
+    """A nonzero scalar (a + b sqrt d)/c of ``field`` with small ints."""
+    small = st.integers(-3, 3)
+    if field is Q:
+        return st.builds(Fraction, small, st.integers(1, 4)).filter(bool).map(Q.scalar)
+    return st.tuples(small, small, st.integers(1, 4)).filter(lambda t: t[0] or t[1]).map(
+        lambda t: (Q2.scalar(t[0]) + Q2.sqrt_d() * t[1]) / t[2])
+
+
+@st.composite
+def sparse_systems(draw):
+    """A small random system over QQ or QQ(sqrt2), as (field, unknowns,
+    [(row, rhs)]): solvable, inconsistent or rank-deficient."""
+    field = draw(st.sampled_from([Q, Q2]))
+    n = draw(st.integers(1, 4))
+    entry = _entry(field)
+    rows = [({c: draw(entry) for c in range(n)}, draw(entry)) for _ in range(draw(st.integers(1, 6)))]
+    return field, n, rows
+
+
+def _outcome(field, n, rows):
+    """The solution of the Scalar rows, or the error type and message."""
+    try:
+        return solve_unique_sparse([int_row({**row, -1: rhs}, field) for row, rhs in rows], n, field)
+    except LinearSolveError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(consistent_systems().map(lambda s: (s[0], len(s[1]), s[3])), sparse_systems()), st.data())
+def test_solve_ignores_row_order_and_row_scale(system, data):
+    # the pivots are fully reduced and primitive, so they are unique: the
+    # solution, and the exact error message, do not depend on the order of
+    # the rows or on a nonzero factor (of QQ(sqrt2) too) on each of them
+    field, n, rows = system
+    want = _outcome(field, n, rows)
+    factors = [data.draw(_nonzero_factor(field)) for _ in rows]
+    moved = data.draw(st.permutations([({c: f * v for c, v in row.items()}, f * rhs) for (row, rhs), f in zip(rows, factors)]))
+    assert _outcome(field, n, moved) == want
+    try:
+        pivots = echelon([int_row({**row, -1: rhs}, field) for row, rhs in moved], field)
+    except InconsistentSystem:
+        return
+    for lead, (p, q) in pivots.items():
+        assert gcd(*p.values(), *q.values()) == 1 and p[lead] > 0 and lead == max(p.keys() | q.keys())
 
 
 # -- fused multiply-accumulate kernels ----------------------------------------
@@ -419,7 +470,7 @@ def test_fused_kernels_match_termwise_sums(inputs):
         for t, v in row.items():
             flipped.setdefault(t, {})[j] = -v
     actions = [action, {}, flipped]
-    rows = derivation_rows(a, actions)
+    rows = derivation_columns(a, actions)
     assert all(rows.values())  # a mask whose every column cancels is absent
     for p, act in enumerate(actions):
         assert_same(_trusted(N, a.k, field, {m: row[p] for m, row in rows.items() if p in row}), ref_derivation(a, act))
@@ -444,12 +495,18 @@ def test_fused_contract_2_3_matches_termwise_sum(fh, diagonal):
     st.dictionaries(st.integers(0, 6), _value(F)),
 )))
 def test_fused_axpy_matches_termwise_sum(case):
+    # on int rows: D (row + f other) = (D/Dr) R + (D/Do) f O, with R = Dr row
+    # and O = Do other the int rows and D = Dr Do fden
     row, f, other = case
+    field = f.field
     want = ref_axpy(row, f, other)
-    got = dict(row)
-    _axpy(got, f, other)
+    dr, do = (math.lcm(1, *(v.den for v in part.values())) for part in (row, other))
+    rp, rq = int_row(row, field)
+    acc = ({c: v * do * f.den for c, v in rp.items()}, {c: v * do * f.den for c, v in rq.items()})
+    _axpy(acc, dr * f.p, dr * f.q, int_row(other, field), field.d)
+    p, q = ({c: v for c, v in part.items() if v} for part in acc)  # _axpy leaves cancelled sums as zeros
+    got = {c: scalars._norm(field, p.get(c, 0), q.get(c, 0), dr * do * f.den) for c in p.keys() | q.keys()}
     assert got == want
-    assert all(_canonical(v) for v in got.values())
 
 
 def _canonical(v):
@@ -499,9 +556,13 @@ def test_fused_kernels_drop_keys_that_cancel():
     c = contract_2_3(f, h, FrameGeometry(N, Q))  # e4: 2/5 * 3/14 - 3/35
     assert set(c.coeffs) == {e(5)} and c == ref_contract_2_3(f, h, [Q.one()] * N)
 
-    row = {0: _q("3/35"), 1: _q(1)}
-    _axpy(row, _q("2/5"), {0: _q("-3/14")})
-    assert row == {1: _q(1)}
+    # (3/35, 1) + 2/5 (-3/14, 0) on int rows over 35 * 14 * 5: 210 - 210 at
+    # key 0, an exact zero; echelon drops it from the row
+    acc = ({0: 3 * 14 * 5, 1: 35 * 14 * 5}, {})
+    _axpy(acc, 35 * 2, 0, ({0: -3}, {}), 0)
+    assert acc == ({0: 0, 1: 35 * 14 * 5}, {})
+    rows = [int_row({0: _q("-3/14")}, Q), int_row({0: _q("3/35"), 1: _q(1)}, Q)]
+    assert echelon(rows, Q) == {0: ({0: 1}, {}), 1: ({1: 1}, {})}
 
 
 def test_fused_kernels_reject_mixed_fields():
@@ -522,11 +583,11 @@ def test_fused_kernels_reject_mixed_fields():
     h = KForm(N, 3, Q3, {7: Q3.sqrt_d()})
     with pytest.raises(FieldMismatch, match=msg):
         contract_2_3(f, h, FrameGeometry(N, Q))
-    with pytest.raises(FieldMismatch, match=msg):
-        _axpy({0: Q.one()}, Q.one(), {0: Q3.sqrt_d()})
     mixed = [[Q3.sqrt_d() if i == j == 0 else Q.one() if i == j else Q.zero() for j in range(N)] for i in range(N)]
     with pytest.raises(FieldMismatch, match=msg):
         transform_form(qa, mixed, Q)
+    with pytest.raises(FieldMismatch, match=msg):
+        _mat_inverse(mixed, Q)  # its rows become int rows of QQ
     # det [[1, sqrt3], [sqrt3, 1]] = -2: read without sqrt3 it is the identity
     geom = FrameGeometry(2, Q, [[Q.one(), Q3.sqrt_d()], [Q3.sqrt_d(), Q.one()]])
     with pytest.raises(FieldMismatch, match=msg):
@@ -568,8 +629,8 @@ def test_fused_kernels_normalize_once_per_output_mask(monkeypatch, field):
     assert 0 < len(w.coeffs) == len(calls) <= 35  # the 5-forms of n = 7
     calls.clear()
     d = derivation(b, action)
-    assert 0 < len(calls) <= 35  # the 3-forms of n = 7
-    assert len(d.coeffs) <= len(calls)
+    assert not calls  # derivation_rows sums ints: only the test helper builds Scalars
+    assert d.coeffs == ref_derivation(b, action).coeffs  # ref_derivation builds n = N forms
 
 
 @pytest.mark.parametrize("field", [Q, Q3])

@@ -14,8 +14,10 @@ from conftest import (
     Q2,
     bracket,
     cartan_three_form,
+    coframe_text,
     covariant_derivative_form,
     derivation,
+    derivation_columns,
     fixture_structure,
     model_form,
     rotation_matrix,
@@ -24,7 +26,7 @@ from conftest import (
     sheared_text,
     PSI_ALL_PLUS,
 )
-from gtorsion import registry
+from gtorsion import registry, structures
 from gtorsion.forms import (
     FrameGeometry,
     KForm,
@@ -36,10 +38,9 @@ from gtorsion.forms import (
     wedge,
     _mat_det,
     _masks,
-    derivation_rows,
 )
 from gtorsion.frames import ConnectionCoeffs, LieAlgebraFrame, _last_index, transform_form, transform_vector
-from gtorsion.linsolve import InconsistentSystem, LinearSolveError, solve_unique_sparse
+from gtorsion.linsolve import InconsistentSystem, LinearSolveError, int_row, solve_unique_sparse
 from gtorsion.parser import parse
 from gtorsion.reduction import TransverseSlice, reduce_g2
 from gtorsion.structures import (
@@ -572,9 +573,9 @@ def reference_skew_torsion(s):
                     for mask, v in moved.items():
                         entries.setdefault((i, mask), {})[col] = v if sign > 0 else -v
         keys = set(entries) | {(i, mask) for i in range(n) for mask in base[i].coeffs}
-        rows += [(entries.get(key, {}), -base[key[0]].coeffs.get(key[1], zero)) for key in sorted(keys)]
+        rows += [{**entries.get(key, {}), -1: -base[key[0]].coeffs.get(key[1], zero)} for key in sorted(keys)]
     try:
-        sol = solve_unique_sparse(rows, len(masks3), field)
+        sol = solve_unique_sparse([int_row(row, field) for row in rows], len(masks3), field)
     except InconsistentSystem as exc:
         raise StructureError("no skew-torsion connection: the linear system is inconsistent") from exc
     except LinearSolveError as exc:
@@ -677,7 +678,7 @@ def _assert_lambda_gamma_is_nabla(s):
     zero = s.field.zero()
     for slot, *_ in KINDS[s.kind].slots:
         alpha = s.forms[slot]
-        lam = derivation_rows(alpha, actions)
+        lam = derivation_columns(alpha, actions)
         for i, nabla in enumerate(covariant_derivative_form(s.frame, s.levi_civita, alpha)):
             gamma = [low.get((i, t, k), zero) * -2 for t, k in pairs]
             got = {m: sum((v * gamma[p] for p, v in row.items()), zero) for m, row in lam.items()}
@@ -703,6 +704,33 @@ def test_lambda_gamma_is_nabla_on_random_frames(kind):
         _assert_lambda_gamma_is_nabla(s)
 
     check()
+
+
+@pytest.mark.parametrize("name", ["nonintG2", "nonintG2nonclosedLee", "nonintSpin7OneA"])
+def test_oracle_on_sqrt2_forms_and_metric(monkeypatch, name):
+    # no bench input has a sqrt(d) entry in the oracle's matrix; here the
+    # fixture is pulled back, over QQ(sqrt2), by a diagonal with sqrt2
+    # entries and a shear with sqrt2 entries above it (as moved_g2_forms
+    # moves phi), so the forms, the metric and the rows of both eliminations
+    # carry sqrt2 parts, and pivot leads with a sqrt2 part turn up
+    text = registry.input_text(name).replace("field rational", "field sqrt 2")
+    n = parse(text).dim
+    r2, one, zero = Q2.sqrt_d(), Q2.one(), Q2.zero()
+    a = [[(r2 if i % 2 else one) if i == j else r2 if j == i + 1 else zero for j in range(n)] for i in range(n)]
+    s = parse(coframe_text(text, a)).structure()
+    assert any(x.q for row in s.geometry.metric for x in row)
+    assert all(any(c.q for c in s.forms[slot].coeffs.values()) for slot, *_ in KINDS[s.kind].slots)
+    eliminated = []
+    echelon = structures.echelon
+
+    def eliminates(rows, field):
+        eliminated.append(list(rows))
+        return echelon(rows, field)
+
+    monkeypatch.setattr(structures, "echelon", eliminates)
+    h = solve_skew_torsion(s)
+    assert any(q for p, q in eliminated[0])
+    assert h == reference_skew_torsion(s) == bismut_torsion(s)
 
 
 @pytest.mark.parametrize("key", [(0, 1, 1), (0, 1, 2)])
