@@ -40,12 +40,13 @@ def _torsion_report(torsion, labels):
 def _potential(doc, df: KForm | None) -> KForm:
     """The soliton potential's gradient: ``df`` (the --df flag), else the
     document's df block, else 0.  Every command reads it first, so a df that
-    is not closed is reported before any structure error."""
+    is not closed is reported before any structure error; a zero df is
+    closed, so it is not differentiated."""
     df = df if df is not None else doc.df
     if df is None:
         s = doc.structure()
         return KForm.zero(s.n, 1, s.field)
-    if not doc.frame().d(df).is_zero():
+    if not df.is_zero() and not doc.frame().d(df).is_zero():
         raise ParseError("df must be a closed 1-form: d(df) != 0")
     return df
 

@@ -11,9 +11,13 @@ gcd 1.  So ==, ``is_zero`` and hashing compare ints, and a kernel sums
 int products straight into its output's numerators and normalizes the
 form once, by one gcd over den and every numerator, not once per
 coefficient.  ``coeffs`` is a read-only view of canonical Scalars, built
-on first read and kept; the public constructor, ``from_terms`` and
-``_trusted`` take Scalars.  All values are immutable and all operations
-are pure.
+on first read and kept; the public constructor and ``from_terms`` take
+Scalars.  Each int-body primitive has one home: ``scalars._ints`` turns
+Scalars into a body (a form's, a vector's, a change of frame's matrix),
+``linsolve._axpy`` is the sqrt(d) scaled add behind every linear
+combination, and ``_product`` splits every bilinear int kernel, the minors
+table's included, into its rational and sqrt(d) parts.  All values are
+immutable and all operations are pure.
 
 A diagonal metric is found lazily (see ``FrameGeometry``); the identity
 raises no index at all.  Every other raise, and every minor of a matrix
@@ -38,8 +42,8 @@ from functools import cached_property
 from math import gcd, lcm
 from types import MappingProxyType
 
-from .linsolve import InconsistentSystem, echelon, int_row
-from .scalars import Field, FieldMismatch, GTorsionError, NotRepresentable, Scalar, _mac, _norm, _settle
+from .linsolve import InconsistentSystem, _axpy, echelon, int_row
+from .scalars import Field, FieldMismatch, GTorsionError, NotRepresentable, Scalar, _ints, _mac, _norm, _settle
 
 __all__ = [
     "KForm",
@@ -139,45 +143,6 @@ def _normalize(n: int, k: int, field: Field, den: int, p: dict, q: dict) -> "KFo
     return _from_body(n, k, field, den, p, q)
 
 
-def _trusted(n: int, k: int, field: Field, coeffs: dict) -> "KForm":
-    """A KForm over ``coeffs`` without the public constructor's checks: every
-    value is a nonzero canonical Scalar on a mask of k bits, as ``_settle``
-    returns them or as a checked form holds them."""
-    form = _new(KForm)
-    form.n, form.k, form.field = n, k, field
-    _fill(form, coeffs)
-    return form
-
-
-def _fill(form: "KForm", coeffs: dict) -> None:
-    """Give ``form`` the body of the canonical Scalars ``coeffs`` and keep
-    them as its view: den is the lcm of theirs, which leaves it canonical."""
-    den = 1
-    for c in coeffs.values():
-        if den % c.den:
-            den = lcm(den, c.den)
-    p, q = {}, {}
-    for m, c in coeffs.items():
-        s = den // c.den
-        if c.p:
-            p[m] = c.p * s
-        if c.q:
-            q[m] = c.q * s
-    form._den, form._p, form._q, form._view = den, p, q, MappingProxyType(coeffs)
-
-
-def _axpy_ints(acc: dict, c: int, x: dict) -> None:
-    """acc += c x on int dicts keyed by mask."""
-    if not c:
-        return
-    if c == 1 and not acc:
-        acc.update(x)
-        return
-    get = acc.get
-    for m, v in x.items():
-        acc[m] = get(m, 0) + c * v
-
-
 def _combination(n: int, k: int, field: Field, terms) -> "KForm":
     """sum c f over the ``terms`` (cp, cq, cden, den, p, q): the scalar
     c = (cp + cq sqrt d)/cden times the body f = (den, p, q), summed over
@@ -185,18 +150,11 @@ def _combination(n: int, k: int, field: Field, terms) -> "KForm":
     den = 1
     for t in terms:
         den = lcm(den, t[2] * t[3])
-    d = field.d
-    p, q = {}, {}
+    d, acc = field.d, ({}, {})
     for cp, cq, cden, fden, fp, fq in terms:
         s = den // (cden * fden)
-        cp, cq = cp * s, cq * s
-        _axpy_ints(p, cp, fp)
-        if fq:
-            _axpy_ints(q, cp, fq)
-            _axpy_ints(p, d * cq, fq)
-        if cq:
-            _axpy_ints(q, cq, fp)
-    return _normalize(n, k, field, den, p, q)
+        _axpy(acc, cp * s, cq * s, (fp, fq), d)
+    return _normalize(n, k, field, den, *acc)
 
 
 def _product(kernel, d: int, xp: dict, xq: dict, yp, yq) -> tuple[dict, dict]:
@@ -238,7 +196,8 @@ class KForm:
                     raise ValueError(f"mask {m:b} has wrong cardinality for degree {k}")
                 if not c.is_zero():
                     clean[m] = c if c.field is field else field.scalar(c)
-        _fill(self, clean)
+        self._den, self._p, self._q = _ints(clean, field)
+        self._view = MappingProxyType(clean)
 
     @property
     def coeffs(self) -> MappingProxyType:
@@ -573,11 +532,8 @@ def _minors(mask: int, minors: tuple, rows: tuple, d: int) -> None:
     top = mask.bit_length() - 1
     rest = mask ^ (1 << top)
     _minors(rest, minors, rows, d)
-    mp, mq, rp, rq = minors[0][rest], minors[1][rest], rows[0][top], rows[1][top]
-    p, q = {}, {}
-    for acc, part, c, row in ((p, mp, 1, rp), (q, mp, 1, rq), (q, mq, 1, rp), (p, mq, d, rq)):
-        if part and row:
-            _wedge_row(acc, part, c, row)
+    p, q = _product(lambda part, row, acc: _wedge_row(acc, part, 1, row), d,
+                    minors[0][rest], minors[1][rest], rows[0][top], rows[1][top])
     minors[0][mask] = {m: v for m, v in p.items() if v}
     minors[1][mask] = {m: v for m, v in q.items() if v}
 
@@ -612,22 +568,14 @@ class CoframeChange:
 
     def __init__(self, old_in_new, field: Field):
         self.field = field
-        den, entries = 1, []
-        for row in old_in_new:
-            nonzero = [(1 << i, x) for i, x in enumerate(row) if x.p or x.q]
-            for _, x in nonzero:
-                if x.q and x.field is not field:
-                    raise _mismatch(field, x.field)
-                if den % x.den:
-                    den = lcm(den, x.den)
-            entries.append(nonzero)
-        self.den = den
+        entries = {(j, 1 << i): x for j, row in enumerate(old_in_new) for i, x in enumerate(row) if x.p or x.q}
+        self.den, p, q = _ints(entries, field)
         # row j of den M as the pairs (bit of i, int) of its nonzero rational
-        # parts, then of its nonzero sqrt(d) parts
-        self.rows = (
-            [[(bit, x.p * (den // x.den)) for bit, x in row if x.p] for row in entries],
-            [[(bit, x.q * (den // x.den)) for bit, x in row if x.q] for row in entries],
-        )
+        # parts, then of its nonzero sqrt(d) parts, in column order
+        self.rows = [[] for _ in old_in_new], [[] for _ in old_in_new]
+        for part, out in zip((p, q), self.rows):
+            for (j, bit), v in part.items():
+                out[j].append((bit, v))
         self.minors = ({0: {0: 1}}, {0: {}})
 
     def minor(self, mask: int) -> Scalar:
@@ -701,12 +649,12 @@ def wedge(a: KForm, b: KForm) -> KForm:
     return _normalize(a.n, k, field, a._den * b._den, p, q)
 
 
-def _interior_ints(x: dict, comps: list, acc: dict) -> None:
-    # comps: the pairs (bit of i, X^i) of the vector's nonzero components;
-    # e^i moves to the front of e^m past the bits of m below it
+def _interior_ints(x: dict, comps: dict, acc: dict) -> None:
+    # comps: the vector's nonzero components {bit of i: X^i}; e^i moves to
+    # the front of e^m past the bits of m below it
     get = acc.get
     for m, c in x.items():
-        for bit, v in comps:
+        for bit, v in comps.items():
             if m & bit:
                 key = m ^ bit
                 acc[key] = get(key, 0) + (-c * v if (m & (bit - 1)).bit_count() & 1 else c * v)
@@ -715,16 +663,13 @@ def _interior_ints(x: dict, comps: list, acc: dict) -> None:
 def interior(x: VectorField, a: KForm) -> KForm:
     if x.n != a.n:
         raise GeometryError(f"dimension mismatch: {x.n} vs {a.n}")
-    if a.k == 0:
-        return KForm.zero(a.n, 0, a.field)
     field = a.field
-    comps = [(1 << i, c) for i, c in enumerate(x.components) if not c.is_zero()]
-    for _, c in comps:
-        if c.field is not field and not a.is_zero():
+    if a.k == 0 or a.is_zero():  # a vector of another field is harmless against 0
+        return _from_body(a.n, max(a.k - 1, 0), field, 1, {}, {})
+    for c in x.components:
+        if c.field is not field and not c.is_zero():
             raise _mismatch(field, c.field)
-    den = lcm(*(c.den for _, c in comps))
-    xp = [(bit, c.p * (den // c.den)) for bit, c in comps if c.p]
-    xq = [(bit, c.q * (den // c.den)) for bit, c in comps if c.q]
+    den, xp, xq = _ints({1 << i: c for i, c in enumerate(x.components) if c.p or c.q}, field)
     p, q = _product(_interior_ints, field.d, a._p, a._q, xp, xq)
     return _normalize(a.n, a.k - 1, field, a._den * den, p, q)
 
@@ -800,7 +745,7 @@ def skew_three_form(n: int, field: Field, t) -> KForm | None:
                     return None
                 if not v.is_zero():
                     coeffs[(1 << i) | (1 << j) | (1 << k)] = v
-    return _trusted(n, 3, field, coeffs)
+    return KForm(n, 3, field, coeffs)
 
 
 def _raised(a: KForm, geom: FrameGeometry) -> KForm:

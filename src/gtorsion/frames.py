@@ -340,15 +340,3 @@ def transform_bilinear(m, b_rows, field: Field):
                         _mac(acc, (i, j), bi[p] * m[p][q], bj[q], False)
     out = _settle(field, acc)
     return [[out.get((i, j), field.zero()) for j in range(len(b_rows))] for i in range(len(b_rows))]
-
-
-def transform_vector(x: VectorField, a_rows, field: Field) -> VectorField:
-    """Components of x in the new frame with coframe f = A e: x_new = A x
-    (A a matrix of Scalars)."""
-    acc = {}
-    for i, row in enumerate(a_rows):
-        for a, c in zip(row, x.components):
-            if not a.is_zero() and not c.is_zero():
-                _mac(acc, i, a, c, False)
-    out = _settle(field, acc)
-    return VectorField(x.n, field, [out.get(i, field.zero()) for i in range(len(a_rows))])

@@ -9,34 +9,29 @@ read minors.
 A row is an equation, so it needs no denominator: it is two dicts of ints,
 the rational and the sqrt(d) numerators by column, as a ``KForm`` body holds
 them (the second empty over QQ); ``int_row`` clears a Scalar row's
-denominators.  Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968):
-rows are combined by cross-multiplication, and each pivot row is kept
-primitive, the gcd of its ints divided out and its lead positive, in place of
-Bareiss's exact division.  A lead with a sqrt(d) part is first made rational
-by the lead's conjugate, so a solution is one ``_norm`` per unknown.  Pivots
-stay fully reduced (0 in every other pivot column), so a row is reduced in one
-pass over its pivot columns, and a fully reduced primitive pivot is unique: no
-result depends on the row order or on a factor of any row.  Rows are taken by
-last column, then length, so leads come bottom-up and a new pivot seldom has
-to be eliminated from older ones; forward-only elimination with one back
-substitution did more work (on Scalar rows: 23,758 against 18,740
-multiply-accumulates on the 45 seed-1 ``rotated`` Stage-2 systems).
-An earlier int-row echelon (one denominator per row, 90 seed-1 ``rotated``
-oracle systems) gave no speedup: it converted Scalar rows at its boundary.
-Here no Scalar row is built: the oracle's derivation walk and Stage-2 rows
-are ints, and its Stage 1 is homogeneous, so its rows need no denominator.
-On the 45 seed-1 ``rotated`` inputs (in-process, 41 interleaved passes,
-connections cached) the oracle runs 1.20x faster than on Scalar rows
-(quartiles 1.12-1.33): the walk and Stage 1 2.0x, Stage 2 3% slower, its
-rows being so short that a row operation costs its bookkeeping, not its
-arithmetic; on the five examples, 1.08x.
+denominators by ``scalars._ints``.  ``_axpy``, the scaled add of two rows,
+is the one sqrt(d) scaled add on int bodies: a form's linear combinations
+(``forms._combination``) run through it too.  Elimination is fraction-free
+(Bareiss, Math. Comp. 22, 1968): rows are combined by cross-multiplication,
+and each pivot row is kept primitive, the gcd of its ints divided out and its
+lead positive, in place of Bareiss's exact division.  A lead with a sqrt(d)
+part is first made rational by the lead's conjugate, so a solution is one
+``_norm`` per unknown.  Pivots stay fully reduced (0 in every other pivot
+column), so a row is reduced in one pass over its pivot columns, and a fully
+reduced primitive pivot is unique: no result depends on the row order or on a
+factor of any row.  Rows are taken by last column, then length, so leads come
+bottom-up and a new pivot seldom has to be eliminated from older ones;
+forward-only elimination with one back substitution did more work (23,758 against 18,740 multiply-accumulates on
+the 45 seed-1 ``rotated`` Stage-2 systems).  No Scalar row is built: the
+oracle's derivation walk and Stage-2 rows are ints, and its Stage 1 is
+homogeneous, so its rows need no denominator.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
-from .scalars import Field, FieldMismatch, Scalar, _norm
+from .scalars import Field, Scalar, _ints, _norm
 
 __all__ = ["echelon", "solve_unique_sparse", "int_row", "LinearSolveError", "InconsistentSystem"]
 
@@ -53,14 +48,8 @@ class InconsistentSystem(LinearSolveError):
 
 def int_row(row: dict, field: Field) -> tuple[dict, dict]:
     """The row {key: Scalar} of ``field`` as an int row of the same equation:
-    its entries times the lcm of their denominators, zeros dropped."""
-    den = 1
-    for x in row.values():
-        if x.q and x.field is not field:
-            raise FieldMismatch(f"mixed-field arithmetic: {field!r} vs {x.field!r}")
-        if den % x.den:
-            den = lcm(den, x.den)
-    return {c: x.p * (den // x.den) for c, x in row.items() if x.p}, {c: x.q * (den // x.den) for c, x in row.items() if x.q}
+    the numerators of ``_ints``, its denominator cleared."""
+    return _ints(row, field)[1:]
 
 
 def _last(row: tuple) -> int:
@@ -82,19 +71,26 @@ def _primitive(p: dict, q: dict, last: int) -> tuple[dict, dict]:
 
 def _axpy(acc: tuple, fp: int, fq: int, row: tuple, d: int) -> None:
     """acc += (fp + fq sqrt d) row on int rows, in place; a sum that cancels
-    stays as a 0."""
+    stays as a 0.  The one scaled add on int bodies: echelon's rows and the
+    forms' linear combinations (``forms._combination``) run through it."""
     ap, aq = acc
     p, q = row
-    if fp:
-        get = ap.get  # the rational part inline: over QQ it is all there is
-        for c, v in p.items():
-            ap[c] = get(c, 0) + fp * v
+    if fp:  # the rational part inline: over QQ it is all there is
+        if fp == 1 and not ap:
+            ap.update(p)
+        else:
+            get = ap.get
+            for c, v in p.items():
+                ap[c] = get(c, 0) + fp * v
     if q or fq:
         for f, src, out in ((fp, q, aq), (fq, p, aq), (d * fq, q, ap)):
             if f and src:
-                get = out.get
-                for c, v in src.items():
-                    out[c] = get(c, 0) + f * v
+                if f == 1 and not out:
+                    out.update(src)
+                else:
+                    get = out.get
+                    for c, v in src.items():
+                        out[c] = get(c, 0) + f * v
 
 
 def echelon(rows, field: Field) -> dict[int, tuple[dict, dict]]:

@@ -57,7 +57,6 @@ from .frames import (
     _new_differentials,
     covariant_derivative_oneform,
     transform_bilinear,
-    transform_vector,
 )
 from .scalars import GTorsionError, NotRepresentable, _mac, _settle
 from .structures import (
@@ -66,7 +65,6 @@ from .structures import (
     StructureError,
     TorsionClasses,
     _on_metric,
-    bismut_torsion,
     g2_assemble,
     project,
     spin7_assemble,
@@ -112,9 +110,6 @@ class AdaptedFrame:
 
     def to_adapted(self, form: KForm) -> KForm:
         return self.old_in_new.move(form)
-
-    def vector_to_adapted(self, x: VectorField) -> VectorField:
-        return transform_vector(x, self.a_rows, self.frame.field)
 
 
 def adapt_frame(frame: LieAlgebraFrame, v: VectorField) -> AdaptedFrame:
@@ -500,8 +495,9 @@ def _g2_verifier(red: ReductionResult, vhat_ad: VectorField, beta_ad: KForm) -> 
     dtheta = unit.d(unit.torsion["lee"])
     table["d theta in Lambda^2_21"] = project(unit, dtheta)["7"].is_zero()
     table["d theta in Lambda^2_14"] = project(struct, _slice_form(red, dtheta, "d theta"))["7"].is_zero()
-    # H^ = H_phi of the reduced structure
-    table["H^ = H_phi"] = red.h_hat_slice == bismut_torsion(struct, rt)
+    # H^ = H_phi of the reduced structure: the formula reads tau2, zero in
+    # either orientation, and the Lee form, which the flip leaves alone
+    table["H^ = H_phi"] = red.h_hat_slice == struct.h
     return table
 
 
@@ -584,7 +580,8 @@ def _reduce(s: GStructure, df: KForm | None, kind: str) -> ReductionResult:
     unit, v = _unit_length(s, v)
     red = reduce_pair(unit, v)
     ad = red.adapted
-    vhat_ad = ad.vector_to_adapted(red.v)
+    # V is unit and last in the adapted frame, and A B^T = 1 gives A V = e_n
+    vhat_ad = VectorField.basis(s.n, s.field, s.n)
     split = split_parallel_form(ad.to_adapted(unit.form(form_name)), vhat_ad, ad.to_adapted(red.mu))
     red.forms = {name: red.transverse.restrict(x, label) for (name, label), x in zip(reduced, split)}
     red.reduced_structure, red.reduced_torsion = reduced_structure(red)

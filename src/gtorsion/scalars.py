@@ -17,13 +17,16 @@ adds +-x*y into a raw [p, q, den] int triple per output key, and ``_settle``
 turns each key into a canonical Scalar once, so a sum of N products pays one
 gcd, not 2N.  The exterior-algebra kernels do not use it: a form's integer
 body (``forms``) shares one denominator and is normalized by one gcd per
-form, and ``_norm`` builds a form's Scalar view only when it is read.
+form.  ``_ints`` is the one conversion of Scalars to such a body (one
+denominator, the rational and sqrt(d) numerators apart), for forms, vectors,
+matrices and linear-system rows alike; ``_norm`` is the way back, and builds
+a form's Scalar view only when it is read.
 """
 
 from __future__ import annotations
 
 import math
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
     "Field",
@@ -190,6 +193,26 @@ def _norm(field: Field, p: int, q: int, den: int) -> "Scalar":
     if not p and not q:
         return field._zero
     return Scalar(field, p, q, den)
+
+
+def _ints(values: dict, field: Field) -> tuple[int, dict, dict]:
+    """The canonical Scalars {key: x} of ``field`` over one denominator, the
+    way back from ``_norm``: (den, p, q) with den the lcm of theirs and p, q
+    the int numerators of their rational and sqrt(d) parts by key, zeros
+    dropped.  A sqrt(d) part from another field raises FieldMismatch."""
+    den = 1
+    for x in values.values():
+        if x.q and x.field is not field:
+            raise FieldMismatch(f"mixed-field arithmetic: {field!r} vs {x.field!r}")
+        if den % x.den:
+            den = lcm(den, x.den)
+    p, q = {}, {}
+    for k, x in values.items():
+        if x.p:
+            p[k] = x.p * (den // x.den)
+        if x.q:
+            q[k] = x.q * (den // x.den)
+    return den, p, q
 
 
 def _mac(acc: dict, key, x: "Scalar", y: "Scalar", neg) -> None:

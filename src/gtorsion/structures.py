@@ -30,7 +30,6 @@ from .forms import (
     _mat_det,
     _masks,
     _product,
-    _trusted,
     contract_2_3,
     derivation_rows,
     form_inner,
@@ -311,10 +310,11 @@ def _top_pairing(a: list, b: list | None, form: KForm, c: Scalar) -> list:
     The top coefficient is sum_{A, B} a_A b_B sgn(A, B) comp[A | B] over
     disjoint masks, where comp[M] = sgn(M, M^c) form_{M^c}; so
     M_ij = c sum_B (b_j)_B u_i[B] with u_i = sum_A (a_i)_A sgn(A, B) comp[A | B]
-    built once per i.  All of it runs on the forms' int bodies, and each
-    entry is one Scalar.
+    built once per i, with c taken into ``form`` first.  All of it runs on
+    the forms' int bodies, and each entry is one Scalar.
     """
     field, d = form.field, form.field.d
+    form = form.scale(c)
     full = (1 << form.n) - 1
     odd = _ODD
     comp = [{full ^ m: -v if odd[(full ^ m) << 8 | m] else v for m, v in part.items()} for part in (form._p, form._q)]
@@ -325,8 +325,7 @@ def _top_pairing(a: list, b: list | None, form: KForm, c: Scalar) -> list:
         for j in range(0 if b else i, len(rows)):
             bj = rows[j]
             p, q = _product(_dot_ints, d, bj._p, bj._q, up, uq)
-            p, q = p[0], q.get(0, 0)
-            out[i][j] = _norm(field, p * c.p + d * q * c.q, p * c.q + q * c.p, bj._den * ai._den * form._den * c.den)
+            out[i][j] = _norm(field, p[0], q.get(0, 0), bj._den * ai._den * form._den)
             if not b:
                 out[j][i] = out[i][j]
     return out
@@ -651,7 +650,7 @@ def d_c_omega(s: GStructure) -> KForm:
     return -transform_form(s.d_form("omega"), s.j_matrix, s.field)
 
 
-def bismut_torsion(s: GStructure, torsion: TorsionClasses | None = None) -> KForm:
+def bismut_torsion(s: GStructure) -> KForm:
     """Closed-form torsion of the structure-preserving skew connection.
 
     AH/SU3: H = d^c omega + N (N must be skew);
@@ -660,15 +659,12 @@ def bismut_torsion(s: GStructure, torsion: TorsionClasses | None = None) -> KFor
     Spin7:  H = -star d Psi + (7/6) star(theta ^ Psi),
 
     the factor of star(theta ^ form) being the kind's ``lee_factor``.
-
-    ``torsion`` defaults to the structure's own classes; pass other classes
-    (say, with a flipped orientation) to evaluate the formula on them.
     Callers that want the structure's H read ``s.h``, which is built once.
     """
     row = KINDS[s.kind]
     if row.almost_complex:
         return d_c_omega(s) + s.nijenhuis
-    torsion = torsion or s.torsion
+    torsion = s.torsion
     is_g2 = s.kind == "g2"
     if is_g2 and not torsion["tau2"].is_zero():
         raise StructureError("tau2 != 0: no skew-torsion connection for this G2 structure")
@@ -818,4 +814,4 @@ def bismut_ricci_form(s: GStructure) -> KForm:
     for (x, y, m), c in s.frame.constants.items():
         if x < y and m in trace:
             _mac(acc, (1 << x) | (1 << y), c, trace[m], False)
-    return _trusted(n, 2, field, _settle(field, acc)).scale(field.scalar(1, 2))
+    return KForm(n, 2, field, _settle(field, acc)).scale(field.scalar(1, 2))

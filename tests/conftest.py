@@ -1,7 +1,6 @@
 """Shared builders: worked-example structures (loaded from the registry
 data files) plus rational-orthogonal randomization helpers."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -14,16 +13,14 @@ from gtorsion.forms import (
     VectorField,
     _mat_inverse,
     _sort_sign,
-    _trusted,
     derivation_rows,
     mask_of,
     skew_three_form,
 )
 from gtorsion.frames import LieAlgebraFrame, _last_index, change_frame, transform_form
-from gtorsion.linsolve import int_row
 from gtorsion.parser import parse
 from gtorsion.structures import GStructure, _model_forms
-from gtorsion.scalars import NotRepresentable, QuadraticField, RationalField, _int_root, _norm
+from gtorsion.scalars import NotRepresentable, QuadraticField, RationalField, _int_root, _ints, _norm
 
 Q = RationalField()
 Q2 = QuadraticField(2)
@@ -232,20 +229,19 @@ def derivation_columns(a, actions):
     actions go in as ints over one denominator D, and each row comes back as
     {p: Scalar}, its ints over a's denominator times D."""
     flat = {(p, j, t): v for p, action in enumerate(actions) for j, row in action.items() for t, v in row.items()}
-    vp, vq = int_row(flat, a.field)
+    den, vp, vq = _ints(flat, a.field)
     ints = [{} for _ in actions]
     for key in vp.keys() | vq.keys():
         p, j, t = key
         ints[p].setdefault(j, {})[t] = (vp.get(key, 0), vq.get(key, 0))
-    den = a._den * math.lcm(1, *(v.den for v in flat.values()))
-    return {m: {c: _norm(a.field, p.get(c, 0), q.get(c, 0), den) for c in p.keys() | q.keys()}
+    return {m: {c: _norm(a.field, p.get(c, 0), q.get(c, 0), a._den * den) for c in p.keys() | q.keys()}
             for m, (p, q) in derivation_rows(a, ints).items()}
 
 
 def derivation(a, action):
     """The degree-0 derivation e^j -> sum_t action[j][t] e^t applied to a:
     the one column of ``derivation_rows``."""
-    return _trusted(a.n, a.k, a.field, {m: row[0] for m, row in derivation_columns(a, (action,)).items()})
+    return KForm(a.n, a.k, a.field, {m: row[0] for m, row in derivation_columns(a, (action,)).items()})
 
 
 def covariant_derivative_form(frame, conn, a):
@@ -479,6 +475,13 @@ def bracket(frame, x, y) -> VectorField:
         if not xs[i].is_zero() and not ys[j].is_zero():
             comps[k] = comps[k] + xs[i] * ys[j] * c
     return VectorField(frame.n, frame.field, comps)
+
+
+def mat_vec(a, x) -> VectorField:
+    """The vector A x for a matrix A of Scalars: J applied to x by its
+    matrix, or x in the frame of the coframe f = A e."""
+    zero = x.field.zero()
+    return VectorField(x.n, x.field, [sum((aij * c for aij, c in zip(row, x.components)), zero) for row in a])
 
 
 def cartan_three_form(frame) -> KForm:

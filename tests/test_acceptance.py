@@ -145,7 +145,7 @@ def test_criterion_4_spin7_oneA():
     t = torsion_spin7(s)
     theta_stated = KForm.from_terms(8, f, [((5,), Fraction(6, 7)), ((4,), Fraction(-6, 7))])
     _check(failures, "theta_Psi = (6/7)(e4 - e3)", t["lee"] == theta_stated, t["lee"])
-    h = bismut_torsion(s, t)
+    h = bismut_torsion(s)
     _check(failures, "d H_Psi = 0", s.frame.d(h).is_zero())
     raw = raw_reduction(s)
     c = Fraction(6, 7)
@@ -200,7 +200,7 @@ def test_criterion_5_spin7_su3():
     _check(failures, "d theta_Psi equals the printed 2-form (1/14, (sqrt3-1)/14 terms)",
            s.frame.d(t["lee"]) == dtheta_stated, s.frame.d(t["lee"]))
     _check(failures, "dilatino residual = 0", spin7_dilatino_residual(s).is_zero())
-    h = bismut_torsion(s, t)
+    h = bismut_torsion(s)
     conn = bismut_connection(s.frame, h, s.levi_civita)
     _check(failures, "Bismut curvature of (g, H_Psi) identically zero", not Riemann(conn).entries)
     _finish("criterion 5 (spin7 su3 example)", failures)

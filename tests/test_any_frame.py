@@ -25,6 +25,7 @@ from conftest import (
     band_shear,
     coframe_text,
     fixture_structure,
+    mat_vec,
     model_form,
     random_kform,
     rotate_frame_and_forms,
@@ -37,7 +38,7 @@ from test_reduction import check_adapted_frame, check_moved_forms, quotient_su3_
 from gtorsion import engine, reduction, registry
 from gtorsion.engine import run_extend
 from gtorsion.forms import FrameGeometry, KForm, VectorField, _mat_inverse, indices_of
-from gtorsion.frames import ConnectionCoeffs, LieAlgebraFrame, change_frame, transform_form, transform_vector
+from gtorsion.frames import ConnectionCoeffs, LieAlgebraFrame, change_frame, transform_form
 from gtorsion.parser import parse
 from gtorsion.soliton import canonical_vector
 from gtorsion.structures import (
@@ -77,7 +78,7 @@ def old_bismut_ricci_form(s):
     zero = field.zero()
     coeffs = {}
     for (x, y, i, l), v in Riemann(s.bismut).entries.items():
-        w = geom.g(VectorField.basis(n, field, l + 1), transform_vector(VectorField.basis(n, field, i + 1), s.j_matrix, field))
+        w = geom.g(VectorField.basis(n, field, l + 1), mat_vec(s.j_matrix, VectorField.basis(n, field, i + 1)))
         if not w.is_zero():
             m = (1 << x) | (1 << y)
             coeffs[m] = coeffs.get(m, zero) + v * w

@@ -6,8 +6,10 @@ stays free of them, as of ``json``, ``typing`` and ``importlib.resources``,
 which a default run does not use), and each kernel has one home: ``_merge_sign`` is
 called only where it fills the sign table, ``mask_of`` only inside ``KForm``,
 ``echelon`` is the one row reduction, the adapted frame of a reduction runs
-none, ``_wedge_row`` is called only by the minors table and the change of
-frame, and the connections and the Bismut curvature are built only in a
+none, Scalars become ints only in ``_ints``, a sqrt(d) scaled add runs only
+in ``_axpy`` and a bilinear int kernel is split only by ``_product``,
+``_wedge_row`` is called only by the minors table and the change of frame,
+and the connections and the Bismut curvature are built only in a
 structure's analysis.  A frame carries its
 one metric, so no function takes a metric beside a frame.  Every public
 function and method in the package has a reader in the package or is named
@@ -155,6 +157,24 @@ def test_echelon_is_the_one_row_reduction():
     defined = {node.name for path in SRC for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.FunctionDef)}
     assert not defined & {"eliminate", "back_substitute"}
+
+
+def test_one_home_per_int_body_primitive():
+    # Scalar -> int conversion, the sqrt(d) scaled add and the sqrt(d) split
+    # of a bilinear int kernel each have one definition; every other int
+    # body calls it
+    sites = {name: sorted(f"{path.name}:{where}" for path in SRC for where in call_sites(path.read_text(), name))
+             for name in ("_ints", "_axpy", "_product")}
+    assert sites == {
+        "_ints": ["forms.py:CoframeChange", "forms.py:KForm", "forms.py:interior", "linsolve.py:int_row"],
+        "_axpy": ["forms.py:_combination", "linsolve.py:echelon", "linsolve.py:echelon", "linsolve.py:echelon"],
+        "_product": ["forms.py:_minors", "forms.py:contract_2_3", "forms.py:derivation_rows", "forms.py:form_inner",
+                     "forms.py:interior", "forms.py:wedge", "frames.py:ce_differential", "structures.py:_top_pairing",
+                     "structures.py:_top_pairing"],
+    }
+    defined = {node.name for path in SRC for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_fill", "_axpy_ints", "_trusted", "transform_vector"}
 
 
 def test_wedge_row_only_expands_minors():

@@ -25,7 +25,6 @@ from gtorsion.forms import (
     VectorField,
     _mat_det,
     _mat_inverse,
-    _trusted,
     contract_2_3,
     hodge_star,
     indices_of,
@@ -473,7 +472,7 @@ def test_fused_kernels_match_termwise_sums(inputs):
     rows = derivation_columns(a, actions)
     assert all(rows.values())  # a mask whose every column cancels is absent
     for p, act in enumerate(actions):
-        assert_same(_trusted(N, a.k, field, {m: row[p] for m, row in rows.items() if p in row}), ref_derivation(a, act))
+        assert_same(KForm(N, a.k, field, {m: row[p] for m, row in rows.items() if p in row}), ref_derivation(a, act))
     frame = LieAlgebraFrame([f"e{i}" for i in range(1, N + 1)], coframe_d, FrameGeometry(N, field), check_closure=False)
     assert_same(ce_differential(frame, a), ref_ce_differential(coframe_d, a))
 
@@ -658,12 +657,12 @@ def test_body_kernels_build_no_scalar(monkeypatch, field):
     assert a._view is None and b._view is None
 
 
-# -- trusted kernel outputs and the change of frame ----------------------------
+# -- kernel outputs and the change of frame -----------------------------------
 #
-# Kernel outputs are built by ``forms._trusted``, which skips the public
-# constructor's checks.  Each output must still be what that constructor would
-# build: nonzero canonical coefficients of the form's field on masks of its
-# degree.
+# Kernel outputs are built on int bodies by ``forms._normalize``, which skips
+# the public constructor's checks.  Each output must still be what that
+# constructor would build: nonzero canonical coefficients of the form's field
+# on masks of its degree.
 
 
 def _well_formed(f):
@@ -685,7 +684,7 @@ def ref_transform_form(form, old_in_new, field):
 
 
 @st.composite
-def trusted_inputs(draw):
+def kernel_output_inputs(draw):
     field = draw(st.sampled_from([Q, Q2]))
     k, l = draw(st.integers(0, N)), draw(st.integers(0, N))
     a, c, b = draw(_forms(field, k)), draw(_forms(field, k)), draw(_forms(field, l))
@@ -705,8 +704,8 @@ def trusted_inputs(draw):
 
 
 @settings(max_examples=25, deadline=None)
-@given(trusted_inputs())
-def test_trusted_outputs_are_well_formed(inputs):
+@given(kernel_output_inputs())
+def test_kernel_outputs_are_well_formed(inputs):
     field, a, b, c, f, h, x, action, coframe_d, m, geom = inputs
     frame = LieAlgebraFrame([f"e{i}" for i in range(1, N + 1)], coframe_d, geom, check_closure=False)
     outs = {

@@ -10,6 +10,7 @@ from conftest import (
     Q,
     bracket,
     fixture_structure,
+    mat_vec,
     model_form,
     random_posdef_geometry,
     random_vector,
@@ -238,6 +239,15 @@ def test_adapted_frame_matches_the_elimination_route(name, monkeypatch):
         assert name == "nonintSpin7Two"  # |w|^2 = 3 - sqrt3/2 has no root
         return
     assert check_moved_forms(monkeypatch, s).verifier_ok()
+
+
+@pytest.mark.parametrize("name", ["nonintG2", "nonintG2nonclosedLee", "nonintSpin7OneA"])
+def test_adapted_coframe_takes_v_to_the_last_vector(name):
+    # the reduction reads V^ in the adapted frame as e_n: V (|V| = 1) is the
+    # last adapted vector, and the certificate A B^T = 1 gives A V = e_n
+    s = fixture_structure(name)
+    red = reduce_g2(s) if "G2" in name else reduce_spin7(s)
+    assert mat_vec(red.adapted.a_rows, red.v) == VectorField.basis(s.n, s.field, s.n)
 
 
 # -- reduce_pair -------------------------------------------------------------

@@ -182,7 +182,7 @@ def test_canonical_vector_spin7_two_certificate():
     v = canonical_vector(s)
     # V = (7/6) theta-sharp
     assert v == musical_inv(t["lee"].scale(Fraction(7, 6)), s.geometry)
-    cert = parallel_certificate(with_h(s.frame, bismut_torsion(s, t)), v)
+    cert = parallel_certificate(with_h(s.frame, bismut_torsion(s)), v)
     assert cert["parallel"]
     assert cert["norm_sq"] == s.field.scalar(4)
 
@@ -225,7 +225,7 @@ def test_rigidity_balanced_strong_example():
     s = s3xt4_g2()
     t = torsion_g2(s)
     assert t["lee"].is_zero()
-    assert s.frame.d(bismut_torsion(s, t)).is_zero()
+    assert s.frame.d(bismut_torsion(s)).is_zero()
     lhs, rhs = g2_rigidity_identity(s)
     assert lhs == rhs == Q.one()
 

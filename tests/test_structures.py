@@ -19,6 +19,7 @@ from conftest import (
     derivation,
     derivation_columns,
     fixture_structure,
+    mat_vec,
     model_form,
     rotation_matrix,
     rotate_frame_and_forms,
@@ -39,7 +40,7 @@ from gtorsion.forms import (
     _mat_det,
     _masks,
 )
-from gtorsion.frames import ConnectionCoeffs, LieAlgebraFrame, _last_index, transform_form, transform_vector
+from gtorsion.frames import ConnectionCoeffs, LieAlgebraFrame, _last_index, transform_form
 from gtorsion.linsolve import InconsistentSystem, LinearSolveError, int_row, solve_unique_sparse
 from gtorsion.parser import parse
 from gtorsion.reduction import TransverseSlice, reduce_g2
@@ -221,7 +222,7 @@ def test_su3_assemble_model():
     s = su3_assemble(om, op, abelian(6))
     assert s.geometry._is_identity
     # standard J: J e1 = -e2 on the first block
-    assert transform_vector(VectorField.basis(6, Q, 1), s.j_matrix, Q) == VectorField(6, Q, [0, -1, 0, 0, 0, 0])
+    assert mat_vec(s.j_matrix, VectorField.basis(6, Q, 1)) == VectorField(6, Q, [0, -1, 0, 0, 0, 0])
     assert s.form("omega_minus") == kf(6, ((1, 3, 6), 1), ((1, 4, 5), 1), ((2, 3, 5), 1), ((2, 4, 6), -1))
 
 
@@ -460,7 +461,7 @@ def brute_nijenhuis(s):
         return VectorField(n, field, bracket(amb, pad(x), pad(y)).components[:n])
 
     def apply_j(x):
-        return transform_vector(x, s.j_matrix, field)
+        return mat_vec(s.j_matrix, x)
 
     basis = [VectorField.basis(n, field, i) for i in range(1, n + 1)]
     jb = [apply_j(b) for b in basis]
@@ -763,7 +764,7 @@ def test_g2_fixture_h_phi_inner_identity():
     for name in ("nonintG2", "nonintG2nonclosedLee"):
         s = fixture_structure(name)
         t = torsion_g2(s)
-        h = bismut_torsion(s, t)
+        h = bismut_torsion(s)
         assert form_inner(h, s.form("phi"), s.geometry) == s.field.scalar(Fraction(7, 6)) * t["tau0"]
 
 
@@ -783,7 +784,7 @@ def test_g2_tau2_nonzero_rejected():
     t = torsion_g2(s)
     assert not t["tau2"].is_zero()
     with pytest.raises(StructureError):
-        bismut_torsion(s, t)
+        bismut_torsion(s)
     with pytest.raises(StructureError, match="^no skew-torsion connection: the linear system is inconsistent$"):
         solve_skew_torsion(s)
 
