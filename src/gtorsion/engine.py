@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from .forms import KForm
 from .parser import ParseError
-from .report import Report, form_str, matrix_norm_sq, scalar_str, vector_str
+from .report import Report, form_str, scalar_str, vector_str
 from .reduction import (
     ReductionError,
     central_extend,
@@ -17,6 +17,7 @@ from .reduction import (
 from .soliton import (
     canonical_vector,
     grs_residual,
+    grs_residual_norm_sq,
     parallel_certificate,
     spin7_dilatino_residual,
     string_grs_residual,
@@ -80,15 +81,15 @@ def run_check(doc, df: KForm | None = None) -> Report:
     rep.set("canonical_vector_parallel", cert["parallel"])
     rep.set("canonical_vector_norm_sq", scalar_str(cert["norm_sq"]))
 
-    res_sq = matrix_norm_sq(grs_residual(s, v))
-    rep.set("grs_residual_norm_sq", scalar_str(res_sq))
-    rep.set("grs_residual_zero", res_sq.is_zero())
+    res = grs_residual(s, v)
+    rep.set("grs_residual_norm_sq", scalar_str(grs_residual_norm_sq(s, res)))
+    rep.set("grs_residual_zero", res.is_zero())
     rep.set("weighted_scalar", scalar_str(weighted_scalar(s, v)))
     if doc.flux is not None:
         s1, s2, s3 = string_grs_residual(s, v, doc.flux)
         rep.set(
             "string_grs_residual_zero",
-            matrix_norm_sq(s1).is_zero() and s2.is_zero() and s3.is_zero(),
+            s1.is_zero() and s2.is_zero() and s3.is_zero(),
         )
 
     if KINDS[s.kind].almost_complex:

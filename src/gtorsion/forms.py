@@ -12,21 +12,25 @@ int products straight into its output's numerators and normalizes the
 form once, by one gcd over den and every numerator, not once per
 coefficient.  ``coeffs`` is a read-only view of canonical Scalars, built
 on first read and kept; the public constructor and ``from_terms`` take
-Scalars.  Each int-body primitive has one home: ``scalars._ints`` turns
-Scalars into a body (a form's, a vector's, a change of frame's matrix),
-``linsolve._axpy`` is the sqrt(d) scaled add behind every linear
-combination, and ``_product`` splits every bilinear int kernel, the minors
-table's included, into its rational and sqrt(d) parts.  All values are
-immutable and all operations are pure.
+Scalars.  A ``VectorField`` holds the same body as a 1-form, keyed by the
+bit of each index, and a ``Tensor`` holds one keyed by index tuples: the
+metric, its inverse and every tensor of the analysis (``frames``,
+``soliton``, ``structures``) are Tensors, with Scalar views (``entries``,
+``rows``, ``components``, ``FrameGeometry.metric``) built only when read.
+Each int-body primitive has one home: ``scalars._ints`` turns Scalars into
+a body (a form's, a vector's, a tensor's), ``linsolve._axpy`` is the
+sqrt(d) scaled add behind every linear combination (``_combination``),
+``_product`` splits every bilinear int kernel, the minors table's included,
+into its rational and sqrt(d) parts, and ``_dot`` pairs two bodies into one
+Scalar.  All values are immutable and all operations are pure.
 
-A diagonal metric is found lazily (see ``FrameGeometry``); the identity
-raises no index at all.  Every other raise, and every minor of a matrix
-that is not diagonal, comes from one table, the Cauchy-Binet minors of a matrix's leading rows
-(``_minors``), held in a ``CoframeChange``: a change of frame, the
-raising of indices by g^{-1} (one change cached per geometry), det g and
-Sylvester's test all read it, so the forms one change moves share the
-minors.  The table holds the minors of the matrix scaled to ints by one
-denominator.
+The identity metric raises no index at all.  Every other raise, and every
+minor, comes from one table, the Cauchy-Binet minors of a matrix's leading
+rows (``_minors``), held in a ``CoframeChange``: a change of frame and the
+raising of indices by g^{-1} (one change cached per geometry) read it, so
+the forms one change moves share the minors; det g and Sylvester's test
+read one expansion of the leading minors of g on its int rows.  The table
+holds the minors of the matrix scaled to ints by one denominator.
 
 Merge signs and index tuples are read from two lazily filled module-level
 tables, ``_ODD`` and ``_INDICES``; their keys are masks of n <= 8 bits, so
@@ -36,17 +40,17 @@ import.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from functools import cached_property
 from math import gcd, lcm
 from types import MappingProxyType
 
-from .linsolve import InconsistentSystem, _axpy, echelon, int_row
-from .scalars import Field, FieldMismatch, GTorsionError, NotRepresentable, Scalar, _ints, _mac, _norm, _settle
+from .linsolve import InconsistentSystem, _axpy, echelon
+from .scalars import Field, FieldMismatch, GTorsionError, NotRepresentable, Scalar, _ints, _norm, _sign
 
 __all__ = [
     "KForm",
+    "Tensor",
     "FrameGeometry",
     "VectorField",
     "mask_of",
@@ -127,9 +131,9 @@ def _from_body(n: int, k: int, field: Field, den: int, p: dict, q: dict) -> "KFo
     return form
 
 
-def _normalize(n: int, k: int, field: Field, den: int, p: dict, q: dict) -> "KForm":
-    """The KForm over the raw sums den, p, q (den > 0): zero entries are
-    dropped and one gcd over den and every numerator is divided out."""
+def _canonical(den: int, p: dict, q: dict) -> tuple[int, dict, dict]:
+    """The canonical body of the raw sums den, p, q (den > 0): zero entries
+    are dropped and one gcd over den and every numerator is divided out."""
     g = gcd(den, *p.values(), *q.values()) if den != 1 else 1
     if g != 1:
         den //= g
@@ -140,21 +144,37 @@ def _normalize(n: int, k: int, field: Field, den: int, p: dict, q: dict) -> "KFo
             p = {m: v for m, v in p.items() if v}
         if 0 in q.values():
             q = {m: v for m, v in q.items() if v}
-    return _from_body(n, k, field, den, p, q)
+    return den, p, q
 
 
-def _combination(n: int, k: int, field: Field, terms) -> "KForm":
-    """sum c f over the ``terms`` (cp, cq, cden, den, p, q): the scalar
-    c = (cp + cq sqrt d)/cden times the body f = (den, p, q), summed over
-    one denominator and normalized by one gcd."""
+def _normalize(n: int, k: int, field: Field, den: int, p: dict, q: dict) -> "KForm":
+    """The KForm over the raw sums den, p, q (den > 0), made canonical."""
+    return _from_body(n, k, field, *_canonical(den, p, q))
+
+
+def _combination(d: int, terms) -> tuple[int, dict, dict]:
+    """The canonical body of sum c f over the ``terms`` (cp, cq, cden, den,
+    p, q): the scalar c = (cp + cq sqrt d)/cden times the body f = (den, p,
+    q) of a form, a vector or a tensor, summed over one denominator and
+    normalized by one gcd."""
     den = 1
     for t in terms:
         den = lcm(den, t[2] * t[3])
-    d, acc = field.d, ({}, {})
+    acc = ({}, {})
     for cp, cq, cden, fden, fp, fq in terms:
         s = den // (cden * fden)
         _axpy(acc, cp * s, cq * s, (fp, fq), d)
-    return _normalize(n, k, field, den, *acc)
+    return _canonical(den, *acc)
+
+
+def _scalars(field: Field, den: int, p: dict, q: dict) -> dict:
+    """The {key: Scalar} view of a canonical body: its rational keys, then
+    the keys with only a sqrt(d) part."""
+    out = {m: _norm(field, v, q.get(m, 0), den) for m, v in p.items()}
+    for m, v in q.items():
+        if m not in p:
+            out[m] = _norm(field, 0, v, den)
+    return out
 
 
 def _product(kernel, d: int, xp: dict, xq: dict, yp, yq) -> tuple[dict, dict]:
@@ -204,12 +224,7 @@ class KForm:
         """The nonzero coefficients {mask: Scalar}, canonical, read-only."""
         view = self._view
         if view is None:
-            field, den, p, q = self.field, self._den, self._p, self._q
-            out = {m: _norm(field, v, q.get(m, 0), den) for m, v in p.items()}
-            for m, v in q.items():
-                if m not in p:
-                    out[m] = _norm(field, 0, v, den)
-            view = self._view = MappingProxyType(out)
+            view = self._view = MappingProxyType(_scalars(self.field, self._den, self._p, self._q))
         return view
 
     # -- constructors --------------------------------------------------
@@ -255,8 +270,8 @@ class KForm:
         field = self.field
         if other.field is not field and (other._p or other._q):
             raise _mismatch(field, other.field)
-        return _combination(self.n, self.k, field, ((1, 0, 1, self._den, self._p, self._q),
-                                                    (-1 if negate else 1, 0, 1, other._den, other._p, other._q)))
+        terms = ((1, 0, 1, self._den, self._p, self._q), (-1 if negate else 1, 0, 1, other._den, other._p, other._q))
+        return _from_body(self.n, self.k, field, *_combination(field.d, terms))
 
     def __neg__(self) -> "KForm":
         return _from_body(self.n, self.k, self.field, self._den,
@@ -265,7 +280,8 @@ class KForm:
     def scale(self, c) -> "KForm":
         s = c if c.__class__ is int else self.field.scalar(c)
         term = (s, 0, 1) if s.__class__ is int else (s.p, s.q, s.den)
-        return _combination(self.n, self.k, self.field, ((*term, self._den, self._p, self._q),))
+        body = _combination(self.field.d, ((*term, self._den, self._p, self._q),))
+        return _from_body(self.n, self.k, self.field, *body)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KForm):
@@ -316,119 +332,255 @@ def _sort_sign(idx: tuple[int, ...]) -> int:
     return sign
 
 
-class VectorField:
-    """Invariant vector field: n components in the frame basis."""
+class Tensor:
+    """A sparse tensor of a frame as one integer body, as a form holds one:
+    the entry at a key, a tuple of 0-based indices, is (p + q sqrt d)/den,
+    missing keys mean zero, and the body is canonical as a form's is, so
+    == and ``is_zero`` compare ints.  The metric and its inverse, the
+    structure constants, the connection symbols, J and the Ricci traces are
+    Tensors: a kernel sums int products straight into the numerators of its
+    output (``_product``, ``_combination``) and normalizes it once
+    (``_tensor``).  The public constructor takes Scalars ({key: value}, a
+    QQ value read in ``field``); ``entries`` is the {key: Scalar} view,
+    built on first read and kept, and ``rows`` the dense Scalar matrix of a
+    2-index tensor."""
 
-    __slots__ = ("n", "field", "components")
+    __slots__ = ("field", "_den", "_p", "_q", "_view")
+
+    def __init__(self, field: Field, entries: dict):
+        self.field = field
+        lifted = {k: x if isinstance(x, Scalar) else field.scalar(x) for k, x in entries.items()}
+        self._den, self._p, self._q = _ints(lifted, field)
+        self._view = None
+
+    @property
+    def entries(self) -> MappingProxyType:
+        """The nonzero entries {key: Scalar}, canonical, read-only."""
+        view = self._view
+        if view is None:
+            view = self._view = MappingProxyType(_scalars(self.field, self._den, self._p, self._q))
+        return view
+
+    def rows(self, n: int) -> list:
+        """The dense n x n Scalar matrix of a 2-index tensor."""
+        zero, entries = self.field.zero(), self.entries
+        return [[entries.get((i, j), zero) for j in range(n)] for i in range(n)]
+
+    def is_zero(self) -> bool:
+        return not self._p and not self._q
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Tensor):
+            return NotImplemented
+        if other.field is not self.field and (self._q or other._q):
+            raise _mismatch(self.field, other.field)
+        return self._den == other._den and self._p == other._p and self._q == other._q
+
+    def __repr__(self):
+        return f"Tensor({dict(self.entries)})"
+
+
+def _from_ints(field: Field, den: int, p: dict, q: dict) -> Tensor:
+    """A Tensor over a canonical body; the dicts are shared, never written."""
+    t = _new(Tensor)
+    t.field, t._den, t._p, t._q, t._view = field, den, p, q, None
+    return t
+
+
+def _tensor(field: Field, den: int, p: dict, q: dict) -> Tensor:
+    """The Tensor over the raw sums den, p, q (den > 0), made canonical."""
+    return _from_ints(field, *_canonical(den, p, q))
+
+
+def _matrix(rows, field: Field) -> Tensor:
+    """The matrix of the Scalar ``rows`` as a Tensor keyed (row, column);
+    a sqrt(d) entry from another field raises FieldMismatch."""
+    return Tensor(field, {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row)})
+
+
+def _by_row(t: Tensor) -> tuple[dict, dict | None]:
+    """A 2-index tensor's numerators by first index, {i: [(j, int)]}: the
+    rational ones, then the sqrt(d) ones (None when t is rational)."""
+    out = ({}, {})
+    for part, rows in zip((t._p, t._q), out):
+        for (i, j), v in part.items():
+            rows.setdefault(i, []).append((j, v))
+    return out[0], out[1] or None
+
+
+def _last_ints(x: dict, rows: dict, acc: dict) -> None:
+    get = acc.get
+    for key, v in x.items():
+        for l, w in rows.get(key[-1], ()):
+            out = (*key[:-1], l)
+            acc[out] = get(out, 0) + v * w
+
+
+def _contract(t: Tensor, m: Tensor) -> Tensor:
+    """t with its last index contracted with the first index of the matrix
+    m: sum_k t_{..k} m_{kl}, one ``_product`` and one normalization."""
+    return _tensor(t.field, t._den * m._den, *_product(_last_ints, t.field.d, t._p, t._q, *_by_row(m)))
+
+
+def _add(a: Tensor, b: Tensor, sign: int = 1) -> Tensor:
+    """a + sign b, summed over one denominator and normalized once."""
+    terms = ((1, 0, 1, a._den, a._p, a._q), (sign, 0, 1, b._den, b._p, b._q))
+    return _from_ints(a.field, *_combination(a.field.d, terms))
+
+
+def _transpose(t: Tensor) -> Tensor:
+    p, q = ({(j, i): v for (i, j), v in part.items()} for part in (t._p, t._q))
+    return _from_ints(t.field, t._den, p, q)
+
+
+def _restricted(t: Tensor, m: int) -> Tensor:
+    """The entries of t whose indices are all below m."""
+    p, q = ({key: v for key, v in part.items() if max(key) < m} for part in (t._p, t._q))
+    return _tensor(t.field, t._den, p, q)
+
+
+class VectorField:
+    """Invariant vector field: n components in the frame basis, held as one
+    integer body keyed by the bit of each index, as a 1-form's is, so
+    interior, flat and sharp read it as they read a 1-form.  The
+    constructor lifts each component into ``field``, as ``KForm(...)``
+    does; ``components`` is the tuple view of Scalars."""
+
+    __slots__ = ("n", "field", "_den", "_p", "_q", "_view")
 
     def __init__(self, n: int, field: Field, components):
-        comps = [c if isinstance(c, Scalar) else field.scalar(c) for c in components]
+        comps = tuple(c if isinstance(c, Scalar) and c.field is field else field.scalar(c) for c in components)
         if len(comps) != n:
             raise ValueError("component count != n")
         self.n = n
         self.field = field
-        self.components = tuple(comps)
+        self._den, self._p, self._q = _ints({1 << i: c for i, c in enumerate(comps)}, field)
+        self._view = comps
+
+    @property
+    def components(self) -> tuple:
+        view = self._view
+        if view is None:
+            coeffs, zero = _scalars(self.field, self._den, self._p, self._q), self.field.zero()
+            view = self._view = tuple(coeffs.get(1 << i, zero) for i in range(self.n))
+        return view
 
     @classmethod
     def zero(cls, n: int, field: Field) -> "VectorField":
-        return cls(n, field, [field.zero()] * n)
+        return _vector(n, field, 1, {}, {})
 
     @classmethod
     def basis(cls, n: int, field: Field, i: int) -> "VectorField":
-        one, zero = field.one(), field.zero()
-        return cls(n, field, [one if j == i else zero for j in range(1, n + 1)])
+        return _vector(n, field, 1, {1 << (i - 1): 1}, {})
+
+    def _plus(self, other: "VectorField", sign: int) -> "VectorField":
+        if other.field is not self.field and other._q:
+            raise _mismatch(self.field, other.field)
+        terms = ((1, 0, 1, self._den, self._p, self._q), (sign, 0, 1, other._den, other._p, other._q))
+        return _vector(self.n, self.field, *_combination(self.field.d, terms))
 
     def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.n, self.field, [a + b for a, b in zip(self.components, other.components)])
+        return self._plus(other, 1)
 
     def __sub__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.n, self.field, [a - b for a, b in zip(self.components, other.components)])
+        return self._plus(other, -1)
 
     def __neg__(self) -> "VectorField":
-        return VectorField(self.n, self.field, [-a for a in self.components])
+        p, q = ({m: -v for m, v in part.items()} for part in (self._p, self._q))
+        return _vector(self.n, self.field, self._den, p, q)
 
     def scale(self, c) -> "VectorField":
         s = self.field.scalar(c)
-        return VectorField(self.n, self.field, [a * s for a in self.components])
+        body = _combination(self.field.d, ((s.p, s.q, s.den, self._den, self._p, self._q),))
+        return _vector(self.n, self.field, *body)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
+        return not self._p and not self._q
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorField):
             return NotImplemented
-        return self.n == other.n and all((a - b).is_zero() for a, b in zip(self.components, other.components))
+        if other.field is not self.field and (self._q or other._q):
+            raise _mismatch(self.field, other.field)
+        return self.n == other.n and self._den == other._den and self._p == other._p and self._q == other._q
 
     def __repr__(self):
         return f"VectorField({[str(c) for c in self.components]})"
 
 
+def _vector(n: int, field: Field, den: int, p: dict, q: dict) -> VectorField:
+    """A VectorField over a canonical body keyed by bits."""
+    x = _new(VectorField)
+    x.n, x.field, x._den, x._p, x._q, x._view = n, field, den, p, q, None
+    return x
+
+
 class FrameGeometry:
     """Metric + orientation data for an n-dimensional frame.
 
-    ``metric`` is a symmetric n x n Scalar matrix (default identity);
-    ``orientation_sign`` is the parity of the declared positive frame order
-    relative to label order.
+    The metric is one integer body, a symmetric ``Tensor`` keyed (i, j)
+    (default the identity), and so is its inverse, computed once by
+    ``_mat_inverse``; ``metric`` is the dense Scalar view.  Rows of Scalars
+    given to the constructor are that view, and are read into the body on
+    first use.  ``orientation_sign`` is the parity of the declared positive
+    frame order relative to label order.
 
-    A diagonal metric (the identity, lam^2 I, any orthogonal frame) is found
-    lazily on first use.  Unit diagonal entries are the field's own
-    ``one()``, so the identity is the case where no index is raised.  Any
-    other metric raises indices by the minors of g^{-1}, read from one
+    The identity raises no index at all.  Any other metric raises the
+    indices of a form by the minors of g^{-1}, read from one
     ``CoframeChange`` kept on the geometry, so each set of rows of g^{-1}
-    is expanded once however many forms are raised.
+    is expanded once however many forms are raised; det g and Sylvester's
+    test read one expansion of the leading minors of g.
     """
 
     def __init__(self, n: int, field: Field, metric=None, orientation_sign: int = 1):
         self.n = n
         self.field = field
+        self._view = None
         if metric is None:
-            metric = [
-                [field.one() if i == j else field.zero() for j in range(n)]
-                for i in range(n)
-            ]
+            self._metric = _from_ints(field, 1, {(i, i): 1 for i in range(n)}, {})
+        elif isinstance(metric, Tensor):
+            p, q = metric._p, metric._q
+            if any(p.get((j, i)) != v for (i, j), v in p.items()) or any(q.get((j, i)) != v for (i, j), v in q.items()):
+                raise GeometryError("metric is not symmetric")
+            self._metric = metric
         else:
             metric = [[field.scalar(x) if not isinstance(x, Scalar) else x for x in row] for row in metric]
             for i in range(n):
                 for j in range(i + 1, n):
                     if not (metric[i][j] - metric[j][i]).is_zero():
                         raise GeometryError("metric is not symmetric")
-        self.metric = metric
+            self._view = metric
         if orientation_sign not in (1, -1):
             raise ValueError("orientation_sign must be +-1")
         self.orientation_sign = orientation_sign
-        self._inverse = None
         self._sqrt_det = None
 
-    # -- diagonal fast path --------------------------------------------
+    @property
+    def metric(self) -> list:
+        """The metric as a dense n x n Scalar matrix."""
+        if self._view is None:
+            self._view = self._metric.rows(self.n)
+        return self._view
 
     @cached_property
-    def diagonal(self) -> tuple[Scalar, ...] | None:
-        """(g_11, ..., g_nn) when the metric is diagonal, else None."""
-        m = self.metric
-        if any(not m[i][j].is_zero() for i in range(self.n) for j in range(self.n) if i != j):
-            return None
-        return tuple(_unit(m[i][i]) for i in range(self.n))
-
-    @cached_property
-    def diagonal_inverse(self) -> tuple[Scalar, ...] | None:
-        """(1/g_11, ..., 1/g_nn) when the metric is diagonal, else None."""
-        d = self.diagonal
-        if d is None:
-            return None
-        if any(x.is_zero() for x in d):
-            raise GeometryError("singular metric")
-        one = self.field.one()
-        return tuple(one if x is one else _unit(x.inverse()) for x in d)
+    def _metric(self) -> Tensor:
+        """The metric given as Scalar rows, as a Tensor."""
+        return _matrix(self._view, self.field)
 
     @cached_property
     def _is_identity(self) -> bool:
-        d = self.diagonal
-        return d is not None and all(x is self.field.one() for x in d)
+        m = self._metric
+        return m._den == 1 and not m._q and m._p == {(i, i): 1 for i in range(self.n)}
+
+    @cached_property
+    def _inverse(self) -> Tensor:
+        """g^{-1} as a Tensor."""
+        return self._metric if self._is_identity else _mat_inverse(self._metric, self.n)
 
     @cached_property
     def _raise(self) -> "CoframeChange":
         """g^{-1} as a change of frame: moving a form by it raises every index."""
-        return CoframeChange(self.inverse_metric(), self.field)
+        return CoframeChange(self._inverse, self.n)
 
     @cached_property
     def _rho(self) -> tuple[int, int, int]:
@@ -436,27 +588,27 @@ class FrameGeometry:
         r, s = self.sqrt_det(), self.orientation_sign
         return r.p * s, r.q * s, r.den
 
+    @cached_property
+    def _leading(self) -> list[tuple[int, int]]:
+        """The numerators (p, q) of the leading principal minors of den g,
+        k = 1..n (the k-th over den^k is the minor of g): one expansion of
+        the minors table (``_minors``) on the metric's int rows."""
+        n, minors = self.n, ({0: {0: 1}}, {0: {}})
+        _minors((1 << n) - 1, minors, _bit_rows(self._metric, n), self.field.d)
+        return [(minors[0][m].get(m, 0), minors[1][m].get(m, 0)) for m in ((1 << k) - 1 for k in range(1, n + 1))]
+
     # -- metric utilities ----------------------------------------------
 
     def check_positive_definite(self):
-        """Sylvester: every leading principal minor is positive."""
-        table = CoframeChange(self.metric, self.field)
-        if any(table.minor((1 << k) - 1).sign() <= 0 for k in range(1, self.n + 1)):
+        """Sylvester: every leading principal minor is positive, its sign
+        read on its numerators."""
+        d = self.field.d
+        if any(_sign(p, q, d) <= 0 for p, q in self._leading):
             raise GeometryError("metric is not positive-definite")
 
-    def inverse_metric(self):
-        if self._inverse is None:
-            dinv = self.diagonal_inverse
-            if dinv is None:
-                self._inverse = _mat_inverse(self.metric, self.field)
-            else:
-                zero = self.field.zero()
-                self._inverse = [[x if i == j else zero for j in range(self.n)] for i, x in enumerate(dinv)]
-        return self._inverse
-
     def det_metric(self) -> Scalar:
-        d = self.diagonal
-        return _mat_det(self.metric, self.field) if d is None else math.prod(d, start=self.field.one())
+        p, q = self._leading[-1]
+        return _norm(self.field, p, q, self._metric._den ** self.n)
 
     def sqrt_det(self) -> Scalar:
         if self._sqrt_det is None:
@@ -477,49 +629,55 @@ class FrameGeometry:
         return KForm(self.n, self.n, self.field, {full: c})
 
     def g(self, x: VectorField, y: VectorField) -> Scalar:
-        acc: dict[int, list] = {}
-        xs, ys = x.components, y.components
-        d = self.diagonal
-        if d is not None:
-            one = self.field.one()
-            for a, b, w in zip(xs, ys, d):
-                if not a.is_zero() and not b.is_zero():
-                    _mac(acc, 0, a, b if w is one else b * w, False)
-        else:
-            for a, row in zip(xs, self.metric):
-                for gij, b in zip(row, ys):
-                    _mac(acc, 0, a * gij, b, False)
-        return _settle(self.field, acc).get(0, self.field.zero())
+        return _dot(musical(x, self), y)
 
     def norm_sq(self, x: VectorField) -> Scalar:
         return self.g(x, x)
 
 
-def _unit(x: Scalar) -> Scalar:
-    """x, or its field's ``one()`` when x equals one (canonical ints 1, 0, 1),
-    so that unit factors can be recognised by identity and skipped."""
-    return x.field.one() if x.p == 1 and x.den == 1 and not x.q else x
-
-
 def _mat_det(m, field: Field) -> Scalar:
-    """det m: the top entry of its minors table."""
-    return CoframeChange(m, field).minor((1 << len(m)) - 1)
+    """det m of Scalar rows: the top entry of its minors table."""
+    return CoframeChange(_matrix(m, field), len(m)).minor((1 << len(m)) - 1)
 
 
-def _mat_inverse(m, field: Field):
-    """m^{-1} by one ``echelon`` run: row i reads sum_j m_ij x_j = e_i, with
-    e_i under the right-hand-side key -1-i, so column r of the solution is
-    column r of the inverse."""
-    n = len(m)
-    rows = [int_row({**dict(enumerate(row)), -1 - i: field.one()}, field) for i, row in enumerate(m)]
+def _mat_inverse(m: Tensor, n: int) -> Tensor:
+    """The inverse of the n x n matrix m by one ``echelon`` run: row i reads
+    sum_j (den m)_ij x_j = den e_i, with e_i under the right-hand-side key
+    -1-i, so column r of the solution is column r of the inverse."""
+    rows = [({-1 - i: m._den}, {}) for i in range(n)]
+    for a, part in enumerate((m._p, m._q)):
+        for (i, j), v in part.items():
+            rows[i][a][j] = v
     try:
-        pivots = echelon(rows, field)
+        pivots = echelon(rows, m.field)
     except InconsistentSystem:
         pivots = {}
     if len(pivots) < n:
         raise GeometryError("singular metric")
-    return [[_norm(field, pivots[c][0].get(-1 - r, 0), pivots[c][1].get(-1 - r, 0), pivots[c][0][c]) for r in range(n)]
-            for c in range(n)]
+    den = lcm(*(pivots[c][0][c] for c in range(n)))
+    p, q = {}, {}
+    for c in range(n):
+        s = den // pivots[c][0][c]
+        for part, out in zip(pivots[c], (p, q)):
+            for r in range(n):
+                v = part.get(-1 - r)
+                if v:
+                    out[(c, r)] = v * s
+    return _tensor(m.field, den, p, q)
+
+
+def _bit_rows(m: Tensor, n: int) -> tuple[list, list]:
+    """Row j of den M, the n x n matrix m, as the pairs (bit of i, int) of
+    its nonzero rational parts, then of its nonzero sqrt(d) parts, in column
+    order: the rows the minors table reads."""
+    rows = [[] for _ in range(n)], [[] for _ in range(n)]
+    for part, out in zip((m._p, m._q), rows):
+        for (j, i), v in part.items():
+            out[j].append((1 << i, v))
+    for out in rows:
+        for row in out:
+            row.sort()
+    return rows
 
 
 def _minors(mask: int, minors: tuple, rows: tuple, d: int) -> None:
@@ -555,7 +713,8 @@ def _wedge_row(acc: dict, minors: dict, c: int, row) -> None:
 
 class CoframeChange:
     """A change of coframe given by the old coframe in the new one,
-    e^j = sum_i M[j][i] f^i, with the Cauchy-Binet minors table of M.
+    e^j = sum_i M[j][i] f^i, M the n x n ``Tensor`` keyed (j, i), with the
+    Cauchy-Binet minors table of M.
 
     M is held as the int matrix den M, rational and sqrt(d) parts apart, so
     the table holds int minors, and a minor of k rows of M is the table's
@@ -566,16 +725,10 @@ class CoframeChange:
 
     __slots__ = ("field", "den", "rows", "minors")
 
-    def __init__(self, old_in_new, field: Field):
-        self.field = field
-        entries = {(j, 1 << i): x for j, row in enumerate(old_in_new) for i, x in enumerate(row) if x.p or x.q}
-        self.den, p, q = _ints(entries, field)
-        # row j of den M as the pairs (bit of i, int) of its nonzero rational
-        # parts, then of its nonzero sqrt(d) parts, in column order
-        self.rows = [[] for _ in old_in_new], [[] for _ in old_in_new]
-        for part, out in zip((p, q), self.rows):
-            for (j, bit), v in part.items():
-                out[j].append((bit, v))
+    def __init__(self, old_in_new: Tensor, n: int):
+        self.field = old_in_new.field
+        self.den = old_in_new._den
+        self.rows = _bit_rows(old_in_new, n)
         self.minors = ({0: {0: 1}}, {0: {}})
 
     def minor(self, mask: int) -> Scalar:
@@ -611,9 +764,9 @@ class CoframeChange:
 
 def transform_form(form: KForm, old_in_new, field: Field) -> KForm:
     """Rewrite a form given the old coframe expressed in a new one:
-    e^j = sum_i old_in_new[j][i] f^i, by Cauchy-Binet (``CoframeChange``)
-    with a minors table for this one form."""
-    return CoframeChange(old_in_new, field).move(form)
+    e^j = sum_i old_in_new[j][i] f^i (rows of Scalars), by Cauchy-Binet
+    (``CoframeChange``) with a minors table for this one form."""
+    return CoframeChange(_matrix(old_in_new, field), len(old_in_new)).move(form)
 
 
 # -- core operations ----------------------------------------------------
@@ -666,12 +819,10 @@ def interior(x: VectorField, a: KForm) -> KForm:
     field = a.field
     if a.k == 0 or a.is_zero():  # a vector of another field is harmless against 0
         return _from_body(a.n, max(a.k - 1, 0), field, 1, {}, {})
-    for c in x.components:
-        if c.field is not field and not c.is_zero():
-            raise _mismatch(field, c.field)
-    den, xp, xq = _ints({1 << i: c for i, c in enumerate(x.components) if c.p or c.q}, field)
-    p, q = _product(_interior_ints, field.d, a._p, a._q, xp, xq)
-    return _normalize(a.n, a.k - 1, field, a._den * den, p, q)
+    if x.field is not field and x._q:
+        raise _mismatch(field, x.field)
+    p, q = _product(_interior_ints, field.d, a._p, a._q, x._p, x._q)
+    return _normalize(a.n, a.k - 1, field, a._den * x._den, p, q)
 
 
 def _derive_ints(x: dict, moves: dict, acc: dict) -> None:
@@ -724,28 +875,24 @@ def derivation_rows(a: KForm, actions) -> dict[int, tuple[dict, dict]]:
     return rows
 
 
-def skew_three_form(n: int, field: Field, t) -> KForm | None:
-    """The 3-form with components t(i, j, k) (0-based), or None when t is not
-    totally skew: it must change sign under every transposition of its
-    arguments and vanish whenever an index repeats."""
-    for i in range(n):
-        for j in range(n):
-            if not (t(i, i, j).is_zero() and t(i, j, i).is_zero() and t(j, i, i).is_zero()):
+def skew_three_form(n: int, t: Tensor) -> KForm | None:
+    """The 3-form with the components of the 3-index Tensor t (keys (i, j,
+    k), 0-based), or None when t is not totally skew: it must change sign
+    under every transposition of its indices and vanish whenever an index
+    repeats.  It reads t's int body; the form's terms come in (i, j, k)
+    order."""
+    out = ({}, {})
+    for part, body in zip((t._p, t._q), out):
+        for (i, j, k), v in sorted(part.items()):
+            if i == j or j == k or i == k:
                 return None
-    coeffs = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                v = t(i, j, k)
-                # canonical Scalars: w = -v and w = v compare ints
-                minus, plus = (-v.p, -v.q, v.den), (v.p, v.q, v.den)
-                if any((w.p, w.q, w.den) != minus for w in (t(j, i, k), t(i, k, j), t(k, j, i))):
-                    return None
-                if any((w.p, w.q, w.den) != plus for w in (t(j, k, i), t(k, i, j))):
-                    return None
-                if not v.is_zero():
-                    coeffs[(1 << i) | (1 << j) | (1 << k)] = v
-    return KForm(n, 3, field, coeffs)
+            if any(part.get(key) != -v for key in ((j, i, k), (i, k, j), (k, j, i))):
+                return None
+            if any(part.get(key) != v for key in ((j, k, i), (k, i, j))):
+                return None
+            if i < j < k:
+                body[(1 << i) | (1 << j) | (1 << k)] = v
+    return _from_body(n, 3, t.field, t._den if out[0] or out[1] else 1, *out)
 
 
 def _raised(a: KForm, geom: FrameGeometry) -> KForm:
@@ -764,14 +911,21 @@ def _dot_ints(x: dict, y: dict, acc: dict) -> None:
     acc[0] = acc.get(0, 0) + s
 
 
+def _dot(a, b) -> Scalar:
+    """sum_key a_key b_key over two int bodies (forms, vectors or tensors)
+    of one field, as one Scalar."""
+    field = a.field
+    p, q = _product(_dot_ints, field.d, a._p, a._q, b._p, b._q)
+    return _norm(field, p[0], q.get(0, 0), a._den * b._den)
+
+
 def form_inner(a: KForm, b: KForm, geom: FrameGeometry) -> Scalar:
     if a.k != b.k:
         raise GeometryError(f"degree mismatch: {a.k} vs {b.k}")
-    up, field = _raised(a, geom), a.field
-    if b.field is not field and not up.is_zero() and not b.is_zero():
-        raise _mismatch(field, b.field)
-    p, q = _product(_dot_ints, field.d, up._p, up._q, b._p, b._q)
-    return _norm(field, p[0], q.get(0, 0), up._den * b._den)
+    up = _raised(a, geom)
+    if b.field is not a.field and not up.is_zero() and not b.is_zero():
+        raise _mismatch(a.field, b.field)
+    return _dot(up, b)
 
 
 def hodge_star(a: KForm, geom: FrameGeometry) -> KForm:
@@ -788,7 +942,7 @@ def hodge_star(a: KForm, geom: FrameGeometry) -> KForm:
         if rp < 0:
             p, q = {m: -v for m, v in p.items()}, {m: -v for m, v in q.items()}
         return _from_body(n, n - a.k, a.field, up._den, p, q)
-    return _combination(n, n - a.k, a.field, ((rp, rq, rden, up._den, p, q),))
+    return _from_body(n, n - a.k, a.field, *_combination(a.field.d, ((rp, rq, rden, up._den, p, q),)))
 
 
 def _masks(n: int, k: int):
@@ -805,24 +959,31 @@ def _masks(n: int, k: int):
         m = (((r ^ m) >> 2) // c) | r
 
 
+def _flat_ints(x: dict, rows: dict, acc: dict) -> None:
+    get = acc.get
+    for bit, v in x.items():
+        for j, w in rows.get(bit.bit_length() - 1, ()):
+            acc[1 << j] = get(1 << j, 0) + v * w
+
+
 def musical(x: VectorField, geom: FrameGeometry) -> KForm:
-    """Flat: X -> g(X, .) as a 1-form."""
-    comps = {}
-    for i, c in enumerate(x.components):
-        if not c.is_zero():
-            for j, gij in enumerate(geom.metric[i]):
-                if not gij.is_zero():
-                    comps[1 << j] = comps.get(1 << j, geom.field.zero()) + c * gij
-    return KForm(geom.n, 1, geom.field, comps)
+    """Flat: X -> g(X, .) as a 1-form; a vector's body is a 1-form's, so
+    under the identity metric it is the form's body."""
+    field = geom.field
+    if x.field is not field and x._q:
+        raise _mismatch(field, x.field)
+    if geom._is_identity:
+        return _from_body(geom.n, 1, field, x._den, x._p, x._q)
+    m = geom._metric
+    return _normalize(geom.n, 1, field, x._den * m._den, *_product(_flat_ints, field.d, x._p, x._q, *_by_row(m)))
 
 
 def musical_inv(a: KForm, geom: FrameGeometry) -> VectorField:
     """Sharp: degree-1 form -> vector via the inverse metric."""
     if a.k != 1:
         raise GeometryError("sharp needs a 1-form")
-    up = _raised(a, geom).coeffs
-    zero = geom.field.zero()
-    return VectorField(geom.n, geom.field, [up.get(1 << i, zero) for i in range(geom.n)])
+    up = _raised(a, geom)
+    return _vector(geom.n, geom.field, up._den, up._p, up._q)
 
 
 def two_form_square(f: KForm, geom: FrameGeometry):

@@ -1,16 +1,20 @@
 """Left-invariant geometry on a Lie algebra frame.
 
 A frame stores the coframe differentials de^i (degree-2 KForms), which
-encode the structure constants: de^i = -sum_{j<k} c^i_{jk} e^{jk}.  Each
-tensor here is a dict of its nonzero entries: the structure constants (once
-per frame) and the connection symbols Gamma^l_{ij}.  So d, Levi-Civita,
-Bismut and curvature cost products of nonzero entries only, and a flat
-connection costs almost nothing.  Curvature is read as traces: the Ricci
-tensor is contracted straight off the symbols, and no Riemann tensor is
-built.  Sums of products of the tensors accumulate through
-``scalars._mac``, one normalization per output entry; d works on the forms'
-integer bodies, with the coframe differentials over one denominator (kept
-per frame), and normalizes each output form once.
+encode the structure constants: de^i = -sum_{j<k} c^i_{jk} e^{jk}.  Every
+tensor here is one integer body, a ``forms.Tensor`` of its nonzero entries
+over one denominator: the structure constants (read once per frame off the
+differentials' body), the metric and its inverse (kept on the frame's
+geometry), the connection symbols Gamma^l_{ij} and the Ricci traces.  A
+kernel sums int products of nonzero entries straight into its output's
+numerators (``forms._product``, ``forms._combination``) and normalizes the
+output once, so d, Levi-Civita, Bismut and curvature cost products of
+nonzero entries only, a flat connection costs almost nothing, and no Scalar
+is built.  Curvature is read as traces: the Ricci tensor is contracted
+straight off the symbols, and no Riemann tensor is built.  ``constants``,
+``ConnectionCoeffs.entries`` and ``.gamma`` are Scalar views, built on
+first read for the tests and the bench tracer; no computation here reads
+them.
 A change of frame moves a form by the minors of the change-of-basis matrix
 (Cauchy-Binet, ``forms.CoframeChange``), one accumulation per form, with
 no wedge, and the forms one change moves share one minors table.  A frame
@@ -30,18 +34,25 @@ from .forms import (
     FrameGeometry,
     GeometryError,
     KForm,
+    Tensor,
     VectorField,
+    _add,
     _combination,
+    _contract,
+    _from_body,
+    _from_ints,
     _mat_det,
     _mat_inverse,
+    _matrix,
     _mismatch,
     _normalize,
     _product,
+    _tensor,
+    _transpose,
     hodge_star,
-    indices_of,
     transform_form,
 )
-from .scalars import Field, GTorsionError, Scalar, _mac, _settle
+from .scalars import GTorsionError, Scalar
 
 __all__ = [
     "LieAlgebraFrame",
@@ -67,8 +78,8 @@ class FrameError(GTorsionError, ValueError):
 class LieAlgebraFrame:
     """Frame labels, coframe differentials and geometry.
 
-    The frame caches only its metric-free ``constants``, so a copy with
-    another ``geometry`` (a structure's metric) shares them safely.
+    The frame caches only its metric-free structure constants, so a copy
+    with another ``geometry`` (a structure's metric) shares them safely.
     ``check_closure=False`` skips the d^2 = 0 (Jacobi) gate; computations on
     such frames are formal and ``closed`` records the failure.
     """
@@ -101,17 +112,24 @@ class LieAlgebraFrame:
         return None
 
     @cached_property
-    def constants(self) -> dict[tuple[int, int, int], Scalar]:
-        """The nonzero structure constants: ``constants[(i, j, k)]`` is
-        c^k_{ij}, [e_i, e_j] = sum_k c^k_{ij} e_k, for both orders of i != j
-        (0-based)."""
-        out = {}
-        for k, d in enumerate(self.coframe_d):
-            for m, coef in d.coeffs.items():
-                i, j = indices_of(m)
-                out[(i - 1, j - 1, k)] = -coef
-                out[(j - 1, i - 1, k)] = coef
-        return out
+    def _constants(self) -> Tensor:
+        """The nonzero structure constants: entry (i, j, k) is c^k_{ij},
+        [e_i, e_j] = sum_k c^k_{ij} e_k, for both orders of i != j (0-based),
+        read off ``_coframe_body`` over its denominator."""
+        den, p, q = self._coframe_body
+        out = ({}, {})
+        for parts, body in zip((p, q or ()), out):
+            for k, dk in enumerate(parts):
+                for m, v in dk.items():
+                    i, j = _INDICES[m]
+                    body[(i - 1, j - 1, k)] = -v
+                    body[(j - 1, i - 1, k)] = v
+        return _from_ints(self.field, den, *out)
+
+    @property
+    def constants(self):
+        """The {(i, j, k): Scalar} view of the structure constants."""
+        return self._constants.entries
 
     @cached_property
     def _coframe_body(self) -> tuple:
@@ -124,12 +142,16 @@ class LieAlgebraFrame:
         return den, p, q if any(q) else None
 
     def is_unimodular(self) -> bool:
-        """Every trace sum_k c^k_{ik} vanishes."""
-        tr = [self.field.zero()] * self.n
-        for (i, j, k), c in self.constants.items():
-            if j == k:
-                tr[i] = tr[i] + c
-        return all(t.is_zero() for t in tr)
+        """Every trace sum_k c^k_{ik} vanishes, read on the ints."""
+        c = self._constants
+        for part in (c._p, c._q):
+            tr = {}
+            for (i, j, k), v in part.items():
+                if j == k:
+                    tr[i] = tr.get(i, 0) + v
+            if any(tr.values()):
+                return False
+        return True
 
     def d(self, a: KForm) -> KForm:
         return ce_differential(self, a)
@@ -138,30 +160,31 @@ class LieAlgebraFrame:
         return f"LieAlgebraFrame({', '.join(self.labels)})"
 
 
-def _last_index(t: dict, geom: FrameGeometry, up: bool) -> dict:
-    """sum_k m^{lk} T_{ijk} for a sparse (i, j, k) -> T_{ijk}, with m = g^{-1}
-    (``up``, raising the last index) or m = g (lowering it)."""
-    d = geom.diagonal_inverse if up else geom.diagonal
-    if d is not None:
-        one = geom.field.one()
-        return {(i, j, k): v if d[k] is one else v * d[k] for (i, j, k), v in t.items()}
-    m = geom.inverse_metric() if up else geom.metric
-    acc = {}
-    for (i, j, k), v in t.items():
-        for l, x in enumerate(m[k]):  # m is symmetric
-            if not x.is_zero():
-                _mac(acc, (i, j, l), v, x, False)
-    return _settle(geom.field, acc)
+def _last_index(t: Tensor, geom: FrameGeometry, up: bool) -> Tensor:
+    """sum_k m^{lk} T_{ijk} for a 3-index Tensor T, with m = g^{-1} (``up``,
+    raising the last index) or m = g (lowering it); the identity moves
+    nothing."""
+    if geom._is_identity:
+        return t
+    return _contract(t, geom._inverse if up else geom._metric)
 
 
 class ConnectionCoeffs:
-    """The nonzero Christoffel symbols of an invariant connection:
-    ``entries[(i, j, l)]`` is Gamma^l_{ij}, the e_l component of
-    nabla_{e_i} e_j (0-based)."""
+    """The Christoffel symbols of an invariant connection, the Tensor
+    ``symbols``: entry (i, j, l) is Gamma^l_{ij}, the e_l component of
+    nabla_{e_i} e_j (0-based).  ``lowered``, <nabla_{e_i} e_j, e_k>, is kept
+    where it is at hand: ``levi_civita`` keeps the Koszul symbols, which the
+    oracle reads.  ``entries`` and ``gamma`` are Scalar views."""
 
-    def __init__(self, frame: LieAlgebraFrame, entries: dict):
+    def __init__(self, frame: LieAlgebraFrame, symbols: Tensor, lowered: Tensor | None = None):
         self.frame = frame
-        self.entries = entries
+        self.symbols = symbols
+        self.lowered = lowered
+
+    @property
+    def entries(self):
+        """The nonzero symbols {(i, j, l): Scalar}."""
+        return self.symbols.entries
 
     @property
     def gamma(self):
@@ -214,16 +237,20 @@ def codifferential(frame, a: KForm) -> KForm:
 def levi_civita(frame: LieAlgebraFrame) -> ConnectionCoeffs:
     """Koszul formula on invariant fields:
     2<D_X Y, Z> = <[X,Y],Z> - <[Y,Z],X> + <[Z,X],Y>, i.e. the lowered
-    symbols (1/2)(c_ijk - c_jki + c_kij), raised by g^{-1}."""
+    symbols (1/2)(c_ijk - c_jki + c_kij), raised by g^{-1}; the connection
+    keeps the lowered ones."""
     geom = frame.geometry
-    field = frame.field
-    half = field.scalar(1, 2)
-    low = {}
+    c = _last_index(frame._constants, geom, up=False)
+    low = ({}, {})
     # c_abc feeds (i, j, k) = (a, b, c) with +, (c, a, b) with - and (b, c, a) with +
-    for (a, b, c), v in _last_index(frame.constants, geom, up=False).items():
-        for key, neg in (((a, b, c), False), ((c, a, b), True), ((b, c, a), False)):
-            _mac(low, key, v, half, neg)
-    return ConnectionCoeffs(frame, _last_index(_settle(field, low), geom, up=True))
+    for part, acc in zip((c._p, c._q), low):
+        get = acc.get
+        for (a, b, k), v in part.items():
+            acc[a, b, k] = get((a, b, k), 0) + v
+            acc[k, a, b] = get((k, a, b), 0) - v
+            acc[b, k, a] = get((b, k, a), 0) + v
+    low = _tensor(frame.field, 2 * c._den, *low)
+    return ConnectionCoeffs(frame, _last_index(low, geom, up=True), low)
 
 
 def bismut_connection(frame: LieAlgebraFrame, h: KForm, lc: ConnectionCoeffs) -> ConnectionCoeffs:
@@ -231,66 +258,76 @@ def bismut_connection(frame: LieAlgebraFrame, h: KForm, lc: ConnectionCoeffs) ->
     with ``lc`` the Levi-Civita connection D of ``frame``."""
     if h.k != 3:
         raise GeometryError("torsion form must have degree 3")
-    field = frame.field
-    half = field.scalar(1, 2)
-    low = {}
-    for mask, v in h.coeffs.items():
-        hv = v * half
-        a, b, c = (x - 1 for x in indices_of(mask))
-        for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
-            low[(i, j, k)] = hv
-            low[(j, i, k)] = -hv
-    entries = dict(lc.entries)
-    zero = field.zero()
-    for key, v in _last_index(low, frame.geometry, up=True).items():
-        entries[key] = entries.get(key, zero) + v
-    return ConnectionCoeffs(frame, {key: v for key, v in entries.items() if not v.is_zero()})
+    low = ({}, {})
+    for part, acc in zip((h._p, h._q), low):
+        for mask, v in part.items():
+            a, b, c = (x - 1 for x in _INDICES[mask])
+            for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
+                acc[i, j, k] = v
+                acc[j, i, k] = -v
+    half_h = _last_index(_tensor(frame.field, 2 * h._den, *low), frame.geometry, up=True)
+    return ConnectionCoeffs(frame, _add(lc.symbols, half_h))
 
 
-def curvature(frame: LieAlgebraFrame, conn: ConnectionCoeffs):
-    """The Ricci tensor Rc(X, Y) = tr(Z -> R(Z, X) Y) of ``conn`` as a dense
-    n x n matrix, contracted straight off the symbols with no Riemann tensor:
+def _ricci_ints(x: dict, y: dict, acc: dict) -> None:
+    """acc[j, k] += sum_m x^m_{jk} tau_m - sum_{a,m} x^a_{jm} y^m_{ak} with
+    tau_m = sum_a y^a_{am}: the two terms of Rc bilinear in the symbols."""
+    tau, by_ends = {}, {}  # by_ends: (i, l) -> [(j, y^l_{ij})]
+    for (i, j, l), v in y.items():
+        by_ends.setdefault((i, l), []).append((j, v))
+        if l == i:
+            tau[j] = tau.get(j, 0) + v
+    get = acc.get
+    for (j, b, c), v in x.items():
+        t = tau.get(c)
+        if t:
+            acc[j, b] = get((j, b), 0) + v * t
+        for k, w in by_ends.get((c, b), ()):
+            acc[j, k] = get((j, k), 0) - v * w
+
+
+def _bracket_ints(x: dict, y: dict, acc: dict) -> None:
+    """acc[j, k] -= sum_{a,m} x^m_{aj} y^a_{mk}: the term of Rc bilinear in
+    the structure constants x and the symbols y."""
+    by_ends = {}
+    for (i, j, l), v in y.items():
+        by_ends.setdefault((i, l), []).append((j, v))
+    get = acc.get
+    for (a, j, m), c in x.items():
+        for k, w in by_ends.get((m, a), ()):
+            acc[j, k] = get((j, k), 0) - c * w
+
+
+def curvature(frame: LieAlgebraFrame, conn: ConnectionCoeffs) -> Tensor:
+    """The Ricci tensor Rc(X, Y) = tr(Z -> R(Z, X) Y) of ``conn`` as a Tensor
+    keyed (j, k), contracted straight off the symbols with no Riemann tensor:
     with R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X,Y]} Z,
     Rc_jk = sum_m Gamma^m_{jk} tau_m - sum_{a,m} Gamma^a_{jm} Gamma^m_{ak}
             - sum_{a,m} c^m_{aj} Gamma^a_{mk},   tau_m = sum_a Gamma^a_{am}.
     The coframe pairing of the trace is metric-free.
     """
-    n, field = frame.n, frame.field
-    one, zero = field.one(), field.zero()
-    tau, by_ends = {}, {}  # by_ends: (i, l) -> [(j, Gamma^l_{ij})]
-    for (i, j, l), v in conn.entries.items():
-        by_ends.setdefault((i, l), []).append((j, v))
-        if l == i:
-            _mac(tau, j, v, one, False)
-    tau = _settle(field, tau)
-    acc = {}
-    for (j, k, m), v in conn.entries.items():
-        t = tau.get(m)
-        if t is not None:
-            _mac(acc, (j, k), v, t, False)
-    for (j, m, a), v in conn.entries.items():
-        for k, w in by_ends.get((a, m), ()):
-            _mac(acc, (j, k), v, w, True)
-    for (a, j, m), c in frame.constants.items():
-        for k, w in by_ends.get((m, a), ()):
-            _mac(acc, (j, k), c, w, True)
-    rc = _settle(field, acc)
-    return [[rc.get((j, k), zero) for k in range(n)] for j in range(n)]
+    d, g, c = frame.field.d, conn.symbols, frame._constants
+    gg = _product(_ricci_ints, d, g._p, g._q, g._p, g._q)
+    cg = _product(_bracket_ints, d, c._p, c._q, g._p, g._q)
+    return _from_ints(frame.field, *_combination(d, ((1, 0, 1, g._den * g._den, *gg), (1, 0, 1, c._den * g._den, *cg))))
 
 
-def covariant_derivative_oneform(frame: LieAlgebraFrame, conn: ConnectionCoeffs, theta: KForm):
+def _nabla_form_ints(x: dict, y: dict, acc: dict) -> None:
+    # x: the symbols Gamma^t_{ij}; y: a 1-form's body, keyed by bits
+    get = acc.get
+    for (i, j, t), g in x.items():
+        c = y.get(1 << t)
+        if c:
+            acc[i, j] = get((i, j), 0) - c * g
+
+
+def covariant_derivative_oneform(frame: LieAlgebraFrame, conn: ConnectionCoeffs, theta: KForm) -> Tensor:
     """(nabla theta)_{ij} = (nabla_{e_i} theta)(e_j) = -sum_t theta_t Gamma^t_{ij}
-    as an n x n Scalar matrix."""
+    as a Tensor keyed (i, j)."""
     if theta.k != 1:
         raise GeometryError("needs a 1-form")
-    n, field = frame.n, frame.field
-    acc = {}
-    for (i, j, t), g in conn.entries.items():
-        c = theta.coeffs.get(1 << t)
-        if c is not None:
-            _mac(acc, (i, j), c, g, True)
-    out = _settle(field, acc)
-    return [[out.get((i, j), field.zero()) for j in range(n)] for i in range(n)]
+    g, d = conn.symbols, frame.field.d
+    return _tensor(frame.field, g._den * theta._den, *_product(_nabla_form_ints, d, g._p, g._q, theta._p, theta._q))
 
 
 def change_frame(frame: LieAlgebraFrame, a_rows, new_labels=None, validate: bool = True) -> LieAlgebraFrame:
@@ -304,14 +341,13 @@ def change_frame(frame: LieAlgebraFrame, a_rows, new_labels=None, validate: bool
     """
     n, field, base = frame.n, frame.field, frame.geometry
     a = [[x if isinstance(x, Scalar) else field.scalar(x) for x in row] for row in a_rows]
-    ainv = _mat_inverse(a, field)
+    ainv = _mat_inverse(_matrix(a, field), n)
     # dual vectors: F_i = sum_k B[i][k] E_k with B = (A^{-1})^T
-    b = [[ainv[k][i] for k in range(n)] for i in range(n)]
-    gnew = transform_bilinear(base.metric, b, field)
+    gnew = transform_bilinear(base._metric, _transpose(ainv))
     sign = base.orientation_sign * _mat_det(a, field).sign()
     geom = FrameGeometry(n, field, gnew, orientation_sign=sign)
     labels = new_labels or [f"f{i}" for i in range(1, n + 1)]
-    new_d = _new_differentials(frame, a, CoframeChange(ainv, field))
+    new_d = _new_differentials(frame, a, CoframeChange(ainv, n))
     return LieAlgebraFrame(labels, new_d, geom, check_closure=frame.closed and validate)
 
 
@@ -322,21 +358,14 @@ def _new_differentials(frame: LieAlgebraFrame, a, old_in_new: CoframeChange) -> 
     n, field = frame.n, frame.field
     d_old = [old_in_new.move(d) for d in frame.coframe_d]
     return [
-        _combination(n, 2, field, [(x.p, x.q, x.den, d._den, d._p, d._q) for x, d in zip(row, d_old) if not x.is_zero()])
+        _from_body(n, 2, field, *_combination(field.d, [(x.p, x.q, x.den, d._den, d._p, d._q)
+                                                        for x, d in zip(row, d_old) if not x.is_zero()]))
         for row in a
     ]
 
 
-def transform_bilinear(m, b_rows, field: Field):
-    """A (0,2)-tensor m at the vectors F_i = sum_p B[i][p] E_p, the rows of
-    ``b_rows``: m(F_i, F_j) = (B m B^T)_ij (fewer rows: the block they span)."""
-    nonzero = [[p for p, x in enumerate(bi) if not x.is_zero()] for bi in b_rows]
-    acc = {}
-    for i, (bi, ps) in enumerate(zip(b_rows, nonzero)):
-        for j, (bj, qs) in enumerate(zip(b_rows, nonzero)):
-            for p in ps:
-                for q in qs:
-                    if not m[p][q].is_zero():
-                        _mac(acc, (i, j), bi[p] * m[p][q], bj[q], False)
-    out = _settle(field, acc)
-    return [[out.get((i, j), field.zero()) for j in range(len(b_rows))] for i in range(len(b_rows))]
+def transform_bilinear(m: Tensor, b: Tensor) -> Tensor:
+    """A (0,2)-tensor m at the vectors F_i = sum_p B[i][p] E_p, B the Tensor
+    ``b`` keyed (i, p): m(F_i, F_j) = (B m B^T)_ij (fewer rows: the block
+    they span)."""
+    return _contract(_contract(b, m), _transpose(b))

@@ -42,8 +42,13 @@ from .forms import (
     FrameGeometry,
     KForm,
     VectorField,
+    _add,
+    _combination,
     _from_body,
+    _from_ints,
+    _matrix,
     _normalize,
+    _restricted,
     _support,
     hodge_star,
     indices_of,
@@ -58,7 +63,7 @@ from .frames import (
     covariant_derivative_oneform,
     transform_bilinear,
 )
-from .scalars import GTorsionError, NotRepresentable, _mac, _settle
+from .scalars import GTorsionError, NotRepresentable, _mac, _norm, _settle, _sign
 from .structures import (
     KINDS,
     GStructure,
@@ -144,12 +149,13 @@ def adapt_frame(frame: LieAlgebraFrame, v: VectorField) -> AdaptedFrame:
     # A = D^{-1} B g: row i is the covector of b_i over |b_i|^2
     a_rows = [[row.get(j, zero) if di is one else row.get(j, zero) / di for j in range(n)]
               for row, di in zip(b_flats, d)]
-    old_in_new = CoframeChange([list(col) for col in zip(*b)], field)  # A^{-1} = B^T
+    old_in_new = CoframeChange(_matrix([list(col) for col in zip(*b)], field), n)  # A^{-1} = B^T
     # det A has the sign of det B: Gram-Schmidt adds earlier rows only, so
     # det B is det [V; e_i, i != p] = (-1)^p V^p over the norms, p the first
     # index where V is nonzero, times (-1)^(n-1) for moving V to the end
-    p = next(i for i, c in enumerate(v.components) if not c.is_zero())
-    sign = frame.geometry.orientation_sign * v.components[p].sign() * (-1) ** (p + n - 1)
+    low = min((*v._p, *v._q))
+    p = low.bit_length() - 1
+    sign = frame.geometry.orientation_sign * _sign(v._p.get(low, 0), v._q.get(low, 0), field.d) * (-1) ** (p + n - 1)
     metric = [[di if i == j else zero for j in range(n)] for i, di in enumerate(d)]
     labels = [f"f{i}" for i in range(1, n)] + ["mu"]
     new_frame = LieAlgebraFrame(
@@ -251,11 +257,10 @@ class TransverseSlice:
         self.n = amb.n - 1
         self.field = amb.field
         m = self.n
-        sub = [[amb.geometry.metric[i][j] for j in range(m)] for i in range(m)]
         # transverse volume convention: vol^ = i_V vol (so mu ^ vol^ = vol),
         # V being the last adapted vector
         sign = amb.geometry.orientation_sign * (1 if (amb.n - 1) % 2 == 0 else -1)
-        self.geometry = FrameGeometry(m, self.field, sub, orientation_sign=sign)
+        self.geometry = FrameGeometry(m, self.field, _restricted(amb.geometry._metric, m), orientation_sign=sign)
         self.labels = amb.labels[: self.n]
 
     def embed(self, a: KForm) -> KForm:
@@ -280,10 +285,10 @@ class TransverseSlice:
         return _from_body(self.n, a.k + 1, self.field, da._den, da._p, da._q)
 
     @cached_property
-    def constants(self) -> dict:
+    def _constants(self):
         """The ambient structure constants c^k_{ij} with i, j, k all on the
         slice: the bracket of slice vectors, projected to the slice."""
-        return {key: c for key, c in self.ambient.constants.items() if max(key) < self.n}
+        return _restricted(self.ambient._constants, self.n)
 
     def as_lie_frame(self) -> LieAlgebraFrame:
         """Materialize the quotient as a Lie algebra frame when the projected
@@ -384,12 +389,11 @@ def string_residual_on_slice(red: ReductionResult, df: KForm) -> dict:
     """
     sl, s = red.transverse, red.structure
     # Rc^q + F^2_endo + nabla df = (Rc^amb + F^2_pos) - F^2_pos + nabla df
-    ndf = covariant_derivative_oneform(s.frame, s.bismut, df)
-    mat = [[r + x for r, x in zip(ric_row, ndf_row)] for ric_row, ndf_row in zip(s.bismut_ricci, ndf)]
-    slot1 = transform_bilinear(mat, red.adapted.b[: sl.n], sl.field)
+    mat = _add(s._bismut_ricci, covariant_derivative_oneform(s.frame, s.bismut, df))
+    slot1 = transform_bilinear(mat, _matrix(red.adapted.b[: sl.n], sl.field))
     slot2 = flux_residual(sl, red.flux_slice, red.h_hat_slice, musical_inv(red.df_slice, sl.geometry))
     return {
-        "string GRS slot1": all(x.is_zero() for row in slot1 for x in row),
+        "string GRS slot1": slot1.is_zero(),
         "string GRS slot2": slot2.is_zero(),
         "string GRS slot3": red.anomaly.is_zero(),
     }
@@ -397,9 +401,9 @@ def string_residual_on_slice(red: ReductionResult, df: KForm) -> dict:
 
 def _gauge_covector(w: VectorField) -> KForm:
     """mu_g = e^{j0} / w^{j0} at the first index j0 where w is nonzero."""
-    for j0, c in enumerate(w.components):
-        if not c.is_zero():
-            return KForm(w.n, 1, w.field, {1 << j0: c.inverse()})
+    if not w.is_zero():
+        bit = min((*w._p, *w._q))
+        return KForm(w.n, 1, w.field, {bit: _norm(w.field, w._p.get(bit, 0), w._q.get(bit, 0), w._den).inverse()})
     raise ReductionError("raw reduction needs theta != 0: the gauge covector mu_g = e^j0 / (theta#)^j0 is undefined")
 
 
@@ -519,13 +523,14 @@ def _unit_length(s: GStructure, v: VectorField) -> tuple[GStructure, VectorField
         lam = lam2.sqrt()
     except NotRepresentable as exc:
         raise ReductionError(f"|V| = sqrt({lam2}) is not in the scalar field; rerun with field sqrt d") from exc
-    metric = [[x * lam2 for x in row] for row in geom.metric]
+    g = geom._metric
+    metric = _from_ints(field, *_combination(field.d, ((lam2.p, lam2.q, lam2.den, g._den, g._p, g._q),)))
     scaled = FrameGeometry(s.n, field, metric, orientation_sign=geom.orientation_sign)
     power = {-1: lam.inverse(), 1: lam, 2: lam2, 3: lam * lam2, 4: lam2 * lam2}  # lam^e
     unit = GStructure(s.kind, _on_metric(s.frame, scaled), {name: f.scale(power[f.k]) for name, f in s.forms.items()})
     unit.torsion = TorsionClasses(s.kind, {name: _rescaled(x, power) for name, x in s.torsion.components.items()})
     unit.lee, unit.h = s.lee, s.h.scale(lam2)
-    unit.levi_civita, unit.bismut, unit.bismut_ricci = s.levi_civita, s.bismut, s.bismut_ricci
+    unit.levi_civita, unit.bismut, unit._bismut_ricci = s.levi_civita, s.bismut, s._bismut_ricci
     return unit, v.scale(lam2.inverse())
 
 
@@ -610,8 +615,7 @@ def splitting_check(red: ReductionResult) -> dict:
     s = red.structure
     c1 = red.dh_hat.is_zero()
     c2 = red.flux.is_zero()
-    dmu = covariant_derivative_oneform(s.frame, s.levi_civita, red.mu)
-    c3 = all(x.is_zero() for row in dmu for x in row)
+    c3 = covariant_derivative_oneform(s.frame, s.levi_civita, red.mu).is_zero()
     if not (c1 == c2 == c3):
         raise ReductionError("splitting conditions failed to be equivalent")
     return {"dH_hat = 0": c1, "d mu = 0": c2, "D mu = 0": c3}
@@ -665,8 +669,9 @@ def central_extend(structure: GStructure, flux: KForm, target: str, df: KForm | 
     if problems:
         raise ReductionError("extension hypotheses violated: " + "; ".join(problems))
 
-    zero = field.zero()
-    metric = [[field.one()] + [zero] * n] + [[zero] + list(row) for row in structure.geometry.metric]
+    g = structure.geometry._metric
+    p, q = ({(i + 1, j + 1): v for (i, j), v in part.items()} for part in (g._p, g._q))
+    metric = _from_ints(field, g._den, {(0, 0): g._den, **p}, q)
     geom = FrameGeometry(n + 1, field, metric, orientation_sign=structure.geometry.orientation_sign * sign)
     new_frame = LieAlgebraFrame(
         ["e0"] + list(frame.labels), [_shift(flux)] + [_shift(d) for d in frame.coframe_d], geom

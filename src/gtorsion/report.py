@@ -10,7 +10,7 @@ from __future__ import annotations
 from .forms import KForm, VectorField, indices_of
 from .scalars import Scalar
 
-__all__ = ["scalar_str", "form_str", "vector_str", "matrix_norm_sq", "Report"]
+__all__ = ["scalar_str", "form_str", "vector_str", "Report"]
 
 
 def scalar_str(s: Scalar) -> str:
@@ -50,15 +50,6 @@ def form_str(form: KForm, labels) -> str:
 
 def vector_str(v: VectorField, labels) -> str:
     return _join_terms((c, labels[i]) for i, c in enumerate(v.components) if not c.is_zero())
-
-
-def matrix_norm_sq(mat) -> Scalar:
-    field = mat[0][0].field
-    acc = field.zero()
-    for row in mat:
-        for x in row:
-            acc = acc + x * x
-    return acc
 
 
 class Report:

@@ -12,15 +12,19 @@ field.  Scalars from different fields never mix silently; binary
 operations raise ``FieldMismatch``.  Plain ints, exact rationals such as
 Fractions and QQ scalars lift into any field.
 
-The accumulator is the one multiply-accumulate path on Scalars: ``_mac``
-adds +-x*y into a raw [p, q, den] int triple per output key, and ``_settle``
-turns each key into a canonical Scalar once, so a sum of N products pays one
-gcd, not 2N.  The exterior-algebra kernels do not use it: a form's integer
-body (``forms``) shares one denominator and is normalized by one gcd per
-form.  ``_ints`` is the one conversion of Scalars to such a body (one
-denominator, the rational and sqrt(d) numerators apart), for forms, vectors,
-matrices and linear-system rows alike; ``_norm`` is the way back, and builds
-a form's Scalar view only when it is read.
+Every exact tensor of the analysis is an integer body, not Scalars: forms,
+vectors, the metric and its inverse, the structure constants, the
+connection symbols, J and the Ricci traces each share one denominator and
+are normalized by one gcd (``forms``).  Scalars remain at the boundaries:
+the parser reads them in, a report writes them out, ``linsolve`` builds one
+per unknown, and the Gram-Schmidt of a reduction's adapted frame still runs
+on them, through the accumulator ``_mac``/``_settle`` (it adds +-x*y into a
+raw [p, q, den] int triple per output key and settles each key into a
+canonical Scalar once).  ``_ints`` is the one conversion of Scalars to an
+integer body (one denominator, the rational and sqrt(d) numerators apart),
+for forms, vectors, tensors and linear-system rows alike; ``_norm`` is the
+way back, and builds a body's Scalar view only when it is read.  ``_sign``
+reads the sign of p + q sqrt(d) on the ints of a Scalar or of a body.
 """
 
 from __future__ import annotations
@@ -247,6 +251,24 @@ def _settle(field: Field, acc: dict) -> dict:
     return {key: _norm(field, p, q, den) for key, (p, q, den) in acc.items() if p or q}
 
 
+def _sign(p: int, q: int, d: int) -> int:
+    """The sign -1, 0 or +1 of p + q sqrt(d), read on the ints: a Scalar's
+    (its den is positive) or an int body's numerators."""
+    if not q:
+        return (p > 0) - (p < 0)
+    if not p:
+        return 1 if q > 0 else -1
+    if p > 0 and q > 0:
+        return 1
+    if p < 0 and q < 0:
+        return -1
+    # opposite signs: compare p^2 with d q^2
+    lhs, rhs = p * p, d * q * q
+    if p > 0:  # q < 0
+        return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
+    return 1 if lhs < rhs else (-1 if lhs > rhs else 0)
+
+
 def _sum(x: "Scalar", y: "Scalar", negate: bool) -> "Scalar":
     """x + y, or x - y when ``negate``; both scalars in one field."""
     yp, yq, yd = y.p, y.q, y.den
@@ -360,20 +382,7 @@ class Scalar:
 
     def sign(self) -> int:
         """-1, 0, or +1, exactly."""
-        p, q = self.p, self.q
-        if not q:
-            return (p > 0) - (p < 0)
-        if not p:
-            return 1 if q > 0 else -1
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        # opposite signs: compare p^2 with d q^2 (den > 0 scales both)
-        lhs, rhs = p * p, self.field.d * q * q
-        if p > 0:  # q < 0
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return 1 if lhs < rhs else (-1 if lhs > rhs else 0)
+        return _sign(self.p, self.q, self.field.d)
 
     # -- roots ---------------------------------------------------------
 

@@ -12,16 +12,25 @@ where F^2 acts as the endomorphism square F_i^k F_kj (the negative of the
 positive-definite pairing <i_X F, i_Y F>); this sign is pinned by the
 reduced worked examples.  Every residual takes a structure and reads g, H,
 the Levi-Civita and Bismut connections and the Bismut Ricci tensor from its
-compute-once analysis; none builds a connection.  The flux equation
-(``flux_residual``) is shared with the reduction, which evaluates it on the
-transverse slice.
+compute-once analysis; none builds a connection.  The residuals, nabla V and
+the traces run on the tensors' integer bodies (``forms.Tensor``), and a
+Scalar is built only for a reported number: the weighted scalar, |V|^2 and
+the metric norm |S|^2_g of the GRS residual (``grs_residual_norm_sq``), read
+through the inverse metric so that it is the same in every frame.  The
+flux equation (``flux_residual``) is shared with the reduction, which
+evaluates it on the transverse slice.
 """
 
 from __future__ import annotations
 
 from .forms import (
     KForm,
+    Tensor,
     VectorField,
+    _add,
+    _dot,
+    _matrix,
+    _product,
     contract_2_3,
     form_inner,
     interior,
@@ -30,8 +39,8 @@ from .forms import (
     two_form_square,
     wedge,
 )
-from .frames import codifferential, covariant_derivative_oneform, curvature
-from .scalars import GTorsionError, _mac, _settle
+from .frames import codifferential, covariant_derivative_oneform, curvature, transform_bilinear
+from .scalars import GTorsionError, Scalar, _norm
 from .structures import (
     KINDS,
     GStructure,
@@ -40,6 +49,7 @@ from .structures import (
 
 __all__ = [
     "grs_residual",
+    "grs_residual_norm_sq",
     "string_grs_residual",
     "flux_residual",
     "weighted_scalar",
@@ -55,10 +65,19 @@ class PreconditionError(GTorsionError, ValueError):
     pass
 
 
-def grs_residual(s: GStructure, x: VectorField):
-    """Rc^{nabla(g,H)} + nabla X^flat as an n x n Scalar matrix."""
+def grs_residual(s: GStructure, x: VectorField) -> Tensor:
+    """Rc^{nabla(g,H)} + nabla X^flat as a Tensor keyed (i, j)."""
     nx = covariant_derivative_oneform(s.frame, s.bismut, musical(x, s.geometry))
-    return [[r + y for r, y in zip(r_row, nx_row)] for r_row, nx_row in zip(s.bismut_ricci, nx)]
+    return _add(s._bismut_ricci, nx)
+
+
+def grs_residual_norm_sq(s: GStructure, res: Tensor) -> Scalar:
+    """|S|^2_g = g^{ia} g^{jb} S_ij S_ab of a (0,2)-tensor S of ``s``, read
+    through its geometry's inverse metric: the same in every frame, and 0
+    exactly when S is."""
+    geom = s.geometry
+    up = res if geom._is_identity else transform_bilinear(res, geom._inverse)
+    return _dot(up, res)
 
 
 def flux_residual(frame, f: KForm, h: KForm, x: VectorField) -> KForm:
@@ -68,35 +87,36 @@ def flux_residual(frame, f: KForm, h: KForm, x: VectorField) -> KForm:
 
 
 def string_grs_residual(s: GStructure, x: VectorField, f: KForm):
-    """The triple (Rc^nabla + F^2 + nabla X^flat, d*F - <F,H> + i_X F, dH + F^F)."""
-    fsq = two_form_square(f, s.geometry)
-    slot1 = [[m - q for m, q in zip(m_row, q_row)] for m_row, q_row in zip(grs_residual(s, x), fsq)]
-    return slot1, flux_residual(s.frame, f, s.h, x), s.d(s.h) + wedge(f, f)
+    """The triple (Rc^nabla + F^2 + nabla X^flat, d*F - <F,H> + i_X F, dH + F^F),
+    the first a Tensor keyed (i, j)."""
+    fsq = _matrix(two_form_square(f, s.geometry), s.field)
+    return _add(grs_residual(s, x), fsq, -1), flux_residual(s.frame, f, s.h, x), s.d(s.h) + wedge(f, f)
 
 
-def divergence(frame, x: VectorField, lc):
+def _nabla_vector_ints(x: dict, y: dict, acc: dict) -> None:
+    # (nabla_i V)^l = sum_j V^j Gamma^l_ij: x the symbols, y a vector's body,
+    # keyed by bits
+    get = acc.get
+    for (i, j, l), g in x.items():
+        c = y.get(1 << j)
+        if c:
+            acc[i, l] = get((i, l), 0) + c * g
+
+
+def divergence(frame, x: VectorField, lc) -> Scalar:
     """Trace of the Levi-Civita covariant derivative of X:
     sum_{i,j} X^j Gamma^i_{ij}, with ``lc`` the frame's Levi-Civita
     connection."""
-    acc = frame.field.zero()
-    for (i, j, l), v in lc.entries.items():
-        if l == i and not x.components[j].is_zero():
-            acc = acc + x.components[j] * v
-    return acc
+    g, field = lc.symbols, frame.field
+    p, q = _product(_nabla_vector_ints, field.d, g._p, g._q, x._p, x._q)
+    return _norm(field, *(sum(v for (i, l), v in part.items() if i == l) for part in (p, q)), g._den * x._den)
 
 
-def scalar_curvature(frame, lc):
+def scalar_curvature(frame, lc) -> Scalar:
     """Riemannian scalar curvature: the g-trace of the Ricci tensor of the
     frame's Levi-Civita connection ``lc``, which ``curvature`` contracts off
     the connection symbols."""
-    ricci = curvature(frame, lc)
-    ginv = frame.geometry.inverse_metric()
-    acc = frame.field.zero()
-    for i, row in enumerate(ricci):
-        for j, rc in enumerate(row):
-            if not rc.is_zero() and not ginv[i][j].is_zero():
-                acc = acc + ginv[i][j] * rc
-    return acc
+    return _dot(frame.geometry._inverse, curvature(frame, lc))
 
 
 def weighted_scalar(s: GStructure, x: VectorField):
@@ -123,11 +143,9 @@ def parallel_certificate(s: GStructure, v: VectorField) -> dict:
     """Check nabla V = 0 for the Bismut connection of ``s``; |V| is then
     automatically constant, and ``norm_sq`` is |V|^2 in the metric of ``s``."""
     # nabla_i V = sum_j V^j Gamma^l_ij, every i in one pass over the symbols
-    comps, acc = v.components, {}
-    for (i, j, l), g in s.bismut.entries.items():
-        if not comps[j].is_zero():
-            _mac(acc, (i, l), comps[j], g, False)
-    return {"parallel": not _settle(s.field, acc), "norm_sq": s.geometry.norm_sq(v)}
+    g = s.bismut.symbols
+    p, q = _product(_nabla_vector_ints, s.field.d, g._p, g._q, v._p, v._q)
+    return {"parallel": not any(p.values()) and not any(q.values()), "norm_sq": s.geometry.norm_sq(v)}
 
 
 def g2_rigidity_identity(s: GStructure, df: KForm | None = None):

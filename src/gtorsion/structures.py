@@ -17,28 +17,35 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, reduce
-from math import lcm
 
 from .forms import (
+    _INDICES,
     _ODD,
+    CoframeChange,
     FrameGeometry,
     GeometryError,
     KForm,
+    Tensor,
     VectorField,
     _Lazy,
+    _by_row,
+    _combination,
+    _contract,
     _dot_ints,
+    _from_body,
+    _from_ints,
     _mat_det,
     _masks,
     _product,
+    _tensor,
+    _transpose,
     contract_2_3,
     derivation_rows,
     form_inner,
     hodge_star,
-    indices_of,
     interior,
     musical,
     skew_three_form,
-    transform_form,
     wedge,
 )
 from .frames import (
@@ -48,7 +55,7 @@ from .frames import (
     levi_civita,
 )
 from .linsolve import InconsistentSystem, LinearSolveError, _last, _primitive, echelon, solve_unique_sparse
-from .scalars import Field, GTorsionError, NotRepresentable, RationalField, Scalar, _mac, _norm, _settle
+from .scalars import Field, GTorsionError, NotRepresentable, RationalField, Scalar, _norm
 
 __all__ = [
     "StructureError",
@@ -160,7 +167,7 @@ class TorsionClasses:
 class GStructure:
     """Tagged structure: kind, defining forms, frame, derived metric data.
 
-    ``frame`` is anything with n / field / geometry / d(form) / constants,
+    ``frame`` is anything with n / field / geometry / d(form) / _constants,
     and its ``geometry`` is the structure's metric (``s.geometry``): SU(3)
     and G2 put their induced metric on a copy of the input frame
     (``_on_metric``), so every frame-level call on ``s.frame`` sees it.
@@ -196,7 +203,13 @@ class GStructure:
 
     def apply_j_oneform(self, alpha: KForm) -> KForm:
         """(J alpha)(X) = -alpha(JX): minus the pullback of alpha by J."""
-        return -transform_form(alpha, self.j_matrix, self.field)
+        return -self._j_change.move(alpha)
+
+    @cached_property
+    def _j_change(self) -> CoframeChange:
+        """J as the substitution e^a -> sum_c J^a_c e^c: one minors table for
+        every form that J moves."""
+        return CoframeChange(self.j_matrix, self.n)
 
     # -- compute-once analysis --------------------------------------------
 
@@ -238,33 +251,35 @@ class GStructure:
         return bismut_connection(self.frame, self.h, self.levi_civita)
 
     @cached_property
-    def bismut_ricci(self):
-        """The Ricci tensor of the Bismut connection, a dense matrix."""
+    def _bismut_ricci(self) -> Tensor:
+        """The Ricci tensor of the Bismut connection, keyed (j, k)."""
         return curvature(self.frame, self.bismut)
 
+    @property
+    def bismut_ricci(self) -> list:
+        """The dense Scalar view of the Bismut Ricci tensor."""
+        return self._bismut_ricci.rows(self.n)
 
-def _j_from_metric_omega(omega: KForm, geom: FrameGeometry):
-    """J^a_c = sum_b g^{ab} omega_{bc}, summed over omega's nonzero terms;
-    requires J^2 = -Id."""
-    n = geom.n
-    field = geom.field
-    ginv = geom.inverse_metric()
-    acc = {}
-    for m, w in omega.coeffs.items():
-        b, c = (i - 1 for i in indices_of(m))
-        for a, row in enumerate(ginv):
-            if not row[b].is_zero():
-                _mac(acc, (a, c), row[b], w, False)
-            if not row[c].is_zero():
-                _mac(acc, (a, b), row[c], w, True)
-    jd = _settle(field, acc)
-    j = [[jd.get((a, c), field.zero()) for c in range(n)] for a in range(n)]
-    sq = {}
-    for (a, b), x in jd.items():
-        for c, y in enumerate(j[b]):
-            if not y.is_zero():
-                _mac(sq, (a, c), x, y, False)
-    if _settle(field, sq) != {(a, a): -field.one() for a in range(n)}:
+
+def _j_ints(x: dict, rows: dict, acc: dict) -> None:
+    # x: omega's terms (b < c); rows: g^{-1} by row, g^{ab} = g^{ba}
+    get = acc.get
+    for m, w in x.items():
+        b, c = _INDICES[m]
+        for a, g in rows.get(b - 1, ()):
+            acc[a, c - 1] = get((a, c - 1), 0) + g * w
+        for a, g in rows.get(c - 1, ()):
+            acc[a, b - 1] = get((a, b - 1), 0) - g * w
+
+
+def _j_from_metric_omega(omega: KForm, geom: FrameGeometry) -> Tensor:
+    """J^a_c = sum_b g^{ab} omega_{bc}, a Tensor keyed (a, c) summed over
+    omega's nonzero terms; requires J^2 = -Id."""
+    ginv = geom._inverse
+    j = _product(_j_ints, geom.field.d, omega._p, omega._q, *_by_row(ginv))
+    j = _tensor(geom.field, omega._den * ginv._den, *j)
+    sq = _contract(j, j)
+    if sq._den != 1 or sq._q or sq._p != {(a, a): -1 for a in range(geom.n)}:
         raise StructureError("J^2 != -Id: omega and metric are not compatible")
     return j
 
@@ -601,7 +616,32 @@ def lee_form(s: GStructure) -> KForm:
     """
     if not KINDS[s.kind].almost_complex:
         return s.torsion["lee"]
-    return transform_form(contract_2_3(s.form("omega"), s.h, s.geometry), s.j_matrix, s.field)
+    return s._j_change.move(contract_2_3(s.form("omega"), s.h, s.geometry))
+
+
+def _bracket_j_ints(x: dict, rows: dict, acc: dict) -> None:
+    # q(i, b) = [J e_i, e_b] = sum_a J^a_i [e_a, e_b]: x the structure
+    # constants c^k_{ab}, rows J by row, a -> [(i, J^a_i)]
+    get = acc.get
+    for (a, b, k), c in x.items():
+        for i, v in rows.get(a, ()):
+            acc[i, b, k] = get((i, b, k), 0) + v * c
+
+
+def _nijenhuis_ints(x: dict, y: tuple, acc: dict) -> None:
+    # sum_b J^b_j q(i, b) - J(q(i, j) - q(j, i)) at (i, j, k), i < j: x is
+    # q, keyed (i, b, l), and y J by row (b -> [(j, J^b_j)]) and by column
+    # (l -> [(k, J^k_l)])
+    rows, cols = y
+    get = acc.get
+    for (i, b, l), v in x.items():
+        for j, w in rows.get(b, ()):
+            if i < j:
+                acc[i, j, l] = get((i, j, l), 0) + w * v
+        if i != b:
+            pair = (i, b) if i < b else (b, i)
+            for k, w in cols.get(l, ()):
+                acc[(*pair, k)] = get((*pair, k), 0) + (-w * v if i < b else w * v)
 
 
 def nijenhuis(s: GStructure) -> KForm:
@@ -609,36 +649,22 @@ def nijenhuis(s: GStructure) -> KForm:
 
     From the structure constants: with q(i, b) = [J e_i, e_b] =
     sum_a J^a_i [e_a, e_b],
-    N(e_i, e_j) = sum_b J^b_j q(i, b) - J(q(i, j) - q(j, i)) - [e_i, e_j].
+    N(e_i, e_j) = sum_b J^b_j q(i, b) - J(q(i, j) - q(j, i)) - [e_i, e_j],
+    summed on the int bodies of J and the constants.
     """
     if not KINDS[s.kind].almost_complex:
         raise StructureError("Nijenhuis tensor needs an almost complex structure")
-    field = s.field
-    n = s.n
-    j = s.j_matrix
-    rows = [[(c, x) for c, x in enumerate(row) if not x.is_zero()] for row in j]
-    one = field.one()
-    q, acc = {}, {}
-    for (a, b, k), c in s.frame.constants.items():
-        for i, x in rows[a]:
-            _mac(q, (i, b, k), x, c, False)
-        if a < b:
-            _mac(acc, (a, b, k), c, one, True)
-    # N(e_i, e_j)^k for i < j; N is skew in its first two slots by definition
-    for (i, b, l), v in _settle(field, q).items():
-        for jj, x in rows[b]:
-            if i < jj:
-                _mac(acc, (i, jj, l), x, v, False)
-        if i != b:
-            key = (i, b) if i < b else (b, i)
-            for k in range(n):
-                if not j[k][l].is_zero():
-                    _mac(acc, (*key, k), j[k][l], v, i < b)
-    low = _last_index(_settle(field, acc), s.geometry, up=False)
-    vals = {**low, **{(jj, i, k): -v for (i, jj, k), v in low.items()}}
+    field, d, j, c = s.field, s.field.d, s.j_matrix, s.frame._constants
+    rows, cols = _by_row(j), _by_row(_transpose(j))
+    q = _product(_bracket_j_ints, d, c._p, c._q, *rows)
+    jq = _product(_nijenhuis_ints, d, *q, (rows[0], cols[0]), (rows[1], cols[1]) if rows[1] else None)
+    # N(e_i, e_j) for i < j; N is skew in its first two slots by definition
+    bracket = [{key: -v for key, v in part.items() if key[0] < key[1]} for part in (c._p, c._q)]
+    up = _from_ints(field, *_combination(d, ((1, 0, 1, c._den * j._den * j._den, *jq), (1, 0, 1, c._den, *bracket))))
+    low = _last_index(up, s.geometry, up=False)
+    full = [{**part, **{(jj, i, k): -v for (i, jj, k), v in part.items()}} for part in (low._p, low._q)]
     # the packer checks the rest of the skew symmetry
-    zero = field.zero()
-    h = skew_three_form(n, field, lambda i, j, k: vals.get((i, j, k), zero))
+    h = skew_three_form(s.n, _from_ints(field, low._den, *full))
     if h is None:
         raise StructureError("Nijenhuis tensor not skew: no skew-torsion connection exists")
     return h
@@ -647,7 +673,7 @@ def nijenhuis(s: GStructure) -> KForm:
 def d_c_omega(s: GStructure) -> KForm:
     """d^c omega(X,Y,Z) = -d omega(JX, JY, JZ): minus the pullback of d omega
     by J, which substitutes e^a -> sum_c J^a_c e^c."""
-    return -transform_form(s.d_form("omega"), s.j_matrix, s.field)
+    return -s._j_change.move(s.d_form("omega"))
 
 
 def bismut_torsion(s: GStructure) -> KForm:
@@ -718,9 +744,12 @@ def solve_skew_torsion(s: GStructure) -> KForm:
     field, n, d = s.field, s.n, s.field.d
     masks3, pairs, spread = _ORACLE_LAYOUT[n]
     # the nonzero entries of G = D g^{-1} and of -G, by row, as (rational, sqrt(d)) ints
-    ginv = s.geometry.inverse_metric()
-    gden = lcm(*(x.den for row in ginv for x in row))
-    plus = [{k: (x.p * (gden // x.den), x.q * (gden // x.den)) for k, x in enumerate(row) if x.p or x.q} for row in ginv]
+    ginv = s.geometry._inverse
+    plus = [{} for _ in range(n)]
+    for (j, k), v in ginv._p.items():
+        plus[j][k] = (v, ginv._q.get((j, k), 0))
+    for (j, k), v in ginv._q.items():
+        plus[j].setdefault(k, (0, v))
     minus = [{k: (-a, -b) for k, (a, b) in row.items()} for row in plus]
     # L_p: e^j -> (G^{jk} e^t - G^{jt} e^k)/(2D) for each pair t < k;
     # G is symmetric, so e^j moves only for j in rows t and k
@@ -730,16 +759,19 @@ def solve_skew_torsion(s: GStructure) -> KForm:
         for t, k in pairs
     ]
     # (t, k) -> (i, E <D_i e_t, e_k>) as (i, rational, sqrt(d)) ints, E the
-    # symbols' denominator, off the cached Levi-Civita connection; H is never read
+    # symbols' denominator: the lowered Koszul symbols of the cached
+    # Levi-Civita connection; H is never read
     symbols = {pair: [] for pair in pairs}
-    low = _last_index(s.levi_civita.entries, s.geometry, up=False)
-    e = lcm(*(v.den for v in low.values()))
-    for (i, t, k), v in low.items():
-        w = low.get((i, k, t))  # canonical scalars: -v has the same den
-        if w is None or (w.p, w.q, w.den) != (-v.p, -v.q, v.den):
+    low = s.levi_civita.lowered
+    e, lp, lq = low._den, low._p, low._q
+    for key in (*lp, *(key for key in lq if key not in lp)):
+        i, t, k = key
+        vp, vq = lp.get(key, 0), lq.get(key, 0)
+        if (lp.get((i, k, t), 0), lq.get((i, k, t), 0)) != (-vp, -vq):
+            v = _norm(field, vp, vq, e)
             raise StructureError(f"Levi-Civita symbols not skew: <D_{i + 1} e_{t + 1}, e_{k + 1}> = {v}")
         if t < k:
-            symbols[t, k].append((i, v.p * (e // v.den), v.q * (e // v.den)))
+            symbols[t, k].append((i, vp, vq))
     kind = KINDS[s.kind]
     unique = {}  # each row once up to a rational factor: with no right-hand side a multiple checks nothing
     for slot, *_ in kind.slots:
@@ -780,6 +812,41 @@ def solve_skew_torsion(s: GStructure) -> KForm:
     return KForm(n, 3, field, dict(zip(masks3, sol))).scale(field.scalar(2, e))
 
 
+def _j_gamma_ints(x: dict, cols: dict, acc: dict) -> None:
+    # (J Gamma_x)^i_m = sum_l J^i_l Gamma^l_{xm}: x the symbols, cols J by
+    # column, l -> [(i, J^i_l)]
+    get = acc.get
+    for (xx, m, l), v in x.items():
+        for i, w in cols.get(l, ()):
+            acc[xx, i, m] = get((xx, i, m), 0) + w * v
+
+
+def _j_gamma_gamma_ints(x: dict, y: dict, acc: dict) -> None:
+    # -tr(J Gamma_x Gamma_y) into rho_xy for x < y, + for x > y, with
+    # (J Gamma_x Gamma_y)^i_i = sum_m (J Gamma_x)^i_m Gamma^m_{yi}: x is
+    # J Gamma, y the symbols
+    by_pair = {}  # (i, m) -> [(x, (J Gamma_x)^i_m)]
+    for (xx, i, m), v in x.items():
+        by_pair.setdefault((i, m), []).append((xx, v))
+    get = acc.get
+    for (yy, i, m), v in y.items():
+        for xx, w in by_pair.get((i, m), ()):
+            if xx != yy:
+                key = (1 << xx) | (1 << yy)
+                acc[key] = get(key, 0) + (-w * v if xx < yy else w * v)
+
+
+def _bracket_trace_ints(x: dict, y: dict, acc: dict) -> None:
+    # c^m_{xy} tr(J Gamma_m) into rho_xy, x < y: x the structure constants,
+    # y the traces m -> tr(J Gamma_m)
+    get = acc.get
+    for (xx, yy, m), c in x.items():
+        t = y.get(m) if xx < yy else None
+        if t:
+            key = (1 << xx) | (1 << yy)
+            acc[key] = get(key, 0) + c * t
+
+
 def bismut_ricci_form(s: GStructure) -> KForm:
     """rho(X,Y) = -1/2 tr(J R(X, Y)) for the Bismut connection, read as a
     trace of its symbols with no curvature tensor: with Gamma_X the matrix
@@ -790,28 +857,15 @@ def bismut_ricci_form(s: GStructure) -> KForm:
     1/2 sum_i R(X, Y, e_i, J e_i)); rho = 0 certifies reduced holonomy."""
     if not KINDS[s.kind].almost_complex:
         raise StructureError("Bismut Ricci form needs an almost Hermitian structure")
-    field, j, n = s.field, s.j_matrix, s.n
-    cols = [[(i, j[i][l]) for i in range(n) if not j[i][l].is_zero()] for l in range(n)]
-    # (J Gamma_x)^i_m = sum_l J^i_l Gamma^l_{xm}
-    acc = {}
-    for (x, m, l), v in s.bismut.entries.items():
-        for i, w in cols[l]:
-            _mac(acc, (x, i, m), w, v, False)
-    jg = _settle(field, acc)
-    by_pair = {}  # (i, m) -> [(x, (J Gamma_x)^i_m)]
-    trace = {}  # m -> tr(J Gamma_m)
-    for (x, i, m), v in jg.items():
-        by_pair.setdefault((i, m), []).append((x, v))
-        if i == m:
-            trace[x] = trace[x] + v if x in trace else v
-    # -1/2 tr(J Gamma_x Gamma_y) enters rho_xy for x < y, +1/2 for x > y;
-    # (J Gamma_x Gamma_y)^i_i = sum_m (J Gamma_x)^i_m Gamma^m_{yi}
-    acc = {}
-    for (y, i, m), v in s.bismut.entries.items():
-        for x, w in by_pair.get((i, m), ()):
-            if x != y:
-                _mac(acc, (1 << x) | (1 << y), w, v, x < y)
-    for (x, y, m), c in s.frame.constants.items():
-        if x < y and m in trace:
-            _mac(acc, (1 << x) | (1 << y), c, trace[m], False)
-    return KForm(n, 2, field, _settle(field, acc)).scale(field.scalar(1, 2))
+    field, d, g, c = s.field, s.field.d, s.bismut.symbols, s.frame._constants
+    jg = _product(_j_gamma_ints, d, g._p, g._q, *_by_row(_transpose(s.j_matrix)))
+    jg = _tensor(field, s.j_matrix._den * g._den, *jg)
+    trace = [{}, {}]  # m -> tr(J Gamma_m), rational and sqrt(d) numerators
+    for part, tr in zip((jg._p, jg._q), trace):
+        for (xx, i, m), v in part.items():
+            if i == m:
+                tr[xx] = tr.get(xx, 0) + v
+    jgg = _product(_j_gamma_gamma_ints, d, jg._p, jg._q, g._p, g._q)
+    ctr = _product(_bracket_trace_ints, d, c._p, c._q, trace[0], trace[1] or None)
+    terms = ((1, 0, 2, jg._den * g._den, *jgg), (1, 0, 2, c._den * jg._den, *ctr))
+    return _from_body(s.n, 2, field, *_combination(d, terms))

@@ -10,14 +10,16 @@ from gtorsion import registry
 from gtorsion.forms import (
     FrameGeometry,
     KForm,
+    Tensor,
     VectorField,
     _mat_inverse,
+    _matrix,
     _sort_sign,
     derivation_rows,
     mask_of,
     skew_three_form,
 )
-from gtorsion.frames import LieAlgebraFrame, _last_index, change_frame, transform_form
+from gtorsion.frames import LieAlgebraFrame, change_frame, transform_form
 from gtorsion.parser import parse
 from gtorsion.structures import GStructure, _model_forms
 from gtorsion.scalars import NotRepresentable, QuadraticField, RationalField, _int_root, _ints, _norm
@@ -132,11 +134,26 @@ def rotation_matrix(n, rng, field=Q, planes=1):
     return mat
 
 
+def mat_inverse(rows, field):
+    """The inverse of a matrix of Scalar rows, as Scalar rows."""
+    return _mat_inverse(_matrix(rows, field), len(rows)).rows(len(rows))
+
+
+def is_diagonal(geom) -> bool:
+    """The metric has no nonzero entry off its diagonal."""
+    return all(x.is_zero() for i, row in enumerate(geom.metric) for j, x in enumerate(row) if i != j)
+
+
+def inverse_metric(geom):
+    """g^{-1} of a geometry as dense Scalar rows."""
+    return geom._inverse.rows(geom.n)
+
+
 def rotate_frame_and_forms(frame, forms, rot):
     """Apply the coframe change f = R e to a frame and forms together."""
     field = frame.field
     new_frame = change_frame(frame, rot, new_labels=list(frame.labels), validate=False)
-    rinv = _mat_inverse(rot, field)
+    rinv = mat_inverse(rot, field)
     return new_frame, [transform_form(f, rinv, field) for f in forms]
 
 
@@ -159,7 +176,7 @@ def coframe_text(text, a):
     frame = doc.frame()
     field = doc.field
     new = change_frame(frame, a, new_labels=list(frame.labels), validate=False)
-    ainv = _mat_inverse(a, field)
+    ainv = mat_inverse(a, field)
     doc.coframe = {lab: new.coframe_d[i] for i, lab in enumerate(frame.labels)}
     doc.metric = new.geometry.metric
     doc.structure_forms = {k: transform_form(v, ainv, field) for k, v in doc.structure_forms.items()}
@@ -206,9 +223,27 @@ def structure_constants(frame):
     return c
 
 
+def last_index(t, geom, up):
+    """sum_k m^{lk} T_{ijk} for a sparse {(i, j, k): Scalar}, with m = g^{-1}
+    (``up``) or m = g, in Scalar arithmetic: the reference for
+    ``frames._last_index``."""
+    m = inverse_metric(geom) if up else geom.metric
+    out = {}
+    for (i, j, k), v in t.items():
+        for l, x in enumerate(m[k]):
+            if not x.is_zero():
+                out[i, j, l] = out[i, j, l] + v * x if (i, j, l) in out else v * x
+    return {key: v for key, v in out.items() if not v.is_zero()}
+
+
+def skew_form(n, field, t):
+    """``skew_three_form`` on components t(i, j, k) given as Scalars."""
+    return skew_three_form(n, Tensor(field, {(i, j, k): t(i, j, k) for i in range(n) for j in range(n) for k in range(n)}))
+
+
 def lowered(conn, i, j, k, geom):
     """<nabla_{e_i} e_j, e_k>_g with 0-based indices."""
-    return _last_index(conn.entries, geom, up=False).get((i, j, k), conn.frame.field.zero())
+    return last_index(conn.entries, geom, up=False).get((i, j, k), conn.frame.field.zero())
 
 
 def nabla(conn, x, y) -> VectorField:
@@ -255,7 +290,7 @@ def covariant_derivative_form(frame, conn, a):
 
 
 def metric_compatible(conn, geom) -> bool:
-    low = _last_index(conn.entries, geom, up=False)
+    low = last_index(conn.entries, geom, up=False)
     zero = conn.frame.field.zero()
     return all((v + low.get((i, k, j), zero)).is_zero() for (i, j, k), v in low.items())
 
@@ -263,10 +298,10 @@ def metric_compatible(conn, geom) -> bool:
 def torsion_form(conn) -> KForm:
     """g(T(X,Y), Z) of a connection with totally skew torsion, as a 3-form."""
     frame = conn.frame
-    low = _last_index(conn.entries, frame.geometry, up=False)
-    c = _last_index(frame.constants, frame.geometry, up=False)
+    low = last_index(conn.entries, frame.geometry, up=False)
+    c = last_index(frame.constants, frame.geometry, up=False)
     zero = frame.field.zero()
-    h = skew_three_form(
+    h = skew_form(
         frame.n, frame.field,
         lambda i, j, k: low.get((i, j, k), zero) - low.get((j, i, k), zero) - c.get((i, j, k), zero),
     )
@@ -321,12 +356,12 @@ class Riemann:
 
     def ricci_form(self, j) -> KForm:
         """rho(X, Y) = -1/2 tr(J R(X, Y)) = -1/2 sum_{i,l} J^i_l R^l_{XYi},
-        J the matrix j[i][l] = J^i_l."""
-        coeffs = {}
+        J the Tensor j, entry (i, l) = J^i_l."""
+        coeffs, jd = {}, j.entries
         for (x, y, i, l), v in self.entries.items():
-            if not j[i][l].is_zero():
+            if (i, l) in jd:
                 m = (1 << x) | (1 << y)
-                coeffs[m] = coeffs.get(m, self.field.zero()) - j[i][l] * v
+                coeffs[m] = coeffs.get(m, self.field.zero()) - jd[i, l] * v
         half = self.field.scalar(Fraction(1, 2))
         return KForm(self.n, 2, self.field, {m: v * half for m, v in coeffs.items()})
 
@@ -486,9 +521,9 @@ def mat_vec(a, x) -> VectorField:
 
 def cartan_three_form(frame) -> KForm:
     """H(X,Y,Z) = <[X,Y], Z>_g, which must be totally skew."""
-    c = _last_index(frame.constants, frame.geometry, up=False)
+    c = last_index(frame.constants, frame.geometry, up=False)
     zero = frame.field.zero()
-    h = skew_three_form(frame.n, frame.field, lambda i, j, k: c.get((i, j, k), zero))
+    h = skew_form(frame.n, frame.field, lambda i, j, k: c.get((i, j, k), zero))
     assert h is not None, "bracket pairing is not totally skew"
     return h
 

@@ -14,9 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import sheared_text
+from conftest import mat_inverse, sheared_text
 from gtorsion import engine, forms, frames, linsolve, reduction, registry, soliton, structures
-from gtorsion.forms import _mat_inverse
 from gtorsion.frames import change_frame, transform_form
 from gtorsion.parser import parse
 
@@ -395,7 +394,7 @@ def test_oracle_agrees_on_sheared_frame(name):
     field, n = doc.field, frame.n
     a = [[field.scalar(1 if j in (i, i + 1) else 0) for j in range(n)] for i in range(n)]
     new = change_frame(frame, a, new_labels=list(frame.labels), validate=False)
-    ainv = _mat_inverse(a, field)
+    ainv = mat_inverse(a, field)
     doc.coframe = {lab: new.coframe_d[i] for i, lab in enumerate(frame.labels)}
     doc.metric = new.geometry.metric
     doc.structure_forms = {k: transform_form(v, ainv, field) for k, v in doc.structure_forms.items()}

@@ -25,6 +25,7 @@ from conftest import (
     band_shear,
     coframe_text,
     fixture_structure,
+    mat_inverse,
     mat_vec,
     model_form,
     random_kform,
@@ -37,7 +38,7 @@ from test_kinds import _Doc
 from test_reduction import check_adapted_frame, check_moved_forms, quotient_su3_of_nonintG2
 from gtorsion import engine, reduction, registry
 from gtorsion.engine import run_extend
-from gtorsion.forms import FrameGeometry, KForm, VectorField, _mat_inverse, indices_of
+from gtorsion.forms import FrameGeometry, KForm, Tensor, VectorField, indices_of
 from gtorsion.frames import ConnectionCoeffs, LieAlgebraFrame, change_frame, transform_form
 from gtorsion.parser import parse
 from gtorsion.soliton import canonical_vector
@@ -55,7 +56,7 @@ def old_lee_form(s):
     """theta_a = -1/2 sum_{p,q,r} H_pqr J^p_a J^r_q over the frame vectors:
     right on orthonormal frames only."""
     field = s.field
-    j = s.j_matrix
+    j = s.j_matrix.rows(s.n)
     w = [field.zero()] * s.n
     for m, c in s.h.coeffs.items():
         x, y, z = (i - 1 for i in indices_of(m))
@@ -78,7 +79,7 @@ def old_bismut_ricci_form(s):
     zero = field.zero()
     coeffs = {}
     for (x, y, i, l), v in Riemann(s.bismut).entries.items():
-        w = geom.g(VectorField.basis(n, field, l + 1), mat_vec(s.j_matrix, VectorField.basis(n, field, i + 1)))
+        w = geom.g(VectorField.basis(n, field, l + 1), mat_vec(s.j_matrix.rows(n), VectorField.basis(n, field, i + 1)))
         if not w.is_zero():
             m = (1 << x) | (1 << y)
             coeffs[m] = coeffs.get(m, zero) + v * w
@@ -92,7 +93,7 @@ def _assemble(kind, forms, frame):
 
 def _in_frame(s, a):
     """The structure s in the coframe f = A e, and A^{-1}."""
-    ainv = _mat_inverse(a, s.field)
+    ainv = mat_inverse(a, s.field)
     forms = [transform_form(s.form(slot), ainv, s.field) for slot, *_ in KINDS[s.kind].slots]
     return _assemble(s.kind, forms, change_frame(s.frame, a)), ainv
 
@@ -126,7 +127,7 @@ def orthonormal_structures(draw):
                 v = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
                 if v and rng.random() < 0.1:
                     entries[(i, j, l)] = Q.scalar(v)
-    s.bismut = ConnectionCoeffs(s.frame, entries)
+    s.bismut = ConnectionCoeffs(s.frame, Tensor(s.field, entries))
     return s
 
 
@@ -252,6 +253,42 @@ def test_check_on_sheared_input_reports_unsheared_values(name, step):
     sheared = parse(coframe_text(text, a))
     assert any(not sheared.metric[i][j].is_zero() for i in range(n) for j in range(n) if i != j)
     check(a)
+
+
+# two inputs with a nonzero GRS residual S: the squashed Hopf surface (strong
+# torsion, theta = -2 e4) and a nilpotent G2 structure (tau0 = 2/7)
+SQUASHED_HOPF = """dim 4
+frame e1 e2 e3 e4
+d e1 = 2*e2^e3
+d e2 = e3^e1
+d e3 = e1^e2
+metric identity
+structure ah
+omega = e4^e1 + e2^e3
+"""
+NILPOTENT_G2 = """dim 7
+frame e1 e2 e3 e4 e5 e6 e7
+d e7 = e1^e2
+metric identity
+structure g2
+phi = model
+"""
+
+
+@pytest.mark.parametrize("text,norm", [(SQUASHED_HOPF, "8"), (NILPOTENT_G2, "4/3")], ids=["hopf", "nilpotent_g2"])
+def test_grs_residual_norm_is_one_value_in_every_frame(text, norm):
+    # |S|^2_g = g^{ia} g^{jb} S_ij S_ab; the sum of squares of the components
+    # it replaced read 8, 84, 20, 8 (Hopf) and 4/3, 134, 200/9, 28/3 (G2) in
+    # band shears 0-3
+    doc = parse(text)
+
+    def check(t):
+        got = engine.run_check(parse(t)).data
+        assert (got["grs_residual_norm_sq"], got["grs_residual_zero"]) == (norm, False)
+
+    for step in range(4):
+        check(sheared_text(text, step) if step else text)
+    _in_drawn_frames(doc.field, doc.dim, lambda a: check(coframe_text(text, a)))
 
 
 @pytest.mark.parametrize("step", [1, 2, 3, 4, "drawn"])

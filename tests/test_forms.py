@@ -12,6 +12,7 @@ from conftest import (
     Q2,
     Q3,
     coeff,
+    inverse_metric,
     model_form,
     random_kform,
     random_posdef_geometry,
@@ -40,6 +41,7 @@ from gtorsion.forms import (
     two_form_square,
     wedge,
 )
+from gtorsion.scalars import FieldMismatch
 
 
 def kf(n, *terms, field=Q):
@@ -200,6 +202,17 @@ def test_star_pairing_identity(rng):
     assert cases >= 40
 
 
+def test_vector_lifts_rational_components_into_its_field():
+    # a QQ component of a vector declared over QQ(sqrt3) is lifted, as
+    # KForm(...) lifts it, so interior sees one field; a sqrt(d) component of
+    # another field is refused
+    x = VectorField(3, Q3, [Q.one(), Q.zero(), Q.zero()])
+    assert all(c.field is Q3 for c in x.components)
+    assert interior(x, KForm(3, 1, Q3, {1: Q3.sqrt_d()})) == KForm(3, 0, Q3, {0: Q3.sqrt_d()})
+    with pytest.raises(FieldMismatch):
+        VectorField(3, Q3, [Q2.sqrt_d(), 0, 0])
+
+
 def test_star_nonsquare_determinant_errors():
     g = FrameGeometry(2, Q, [[2, 0], [0, 1]])
     with pytest.raises(GeometryError):
@@ -227,7 +240,7 @@ def test_inner_nonorthonormal_gram(rng):
     # <e^1, e^1> = g^{11} for a non-identity metric
     geom = random_posdef_geometry(4, Q, rng)
     a = kf(4, ((1,), 1))
-    assert form_inner(a, a, geom) == geom.inverse_metric()[0][0]
+    assert form_inner(a, a, geom) == inverse_metric(geom)[0][0]
 
 
 # -- musical isomorphisms ---------------------------------------------------
@@ -314,7 +327,7 @@ def brute_contract_2_3(f, h, geom):
     """Oracle: raise F with explicit inverse-metric sums and contract."""
     n = f.n
     field = f.field
-    ginv = geom.inverse_metric()
+    ginv = inverse_metric(geom)
     comps = {}
     for z in range(1, n + 1):
         total = field.zero()
@@ -422,7 +435,7 @@ def test_bodies_match_scalar_references(case):
     w = wedge(a, b) - wedge(a2, b)
     _same(w, ref_combination(field, [(one, wedge(a, b)), (-one, wedge(a2, b))]), a.k + b.k)
     for geom in geoms:
-        ginv = geom.inverse_metric()
+        ginv = inverse_metric(geom)
         assert [[sum((g * h for g, h in zip(row, col)), field.zero()) for col in zip(*ginv)] for row in geom.metric] == \
             [[one if i == j else field.zero() for j in range(n)] for i in range(n)]
         _same(hodge_star(a, geom), ref_star(a, geom, ginv), n - a.k)

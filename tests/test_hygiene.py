@@ -7,7 +7,9 @@ which a default run does not use), and each kernel has one home: ``_merge_sign``
 called only where it fills the sign table, ``mask_of`` only inside ``KForm``,
 ``echelon`` is the one row reduction, the adapted frame of a reduction runs
 none, Scalars become ints only in ``_ints``, a sqrt(d) scaled add runs only
-in ``_axpy`` and a bilinear int kernel is split only by ``_product``,
+in ``_axpy`` and a bilinear int kernel is split only by ``_product``, the
+Scalar accumulator ``_mac``/``_settle`` runs only in the adapted frame's
+Gram-Schmidt and its checks,
 ``_wedge_row`` is called only by the minors table and the change of frame,
 and the connections and the Bismut curvature are built only in a
 structure's analysis.  A frame carries its
@@ -165,16 +167,32 @@ def test_one_home_per_int_body_primitive():
     # body calls it
     sites = {name: sorted(f"{path.name}:{where}" for path in SRC for where in call_sites(path.read_text(), name))
              for name in ("_ints", "_axpy", "_product")}
+    # the analysis (tensors, vectors, metrics) converts through _ints once,
+    # in the Tensor and VectorField constructors, and splits every kernel by
+    # _product; _dot is the one pairing of two bodies
     assert sites == {
-        "_ints": ["forms.py:CoframeChange", "forms.py:KForm", "forms.py:interior", "linsolve.py:int_row"],
+        "_ints": ["forms.py:KForm", "forms.py:Tensor", "forms.py:VectorField", "linsolve.py:int_row"],
         "_axpy": ["forms.py:_combination", "linsolve.py:echelon", "linsolve.py:echelon", "linsolve.py:echelon"],
-        "_product": ["forms.py:_minors", "forms.py:contract_2_3", "forms.py:derivation_rows", "forms.py:form_inner",
-                     "forms.py:interior", "forms.py:wedge", "frames.py:ce_differential", "structures.py:_top_pairing",
-                     "structures.py:_top_pairing"],
+        "_product": ["forms.py:_contract", "forms.py:_dot", "forms.py:_minors", "forms.py:contract_2_3",
+                     "forms.py:derivation_rows", "forms.py:interior", "forms.py:musical", "forms.py:wedge",
+                     "frames.py:ce_differential", "frames.py:covariant_derivative_oneform", "frames.py:curvature",
+                     "frames.py:curvature", "soliton.py:divergence", "soliton.py:parallel_certificate",
+                     "structures.py:_j_from_metric_omega", "structures.py:_top_pairing", "structures.py:_top_pairing",
+                     "structures.py:bismut_ricci_form", "structures.py:bismut_ricci_form",
+                     "structures.py:bismut_ricci_form", "structures.py:nijenhuis", "structures.py:nijenhuis"],
     }
     defined = {node.name for path in SRC for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.FunctionDef)}
-    assert not defined & {"_fill", "_axpy_ints", "_trusted", "transform_vector"}
+    assert not defined & {"_fill", "_axpy_ints", "_trusted", "transform_vector", "matrix_norm_sq", "inverse_metric"}
+
+
+def test_scalar_accumulator_only_in_the_adapted_frame_helpers():
+    # the analysis runs on int bodies; the Scalar multiply-accumulate is left
+    # to the Gram-Schmidt of the adapted frame and its two checks
+    helpers = {"reduction.py:_gram_schmidt", "reduction.py:_check_coframe", "reduction.py:_check_killing"}
+    for name in ("_mac", "_settle"):
+        sites = {f"{path.name}:{where}" for path in SRC for where in call_sites(path.read_text(), name)}
+        assert sites == helpers, name
 
 
 def test_wedge_row_only_expands_minors():
@@ -294,6 +312,9 @@ API = {
     "registry.py:input_text": "registry entry point",
     "registry.py:run_example": "registry entry point",
     "frames.py:ConnectionCoeffs.gamma": "bench/spans.py keys traced connections by it",
+    "forms.py:transform_form": "bench/gen.py and the tests move forms by Scalar matrices with it",
+    "linsolve.py:int_row": "the tests build int rows from Scalar rows with it",
+    "structures.py:GStructure.bismut_ricci": "the Scalar view of the Bismut Ricci tensor the tests read",
     "frames.py:change_frame": "bench/gen.py builds its rotated frames with it",
     "parser.py:InputDocument.serialize": "bench/gen.py writes its rotated inputs with it",
     "reduction.py:TransverseSlice.as_lie_frame": "bench/gen.py builds its SU(3) quotient input with it",

@@ -16,7 +16,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import Q, Q2, Q3, coeff, derivation, derivation_columns, random_kform, random_posdef_geometry, su2su2_frame
+from conftest import (
+    Q, Q2, Q3, coeff, derivation, derivation_columns, mat_inverse, random_kform, random_posdef_geometry, skew_form,
+    su2su2_frame,
+)
 from gtorsion import forms, scalars
 from gtorsion.forms import (
     FrameGeometry,
@@ -24,12 +27,10 @@ from gtorsion.forms import (
     KForm,
     VectorField,
     _mat_det,
-    _mat_inverse,
     contract_2_3,
     hodge_star,
     indices_of,
     interior,
-    skew_three_form,
     wedge,
 )
 from gtorsion.frames import LieAlgebraFrame, ce_differential, transform_form
@@ -94,11 +95,11 @@ def test_determinant_matches_cofactor_expansion(field, rng):
         if det.is_zero():
             singular += 1
             with pytest.raises(GeometryError, match="singular metric"):
-                _mat_inverse(m, field)
+                mat_inverse(m, field)
             with pytest.raises(LinearSolveError, match="singular system"):
                 solve_dense(m, [field.one()] * n)
             continue
-        inv = _mat_inverse(m, field)
+        inv = mat_inverse(m, field)
         for i in range(n):
             for j in range(n):
                 entry = sum((m[i][k] * inv[k][j] for k in range(n)), field.zero())
@@ -107,6 +108,28 @@ def test_determinant_matches_cofactor_expansion(field, rng):
         x = solve_dense(m, b)
         assert [sum((m[i][k] * x[k] for k in range(n)), field.zero()) for i in range(n)] == b
     assert swapped >= 10 and singular >= 10
+
+
+def test_sylvester_reads_the_signs_of_int_minors(monkeypatch):
+    # an indefinite metric with a positive diagonal (its 2x2 minor is -3) is
+    # rejected; over QQ(sqrt2) the leading minors 1 + sqrt2 and sqrt2 are
+    # positive, and 1 - 2 = -1 is not
+    r2 = Q2.sqrt_d()
+    indefinite = FrameGeometry(2, Q, [[1, 2], [2, 1]])
+    definite = FrameGeometry(2, Q2, [[1 + r2, Q2.one()], [Q2.one(), Q2.one()]])
+    sqrt2_indefinite = FrameGeometry(2, Q2, [[Q2.one(), r2], [r2, Q2.one()]])
+    # the signs are read on the minors' numerators: no change of frame is
+    # built and no minor becomes a Scalar
+
+    def refuse(*args):
+        raise AssertionError("Sylvester's test built a Scalar or a CoframeChange")
+
+    monkeypatch.setattr(forms, "_norm", refuse)
+    monkeypatch.setattr(forms, "CoframeChange", refuse)
+    definite.check_positive_definite()
+    for g in (indefinite, sqrt2_indefinite):
+        with pytest.raises(GeometryError, match="^metric is not positive-definite$"):
+            g.check_positive_definite()
 
 
 def test_positive_definite_rejects_zero_leading_minor():
@@ -156,7 +179,7 @@ def test_positive_definite_exactly_when_leading_cofactor_minors_are_positive(cas
 
 def test_skew_three_form_roundtrip(rng):
     h = random_kform(6, 3, Q, rng, density=0.5)
-    assert skew_three_form(6, Q, lambda i, j, k: coeff(h, i + 1, j + 1, k + 1)) == h
+    assert skew_form(6, Q, lambda i, j, k: coeff(h, i + 1, j + 1, k + 1)) == h
 
 
 def test_skew_three_form_rejects_partial_skewness():
@@ -166,7 +189,7 @@ def test_skew_three_form_rejects_partial_skewness():
             return Q.zero()
         return Q.one() if i < j else -Q.one()
 
-    assert skew_three_form(3, Q, t) is None
+    assert skew_form(3, Q, t) is None
 
 
 def test_skew_three_form_rejects_repeated_index_entry():
@@ -177,7 +200,7 @@ def test_skew_three_form_rejects_repeated_index_entry():
             return Q.one()
         return coeff(h, i + 1, j + 1, k + 1)
 
-    assert skew_three_form(3, Q, t) is None
+    assert skew_form(3, Q, t) is None
 
 
 # -- derivation ------------------------------------------------------------------
@@ -586,7 +609,7 @@ def test_fused_kernels_reject_mixed_fields():
     with pytest.raises(FieldMismatch, match=msg):
         transform_form(qa, mixed, Q)
     with pytest.raises(FieldMismatch, match=msg):
-        _mat_inverse(mixed, Q)  # its rows become int rows of QQ
+        mat_inverse(mixed, Q)  # its rows become int rows of QQ
     # det [[1, sqrt3], [sqrt3, 1]] = -2: read without sqrt3 it is the identity
     geom = FrameGeometry(2, Q, [[Q.one(), Q3.sqrt_d()], [Q3.sqrt_d(), Q.one()]])
     with pytest.raises(FieldMismatch, match=msg):
@@ -749,4 +772,4 @@ def test_transform_form_matches_wedge_chain(case):
     got = transform_form(a, m, field)
     _assert_same_form(got, ref_transform_form(a, m, field))
     # and back: the inverse matrix undoes the change
-    assert transform_form(got, _mat_inverse(m, field), field) == a
+    assert transform_form(got, mat_inverse(m, field), field) == a

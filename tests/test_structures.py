@@ -19,12 +19,17 @@ from conftest import (
     derivation,
     derivation_columns,
     fixture_structure,
+    inverse_metric,
+    is_diagonal,
+    last_index,
+    mat_inverse,
     mat_vec,
     model_form,
     rotation_matrix,
     rotate_frame_and_forms,
     nonzero_names,
     sheared_text,
+    skew_form,
     PSI_ALL_PLUS,
 )
 from gtorsion import registry, structures
@@ -35,12 +40,12 @@ from gtorsion.forms import (
     form_inner,
     hodge_star,
     interior,
-    skew_three_form,
     wedge,
+    Tensor,
     _mat_det,
     _masks,
 )
-from gtorsion.frames import ConnectionCoeffs, LieAlgebraFrame, _last_index, transform_form
+from gtorsion.frames import ConnectionCoeffs, LieAlgebraFrame, transform_form
 from gtorsion.linsolve import InconsistentSystem, LinearSolveError, int_row, solve_unique_sparse
 from gtorsion.parser import parse
 from gtorsion.reduction import TransverseSlice, reduce_g2
@@ -222,7 +227,7 @@ def test_su3_assemble_model():
     s = su3_assemble(om, op, abelian(6))
     assert s.geometry._is_identity
     # standard J: J e1 = -e2 on the first block
-    assert mat_vec(s.j_matrix, VectorField.basis(6, Q, 1)) == VectorField(6, Q, [0, -1, 0, 0, 0, 0])
+    assert mat_vec(s.j_matrix.rows(6), VectorField.basis(6, Q, 1)) == VectorField(6, Q, [0, -1, 0, 0, 0, 0])
     assert s.form("omega_minus") == kf(6, ((1, 3, 6), 1), ((1, 4, 5), 1), ((2, 3, 5), 1), ((2, 4, 6), -1))
 
 
@@ -461,7 +466,7 @@ def brute_nijenhuis(s):
         return VectorField(n, field, bracket(amb, pad(x), pad(y)).components[:n])
 
     def apply_j(x):
-        return mat_vec(s.j_matrix, x)
+        return mat_vec(s.j_matrix.rows(n), x)
 
     basis = [VectorField.basis(n, field, i) for i in range(1, n + 1)]
     jb = [apply_j(b) for b in basis]
@@ -473,7 +478,7 @@ def brute_nijenhuis(s):
             for k in range(n):
                 vals[(i, j, k)] = geom.g(nv, basis[k])
                 vals[(j, i, k)] = -vals[(i, j, k)]
-    return skew_three_form(n, field, lambda i, j, k: vals.get((i, j, k), field.zero()))
+    return skew_form(n, field, lambda i, j, k: vals.get((i, j, k), field.zero()))
 
 
 def _nijenhuis_matches_reference(s) -> bool:
@@ -517,7 +522,7 @@ def test_nijenhuis_matches_brackets_on_moved_fixture():
         fr, forms = rotate_frame_and_forms(fr, forms, rot)
         moved = su3_assemble(*forms, fr)
         assert _nijenhuis_matches_reference(moved) and not moved.nijenhuis.is_zero()
-        dense.append(moved.geometry.diagonal is None)
+        dense.append(not is_diagonal(moved.geometry))
 
     check()
     assert any(dense)
@@ -555,7 +560,7 @@ def reference_skew_torsion(s):
     field, n = s.field, s.n
     masks3 = list(_masks(n, 3))
     column = {K: col for col, K in enumerate(masks3)}
-    half_ginv = [[x * Fraction(1, 2) for x in row] for row in s.geometry.inverse_metric()]
+    half_ginv = [[x * Fraction(1, 2) for x in row] for row in inverse_metric(s.geometry)]
     zero = field.zero()
     rows = []
     for slot, *_ in KINDS[s.kind][1]:
@@ -671,11 +676,11 @@ def _assert_lambda_gamma_is_nabla(s):
     Levi-Civita symbols.  The oracle's right-hand side rests on this identity,
     its sign and its factor 2."""
     n = s.n
-    half_ginv = [[x * Fraction(1, 2) for x in row] for row in s.geometry.inverse_metric()]
+    half_ginv = [[x * Fraction(1, 2) for x in row] for row in inverse_metric(s.geometry)]
     pairs = [(t, k) for t in range(n) for k in range(t + 1, n)]
     # L_p: e^j -> (1/2)(g^{jk} e^t - g^{jt} e^k)
     actions = [{j: {t: g[k], k: -g[t]} for j, g in enumerate(half_ginv)} for t, k in pairs]
-    low = _last_index(s.levi_civita.entries, s.geometry, up=False)
+    low = last_index(s.levi_civita.entries, s.geometry, up=False)
     zero = s.field.zero()
     for slot, *_ in KINDS[s.kind].slots:
         alpha = s.forms[slot]
@@ -741,7 +746,8 @@ def test_oracle_rejects_non_skew_symbols(key):
     s = fixture_structure("nonintG2")
     entries = dict(s.levi_civita.entries)
     entries[key] = entries.get(key, s.field.zero()) + 1
-    s.levi_civita = ConnectionCoeffs(s.frame, entries)
+    low = Tensor(s.field, last_index(entries, s.geometry, up=False))
+    s.levi_civita = ConnectionCoeffs(s.frame, Tensor(s.field, entries), low)
     with pytest.raises(StructureError, match=r"^Levi-Civita symbols not skew: <D_1 e_[23], e_[123]> = "):
         solve_skew_torsion(s)
 
@@ -869,7 +875,6 @@ def test_lee_form_ah_dim4_d_omega_identity(rng):
 def test_torsion_scalars_frame_equivariant(rng):
     base = fixture_structure("nonintG2")
     t0 = torsion_g2(base)["tau0"]
-    from gtorsion.forms import _mat_inverse
     from gtorsion.frames import transform_form
 
     for _ in range(4):
@@ -879,5 +884,5 @@ def test_torsion_scalars_frame_equivariant(rng):
         t2 = torsion_g2(s2)
         assert t2["tau0"] == t0
         # 1-form components transform covariantly
-        rinv = _mat_inverse(rot, Q)
+        rinv = mat_inverse(rot, Q)
         assert t2["lee"] == transform_form(torsion_g2(base)["lee"], rinv, Q)
