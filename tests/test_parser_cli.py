@@ -450,8 +450,8 @@ _E3 = "dim 3\nframe e1 e2 e3\n"
 
 
 @pytest.mark.parametrize(
-    "text, message",
-    [
+    "text, message, flags",
+    [(text, message, []) for text, message in [
         # a second chain in one product was dropped (e3^e4 kept, exit 0) or
         # misread as one chain of degree 1
         ("dim 4\nframe e1 e2 e3 e4\nd e1 = e2^e3*e3^e4\n", "a product holds at most one wedge chain (line 3, col 14)"),
@@ -472,15 +472,44 @@ _E3 = "dim 3\nframe e1 e2 e3\n"
         # read as the two entries 1 and -2 before
         ("dim 2\nframe a b\nmetric rows\n  1 - 2\n  0 1\n",
          "metric row entries are separated by spaces: write a difference as (a - b) (line 4, col 5)"),
-    ],
+        (_E3 + "d e1 = 2*foo*e2^e3\n", "unknown symbol 'foo' (line 3, col 10)"),
+        (_E3 + "d e1 = sqrt3*e2^e3\n", "sqrt3 needs 'field sqrt 3' declared first (line 3, col 8)"),
+        ("dim 3\nfield sqrt 2\nframe e1 e2 e3\nd e1 = sqrt3*e2^e3\n", "sqrt3 does not live in QQ(sqrt2) (line 4, col 8)"),
+        (_E3 + "d e1 = e2^e4\n", "unknown frame label 'e4' (line 3, col 11)"),
+        (_E3 + "d e1 = e2^e3 e1\n", "unexpected token 'e1' (line 3, col 14)"),
+        (_E3 + "d e1 = e2^e3 = e1^e2\n", "unexpected token '=' (line 3, col 14)"),
+        (_E3 + "d e1 = e2^e3 007\n", "unexpected token 7 (line 3, col 14)"),
+        (_E3 + "d e1 =   \n", "empty expression (line 3)"),
+        (_E3 + "d e1 = e2^e3 + e1\n", "mixed degrees 2 and 1 in one expression (line 3)"),
+        (_E3 + "d e1 = e2^e3 + 1\n", "a bare scalar is only allowed as the literal 0 (line 3)"),
+        (_E3 + "d e1 = e1^e2^e3\n", "expected a 2-form, got degree 3 (line 3)"),
+        (_E3 + "d e1 = e2^e3/(1-1)\n", "division by zero (line 3, col 14)"),
+        (_E3 + "d e1 = (1+2 e2^e3\n", "expected ')' (line 3, col 13)"),
+        (_E3 + "d e1 = (1+)*e2^e3\n", "expected a number, sqrt-symbol, or parenthesis (line 3, col 11)"),
+        ("dim 2\nframe a b\nmetric rows\n  1 0\n  0 )\n", "expected a number, sqrt-symbol, or parenthesis (line 5, col 5)"),
+        ("dim 2\nframe a b\nmetric rows\n  1 0 1\n  0 1\n", "metric row needs 2 entries (line 4)"),
+        # a character no token starts with is reported before any other error in its line
+        (_E3 + "d e1 = 1/0 ? e2^e3\n", "unexpected character '?' (line 3, col 12)"),
+        # \d is a Unicode decimal digit, so an Arabic-Indic three is the number 3 ...
+        (_E3 + "d e1 = \u0663*e2^e3 + e2^e3/(\u0663-3)\n", "division by zero (line 3, col 24)"),
+        # ... but a superscript two is no decimal digit
+        (_E3 + "d e1 = e2^e3*\u00b2\n", "unexpected character '\u00b2' (line 3, col 14)"),
+        # a name continues with ASCII digits only
+        (_E3 + "d e1 = sqrt\u0662*e2^e3\n", "unknown symbol 'sqrt' (line 3, col 8)"),
+    ]] + [(registry.input_text("nonintG2"), "unknown symbol 'e9' (--df, col 6)", ["--df", "e1 + e9"])],
     ids=["two-chains", "two-labels", "trailing-wedge", "wedge-number", "token-after-spaces",
          "trailing-plus", "chain-in-parentheses", "form-in-parentheses", "label-divisor", "bad-character",
-         "metric-zero-divisor", "metric-open-parenthesis", "metric-binary-plus", "metric-binary-minus"],
+         "metric-zero-divisor", "metric-open-parenthesis", "metric-binary-plus", "metric-binary-minus",
+         "unknown-symbol", "sqrt-without-field", "sqrt-other-field", "unknown-label-after-wedge",
+         "unexpected-token", "unexpected-equals", "unexpected-number", "empty-expression", "mixed-degrees", "bare-scalar",
+         "wrong-degree", "form-zero-divisor", "form-open-parenthesis", "empty-parenthesised-term",
+         "metric-closing-parenthesis", "metric-row-length", "bad-character-first", "arabic-indic-digit",
+         "superscript-digit", "name-with-arabic-indic-digit", "df-column"],
 )
-def test_expression_errors_name_the_token_and_its_column_in_the_line(tmp_path, capsys, text, message):
+def test_expression_errors_name_the_token_and_its_column_in_the_line(tmp_path, capsys, text, message, flags):
     p = tmp_path / "input.gs"
-    p.write_text(text)
-    assert _run_cli(["check", str(p)]) == 2
+    p.write_text(text, encoding="utf-8")
+    assert _run_cli(["check", str(p), *flags]) == 2
     assert capsys.readouterr().err == f"parse error: {message}\n"
 
 
