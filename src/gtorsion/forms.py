@@ -40,7 +40,7 @@ import.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from math import gcd, lcm
 from types import MappingProxyType
@@ -63,7 +63,6 @@ __all__ = [
     "form_inner",
     "musical",
     "musical_inv",
-    "two_form_square",
     "contract_2_3",
     "transform_form",
     "CoframeChange",
@@ -75,14 +74,18 @@ class GeometryError(GTorsionError, ValueError):
     pass
 
 
-def mask_of(indices: Iterable[int]) -> int:
-    m = 0
+def mask_of(indices: Iterable[int]) -> tuple[int, bool]:
+    """The mask of 1-based ``indices`` and whether sorting them is an odd
+    permutation, read in one walk over their bits; the mask is -1 on a
+    repeated index."""
+    m = swaps = 0
     for i in indices:
         bit = 1 << (i - 1)
         if m & bit:
-            return -1  # repeated index
+            return -1, False  # repeated index
+        swaps += (m >> i).bit_count()  # earlier indices above i
         m |= bit
-    return m
+    return m, swaps & 1 == 1
 
 
 def indices_of(mask: int) -> tuple[int, ...]:
@@ -234,23 +237,26 @@ class KForm:
         return cls(n, k, field, {})
 
     @classmethod
-    def from_terms(cls, n: int, field: Field, terms: Iterable[tuple[Iterable[int], object]]) -> "KForm":
-        """Build from (indices, coefficient) pairs; all same degree."""
+    def from_terms(cls, n: int, field: Field, terms: Iterable[tuple[Sequence[int], object]]) -> "KForm":
+        """Build from (indices, coefficient) pairs; all same degree.  A
+        coefficient is lifted into ``field`` unless it is a Scalar of it, and
+        Scalars are added only where a mask repeats."""
         acc: dict[int, Scalar] = {}
         deg = None
         for idx, c in terms:
-            idx = tuple(idx)
-            if deg is None:
+            if deg != len(idx):
+                if deg is not None:
+                    raise ValueError("mixed degrees in term list")
                 deg = len(idx)
-            elif len(idx) != deg:
-                raise ValueError("mixed degrees in term list")
-            m = mask_of(idx)
+            m, odd = mask_of(idx)
             if m < 0:
                 continue  # repeated index wedges to zero
-            val = field.scalar(c)
-            if _sort_sign(idx) < 0:
-                val = -val
-            acc[m] = acc.get(m, field.zero()) + val
+            if c.__class__ is not Scalar or c.field is not field:
+                c = field.scalar(c)
+            if odd:
+                c = -c
+            old = acc.get(m)
+            acc[m] = c if old is None else old + c
         if deg is None:
             raise ValueError("empty term list needs an explicit degree")
         return cls(n, deg, field, acc)
@@ -984,18 +990,6 @@ def musical_inv(a: KForm, geom: FrameGeometry) -> VectorField:
         raise GeometryError("sharp needs a 1-form")
     up = _raised(a, geom)
     return _vector(geom.n, geom.field, up._den, up._p, up._q)
-
-
-def two_form_square(f: KForm, geom: FrameGeometry):
-    """F^2(X,Y) = <i_X F, i_Y F>; symmetric positive semi-definite matrix."""
-    if f.k != 2:
-        raise GeometryError("two_form_square needs a 2-form")
-    n = f.n
-    ifs = [interior(VectorField.basis(n, f.field, i), f) for i in range(1, n + 1)]
-    return [
-        [form_inner(ifs[i], ifs[j], geom) for j in range(n)]
-        for i in range(n)
-    ]
 
 
 def _contract_ints(x: dict, y: dict, acc: dict) -> None:

@@ -8,9 +8,9 @@ read minors.
 
 A row is an equation, so it needs no denominator: it is two dicts of ints,
 the rational and the sqrt(d) numerators by column, as a ``KForm`` body holds
-them (the second empty over QQ); ``int_row`` clears a Scalar row's
-denominators by ``scalars._ints``.  ``_axpy``, the scaled add of two rows,
-is the one sqrt(d) scaled add on int bodies: a form's linear combinations
+them (the second empty over QQ); ``scalars._ints`` turns a Scalar row into
+one, its denominator cleared.  ``_axpy``, the scaled add of two rows, is the
+one sqrt(d) scaled add on int bodies: a form's linear combinations
 (``forms._combination``) run through it too.  Elimination is fraction-free
 (Bareiss, Math. Comp. 22, 1968): rows are combined by cross-multiplication,
 and each pivot row is kept primitive, the gcd of its ints divided out and its
@@ -31,9 +31,9 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .scalars import Field, Scalar, _ints, _norm
+from .scalars import Field, Scalar, _norm
 
-__all__ = ["echelon", "solve_unique_sparse", "int_row", "LinearSolveError", "InconsistentSystem"]
+__all__ = ["echelon", "solve_unique_sparse", "LinearSolveError", "InconsistentSystem"]
 
 _RHS = -1  # key of the one right-hand side in a sparse row; columns are >= 0
 
@@ -44,12 +44,6 @@ class LinearSolveError(ValueError):
 
 class InconsistentSystem(LinearSolveError):
     """Some combination of the rows reads 0 = c with c != 0."""
-
-
-def int_row(row: dict, field: Field) -> tuple[dict, dict]:
-    """The row {key: Scalar} of ``field`` as an int row of the same equation:
-    the numerators of ``_ints``, its denominator cleared."""
-    return _ints(row, field)[1:]
 
 
 def _last(row: tuple) -> int:

@@ -32,6 +32,12 @@ wedge) among its signed numbers, ``sqrtd`` symbols and parenthesised scalars
 such as ``(sqrt3+1)/7``, ``/`` divides by a nonzero scalar factor, and a
 ``metric rows`` entry is a product with no chain.  Error columns count from
 the start of the line.  Whitespace around operators is free.
+
+An expression is read in one pass: one regex ``findall`` splits it into
+token strings, and a product's numbers and ``sqrtd`` symbols fold on ints
+(numerator, denominator and the power of sqrt d) into one Scalar, so the
+parser builds one Scalar per product, plus one per parenthesised sum and
+product.  A column is found only for an error, by scanning its line again.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from itertools import islice
 from .forms import FrameGeometry, KForm, _sort_sign
 from .frames import FrameError, LieAlgebraFrame
 from .report import form_str, scalar_str
-from .scalars import Field, GTorsionError, QuadraticField, RationalField, Scalar
+from .scalars import Field, GTorsionError, QuadraticField, RationalField, Scalar, _norm
 from .structures import (
     KINDS,
     GStructure,
@@ -77,120 +83,138 @@ class ParseError(GTorsionError, ValueError):
         self.col = col
 
 
-_TOKEN = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()=])|(?P<bad>\S)")
-_SQRT = re.compile(r"sqrt(\d+)")
-_SIGNS = ("+", "-")
+# One token is a run of decimal digits, a name, an operator or any other
+# non-space character, which starts no token and is an error.
+_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()=]|\S")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_OPS = frozenset("-+*/^()=")
 
 
 class _Expr:
     """Recursive-descent parser of the expression in ``code`` from ``start``
-    on.  A token is (kind, value, column): kind is "num" (an int value),
-    "name", "end" or the operator itself, and columns count from 1 at the
-    start of ``code``.  ``labels`` maps each frame label to its 1-based index;
-    an empty map reads scalars only."""
+    on.  The tokens are the strings one ``findall`` splits it into, then ""
+    for the end; a token's kind is read off its first character.  ``labels``
+    maps each frame label that is a name to its 1-based index; an empty map
+    reads scalars only.  Columns count from 1 at the start of ``code`` and
+    are found only for an error, by scanning the line again."""
 
     def __init__(self, code: str, start: int, field: Field, labels: dict, line: int | str):
+        self.code, self.start = code, start
         self.field, self.labels, self.line = field, labels, line
-        toks = []
-        for m in _TOKEN.finditer(code, start):
-            kind, val = m.lastgroup, m.group()
-            if kind == "num":
-                val = int(val)
-            elif kind == "op":
-                kind = val
-            elif kind == "bad":
-                raise ParseError(f"unexpected character {val!r}", line, m.start() + 1)
-            toks.append((kind, val, m.start() + 1))
-        toks.append(("end", None, len(code.rstrip()) + 1))
-        self.toks = toks
+        self.toks = _TOKEN.findall(code, start)
+        self.toks.append("")
         self.i = 0
 
-    def take(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
+    def _column(self, i: int) -> int:
+        """The column of token ``i``, the end's after the line's last character."""
+        for k, m in enumerate(_TOKEN.finditer(self.code, self.start)):
+            if k == i:
+                return m.start() + 1
+        return len(self.code.rstrip()) + 1
+
+    def _error(self, message: str, i: int) -> ParseError:
+        """The error ``message`` at token ``i``, unless a character of the
+        expression starts no token: that one is reported first."""
+        for m in _TOKEN.finditer(self.code, self.start):
+            c = m.group()[0]
+            if not (c.isdecimal() or c in _NAME_START or c in _OPS):
+                return ParseError(f"unexpected character {c!r}", self.line, m.start() + 1)
+        return ParseError(message, self.line, self._column(i))
 
     def sum(self, chains: bool) -> list:
         """Products joined by + and -: a list of (chain or None, coefficient)."""
-        terms = [self.product(chains)]
-        while self.toks[self.i][0] in _SIGNS:
-            negate = self.take()[0] == "-"
-            chain, coef = self.product(chains)
-            terms.append((chain, -coef if negate else coef))
+        terms = [self.product(chains, False)]
+        toks = self.toks
+        tok = toks[self.i]
+        while tok == "+" or tok == "-":
+            self.i += 1
+            terms.append(self.product(chains, tok == "-"))
+            tok = toks[self.i]
         return terms
 
-    def product(self, chains: bool) -> tuple:
+    def product(self, chains: bool, negate: bool) -> tuple:
         """Signed factors joined by * and /, at most one of them a wedge chain
-        (read only when ``chains``): (chain or None, coefficient)."""
-        coef = chain = None
-        negate = divide = False
+        of frame labels joined by ^ (read only when ``chains``): (chain or
+        None, coefficient), negated when ``negate``.  The numbers and sqrtd
+        symbols fold on ints, num/den times sqrt(d)^power, into one Scalar;
+        each parenthesised sum multiplies in as a Scalar."""
+        toks, labels, field = self.toks, self.labels, self.field
+        num = den = 1
+        power = 0
+        chain = paren = None
+        divide = False
+        i = self.i
         while True:
-            kind, val, col = self.take()
-            while kind in _SIGNS:
-                negate ^= kind == "-"
-                kind, val, col = self.take()
-            if chains and not divide and kind == "name" and val in self.labels:
+            tok = toks[i]
+            while tok == "-" or tok == "+":
+                if tok == "-":
+                    negate = not negate
+                i += 1
+                tok = toks[i]
+            if tok in labels:
+                if not chains or divide:  # a chain is read only outside parentheses and divisors
+                    raise self._error(f"parentheses and divisors hold scalars only, not the frame label {tok!r}", i)
                 if chain is not None:
-                    raise ParseError("a product holds at most one wedge chain", self.line, col)
-                chain = self.chain(val)
-            else:
-                x = self.factor(kind, val, col, chains and not divide)
+                    raise self._error("a product holds at most one wedge chain", i)
+                chain = [labels[tok]]
+                while toks[i + 1] == "^":
+                    i += 2
+                    tok = toks[i]
+                    if tok in labels:
+                        chain.append(labels[tok])
+                    elif tok[:1] in _NAME_START:
+                        raise self._error(f"unknown frame label {tok!r}", i)
+                    else:
+                        raise self._error("expected a frame label after '^'", i)
+            elif tok.isdecimal():
+                if not divide:
+                    num *= int(tok)
+                elif int(tok):
+                    den *= int(tok)
+                else:
+                    raise self._error("division by zero", i)
+            elif tok[:4] == "sqrt" and tok[4:].isdecimal():
+                d = int(tok[4:])
+                if not field.d:
+                    raise self._error(f"sqrt{d} needs 'field sqrt {d}' declared first", i)
+                if field.d != d:
+                    raise self._error(f"sqrt{d} does not live in QQ(sqrt{field.d})", i)
+                power += -1 if divide else 1
+            elif tok == "(":
+                self.i = i + 1
+                terms = self.sum(False)
+                x = terms[0][1]
+                for _, coef in terms[1:]:
+                    x = x + coef
+                if toks[self.i] != ")":
+                    raise self._error("expected ')'", self.i)
                 if divide:
                     if x.is_zero():
-                        raise ParseError("division by zero", self.line, col)
+                        raise self._error("division by zero", i)
                     x = x.inverse()
-                coef = x if coef is None else coef * x
-            kind = self.toks[self.i][0]
-            if kind != "*" and kind != "/":
-                break
-            self.i += 1
-            divide = kind == "/"
-        if coef is None:
-            coef = self.field.one()
-        return chain, -coef if negate else coef
-
-    def factor(self, kind, val, col, chains: bool) -> Scalar:
-        """A number, sqrt symbol or parenthesised sum of scalars."""
-        if kind == "num":
-            return self.field.scalar(val)
-        if kind == "name":
-            if val in self.labels:  # a chain is read only outside parentheses and divisors
-                raise ParseError(f"parentheses and divisors hold scalars only, not the frame label {val!r}",
-                                 self.line, col)
-            m = _SQRT.fullmatch(val)
-            if not m:
-                raise ParseError(f"unknown symbol {val!r}", self.line, col)
-            d = int(m.group(1))
-            if not isinstance(self.field, QuadraticField):
-                raise ParseError(f"sqrt{d} needs 'field sqrt {d}' declared first", self.line, col)
-            if self.field.d != d:
-                raise ParseError(f"sqrt{d} does not live in QQ(sqrt{self.field.d})", self.line, col)
-            return self.field.sqrt_d()
-        if kind == "(":
-            terms = self.sum(False)
-            total = terms[0][1]
-            for _, coef in terms[1:]:
-                total = total + coef
-            kind, _, col = self.take()
-            if kind != ")":
-                raise ParseError("expected ')'", self.line, col)
-            return total
-        expected = "a coefficient or frame label" if chains else "a number, sqrt-symbol, or parenthesis"
-        raise ParseError(f"expected {expected}", self.line, col)
-
-    def chain(self, label: str) -> list[int]:
-        """Frame labels joined by ^ from ``label`` on, as 1-based indices."""
-        out = [self.labels[label]]
-        while self.toks[self.i][0] == "^":
-            kind, val, col = self.toks[self.i + 1]
-            self.i += 2
-            if kind == "name" and val in self.labels:
-                out.append(self.labels[val])
-            elif kind == "name":
-                raise ParseError(f"unknown frame label {val!r}", self.line, col)
+                paren = x if paren is None else paren * x
+                i = self.i
+            elif tok[:1] in _NAME_START:
+                raise self._error(f"unknown symbol {tok!r}", i)
             else:
-                raise ParseError("expected a frame label after '^'", self.line, col)
-        return out
+                expected = "a coefficient or frame label" if chains and not divide else "a number, sqrt-symbol, or parenthesis"
+                raise self._error(f"expected {expected}", i)
+            i += 1
+            tok = toks[i]
+            if tok != "*" and tok != "/":
+                break
+            divide = tok == "/"
+            i += 1
+        self.i = i
+        if negate:
+            num = -num
+        half, odd = divmod(power, 2)  # sqrt(d)^power = d^half sqrt(d)^odd
+        if half > 0:
+            num *= field.d**half
+        elif half < 0:
+            den *= field.d**-half
+        coef = _norm(field, 0, num, den) if odd else field.scalar(num, den)
+        return chain, coef if paren is None else coef * paren
 
 
 class InputDocument:
@@ -410,14 +434,15 @@ def _metric_row(code: str, doc: InputDocument, line_no: int) -> list[Scalar]:
     space, would join two entries into a sum or difference, which is written
     in parentheses, so it is an error; ``1 -2`` is the entries 1 and -2."""
     p = _Expr(code, 0, doc.field, {}, line_no)
+    toks = p.toks
     row = []
-    while p.toks[p.i][0] != "end":
-        kind, _, col = p.toks[p.i]
-        if row and kind == "+":
-            raise ParseError("metric row entries are separated by spaces: write a sum as (a + b)", line_no, col)
-        if row and kind == "-" and code[col:col + 1].isspace():
-            raise ParseError("metric row entries are separated by spaces: write a difference as (a - b)", line_no, col)
-        row.append(p.product(False)[1])
+    while toks[p.i]:
+        tok = toks[p.i]
+        if row and tok == "+":
+            raise p._error("metric row entries are separated by spaces: write a sum as (a + b)", p.i)
+        if row and tok == "-" and code[p._column(p.i):][:1].isspace():
+            raise p._error("metric row entries are separated by spaces: write a difference as (a - b)", p.i)
+        row.append(p.product(False, False)[1])
     if len(row) != doc.dim:
         raise ParseError(f"metric row needs {doc.dim} entries", line_no)
     return row
@@ -427,13 +452,15 @@ def _parse_form(text: str, doc: InputDocument, degree: int, line_no: int | str, 
     """The ``degree``-form written in ``text`` from ``start`` on."""
     if doc.labels is None:
         raise ParseError(f"declare the frame before a {degree}-form", line_no)
-    p = _Expr(text, start, doc.field, {lab: k for k, lab in enumerate(doc.labels, 1)}, line_no)
-    if p.toks[0][0] == "end":
+    # a label that is no name token is never read as one
+    labels = {lab: k for k, lab in enumerate(doc.labels, 1) if lab.isascii() and lab.isidentifier()}
+    p = _Expr(text, start, doc.field, labels, line_no)
+    if not p.toks[0]:
         raise ParseError("empty expression", line_no)
     terms = p.sum(True)
-    kind, val, col = p.take()
-    if kind != "end":
-        raise ParseError(f"unexpected token {val!r}", line_no, col)
+    tok = p.toks[p.i]
+    if tok:
+        raise p._error(f"unexpected token {int(tok) if tok.isdecimal() else tok!r}", p.i)
     deg = None
     for chain, coef in terms:
         if chain is None:

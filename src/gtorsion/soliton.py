@@ -29,14 +29,14 @@ from .forms import (
     VectorField,
     _add,
     _dot,
-    _matrix,
+    _from_ints,
     _product,
     contract_2_3,
     form_inner,
+    indices_of,
     interior,
     musical,
     musical_inv,
-    two_form_square,
     wedge,
 )
 from .frames import codifferential, covariant_derivative_oneform, curvature, transform_bilinear
@@ -89,8 +89,20 @@ def flux_residual(frame, f: KForm, h: KForm, x: VectorField) -> KForm:
 def string_grs_residual(s: GStructure, x: VectorField, f: KForm):
     """The triple (Rc^nabla + F^2 + nabla X^flat, d*F - <F,H> + i_X F, dH + F^F),
     the first a Tensor keyed (i, j)."""
-    fsq = _matrix(two_form_square(f, s.geometry), s.field)
+    fsq = _flux_square(f, s.geometry)
     return _add(grs_residual(s, x), fsq, -1), flux_residual(s.frame, f, s.h, x), s.d(s.h) + wedge(f, f)
+
+
+def _flux_square(f: KForm, geom) -> Tensor:
+    """<i_X F, i_Y F> = F g^{-1} F^T keyed (i, j), with F the skew matrix of
+    the 2-form ``f`` read off its body: symmetric positive semi-definite."""
+    skew = ({}, {})
+    for part, out in zip((f._p, f._q), skew):
+        for m, v in part.items():
+            i, j = indices_of(m)
+            out[i - 1, j - 1] = v
+            out[j - 1, i - 1] = -v
+    return transform_bilinear(geom._inverse, _from_ints(geom.field, f._den, *skew))
 
 
 def _nabla_vector_ints(x: dict, y: dict, acc: dict) -> None:

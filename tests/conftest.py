@@ -388,7 +388,7 @@ def riemann(cur):
 def coeff(form, *indices):
     """The coefficient of e^{i1...ik} in ``form`` for indices in any order:
     zero on a repeated index, else signed by the sorting permutation."""
-    m = mask_of(indices)
+    m, _ = mask_of(indices)
     if m < 0:
         return form.field.zero()
     return form.coeffs.get(m, form.field.zero()) * _sort_sign(tuple(indices))

@@ -32,20 +32,39 @@ from gtorsion.forms import (
     KForm,
     VectorField,
     _masks,
+    _sort_sign,
     contract_2_3,
     form_inner,
     hodge_star,
     interior,
+    mask_of,
     musical,
     musical_inv,
-    two_form_square,
     wedge,
 )
 from gtorsion.scalars import FieldMismatch
+from gtorsion.soliton import _flux_square
 
 
 def kf(n, *terms, field=Q):
     return KForm.from_terms(n, field, terms)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 8), max_size=8))
+def test_mask_of_reads_the_mask_and_the_sort_parity(indices):
+    m, odd = mask_of(indices)
+    if len(set(indices)) < len(indices):
+        assert (m, odd) == (-1, False)
+    else:
+        assert m == sum(1 << (i - 1) for i in indices)
+        assert odd == (_sort_sign(tuple(indices)) < 0)
+
+
+def test_from_terms_adds_only_where_a_mask_repeats():
+    f = kf(4, ((2, 1), Q2.sqrt_d()), ((3, 4), Fraction(1, 2)), ((1, 2), 3), field=Q2)
+    assert dict(f.coeffs) == {0b11: 3 - Q2.sqrt_d(), 0b1100: Q2.scalar(Fraction(1, 2))}
+    assert kf(3, ((1, 2), 1), ((2, 1), 1)).is_zero()
 
 
 # -- wedge ---------------------------------------------------------------
@@ -291,28 +310,35 @@ def brute_two_form_square(f, geom):
 def test_two_form_square_basic():
     g4 = FrameGeometry(4, Q)
     f = kf(4, ((1, 2), 1))
-    sq = two_form_square(f, g4)
+    sq = _flux_square(f, g4).rows(4)
     expected = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
     for i in range(4):
         for j in range(4):
             assert sq[i][j] == Q.scalar(expected[i][j])
-    zero = two_form_square(KForm.zero(4, 2, Q), g4)
-    assert all(x.is_zero() for row in zero for x in row)
+    assert _flux_square(KForm.zero(4, 2, Q), g4).is_zero()
 
 
 def test_two_form_square_oracle(rng):
-    geom = random_posdef_geometry(6, Q, rng)
-    for _ in range(5):
-        f = random_kform(6, 2, Q, rng)
-        sq = two_form_square(f, geom)
-        oracle = brute_two_form_square(f, geom)
-        for i in range(6):
-            for j in range(6):
-                assert sq[i][j] == oracle[i][j]
-                assert sq[i][j] == sq[j][i]
-        # positive semidefinite: diagonal of the Gram matrix is nonnegative
-        for i in range(6):
-            assert sq[i][i].sign() >= 0
+    # F g^{-1} F^T on int bodies against the Gram matrix of the i_{e_i} F,
+    # over Q and with sqrt(2) parts in F and g
+    for field in (Q, Q2):
+        geom = random_posdef_geometry(6, field, rng)
+        if field.d:
+            geom = FrameGeometry(6, field, [[x + field.sqrt_d() * int(i == j) for j, x in enumerate(row)]
+                                            for i, row in enumerate(geom.metric)])
+        for _ in range(5):
+            f = random_kform(6, 2, field, rng)
+            if field.d:
+                f = f + random_kform(6, 2, field, rng).scale(field.sqrt_d())
+            sq = _flux_square(f, geom).rows(6)
+            oracle = brute_two_form_square(f, geom)
+            for i in range(6):
+                for j in range(6):
+                    assert sq[i][j] == oracle[i][j]
+                    assert sq[i][j] == sq[j][i]
+            # positive semidefinite: diagonal of the Gram matrix is nonnegative
+            for i in range(6):
+                assert sq[i][i].sign() >= 0
 
 
 def test_contract_2_3_single():

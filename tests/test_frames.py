@@ -44,7 +44,8 @@ from gtorsion.frames import (
     curvature,
     levi_civita,
 )
-from gtorsion.linsolve import int_row, solve_unique_sparse
+from gtorsion.linsolve import solve_unique_sparse
+from gtorsion.scalars import _ints
 
 
 # -- construction + differential -------------------------------------------
@@ -179,7 +180,7 @@ def test_levi_civita_unique_by_independent_solve(rng):
                 key = idx[(j, i, k)]
                 row[key] = row.get(key, Q.zero()) - Q.one()
                 rows.append((row, rhs))
-    sol = solve_unique_sparse([int_row({**row, -1: rhs}, Q) for row, rhs in rows], len(idx), Q)
+    sol = solve_unique_sparse([_ints({**row, -1: rhs}, Q)[1:] for row, rhs in rows], len(idx), Q)
     lc = levi_civita(fr)
     for (i, j, k), col in idx.items():
         assert lowered(lc, i, j, k, geom) == sol[col]

@@ -171,7 +171,7 @@ def test_one_home_per_int_body_primitive():
     # in the Tensor and VectorField constructors, and splits every kernel by
     # _product; _dot is the one pairing of two bodies
     assert sites == {
-        "_ints": ["forms.py:KForm", "forms.py:Tensor", "forms.py:VectorField", "linsolve.py:int_row"],
+        "_ints": ["forms.py:KForm", "forms.py:Tensor", "forms.py:VectorField"],
         "_axpy": ["forms.py:_combination", "linsolve.py:echelon", "linsolve.py:echelon", "linsolve.py:echelon"],
         "_product": ["forms.py:_contract", "forms.py:_dot", "forms.py:_minors", "forms.py:contract_2_3",
                      "forms.py:derivation_rows", "forms.py:interior", "forms.py:musical", "forms.py:wedge",
@@ -313,12 +313,12 @@ API = {
     "registry.py:run_example": "registry entry point",
     "frames.py:ConnectionCoeffs.gamma": "bench/spans.py keys traced connections by it",
     "forms.py:transform_form": "bench/gen.py and the tests move forms by Scalar matrices with it",
-    "linsolve.py:int_row": "the tests build int rows from Scalar rows with it",
     "structures.py:GStructure.bismut_ricci": "the Scalar view of the Bismut Ricci tensor the tests read",
     "frames.py:change_frame": "bench/gen.py builds its rotated frames with it",
     "parser.py:InputDocument.serialize": "bench/gen.py writes its rotated inputs with it",
     "reduction.py:TransverseSlice.as_lie_frame": "bench/gen.py builds its SU(3) quotient input with it",
     "soliton.py:g2_rigidity_identity": "the rigid-case verdict of ROADMAP item 3 reports it",
+    "scalars.py:QuadraticField.sqrt_d": "the tests build sqrt(d) with it; the parser folds sqrtd powers on ints",
 }
 
 

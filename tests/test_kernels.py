@@ -39,10 +39,9 @@ from gtorsion.linsolve import (
     LinearSolveError,
     _axpy,
     echelon,
-    int_row,
     solve_unique_sparse,
 )
-from gtorsion.scalars import FieldMismatch, Scalar
+from gtorsion.scalars import FieldMismatch, Scalar, _ints
 
 
 def cofactor_det(m, field):
@@ -245,7 +244,7 @@ def test_derivation_leibniz(rng):
 def _rows(field, *rows):
     """Int rows of the equations sum_c row[c] x_c = rhs, the right-hand side
     under key -1."""
-    return [int_row({**{c: field.scalar(v) for c, v in row.items()}, -1: field.scalar(rhs)}, field) for row, rhs in rows]
+    return [_ints({**{c: field.scalar(v) for c, v in row.items()}, -1: field.scalar(rhs)}, field)[1:] for row, rhs in rows]
 
 
 def test_sparse_inconsistent_before_full_rank():
@@ -272,8 +271,8 @@ def test_sparse_rank_deficient():
 
 def test_echelon_reduces_against_several_right_hand_sides():
     # x0 + x1 = (1, 2) twice over: one pivot carries both sides (keys -1, -2)
-    rows = [int_row({0: Q.one(), 1: Q.one(), -1: Q.one(), -2: Q.scalar(2)}, Q),
-            int_row({0: Q.scalar(2), 1: Q.scalar(2), -1: Q.scalar(2), -2: Q.scalar(4)}, Q)]
+    rows = [_ints({0: Q.one(), 1: Q.one(), -1: Q.one(), -2: Q.scalar(2)}, Q)[1:],
+            _ints({0: Q.scalar(2), 1: Q.scalar(2), -1: Q.scalar(2), -2: Q.scalar(4)}, Q)[1:]]
     assert echelon(rows, Q) == {1: ({1: 1, 0: 1, -1: 1, -2: 2}, {})}
     rows[1][0][-2] = 5  # the second side is inconsistent
     with pytest.raises(InconsistentSystem, match="^no solution$"):
@@ -308,7 +307,7 @@ def consistent_systems(draw):
 @given(consistent_systems())
 def test_sparse_solve_matches_dense_core(system):
     field, core, b, rows = system
-    assert solve_unique_sparse([int_row({**row, -1: rhs}, field) for row, rhs in rows], len(core), field) == solve_dense(core, b)
+    assert solve_unique_sparse([_ints({**row, -1: rhs}, field)[1:] for row, rhs in rows], len(core), field) == solve_dense(core, b)
 
 
 def _nonzero_factor(field):
@@ -334,7 +333,7 @@ def sparse_systems(draw):
 def _outcome(field, n, rows):
     """The solution of the Scalar rows, or the error type and message."""
     try:
-        return solve_unique_sparse([int_row({**row, -1: rhs}, field) for row, rhs in rows], n, field)
+        return solve_unique_sparse([_ints({**row, -1: rhs}, field)[1:] for row, rhs in rows], n, field)
     except LinearSolveError as exc:
         return type(exc), str(exc)
 
@@ -351,7 +350,7 @@ def test_solve_ignores_row_order_and_row_scale(system, data):
     moved = data.draw(st.permutations([({c: f * v for c, v in row.items()}, f * rhs) for (row, rhs), f in zip(rows, factors)]))
     assert _outcome(field, n, moved) == want
     try:
-        pivots = echelon([int_row({**row, -1: rhs}, field) for row, rhs in moved], field)
+        pivots = echelon([_ints({**row, -1: rhs}, field)[1:] for row, rhs in moved], field)
     except InconsistentSystem:
         return
     for lead, (p, q) in pivots.items():
@@ -523,9 +522,9 @@ def test_fused_axpy_matches_termwise_sum(case):
     field = f.field
     want = ref_axpy(row, f, other)
     dr, do = (math.lcm(1, *(v.den for v in part.values())) for part in (row, other))
-    rp, rq = int_row(row, field)
+    rp, rq = _ints(row, field)[1:]
     acc = ({c: v * do * f.den for c, v in rp.items()}, {c: v * do * f.den for c, v in rq.items()})
-    _axpy(acc, dr * f.p, dr * f.q, int_row(other, field), field.d)
+    _axpy(acc, dr * f.p, dr * f.q, _ints(other, field)[1:], field.d)
     p, q = ({c: v for c, v in part.items() if v} for part in acc)  # _axpy leaves cancelled sums as zeros
     got = {c: scalars._norm(field, p.get(c, 0), q.get(c, 0), dr * do * f.den) for c in p.keys() | q.keys()}
     assert got == want
@@ -583,7 +582,7 @@ def test_fused_kernels_drop_keys_that_cancel():
     acc = ({0: 3 * 14 * 5, 1: 35 * 14 * 5}, {})
     _axpy(acc, 35 * 2, 0, ({0: -3}, {}), 0)
     assert acc == ({0: 0, 1: 35 * 14 * 5}, {})
-    rows = [int_row({0: _q("-3/14")}, Q), int_row({0: _q("3/35"), 1: _q(1)}, Q)]
+    rows = [_ints({0: _q("-3/14")}, Q)[1:], _ints({0: _q("3/35"), 1: _q(1)}, Q)[1:]]
     assert echelon(rows, Q) == {0: ({0: 1}, {}), 1: ({1: 1}, {})}
 
 

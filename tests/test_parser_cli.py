@@ -20,7 +20,7 @@ from gtorsion.frames import FrameError
 from gtorsion.parser import ParseError, _parse_form, parse
 from gtorsion.reduction import ReductionError
 from gtorsion.report import form_str, scalar_str
-from gtorsion.scalars import GTorsionError, NotRepresentable
+from gtorsion.scalars import GTorsionError, NotRepresentable, Scalar
 from gtorsion.soliton import PreconditionError
 from gtorsion.structures import StructureError
 
@@ -553,6 +553,103 @@ def test_scalar_str_metric_rows_parse_back_to_the_same_matrix(data):
     rows = [[data.draw(_scalars(field)) for _ in range(n)] for _ in range(n)]
     text = _header(n, field) + "metric rows\n" + "".join(" ".join(f"({scalar_str(x)})" for x in row) + "\n" for row in rows)
     assert parse(text).metric == rows
+
+
+# Fraction pairs (a, b) meaning a + b sqrt(d): the reference arithmetic of
+# the literal-folding property test, which uses no package arithmetic
+def _pair_mul(x, y, d):
+    return x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _pair_inverse(x, d):
+    norm = x[0] * x[0] - d * x[1] * x[1]
+    return x[0] / norm, -x[1] / norm
+
+
+@st.composite
+def _products(draw, d, depth):
+    """(text, value) of signed ints, sqrtd symbols and parenthesised sums
+    joined by * and /; the value is None after a zero divisor."""
+    text, value = "", (Fraction(1), Fraction(0))
+    for k in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["*", "/"])) if k else ""
+        signs = draw(st.sampled_from(["", "", "-", "+", "--", "- ", "-+"]))
+        kind = draw(st.sampled_from(["int", "int"] + ["sqrt"] * bool(d) + ["paren"] * bool(depth)))
+        if kind == "int":
+            n = draw(st.one_of(st.integers(0, 12), st.integers(0, 10**20)))
+            t, v = str(n), (Fraction(n), Fraction(0))
+        elif kind == "sqrt":
+            t, v = f"sqrt{d}", (Fraction(0), Fraction(1))
+        else:
+            t, v = draw(_sums(d, depth - 1))
+            t = f"({t})"
+        if v is not None and signs.count("-") % 2:
+            v = (-v[0], -v[1])
+        text += f"{op}{signs}{t}"
+        if value is None or v is None or (op == "/" and v == (0, 0)):
+            value = None
+        else:
+            value = _pair_mul(value, _pair_inverse(v, d) if op == "/" else v, d)
+    return text, value
+
+
+@st.composite
+def _sums(draw, d, depth):
+    text, value = draw(_products(d, depth))
+    for _ in range(draw(st.integers(0, 2))):
+        sign = draw(st.sampled_from("+-"))
+        t, v = draw(_products(d, depth))
+        text += f" {sign} {t}"
+        if value is not None and v is not None:
+            value = tuple(a + b if sign == "+" else a - b for a, b in zip(value, v))
+        else:
+            value = None
+    return text, value
+
+
+@st.composite
+def _chain_coefficients(draw):
+    d = draw(st.sampled_from([0, 2, 3]))
+    text, value = draw(_products(d, 2))
+    return d, draw(st.sampled_from([f"{text}*e1^e2", f"e1^e2*{text}"])), value
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_chain_coefficients())
+@example((0, "2/-3*e1^e2", (Fraction(-2, 3), Fraction(0))))
+@example((2, "sqrt2*sqrt2*e1^e2", (Fraction(2), Fraction(0))))
+@example((3, "1/sqrt3*e1^e2", (Fraction(0), Fraction(1, 3))))
+@example((3, "e1^e2/sqrt3/sqrt3/-sqrt3", (Fraction(0), Fraction(-1, 9))))
+@example((0, "(1-1)*e1^e2", (Fraction(0), Fraction(0))))
+@example((2, "e1^e2*sqrt2/(sqrt2 - sqrt2)", None))
+def test_literals_fold_to_the_value_of_the_chain_coefficient(case):
+    d, text, value = case
+    doc = parse(_header(2, {0: Q, 2: Q2, 3: Q3}[d]))
+    if value is None:
+        with pytest.raises(ParseError, match="^division by zero"):
+            _parse_form(text, doc, 2, 1)
+        return
+    form = _parse_form(text, doc, 2, 1)
+    c = form.coeffs.get(0b11)
+    assert (Fraction(c.p, c.den), Fraction(c.q, c.den)) == value if c is not None else value == (0, 0)
+
+
+def test_one_scalar_per_product_of_a_form_line(monkeypatch):
+    # the numbers and sqrtd symbols of a product fold on ints into one
+    # Scalar; KForm.from_terms builds one more only for an unsorted chain
+    # (its sign) or a repeated mask (the sum), and a coefficient 1 is the
+    # field's own one
+    doc = parse("dim 7\nfield sqrt 3\nframe e1 e2 e3 e4 e5 e6 e7\n")
+    line = ("d e6 = -4/13*e2^e3 - 3/13*sqrt3*e3^e4 - 48/65*e2^e7 + 36/65/sqrt3*e4^e7 + e1^e5"
+            " + 2*e5^e1 - 7*e1^e5")
+    built = []
+    init = Scalar.__init__
+    monkeypatch.setattr(Scalar, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    form = _parse_form(line, doc, 2, 4, line.index("=") + 1)
+    monkeypatch.undo()
+    # 6 products not equal to 1, the sign of e5^e1, then two sums at e1^e5
+    assert len(built) == 6 + 1 + 2
+    assert form.coeffs[0b10001] == doc.field.scalar(-8)
 
 
 _SU3_FRAME = "dim 6\nframe e1 e2 e3 e4 e5 e6\n"

@@ -46,9 +46,10 @@ from gtorsion.forms import (
     _masks,
 )
 from gtorsion.frames import ConnectionCoeffs, LieAlgebraFrame, transform_form
-from gtorsion.linsolve import InconsistentSystem, LinearSolveError, int_row, solve_unique_sparse
+from gtorsion.linsolve import InconsistentSystem, LinearSolveError, solve_unique_sparse
 from gtorsion.parser import parse
 from gtorsion.reduction import TransverseSlice, reduce_g2
+from gtorsion.scalars import _ints
 from gtorsion.structures import (
     KINDS,
     StructureError,
@@ -581,7 +582,7 @@ def reference_skew_torsion(s):
         keys = set(entries) | {(i, mask) for i in range(n) for mask in base[i].coeffs}
         rows += [{**entries.get(key, {}), -1: -base[key[0]].coeffs.get(key[1], zero)} for key in sorted(keys)]
     try:
-        sol = solve_unique_sparse([int_row(row, field) for row in rows], len(masks3), field)
+        sol = solve_unique_sparse([_ints(row, field)[1:] for row in rows], len(masks3), field)
     except InconsistentSystem as exc:
         raise StructureError("no skew-torsion connection: the linear system is inconsistent") from exc
     except LinearSolveError as exc:
