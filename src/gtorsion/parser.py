@@ -224,6 +224,7 @@ class InputDocument:
         self.dim = None
         self.field: Field = RationalField()
         self.labels = None
+        self._names = None  # each frame label that is a name token -> its 1-based index
         self.coframe = {}
         self.metric = None
         self.orientation_sign = 1
@@ -353,6 +354,8 @@ def parse(text: str) -> InputDocument:
                 raise ParseError(f"frame needs {doc.dim} labels", line_no)
             if len(set(doc.labels)) != doc.dim:
                 raise ParseError("duplicate frame labels", line_no)
+            # a label that is no name token is never read as one
+            doc._names = {lab: k for k, lab in enumerate(doc.labels, 1) if lab.isascii() and lab.isidentifier()}
         elif head_l == "d":
             if doc.labels is None:
                 raise ParseError("declare the frame before structure equations", line_no)
@@ -452,9 +455,7 @@ def _parse_form(text: str, doc: InputDocument, degree: int, line_no: int | str, 
     """The ``degree``-form written in ``text`` from ``start`` on."""
     if doc.labels is None:
         raise ParseError(f"declare the frame before a {degree}-form", line_no)
-    # a label that is no name token is never read as one
-    labels = {lab: k for k, lab in enumerate(doc.labels, 1) if lab.isascii() and lab.isidentifier()}
-    p = _Expr(text, start, doc.field, labels, line_no)
+    p = _Expr(text, start, doc.field, doc._names, line_no)
     if not p.toks[0]:
         raise ParseError("empty expression", line_no)
     terms = p.sum(True)

@@ -16,11 +16,11 @@ Every exact tensor of the analysis is an integer body, not Scalars: forms,
 vectors, the metric and its inverse, the structure constants, the
 connection symbols, J and the Ricci traces each share one denominator and
 are normalized by one gcd (``forms``).  Scalars remain at the boundaries:
-the parser reads them in, a report writes them out, ``linsolve`` builds one
-per unknown, and the Gram-Schmidt of a reduction's adapted frame still runs
-on them, through the accumulator ``_mac``/``_settle`` (it adds +-x*y into a
-raw [p, q, den] int triple per output key and settles each key into a
-canonical Scalar once).  ``_ints`` is the one conversion of Scalars to an
+the parser reads them in, one per product, a report writes them out,
+``linsolve`` builds one per unknown, and the Gram-Schmidt of a reduction's
+adapted frame still runs on them, through the accumulator ``_mac``/``_settle``
+(it adds +-x*y into a raw [p, q, den] int triple per output key and settles
+each key into a canonical Scalar once).  ``_ints`` is the one conversion of Scalars to an
 integer body (one denominator, the rational and sqrt(d) numerators apart),
 for forms, vectors, tensors and linear-system rows alike; ``_norm`` is the
 way back, and builds a body's Scalar view only when it is read.  ``_sign``

@@ -496,6 +496,10 @@ _E3 = "dim 3\nframe e1 e2 e3\n"
         (_E3 + "d e1 = e2^e3*\u00b2\n", "unexpected character '\u00b2' (line 3, col 14)"),
         # a name continues with ASCII digits only
         (_E3 + "d e1 = sqrt\u0662*e2^e3\n", "unknown symbol 'sqrt' (line 3, col 8)"),
+        # a frame label that is no name token is never read as a label
+        ("dim 2\nframe 1 b\nd b = 2*1\n", "a bare scalar is only allowed as the literal 0 (line 3)"),
+        ("dim 2\nframe \u00e9 b\nd b = \u00e9^b\n", "unexpected character '\u00e9' (line 3, col 7)"),
+        ("dim 2\nframe ( b\nd b = (^b\n", "expected a number, sqrt-symbol, or parenthesis (line 3, col 8)"),
     ]] + [(registry.input_text("nonintG2"), "unknown symbol 'e9' (--df, col 6)", ["--df", "e1 + e9"])],
     ids=["two-chains", "two-labels", "trailing-wedge", "wedge-number", "token-after-spaces",
          "trailing-plus", "chain-in-parentheses", "form-in-parentheses", "label-divisor", "bad-character",
@@ -504,7 +508,8 @@ _E3 = "dim 3\nframe e1 e2 e3\n"
          "unexpected-token", "unexpected-equals", "unexpected-number", "empty-expression", "mixed-degrees", "bare-scalar",
          "wrong-degree", "form-zero-divisor", "form-open-parenthesis", "empty-parenthesised-term",
          "metric-closing-parenthesis", "metric-row-length", "bad-character-first", "arabic-indic-digit",
-         "superscript-digit", "name-with-arabic-indic-digit", "df-column"],
+         "superscript-digit", "name-with-arabic-indic-digit", "number-label", "non-ascii-label",
+         "operator-label", "df-column"],
 )
 def test_expression_errors_name_the_token_and_its_column_in_the_line(tmp_path, capsys, text, message, flags):
     p = tmp_path / "input.gs"
