@@ -35,9 +35,10 @@ the start of the line.  Whitespace around operators is free.
 
 An expression is read in one pass: one regex ``findall`` splits it into
 token strings, and a product's numbers and ``sqrtd`` symbols fold on ints
-(numerator, denominator and the power of sqrt d) into one Scalar, so the
-parser builds one Scalar per product, plus one per parenthesised sum and
-product.  A column is found only for an error, by scanning its line again.
+(numerator, denominator and the power of sqrt d) into one Scalar, so a
+product costs one Scalar; only a parenthesised sum is added up and
+multiplied in as Scalars.  A column is found only for an error, by scanning
+its line again.
 """
 
 from __future__ import annotations
@@ -213,7 +214,7 @@ class _Expr:
             num *= field.d**half
         elif half < 0:
             den *= field.d**-half
-        coef = _norm(field, 0, num, den) if odd else field.scalar(num, den)
+        coef = _norm(field, 0, num, den) if odd else _norm(field, num, 0, den)
         return chain, coef if paren is None else coef * paren
 
 

@@ -89,8 +89,8 @@ def flux_residual(frame, f: KForm, h: KForm, x: VectorField) -> KForm:
 def string_grs_residual(s: GStructure, x: VectorField, f: KForm):
     """The triple (Rc^nabla + F^2 + nabla X^flat, d*F - <F,H> + i_X F, dH + F^F),
     the first a Tensor keyed (i, j)."""
-    fsq = _flux_square(f, s.geometry)
-    return _add(grs_residual(s, x), fsq, -1), flux_residual(s.frame, f, s.h, x), s.d(s.h) + wedge(f, f)
+    rc = _add(grs_residual(s, x), _flux_square(f, s.geometry), -1)
+    return rc, flux_residual(s.frame, f, s.h, x), s.d(s.h) + wedge(f, f)
 
 
 def _flux_square(f: KForm, geom) -> Tensor:

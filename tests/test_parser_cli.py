@@ -642,8 +642,7 @@ def test_literals_fold_to_the_value_of_the_chain_coefficient(case):
 def test_one_scalar_per_product_of_a_form_line(monkeypatch):
     # the numbers and sqrtd symbols of a product fold on ints into one
     # Scalar; KForm.from_terms builds one more only for an unsorted chain
-    # (its sign) or a repeated mask (the sum), and a coefficient 1 is the
-    # field's own one
+    # (its sign) or a repeated mask (the sum)
     doc = parse("dim 7\nfield sqrt 3\nframe e1 e2 e3 e4 e5 e6 e7\n")
     line = ("d e6 = -4/13*e2^e3 - 3/13*sqrt3*e3^e4 - 48/65*e2^e7 + 36/65/sqrt3*e4^e7 + e1^e5"
             " + 2*e5^e1 - 7*e1^e5")
@@ -652,8 +651,8 @@ def test_one_scalar_per_product_of_a_form_line(monkeypatch):
     monkeypatch.setattr(Scalar, "__init__", lambda self, *args: built.append(args) or init(self, *args))
     form = _parse_form(line, doc, 2, 4, line.index("=") + 1)
     monkeypatch.undo()
-    # 6 products not equal to 1, the sign of e5^e1, then two sums at e1^e5
-    assert len(built) == 6 + 1 + 2
+    # 7 products, the sign of e5^e1, then two sums at e1^e5
+    assert len(built) == 7 + 1 + 2
     assert form.coeffs[0b10001] == doc.field.scalar(-8)
 
 
