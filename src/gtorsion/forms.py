@@ -12,11 +12,13 @@ int products straight into its output's numerators and normalizes the
 form once, by one gcd over den and every numerator, not once per
 coefficient.  ``coeffs`` is a read-only view of canonical Scalars, built
 on first read and kept; the public constructor and ``from_terms`` take
-Scalars.  A ``VectorField`` holds the same body as a 1-form, keyed by the
-bit of each index, and a ``Tensor`` holds one keyed by index tuples: the
-metric, its inverse and every tensor of the analysis (``frames``,
-``soliton``, ``structures``) are Tensors, with Scalar views (``entries``,
-``rows``, ``components``, ``FrameGeometry.metric``) built only when read.
+Scalars (``from_terms`` keeps the ones it summed as the view).  A
+``VectorField`` holds the same body as a 1-form, keyed by the bit of each
+index, and a ``Tensor`` holds one keyed by index tuples: the metric (the
+induced G2 and SU(3) ones included), its inverse and every tensor of the
+analysis (``frames``, ``soliton``, ``structures``) are Tensors, with Scalar
+views (``entries``, ``rows``, ``components``, ``FrameGeometry.metric``)
+built only when read; ``skew_three_form`` packs a Tensor in one pass.
 Each int-body primitive has one home: ``scalars._ints`` turns Scalars into
 a body (a form's, a vector's, a tensor's), ``linsolve._axpy`` is the
 sqrt(d) scaled add behind every linear combination (``_combination``),
@@ -239,8 +241,9 @@ class KForm:
     @classmethod
     def from_terms(cls, n: int, field: Field, terms: Iterable[tuple[Sequence[int], object]]) -> "KForm":
         """Build from (indices, coefficient) pairs; all same degree.  A
-        coefficient is lifted into ``field`` unless it is a Scalar of it, and
-        Scalars are added only where a mask repeats."""
+        coefficient is lifted into ``field`` unless it is a Scalar of it,
+        Scalars are added only where a mask repeats, and a zero sum is
+        dropped; the masks come from ``mask_of``, so ``_ints`` builds the body."""
         acc: dict[int, Scalar] = {}
         deg = None
         for idx, c in terms:
@@ -259,7 +262,10 @@ class KForm:
             acc[m] = c if old is None else old + c
         if deg is None:
             raise ValueError("empty term list needs an explicit degree")
-        return cls(n, deg, field, acc)
+        clean = {m: c for m, c in acc.items() if c.p or c.q}
+        form = _from_body(n, deg, field, *_ints(clean, field))
+        form._view = MappingProxyType(clean)
+        return form
 
     # -- ring structure --------------------------------------------------
 
@@ -641,9 +647,9 @@ class FrameGeometry:
         return self.g(x, x)
 
 
-def _mat_det(m, field: Field) -> Scalar:
-    """det m of Scalar rows: the top entry of its minors table."""
-    return CoframeChange(_matrix(m, field), len(m)).minor((1 << len(m)) - 1)
+def _mat_det(m: Tensor, n: int) -> Scalar:
+    """det m of the n x n matrix m: the top entry of its minors table."""
+    return CoframeChange(m, n).minor((1 << n) - 1)
 
 
 def _mat_inverse(m: Tensor, n: int) -> Tensor:
@@ -883,21 +889,22 @@ def derivation_rows(a: KForm, actions) -> dict[int, tuple[dict, dict]]:
 
 def skew_three_form(n: int, t: Tensor) -> KForm | None:
     """The 3-form with the components of the 3-index Tensor t (keys (i, j,
-    k), 0-based), or None when t is not totally skew: it must change sign
-    under every transposition of its indices and vanish whenever an index
-    repeats.  It reads t's int body; the form's terms come in (i, j, k)
-    order."""
-    out = ({}, {})
-    for part, body in zip((t._p, t._q), out):
-        for (i, j, k), v in sorted(part.items()):
-            if i == j or j == k or i == k:
+    k), 0-based), or None when t is not totally skew: in one pass over each
+    part of t's int body, each entry signed by the parity of its order
+    matches its mask's first, and each mask is met 6 times (a mask with a
+    repeated index has fewer bits and is met at most 3 times).  The form's
+    terms come in ascending (i, j, k) order."""
+    out = []
+    for part in (t._p, t._q):
+        body = {}
+        for (i, j, k), v in part.items():
+            if (i > j) ^ (i > k) ^ (j > k):
+                v = -v
+            if body.setdefault(1 << i | 1 << j | 1 << k, v) != v:
                 return None
-            if any(part.get(key) != -v for key in ((j, i, k), (i, k, j), (k, j, i))):
-                return None
-            if any(part.get(key) != v for key in ((j, k, i), (k, i, j))):
-                return None
-            if i < j < k:
-                body[(1 << i) | (1 << j) | (1 << k)] = v
+        if len(part) != 6 * len(body):  # no mask is met more than 6 times
+            return None
+        out.append({m: body[m] for m in sorted(body, key=_INDICES.__getitem__)})
     return _from_body(n, 3, t.field, t._den if out[0] or out[1] else 1, *out)
 
 

@@ -341,10 +341,11 @@ def change_frame(frame: LieAlgebraFrame, a_rows, new_labels=None, validate: bool
     """
     n, field, base = frame.n, frame.field, frame.geometry
     a = [[x if isinstance(x, Scalar) else field.scalar(x) for x in row] for row in a_rows]
-    ainv = _mat_inverse(_matrix(a, field), n)
+    am = _matrix(a, field)
+    ainv = _mat_inverse(am, n)
     # dual vectors: F_i = sum_k B[i][k] E_k with B = (A^{-1})^T
     gnew = transform_bilinear(base._metric, _transpose(ainv))
-    sign = base.orientation_sign * _mat_det(a, field).sign()
+    sign = base.orientation_sign * _mat_det(am, n).sign()
     geom = FrameGeometry(n, field, gnew, orientation_sign=sign)
     labels = new_labels or [f"f{i}" for i in range(1, n + 1)]
     new_d = _new_differentials(frame, a, CoframeChange(ainv, n))

@@ -290,7 +290,7 @@ class InputDocument:
             s = assemble[kind](*forms, fr)
             # SU(3) and G2 induce their metric; the declared one (rows or
             # the identity) must match it
-            if s.geometry.metric != fr.geometry.metric:
+            if s.geometry._metric != fr.geometry._metric:
                 raise StructureError("declared frame metric disagrees with the structure-induced metric")
             # assembly checks a declared Psi's norm and self-duality, not its orbit
             if kind == "spin7":

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, reduce
+from math import lcm
 
 from .forms import (
     _INDICES,
@@ -55,7 +56,7 @@ from .frames import (
     levi_civita,
 )
 from .linsolve import InconsistentSystem, LinearSolveError, _last, _primitive, echelon, solve_unique_sparse
-from .scalars import Field, GTorsionError, NotRepresentable, RationalField, Scalar, _norm
+from .scalars import Field, GTorsionError, NotRepresentable, RationalField, Scalar, _norm, _sign
 
 __all__ = [
     "StructureError",
@@ -288,9 +289,9 @@ def su3_assemble(omega: KForm, omega_plus: KForm, frame) -> GStructure:
     """Assemble and validate an SU(3) structure from (omega, Omega+).
 
     The metric is induced by
-    g(X,Y) omega^3 / 6 = -1/2 (i_X omega) ^ (i_Y Omega+) ^ Omega+,
-    then Omega- := star Omega+, with the volume normalisation
-    omega^3 = (3/2) Omega+ ^ Omega- enforced exactly.
+    g(X,Y) omega^3 / 6 = -1/2 (i_X omega) ^ (i_Y Omega+) ^ Omega+, one int
+    Tensor (``_top_pairing``); then Omega- := star Omega+, with the volume
+    normalisation omega^3 = (3/2) Omega+ ^ Omega- enforced exactly.
     """
     if omega.k != 2 or omega_plus.k != 3 or frame.n != 6:
         raise StructureError("su3 needs a 2-form and 3-form on n = 6")
@@ -317,33 +318,36 @@ def su3_assemble(omega: KForm, omega_plus: KForm, frame) -> GStructure:
     return GStructure("su3", _on_metric(frame, geom), forms, j_matrix=_j_from_metric_omega(omega, geom))
 
 
-def _top_pairing(a: list, b: list | None, form: KForm, c: Scalar) -> list:
+def _top_pairing(a: list, b: list | None, form: KForm, c: Scalar) -> Tensor:
     """The matrix M_ij = c top(a_i ^ b_j ^ form) of forms whose degrees add
-    up to n; b None means b = a of even degree, M symmetric, and only the
-    entries j >= i are summed.
+    up to n, as one Tensor keyed (i, j); b None means b = a of even degree,
+    M symmetric, and only the entries j >= i are summed.
 
     The top coefficient is sum_{A, B} a_A b_B sgn(A, B) comp[A | B] over
     disjoint masks, where comp[M] = sgn(M, M^c) form_{M^c}; so
     M_ij = c sum_B (b_j)_B u_i[B] with u_i = sum_A (a_i)_A sgn(A, B) comp[A | B]
-    built once per i, with c taken into ``form`` first.  All of it runs on
-    the forms' int bodies, and each entry is one Scalar.
+    built once per i.  All of it runs on the forms' int bodies, summed over
+    one denominator, and one ``_combination`` takes in c.
     """
-    field, d = form.field, form.field.d
-    form = form.scale(c)
+    d = form.field.d
     full = (1 << form.n) - 1
     odd = _ODD
     comp = [{full ^ m: -v if odd[(full ^ m) << 8 | m] else v for m, v in part.items()} for part in (form._p, form._q)]
     rows = b or a
-    out = [[None] * len(rows) for _ in a]
+    la, lb = lcm(*(x._den for x in a)), lcm(*(x._den for x in rows))
+    p, q = {}, {}
     for i, ai in enumerate(a):
         up, uq = _product(_under_ints, d, ai._p, ai._q, *comp)
-        for j in range(0 if b else i, len(rows)):
-            bj = rows[j]
-            p, q = _product(_dot_ints, d, bj._p, bj._q, up, uq)
-            out[i][j] = _norm(field, p[0], q.get(0, 0), bj._den * ai._den * form._den)
-            if not b:
-                out[j][i] = out[i][j]
-    return out
+        for j, bj in enumerate(rows):  # row by row, as a Tensor of Scalar rows is keyed
+            if b or j >= i:
+                x, y = _product(_dot_ints, d, bj._p, bj._q, up, uq)
+                s = la // ai._den * (lb // bj._den)
+                p[i, j], q[i, j] = x[0] * s, y.get(0, 0) * s
+            else:
+                p[i, j], q[i, j] = p[j, i], q[j, i]
+    # zero entries are dropped by the combination; over QQ q holds only zeros
+    body = _combination(d, ((c.p, c.q, c.den, la * lb * form._den, p, q if d else {}),))
+    return _from_ints(form.field, *body)
 
 
 def _under_ints(x: dict, comp: dict, acc: dict) -> None:
@@ -362,19 +366,19 @@ def _under_ints(x: dict, comp: dict, acc: dict) -> None:
 def induced_metric_g2(phi: KForm) -> FrameGeometry:
     """Metric of a positive 3-form on n=7 via
     (e_i . phi) ^ (e_j . phi) ^ phi = 6 B_ij e^{1..7}, g = (det B)^{-1/9} B,
-    with B from ``_top_pairing``."""
+    with B the int Tensor of ``_top_pairing`` and det B read off its minors
+    table; only the 9th root is a Scalar, and g is one ``_combination``."""
     if phi.k != 3 or phi.n != 7:
         raise StructureError("g2 metric needs a 3-form on n = 7")
-    field = phi.field
+    field, d = phi.field, phi.field.d
     ints = [interior(VectorField.basis(7, field, i), phi) for i in range(1, 8)]
     b = _top_pairing(ints, None, phi, field.scalar(1, 6))
     # phi fixes the orientation as well: B is definite w.r.t. exactly one
     # sign of the volume form when phi is positive.
-    det = _mat_det(b, field)
+    det = _mat_det(b, 7)
     if det.is_zero():
         raise StructureError("not a positive 3-form (det B = 0)")
-    sign = 1 if b[0][0].sign() > 0 else -1
-    bo = [[b[i][j] * sign for j in range(7)] for i in range(7)] if sign < 0 else b
+    sign = 1 if _sign(b._p.get((0, 0), 0), b._q.get((0, 0), 0), d) > 0 else -1
     det_o = det * sign if 7 % 2 else det  # odd rank: det flips with the sign
     if det_o.sign() <= 0:
         raise StructureError("not a positive 3-form (det B <= 0)")
@@ -386,8 +390,8 @@ def induced_metric_g2(phi: KForm) -> FrameGeometry:
             f"metric not representable exactly: det B = {det_o} has no 9th root in {field!r}"
         )
     inv = scale.inverse()
-    g = [[bo[i][j] * inv for j in range(7)] for i in range(7)]
-    geom = FrameGeometry(7, field, g, orientation_sign=sign)
+    g = _combination(d, ((inv.p * sign, inv.q * sign, inv.den, b._den, b._p, b._q),))
+    geom = FrameGeometry(7, field, _from_ints(field, *g), orientation_sign=sign)
     try:
         geom.check_positive_definite()
     except GeometryError as exc:

@@ -199,7 +199,28 @@ def test_traces_and_nijenhuis_move_covariantly_on_nonintsu3(step):
     _assert_covariant(s, band_shear(s.field, 6, step))
 
 
-_INPUTS = {**{name: registry.input_text(name) for name in registry.names()}, "s3xt4": S3XT4_G2}
+# two inputs with a nonzero GRS residual S: the squashed Hopf surface (strong
+# torsion, theta = -2 e4) and a nilpotent G2 structure (tau0 = 2/7)
+SQUASHED_HOPF = """dim 4
+frame e1 e2 e3 e4
+d e1 = 2*e2^e3
+d e2 = e3^e1
+d e3 = e1^e2
+metric identity
+structure ah
+omega = e4^e1 + e2^e3
+"""
+NILPOTENT_G2 = """dim 7
+frame e1 e2 e3 e4 e5 e6 e7
+d e7 = e1^e2
+metric identity
+structure g2
+phi = model
+"""
+
+
+_INPUTS = {**{name: registry.input_text(name) for name in registry.names()}, "s3xt4": S3XT4_G2,
+           "hopf": SQUASHED_HOPF, "nilpotent_g2": NILPOTENT_G2}
 
 
 @st.composite
@@ -235,15 +256,20 @@ def test_check_on_sheared_input_reports_unsheared_values(name, step):
     text = _INPUTS[name]
     doc = parse(text)
     want = json.loads(engine.run_check(doc).to_json())
-    keys = ["strong_torsion", "torsion_oracle_agree", "grs_residual_zero", "weighted_scalar", "canonical_vector_norm_sq"]
+    keys = ["strong_torsion", "torsion_oracle_agree", "grs_residual_zero", "grs_residual_norm_sq", "weighted_scalar",
+            "canonical_vector_parallel", "canonical_vector_norm_sq"]
     keys += [key for key in ("dilatino_residual", "nijenhuis_zero", "bismut_ricci_form_zero") if key in want]
     if want["lee_form"] == "0":  # a zero form reads 0 in every frame
         keys.append("lee_form")
+    # the scalar torsion classes, read off the induced metric
+    scalars = [key for key in ("tau0", "sigma0", "pi0") if key in want.get("torsion", {})]
 
     def check(a):
         got = json.loads(engine.run_check(parse(coframe_text(text, a))).to_json())
         for key in keys:
             assert got[key] == want[key], key
+        for key in scalars:
+            assert got["torsion"][key] == want["torsion"][key], key
 
     n = doc.dim
     if step == "drawn":
@@ -253,26 +279,6 @@ def test_check_on_sheared_input_reports_unsheared_values(name, step):
     sheared = parse(coframe_text(text, a))
     assert any(not sheared.metric[i][j].is_zero() for i in range(n) for j in range(n) if i != j)
     check(a)
-
-
-# two inputs with a nonzero GRS residual S: the squashed Hopf surface (strong
-# torsion, theta = -2 e4) and a nilpotent G2 structure (tau0 = 2/7)
-SQUASHED_HOPF = """dim 4
-frame e1 e2 e3 e4
-d e1 = 2*e2^e3
-d e2 = e3^e1
-d e3 = e1^e2
-metric identity
-structure ah
-omega = e4^e1 + e2^e3
-"""
-NILPOTENT_G2 = """dim 7
-frame e1 e2 e3 e4 e5 e6 e7
-d e7 = e1^e2
-metric identity
-structure g2
-phi = model
-"""
 
 
 @pytest.mark.parametrize("text,norm", [(SQUASHED_HOPF, "8"), (NILPOTENT_G2, "4/3")], ids=["hopf", "nilpotent_g2"])

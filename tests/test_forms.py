@@ -67,6 +67,18 @@ def test_from_terms_adds_only_where_a_mask_repeats():
     assert kf(3, ((1, 2), 1), ((2, 1), 1)).is_zero()
 
 
+def test_from_terms_drops_masks_that_cancel():
+    # repeated terms that sum to zero leave no mask in the body or the view,
+    # and a form whose every mask cancels is the zero form of its degree
+    s = Q2.sqrt_d()
+    f = kf(4, ((1, 2), 1 + s), ((3, 4), Fraction(1, 2)), ((2, 1), 1 + s), ((1, 3), s), ((4, 3), Fraction(1, 2)), field=Q2)
+    assert (f._den, f._p, f._q, dict(f.coeffs)) == (1, {}, {0b101: 1}, {0b101: s})
+    assert f == KForm(4, 2, Q2, {0b101: s})
+    z = kf(4, ((1, 2, 3), s), ((2, 1, 3), s), ((3, 4, 1), 2), ((1, 4, 3), 2), field=Q2)
+    assert (z.k, z._den, z._p, z._q, dict(z.coeffs)) == (3, 1, {}, {}, {})
+    assert z == KForm.zero(4, 3, Q2)
+
+
 # -- wedge ---------------------------------------------------------------
 
 

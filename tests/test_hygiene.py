@@ -8,6 +8,9 @@ called only where it fills the sign table, ``mask_of`` only inside ``KForm``,
 ``echelon`` is the one row reduction, the adapted frame of a reduction runs
 none, Scalars become ints only in ``_ints``, a sqrt(d) scaled add runs only
 in ``_axpy`` and a bilinear int kernel is split only by ``_product``, the
+induced metrics stay int Tensors (``structures`` builds a Scalar only for
+the oracle's error message, and Scalar rows become a Tensor only where
+they come in), the
 Scalar accumulator ``_mac``/``_settle`` runs only in the adapted frame's
 Gram-Schmidt and its checks,
 ``_wedge_row`` is called only by the minors table and the change of frame,
@@ -169,9 +172,10 @@ def test_one_home_per_int_body_primitive():
              for name in ("_ints", "_axpy", "_product")}
     # the analysis (tensors, vectors, metrics) converts through _ints once,
     # in the Tensor and VectorField constructors, and splits every kernel by
-    # _product; _dot is the one pairing of two bodies
+    # _product; _dot is the one pairing of two bodies; a form converts in
+    # its constructor or in from_terms, which builds its body directly
     assert sites == {
-        "_ints": ["forms.py:KForm", "forms.py:Tensor", "forms.py:VectorField"],
+        "_ints": ["forms.py:KForm", "forms.py:KForm", "forms.py:Tensor", "forms.py:VectorField"],
         "_axpy": ["forms.py:_combination", "linsolve.py:echelon", "linsolve.py:echelon", "linsolve.py:echelon"],
         "_product": ["forms.py:_contract", "forms.py:_dot", "forms.py:_minors", "forms.py:contract_2_3",
                      "forms.py:derivation_rows", "forms.py:interior", "forms.py:musical", "forms.py:wedge",
@@ -184,6 +188,38 @@ def test_one_home_per_int_body_primitive():
     defined = {node.name for path in SRC for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.FunctionDef)}
     assert not defined & {"_fill", "_axpy_ints", "_trusted", "transform_vector", "matrix_norm_sq", "inverse_metric"}
+
+
+def method_call_sites(source: str, name: str) -> list[str]:
+    """``call_sites``, with a call in a method named Class.method."""
+    out = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.ClassDef):
+            body = ast.unparse(ast.Module(body=stmt.body, type_ignores=[]))
+            out += [f"{stmt.name}.{where}" for where in call_sites(body, name)]
+        else:
+            out += call_sites(ast.unparse(stmt), name)
+    return out
+
+
+def test_method_call_site_scanner():
+    src = "def g():\n    return f(1)\nclass C:\n    def m(self):\n        f(2)\n    x = f(3)\n"
+    assert method_call_sites(src, "f") == ["g", "C.m", "C.x"]
+
+
+def test_metrics_stay_int_tensors():
+    # the induced G2 and SU(3) metrics are int Tensors from start to finish:
+    # structures builds a Scalar only in the oracle's error message, and
+    # Scalar rows become a Tensor only where they come in (a geometry given
+    # rows, a change of frame by Scalar rows, the adapted frame's covectors)
+    sites = {name: sorted(f"{path.name}:{where}" for path in SRC for where in method_call_sites(path.read_text(), name)
+                          if name != "_norm" or path.name == "structures.py")
+             for name in ("_norm", "_matrix")}
+    assert sites == {
+        "_norm": ["structures.py:solve_skew_torsion"],
+        "_matrix": ["forms.py:FrameGeometry._metric", "forms.py:transform_form", "frames.py:change_frame",
+                    "reduction.py:adapt_frame", "reduction.py:string_residual_on_slice"],
+    }
 
 
 def test_scalar_accumulator_only_in_the_adapted_frame_helpers():

@@ -25,12 +25,15 @@ from gtorsion.forms import (
     FrameGeometry,
     GeometryError,
     KForm,
+    Tensor,
     VectorField,
     _mat_det,
+    _matrix,
     contract_2_3,
     hodge_star,
     indices_of,
     interior,
+    skew_three_form,
     wedge,
 )
 from gtorsion.frames import LieAlgebraFrame, ce_differential, transform_form
@@ -87,7 +90,7 @@ def test_determinant_matches_cofactor_expansion(field, rng):
     for _ in range(150):
         n = rng.randint(1, 4)
         m = random_matrix(n, field, rng)
-        det = _mat_det(m, field)
+        det = _mat_det(_matrix(m, field), n)
         assert det == cofactor_det(m, field)
         if m[0][0].is_zero() and not det.is_zero():
             swapped += 1
@@ -181,6 +184,17 @@ def test_skew_three_form_roundtrip(rng):
     assert skew_form(6, Q, lambda i, j, k: coeff(h, i + 1, j + 1, k + 1)) == h
 
 
+def _skew_entries(h):
+    """The components t(i, j, k) of the 3-form h, 0-based, at every order of
+    the indices of every term."""
+    out = {}
+    for m, c in h.coeffs.items():
+        i, j, k = (x - 1 for x in indices_of(m))
+        for key, sign in (((i, j, k), 1), ((j, k, i), 1), ((k, i, j), 1), ((j, i, k), -1), ((i, k, j), -1), ((k, j, i), -1)):
+            out[key] = c * sign
+    return out
+
+
 def test_skew_three_form_rejects_partial_skewness():
     # skew in the first two slots, zero on repeated indices, not totally skew
     def t(i, j, k):
@@ -189,6 +203,15 @@ def test_skew_three_form_rejects_partial_skewness():
         return Q.one() if i < j else -Q.one()
 
     assert skew_form(3, Q, t) is None
+    s = Q2.sqrt_d()
+    h = KForm.from_terms(6, Q2, [((1, 2, 3), 1 + s), ((2, 4, 6), -2), ((1, 5, 6), s)])
+    full = _skew_entries(h)
+    assert skew_three_form(6, Tensor(Q2, full)) == h
+    missing = {key: v for key, v in full.items() if key != (5, 3, 1)}  # one order of e246 left out
+    wrong_sign = {**full, (2, 1, 0): -full[2, 1, 0]}  # one order of e123 with the sign of the sorted one
+    sqrt_part = {**full, (1, 0, 2): -1 + s}  # -(1 + sqrt2) wanted: the rational part right, the sqrt2 part not
+    for bad in (missing, wrong_sign, sqrt_part):
+        assert skew_three_form(6, Tensor(Q2, bad)) is None
 
 
 def test_skew_three_form_rejects_repeated_index_entry():
@@ -200,6 +223,10 @@ def test_skew_three_form_rejects_repeated_index_entry():
         return coeff(h, i + 1, j + 1, k + 1)
 
     assert skew_form(3, Q, t) is None
+    assert skew_three_form(3, Tensor(Q, {(1, 1, 1): 1})) is None
+    # a repeated index in the sqrt2 part alone
+    full = _skew_entries(KForm.from_terms(4, Q2, [((1, 2, 3), 1)]))
+    assert skew_three_form(4, Tensor(Q2, {**full, (3, 0, 3): Q2.sqrt_d()})) is None
 
 
 # -- derivation ------------------------------------------------------------------
@@ -760,7 +787,7 @@ def gl_changes(draw):
     a = draw(_forms(field, draw(st.integers(0, N))))
     entries = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
     m = [[field.scalar(draw(entries)) for _ in range(N)] for _ in range(N)]
-    assume(not _mat_det(m, field).is_zero())
+    assume(not _mat_det(_matrix(m, field), N).is_zero())
     return field, a, m
 
 

@@ -44,6 +44,7 @@ from gtorsion.forms import (
     Tensor,
     _mat_det,
     _masks,
+    _matrix,
 )
 from gtorsion.frames import ConnectionCoeffs, LieAlgebraFrame, transform_form
 from gtorsion.linsolve import InconsistentSystem, LinearSolveError, solve_unique_sparse
@@ -131,7 +132,7 @@ def brute_hitchin_metric(phi):
             top = wedge(wedge(ii, jj), phi)
             row.append(top.coeffs.get(full, field.zero()) / field.scalar(6))
         b.append(row)
-    det = _mat_det(b, field)
+    det = _mat_det(_matrix(b, field), 7)
     sign = 1 if b[0][0].sign() > 0 else -1
     bo = [[x * sign for x in row] for row in b]
     scale = (det * sign).root(9).inverse()
@@ -149,14 +150,10 @@ def test_g2_metric_rescaled_hitchin():
     terms = {m: (c * Q.scalar(2) if m & 1 else c) for m, c in phi.coeffs.items()}
     phi2 = KForm(7, 3, Q, terms)
     geom = induced_metric_g2(phi2)
+    assert geom._view is None  # handed the int Tensor: no Scalar rows built
     oracle, sign = brute_hitchin_metric(phi2)
     assert sign == 1
-    for i in range(7):
-        for j in range(7):
-            assert geom.metric[i][j] == oracle[i][j]
-    assert geom.metric[0][0] == Q.scalar(4)
-    for i in range(1, 7):
-        assert geom.metric[i][i] == Q.one()
+    assert geom._metric == _matrix(oracle, Q) == Tensor(Q, {(0, 0): 4, **{(i, i): 1 for i in range(1, 7)}})
 
 
 def test_g2_metric_rejects_indefinite():
@@ -213,7 +210,7 @@ def test_g2_metric_closed_form_matches_brute_force():
     def check(phi):
         geom = induced_metric_g2(phi)
         oracle, sign = brute_hitchin_metric(phi)
-        assert geom.metric == oracle and geom.orientation_sign == sign
+        assert geom._metric == _matrix(oracle, phi.field) and geom.orientation_sign == sign
         signs.add(sign)
 
     check()
@@ -226,7 +223,7 @@ def test_g2_metric_closed_form_matches_brute_force():
 def test_su3_assemble_model():
     om, op = model_form("su3", 6, Q)
     s = su3_assemble(om, op, abelian(6))
-    assert s.geometry._is_identity
+    assert s.geometry._is_identity and s.geometry._view is None  # handed the int Tensor
     # standard J: J e1 = -e2 on the first block
     assert mat_vec(s.j_matrix.rows(6), VectorField.basis(6, Q, 1)) == VectorField(6, Q, [0, -1, 0, 0, 0, 0])
     assert s.form("omega_minus") == kf(6, ((1, 3, 6), 1), ((1, 4, 5), 1), ((2, 3, 5), 1), ((2, 4, 6), -1))
