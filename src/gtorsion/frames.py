@@ -11,13 +11,14 @@ numerators (``forms._product``, ``forms._combination``) and normalizes the
 output once, so d, Levi-Civita, Bismut and curvature cost products of
 nonzero entries only, a flat connection costs almost nothing, and no Scalar
 is built.  Curvature is read as traces: the Ricci tensor is contracted
-straight off the symbols, and no Riemann tensor is built.  ``constants``,
+straight off the symbols, and no Riemann tensor is built.
 ``ConnectionCoeffs.entries`` and ``.gamma`` are Scalar views, built on
 first read for the tests and the bench tracer; no computation here reads
 them.
 A change of frame moves a form by the minors of the change-of-basis matrix
 (Cauchy-Binet, ``forms.CoframeChange``), one accumulation per form, with
-no wedge, and the forms one change moves share one minors table.  A frame
+no wedge, and the forms one change moves share one minors table; the new
+differentials are read off the int rows of the matrix.  A frame
 carries one metric, its ``geometry``, which every function here reads; a
 structure's frame carries the structure's metric.
 """
@@ -52,7 +53,7 @@ from .forms import (
     hodge_star,
     transform_form,
 )
-from .scalars import GTorsionError, Scalar
+from .scalars import GTorsionError
 
 __all__ = [
     "LieAlgebraFrame",
@@ -125,11 +126,6 @@ class LieAlgebraFrame:
                     body[(i - 1, j - 1, k)] = -v
                     body[(j - 1, i - 1, k)] = v
         return _from_ints(self.field, den, *out)
-
-    @property
-    def constants(self):
-        """The {(i, j, k): Scalar} view of the structure constants."""
-        return self._constants.entries
 
     @cached_property
     def _coframe_body(self) -> tuple:
@@ -340,28 +336,27 @@ def change_frame(frame: LieAlgebraFrame, a_rows, new_labels=None, validate: bool
     is closed.
     """
     n, field, base = frame.n, frame.field, frame.geometry
-    a = [[x if isinstance(x, Scalar) else field.scalar(x) for x in row] for row in a_rows]
-    am = _matrix(a, field)
+    am = _matrix(a_rows, field)
     ainv = _mat_inverse(am, n)
     # dual vectors: F_i = sum_k B[i][k] E_k with B = (A^{-1})^T
     gnew = transform_bilinear(base._metric, _transpose(ainv))
     sign = base.orientation_sign * _mat_det(am, n).sign()
     geom = FrameGeometry(n, field, gnew, orientation_sign=sign)
     labels = new_labels or [f"f{i}" for i in range(1, n + 1)]
-    new_d = _new_differentials(frame, a, CoframeChange(ainv, n))
+    new_d = _new_differentials(frame, am, CoframeChange(ainv, n))
     return LieAlgebraFrame(labels, new_d, geom, check_closure=frame.closed and validate)
 
 
-def _new_differentials(frame: LieAlgebraFrame, a, old_in_new: CoframeChange) -> list[KForm]:
-    """The differentials d f^i = sum_j A[i][j] d e^j of the coframe f = A e,
-    each d e^j moved into the f basis by ``old_in_new``, the change for
-    e = A^{-1} f."""
-    n, field = frame.n, frame.field
+def _new_differentials(frame: LieAlgebraFrame, a: Tensor, old_in_new: CoframeChange) -> list[KForm]:
+    """The differentials d f^i = sum_j A_ij d e^j of the coframe f = A e, A
+    the Tensor ``a`` keyed (i, j) and read on its ints, each d e^j moved
+    into the f basis by ``old_in_new``, the change for e = A^{-1} f."""
+    n, field, p, q = frame.n, frame.field, a._p, a._q
     d_old = [old_in_new.move(d) for d in frame.coframe_d]
     return [
-        _from_body(n, 2, field, *_combination(field.d, [(x.p, x.q, x.den, d._den, d._p, d._q)
-                                                        for x, d in zip(row, d_old) if not x.is_zero()]))
-        for row in a
+        _from_body(n, 2, field, *_combination(field.d, [(p.get((i, j), 0), q.get((i, j), 0), a._den, d._den, d._p, d._q)
+                                                        for j, d in enumerate(d_old) if (i, j) in p or (i, j) in q]))
+        for i in range(n)
     ]
 
 

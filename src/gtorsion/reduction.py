@@ -4,9 +4,10 @@ Reduction happens at the Lie-algebra level: an adapted orthonormal frame is
 built with V/|V| last, the transverse geometry lives on the first n-1
 directions, and the quotient differential acts on basic forms (killed by
 i_V and L_V) through the ambient one.  The adapted frame needs no
-elimination: Gram-Schmidt keeps each vector with its covector, the coframe
-rows are A = D^{-1} B g (D = diag(|b_i|^2) = 1) with A B^T = 1 checked
-exactly, and one minors table of B^T moves every form into the frame.
+elimination and runs on int bodies: Gram-Schmidt keeps each vector with its
+covector, B and the coframe rows A = D^{-1} B g (D = diag(|b_i|^2) = 1) are
+Tensors with A B^T = 1 checked exactly, and one minors table of B^T moves
+every form into the frame; only the projections and the norms are Scalars.
 The quotient of a group by a non-ideal direction is not itself a Lie
 algebra, so transverse curvature uses the submersion identity
 
@@ -41,15 +42,20 @@ from .forms import (
     CoframeChange,
     FrameGeometry,
     KForm,
+    Tensor,
     VectorField,
     _add,
     _combination,
+    _contract,
     _from_body,
     _from_ints,
-    _matrix,
     _normalize,
+    _product,
     _restricted,
     _support,
+    _tensor,
+    _transpose,
+    _vector,
     hodge_star,
     indices_of,
     interior,
@@ -63,7 +69,7 @@ from .frames import (
     covariant_derivative_oneform,
     transform_bilinear,
 )
-from .scalars import GTorsionError, NotRepresentable, _mac, _norm, _settle, _sign
+from .scalars import GTorsionError, NotRepresentable, Scalar, _norm, _sign
 from .structures import (
     KINDS,
     GStructure,
@@ -101,15 +107,16 @@ class AdaptedFrame:
     """Orthonormal frame with V/|V| as the last vector.
 
     ``frame``: the rotated LieAlgebraFrame; ``b``: the adapted vectors as
-    rows, F_i = sum_k b[i][k] E_k; ``a_rows``: coframe change f = A e with
-    A = D^{-1} B g, D = diag(|F_i|^2) = 1, so that A B^T = 1;
-    ``old_in_new``: the ``CoframeChange`` for e = B^T f, whose one minors
-    table the frame's own differentials and every ``to_adapted`` read.
+    the rows of a Tensor keyed (i, k), F_i = sum_k B_ik E_k; ``a``: the
+    coframe change f = A e as a Tensor keyed (i, j), A = D^{-1} B g with
+    D = diag(|F_i|^2) = 1, so that A B^T = 1; ``old_in_new``: the
+    ``CoframeChange`` for e = B^T f, whose one minors table the frame's own
+    differentials and every ``to_adapted`` read.
     """
 
-    def __init__(self, frame: LieAlgebraFrame, a_rows, b, old_in_new: CoframeChange):
+    def __init__(self, frame: LieAlgebraFrame, a: Tensor, b: Tensor, old_in_new: CoframeChange):
         self.frame = frame
-        self.a_rows = a_rows
+        self.a = a
         self.b = b
         self.old_in_new = old_in_new
 
@@ -121,124 +128,105 @@ def adapt_frame(frame: LieAlgebraFrame, v: VectorField) -> AdaptedFrame:
     """Gram-Schmidt an orthonormal frame around V (placed last, normalized).
 
     Requires L_V g = 0 (V Killing); errors when a norm has no square root
-    in the scalar field.  No elimination runs: the coframe rows
-    A = D^{-1} B g are the Gram-Schmidt covectors, A B^T = 1 is checked
-    exactly, and B^T moves forms to the new frame.
+    in the scalar field.  No elimination runs: B and the coframe rows
+    A = D^{-1} B g, the Gram-Schmidt vectors and covectors over their norms,
+    are each one ``_combination``, A B^T = 1 is checked exactly, and B^T
+    moves forms to the new frame.
     """
     field = frame.field
     n = frame.n
     if v.is_zero():
         raise ReductionError("V = 0: nothing to reduce along")
     _check_killing(frame, v)
-    built = _gram_schmidt(frame, v)
-    b_rows, b_flats = [], []
-    for w, w_flat, w_sq in built[1:] + built[:1]:
+    low = min((*v._p, *v._q))  # the bit of the first index where V is nonzero
+    built = _gram_schmidt(frame, v, low)
+    b_terms, a_terms = [], []
+    for i, (w, w_flat, w_sq) in enumerate(built[1:] + built[:1]):
         try:
-            nrm = w_sq.sqrt()
+            inv = w_sq.sqrt().inverse()
         except NotRepresentable as exc:
             raise ReductionError(
                 f"cannot normalize adapted frame: |w|^2 = {w_sq} has no sqrt in {field!r}"
             ) from exc
-        inv = nrm.inverse()
-        b_rows.append({j: x * inv for j, x in w.items()})
-        b_flats.append({j: x * inv for j, x in w_flat.items()})
-    one, zero = field.one(), field.zero()
-    d = [one] * n  # D = diag(|b_i|^2): the frame is orthonormal
-    _check_coframe(b_flats, b_rows, d, field)
-    b = [[row.get(j, zero) for j in range(n)] for row in b_rows]
-    # A = D^{-1} B g: row i is the covector of b_i over |b_i|^2
-    a_rows = [[row.get(j, zero) if di is one else row.get(j, zero) / di for j in range(n)]
-              for row, di in zip(b_flats, d)]
-    old_in_new = CoframeChange(_matrix([list(col) for col in zip(*b)], field), n)  # A^{-1} = B^T
+        # row i of B is w/|w|; row i of A is its covector over |b_i|^2 = 1
+        for x, terms in ((w, b_terms), (w_flat, a_terms)):
+            p, q = ({(i, m.bit_length() - 1): c for m, c in part.items()} for part in (x._p, x._q))
+            terms.append((inv.p, inv.q, inv.den, x._den, p, q))
+    b, a = (_from_ints(field, *_combination(field.d, terms)) for terms in (b_terms, a_terms))
+    if _contract(a, _transpose(b)) != _from_ints(field, 1, {(i, i): 1 for i in range(n)}, {}):
+        raise ReductionError("adapted coframe check failed: A B^T != 1")
+    old_in_new = CoframeChange(_transpose(b), n)  # A^{-1} = B^T
     # det A has the sign of det B: Gram-Schmidt adds earlier rows only, so
     # det B is det [V; e_i, i != p] = (-1)^p V^p over the norms, p the first
     # index where V is nonzero, times (-1)^(n-1) for moving V to the end
-    low = min((*v._p, *v._q))
     p = low.bit_length() - 1
     sign = frame.geometry.orientation_sign * _sign(v._p.get(low, 0), v._q.get(low, 0), field.d) * (-1) ** (p + n - 1)
-    metric = [[di if i == j else zero for j in range(n)] for i, di in enumerate(d)]
     labels = [f"f{i}" for i in range(1, n)] + ["mu"]
     new_frame = LieAlgebraFrame(
         labels,
-        _new_differentials(frame, a_rows, old_in_new),
-        FrameGeometry(n, field, metric, orientation_sign=sign),
+        _new_differentials(frame, a, old_in_new),
+        FrameGeometry(n, field, orientation_sign=sign),  # D = 1
         check_closure=frame.closed,
     )
-    return AdaptedFrame(new_frame, a_rows, b, old_in_new)
+    return AdaptedFrame(new_frame, a, b, old_in_new)
 
 
-def _gram_schmidt(frame: LieAlgebraFrame, v: VectorField) -> list:
+def _gram_schmidt(frame: LieAlgebraFrame, v: VectorField, low: int) -> list:
     """V, then e_i minus its projections on the vectors before it for each
-    i other than the first index where V is nonzero, as triples (u, g u,
-    |u|^2) of sparse {index: Scalar} rows.  Classical Gram-Schmidt, equal to
-    the modified one in exact arithmetic: <e_i, u> is entry i of g u, one
-    lookup."""
-    geom, field = frame.geometry, frame.field
-    one = field.one()
-    metric = [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in geom.metric]
-    vec = {i: c for i, c in enumerate(v.components) if not c.is_zero()}
-    acc = {}
-    for i, c in vec.items():
-        for j, x in metric[i].items():
-            _mac(acc, j, c, x, False)
-    built = [(vec, _settle(field, acc), geom.norm_sq(v))]
-    pivot = min(vec)
-    for i in range(frame.n):
-        if i == pivot:
+    i other than the first index where V is nonzero (bit ``low``), as
+    triples (u, u^flat, |u|^2): a VectorField, its ``musical`` 1-form and a
+    Scalar.  Classical Gram-Schmidt, equal to the modified one in exact
+    arithmetic: <e_i, u> is entry i of u^flat, and w and w^flat are one
+    ``_combination`` each, whose only Scalars are the projections."""
+    geom, field, n = frame.geometry, frame.field, frame.n
+    built = [(v, musical(v, geom), geom.norm_sq(v))]
+    for i in range(n):
+        bit = 1 << i
+        if bit == low:
             continue
-        w_acc, flat_acc = {}, {}
-        _mac(w_acc, i, one, one, False)
-        for j, x in metric[i].items():
-            _mac(flat_acc, j, x, one, False)
+        e = VectorField.basis(n, field, i + 1)
+        e_flat = musical(e, geom)
+        w_terms = [(1, 0, 1, e._den, e._p, e._q)]
+        flat_terms = [(1, 0, 1, e_flat._den, e_flat._p, e_flat._q)]
         for u, u_flat, u_sq in built:
-            x = u_flat.get(i)
-            if x is not None:
+            x = _entry(u_flat, bit)
+            if not x.is_zero():
                 c = x / u_sq
-                for j, y in u.items():
-                    _mac(w_acc, j, c, y, True)
-                for j, y in u_flat.items():
-                    _mac(flat_acc, j, c, y, True)
-        w, w_flat = _settle(field, w_acc), _settle(field, flat_acc)
-        if not w:
+                w_terms.append((-c.p, -c.q, c.den, u._den, u._p, u._q))
+                flat_terms.append((-c.p, -c.q, c.den, u_flat._den, u_flat._p, u_flat._q))
+        w = _vector(n, field, *_combination(field.d, w_terms))
+        if w.is_zero():
             raise ReductionError("degenerate complement while adapting the frame")
+        w_flat = _from_body(n, 1, field, *_combination(field.d, flat_terms))
         # |w|^2 = <w, e_i>, w being orthogonal to each u
-        built.append((w, w_flat, w_flat.get(i, field.zero())))
+        built.append((w, w_flat, _entry(w_flat, bit)))
     return built
 
 
-def _check_coframe(flats, rows, d, field):
-    """A B^T = 1 exactly for A = D^{-1} B g: the products (B g) B^T of the
-    covector rows ``flats`` with the vector rows ``rows`` are diag(d)."""
-    cols = {}  # k -> [(j, B[j][k])]
-    for j, row in enumerate(rows):
-        for k, x in row.items():
-            cols.setdefault(k, []).append((j, x))
-    acc = {}
-    for i, row in enumerate(flats):
-        for k, x in row.items():
-            for j, y in cols.get(k, ()):
-                _mac(acc, (i, j), x, y, False)
-    if _settle(field, acc) != {(i, i): di for i, di in enumerate(d)}:
-        raise ReductionError("adapted coframe check failed: A B^T != 1")
+def _entry(x, bit: int) -> Scalar:
+    """The Scalar at ``bit`` of a vector's or a 1-form's body."""
+    return _norm(x.field, x._p.get(bit, 0), x._q.get(bit, 0), x._den)
+
+
+def _ad_ints(x: dict, y: dict, acc: dict) -> None:
+    # x: the structure constants c^k_{ai}; y: V's body, keyed by bits
+    get = acc.get
+    for (a, i, k), c in x.items():
+        v = y.get(1 << a)
+        if v:
+            acc[i, k] = get((i, k), 0) + c * v
 
 
 def _check_killing(frame, v: VectorField):
     """L_V g = 0: (L_V g)(e_i, e_j) = -<[V, e_i], e_j> - <e_i, [V, e_j]>, with
     [V, e_i] = sum_{a,k} V^a c^k_{ai} e_k from one pass over the structure
-    constants; names the first failing pair i <= j."""
-    field, xs, metric = frame.field, v.components, frame.geometry.metric
-    acc = {}
-    for (a, i, k), c in frame.constants.items():
-        if not xs[a].is_zero():
-            _mac(acc, (i, k), xs[a], c, False)
-    sym = {}  # (i, j) -> <[V, e_i], e_j> + <[V, e_j], e_i> for i < j (twice it for i = j)
-    for (i, k), x in _settle(field, acc).items():
-        for j, g in enumerate(metric[k]):
-            if not g.is_zero():
-                _mac(sym, (i, j) if i <= j else (j, i), x, g, False)
-    bad = _settle(field, sym)
-    if bad:
-        i, j = min(bad)
+    constants, paired with the metric; names the first failing pair i <= j."""
+    c, field = frame._constants, frame.field
+    ad_v = _tensor(field, c._den * v._den, *_product(_ad_ints, field.d, c._p, c._q, v._p, v._q))
+    pair = _contract(ad_v, frame.geometry._metric)  # (i, j) -> <[V, e_i], e_j>
+    bad = _add(pair, _transpose(pair))
+    if not bad.is_zero():
+        i, j = min((*bad._p, *bad._q))  # bad is symmetric, so i <= j
         raise ReductionError(f"V is not Killing: L_V g ({frame.labels[i]}, {frame.labels[j]}) != 0")
 
 
@@ -390,7 +378,7 @@ def string_residual_on_slice(red: ReductionResult, df: KForm) -> dict:
     sl, s = red.transverse, red.structure
     # Rc^q + F^2_endo + nabla df = (Rc^amb + F^2_pos) - F^2_pos + nabla df
     mat = _add(s._bismut_ricci, covariant_derivative_oneform(s.frame, s.bismut, df))
-    slot1 = transform_bilinear(mat, _matrix(red.adapted.b[: sl.n], sl.field))
+    slot1 = _restricted(transform_bilinear(mat, red.adapted.b), sl.n)
     slot2 = flux_residual(sl, red.flux_slice, red.h_hat_slice, musical_inv(red.df_slice, sl.geometry))
     return {
         "string GRS slot1": slot1.is_zero(),
@@ -403,7 +391,7 @@ def _gauge_covector(w: VectorField) -> KForm:
     """mu_g = e^{j0} / w^{j0} at the first index j0 where w is nonzero."""
     if not w.is_zero():
         bit = min((*w._p, *w._q))
-        return KForm(w.n, 1, w.field, {bit: _norm(w.field, w._p.get(bit, 0), w._q.get(bit, 0), w._den).inverse()})
+        return KForm(w.n, 1, w.field, {bit: _entry(w, bit).inverse()})
     raise ReductionError("raw reduction needs theta != 0: the gauge covector mu_g = e^j0 / (theta#)^j0 is undefined")
 
 

@@ -14,17 +14,17 @@ Fractions and QQ scalars lift into any field.
 
 Every exact tensor of the analysis is an integer body, not Scalars: forms,
 vectors, the metric and its inverse, the structure constants, the
-connection symbols, J and the Ricci traces each share one denominator and
-are normalized by one gcd (``forms``).  Scalars remain at the boundaries:
-the parser reads them in, one per product, a report writes them out,
-``linsolve`` builds one per unknown, and the Gram-Schmidt of a reduction's
-adapted frame still runs on them, through the accumulator ``_mac``/``_settle``
-(it adds +-x*y into a raw [p, q, den] int triple per output key and settles
-each key into a canonical Scalar once).  ``_ints`` is the one conversion of Scalars to an
-integer body (one denominator, the rational and sqrt(d) numerators apart),
-for forms, vectors, tensors and linear-system rows alike; ``_norm`` is the
-way back, and builds a body's Scalar view only when it is read.  ``_sign``
-reads the sign of p + q sqrt(d) on the ints of a Scalar or of a body.
+connection symbols, J, the Ricci traces and a reduction's adapted frame
+each share one denominator and are normalized by one gcd (``forms``), and
+no Scalar accumulator exists.  Scalars remain at the boundaries: the parser
+reads them in, one per product, a report writes them out, ``linsolve``
+builds one per unknown, and the Gram-Schmidt of the adapted frame builds
+one per projection and one per norm.  ``_ints`` is the one conversion of
+Scalars to an integer body (one denominator, the rational and sqrt(d)
+numerators apart), for forms, vectors, tensors and linear-system rows
+alike; ``_norm`` is the way back, and builds a body's Scalar view only
+when it is read.  ``_sign`` reads the sign of p + q sqrt(d) on the ints of
+a Scalar or of a body.
 """
 
 from __future__ import annotations
@@ -217,38 +217,6 @@ def _ints(values: dict, field: Field) -> tuple[int, dict, dict]:
         if x.q:
             q[k] = x.q * (den // x.den)
     return den, p, q
-
-
-def _mac(acc: dict, key, x: "Scalar", y: "Scalar", neg) -> None:
-    """acc[key] += x*y, or -x*y when ``neg``, held as raw [p, q, den] ints
-    (den the lcm of the terms' dens) until ``_settle``."""
-    field = x.field
-    if y.field is not field:
-        raise FieldMismatch(f"mixed-field arithmetic: {field!r} vs {y.field!r}")
-    xp, xq, yp, yq = x.p, x.q, y.p, y.q
-    if xq or yq:
-        p, q = xp * yp + field.d * xq * yq, xp * yq + xq * yp
-    else:
-        p, q = xp * yp, 0
-    if neg:
-        p, q = -p, -q
-    den = x.den * y.den
-    t = acc.get(key)
-    if t is None:
-        acc[key] = [p, q, den]
-    elif t[2] == den:
-        t[0] += p
-        t[1] += q
-    else:
-        g = gcd(t[2], den)
-        a, b = den // g, t[2] // g
-        t[:] = t[0] * a + p * b, t[1] * a + q * b, t[2] * a
-
-
-def _settle(field: Field, acc: dict) -> dict:
-    """The nonzero sums of an ``_mac`` accumulator as canonical Scalars, in
-    key order of first use: one ``_norm`` per key."""
-    return {key: _norm(field, p, q, den) for key, (p, q, den) in acc.items() if p or q}
 
 
 def _sign(p: int, q: int, d: int) -> int:

@@ -215,10 +215,10 @@ def random_posdef_geometry(n, field, rng):
 
 
 def structure_constants(frame):
-    """Dense view c[k][i][j] = c^k_{ij} of ``frame.constants``."""
+    """Dense view c[k][i][j] = c^k_{ij} of the frame's structure constants."""
     n = frame.n
     c = [[[frame.field.zero()] * n for _ in range(n)] for _ in range(n)]
-    for (i, j, k), v in frame.constants.items():
+    for (i, j, k), v in frame._constants.entries.items():
         c[k][i][j] = v
     return c
 
@@ -299,7 +299,7 @@ def torsion_form(conn) -> KForm:
     """g(T(X,Y), Z) of a connection with totally skew torsion, as a 3-form."""
     frame = conn.frame
     low = last_index(conn.entries, frame.geometry, up=False)
-    c = last_index(frame.constants, frame.geometry, up=False)
+    c = last_index(frame._constants.entries, frame.geometry, up=False)
     zero = frame.field.zero()
     h = skew_form(
         frame.n, frame.field,
@@ -336,7 +336,7 @@ class Riemann:
             for i, l, w in by_second[m]:
                 if i != j:
                     add((i, j, k, l) if i < j else (j, i, k, l), w * v if i < j else -(w * v))
-        for (i, j, m), c in frame.constants.items():
+        for (i, j, m), c in frame._constants.entries.items():
             if i < j:
                 for k, l, w in by_first[m]:
                     add((i, j, k, l), -(c * w))
@@ -503,10 +503,10 @@ def ref_inner(a, b, ginv):
 
 
 def bracket(frame, x, y) -> VectorField:
-    """[X, Y] = sum X^i Y^j c^k_{ij} e_k from ``frame.constants``."""
+    """[X, Y] = sum X^i Y^j c^k_{ij} e_k from the frame's structure constants."""
     comps = [frame.field.zero()] * frame.n
     xs, ys = x.components, y.components
-    for (i, j, k), c in frame.constants.items():
+    for (i, j, k), c in frame._constants.entries.items():
         if not xs[i].is_zero() and not ys[j].is_zero():
             comps[k] = comps[k] + xs[i] * ys[j] * c
     return VectorField(frame.n, frame.field, comps)
@@ -521,7 +521,7 @@ def mat_vec(a, x) -> VectorField:
 
 def cartan_three_form(frame) -> KForm:
     """H(X,Y,Z) = <[X,Y], Z>_g, which must be totally skew."""
-    c = last_index(frame.constants, frame.geometry, up=False)
+    c = last_index(frame._constants.entries, frame.geometry, up=False)
     zero = frame.field.zero()
     h = skew_form(frame.n, frame.field, lambda i, j, k: c.get((i, j, k), zero))
     assert h is not None, "bracket pairing is not totally skew"
@@ -530,7 +530,7 @@ def cartan_three_form(frame) -> KForm:
 
 def to_ambient(adapted, form) -> KForm:
     """A form of an ``AdaptedFrame`` moved back to the ambient frame."""
-    return transform_form(form, adapted.a_rows, adapted.frame.field)
+    return transform_form(form, adapted.a.rows(adapted.frame.n), adapted.frame.field)
 
 
 def model_form(kind, n, field):

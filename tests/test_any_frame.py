@@ -301,17 +301,23 @@ def test_grs_residual_norm_is_one_value_in_every_frame(text, norm):
 def test_extend_on_sheared_su3_quotient(step):
     # the SU(3) quotient of nonintG2 has theta_omega = 0 = df in every frame;
     # before theta became a trace, steps 1, 2 and 4 failed with "extension
-    # hypotheses violated: theta_omega != df"
+    # hypotheses violated: theta_omega != df".  S^3 x T^4 (G2 -> Spin(7),
+    # F = 0) extends to strong torsion matching the formula unsheared, and
+    # must in band shears 1-3 and drawn frames too
     s = quotient_su3_of_nonintG2()[3]
+    inputs = [(s.field, 6, lambda a: _in_frame(s, a)[0], ("g2", True, True))]
+    if step != 4:
+        inputs.append((Q, 7, lambda a: parse(coframe_text(S3XT4_G2, a)).structure(), ("spin7", True, True)))
+    for field, n, in_frame, want in inputs:
 
-    def check(a):
-        rep = run_extend(_Doc(_in_frame(s, a)[0]))
-        assert (rep.data["kind"], rep.data["strong_torsion"], rep.data["torsion_matches_formula"]) == ("g2", True, True)
+        def check(a):
+            rep = run_extend(_Doc(in_frame(a)))
+            assert (rep.data["kind"], rep.data["strong_torsion"], rep.data["torsion_matches_formula"]) == want
 
-    if step == "drawn":
-        _in_drawn_frames(s.field, 6, check)
-    else:
-        check(band_shear(s.field, 6, step))
+        if step == "drawn":
+            _in_drawn_frames(field, n, check)
+        else:
+            check(band_shear(field, n, step))
 
 
 @pytest.mark.parametrize("name", ["nonintG2", "nonintG2nonclosedLee", "nonintSpin7OneA"])

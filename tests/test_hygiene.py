@@ -10,12 +10,10 @@ none, Scalars become ints only in ``_ints``, a sqrt(d) scaled add runs only
 in ``_axpy`` and a bilinear int kernel is split only by ``_product``, the
 induced metrics stay int Tensors (``structures`` builds a Scalar only for
 the oracle's error message, and Scalar rows become a Tensor only where
-they come in), the
-Scalar accumulator ``_mac``/``_settle`` runs only in the adapted frame's
-Gram-Schmidt and its checks,
-``_wedge_row`` is called only by the minors table and the change of frame,
-and the connections and the Bismut curvature are built only in a
-structure's analysis.  A frame carries its
+they come in), no Scalar accumulator exists (the adapted frame of a
+reduction runs on int bodies too), ``_wedge_row`` is called only by the
+minors table and the change of frame, and the connections and the Bismut
+curvature are built only in a structure's analysis.  A frame carries its
 one metric, so no function takes a metric beside a frame.  Every public
 function and method in the package has a reader in the package or is named
 in ``API`` with the reason it stays.  Standard library only."""
@@ -180,7 +178,8 @@ def test_one_home_per_int_body_primitive():
         "_product": ["forms.py:_contract", "forms.py:_dot", "forms.py:_minors", "forms.py:contract_2_3",
                      "forms.py:derivation_rows", "forms.py:interior", "forms.py:musical", "forms.py:wedge",
                      "frames.py:ce_differential", "frames.py:covariant_derivative_oneform", "frames.py:curvature",
-                     "frames.py:curvature", "soliton.py:divergence", "soliton.py:parallel_certificate",
+                     "frames.py:curvature", "reduction.py:_check_killing", "soliton.py:divergence",
+                     "soliton.py:parallel_certificate",
                      "structures.py:_j_from_metric_omega", "structures.py:_top_pairing", "structures.py:_top_pairing",
                      "structures.py:bismut_ricci_form", "structures.py:bismut_ricci_form",
                      "structures.py:bismut_ricci_form", "structures.py:nijenhuis", "structures.py:nijenhuis"],
@@ -211,24 +210,26 @@ def test_metrics_stay_int_tensors():
     # the induced G2 and SU(3) metrics are int Tensors from start to finish:
     # structures builds a Scalar only in the oracle's error message, and
     # Scalar rows become a Tensor only where they come in (a geometry given
-    # rows, a change of frame by Scalar rows, the adapted frame's covectors)
+    # rows, a change of frame by Scalar rows); the adapted frame builds its
+    # Tensors on ints
     sites = {name: sorted(f"{path.name}:{where}" for path in SRC for where in method_call_sites(path.read_text(), name)
                           if name != "_norm" or path.name == "structures.py")
              for name in ("_norm", "_matrix")}
     assert sites == {
         "_norm": ["structures.py:solve_skew_torsion"],
-        "_matrix": ["forms.py:FrameGeometry._metric", "forms.py:transform_form", "frames.py:change_frame",
-                    "reduction.py:adapt_frame", "reduction.py:string_residual_on_slice"],
+        "_matrix": ["forms.py:FrameGeometry._metric", "forms.py:transform_form", "frames.py:change_frame"],
     }
 
 
-def test_scalar_accumulator_only_in_the_adapted_frame_helpers():
-    # the analysis runs on int bodies; the Scalar multiply-accumulate is left
-    # to the Gram-Schmidt of the adapted frame and its two checks
-    helpers = {"reduction.py:_gram_schmidt", "reduction.py:_check_coframe", "reduction.py:_check_killing"}
-    for name in ("_mac", "_settle"):
-        sites = {f"{path.name}:{where}" for path in SRC for where in call_sites(path.read_text(), name)}
-        assert sites == helpers, name
+def test_no_scalar_accumulator():
+    # every sum runs on int bodies, the adapted frame's Gram-Schmidt and its
+    # checks included: no package module defines or calls _mac or _settle
+    for path in SRC:
+        tree = ast.parse(path.read_text())
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert defined & {"_mac", "_settle"} == set(), path.name
+        for name in ("_mac", "_settle"):
+            assert method_call_sites(path.read_text(), name) == [], (path.name, name)
 
 
 def test_wedge_row_only_expands_minors():

@@ -123,14 +123,23 @@ def _first_nonkilling_pair(frame, v):
 
 def test_killing_check_names_the_first_failing_pair(rng):
     heis = [KForm.from_terms(7, Q, [((2, 3), 1)])] + [KForm.zero(7, 2, Q)] * 6
+    # nonintSpin7Two's frame is over QQ(sqrt3), with sqrt3 structure constants
+    # and a canonical vector with sqrt3 components
+    spin7_two = fixture_structure("nonintSpin7Two")
+    assert spin7_two.frame._constants._q and canonical_vector(spin7_two)._q
     outcomes = Counter()
-    for coframe_d in (heis, su2su2u1_frame().coframe_d, fixture_structure("nonintG2").frame.coframe_d):
+    for coframe_d, field in ((heis, Q), (su2su2u1_frame().coframe_d, Q), (fixture_structure("nonintG2").frame.coframe_d, Q),
+                             (spin7_two.frame.coframe_d, spin7_two.field)):
+        n = len(coframe_d)
         for metric in ("identity", "spd"):
-            geom = FrameGeometry(7, Q) if metric == "identity" else random_posdef_geometry(7, Q, rng)
-            fr = LieAlgebraFrame([f"e{i}" for i in range(1, 8)], coframe_d, geom)
-            for v in [VectorField.basis(7, Q, k) for k in (1, 2, 7)] + [random_vector(7, Q, rng) for _ in range(3)]:
+            geom = FrameGeometry(n, field) if metric == "identity" else random_posdef_geometry(n, field, rng)
+            fr = LieAlgebraFrame([f"e{i}" for i in range(1, n + 1)], coframe_d, geom)
+            vs = [VectorField.basis(n, field, k) for k in (1, 2, n)] + [random_vector(n, field, rng) for _ in range(3)]
+            if field.d:
+                vs += [canonical_vector(spin7_two), random_vector(n, field, rng).scale(field.sqrt_d())]
+            for v in vs:
                 want = _first_nonkilling_pair(fr, v)
-                outcomes[want is None] += 1
+                outcomes[field.d, want is None] += 1
                 if want is None:
                     reduction._check_killing(fr, v)
                     continue
@@ -138,7 +147,8 @@ def test_killing_check_names_the_first_failing_pair(rng):
                     reduction._check_killing(fr, v)
                 i, j = want
                 assert str(exc.value) == f"V is not Killing: L_V g (e{i + 1}, e{j + 1}) != 0"
-    assert outcomes[True] >= 5 and outcomes[False] >= 10
+    assert outcomes[0, True] >= 5 and outcomes[0, False] >= 10
+    assert outcomes[3, True] >= 1 and outcomes[3, False] >= 1, outcomes
 
 
 def test_adapt_frame_rejects_zero():
@@ -188,13 +198,14 @@ def check_adapted_frame(frame, v):
         return None
     ad = adapt_frame(frame, v)
     field, n = frame.field, frame.n
+    b, a = ad.b.rows(n), ad.a.rows(n)
     one = [[field.scalar(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    assert ad.b == want
-    assert [[sum((x * y for x, y in zip(arow, brow)), field.zero()) for brow in ad.b] for arow in ad.a_rows] == one
-    assert transform_bilinear(frame.geometry._metric, _matrix(ad.b, field)).rows(n) == one
-    assert ad.b[-1] == list(v.scale(frame.geometry.norm_sq(v).sqrt().inverse()).components)
-    a_ref = _transpose(mat_inverse(ad.b, field))
-    assert ad.a_rows == a_ref
+    assert b == want
+    assert [[sum((x * y for x, y in zip(arow, brow)), field.zero()) for brow in b] for arow in a] == one
+    assert transform_bilinear(frame.geometry._metric, ad.b).rows(n) == one
+    assert b[-1] == list(v.scale(frame.geometry.norm_sq(v).sqrt().inverse()).components)
+    a_ref = _transpose(mat_inverse(b, field))
+    assert a == a_ref
     ref = frames.change_frame(frame, a_ref, new_labels=ad.frame.labels)
     assert ad.frame.coframe_d == ref.coframe_d
     assert ad.frame.geometry.metric == ref.geometry.metric
@@ -218,7 +229,7 @@ def check_moved_forms(monkeypatch, s):
     red = (reduce_g2 if s.kind == "g2" else reduce_spin7)(s)
     monkeypatch.undo()
     ad = red.adapted
-    bt = _transpose(ad.b)
+    bt = _transpose(ad.b.rows(s.n))
     assert all(frame is ad for frame, _, _ in moved)
     for _, form, out in moved:
         assert out == transform_form(form, bt, s.field)
@@ -248,7 +259,7 @@ def test_adapted_coframe_takes_v_to_the_last_vector(name):
     # last adapted vector, and the certificate A B^T = 1 gives A V = e_n
     s = fixture_structure(name)
     red = reduce_g2(s) if "G2" in name else reduce_spin7(s)
-    assert mat_vec(red.adapted.a_rows, red.v) == VectorField.basis(s.n, s.field, s.n)
+    assert mat_vec(red.adapted.a.rows(s.n), red.v) == VectorField.basis(s.n, s.field, s.n)
 
 
 # -- reduce_pair -------------------------------------------------------------
@@ -434,7 +445,7 @@ def test_change_of_basis_matches_adapted_frame_rebuild(name):
         (s.levi_civita, levi_civita(ad.frame)),
         (s.bismut, bismut_connection(ad.frame, ad.to_adapted(red.structure.h), levi_civita(ad.frame))),
     ):
-        b = _matrix(ad.b, f)
+        b = _matrix(ad.b.rows(n), f)
         ric = curvature(s.frame, conn)
         assert transform_bilinear(ric, b) == curvature(ad.frame, rebuilt)
         nabla_theta = covariant_derivative_oneform(s.frame, conn, theta)
