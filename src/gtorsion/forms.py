@@ -541,10 +541,11 @@ class FrameGeometry:
     indices of a form by the minors of g^{-1}, read from one
     ``CoframeChange`` kept on the geometry, so each set of rows of g^{-1}
     is expanded once however many forms are raised; det g and Sylvester's
-    test read one expansion of the leading minors of g.
+    test read one expansion of the leading minors of g, unless the caller
+    hands in a known sqrt(det g) (``sqrt_det``, trusted).
     """
 
-    def __init__(self, n: int, field: Field, metric=None, orientation_sign: int = 1):
+    def __init__(self, n: int, field: Field, metric=None, orientation_sign: int = 1, sqrt_det: Scalar | None = None):
         self.n = n
         self.field = field
         self._view = None
@@ -565,7 +566,7 @@ class FrameGeometry:
         if orientation_sign not in (1, -1):
             raise ValueError("orientation_sign must be +-1")
         self.orientation_sign = orientation_sign
-        self._sqrt_det = None
+        self._sqrt_det = sqrt_det
 
     @property
     def metric(self) -> list:
@@ -801,17 +802,29 @@ def _wedge_ints(x: dict, y: dict, acc: dict) -> None:
                     acc[m] = get(m, 0) + va * vb
 
 
+def _top_ints(x: dict, y: dict, acc: dict, full: int) -> None:
+    # complementary degrees: each mask of x looks up its complement in y
+    odd, s = _ODD, 0
+    for ma, va in x.items():
+        vb = y.get(full ^ ma)
+        if vb:
+            s += -va * vb if odd[ma << 8 | full ^ ma] else va * vb
+    acc[full] = acc.get(full, 0) + s
+
+
 def wedge(a: KForm, b: KForm) -> KForm:
+    """a ^ b; to top degree each mask of a looks up its complement in b."""
     if a.n != b.n:
         raise GeometryError(f"dimension mismatch: {a.n} vs {b.n}")
-    k = a.k + b.k
-    if k > a.n:
-        return KForm.zero(a.n, a.n, a.field)  # convention: top-degree zero
+    n, k = a.n, a.k + b.k
+    if k > n:
+        return KForm.zero(n, n, a.field)  # convention: top-degree zero
     field = a.field
     if b.field is not field and not a.is_zero() and not b.is_zero():
         raise _mismatch(field, b.field)
-    p, q = _product(_wedge_ints, field.d, a._p, a._q, b._p, b._q)
-    return _normalize(a.n, k, field, a._den * b._den, p, q)
+    kernel = (lambda x, y, acc: _top_ints(x, y, acc, (1 << n) - 1)) if k == n else _wedge_ints
+    p, q = _product(kernel, field.d, a._p, a._q, b._p, b._q)
+    return _normalize(n, k, field, a._den * b._den, p, q)
 
 
 def _interior_ints(x: dict, comps: dict, acc: dict) -> None:

@@ -98,11 +98,12 @@ class LieAlgebraFrame:
         self.coframe_d = tuple(coframe_d)
         self.geometry = geometry
         self.field = geometry.field
-        self.closed = self._closure_defect() is None
+        defect = self._closure_defect()
+        self.closed = defect is None
         if check_closure and not self.closed:
-            i, defect = self._closure_defect()
+            i, dd = defect
             raise FrameError(
-                f"d^2 e^{self.labels[i]} = {defect!r} != 0: structure equations violate the Jacobi identity"
+                f"d^2 e^{self.labels[i]} = {dd!r} != 0: structure equations violate the Jacobi identity"
             )
 
     def _closure_defect(self):

@@ -45,8 +45,10 @@ from .forms import (
     Tensor,
     VectorField,
     _add,
+    _by_row,
     _combination,
     _contract,
+    _dot,
     _from_body,
     _from_ints,
     _normalize,
@@ -174,20 +176,22 @@ def adapt_frame(frame: LieAlgebraFrame, v: VectorField) -> AdaptedFrame:
 def _gram_schmidt(frame: LieAlgebraFrame, v: VectorField, low: int) -> list:
     """V, then e_i minus its projections on the vectors before it for each
     i other than the first index where V is nonzero (bit ``low``), as
-    triples (u, u^flat, |u|^2): a VectorField, its ``musical`` 1-form and a
-    Scalar.  Classical Gram-Schmidt, equal to the modified one in exact
-    arithmetic: <e_i, u> is entry i of u^flat, and w and w^flat are one
-    ``_combination`` each, whose only Scalars are the projections."""
+    triples (u, u^flat, |u|^2): a VectorField, its 1-form and a Scalar.
+    Classical Gram-Schmidt, equal to the modified one in exact arithmetic:
+    <e_i, u> is entry i of u^flat, and w and w^flat are one
+    ``_combination`` each, whose only Scalars are the projections; e_i^flat
+    is row i of g, from one ``_by_row`` of the metric."""
     geom, field, n = frame.geometry, frame.field, frame.n
-    built = [(v, musical(v, geom), geom.norm_sq(v))]
+    g, rows = geom._metric, [r or {} for r in _by_row(geom._metric)]
+    v_flat = musical(v, geom)
+    built = [(v, v_flat, _dot(v_flat, v))]
     for i in range(n):
         bit = 1 << i
         if bit == low:
             continue
         e = VectorField.basis(n, field, i + 1)
-        e_flat = musical(e, geom)
         w_terms = [(1, 0, 1, e._den, e._p, e._q)]
-        flat_terms = [(1, 0, 1, e_flat._den, e_flat._p, e_flat._q)]
+        flat_terms = [(1, 0, 1, g._den, *({1 << j: x for j, x in r.get(i, ())} for r in rows))]
         for u, u_flat, u_sq in built:
             x = _entry(u_flat, bit)
             if not x.is_zero():

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, reduce
-from math import lcm
 
 from .forms import (
     _INDICES,
@@ -32,10 +31,8 @@ from .forms import (
     _by_row,
     _combination,
     _contract,
-    _dot_ints,
     _from_body,
     _from_ints,
-    _mat_det,
     _masks,
     _product,
     _tensor,
@@ -155,11 +152,13 @@ def _model_forms(kind: str, n: int, field: Field) -> tuple:
 
 
 class TorsionClasses:
-    """Extracted torsion components; ``components`` maps name -> KForm/Scalar."""
+    """Extracted torsion components; ``components`` maps name -> KForm/Scalar.
+    ``formula`` (not reported) is what H reads off a G2 or Spin(7) split."""
 
-    def __init__(self, kind: str, components: dict):
+    def __init__(self, kind: str, components: dict, formula: tuple = ()):
         self.kind = kind
         self.components = components
+        self.formula = formula
 
     def __getitem__(self, key):
         return self.components[key]
@@ -290,8 +289,8 @@ def su3_assemble(omega: KForm, omega_plus: KForm, frame) -> GStructure:
 
     The metric is induced by
     g(X,Y) omega^3 / 6 = -1/2 (i_X omega) ^ (i_Y Omega+) ^ Omega+, one int
-    Tensor (``_top_pairing``); then Omega- := star Omega+, with the volume
-    normalisation omega^3 = (3/2) Omega+ ^ Omega- enforced exactly.
+    Tensor off the form bodies (``_top_pairing``); then Omega- := star Omega+,
+    with the volume normalisation omega^3 = (3/2) Omega+ ^ Omega- exact.
     """
     if omega.k != 2 or omega_plus.k != 3 or frame.n != 6:
         raise StructureError("su3 needs a 2-form and 3-form on n = 6")
@@ -302,12 +301,8 @@ def su3_assemble(omega: KForm, omega_plus: KForm, frame) -> GStructure:
     om3c = om3.coeffs.get((1 << 6) - 1, field.zero())
     if om3c.is_zero():
         raise StructureError("omega^3 vanishes; omega is degenerate")
-    basis = [VectorField.basis(6, field, i) for i in range(1, 7)]
     # all 36 entries, so a bad pair fails FrameGeometry's symmetry check
-    gmat = _top_pairing(
-        [interior(e, omega) for e in basis], [interior(e, omega_plus) for e in basis],
-        omega_plus, field.scalar(-3) / om3c,
-    )
+    gmat = _top_pairing(omega, omega_plus, omega_plus, field.scalar(-3) / om3c)
     orient = 1 if om3c.sign() > 0 else -1
     geom = FrameGeometry(6, field, gmat, orientation_sign=orient)
     geom.check_positive_definite()
@@ -318,85 +313,96 @@ def su3_assemble(omega: KForm, omega_plus: KForm, frame) -> GStructure:
     return GStructure("su3", _on_metric(frame, geom), forms, j_matrix=_j_from_metric_omega(omega, geom))
 
 
-def _top_pairing(a: list, b: list | None, form: KForm, c: Scalar) -> Tensor:
-    """The matrix M_ij = c top(a_i ^ b_j ^ form) of forms whose degrees add
-    up to n, as one Tensor keyed (i, j); b None means b = a of even degree,
-    M symmetric, and only the entries j >= i are summed.
-
-    The top coefficient is sum_{A, B} a_A b_B sgn(A, B) comp[A | B] over
-    disjoint masks, where comp[M] = sgn(M, M^c) form_{M^c}; so
-    M_ij = c sum_B (b_j)_B u_i[B] with u_i = sum_A (a_i)_A sgn(A, B) comp[A | B]
-    built once per i.  All of it runs on the forms' int bodies, summed over
-    one denominator, and one ``_combination`` takes in c.
-    """
-    d = form.field.d
-    full = (1 << form.n) - 1
-    odd = _ODD
+def _top_pairing(alpha: KForm, beta: KForm, form: KForm, c: Scalar) -> Tensor:
+    """M_ij = c top((i_{e_i} alpha) ^ (i_{e_j} beta) ^ form), degrees adding
+    up to n + 2, as one Tensor keyed (i, j); when beta is alpha (odd degree)
+    M is symmetric and only j >= i is summed.  With comp[M] = sgn(M, M^c)
+    form_{M^c}, a mask A of alpha reaches a complement mask M only if A meets
+    M in all its indices (each i of A counts) or all but one (that i alone):
+    one walk over the pairs (A, M) builds u[i, B] = sum_A' (i_i alpha)_A'
+    sgn(A', B) comp[A' | B] for every i (``_under_ints``), and a second sums
+    M_ij = sum_B u[i, B] (i_j beta)_B over beta's interior terms indexed by B
+    (``_pair_ints``), on int bodies; one ``_combination`` takes in c."""
+    d, full, odd = form.field.d, (1 << form.n) - 1, _ODD
     comp = [{full ^ m: -v if odd[(full ^ m) << 8 | m] else v for m, v in part.items()} for part in (form._p, form._q)]
-    rows = b or a
-    la, lb = lcm(*(x._den for x in a)), lcm(*(x._den for x in rows))
-    p, q = {}, {}
-    for i, ai in enumerate(a):
-        up, uq = _product(_under_ints, d, ai._p, ai._q, *comp)
-        for j, bj in enumerate(rows):  # row by row, as a Tensor of Scalar rows is keyed
-            if b or j >= i:
-                x, y = _product(_dot_ints, d, bj._p, bj._q, up, uq)
-                s = la // ai._den * (lb // bj._den)
-                p[i, j], q[i, j] = x[0] * s, y.get(0, 0) * s
-            else:
-                p[i, j], q[i, j] = p[j, i], q[j, i]
-    # zero entries are dropped by the combination; over QQ q holds only zeros
-    body = _combination(d, ((c.p, c.q, c.den, la * lb * form._den, p, q if d else {}),))
+    index = ({}, {})  # B -> [(j, (i_j beta)_B)]
+    for part, out in zip((beta._p, beta._q), index):
+        for m, v in part.items():
+            for high, rest, _, neg in _INTERIOR[m].values():
+                out.setdefault(rest, []).append((high >> 8, -v if neg else v))
+    p, q = _product(lambda x, y, acc: _pair_ints(x, y, acc, beta is alpha), d,
+                    *_product(_under_ints, d, alpha._p, alpha._q, *comp), *index)
+    if beta is alpha:
+        p, q = ({**part, **{(j, i): v for (i, j), v in part.items()}} for part in (p, q))
+    body = _combination(d, ((c.p, c.q, c.den, alpha._den * beta._den * form._den, p, q),))
     return _from_ints(form.field, *body)
 
 
+# mask A -> {bit of i: (i << 8, A - i, (A - i) << 8, the parity of i_{e_i} e^A)}, i 0-based
+_INTERIOR = _Lazy(lambda m: {1 << i: (i << 8, m ^ 1 << i, (m ^ 1 << i) << 8, (m & (1 << i) - 1).bit_count() & 1)
+                             for i in range(m.bit_length()) if m >> i & 1})
+
+
 def _under_ints(x: dict, comp: dict, acc: dict) -> None:
-    """acc[M - A] += x_A sgn(A, M - A) comp[M] for every mask A of x inside M."""
+    """acc[i << 8 | M - A'] += sgn x_A sgn(A', M - A') comp[M] over the masks
+    A of x and M of comp with A' = A - i inside M, sgn that of i_{e_i} e^A."""
     odd, get = _ODD, acc.get
     for ma, ca in x.items():
+        subs = _INTERIOR[ma]
         for m, cm in comp.items():
-            if m & ma == ma:
-                key = m ^ ma
-                if odd[ma << 8 | key]:
-                    acc[key] = get(key, 0) - ca * cm
-                else:
-                    acc[key] = get(key, 0) + ca * cm
+            out = ma & ~m
+            if out & (out - 1):
+                continue  # two or more indices of A outside M
+            v = ca * cm
+            for high, rest, shifted, neg in (subs[out],) if out else subs.values():
+                b = m ^ rest
+                key = high | b
+                acc[key] = get(key, 0) + (-v if odd[shifted | b] ^ neg else v)
+
+
+def _pair_ints(x: dict, index: dict, acc: dict, upper: bool) -> None:
+    """acc[i, j] += u[i, B] (i_j beta)_B, u keyed i << 8 | B; j >= i only if ``upper``."""
+    get = acc.get
+    for key, v in x.items():
+        i = key >> 8
+        for j, w in index.get(key & 0xFF, ()):
+            if j >= i or not upper:
+                acc[i, j] = get((i, j), 0) + v * w
 
 
 def induced_metric_g2(phi: KForm) -> FrameGeometry:
     """Metric of a positive 3-form on n=7 via
     (e_i . phi) ^ (e_j . phi) ^ phi = 6 B_ij e^{1..7}, g = (det B)^{-1/9} B,
-    with B the int Tensor of ``_top_pairing`` and det B read off its minors
-    table; only the 9th root is a Scalar, and g is one ``_combination``."""
+    B the int Tensor of ``_top_pairing``.  One minors table, of sign B (the
+    sign of B_00), gives det_o = det(sign B) and Sylvester's test for g, a
+    positive multiple of sign B; det g = scale^2, so g's geometry is handed
+    sqrt(det g) = scale = det_o^{1/9} and expands no table of g."""
     if phi.k != 3 or phi.n != 7:
         raise StructureError("g2 metric needs a 3-form on n = 7")
     field, d = phi.field, phi.field.d
-    ints = [interior(VectorField.basis(7, field, i), phi) for i in range(1, 8)]
-    b = _top_pairing(ints, None, phi, field.scalar(1, 6))
+    b = _top_pairing(phi, phi, phi, field.scalar(1, 6))
     # phi fixes the orientation as well: B is definite w.r.t. exactly one
     # sign of the volume form when phi is positive.
-    det = _mat_det(b, 7)
-    if det.is_zero():
-        raise StructureError("not a positive 3-form (det B = 0)")
     sign = 1 if _sign(b._p.get((0, 0), 0), b._q.get((0, 0), 0), d) > 0 else -1
-    det_o = det * sign if 7 % 2 else det  # odd rank: det flips with the sign
+    b = b if sign > 0 else _from_ints(field, b._den, *({key: -v for key, v in part.items()} for part in (b._p, b._q)))
+    signed = FrameGeometry(7, field, b)
+    det_o = signed.det_metric()  # odd rank: det flips with the sign
+    if det_o.is_zero():
+        raise StructureError("not a positive 3-form (det B = 0)")
     if det_o.sign() <= 0:
         raise StructureError("not a positive 3-form (det B <= 0)")
     # Hitchin scaling: need det(B)^{1/9} in the field
     try:
         scale = det_o.root(9)
     except NotRepresentable:
-        raise StructureError(
-            f"metric not representable exactly: det B = {det_o} has no 9th root in {field!r}"
-        )
-    inv = scale.inverse()
-    g = _combination(d, ((inv.p * sign, inv.q * sign, inv.den, b._den, b._p, b._q),))
-    geom = FrameGeometry(7, field, _from_ints(field, *g), orientation_sign=sign)
+        raise StructureError(f"metric not representable exactly: det B = {det_o} has no 9th root in {field!r}")
     try:
-        geom.check_positive_definite()
+        signed.check_positive_definite()
     except GeometryError as exc:
         raise StructureError("not a positive 3-form") from exc
-    return geom
+    inv = scale.inverse()
+    g = _combination(d, ((inv.p, inv.q, inv.den, b._den, b._p, b._q),))
+    return FrameGeometry(7, field, _from_ints(field, *g), orientation_sign=sign, sqrt_det=scale)
 
 
 def g2_assemble(phi: KForm, frame) -> GStructure:
@@ -473,7 +479,8 @@ def _split(s: GStructure, a: KForm) -> tuple[dict, KForm | None, tuple]:
     """``project``'s pieces of ``a``, the vector-type 1-form alpha they read
     (None for an eigen split) and the inner products <a, form> of the scalar
     pieces in recipe order (empty when there are none), so no caller
-    computes them again:
+    computes them again; an eigen split checks p2 = a - p1 as star(a ^ form)
+    - star(p1 ^ form).  The vector-type pieces are
 
     G2      Lambda^3_7 = star(alpha ^ phi),     alpha = -1/4 star(a ^ phi);
     Spin(7) Lambda^3_8 = star(alpha ^ Psi),     alpha = -1/7 star(a ^ Psi);
@@ -492,9 +499,11 @@ def _split(s: GStructure, a: KForm) -> tuple[dict, KForm | None, tuple]:
     if isinstance(recipe, Eigen):
         form = s.form(recipe.slot)
         (n1, l1), (n2, l2) = recipe.pieces
-        p1 = (hodge_star(wedge(a, form), geom) - a.scale(l2)).scale(field.scalar(1, l1 - l2))
+        star_a = hodge_star(wedge(a, form), geom)
+        p1 = (star_a - a.scale(l2)).scale(field.scalar(1, l1 - l2))
         parts, alpha, inner = {n1: p1, n2: a - p1}, None, ()
-        failed = [n for n, lam in recipe.pieces if hodge_star(wedge(parts[n], form), geom) != parts[n].scale(lam)]
+        star_p1 = hodge_star(wedge(p1, form), geom)  # and star(p2 ^ form) = star_a - star_p1
+        failed = [n for n, x, lam in ((n1, star_p1, l1), (n2, star_a - star_p1, l2)) if x != parts[n].scale(lam)]
     else:
         parts, inner = {}, ()
         if recipe.scalar:
@@ -585,7 +594,8 @@ def torsion_g2(s: GStructure) -> TorsionClasses:
     phi, star_phi = s.form("phi"), s.form("star_phi")
     d_phi, d_star = s.d_form("phi"), s.d_form("star_phi")
     star_d_phi = hodge_star(d_phi, geom)
-    tau0 = form_inner(d_phi, star_phi, geom) / field.scalar(7)
+    inner = form_inner(d_phi, star_phi, geom)
+    tau0 = inner / field.scalar(7)
     split, alpha, _ = _split(s, star_d_phi)
     tau1 = alpha.scale(field.scalar(1, 3))
     tau3 = split["27"]
@@ -597,6 +607,7 @@ def torsion_g2(s: GStructure) -> TorsionClasses:
     return TorsionClasses(
         "g2",
         {"tau0": tau0, "tau1": tau1, "tau2": tau2, "tau3": tau3, "lee": tau1.scale(4)},
+        (star_d_phi, split["7"].scale(field.scalar(4, 3)), inner),  # theta = 4 tau1 = 4/3 alpha
     )
 
 
@@ -604,9 +615,10 @@ def torsion_spin7(s: GStructure) -> TorsionClasses:
     """dPsi = theta ^ Psi + zeta5, read off ``_split``:
     star dPsi = star(theta ^ Psi) + star zeta5."""
     geom = s.geometry
-    split, lee, _ = _split(s, hodge_star(s.d_form("psi"), geom))
+    star_d_psi = hodge_star(s.d_form("psi"), geom)
+    split, lee, _ = _split(s, star_d_psi)
     zeta5 = -hodge_star(split["48"], geom)  # star star = -1 on 3-forms, n = 8
-    return TorsionClasses("spin7", {"lee": lee, "zeta5": zeta5})
+    return TorsionClasses("spin7", {"lee": lee, "zeta5": zeta5}, (star_d_psi, split["8"], None))
 
 
 def lee_form(s: GStructure) -> KForm:
@@ -688,23 +700,23 @@ def bismut_torsion(s: GStructure) -> KForm:
             defined only when tau2 = 0;
     Spin7:  H = -star d Psi + (7/6) star(theta ^ Psi),
 
-    the factor of star(theta ^ form) being the kind's ``lee_factor``.
+    the factor of star(theta ^ form) being the kind's ``lee_factor``; G2 and
+    Spin(7) read the rest off ``TorsionClasses.formula``: one ``_combination``.
     Callers that want the structure's H read ``s.h``, which is built once.
     """
     row = KINDS[s.kind]
     if row.almost_complex:
         return d_c_omega(s) + s.nijenhuis
     torsion = s.torsion
-    is_g2 = s.kind == "g2"
-    if is_g2 and not torsion["tau2"].is_zero():
+    if s.kind == "g2" and not torsion["tau2"].is_zero():
         raise StructureError("tau2 != 0: no skew-torsion connection for this G2 structure")
-    geom = s.geometry
-    slot = row.slots[0][0]  # phi or Psi
-    form, d_form = s.form(slot), s.d_form(slot)
-    h = -hodge_star(d_form, geom) + hodge_star(wedge(torsion["lee"], form), geom).scale(row.lee_factor)
-    if is_g2:
-        h = h + form.scale(form_inner(d_form, s.form("star_phi"), geom) / s.field.scalar(6))
-    return h
+    star_d, star_lee, inner = torsion.formula
+    c = row.lee_factor
+    terms = [(-1, 0, 1, star_d._den, star_d._p, star_d._q), (c.p, c.q, c.den, star_lee._den, star_lee._p, star_lee._q)]
+    if inner is not None:
+        form, x = s.form(row.slots[0][0]), inner / s.field.scalar(6)  # phi
+        terms.append((x.p, x.q, x.den, form._den, form._p, form._q))
+    return _from_body(s.n, 3, s.field, *_combination(s.field.d, terms))
 
 
 def _oracle_layout(n: int) -> tuple:

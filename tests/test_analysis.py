@@ -1,11 +1,12 @@
 """Compute-once analysis: a verdict builds each structure's torsion classes
 (read off ``project``'s split, with no inner product taken twice), H and
-connections once, both induced metrics and every change of frame take no
-wedge beyond their checks, the oracle stays
-independent of H, walks each form's pair derivations once, reduces each
-form's derivation matrix once, each row once up to a rational factor, on int
-rows that build no Scalar but the entries of H, solves n*r rows and agrees
-with H off a diagonal metric, and a verdict leaves no cyclic garbage behind."""
+connections once, the G2 and Spin(7) H from the split's pieces alone, both
+induced metrics take no wedge beyond their checks and no interior product,
+every change of frame takes no wedge, the oracle stays independent of H,
+walks each form's pair derivations once, reduces each form's derivation
+matrix once, each row once up to a rational factor, on int rows that build
+no Scalar but the entries of H, solves n*r rows and agrees with H off a
+diagonal metric, and a verdict leaves no cyclic garbage behind."""
 
 import collections
 import gc
@@ -168,11 +169,13 @@ def test_raises_expand_each_row_set_of_g_inverse_once(monkeypatch, name):
 
 
 def test_g2_metric_makes_no_wedge(monkeypatch):
-    # B_ij pairs e_j . phi with one vector u_i per i: no top-form wedge
+    # B is two walks over phi's body (_top_pairing): no top-form wedge and
+    # no interior product
     phi = parse(registry.input_text("nonintG2")).structure().form("phi")
     wedges = _count_calls(monkeypatch, "wedge", key=lambda a: a.k)
+    interiors = _count_calls(monkeypatch, "interior")
     structures.induced_metric_g2(phi)
-    assert not wedges
+    assert not wedges and not interiors
 
 
 def test_transform_form_makes_no_wedge(monkeypatch):
@@ -230,8 +233,30 @@ def test_su3_metric_makes_no_wedge(monkeypatch):
         return orig(a, b)
 
     monkeypatch.setattr(structures, "wedge", wedge)
+    interiors = _count_calls(monkeypatch, "interior")
     structures.su3_assemble(s.form("omega"), s.form("omega_plus"), doc.frame())
     assert dict(wedges) == {(2, 3): 1, (2, 2): 1, (4, 2): 1, (3, 3): 1}
+    assert not interiors
+
+
+@pytest.mark.parametrize("step", [0, 2])
+@pytest.mark.parametrize("name", ["nonintG2", "nonintG2nonclosedLee", "nonintSpin7OneA", "nonintSpin7Two"])
+def test_g2_and_spin7_h_reuses_the_split(monkeypatch, name, step):
+    # star d form, star(theta ^ form) and <d phi, star phi> come from the
+    # torsion classes, kept out of their reported components, so once they
+    # exist H takes no star, wedge or inner product; it matches the oracle
+    text = registry.input_text(name)
+    s = parse(sheared_text(text, step) if step else text).structure()
+    names = {"g2": {"tau0", "tau1", "tau2", "tau3", "lee"}, "spin7": {"lee", "zeta5"}}[s.kind]
+    assert set(s.torsion.components) == names
+    want = structures.solve_skew_torsion(s)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("H recomputed a piece of the split")
+
+    for fn in ("hodge_star", "wedge", "form_inner"):
+        monkeypatch.setattr(structures, fn, forbidden)
+    assert structures.bismut_torsion(s) == want
 
 
 def test_nijenhuis_makes_no_bracket():

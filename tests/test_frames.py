@@ -61,6 +61,23 @@ def test_jacobi_gate_rejects_bad_constants():
         LieAlgebraFrame(["e1", "e2", "e3"], d, FrameGeometry(3, Q))
 
 
+def test_jacobi_gate_walks_the_closure_once(monkeypatch):
+    # the defect that sets ``closed`` also names the failing coframe element
+    d = [
+        KForm.from_terms(3, Q, [((2, 3), -2)]),
+        KForm.from_terms(3, Q, [((3, 1), -2)]),
+        KForm.from_terms(3, Q, [((1, 2), -2), ((1, 3), 1)]),
+    ]
+    walks = []
+    orig = LieAlgebraFrame._closure_defect
+    monkeypatch.setattr(LieAlgebraFrame, "_closure_defect", lambda self: walks.append(self) or orig(self))
+    with pytest.raises(FrameError, match=r"^d\^2 e\^e1 = .* != 0: structure equations violate the Jacobi identity$"):
+        LieAlgebraFrame(["e1", "e2", "e3"], d, FrameGeometry(3, Q))
+    assert len(walks) == 1
+    unchecked = LieAlgebraFrame(["e1", "e2", "e3"], d, FrameGeometry(3, Q), check_closure=False)
+    assert not unchecked.closed and len(walks) == 2
+
+
 def test_d_squared_zero_all_degrees(rng):
     frames = [su2su2_frame(), su2su2u1_frame(), heisenberg_frame()]
     cases = 0

@@ -10,7 +10,9 @@ none, Scalars become ints only in ``_ints``, a sqrt(d) scaled add runs only
 in ``_axpy`` and a bilinear int kernel is split only by ``_product``, the
 induced metrics stay int Tensors (``structures`` builds a Scalar only for
 the oracle's error message, and Scalar rows become a Tensor only where
-they come in), no Scalar accumulator exists (the adapted frame of a
+they come in), the induced metrics walk the form bodies with no interior
+form, no basis vector and no per-entry dot product, no Scalar accumulator
+exists (the adapted frame of a
 reduction runs on int bodies too), ``_wedge_row`` is called only by the
 minors table and the change of frame, and the connections and the Bismut
 curvature are built only in a structure's analysis.  A frame carries its
@@ -230,6 +232,17 @@ def test_no_scalar_accumulator():
         assert defined & {"_mac", "_settle"} == set(), path.name
         for name in ("_mac", "_settle"):
             assert method_call_sites(path.read_text(), name) == [], (path.name, name)
+
+
+def test_metric_induction_walks_the_form_bodies():
+    # _top_pairing walks the defining forms' int bodies, so the induced
+    # metrics build no interior form, no basis vector and no dot product per
+    # entry, and the G2 metric reads det B off its one minors table
+    tree = ast.parse((ROOT / "src" / "gtorsion" / "structures.py").read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("su3_assemble", "_top_pairing", "induced_metric_g2"):
+        names = {node.id for node in ast.walk(funcs[name]) if isinstance(node, ast.Name)}
+        assert names & {"interior", "VectorField", "_dot_ints", "_mat_det"} == set(), name
 
 
 def test_wedge_row_only_expands_minors():

@@ -575,6 +575,34 @@ def e(*idx):
     return sum(1 << (i - 1) for i in idx)
 
 
+def test_top_degree_wedge_matches_termwise_sums():
+    # to top degree each mask of a looks up its complement in b; drawn over
+    # QQ and QQ(sqrt3) with small values, so sums cancel
+    rng = random.Random(5309)
+    full = (1 << N) - 1
+    seen = set()
+    for trial in range(300):
+        field = (Q, Q3)[trial % 2]
+
+        def draw(k):
+            terms = {}
+            for m in range(1 << N):
+                if m.bit_count() == k and rng.random() < 0.5:
+                    v = field.scalar(rng.choice((1, -1, 2)))
+                    terms[m] = v + field.sqrt_d() * rng.choice((0, 1, -1)) if field is Q3 else v
+            return KForm(N, k, field, terms)
+
+        a = draw(rng.randint(0, N))
+        b = draw(N - a.k)
+        got = wedge(a, b)
+        _assert_same_form(got, ref_wedge(a, b))
+        pairs = sum(1 for m in a.coeffs if full ^ m in b.coeffs)
+        if pairs:
+            seen.add("top-degree pair")
+            seen.add("cancels" if got.is_zero() else "sqrt part" if got._q else "rational")
+    assert seen == {"top-degree pair", "cancels", "sqrt part", "rational"}
+
+
 def test_fused_kernels_drop_keys_that_cancel():
     # every cancelled key pairs a raw 6/70 with a 3/35: equal values, mixed dens
     a = KForm(N, 2, Q, {e(1, 2): _q("2/5"), e(1, 3): _q(1)})

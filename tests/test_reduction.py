@@ -42,7 +42,7 @@ from gtorsion.frames import (
     transform_bilinear,
     transform_form,
 )
-from gtorsion import frames, reduction, registry
+from gtorsion import forms, frames, reduction, registry
 from gtorsion.parser import parse
 from gtorsion.reduction import (
     ReductionError,
@@ -251,6 +251,28 @@ def test_adapted_frame_matches_the_elimination_route(name, monkeypatch):
         assert name == "nonintSpin7Two"  # |w|^2 = 3 - sqrt3/2 has no root
         return
     assert check_moved_forms(monkeypatch, s).verifier_ok()
+
+
+def test_gram_schmidt_reads_the_metric_once(monkeypatch):
+    # e_i^flat is row i of g, from one _by_row of the metric, not one
+    # musical product per vector; V^flat is the other _by_row (none under
+    # the identity), under the rescaled metrics of the unit-|V| copies too
+    metrics = set()
+    for name in _REDUCIBLE:
+        s = fixture_structure(name)
+        unit, v = reduction._unit_length(s, canonical_vector(s))
+        geom = unit.geometry
+        runs = []
+        orig = forms._by_row
+        for mod in (forms, reduction):
+            monkeypatch.setattr(mod, "_by_row", lambda t: runs.append(t) or orig(t))
+        built = reduction._gram_schmidt(unit.frame, v, min((*v._p, *v._q)))
+        monkeypatch.undo()
+        assert len(runs) == (1 if geom._is_identity else 2) and len(built) == s.n
+        for u, u_flat, u_sq in built:
+            assert u_flat == musical(u, geom) and u_sq == geom.norm_sq(u)
+        metrics.add(geom._is_identity)
+    assert metrics == {True, False}
 
 
 @pytest.mark.parametrize("name", ["nonintG2", "nonintG2nonclosedLee", "nonintSpin7OneA"])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     Q,
     Q2,
+    band_shear,
     bracket,
     cartan_three_form,
     coframe_text,
@@ -28,11 +29,14 @@ from conftest import (
     rotation_matrix,
     rotate_frame_and_forms,
     nonzero_names,
+    random_kform,
+    ref_interior,
+    ref_wedge,
     sheared_text,
     skew_form,
     PSI_ALL_PLUS,
 )
-from gtorsion import registry, structures
+from gtorsion import forms, registry, structures
 from gtorsion.forms import (
     FrameGeometry,
     KForm,
@@ -215,6 +219,86 @@ def test_g2_metric_closed_form_matches_brute_force():
 
     check()
     assert signs == {1, -1}
+
+
+def _pairing_by_interiors(alpha, beta, form, c):
+    """c top((i_{e_i} alpha) ^ (i_{e_j} beta) ^ form) for every (i, j), from
+    the Scalar references of interior and wedge."""
+    n, field = form.n, form.field
+    full = (1 << n) - 1
+    ints = [[KForm(n, x.k - 1, field, ref_interior(VectorField.basis(n, field, i), x)) for i in range(1, n + 1)]
+            for x in (alpha, beta)]
+    entries = {}
+    for i, a in enumerate(ints[0]):
+        for j, b in enumerate(ints[1]):
+            ab = KForm(n, a.k + b.k, field, ref_wedge(a, b))
+            top = ref_wedge(ab, form).get(full)
+            if top is not None:
+                entries[i, j] = c * top
+    return Tensor(field, entries)
+
+
+def _random_form(n, k, field, rng, density):
+    a = random_kform(n, k, field, rng, density=density, span=2)
+    return a + random_kform(n, k, field, rng, density=density / 2, span=2).scale(field.sqrt_d()) if field.d else a
+
+
+def test_top_pairing_matches_the_interior_route():
+    # the SU(3) pair (omega, Omega+, Omega+) is not symmetric in general; the
+    # G2 one (phi, phi, phi) is, and sums only j >= i; random forms over QQ
+    # and QQ(sqrt2), and the model forms in band-sheared coframes, whose
+    # induced metrics are dense and not the identity
+    rng = random.Random(3307)
+    seen = set()
+    cases = []
+    for field in (Q, Q2):
+        for _ in range(6):
+            density = rng.choice((0.15, 0.4, 0.8))
+            cases.append((_random_form(6, 2, field, rng, density), _random_form(6, 3, field, rng, density), None))
+            phi = _random_form(7, 3, field, rng, density)
+            cases.append((phi, phi, phi))
+            cases.append((_random_form(7, 3, field, rng, density), _random_form(7, 3, field, rng, density), phi))
+        for step in (1, 2, 3):
+            om, op = (transform_form(x, band_shear(field, 6, step), field) for x in model_form("su3", 6, field))
+            phi = transform_form(model_form("g2", 7, field), band_shear(field, 7, step), field)
+            cases += [(om, op, op), (phi, phi, phi)]
+    for alpha, beta, form in cases:
+        form = beta if form is None else form
+        c = alpha.field.scalar(Fraction(-3, 5))
+        got = structures._top_pairing(alpha, beta, form, c)
+        assert got == _pairing_by_interiors(alpha, beta, form, c)
+        rows = got.rows(form.n)
+        seen.add("symmetric" if all(rows[i][j] == rows[j][i] for i in range(form.n) for j in range(i)) else "not symmetric")
+        seen.add("sqrt" if got._q else "rational")
+        seen.add("dense" if sum(1 for i, j in got._p if i != j) > form.n else "sparse")
+    assert seen == {"symmetric", "not symmetric", "sqrt", "rational", "dense", "sparse"}
+
+
+@pytest.mark.parametrize("field", [Q, Q2])
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_induced_metric_g2_expands_one_minors_table(monkeypatch, field, step):
+    # det B and Sylvester's test read one table, that of sign B; the
+    # geometry of g = sign B / det_o^{1/9} is handed sqrt(det g) = det_o^{1/9}
+    # and expands no table of g for the volume form
+    tables = []
+    orig = forms._minors
+
+    def counted(mask, minors, rows, d):
+        if not any(t is minors for t in tables):
+            tables.append(minors)
+        return orig(mask, minors, rows, d)
+
+    phi = transform_form(model_form("g2", 7, field), band_shear(field, 7, step), field)
+    monkeypatch.setattr(forms, "_minors", counted)
+    geom = induced_metric_g2(phi)
+    vol = geom.volume_form()
+    assert len(tables) == 1
+    monkeypatch.setattr(forms, "_minors", orig)
+    own = FrameGeometry(7, field, geom._metric, orientation_sign=geom.orientation_sign)
+    assert not geom._is_identity
+    assert geom.sqrt_det() == own.sqrt_det() and vol == own.volume_form()
+    oracle, sign = brute_hitchin_metric(phi)
+    assert geom._metric == _matrix(oracle, field) and geom.orientation_sign == sign
 
 
 # -- assembly ----------------------------------------------------------------
