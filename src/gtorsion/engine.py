@@ -31,10 +31,7 @@ __all__ = ["run_check", "run_reduce", "run_extend"]
 def _torsion_report(torsion, labels):
     out = {}
     for name, val in torsion.components.items():
-        if hasattr(val, "coeffs"):
-            out[name] = form_str(val, labels)
-        else:
-            out[name] = scalar_str(val)
+        out[name] = form_str(val, labels) if isinstance(val, KForm) else scalar_str(val)
     return out
 
 

@@ -17,14 +17,16 @@ vectors, the metric and its inverse, the structure constants, the
 connection symbols, J, the Ricci traces and a reduction's adapted frame
 each share one denominator and are normalized by one gcd (``forms``), and
 no Scalar accumulator exists.  Scalars remain at the boundaries: the parser
-reads them in, one per product, a report writes them out, ``linsolve``
-builds one per unknown, and the Gram-Schmidt of the adapted frame builds
-one per projection and one per norm.  ``_ints`` is the one conversion of
-Scalars to an integer body (one denominator, the rational and sqrt(d)
-numerators apart), for forms, vectors, tensors and linear-system rows
-alike; ``_norm`` is the way back, and builds a body's Scalar view only
-when it is read.  ``_sign`` reads the sign of p + q sqrt(d) on the ints of
-a Scalar or of a body.
+reads them in, one per product, ``linsolve`` builds one per unknown, and
+the Gram-Schmidt of the adapted frame builds one per projection and one
+per norm.  A report writes a form or a vector straight off its body:
+``_coeff_str`` formats one coefficient from its ints, for the report and
+for ``str(Scalar)`` alike.  ``_ints`` is the one conversion of Scalars to
+an integer body (one denominator, the rational and sqrt(d) numerators
+apart), for forms, vectors, tensors and linear-system rows alike; ``_norm``
+is the way back, and builds a body's Scalar view only when it is read.
+``_sign`` reads the sign of p + q sqrt(d) on the ints of a Scalar or of a
+body.
 """
 
 from __future__ import annotations
@@ -105,6 +107,19 @@ def _ratstr(n: int, d: int) -> str:
         n //= g
         d //= g
     return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _coeff_str(p: int, q: int, den: int, d: int) -> str:
+    """The string of (p + q sqrt d)/den for den > 0, each part in lowest
+    terms: a Scalar's, and a report's for each entry of an int body, which
+    it reads without building the Scalar.  The string does not change when
+    p, q and den are scaled together, so the body need not be reduced."""
+    if not q:
+        return _ratstr(p, den)
+    bpart = f"sqrt{d}" if abs(q) == den else f"{_ratstr(abs(q), den)}*sqrt{d}"
+    if not p:
+        return bpart if q > 0 else f"-{bpart}"
+    return f"{_ratstr(p, den)}{'+' if q > 0 else '-'}{bpart}"
 
 
 class Field:
@@ -415,12 +430,4 @@ class Scalar:
         return f"Scalar({self})"
 
     def __str__(self):
-        p, q, den = self.p, self.q, self.den
-        if not q:
-            return _ratstr(p, den)
-        d = self.field.d
-        bpart = f"sqrt{d}" if abs(q) == den else f"{_ratstr(abs(q), den)}*sqrt{d}"
-        if not p:
-            return bpart if q > 0 else f"-{bpart}"
-        op = "+" if q > 0 else "-"
-        return f"{_ratstr(p, den)}{op}{bpart}"
+        return _coeff_str(self.p, self.q, self.den, self.field.d)

@@ -57,6 +57,22 @@ phi = model
 """
 
 
+def _hyperbolic(kind, n, slot):
+    """The almost abelian algebra d e_i = e_i ^ e_n (i < n) with the model
+    form of ``kind``: its identity metric is hyperbolic n-space, so Scal =
+    -n(n-1) and Ric = -(n-1) g, and it is not unimodular (the traces sum_a
+    c^a_{am} are nonzero)."""
+    labels = [f"e{i}" for i in range(1, n + 1)]
+    eqs = "".join(f"d e{i} = e{i}^e{n}\n" for i in range(1, n))
+    return f"dim {n}\nframe {' '.join(labels)}\n{eqs}metric identity\nstructure {kind}\n{slot} = model\n"
+
+
+# the first non-unimodular inputs: every trace term of the Ricci kernel, the
+# divergence and the codifferential is nonzero on them
+HYPERBOLIC_G2 = _hyperbolic("g2", 7, "phi")
+HYPERBOLIC_SPIN7 = _hyperbolic("spin7", 8, "Psi")
+
+
 def fixture_doc(name):
     return parse(registry.input_text(name))
 
@@ -383,6 +399,39 @@ def riemann(cur):
 
 
 # -- references that only the tests read --------------------------------------
+
+
+def ref_terms_str(terms) -> str:
+    """'c1*b1 + c2*b2 - ...' from (Scalar, basis label) pairs, or '0'; an
+    empty label marks a bare scalar.  The report's rendering from Scalar
+    views: the reference for ``report.form_str`` and ``vector_str``."""
+    parts = []
+    for c, base in terms:
+        cs = str(c)
+        if not base:
+            parts.append(cs)
+        elif cs == "1":
+            parts.append(base)
+        elif cs == "-1":
+            parts.append(f"-{base}")
+        elif "+" in cs[1:] or "-" in cs[1:]:
+            parts.append(f"({cs})*{base}")
+        else:
+            parts.append(f"{cs}*{base}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
+
+
+def ref_form_str(form, labels) -> str:
+    return ref_terms_str((form.coeffs[m], "^".join(labels[i - 1] for i in _indices(m))) for m in sorted(form.coeffs))
+
+
+def ref_vector_str(v, labels) -> str:
+    return ref_terms_str((c, labels[i]) for i, c in enumerate(v.components) if not c.is_zero())
 
 
 def coeff(form, *indices):

@@ -19,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    HYPERBOLIC_G2,
+    HYPERBOLIC_SPIN7,
     Q,
     S3XT4_G2,
     Riemann,
@@ -220,7 +222,8 @@ phi = model
 
 
 _INPUTS = {**{name: registry.input_text(name) for name in registry.names()}, "s3xt4": S3XT4_G2,
-           "hopf": SQUASHED_HOPF, "nilpotent_g2": NILPOTENT_G2}
+           "hopf": SQUASHED_HOPF, "nilpotent_g2": NILPOTENT_G2, "hyperbolic_g2": HYPERBOLIC_G2,
+           "hyperbolic_spin7": HYPERBOLIC_SPIN7}
 
 
 @st.composite
