@@ -79,10 +79,11 @@ class FrameError(GTorsionError, ValueError):
 class LieAlgebraFrame:
     """Frame labels, coframe differentials and geometry.
 
-    The frame caches only its metric-free structure constants, so a copy
-    with another ``geometry`` (a structure's metric) shares them safely.
+    The frame caches only metric-free data, its structure constants and
+    ``closed``, so a copy with another ``geometry`` (a structure's metric)
+    shares them safely.
     ``check_closure=False`` skips the d^2 = 0 (Jacobi) gate; computations on
-    such frames are formal and ``closed`` records the failure.
+    such frames are formal, and ``closed`` walks d^2 on first read.
     """
 
     def __init__(self, labels, coframe_d, geometry: FrameGeometry, check_closure: bool = True):
@@ -98,13 +99,19 @@ class LieAlgebraFrame:
         self.coframe_d = tuple(coframe_d)
         self.geometry = geometry
         self.field = geometry.field
-        defect = self._closure_defect()
-        self.closed = defect is None
-        if check_closure and not self.closed:
-            i, dd = defect
-            raise FrameError(
-                f"d^2 e^{self.labels[i]} = {dd!r} != 0: structure equations violate the Jacobi identity"
-            )
+        if check_closure:
+            defect = self._closure_defect()
+            if defect is not None:
+                i, dd = defect
+                raise FrameError(
+                    f"d^2 e^{self.labels[i]} = {dd!r} != 0: structure equations violate the Jacobi identity"
+                )
+            self.closed = True
+
+    @cached_property
+    def closed(self) -> bool:
+        """d^2 = 0 on every coframe element (the Jacobi identity)."""
+        return self._closure_defect() is None
 
     def _closure_defect(self):
         for i in range(self.n):
@@ -220,9 +227,8 @@ def ce_differential(frame: LieAlgebraFrame, a: KForm) -> KForm:
     return _normalize(n, a.k + 1, field, a._den * den, p, q)
 
 
-def codifferential(frame, a: KForm) -> KForm:
-    """d* = (-1)^{n(k+1)+1} star d star on k-forms; ``frame`` is a
-    LieAlgebraFrame or anything with its ``n``, ``field``, ``geometry`` and ``d``."""
+def codifferential(frame: LieAlgebraFrame, a: KForm) -> KForm:
+    """d* = (-1)^{n(k+1)+1} star d star on k-forms, through ``frame.d``."""
     n, k, geom = frame.n, a.k, frame.geometry
     if k == 0:
         return KForm.zero(n, 0, frame.field)
@@ -331,10 +337,9 @@ def change_frame(frame: LieAlgebraFrame, a_rows, new_labels=None, validate: bool
     """New frame with coframe f^i = sum_j A[i][j] e^j.
 
     The frame's metric transforms so the geometry is unchanged, and the
-    orientation sign picks up the sign of det A.  The new frame always
-    records whether it is ``closed`` (d^2 = 0); ``validate=False`` only
-    skips raising when it is not, which cannot happen when the input frame
-    is closed.
+    orientation sign picks up the sign of det A.  The closure gate runs on
+    the new frame when the input frame is closed; ``validate=False`` skips
+    it, and the gate cannot fail when the input frame is closed.
     """
     n, field, base = frame.n, frame.field, frame.geometry
     am = _matrix(a_rows, field)

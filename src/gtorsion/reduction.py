@@ -87,7 +87,6 @@ from .soliton import canonical_vector, flux_residual
 
 __all__ = [
     "ReductionError",
-    "AdaptedFrame",
     "TransverseSlice",
     "ReductionResult",
     "adapt_frame",
@@ -105,29 +104,9 @@ class ReductionError(GTorsionError, ValueError):
     pass
 
 
-class AdaptedFrame:
-    """Orthonormal frame with V/|V| as the last vector.
-
-    ``frame``: the rotated LieAlgebraFrame; ``b``: the adapted vectors as
-    the rows of a Tensor keyed (i, k), F_i = sum_k B_ik E_k; ``a``: the
-    coframe change f = A e as a Tensor keyed (i, j), A = D^{-1} B g with
-    D = diag(|F_i|^2) = 1, so that A B^T = 1; ``old_in_new``: the
-    ``CoframeChange`` for e = B^T f, whose one minors table the frame's own
-    differentials and every ``to_adapted`` read.
-    """
-
-    def __init__(self, frame: LieAlgebraFrame, a: Tensor, b: Tensor, old_in_new: CoframeChange):
-        self.frame = frame
-        self.a = a
-        self.b = b
-        self.old_in_new = old_in_new
-
-    def to_adapted(self, form: KForm) -> KForm:
-        return self.old_in_new.move(form)
-
-
-def adapt_frame(frame: LieAlgebraFrame, v: VectorField) -> AdaptedFrame:
-    """Gram-Schmidt an orthonormal frame around V (placed last, normalized).
+def adapt_frame(frame: LieAlgebraFrame, v: VectorField) -> TransverseSlice:
+    """Gram-Schmidt an orthonormal frame around V (placed last, normalized)
+    and return its transverse slice.
 
     Requires L_V g = 0 (V Killing); errors when a norm has no square root
     in the scalar field.  No elimination runs: B and the coframe rows
@@ -164,13 +143,13 @@ def adapt_frame(frame: LieAlgebraFrame, v: VectorField) -> AdaptedFrame:
     p = low.bit_length() - 1
     sign = frame.geometry.orientation_sign * _sign(v._p.get(low, 0), v._q.get(low, 0), field.d) * (-1) ** (p + n - 1)
     labels = [f"f{i}" for i in range(1, n)] + ["mu"]
-    new_frame = LieAlgebraFrame(
+    ambient = LieAlgebraFrame(
         labels,
         _new_differentials(frame, a, old_in_new),
         FrameGeometry(n, field, orientation_sign=sign),  # D = 1
         check_closure=frame.closed,
     )
-    return AdaptedFrame(new_frame, a, b, old_in_new)
+    return TransverseSlice(ambient, a, b, old_in_new)
 
 
 def _gram_schmidt(frame: LieAlgebraFrame, v: VectorField, low: int) -> list:
@@ -234,39 +213,53 @@ def _check_killing(frame, v: VectorField):
         raise ReductionError(f"V is not Killing: L_V g ({frame.labels[i]}, {frame.labels[j]}) != 0")
 
 
-class TransverseSlice:
-    """The (n-1)-dimensional transverse geometry inside an adapted frame.
+class TransverseSlice(LieAlgebraFrame):
+    """The (n-1)-dimensional transverse geometry of the orthonormal frame
+    with V/|V| last: a frame on the first n-1 adapted directions.
 
-    Forms live on the first n-1 indices; ``d`` delegates to the ambient
-    differential and insists the result is basic (no mu component and
-    invariant), naming the offending generator otherwise.
+    ``ambient`` is the adapted n-dimensional frame, ``b`` the adapted
+    vectors as the rows of a Tensor keyed (i, k), F_i = sum_k B_ik E_k, ``a``
+    the coframe change f = A e keyed (i, j), A = D^{-1} B g with
+    D = diag(|F_i|^2) = 1, so A B^T = 1, and ``to_adapted`` the
+    ``CoframeChange`` for e = B^T f, whose one minors table moves every form.
+    The slice's differentials are the ambient d f^i with their mu-terms
+    dropped, so it is a Lie algebra only when V spans an ideal direction,
+    which ``as_lie_frame`` checks; ``d`` goes through the ambient
+    differential and names the generator where a result leaves the basic
+    complex.
     """
 
-    def __init__(self, adapted: AdaptedFrame):
-        amb = adapted.frame
-        self.ambient = amb
-        self.adapted = adapted
-        self.n = amb.n - 1
-        self.field = amb.field
-        m = self.n
+    def __init__(self, ambient: LieAlgebraFrame, a: Tensor, b: Tensor, to_adapted: CoframeChange):
+        self.ambient, self.a, self.b, self.to_adapted = ambient, a, b, to_adapted
+        m, field = ambient.n - 1, ambient.field
+        mu_bit = 1 << m
+        dlist = []
+        for amb in ambient.coframe_d[:m]:
+            kept = [{mask: v for mask, v in part.items() if not mask & mu_bit} for part in (amb._p, amb._q)]
+            dlist.append(_normalize(m, 2, field, amb._den, *kept))
         # transverse volume convention: vol^ = i_V vol (so mu ^ vol^ = vol),
         # V being the last adapted vector
-        sign = amb.geometry.orientation_sign * (1 if (amb.n - 1) % 2 == 0 else -1)
-        self.geometry = FrameGeometry(m, self.field, _restricted(amb.geometry._metric, m), orientation_sign=sign)
-        self.labels = amb.labels[: self.n]
+        sign = ambient.geometry.orientation_sign * (1 if m % 2 == 0 else -1)
+        geometry = FrameGeometry(m, field, _restricted(ambient.geometry._metric, m), orientation_sign=sign)
+        super().__init__(ambient.labels[:m], dlist, geometry, check_closure=False)
+
+    def pull(self, form: KForm, context: str) -> KForm:
+        """An ambient-frame form moved into the adapted frame and restricted
+        to the slice."""
+        return self.restrict(self.to_adapted.move(form), context)
 
     def embed(self, a: KForm) -> KForm:
         return _from_body(self.ambient.n, a.k, self.field, a._den, a._p, a._q)
 
     def restrict(self, a: KForm, context: str = "form") -> KForm:
-        mu_bit = 1 << (self.ambient.n - 1)
+        mu_bit = 1 << self.n
         if any(mask & mu_bit for mask in _support(a)):
             raise ReductionError(f"{context} is not basic: carries a mu component")
         return _from_body(self.n, a.k, self.field, a._den, a._p, a._q)
 
     def d(self, a: KForm) -> KForm:
         da = self.ambient.d(self.embed(a))
-        mu_bit = 1 << (self.ambient.n - 1)
+        mu_bit = 1 << self.n
         for mask in _support(da):
             if mask & mu_bit:
                 bad = indices_of(mask)
@@ -276,24 +269,11 @@ class TransverseSlice:
                 )
         return _from_body(self.n, a.k + 1, self.field, da._den, da._p, da._q)
 
-    @cached_property
-    def _constants(self):
-        """The ambient structure constants c^k_{ij} with i, j, k all on the
-        slice: the bracket of slice vectors, projected to the slice."""
-        return _restricted(self.ambient._constants, self.n)
-
     def as_lie_frame(self) -> LieAlgebraFrame:
-        """Materialize the quotient as a Lie algebra frame when the projected
-        structure constants close (V spans an ideal direction); raises
-        FrameError otherwise."""
-        m = self.n
-        mu_bit = 1 << (self.ambient.n - 1)
-        dlist = []
-        for i in range(m):
-            amb = self.ambient.coframe_d[i]
-            kept = [{mask: v for mask, v in part.items() if not mask & mu_bit} for part in (amb._p, amb._q)]
-            dlist.append(_normalize(m, 2, self.field, amb._den, *kept))
-        return LieAlgebraFrame(list(self.labels), dlist, self.geometry)
+        """The quotient as a Lie algebra frame when the slice's structure
+        constants close (V spans an ideal direction); raises FrameError
+        otherwise."""
+        return LieAlgebraFrame(self.labels, self.coframe_d, self.geometry)
 
 
 class ReductionResult:
@@ -327,12 +307,8 @@ class ReductionResult:
     # the orthonormal adapted frame needs square roots of the complement
     # norms, which can leave the scalar field; build it only when used
     @cached_property
-    def adapted(self) -> AdaptedFrame:
-        return adapt_frame(self.structure.frame, self.v)
-
-    @cached_property
     def transverse(self) -> TransverseSlice:
-        return TransverseSlice(self.adapted)
+        return adapt_frame(self.structure.frame, self.v)
 
 
 def reduce_pair(s: GStructure, v: VectorField) -> ReductionResult:
@@ -363,11 +339,6 @@ def split_parallel_form(phi: KForm, v: VectorField, mu: KForm | None):
     return alpha, (None if mu is None else phi - wedge(mu, alpha))
 
 
-def _slice_form(red: ReductionResult, ambient_form: KForm, context: str) -> KForm:
-    ad = red.adapted.to_adapted(ambient_form)
-    return red.transverse.restrict(ad, context)
-
-
 def string_residual_on_slice(red: ReductionResult, df: KForm) -> dict:
     """Verifier entries for the string-GRS residual triple of the transverse
     data (g^, F, H^, f), with df, F and H^ on the slice read from ``red``.
@@ -382,7 +353,7 @@ def string_residual_on_slice(red: ReductionResult, df: KForm) -> dict:
     sl, s = red.transverse, red.structure
     # Rc^q + F^2_endo + nabla df = (Rc^amb + F^2_pos) - F^2_pos + nabla df
     mat = _add(s._bismut_ricci, covariant_derivative_oneform(s.frame, s.bismut, df))
-    slot1 = _restricted(transform_bilinear(mat, red.adapted.b), sl.n)
+    slot1 = _restricted(transform_bilinear(mat, sl.b), sl.n)
     slot2 = flux_residual(sl, red.flux_slice, red.h_hat_slice, musical_inv(red.df_slice, sl.geometry))
     return {
         "string GRS slot1": slot1.is_zero(),
@@ -445,7 +416,7 @@ def _su3_verifier(red: ReductionResult, vhat_ad: VectorField, beta_ad: KForm) ->
         "pi0 = 7/12 tau0": rt["pi0"] == field.scalar(7, 12) * tau0,
     }
     # nu3 = (1/8) tau0 Omega- + (1/4) df ^ omega - i_V(star tau3)
-    st_ad = red.adapted.to_adapted(hodge_star(unit.torsion["tau3"], unit.geometry))
+    st_ad = sl.to_adapted.move(hodge_star(unit.torsion["tau3"], unit.geometry))
     iv_st = sl.restrict(interior(vhat_ad, st_ad), "i_V star tau3")
     nu3_expected = om_min.scale(field.scalar(1, 8) * tau0) + wedge(df_sl, omega).scale(field.scalar(1, 4)) - iv_st
     table["nu3 identity"] = rt["nu3"] == nu3_expected
@@ -481,7 +452,7 @@ def _g2_verifier(red: ReductionResult, vhat_ad: VectorField, beta_ad: KForm) -> 
         star_phi, d_star_phi = -star_phi, -d_star_phi
     table["d star-phi identity"] = (d_star_phi - wedge(df_sl, star_phi)).is_zero()
     # star tau3 = (3/28) theta_phi ^ phi - i_V zeta5 (orientation-free 4-form)
-    iv_z = sl.restrict(interior(vhat_ad, red.adapted.to_adapted(unit.torsion["zeta5"])), "i_V zeta5")
+    iv_z = sl.restrict(interior(vhat_ad, sl.to_adapted.move(unit.torsion["zeta5"])), "i_V zeta5")
     lhs = hodge_star(rt["tau3"], sl.geometry)
     table["star tau3 identity"] = lhs == wedge(rt["lee"], phi).scale(sl.field.scalar(3, 28)) - iv_z
     table["theta_phi = df"] = rt["lee"] == df_sl
@@ -490,7 +461,7 @@ def _g2_verifier(red: ReductionResult, vhat_ad: VectorField, beta_ad: KForm) -> 
     # d theta_Psi lands in Lambda^2_21 upstairs and Lambda^2_14 downstairs
     dtheta = unit.d(unit.torsion["lee"])
     table["d theta in Lambda^2_21"] = project(unit, dtheta)["7"].is_zero()
-    table["d theta in Lambda^2_14"] = project(struct, _slice_form(red, dtheta, "d theta"))["7"].is_zero()
+    table["d theta in Lambda^2_14"] = project(struct, sl.pull(dtheta, "d theta"))["7"].is_zero()
     # H^ = H_phi of the reduced structure: the formula reads tau2, zero in
     # either orientation, and the Lee form, which the flip leaves alone
     table["H^ = H_phi"] = red.h_hat_slice == struct.h
@@ -576,16 +547,16 @@ def _reduce(s: GStructure, df: KForm | None, kind: str) -> ReductionResult:
         raise ReductionError("rigid case: V = 0, no reduction")
     unit, v = _unit_length(s, v)
     red = reduce_pair(unit, v)
-    ad = red.adapted
+    sl = red.transverse
     # V is unit and last in the adapted frame, and A B^T = 1 gives A V = e_n
     vhat_ad = VectorField.basis(s.n, s.field, s.n)
-    split = split_parallel_form(ad.to_adapted(unit.form(form_name)), vhat_ad, ad.to_adapted(red.mu))
-    red.forms = {name: red.transverse.restrict(x, label) for (name, label), x in zip(reduced, split)}
+    split = split_parallel_form(sl.to_adapted.move(unit.form(form_name)), vhat_ad, sl.to_adapted.move(red.mu))
+    red.forms = {name: sl.restrict(x, label) for (name, label), x in zip(reduced, split)}
     red.reduced_structure, red.reduced_torsion = reduced_structure(red)
     # df, F and H^ move to the slice once; the residual and the verifier read them
-    red.df_slice = _slice_form(red, df, "df")
-    red.flux_slice = _slice_form(red, red.flux, "F")
-    red.h_hat_slice = _slice_form(red, red.h_hat, "H^")
+    red.df_slice = sl.pull(df, "df")
+    red.flux_slice = sl.pull(red.flux, "F")
+    red.h_hat_slice = sl.pull(red.h_hat, "H^")
     grs = string_residual_on_slice(red, df)
     red.verifier = {**verifier(red, vhat_ad, split[1]), **grs}
     return red

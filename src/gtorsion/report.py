@@ -82,6 +82,20 @@ def _json(x, pad: str, quote) -> str:
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
+def _text(prefix: str, value, lines: list) -> None:
+    """Append the text lines of ``prefix: value`` to ``lines``; a nested key
+    is indented two spaces at every depth.  Module-level, as ``_json`` is."""
+    if isinstance(value, dict):
+        lines.append(f"{prefix}:")
+        for k, v in value.items():
+            _text(f"  {k}", v, lines)
+    elif isinstance(value, list):
+        lines.append(f"{prefix}:")
+        lines.extend(f"  - {v}" for v in value)
+    else:
+        lines.append(f"{prefix}: {value}")
+
+
 class Report:
     """Ordered key/value report; values are strings, bools, ints, lists and
     dicts with string keys."""
@@ -103,21 +117,7 @@ class Report:
 
     def to_text(self) -> str:
         lines = []
-
-        def emit(prefix, value):
-            if isinstance(value, dict):
-                lines.append(f"{prefix}:")
-                for k, v in value.items():
-                    emit(f"  {k}", v)
-            elif isinstance(value, list):
-                lines.append(f"{prefix}:")
-                for v in value:
-                    lines.append(f"  - {v}")
-            else:
-                lines.append(f"{prefix}: {value}")
-
         for k, v in self.data.items():
-            if k == "schema":
-                continue
-            emit(k, v)
+            if k != "schema":
+                _text(k, v, lines)
         return "\n".join(lines)

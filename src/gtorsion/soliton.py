@@ -39,7 +39,7 @@ from .forms import (
     musical_inv,
     wedge,
 )
-from .frames import codifferential, covariant_derivative_oneform, curvature, transform_bilinear
+from .frames import LieAlgebraFrame, codifferential, covariant_derivative_oneform, curvature, transform_bilinear
 from .scalars import GTorsionError, Scalar, _norm
 from .structures import (
     KINDS,
@@ -80,9 +80,8 @@ def grs_residual_norm_sq(s: GStructure, res: Tensor) -> Scalar:
     return _dot(up, res)
 
 
-def flux_residual(frame, f: KForm, h: KForm, x: VectorField) -> KForm:
-    """d*F - <F,H> + i_X F, the flux equation of string GRS; ``frame`` is a
-    LieAlgebraFrame or a transverse slice."""
+def flux_residual(frame: LieAlgebraFrame, f: KForm, h: KForm, x: VectorField) -> KForm:
+    """d*F - <F,H> + i_X F, the flux equation of string GRS."""
     return codifferential(frame, f) - contract_2_3(f, h, frame.geometry) + interior(x, f)
 
 

@@ -167,8 +167,8 @@ class TorsionClasses:
 class GStructure:
     """Tagged structure: kind, defining forms, frame, derived metric data.
 
-    ``frame`` is anything with n / field / geometry / d(form) / _constants,
-    and its ``geometry`` is the structure's metric (``s.geometry``): SU(3)
+    ``frame`` is a ``LieAlgebraFrame`` (a transverse slice is one), and its
+    ``geometry`` is the structure's metric (``s.geometry``): SU(3)
     and G2 put their induced metric on a copy of the input frame
     (``_on_metric``), so every frame-level call on ``s.frame`` sees it.
 
@@ -453,9 +453,9 @@ def ah_assemble(omega: KForm, frame) -> GStructure:
 
 def _on_metric(base, geom: FrameGeometry):
     """A shallow copy of the frame ``base`` whose geometry is ``geom``.
-    Frames cache nothing but their metric-free ``constants`` and
-    ``_coframe_body``, so the copy shares them; keep every metric-dependent
-    cache off frames."""
+    Frames cache nothing but their metric-free ``_constants``,
+    ``_coframe_body`` and ``closed``, so the copy shares them; keep every
+    metric-dependent cache off frames."""
     out = object.__new__(type(base))
     out.__dict__ = {**base.__dict__, "geometry": geom}
     return out

@@ -577,9 +577,10 @@ def cartan_three_form(frame) -> KForm:
     return h
 
 
-def to_ambient(adapted, form) -> KForm:
-    """A form of an ``AdaptedFrame`` moved back to the ambient frame."""
-    return transform_form(form, adapted.a.rows(adapted.frame.n), adapted.frame.field)
+def to_ambient(sl, form) -> KForm:
+    """A form of the adapted frame of the transverse slice ``sl`` moved back
+    to the frame the slice was adapted from."""
+    return transform_form(form, sl.a.rows(sl.ambient.n), sl.field)
 
 
 def model_form(kind, n, field):

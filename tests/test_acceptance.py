@@ -358,13 +358,10 @@ def test_criterion_8_property_suites(rng):
             tally += 2
 
     # one full reduce-then-extend round trip on the closed-Lee fixture
-    s = fixture_structure("nonintG2")
-    red = reduce_g2(s)
-    qfr = red.transverse.as_lie_frame()
-    qs = su3_assemble(red.omega, red.omega_plus, qfr)
-    h_hat = KForm(6, 3, s.field, dict(red.adapted.to_adapted(red.h_hat).coeffs))
-    ext = central_extend(qs, KForm.zero(6, 2, s.field), "g2")
-    if not (qs.h == h_hat and ext["strong"] and ext["torsion_matches"]):
+    red = reduce_g2(fixture_structure("nonintG2"))
+    qs = red.reduced_structure
+    ext = central_extend(qs, red.flux_slice, "g2", red.df_slice)
+    if not (qs.h == red.h_hat_slice and ext["strong"] and ext["torsion_matches"]):
         failures.append("reduce/extend round trip failed")
     tally += 1
 

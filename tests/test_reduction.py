@@ -34,6 +34,7 @@ from gtorsion.forms import (
     hodge_star,
 )
 from gtorsion.frames import (
+    FrameError,
     LieAlgebraFrame,
     bismut_connection,
     covariant_derivative_oneform,
@@ -76,7 +77,7 @@ def test_adapt_frame_coordinate_direction():
     # transverse coframe stays e1..e6, mu is e7
     for i in range(7):
         expected = KForm(7, 1, s.field, {1 << i: s.field.one()})
-        assert ad.to_adapted(expected) == KForm(7, 1, s.field, {1 << i: s.field.one()})
+        assert ad.to_adapted.move(expected) == KForm(7, 1, s.field, {1 << i: s.field.one()})
 
 
 def test_adapt_frame_rotated_direction():
@@ -87,7 +88,7 @@ def test_adapt_frame_rotated_direction():
     # the last adapted vector is V/|V| = (e4 - e3)/sqrt2, and the complement
     # contains (e3 + e4)/sqrt2
     half_rt2 = f.sqrt_d() * f.scalar(Fraction(1, 2))
-    mu = ad.to_adapted(musical(v.scale(f.sqrt_d().inverse() * f.scalar(Fraction(1, 2)).inverse() * f.scalar(Fraction(1, 2))), s.geometry))
+    mu = ad.to_adapted.move(musical(v.scale(f.sqrt_d().inverse() * f.scalar(Fraction(1, 2)).inverse() * f.scalar(Fraction(1, 2))), s.geometry))
     # simpler: the mu coframe element expressed in ambient terms
     amb_mu = to_ambient(ad, KForm(7, 1, f, {1 << 6: f.one()}))
     assert amb_mu == KForm(7, 1, f, {1 << 3: half_rt2, 1 << 2: -half_rt2})
@@ -206,10 +207,10 @@ def check_adapted_frame(frame, v):
     assert b[-1] == list(v.scale(frame.geometry.norm_sq(v).sqrt().inverse()).components)
     a_ref = _transpose(mat_inverse(b, field))
     assert a == a_ref
-    ref = frames.change_frame(frame, a_ref, new_labels=ad.frame.labels)
-    assert ad.frame.coframe_d == ref.coframe_d
-    assert ad.frame.geometry.metric == ref.geometry.metric
-    assert ad.frame.geometry.orientation_sign == ref.geometry.orientation_sign
+    ref = frames.change_frame(frame, a_ref, new_labels=ad.ambient.labels)
+    assert ad.ambient.coframe_d == ref.coframe_d
+    assert ad.ambient.geometry.metric == ref.geometry.metric
+    assert ad.ambient.geometry.orientation_sign == ref.geometry.orientation_sign
     return ad
 
 
@@ -218,19 +219,21 @@ def check_moved_forms(monkeypatch, s):
     frame: read through the frame's one minors table, it equals
     ``transform_form`` with a table of its own."""
     moved = []
-    to_adapted = reduction.AdaptedFrame.to_adapted
+    move = forms.CoframeChange.move
 
     def spy(self, form):
-        out = to_adapted(self, form)
+        out = move(self, form)
         moved.append((self, form, out))
         return out
 
-    monkeypatch.setattr(reduction.AdaptedFrame, "to_adapted", spy)
+    monkeypatch.setattr(forms.CoframeChange, "move", spy)
     red = (reduce_g2 if s.kind == "g2" else reduce_spin7)(s)
     monkeypatch.undo()
-    ad = red.adapted
-    bt = _transpose(ad.b.rows(s.n))
-    assert all(frame is ad for frame, _, _ in moved)
+    sl = red.transverse
+    bt = _transpose(sl.b.rows(s.n))
+    # the slice's change also moved the ambient differentials; other changes
+    # (J's) move forms of their own
+    moved = [(change, form, out) for change, form, out in moved if change is sl.to_adapted]
     for _, form, out in moved:
         assert out == transform_form(form, bt, s.field)
     # the parallel form, mu, df, F and H^, then the verifier's torsion forms
@@ -281,7 +284,7 @@ def test_adapted_coframe_takes_v_to_the_last_vector(name):
     # last adapted vector, and the certificate A B^T = 1 gives A V = e_n
     s = fixture_structure(name)
     red = reduce_g2(s) if "G2" in name else reduce_spin7(s)
-    assert mat_vec(red.adapted.a.rows(s.n), red.v) == VectorField.basis(s.n, s.field, s.n)
+    assert mat_vec(red.transverse.a.rows(s.n), red.v) == VectorField.basis(s.n, s.field, s.n)
 
 
 # -- reduce_pair -------------------------------------------------------------
@@ -460,19 +463,20 @@ def test_change_of_basis_matches_adapted_frame_rebuild(name):
     f, n = s.field, s.n
     assert not (s.geometry.norm_sq(canonical_vector(s)) - f.one()).is_zero()
     red = (reduce_g2 if s.kind == "g2" else reduce_spin7)(s)
-    ad = red.adapted
+    sl = red.transverse
+    ad = sl.ambient
     theta = KForm.from_terms(n, f, [((1,), 1), ((3,), 2)])
-    theta_ad = ad.to_adapted(theta)
+    theta_ad = sl.to_adapted.move(theta)
     for conn, rebuilt in (
-        (s.levi_civita, levi_civita(ad.frame)),
-        (s.bismut, bismut_connection(ad.frame, ad.to_adapted(red.structure.h), levi_civita(ad.frame))),
+        (s.levi_civita, levi_civita(ad)),
+        (s.bismut, bismut_connection(ad, sl.to_adapted.move(red.structure.h), levi_civita(ad))),
     ):
-        b = _matrix(ad.b.rows(n), f)
+        b = _matrix(sl.b.rows(n), f)
         ric = curvature(s.frame, conn)
-        assert transform_bilinear(ric, b) == curvature(ad.frame, rebuilt)
+        assert transform_bilinear(ric, b) == curvature(ad, rebuilt)
         nabla_theta = covariant_derivative_oneform(s.frame, conn, theta)
         assert transform_bilinear(nabla_theta, b) == covariant_derivative_oneform(
-            ad.frame, rebuilt, theta_ad
+            ad, rebuilt, theta_ad
         )
     # the Levi-Civita Ricci tensor is nonzero, so a transposed B would show
     assert not curvature(s.frame, s.levi_civita).is_zero()
@@ -545,38 +549,81 @@ def test_splitting_equivalence_randomized(rng):
 
 
 def quotient_su3_of_nonintG2():
+    """nonintG2, its reduction, the transverse slice, the SU(3) structure the
+    reduction builds on it, and H^ and F on the slice."""
     s = fixture_structure("nonintG2")
     red = reduce_g2(s)
-    qfr = red.transverse.as_lie_frame()
-    qs = su3_assemble(red.omega, red.omega_plus, qfr)
-    h_hat = KForm(6, 3, s.field, dict(red.adapted.to_adapted(red.h_hat).coeffs))
-    flux = KForm(6, 2, s.field, dict(red.adapted.to_adapted(red.flux).coeffs))
-    return s, red, qfr, qs, h_hat, flux
+    return s, red, red.transverse, red.reduced_structure, red.h_hat_slice, red.flux_slice
 
 
 def test_central_extend_roundtrip():
-    s, red, qfr, qs, h_hat, flux = quotient_su3_of_nonintG2()
+    # the extension reads the reduction's slice structure, F and df as they
+    # are, with no Lie frame rebuilt from the slice
+    s, red, sl, qs, h_hat, flux = quotient_su3_of_nonintG2()
     # the extension reads H^ off the quotient: its own H is the reduced H^
     assert qs.h == h_hat
-    ext = central_extend(qs, flux, "g2")
+    ext = central_extend(qs, flux, "g2", red.df_slice)
     assert ext["strong"] and ext["torsion_matches"]
-    # the extended structure is the original one up to the frame isomorphism
-    # sending the new generator to the last slot
+    # the extended structure and its H are the original ones up to the frame
+    # isomorphism sending the new generator to the last slot
     f = s.field
     n = 7
     a = [[f.zero()] * n for _ in range(n)]
     a[0][6] = f.one()
     for i in range(6):
         a[i + 1][i] = f.one()
-    from gtorsion.frames import transform_form
+    back = mat_inverse(a, f)
+    assert transform_form(sl.to_adapted.move(s.form("phi")), back, f) == ext["structure"].form("phi")
+    assert transform_form(sl.to_adapted.move(s.h), back, f) == ext["h"]
 
-    phi_ad = red.adapted.to_adapted(s.form("phi"))
-    assert transform_form(phi_ad, mat_inverse(a, f), f) == ext["structure"].form("phi")
+
+@pytest.mark.parametrize("name, reduce, target, jacobi", [
+    ("nonintG2nonclosedLee", reduce_g2, "g2", r"d\^2 e\^f1 = KForm\(6,3; \(-1/4\)e245\)"),
+    ("nonintSpin7OneA", reduce_spin7, "spin7", r"d\^2 e\^f2 = KForm\(7,3; \(-1/4\)e356\)"),
+])
+def test_a_non_central_slice_is_no_lie_algebra(name, reduce, target, jacobi):
+    # V is not central (F != 0), so the slice's differentials, the ambient
+    # d f^i without their mu-terms, fail Jacobi: as_lie_frame rejects them,
+    # and so does the central extension of the slice structure, which has no
+    # place for V's action on the slice (ROADMAP item 15)
+    red = reduce(fixture_structure(name))
+    assert red.verifier_ok() and not red.flux_slice.is_zero()
+    sl = red.transverse
+    assert sl.ambient.closed and not sl.closed
+    message = jacobi + " != 0: structure equations violate the Jacobi identity$"
+    with pytest.raises(FrameError, match="^" + message):
+        sl.as_lie_frame()
+    with pytest.raises(FrameError, match="Jacobi identity$"):
+        central_extend(red.reduced_structure, red.flux_slice, target, red.df_slice)
+
+
+def test_as_lie_frame_of_a_central_slice():
+    # nonintG2's V is central (F = 0): its slice is a Lie algebra, and the SU(3)
+    # structure assembled on as_lie_frame (the benchmark's extend input) is
+    # the one the reduction built on the slice
+    s, red, sl, qs, h_hat, flux = quotient_su3_of_nonintG2()
+    qfr = sl.as_lie_frame()
+    assert type(qfr) is LieAlgebraFrame and qfr.closed and sl.closed
+    assert (qfr.labels, qfr.coframe_d, qfr.geometry) == (sl.labels, sl.coframe_d, sl.geometry)
+    rebuilt = su3_assemble(red.omega, red.omega_plus, qfr)
+    assert rebuilt.h == qs.h == h_hat and rebuilt.torsion.components == qs.torsion.components
+
+
+def test_slice_differential_stays_basic():
+    # on nonintG2nonclosedLee V rotates the (f1, f2) plane, so d f1 on the
+    # slice carries f2^mu, which the truncated differentials would drop
+    sl = reduce_g2(fixture_structure("nonintG2nonclosedLee")).transverse
+    f1 = KForm(6, 1, sl.field, {1: sl.field.one()})
+    with pytest.raises(ReductionError, match=r"^quotient differential left the basic complex at generator f2\^mu$"):
+        sl.d(f1)
+    # the slice's own d f1 is the ambient one less its f2^mu term
+    mu_part = sl.ambient.coframe_d[0] - sl.embed(sl.coframe_d[0])
+    assert list(mu_part.coeffs) == [0b1000010]
 
 
 def test_central_extend_f_zero_is_product():
     # F = 0: the extension splits as a product (flux-free string ansatz)
-    s, red, qfr, qs, h_hat, flux = quotient_su3_of_nonintG2()
+    s, red, sl, qs, h_hat, flux = quotient_su3_of_nonintG2()
     assert flux.is_zero()
     ext = central_extend(qs, KForm.zero(6, 2, s.field), "g2")
     ext_s = ext["structure"]
@@ -591,19 +638,19 @@ def test_central_extend_rejects_wrong_sigma0():
 
 
 def test_central_extend_bianchi_obstruction():
-    s, red, qfr, qs, h_hat, flux = quotient_su3_of_nonintG2()
+    s, red, sl, qs, h_hat, flux = quotient_su3_of_nonintG2()
     f = s.field
     bad_flux = KForm.from_terms(6, f, [((2, 3), 1), ((5, 6), 1)])  # closed, F ^ F != 0
-    assert qfr.d(bad_flux).is_zero()
+    assert sl.d(bad_flux).is_zero()
     with pytest.raises(ReductionError, match="Bianchi"):
         central_extend(qs, bad_flux, "g2")
 
 
 def test_central_extend_rejects_nonclosed_flux():
-    s, red, qfr, qs, h_hat, flux = quotient_su3_of_nonintG2()
+    s, red, sl, qs, h_hat, flux = quotient_su3_of_nonintG2()
     f = s.field
     nonclosed = KForm.from_terms(6, f, [((1, 4), 1)])  # crosses the two factors
-    assert not qfr.d(nonclosed).is_zero()
+    assert not sl.d(nonclosed).is_zero()
     with pytest.raises(ReductionError, match="closed"):
         central_extend(qs, nonclosed, "g2")
 
@@ -633,7 +680,7 @@ def _extend(structure, target, df=None):
 
 
 def _extend_quotient_with_df():
-    s, red, qfr, qs, h_hat, flux = quotient_su3_of_nonintG2()
+    s, red, sl, qs, h_hat, flux = quotient_su3_of_nonintG2()
     return central_extend(qs, flux, "g2", df=KForm.from_terms(6, s.field, [((1,), 1)]))
 
 
@@ -695,13 +742,13 @@ def test_anomaly_vanishes_randomized(rng):
 def test_reduction_moves_each_form_to_the_slice_once(monkeypatch, name):
     # df, F and H^ go to the slice once; the residual and the verifier share them
     moved = Counter()
-    slice_form = reduction._slice_form
+    pull = reduction.TransverseSlice.pull
 
-    def counted(red, form, context):
+    def counted(sl, form, context):
         moved[context] += 1
-        return slice_form(red, form, context)
+        return pull(sl, form, context)
 
-    monkeypatch.setattr(reduction, "_slice_form", counted)
+    monkeypatch.setattr(reduction.TransverseSlice, "pull", counted)
     s = fixture_structure(name)
     red = (reduce_g2 if s.kind == "g2" else reduce_spin7)(s)
     assert red.verifier_ok()

@@ -140,6 +140,25 @@ def test_to_json_leaves_no_cyclic_garbage():
         gc.enable()
 
 
+@pytest.mark.parametrize("name", registry.names())
+def test_to_text_leaves_no_cyclic_garbage(name):
+    # a writer that recursed through a closure left a function-cell cycle
+    # behind every call, 5 objects on nonintG2
+    rep, _ = registry.run_example(name)
+    gc.collect()
+    gc.disable()
+    try:
+        rep.to_text()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_to_text_indents_a_nested_key_two_spaces_at_any_depth():
+    nested = Report().set("a", {"b": {"c": [1, "x"], "d": True}, "e": []}).set("f", "g")
+    assert nested.to_text() == "a:\n  b:\n  c:\n  - 1\n  - x\n  d: True\n  e:\nf: g"
+
+
 # strings with quotes, backslashes, control characters and non-ASCII text
 _TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é√ωΩ'), st.characters()), max_size=8)
 _JSON = st.recursive(
