@@ -457,9 +457,9 @@ def kernel_inputs(draw):
 def test_fused_kernels_match_termwise_sums(inputs):
     field, a, b, x, action, coframe_d = inputs
     assert_same = _assert_same_form
-    assert_same(wedge(a, b), ref_wedge(a, b))
-    assert_same(interior(x, a), ref_interior(x, a))
-    assert_same(derivation(a, action), ref_derivation(a, action))
+    assert_same(wedge(a, b), ref_wedge(a, b), a.k + b.k, field)
+    assert_same(interior(x, a), ref_interior(x, a), a.k - 1, field)
+    assert_same(derivation(a, action), ref_derivation(a, action), a.k, field)
     # several actions in one walk: column p of each row is the p-th derivation
     flipped = {}
     for j, row in action.items():
@@ -469,9 +469,10 @@ def test_fused_kernels_match_termwise_sums(inputs):
     rows = derivation_columns(a, actions)
     assert all(rows.values())  # a mask whose every column cancels is absent
     for p, act in enumerate(actions):
-        assert_same(KForm(N, a.k, field, {m: row[p] for m, row in rows.items() if p in row}), ref_derivation(a, act))
+        assert_same(KForm(N, a.k, field, {m: row[p] for m, row in rows.items() if p in row}), ref_derivation(a, act),
+                    a.k, field)
     frame = LieAlgebraFrame([f"e{i}" for i in range(1, N + 1)], coframe_d, FrameGeometry(N, field), check_closure=False)
-    assert_same(ce_differential(frame, a), ref_d(coframe_d, a))
+    assert_same(ce_differential(frame, a), ref_d(coframe_d, a), a.k + 1, field)
 
 
 @settings(max_examples=40, deadline=None)
@@ -481,7 +482,7 @@ def test_fused_contract_2_3_matches_termwise_sum(fh, diagonal):
     field = f.field
     g = [field.scalar(v) for v in ((1, 2, 1, 3, Fraction(1, 5)) if diagonal else (1,) * N)]
     geom = FrameGeometry(N, field, [[g[i] if i == j else 0 for j in range(N)] for i in range(N)])
-    _assert_same_form(contract_2_3(f, h, geom), ref_contract_2_3(f, h, [v.inverse() for v in g]))
+    _assert_same_form(contract_2_3(f, h, geom), ref_contract_2_3(f, h, [v.inverse() for v in g]), 1, field)
 
 
 @settings(max_examples=60, deadline=None)
@@ -509,10 +510,12 @@ def _canonical(v):
     return v.den > 0 and gcd(v.p, v.q, v.den) == 1 and not v.is_zero()
 
 
-def _assert_same_form(got, want):
-    """got, a form of dimension N, has the reference's {mask: Scalar} ``want``
-    as its coefficients, each canonical and in got's field."""
-    assert got.n == N and all(m.bit_count() == got.k for m in want)
+def _assert_same_form(got, want, k, field):
+    """got is a k-form of dimension N over field whose coefficients are the
+    reference's {mask: Scalar} ``want``, each canonical and in that field.
+    Degree and field are checked on got itself, so a zero result counts too."""
+    assert (got.n, got.k, got.field) == (N, k, field)
+    assert all(m.bit_count() == k for m in want)
     assert got.coeffs == want  # a cancelled key is absent, not zero
     assert all(_canonical(v) and v.field is got.field for v in got.coeffs.values())
 
@@ -545,7 +548,7 @@ def test_top_degree_wedge_matches_termwise_sums():
         a = draw(rng.randint(0, N))
         b = draw(N - a.k)
         got = wedge(a, b)
-        _assert_same_form(got, ref_wedge(a, b))
+        _assert_same_form(got, ref_wedge(a, b), N, field)
         pairs = sum(1 for m in a.coeffs if full ^ m in b.coeffs)
         if pairs:
             seen.add("top-degree pair")
@@ -558,18 +561,21 @@ def test_fused_kernels_drop_keys_that_cancel():
     a = KForm(N, 2, Q, {e(1, 2): _q("2/5"), e(1, 3): _q(1)})
     b = KForm(N, 1, Q, {e(3): _q("3/14"), e(2): _q("3/35"), e(4): _q("1/3")})
     w = wedge(a, b)  # e123: 2/5 * 3/14 - 3/35
-    assert e(1, 2, 3) not in w.coeffs and w.coeffs == ref_wedge(a, b)
+    assert e(1, 2, 3) not in w.coeffs
+    _assert_same_form(w, ref_wedge(a, b), 3, Q)
     assert set(w.coeffs) == {e(1, 2, 4), e(1, 3, 4)}
 
     a = KForm(N, 2, Q, {e(1, 3): _q("2/5"), e(2, 3): _q(1)})
     x = VectorField(N, Q, [_q("3/14"), _q("-3/35"), _q("1/3"), 0, 0])
     i = interior(x, a)  # e3: 2/5 * 3/14 - 3/35
-    assert e(3) not in i.coeffs and i.coeffs == ref_interior(x, a)
+    assert e(3) not in i.coeffs
+    _assert_same_form(i, ref_interior(x, a), 1, Q)
 
     action = {2: {1: _q("3/14"), 0: _q("6/35")}}  # e3 -> 3/14 e2 + 6/35 e1
     a = KForm(N, 2, Q, {e(1, 3): _q("2/5"), e(2, 3): _q("1/2")})
     dv = derivation(a, action)  # e12: 2/5 * 3/14 - 1/2 * 6/35
-    assert not dv.coeffs and not ref_derivation(a, action)
+    assert not dv.coeffs
+    _assert_same_form(dv, ref_derivation(a, action), 2, Q)
 
     coframe_d = [KForm(N, 2, Q, {e(2, 3): _q("2/5")}), KForm.zero(N, 2, Q), KForm.zero(N, 2, Q),
                  KForm(N, 2, Q, {e(2, 3): _q("-3/35")}), KForm.zero(N, 2, Q)]
@@ -580,7 +586,8 @@ def test_fused_kernels_drop_keys_that_cancel():
     f = KForm(N, 2, Q, {e(1, 2): _q("2/5"), e(1, 3): _q(1)})
     h = KForm(N, 3, Q, {e(1, 2, 4): _q("3/14"), e(1, 3, 4): _q("-3/35"), e(1, 2, 5): _q(1)})
     c = contract_2_3(f, h, FrameGeometry(N, Q))  # e4: 2/5 * 3/14 - 3/35
-    assert set(c.coeffs) == {e(5)} and c.coeffs == ref_contract_2_3(f, h, [Q.one()] * N)
+    assert set(c.coeffs) == {e(5)}
+    _assert_same_form(c, ref_contract_2_3(f, h, [Q.one()] * N), 1, Q)
 
     # (3/35, 1) + 2/5 (-3/14, 0) on int rows over 35 * 14 * 5: 210 - 210 at
     # key 0, an exact zero; echelon drops it from the row
@@ -774,6 +781,6 @@ def gl_changes(draw):
 def test_transform_form_matches_wedge_chain(case):
     field, a, m = case
     got = transform_form(a, m, field)
-    _assert_same_form(got, ref_transform_form(a, m, field).coeffs)
+    _assert_same_form(got, ref_transform_form(a, m, field).coeffs, a.k, field)
     # and back: the inverse matrix undoes the change
     assert transform_form(got, mat_inverse(m, field), field) == a

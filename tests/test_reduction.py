@@ -216,24 +216,34 @@ def check_adapted_frame(frame, v):
 
 def check_moved_forms(monkeypatch, s):
     """Reduce s and check every form the reduction moves into the adapted
-    frame: read through the frame's one minors table, it equals
-    ``transform_form`` with a table of its own."""
-    moved = []
-    move = forms.CoframeChange.move
+    frame: each goes through the one slice's one change, B^T, and read
+    through its minors table it equals ``transform_form`` with a table of
+    its own."""
+    moved, slices = [], []
+    move, adapt = forms.CoframeChange.move, reduction.adapt_frame
 
     def spy(self, form):
         out = move(self, form)
         moved.append((self, form, out))
         return out
 
+    def spy_adapt(frame, v):
+        slices.append(adapt(frame, v))
+        return slices[-1]
+
     monkeypatch.setattr(forms.CoframeChange, "move", spy)
+    monkeypatch.setattr(reduction, "adapt_frame", spy_adapt)
     red = (reduce_g2 if s.kind == "g2" else reduce_spin7)(s)
     monkeypatch.undo()
+    # one slice per reduction, so one B^T minors table
+    assert len(slices) == 1 and slices[0] is red.transverse
     sl = red.transverse
     bt = _transpose(sl.b.rows(s.n))
     # the slice's change also moved the ambient differentials; other changes
-    # (J's) move forms of their own
-    moved = [(change, form, out) for change, form, out in moved if change is sl.to_adapted]
+    # (J's) move forms of their own, and none of them is a second B^T
+    ours = sl.to_adapted
+    assert all((c.den, c.rows) != (ours.den, ours.rows) for c, _, _ in moved if c is not ours)
+    moved = [(change, form, out) for change, form, out in moved if change is ours]
     for _, form, out in moved:
         assert out == transform_form(form, bt, s.field)
     # the parallel form, mu, df, F and H^, then the verifier's torsion forms

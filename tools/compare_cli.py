@@ -6,8 +6,8 @@ result, so that two checkouts can be compared byte for byte.
 CHECKOUT is the root of a gtorsion checkout; its ``src`` and ``bench`` are
 imported, so run the tool once per checkout, each in its own process.  The
 runs are ``example`` on every fixture in json and in text; ``check``,
-``reduce`` (json and text), ``reduce --raw-lee`` and ``extend`` on every
-input that ``bench/gen.py`` generates for the ``rotated`` and ``extend``
+``reduce`` and ``extend`` (each in json and in text) and ``reduce
+--raw-lee`` on every input that ``bench/gen.py`` generates for the ``rotated`` and ``extend``
 workloads at SEED; and the text of the SU(3) quotient of nonintG2 that the
 ``extend`` workload starts from.  OUT.json maps each run's name to
 [exit code, stdout, stderr], so that comparing two checkouts is
@@ -29,10 +29,12 @@ import tempfile
 
 COMMANDS = [
     ("check", ["--format", "json"]),
+    ("check", ["--format", "text"]),
     ("reduce", ["--format", "json"]),
     ("reduce", ["--format", "text"]),
     ("reduce", ["--raw-lee", "--format", "json"]),
     ("extend", ["--format", "json"]),
+    ("extend", ["--format", "text"]),
 ]
 
 
