@@ -12,7 +12,7 @@ int products straight into its output's numerators and normalizes the
 form once, by one gcd over den and every numerator, not once per
 coefficient.  ``coeffs`` is a read-only view of canonical Scalars, built
 on first read and kept; the public constructor and ``from_terms`` take
-Scalars (``from_terms`` keeps the ones it summed as the view).  A
+Scalars (``from_terms`` sums its terms' ints, signed, with no Scalar).  A
 ``VectorField`` holds the same body as a 1-form, keyed by the bit of each
 index, and a ``Tensor`` holds one keyed by index tuples: the metric (the
 induced G2 and SU(3) ones included), its inverse and every tensor of the
@@ -26,13 +26,14 @@ sqrt(d) scaled add behind every linear combination (``_combination``),
 into its rational and sqrt(d) parts, and ``_dot`` pairs two bodies into one
 Scalar.  All values are immutable and all operations are pure.
 
-The identity metric raises no index at all.  Every other raise, and every
-minor, comes from one table, the Cauchy-Binet minors of a matrix's leading
-rows (``_minors``), held in a ``CoframeChange``: a change of frame and the
-raising of indices by g^{-1} (one change cached per geometry) read it, so
-the forms one change moves share the minors; det g and Sylvester's test
-read one expansion of the leading minors of g on its int rows.  The table
-holds the minors of the matrix scaled to ints by one denominator.
+The identity metric raises no index and expands no table.  Every other
+raise, and every minor, comes from one table, the Cauchy-Binet minors of a
+matrix's leading rows (``_minors``), held in a ``CoframeChange``: a change
+of frame and the raising of indices by g^{-1} (one change cached per
+geometry) read it, so the forms one change moves share the minors; det g
+and Sylvester's test read one expansion of the leading minors of g on its
+int rows.  The table holds the minors of the matrix scaled to ints by one
+denominator.
 
 Merge signs and index tuples are read from two lazily filled module-level
 tables, ``_ODD`` and ``_INDICES``; their keys are masks of n <= 8 bits, so
@@ -241,10 +242,12 @@ class KForm:
     @classmethod
     def from_terms(cls, n: int, field: Field, terms: Iterable[tuple[Sequence[int], object]]) -> "KForm":
         """Build from (indices, coefficient) pairs; all same degree.  A
-        coefficient is lifted into ``field`` unless it is a Scalar of it,
-        Scalars are added only where a mask repeats, and a zero sum is
-        dropped; the masks come from ``mask_of``, so ``_ints`` builds the body."""
-        acc: dict[int, Scalar] = {}
+        coefficient is lifted into ``field`` unless it is a Scalar of it; the
+        masks and the signs of sorting each chain come from ``mask_of``, and
+        ``_ints`` sums the signed terms' ints by mask straight into the body,
+        with no Scalar sum and no Scalar sign, so a zero sum is dropped and
+        the body is normalized once."""
+        pairs, signs = [], []
         deg = None
         for idx, c in terms:
             if deg != len(idx):
@@ -256,16 +259,11 @@ class KForm:
                 continue  # repeated index wedges to zero
             if c.__class__ is not Scalar or c.field is not field:
                 c = field.scalar(c)
-            if odd:
-                c = -c
-            old = acc.get(m)
-            acc[m] = c if old is None else old + c
+            pairs.append((m, c))
+            signs.append(-1 if odd else 1)
         if deg is None:
             raise ValueError("empty term list needs an explicit degree")
-        clean = {m: c for m, c in acc.items() if c.p or c.q}
-        form = _from_body(n, deg, field, *_ints(clean, field))
-        form._view = MappingProxyType(clean)
-        return form
+        return _normalize(n, deg, field, *_ints(pairs, field, signs))
 
     # -- ring structure --------------------------------------------------
 
@@ -537,7 +535,8 @@ class FrameGeometry:
     first use.  ``orientation_sign`` is the parity of the declared positive
     frame order relative to label order.
 
-    The identity raises no index at all.  Any other metric raises the
+    The identity raises no index and expands no minors table: its leading
+    minors, det g and sqrt(det g) are all 1.  Any other metric raises the
     indices of a form by the minors of g^{-1}, read from one
     ``CoframeChange`` kept on the geometry, so each set of rows of g^{-1}
     is expanded once however many forms are raised; det g and Sylvester's
@@ -605,8 +604,12 @@ class FrameGeometry:
     def _leading(self) -> list[tuple[int, int]]:
         """The numerators (p, q) of the leading principal minors of den g,
         k = 1..n (the k-th over den^k is the minor of g): one expansion of
-        the minors table (``_minors``) on the metric's int rows."""
-        n, minors = self.n, ({0: {0: 1}}, {0: {}})
+        the minors table (``_minors``) on the metric's int rows, or n ones
+        for the identity, which expands no table."""
+        n = self.n
+        if self._is_identity:
+            return [(1, 0)] * n
+        minors = ({0: {0: 1}}, {0: {}})
         _minors((1 << n) - 1, minors, _bit_rows(self._metric, n), self.field.d)
         return [(minors[0][m].get(m, 0), minors[1][m].get(m, 0)) for m in ((1 << k) - 1 for k in range(1, n + 1))]
 
@@ -874,19 +877,14 @@ def _derive_ints(x: dict, moves: dict, acc: dict) -> None:
                     row[p] = row.get(p, 0) + (-c * v if (lead + (rest & (bit - 1)).bit_count()) & 1 else c * v)
 
 
-def derivation_rows(a: KForm, actions) -> dict[int, tuple[dict, dict]]:
-    """The degree-0 derivations e^j -> sum_t actions[p][j][t] e^t (each sparse,
-    {j: {t: (vp, vq)}}, 0-based, the ints of (vp + vq sqrt d)/D over one D
-    for all) applied to a in one walk over its integer body: rows[mask] is
-    the int row (p, q) of the e^mask coefficients of the derivations, over
-    a's denominator times D, nonzero only."""
-    moves = ({}, {})  # bit of j -> (p, bit of t, value): rational parts, then sqrt(d) parts
-    for p, action in enumerate(actions):
-        for j, row in action.items():
-            for t, v in row.items():
-                for part, x in zip(moves, v):
-                    if x:
-                        part.setdefault(1 << j, []).append((p, 1 << t, x))
+def derivation_rows(a: KForm, moves) -> dict[int, tuple[dict, dict]]:
+    """Degree-0 derivations applied to a in one walk over its integer body.
+    ``moves`` holds derivation p, e^j -> sum_t v e^t (0-based, the ints of
+    v = (vp + vq sqrt d)/D over one D for all), as ``_derive_ints`` reads
+    it: the rational parts, then the sqrt(d) parts (falsy over QQ), each
+    mapping the bit of j to [(p, bit of t, int)].  rows[mask] is the int row
+    (p, q) of the e^mask coefficients of the derivations, over a's
+    denominator times D, nonzero only."""
     acc_p, acc_q = _product(_derive_ints, a.field.d, a._p, a._q, *moves)
     rows = {}
     for m in (*acc_p, *(m for m in acc_q if m not in acc_p)):

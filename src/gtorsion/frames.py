@@ -114,10 +114,14 @@ class LieAlgebraFrame:
         return self._closure_defect() is None
 
     def _closure_defect(self):
+        """The first i with d^2 e^i != 0 and that 3-form, or None: each d^2
+        is summed on the ints of ``_coframe_body``, and a KForm is built only
+        for the failing generator."""
+        den, p, q = self._coframe_body
         for i in range(self.n):
-            dd = ce_differential(self, self.coframe_d[i])
-            if not dd.is_zero():
-                return i, dd
+            sp, sq = _product(_d_ints, self.field.d, p[i], q[i] if q else {}, p, q)
+            if any(sp.values()) or any(sq.values()):
+                return i, ce_differential(self, self.coframe_d[i])
         return None
 
     @cached_property

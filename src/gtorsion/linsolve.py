@@ -16,22 +16,22 @@ one sqrt(d) scaled add on int bodies: a form's linear combinations
 and each pivot row is kept primitive, the gcd of its ints divided out and its
 lead positive, in place of Bareiss's exact division.  A lead with a sqrt(d)
 part is first made rational by the lead's conjugate, so a solution is one
-``_norm`` per unknown.  Pivots stay fully reduced (0 in every other pivot
-column), so a row is reduced in one pass over its pivot columns, and a fully
-reduced primitive pivot is unique: no result depends on the row order or on a
-factor of any row.  Rows are taken by last column, then length, so leads come
+int body over the lcm of the leads.  Pivots stay fully reduced (0 in every
+other pivot column), so a row is reduced in one pass over its pivot columns,
+and a fully reduced primitive pivot is unique: no result depends on the row
+order or on a factor of any row.  Rows are taken by last column, then length, so leads come
 bottom-up and a new pivot seldom has to be eliminated from older ones;
 forward-only elimination with one back substitution did more work (23,758 against 18,740 multiply-accumulates on
-the 45 seed-1 ``rotated`` Stage-2 systems).  No Scalar row is built: the
-oracle's derivation walk and Stage-2 rows are ints, and its Stage 1 is
-homogeneous, so its rows need no denominator.
+the 45 seed-1 ``rotated`` Stage-2 systems).  No Scalar is built: the
+oracle's derivation walk, its Stage-2 rows and its solution are ints, and its
+Stage 1 is homogeneous, so its rows need no denominator.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
-from .scalars import Field, Scalar, _norm
+from .scalars import Field
 
 __all__ = ["echelon", "solve_unique_sparse", "LinearSolveError", "InconsistentSystem"]
 
@@ -145,16 +145,27 @@ def echelon(rows, field: Field) -> dict[int, tuple[dict, dict]]:
     return pivots
 
 
-def solve_unique_sparse(rows, nunknowns: int, field: Field) -> list[Scalar]:
+def solve_unique_sparse(rows, nunknowns: int, field: Field) -> tuple[int, dict, dict]:
     """Solve an overdetermined sparse system requiring a unique solution.
 
     ``rows`` are int rows as ``echelon`` takes them, the right-hand side under
-    key -1 where it is nonzero.  Returns the solution, one ``_norm`` per
-    unknown.  Raises InconsistentSystem("no solution") if inconsistent and
+    key -1 where it is nonzero.  Returns the solution as one int body (den,
+    p, q): x_c = (p[c] + q[c] sqrt d)/den, den the lcm of the pivots' leads,
+    zeros dropped, not reduced by a common gcd.  Raises
+    InconsistentSystem("no solution") if inconsistent and
     LinearSolveError("non-unique solution") if rank-deficient.  Once every
     column has a pivot, each further row reduces to its residual alone.
     """
     pivots = echelon(rows, field)
     if len(pivots) < nunknowns:
         raise LinearSolveError("non-unique solution")
-    return [_norm(field, pivots[c][0].get(_RHS, 0), pivots[c][1].get(_RHS, 0), pivots[c][0][c]) for c in range(nunknowns)]
+    den = lcm(*(pivots[c][0][c] for c in range(nunknowns)))
+    p, q = {}, {}
+    for c in range(nunknowns):
+        pp, pq = pivots[c]
+        s = den // pp[c]
+        if _RHS in pp:
+            p[c] = pp[_RHS] * s
+        if _RHS in pq:
+            q[c] = pq[_RHS] * s
+    return den, p, q

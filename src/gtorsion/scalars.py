@@ -17,14 +17,15 @@ vectors, the metric and its inverse, the structure constants, the
 connection symbols, J, the Ricci traces and a reduction's adapted frame
 each share one denominator and are normalized by one gcd (``forms``), and
 no Scalar accumulator exists.  Scalars remain at the boundaries: the parser
-reads them in, one per product, ``linsolve`` builds one per unknown, and
-the Gram-Schmidt of the adapted frame builds one per projection and one
-per norm.  A report writes a form or a vector straight off its body:
-``_coeff_str`` formats one coefficient from its ints, for the report and
-for ``str(Scalar)`` alike.  ``_ints`` is the one conversion of Scalars to
-an integer body (one denominator, the rational and sqrt(d) numerators
-apart), for forms, vectors, tensors and linear-system rows alike; ``_norm``
-is the way back, and builds a body's Scalar view only when it is read.
+reads them in, one per product, and the Gram-Schmidt of the adapted frame
+builds one per projection and one per norm; ``linsolve`` and the torsion
+oracle build none.  A report writes a form or a vector straight off its
+body: ``_coeff_str`` formats one coefficient from its ints, for the report
+and for ``str(Scalar)`` alike.  ``_ints`` is the one conversion of Scalars
+to an integer body (one denominator, the rational and sqrt(d) numerators
+apart), for forms, vectors, tensors and linear-system rows alike, and it
+sums the signed terms of a parsed form by mask; ``_norm`` is the way back,
+and builds a body's Scalar view only when it is read.
 ``_sign`` reads the sign of p + q sqrt(d) on the ints of a Scalar or of a
 body.
 """
@@ -32,6 +33,7 @@ body.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from math import gcd, lcm
 
 __all__ = [
@@ -214,23 +216,33 @@ def _norm(field: Field, p: int, q: int, den: int) -> "Scalar":
     return Scalar(field, p, q, den)
 
 
-def _ints(values: dict, field: Field) -> tuple[int, dict, dict]:
+def _ints(values, field: Field, signs=None) -> tuple[int, dict, dict]:
     """The canonical Scalars {key: x} of ``field`` over one denominator, the
     way back from ``_norm``: (den, p, q) with den the lcm of theirs and p, q
     the int numerators of their rational and sqrt(d) parts by key, zeros
-    dropped.  A sqrt(d) part from another field raises FieldMismatch."""
+    dropped.  With ``signs``, ``values`` is a list of (key, x) pairs instead,
+    whose keys may repeat: the body is of the sums of signs[i] x_i (each
+    +-1) by key, in the order the keys first come, and a sum that cancels is
+    dropped (a gcd may be left over den and the sums).  A sqrt(d) part from
+    another field raises FieldMismatch."""
+    pairs = values.items() if signs is None else values
     den = 1
-    for x in values.values():
+    for _, x in pairs:
         if x.q and x.field is not field:
             raise FieldMismatch(f"mixed-field arithmetic: {field!r} vs {x.field!r}")
         if den % x.den:
             den = lcm(den, x.den)
     p, q = {}, {}
-    for k, x in values.items():
-        if x.p:
-            p[k] = x.p * (den // x.den)
-        if x.q:
-            q[k] = x.q * (den // x.den)
+    pget, qget, d = p.get, q.get, field.d
+    for (k, x), s in zip(pairs, repeat(1) if signs is None else signs):
+        f = s * (den // x.den)
+        p[k] = pget(k, 0) + f * x.p
+        if d:
+            q[k] = qget(k, 0) + f * x.q
+    if 0 in p.values():
+        p = {k: v for k, v in p.items() if v}
+    if 0 in q.values():
+        q = {k: v for k, v in q.items() if v}
     return den, p, q
 
 

@@ -34,6 +34,7 @@ from .forms import (
     _from_body,
     _from_ints,
     _masks,
+    _normalize,
     _product,
     _tensor,
     _transpose,
@@ -736,12 +737,37 @@ def _oracle_layout(n: int) -> tuple:
 _ORACLE_LAYOUT = _Lazy(_oracle_layout)
 
 
+def _pair_moves(gp: dict, gq: dict, n: int) -> tuple[dict, dict]:
+    """The pair derivations L_p, p = (t < k), as ``derivation_rows`` takes
+    them, read straight off the int body (gp, gq) of G = D g^{-1}: L_p sends
+    e^j to (G^{jk} e^t - G^{jt} e^k)/(2D), and G is symmetric, so e^j moves
+    only for j in rows t and k.  Each part maps the bit of j to [(p, bit of
+    the target, int)] in pair order."""
+    moves = ({}, {})
+    for part, out in zip((gp, gq), moves):
+        cols = {}  # k -> [(j, G^{jk})]
+        for (j, k), v in part.items():
+            cols.setdefault(k, []).append((j, v))
+        for p, (t, k) in enumerate(_ORACLE_LAYOUT[n][1]):
+            for j, v in cols.get(k, ()):
+                out.setdefault(1 << j, []).append((p, 1 << t, v))
+            for j, v in cols.get(t, ()):
+                out.setdefault(1 << j, []).append((p, 1 << k, -v))
+    return moves
+
+
+# the identity metric's pair moves for n, built on first use and shared
+_IDENTITY_MOVES = _Lazy(lambda n: _pair_moves({(i, i): 1 for i in range(n)}, {}, n))
+
+
 def solve_skew_torsion(s: GStructure) -> KForm:
     """Independent route to the torsion: solve the exact linear system for
     H in Lambda^3 with D + (1/2) g^{-1} H annihilating every structure form.
 
     Lambda[M][p] is the e^M coefficient of a form alpha moved by the pair
-    derivation L_p, p = (t < k), from one ``derivation_rows`` walk.  D_i acts
+    derivation L_p, p = (t < k), from one ``derivation_rows`` walk over the
+    pair moves, read once off g^{-1}'s int body (``_pair_moves``; the
+    identity's are built once per n, ``_IDENTITY_MOVES``).  D_i acts
     on the coframe as sum_p gamma_i[p] L_p with gamma_i[p] = -2 <D_i e_t,
     e_k>, so nabla_i alpha = Lambda gamma_i and row (i, M) reads Lambda[M] .
     (A_i + gamma_i) = 0, A_i[p] = s(i, p) H_{i,t,k} over the pairs without
@@ -754,26 +780,14 @@ def solve_skew_torsion(s: GStructure) -> KForm:
     ``KINDS``.  Stage 2 solves block i as P . A_i = -P . gamma_i, n*r int
     rows assembled from the pivots and the symbols over their denominator
     E, for y = (E/2) H; the identity needs the lowered symbols skew in
-    (t, k), which is checked on every entry.  Only the solution is built as
-    Scalars, one per unknown.
+    (t, k), which is checked on every entry.  The solution comes back as
+    one int body, its columns relabelled to 3-masks and 2/E folded into its
+    denominator: the oracle builds no Scalar (only an error message does).
     """
     field, n, d = s.field, s.n, s.field.d
     masks3, pairs, spread = _ORACLE_LAYOUT[n]
-    # the nonzero entries of G = D g^{-1} and of -G, by row, as (rational, sqrt(d)) ints
     ginv = s.geometry._inverse
-    plus = [{} for _ in range(n)]
-    for (j, k), v in ginv._p.items():
-        plus[j][k] = (v, ginv._q.get((j, k), 0))
-    for (j, k), v in ginv._q.items():
-        plus[j].setdefault(k, (0, v))
-    minus = [{k: (-a, -b) for k, (a, b) in row.items()} for row in plus]
-    # L_p: e^j -> (G^{jk} e^t - G^{jt} e^k)/(2D) for each pair t < k;
-    # G is symmetric, so e^j moves only for j in rows t and k
-    actions = [
-        {j: {x: v for x, v in ((t, plus[j].get(k)), (k, minus[j].get(t))) if v is not None}
-         for j in plus[t].keys() | plus[k].keys()}
-        for t, k in pairs
-    ]
+    moves = _IDENTITY_MOVES[n] if s.geometry._is_identity else _pair_moves(ginv._p, ginv._q, n)
     # (t, k) -> (i, E <D_i e_t, e_k>) as (i, rational, sqrt(d)) ints, E the
     # symbols' denominator: the lowered Koszul symbols of the cached
     # Levi-Civita connection; H is never read
@@ -791,7 +805,7 @@ def solve_skew_torsion(s: GStructure) -> KForm:
     kind = KINDS[s.kind]
     unique = {}  # each row once up to a rational factor: with no right-hand side a multiple checks nothing
     for slot, *_ in kind.slots:
-        for p, q in derivation_rows(s.forms[slot], actions).values():
+        for p, q in derivation_rows(s.forms[slot], moves).values():
             p, q = row = _primitive(p, q, _last((p, q)))
             unique.setdefault((frozenset(p.items()), frozenset(q.items())) if q else frozenset(p.items()), row)
     pivots = echelon(list(unique.values()), field)
@@ -820,12 +834,14 @@ def solve_skew_torsion(s: GStructure) -> KForm:
                     row[a][-1] = rhs[a][i]
         rows += block
     try:
-        sol = solve_unique_sparse(rows, len(masks3), field)
+        den, p, q = solve_unique_sparse(rows, len(masks3), field)
     except InconsistentSystem as exc:
         raise StructureError("no skew-torsion connection: the linear system is inconsistent") from exc
     except LinearSolveError as exc:
         raise StructureError("non-unique skew torsion: dimension count violated") from exc
-    return KForm(n, 3, field, dict(zip(masks3, sol))).scale(field.scalar(2, e))
+    # H = (2/E) y, the columns relabelled to their 3-masks
+    p, q = ({masks3[c]: 2 * v for c, v in part.items()} for part in (p, q))
+    return _normalize(n, 3, field, den * e, p, q)
 
 
 def _j_gamma_ints(x: dict, cols: dict, acc: dict) -> None:

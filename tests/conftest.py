@@ -20,6 +20,7 @@ from gtorsion.forms import (
     skew_three_form,
 )
 from gtorsion.frames import LieAlgebraFrame, change_frame, transform_form
+from gtorsion.linsolve import solve_unique_sparse
 from gtorsion.parser import parse
 from gtorsion.structures import GStructure, _model_forms
 from gtorsion.scalars import NotRepresentable, QuadraticField, RationalField, _int_root, _ints, _norm
@@ -275,18 +276,34 @@ def nabla(conn, x, y) -> VectorField:
     return VectorField(n, field, comps)
 
 
+def moves_of(actions, field):
+    """Derivation p, e^j -> sum_t actions[p][j][t] e^t on Scalars ({j: {t:
+    Scalar}} each), as ``derivation_rows`` takes it: (D, moves), the actions
+    as ints over one denominator D, each part of ``moves`` mapping the bit of
+    j to [(p, bit of t, int)] in the order of the actions."""
+    flat = {(p, j, t): v for p, action in enumerate(actions) for j, row in action.items() for t, v in row.items()}
+    den, vp, vq = _ints(flat, field)
+    moves = ({}, {})
+    for ints, part in zip((vp, vq), moves):
+        for (p, j, t), v in ints.items():
+            part.setdefault(1 << j, []).append((p, 1 << t, v))
+    return den, moves
+
+
 def derivation_columns(a, actions):
     """``derivation_rows`` on actions of Scalars, {j: {t: Scalar}} each: the
-    actions go in as ints over one denominator D, and each row comes back as
-    {p: Scalar}, its ints over a's denominator times D."""
-    flat = {(p, j, t): v for p, action in enumerate(actions) for j, row in action.items() for t, v in row.items()}
-    den, vp, vq = _ints(flat, a.field)
-    ints = [{} for _ in actions]
-    for key in vp.keys() | vq.keys():
-        p, j, t = key
-        ints[p].setdefault(j, {})[t] = (vp.get(key, 0), vq.get(key, 0))
+    actions go in as ints over one denominator D (``moves_of``), and each row
+    comes back as {p: Scalar}, its ints over a's denominator times D."""
+    den, moves = moves_of(actions, a.field)
     return {m: {c: _norm(a.field, p.get(c, 0), q.get(c, 0), a._den * den) for c in p.keys() | q.keys()}
-            for m, (p, q) in derivation_rows(a, ints).items()}
+            for m, (p, q) in derivation_rows(a, moves).items()}
+
+
+def solution(rows, nunknowns, field):
+    """``solve_unique_sparse`` of the int ``rows``, its int body read back as
+    one Scalar per unknown."""
+    den, p, q = solve_unique_sparse(rows, nunknowns, field)
+    return [_norm(field, p.get(c, 0), q.get(c, 0), den) for c in range(nunknowns)]
 
 
 def derivation(a, action):

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     Q,
+    Q3,
     bracket,
     cartan_three_form,
     covariant_derivative_form,
@@ -24,6 +25,7 @@ from conftest import (
     nabla,
     Riemann,
     riemann_r,
+    solution,
     structure_constants,
     torsion_form,
 )
@@ -44,7 +46,6 @@ from gtorsion.frames import (
     curvature,
     levi_civita,
 )
-from gtorsion.linsolve import solve_unique_sparse
 from gtorsion.scalars import _ints
 
 
@@ -76,6 +77,19 @@ def test_jacobi_gate_walks_the_closure_once(monkeypatch):
     assert len(walks) == 1
     unchecked = LieAlgebraFrame(["e1", "e2", "e3"], d, FrameGeometry(3, Q), check_closure=False)
     assert not unchecked.closed and len(walks) == 2
+
+
+def test_jacobi_gate_reads_the_sqrt_part_of_d_squared():
+    # the gate sums d^2 on the frame's ints: over QQ(sqrt3), d e1 = sqrt3 e34
+    # and d e4 = e12 give d^2 e^1 = -sqrt3 e123, a pure sqrt(3) part, while
+    # su(2) scaled by sqrt3 has d^2 = 0 with every product a multiple of 3
+    r3 = Q3.sqrt_d()
+    d = [KForm.from_terms(4, Q3, [((3, 4), r3)]), KForm.zero(4, 2, Q3), KForm.zero(4, 2, Q3),
+         KForm.from_terms(4, Q3, [((1, 2), 1)])]
+    with pytest.raises(FrameError, match=r"^d\^2 e\^e1 = KForm\(4,3; \(-sqrt3\)e123\) != 0: structure equations violate"):
+        LieAlgebraFrame(["e1", "e2", "e3", "e4"], d, FrameGeometry(4, Q3))
+    su2 = [KForm.from_terms(3, Q3, [(chain, r3)]) for chain in ((2, 3), (3, 1), (1, 2))]
+    assert LieAlgebraFrame(["e1", "e2", "e3"], su2, FrameGeometry(3, Q3)).closed
 
 
 def test_d_squared_zero_all_degrees(rng):
@@ -197,7 +211,7 @@ def test_levi_civita_unique_by_independent_solve(rng):
                 key = idx[(j, i, k)]
                 row[key] = row.get(key, Q.zero()) - Q.one()
                 rows.append((row, rhs))
-    sol = solve_unique_sparse([_ints({**row, -1: rhs}, Q)[1:] for row, rhs in rows], len(idx), Q)
+    sol = solution([_ints({**row, -1: rhs}, Q)[1:] for row, rhs in rows], len(idx), Q)
     lc = levi_civita(fr)
     for (i, j, k), col in idx.items():
         assert lowered(lc, i, j, k, geom) == sol[col]

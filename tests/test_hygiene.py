@@ -172,14 +172,15 @@ def test_one_home_per_int_body_primitive():
              for name in ("_ints", "_axpy", "_product")}
     # the analysis (tensors, vectors, metrics) converts through _ints once,
     # in the Tensor and VectorField constructors, and splits every kernel by
-    # _product; _dot is the one pairing of two bodies; a form converts in
-    # its constructor or in from_terms, which builds its body directly
+    # _product (the frame's closure gate sums d^2 through it); _dot is the
+    # one pairing of two bodies; a form converts in its constructor or in
+    # from_terms, whose signed terms _ints sums straight into the body
     assert sites == {
         "_ints": ["forms.py:KForm", "forms.py:KForm", "forms.py:Tensor", "forms.py:VectorField"],
         "_axpy": ["forms.py:_combination", "linsolve.py:echelon", "linsolve.py:echelon", "linsolve.py:echelon"],
         "_product": ["forms.py:_contract", "forms.py:_dot", "forms.py:_minors", "forms.py:contract_2_3",
                      "forms.py:derivation_rows", "forms.py:interior", "forms.py:musical", "forms.py:wedge",
-                     "frames.py:ce_differential", "frames.py:covariant_derivative_oneform", "frames.py:curvature",
+                     "frames.py:LieAlgebraFrame", "frames.py:ce_differential", "frames.py:covariant_derivative_oneform", "frames.py:curvature",
                      "frames.py:curvature", "reduction.py:_check_killing", "soliton.py:divergence",
                      "soliton.py:parallel_certificate",
                      "structures.py:_j_from_metric_omega", "structures.py:_top_pairing", "structures.py:_top_pairing",

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     Q, Q2, Q3, coeff, derivation, derivation_columns, mat_inverse, random_kform, random_posdef_geometry, ref_collect,
-    ref_d, ref_interior, ref_wedge, skew_form, su2su2_frame,
+    ref_d, ref_interior, ref_wedge, skew_form, solution, su2su2_frame,
 )
 from gtorsion import forms, scalars
 from gtorsion.forms import (
@@ -140,6 +140,36 @@ def test_positive_definite_rejects_zero_leading_minor():
     assert g.det_metric() == Q.one()
     with pytest.raises(GeometryError, match="metric is not positive-definite"):
         g.check_positive_definite()
+
+
+def _table_leading(geom):
+    """The leading principal minors of den g by one minors-table expansion
+    on the metric's int rows, whatever the metric."""
+    n, minors = geom.n, ({0: {0: 1}}, {0: {}})
+    forms._minors((1 << n) - 1, minors, forms._bit_rows(geom._metric, n), geom.field.d)
+    return [(minors[0][m].get(m, 0), minors[1][m].get(m, 0)) for m in ((1 << k) - 1 for k in range(1, n + 1))]
+
+
+@pytest.mark.parametrize("field", [Q, Q2])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_identity_leading_minors_need_no_table(monkeypatch, n, field):
+    # the identity, by default or as explicit rows, reads n ones with no
+    # expansion; 4 I is no identity and still expands, to minors 4^k
+    expanded = []
+    orig = forms._minors
+    monkeypatch.setattr(forms, "_minors", lambda *args: expanded.append(args[0]) or orig(*args))
+    rows = [[field.scalar(int(i == j)) for j in range(n)] for i in range(n)]
+    for geom in (FrameGeometry(n, field), FrameGeometry(n, field, rows)):
+        geom.check_positive_definite()
+        assert (geom.det_metric(), geom.sqrt_det()) == (field.one(), field.one())
+        assert geom._leading == [(1, 0)] * n
+        assert not expanded
+        assert _table_leading(geom) == geom._leading
+        expanded.clear()
+    four = FrameGeometry(n, field, [[x * 4 for x in row] for row in rows])
+    assert (four.det_metric(), four.sqrt_det()) == (field.scalar(4**n), field.scalar(2**n))
+    assert expanded
+    assert four._leading == _table_leading(four) == [(4**k, 0) for k in range(1, n + 1)]
 
 
 @st.composite
@@ -287,7 +317,7 @@ def test_sparse_inconsistent_deferred_row():
     with pytest.raises(LinearSolveError, match="^no solution$"):
         solve_unique_sparse(rows, 3, Q)
     rows[-1][0][-1] = 6
-    assert solve_unique_sparse(rows, 3, Q) == [Q.scalar(1), Q.scalar(2), Q.scalar(3)]
+    assert solution(rows, 3, Q) == [Q.scalar(1), Q.scalar(2), Q.scalar(3)]
 
 
 def test_sparse_rank_deficient():
@@ -334,7 +364,7 @@ def consistent_systems(draw):
 @given(consistent_systems())
 def test_sparse_solve_matches_dense_core(system):
     field, core, b, rows = system
-    assert solve_unique_sparse([_ints({**row, -1: rhs}, field)[1:] for row, rhs in rows], len(core), field) == solve_dense(core, b)
+    assert solution([_ints({**row, -1: rhs}, field)[1:] for row, rhs in rows], len(core), field) == solve_dense(core, b)
 
 
 def _nonzero_factor(field):
@@ -360,7 +390,7 @@ def sparse_systems(draw):
 def _outcome(field, n, rows):
     """The solution of the Scalar rows, or the error type and message."""
     try:
-        return solve_unique_sparse([_ints({**row, -1: rhs}, field)[1:] for row, rhs in rows], n, field)
+        return solution([_ints({**row, -1: rhs}, field)[1:] for row, rhs in rows], n, field)
     except LinearSolveError as exc:
         return type(exc), str(exc)
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     Q,
     Q2,
+    Q3,
     band_shear,
     bracket,
     cartan_three_form,
@@ -26,6 +27,7 @@ from conftest import (
     mat_inverse,
     mat_vec,
     model_form,
+    moves_of,
     rotation_matrix,
     rotate_frame_and_forms,
     nonzero_names,
@@ -34,6 +36,7 @@ from conftest import (
     ref_wedge,
     sheared_text,
     skew_form,
+    solution,
     PSI_ALL_PLUS,
 )
 from gtorsion import forms, registry, structures
@@ -51,13 +54,14 @@ from gtorsion.forms import (
     _matrix,
 )
 from gtorsion.frames import ConnectionCoeffs, LieAlgebraFrame, transform_form
-from gtorsion.linsolve import InconsistentSystem, LinearSolveError, solve_unique_sparse
+from gtorsion.linsolve import InconsistentSystem, LinearSolveError
 from gtorsion.parser import parse
 from gtorsion.reduction import TransverseSlice, reduce_g2
-from gtorsion.scalars import _ints
+from gtorsion.scalars import _ints, _norm
 from gtorsion.structures import (
     KINDS,
     StructureError,
+    _pair_moves,
     ah_assemble,
     bismut_ricci_form,
     bismut_torsion,
@@ -663,7 +667,7 @@ def reference_skew_torsion(s):
         keys = set(entries) | {(i, mask) for i in range(n) for mask in base[i].coeffs}
         rows += [{**entries.get(key, {}), -1: -base[key[0]].coeffs.get(key[1], zero)} for key in sorted(keys)]
     try:
-        sol = solve_unique_sparse([_ints(row, field)[1:] for row in rows], len(masks3), field)
+        sol = solution([_ints(row, field)[1:] for row in rows], len(masks3), field)
     except InconsistentSystem as exc:
         raise StructureError("no skew-torsion connection: the linear system is inconsistent") from exc
     except LinearSolveError as exc:
@@ -716,6 +720,82 @@ def test_oracle_matches_row_by_row_reference_on_moved_fixtures():
 
     check()
     assert seen == set(_ASSEMBLE)
+
+
+def _actions(ginv):
+    """The pair derivations L_p, p = (t < k), on Scalars: e^j -> g^{jk} e^t -
+    g^{jt} e^k for the dense g^{-1} rows ``ginv``, zeros left out."""
+    n = len(ginv)
+    return [{j: {x: v for x, v in ((t, g[k]), (k, -g[t])) if not v.is_zero()} for j, g in enumerate(ginv)
+             if not (g[k].is_zero() and g[t].is_zero())}
+            for t in range(n) for k in range(t + 1, n)]
+
+
+def _geometries():
+    """Non-identity metrics: each fixture's in band shears 1-3, a diagonal
+    QQ(sqrt2) one and a non-diagonal QQ(sqrt3) one."""
+    geoms = [parse(sheared_text(registry.input_text(name), step)).structure().geometry
+             for name in registry.names() for step in (1, 2, 3)]
+    r2, r3 = Q2.sqrt_d(), Q3.sqrt_d()
+    diag = [2, 1 + r2, Q2.scalar(Fraction(1, 3)), 3 - r2, Q2.one()]
+    geoms.append(FrameGeometry(5, Q2, [[diag[i] if i == j else Q2.zero() for j in range(5)] for i in range(5)]))
+    rows = [[Q3.scalar(int(i == j)) for j in range(6)] for i in range(6)]
+    rows[0][0], rows[0][1], rows[1][0], rows[1][1] = Q3.scalar(2), r3, r3, Q3.scalar(2)
+    rows[2][4] = rows[4][2] = r3 / 4
+    rows[3][5] = rows[5][3] = Q3.scalar(Fraction(-1, 2))
+    geoms.append(FrameGeometry(6, Q3, rows))
+    return geoms
+
+
+def test_pair_moves_match_scalar_actions():
+    # the oracle's pair moves, read straight off g^{-1}'s int body, equal
+    # the moves of the Scalar actions over their one denominator, in order
+    for geom in _geometries():
+        ginv = geom._inverse
+        assert not geom._is_identity
+        assert moves_of(_actions(inverse_metric(geom)), geom.field) == (ginv._den, _pair_moves(ginv._p, ginv._q, geom.n))
+    assert any(geom._inverse._q for geom in _geometries())
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_identity_moves_table_matches_an_explicit_identity(n):
+    identity = FrameGeometry(n, Q, [[Q.scalar(int(i == j)) for j in range(n)] for i in range(n)])
+    assert structures._IDENTITY_MOVES[n] == moves_of(_actions(inverse_metric(identity)), Q)[1]
+    assert structures._IDENTITY_MOVES[n] == _pair_moves(identity._inverse._p, identity._inverse._q, n)
+    assert len({p for targets in structures._IDENTITY_MOVES[n][0].values() for p, _, _ in targets}) == n * (n - 1) // 2
+
+
+def _norm_per_unknown(s, monkeypatch):
+    """The oracle's H and the same solution read back the old way: one
+    ``_norm`` per unknown, then the KForm scaled by 2/E."""
+    bodies = []
+    solve = structures.solve_unique_sparse
+
+    def kept(*args):
+        bodies.append(solve(*args))
+        return bodies[-1]
+
+    monkeypatch.setattr(structures, "solve_unique_sparse", kept)
+    h = solve_skew_torsion(s)
+    monkeypatch.undo()
+    [(den, p, q)] = bodies
+    masks3, field = list(_masks(s.n, 3)), s.field
+    sol = [_norm(field, p.get(c, 0), q.get(c, 0), den) for c in range(len(masks3))]
+    return h, KForm(s.n, 3, field, dict(zip(masks3, sol))).scale(field.scalar(2, s.levi_civita.lowered._den))
+
+
+@pytest.mark.parametrize("name", registry.names())
+def test_oracle_int_solution_matches_norm_per_unknown(monkeypatch, name):
+    # rotated frames (identity metric, dense symbols) and band shears 1-3
+    # (non-identity g^{-1}); the int body is the canonical one, key for key
+    n = fixture_structure(name).n
+    moved = [_moved_fixture(name, [0] * (n * (n - 1) // 2), seed, planes) for seed, planes in ((5, 1), (6, 2))]
+    moved += [parse(sheared_text(registry.input_text(name), step)).structure() for step in (1, 2, 3)]
+    for s in moved:
+        h, want = _norm_per_unknown(s, monkeypatch)
+        assert not h.is_zero()
+        assert (h._den, list(h._p.items()), list(h._q.items())) == (want._den, list(want._p.items()), list(want._q.items()))
+        assert h == s.h
 
 
 @pytest.mark.parametrize("step", [0, 1])
