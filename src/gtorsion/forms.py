@@ -244,9 +244,9 @@ class KForm:
         """Build from (indices, coefficient) pairs; all same degree.  A
         coefficient is lifted into ``field`` unless it is a Scalar of it; the
         masks and the signs of sorting each chain come from ``mask_of``, and
-        ``_ints`` sums the signed terms' ints by mask straight into the body,
-        with no Scalar sum and no Scalar sign, so a zero sum is dropped and
-        the body is normalized once."""
+        ``_ints`` sums the signed terms' ints by mask straight into the
+        canonical body, with no Scalar sum and no Scalar sign, so a zero sum
+        is dropped."""
         pairs, signs = [], []
         deg = None
         for idx, c in terms:
@@ -263,7 +263,7 @@ class KForm:
             signs.append(-1 if odd else 1)
         if deg is None:
             raise ValueError("empty term list needs an explicit degree")
-        return _normalize(n, deg, field, *_ints(pairs, field, signs))
+        return _from_body(n, deg, field, *_ints(pairs, field, signs))
 
     # -- ring structure --------------------------------------------------
 

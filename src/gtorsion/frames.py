@@ -117,7 +117,7 @@ class LieAlgebraFrame:
         """The first i with d^2 e^i != 0 and that 3-form, or None: each d^2
         is summed on the ints of ``_coframe_body``, and a KForm is built only
         for the failing generator."""
-        den, p, q = self._coframe_body
+        _, p, q = self._coframe_body
         for i in range(self.n):
             sp, sq = _product(_d_ints, self.field.d, p[i], q[i] if q else {}, p, q)
             if any(sp.values()) or any(sq.values()):

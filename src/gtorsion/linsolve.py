@@ -19,12 +19,13 @@ part is first made rational by the lead's conjugate, so a solution is one
 int body over the lcm of the leads.  Pivots stay fully reduced (0 in every
 other pivot column), so a row is reduced in one pass over its pivot columns,
 and a fully reduced primitive pivot is unique: no result depends on the row
-order or on a factor of any row.  Rows are taken by last column, then length, so leads come
-bottom-up and a new pivot seldom has to be eliminated from older ones;
-forward-only elimination with one back substitution did more work (23,758 against 18,740 multiply-accumulates on
-the 45 seed-1 ``rotated`` Stage-2 systems).  No Scalar is built: the
-oracle's derivation walk, its Stage-2 rows and its solution are ints, and its
-Stage 1 is homogeneous, so its rows need no denominator.
+order or on a factor of any row.  Rows are taken by last column, then length,
+so leads come bottom-up and a new pivot seldom has to be eliminated from
+older ones; forward-only elimination with one back substitution did more
+work (23,758 against 18,740 multiply-accumulates on the 45 seed-1
+``rotated`` Stage-2 systems).  No Scalar is built: the oracle's derivation
+walk, its Stage-2 rows and its solution are ints, and its Stage 1 is
+homogeneous, so its rows need no denominator.
 """
 
 from __future__ import annotations

@@ -217,14 +217,14 @@ def _norm(field: Field, p: int, q: int, den: int) -> "Scalar":
 
 
 def _ints(values, field: Field, signs=None) -> tuple[int, dict, dict]:
-    """The canonical Scalars {key: x} of ``field`` over one denominator, the
-    way back from ``_norm``: (den, p, q) with den the lcm of theirs and p, q
-    the int numerators of their rational and sqrt(d) parts by key, zeros
-    dropped.  With ``signs``, ``values`` is a list of (key, x) pairs instead,
-    whose keys may repeat: the body is of the sums of signs[i] x_i (each
-    +-1) by key, in the order the keys first come, and a sum that cancels is
-    dropped (a gcd may be left over den and the sums).  A sqrt(d) part from
-    another field raises FieldMismatch."""
+    """The canonical int body of the Scalars {key: x} of ``field``, the way
+    back from ``_norm``: (den, p, q) with den the lcm of their denominators
+    and p, q the int numerators of their rational and sqrt(d) parts by key,
+    zeros dropped.  With ``signs``, ``values`` is a list of (key, x) pairs
+    instead, whose keys may repeat: the body is that of the sums of
+    signs[i] x_i (each +-1) by key, the keys in the order they first come,
+    and a sum that cancels is dropped.  A sqrt(d) part from another field
+    raises FieldMismatch."""
     pairs = values.items() if signs is None else values
     den = 1
     for _, x in pairs:
@@ -232,17 +232,27 @@ def _ints(values, field: Field, signs=None) -> tuple[int, dict, dict]:
             raise FieldMismatch(f"mixed-field arithmetic: {field!r} vs {x.field!r}")
         if den % x.den:
             den = lcm(den, x.den)
-    p, q = {}, {}
-    pget, qget, d = p.get, q.get, field.d
+    p, q, d, summed = {}, {}, field.d, False
     for (k, x), s in zip(pairs, repeat(1) if signs is None else signs):
-        f = s * (den // x.den)
-        p[k] = pget(k, 0) + f * x.p
-        if d:
-            q[k] = qget(k, 0) + f * x.q
+        f = den // x.den if s > 0 else -(den // x.den)
+        if k in p:  # a repeated key: only a list of pairs has one
+            summed = True
+            p[k] += f * x.p
+            if d:
+                q[k] += f * x.q
+        else:
+            p[k] = f * x.p
+            if d:
+                q[k] = f * x.q
     if 0 in p.values():
         p = {k: v for k, v in p.items() if v}
     if 0 in q.values():
         q = {k: v for k, v in q.items() if v}
+    g = gcd(den, *p.values(), *q.values()) if summed else 1  # a sum may leave a common factor
+    if g != 1:
+        den //= g
+        p = {k: v // g for k, v in p.items()}
+        q = {k: v // g for k, v in q.items()}
     return den, p, q
 
 

@@ -841,7 +841,7 @@ def _assert_lambda_gamma_is_nabla(s):
     half_ginv = [[x * Fraction(1, 2) for x in row] for row in inverse_metric(s.geometry)]
     pairs = [(t, k) for t in range(n) for k in range(t + 1, n)]
     # L_p: e^j -> (1/2)(g^{jk} e^t - g^{jt} e^k)
-    actions = [{j: {t: g[k], k: -g[t]} for j, g in enumerate(half_ginv)} for t, k in pairs]
+    actions = _actions(half_ginv)
     low = last_index(s.levi_civita.entries, s.geometry, up=False)
     zero = s.field.zero()
     for slot, *_ in KINDS[s.kind].slots:
