@@ -1,24 +1,31 @@
 """Graded exterior algebra over an oriented inner-product frame, n <= 8.
 
 Basis k-vectors are index subsets of {1..n} encoded as n-bit masks
-(bit i-1 set means index i is present).  A form holds one integer body:
-a positive denominator shared by the whole form, the int numerators of
-the rational parts keyed by mask and, apart from them, those of the
-sqrt(d) parts (empty over QQ, so no kernel touches them there).  The
-coefficient at a mask is (p + q sqrt d)/den, and missing masks mean zero.
-The body is canonical: no zero entries, and den and every numerator have
-gcd 1.  So ==, ``is_zero`` and hashing compare ints, and a kernel sums
-int products straight into its output's numerators and normalizes the
-form once, by one gcd over den and every numerator, not once per
-coefficient.  ``coeffs`` is a read-only view of canonical Scalars, built
-on first read and kept; the public constructor and ``from_terms`` take
-Scalars (``from_terms`` sums its terms' ints, signed, with no Scalar).  A
-``VectorField`` holds the same body as a 1-form, keyed by the bit of each
-index, and a ``Tensor`` holds one keyed by index tuples: the metric (the
-induced G2 and SU(3) ones included), its inverse and every tensor of the
-analysis (``frames``, ``soliton``, ``structures``) are Tensors, with Scalar
-views (``entries``, ``rows``, ``components``, ``FrameGeometry.metric``)
-built only when read; ``skew_three_form`` packs a Tensor in one pass.
+(bit i-1 set means index i is present).  A form, a vector and a tensor are
+one value type, ``_Body``, an integer body: a positive denominator shared
+by the whole value, the int numerators of the rational parts and, apart
+from them, those of the sqrt(d) parts (empty over QQ, so no kernel touches
+them there).  A ``KForm`` keys its body by mask, a ``VectorField`` by the
+bit of each index, as a 1-form does, and a ``Tensor`` (the metric, the
+induced G2 and SU(3) ones included, its inverse and every tensor of the
+analysis) by index tuples; the value at a key is (p + q sqrt d)/den, and
+missing keys mean zero.  The body is canonical: no zero entries, and den
+and every numerator have gcd 1.  So ==, ``is_zero`` and hashing compare
+ints, and a kernel sums int products straight into its output's
+numerators and normalizes the output once, by one gcd over den and every
+numerator, not once per coefficient.  ``_Body`` holds the arithmetic the
+three share (+, -, negation, ``scale``, the body half of ==) and the
+{key: Scalar} view, ``coeffs`` (a Tensor's ``entries``), built on first
+read and kept; ``components`` and ``rows`` are a vector's and a matrix's
+dense Scalar views.  The public constructors and ``from_terms`` take
+Scalars (``from_terms`` sums its terms' ints, signed, with no Scalar), and
+``skew_three_form`` packs a Tensor in one pass.
+
+One field rule holds everywhere, in ``_check_fields``: bodies of two fields
+meet only when one of them is zero (a zero takes the other's field under
++), and a frame, a geometry or a change of frame counts as nonzero; the
+arithmetic, ==, the kernels and the change of frame all check it.
+
 Each int-body primitive has one home: ``scalars._ints`` turns Scalars into
 a body (a form's, a vector's, a tensor's), ``linsolve._axpy`` is the
 sqrt(d) scaled add behind every linear combination (``_combination``),
@@ -173,16 +180,6 @@ def _combination(d: int, terms) -> tuple[int, dict, dict]:
     return _canonical(den, *acc)
 
 
-def _scalars(field: Field, den: int, p: dict, q: dict) -> dict:
-    """The {key: Scalar} view of a canonical body: its rational keys, then
-    the keys with only a sqrt(d) part."""
-    out = {m: _norm(field, v, q.get(m, 0), den) for m, v in p.items()}
-    for m, v in q.items():
-        if m not in p:
-            out[m] = _norm(field, 0, v, den)
-    return out
-
-
 def _product(kernel, d: int, xp: dict, xq: dict, yp, yq) -> tuple[dict, dict]:
     """The rational and sqrt(d) numerators of the bilinear ``kernel`` at
     x = xp + xq sqrt d and y = yp + yq sqrt d, where kernel(u, v, acc) adds
@@ -200,12 +197,79 @@ def _product(kernel, d: int, xp: dict, xq: dict, yp, yq) -> tuple[dict, dict]:
     return p, q
 
 
-class KForm:
-    """Invariant k-form: dimension n, degree k and its integer body (den,
-    rational numerators, sqrt(d) numerators); ``coeffs`` is the
-    {mask: Scalar} view."""
+class _Body:
+    """One integer body, the value a ``KForm``, a ``VectorField`` and a
+    ``Tensor`` each hold: a positive denominator and the int numerators of
+    the rational parts and, apart from them, of the sqrt(d) parts, keyed by
+    mask, by the bit of an index or by an index tuple.  It owns the
+    arithmetic all three share; a subclass adds its shape, its constructor
+    and ``_like``, its kind of value over a canonical body."""
 
-    __slots__ = ("n", "k", "field", "_den", "_p", "_q", "_view")
+    __slots__ = ("field", "_den", "_p", "_q", "_view")
+
+    @property
+    def coeffs(self) -> MappingProxyType:
+        """The nonzero values {key: Scalar}, canonical, read-only: the
+        rational keys, then the keys with only a sqrt(d) part; built on first
+        read and kept."""
+        view = self._view
+        if view is None:
+            field, den, p, q = self.field, self._den, self._p, self._q
+            out = {m: _norm(field, v, q.get(m, 0), den) for m, v in p.items()}
+            for m, v in q.items():
+                if m not in p:
+                    out[m] = _norm(field, 0, v, den)
+            view = self._view = MappingProxyType(out)
+        return view
+
+    def is_zero(self) -> bool:
+        return not self._p and not self._q
+
+    def _check_compatible(self, other) -> None:
+        """The shape check of ``+`` and ``-``; a KForm checks n and k."""
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign: int):
+        """self + sign other over one denominator, normalized once; a zero
+        takes the field of the other operand."""
+        self._check_compatible(other)
+        _check_fields(self, other)
+        like = self if self._p or self._q else other
+        terms = ((1, 0, 1, self._den, self._p, self._q), (sign, 0, 1, other._den, other._p, other._q))
+        return like._like(*_combination(like.field.d, terms))
+
+    def __neg__(self):
+        return self._like(self._den, {m: -v for m, v in self._p.items()}, {m: -v for m, v in self._q.items()})
+
+    def scale(self, c):
+        s = c if c.__class__ is int else self.field.scalar(c)
+        term = (s, 0, 1) if s.__class__ is int else (s.p, s.q, s.den)
+        return self._like(*_combination(self.field.d, ((*term, self._den, self._p, self._q),)))
+
+    def _same_body(self, other) -> bool:
+        """The body half of ``==``: equal ints, the fields checked first."""
+        _check_fields(self, other)
+        return self._den == other._den and self._p == other._p and self._q == other._q
+
+
+def _check_fields(a, b) -> None:
+    """The one field rule: bodies of two fields meet only when one of them
+    is zero, and a frame, a geometry or a change of frame counts as
+    nonzero.  The error names a's field, then b's."""
+    if a.field is not b.field and all(not isinstance(x, _Body) or x._p or x._q for x in (a, b)):
+        raise _mismatch(a.field, b.field)
+
+
+class KForm(_Body):
+    """Invariant k-form: dimension n, degree k and its integer body keyed by
+    mask; ``coeffs`` is the {mask: Scalar} view."""
+
+    __slots__ = ("n", "k")
 
     def __init__(self, n: int, k: int, field: Field, coeffs: dict[int, Scalar] | None = None):
         if not 1 <= n <= 8:
@@ -224,14 +288,6 @@ class KForm:
                     clean[m] = c if c.field is field else field.scalar(c)
         self._den, self._p, self._q = _ints(clean, field)
         self._view = MappingProxyType(clean)
-
-    @property
-    def coeffs(self) -> MappingProxyType:
-        """The nonzero coefficients {mask: Scalar}, canonical, read-only."""
-        view = self._view
-        if view is None:
-            view = self._view = MappingProxyType(_scalars(self.field, self._den, self._p, self._q))
-        return view
 
     # -- constructors --------------------------------------------------
 
@@ -265,48 +321,16 @@ class KForm:
             raise ValueError("empty term list needs an explicit degree")
         return _from_body(n, deg, field, *_ints(pairs, field, signs))
 
-    # -- ring structure --------------------------------------------------
-
-    def __add__(self, other: "KForm") -> "KForm":
-        return self._plus(other, False)
-
-    def __sub__(self, other: "KForm") -> "KForm":
-        return self._plus(other, True)
-
-    def _plus(self, other: "KForm", negate: bool) -> "KForm":
-        """self + other, or self - other when ``negate``; sums that cancel
-        are dropped."""
-        self._check_compatible(other)
-        field = self.field
-        if other.field is not field and (other._p or other._q):
-            raise _mismatch(field, other.field)
-        terms = ((1, 0, 1, self._den, self._p, self._q), (-1 if negate else 1, 0, 1, other._den, other._p, other._q))
-        return _from_body(self.n, self.k, field, *_combination(field.d, terms))
-
-    def __neg__(self) -> "KForm":
-        return _from_body(self.n, self.k, self.field, self._den,
-                          {m: -v for m, v in self._p.items()}, {m: -v for m, v in self._q.items()})
-
-    def scale(self, c) -> "KForm":
-        s = c if c.__class__ is int else self.field.scalar(c)
-        term = (s, 0, 1) if s.__class__ is int else (s.p, s.q, s.den)
-        body = _combination(self.field.d, ((*term, self._den, self._p, self._q),))
-        return _from_body(self.n, self.k, self.field, *body)
+    def _like(self, den: int, p: dict, q: dict) -> "KForm":
+        return _from_body(self.n, self.k, self.field, den, p, q)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KForm):
             return NotImplemented
-        if self.n != other.n or self.k != other.k:
-            return False
-        if other.field is not self.field and (self._p or self._q or other._p or other._q):
-            raise _mismatch(self.field, other.field)
-        return self._den == other._den and self._p == other._p and self._q == other._q
+        return self.n == other.n and self.k == other.k and self._same_body(other)
 
     def __hash__(self):
         return hash((self.n, self.k, self._den, frozenset(self._p.items()), frozenset(self._q.items())))
-
-    def is_zero(self) -> bool:
-        return not self._p and not self._q
 
     def _check_compatible(self, other: "KForm"):
         if self.n != other.n:
@@ -342,7 +366,7 @@ def _sort_sign(idx: tuple[int, ...]) -> int:
     return sign
 
 
-class Tensor:
+class Tensor(_Body):
     """A sparse tensor of a frame as one integer body, as a form holds one:
     the entry at a key, a tuple of 0-based indices, is (p + q sqrt d)/den,
     missing keys mean zero, and the body is canonical as a form's is, so
@@ -355,7 +379,7 @@ class Tensor:
     built on first read and kept, and ``rows`` the dense Scalar matrix of a
     2-index tensor."""
 
-    __slots__ = ("field", "_den", "_p", "_q", "_view")
+    __slots__ = ()
 
     def __init__(self, field: Field, entries: dict):
         self.field = field
@@ -363,28 +387,20 @@ class Tensor:
         self._den, self._p, self._q = _ints(lifted, field)
         self._view = None
 
-    @property
-    def entries(self) -> MappingProxyType:
-        """The nonzero entries {key: Scalar}, canonical, read-only."""
-        view = self._view
-        if view is None:
-            view = self._view = MappingProxyType(_scalars(self.field, self._den, self._p, self._q))
-        return view
+    entries = _Body.coeffs
+
+    def _like(self, den: int, p: dict, q: dict) -> "Tensor":
+        return _from_ints(self.field, den, p, q)
 
     def rows(self, n: int) -> list:
         """The dense n x n Scalar matrix of a 2-index tensor."""
         zero, entries = self.field.zero(), self.entries
         return [[entries.get((i, j), zero) for j in range(n)] for i in range(n)]
 
-    def is_zero(self) -> bool:
-        return not self._p and not self._q
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tensor):
             return NotImplemented
-        if other.field is not self.field and (self._q or other._q):
-            raise _mismatch(self.field, other.field)
-        return self._den == other._den and self._p == other._p and self._q == other._q
+        return self._same_body(other)
 
     def __repr__(self):
         return f"Tensor({dict(self.entries)})"
@@ -432,12 +448,6 @@ def _contract(t: Tensor, m: Tensor) -> Tensor:
     return _tensor(t.field, t._den * m._den, *_product(_last_ints, t.field.d, t._p, t._q, *_by_row(m)))
 
 
-def _add(a: Tensor, b: Tensor, sign: int = 1) -> Tensor:
-    """a + sign b, summed over one denominator and normalized once."""
-    terms = ((1, 0, 1, a._den, a._p, a._q), (sign, 0, 1, b._den, b._p, b._q))
-    return _from_ints(a.field, *_combination(a.field.d, terms))
-
-
 def _transpose(t: Tensor) -> Tensor:
     p, q = ({(j, i): v for (i, j), v in part.items()} for part in (t._p, t._q))
     return _from_ints(t.field, t._den, p, q)
@@ -449,14 +459,14 @@ def _restricted(t: Tensor, m: int) -> Tensor:
     return _tensor(t.field, t._den, p, q)
 
 
-class VectorField:
+class VectorField(_Body):
     """Invariant vector field: n components in the frame basis, held as one
     integer body keyed by the bit of each index, as a 1-form's is, so
     interior, flat and sharp read it as they read a 1-form.  The
     constructor lifts each component into ``field``, as ``KForm(...)``
     does; ``components`` is the tuple view of Scalars."""
 
-    __slots__ = ("n", "field", "_den", "_p", "_q", "_view")
+    __slots__ = ("n",)
 
     def __init__(self, n: int, field: Field, components):
         comps = tuple(c if isinstance(c, Scalar) and c.field is field else field.scalar(c) for c in components)
@@ -465,15 +475,12 @@ class VectorField:
         self.n = n
         self.field = field
         self._den, self._p, self._q = _ints({1 << i: c for i, c in enumerate(comps)}, field)
-        self._view = comps
+        self._view = None
 
     @property
     def components(self) -> tuple:
-        view = self._view
-        if view is None:
-            coeffs, zero = _scalars(self.field, self._den, self._p, self._q), self.field.zero()
-            view = self._view = tuple(coeffs.get(1 << i, zero) for i in range(self.n))
-        return view
+        coeffs, zero = self.coeffs, self.field.zero()
+        return tuple(coeffs.get(1 << i, zero) for i in range(self.n))
 
     @classmethod
     def zero(cls, n: int, field: Field) -> "VectorField":
@@ -483,36 +490,13 @@ class VectorField:
     def basis(cls, n: int, field: Field, i: int) -> "VectorField":
         return _vector(n, field, 1, {1 << (i - 1): 1}, {})
 
-    def _plus(self, other: "VectorField", sign: int) -> "VectorField":
-        if other.field is not self.field and other._q:
-            raise _mismatch(self.field, other.field)
-        terms = ((1, 0, 1, self._den, self._p, self._q), (sign, 0, 1, other._den, other._p, other._q))
-        return _vector(self.n, self.field, *_combination(self.field.d, terms))
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return self._plus(other, -1)
-
-    def __neg__(self) -> "VectorField":
-        p, q = ({m: -v for m, v in part.items()} for part in (self._p, self._q))
-        return _vector(self.n, self.field, self._den, p, q)
-
-    def scale(self, c) -> "VectorField":
-        s = self.field.scalar(c)
-        body = _combination(self.field.d, ((s.p, s.q, s.den, self._den, self._p, self._q),))
-        return _vector(self.n, self.field, *body)
-
-    def is_zero(self) -> bool:
-        return not self._p and not self._q
+    def _like(self, den: int, p: dict, q: dict) -> "VectorField":
+        return _vector(self.n, self.field, den, p, q)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorField):
             return NotImplemented
-        if other.field is not self.field and (self._q or other._q):
-            raise _mismatch(self.field, other.field)
-        return self.n == other.n and self._den == other._den and self._p == other._p and self._q == other._q
+        return self.n == other.n and self._same_body(other)
 
     def __repr__(self):
         return f"VectorField({[str(c) for c in self.components]})"
@@ -758,8 +742,7 @@ class CoframeChange:
         Each term wedges its top row of M onto the table's minors of the
         rest of I, straight into the one output body over den^k."""
         n, k, field = form.n, form.k, self.field
-        if form.field is not field and form.field.d and not form.is_zero():
-            raise _mismatch(form.field, field)
+        _check_fields(form, self)
         if k == 0:
             return _from_body(n, 0, field, form._den, form._p, form._q)
         minors, rows, d = self.minors, self.rows, field.d
@@ -823,8 +806,7 @@ def wedge(a: KForm, b: KForm) -> KForm:
     if k > n:
         return KForm.zero(n, n, a.field)  # convention: top-degree zero
     field = a.field
-    if b.field is not field and not a.is_zero() and not b.is_zero():
-        raise _mismatch(field, b.field)
+    _check_fields(a, b)
     kernel = (lambda x, y, acc: _top_ints(x, y, acc, (1 << n) - 1)) if k == n else _wedge_ints
     p, q = _product(kernel, field.d, a._p, a._q, b._p, b._q)
     return _normalize(n, k, field, a._den * b._den, p, q)
@@ -847,8 +829,7 @@ def interior(x: VectorField, a: KForm) -> KForm:
     field = a.field
     if a.k == 0 or a.is_zero():  # a vector of another field is harmless against 0
         return _from_body(a.n, max(a.k - 1, 0), field, 1, {}, {})
-    if x.field is not field and x._q:
-        raise _mismatch(field, x.field)
+    _check_fields(a, x)
     p, q = _product(_interior_ints, field.d, a._p, a._q, x._p, x._q)
     return _normalize(a.n, a.k - 1, field, a._den * x._den, p, q)
 
@@ -946,10 +927,8 @@ def _dot(a, b) -> Scalar:
 def form_inner(a: KForm, b: KForm, geom: FrameGeometry) -> Scalar:
     if a.k != b.k:
         raise GeometryError(f"degree mismatch: {a.k} vs {b.k}")
-    up = _raised(a, geom)
-    if b.field is not a.field and not up.is_zero() and not b.is_zero():
-        raise _mismatch(a.field, b.field)
-    return _dot(up, b)
+    _check_fields(a, b)
+    return _dot(_raised(a, geom), b)
 
 
 def hodge_star(a: KForm, geom: FrameGeometry) -> KForm:
@@ -994,8 +973,7 @@ def musical(x: VectorField, geom: FrameGeometry) -> KForm:
     """Flat: X -> g(X, .) as a 1-form; a vector's body is a 1-form's, so
     under the identity metric it is the form's body."""
     field = geom.field
-    if x.field is not field and x._q:
-        raise _mismatch(field, x.field)
+    _check_fields(geom, x)
     if geom._is_identity:
         return _from_body(geom.n, 1, field, x._den, x._p, x._q)
     m = geom._metric
@@ -1027,8 +1005,7 @@ def contract_2_3(f: KForm, h: KForm, geom: FrameGeometry) -> KForm:
     if f.k != 2 or h.k != 3:
         raise GeometryError("contract_2_3 needs degrees (2, 3)")
     field = f.field
+    _check_fields(f, h)
     fup = _raised(f, geom)
-    if h.field is not field and not fup.is_zero() and not h.is_zero():
-        raise _mismatch(field, h.field)
     p, q = _product(_contract_ints, field.d, h._p, h._q, fup._p, fup._q)
     return _normalize(f.n, 1, field, h._den * fup._den, p, q)

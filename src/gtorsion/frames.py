@@ -37,7 +37,7 @@ from .forms import (
     KForm,
     Tensor,
     VectorField,
-    _add,
+    _check_fields,
     _combination,
     _contract,
     _from_body,
@@ -45,7 +45,6 @@ from .forms import (
     _mat_det,
     _mat_inverse,
     _matrix,
-    _mismatch,
     _normalize,
     _product,
     _tensor,
@@ -225,8 +224,7 @@ def ce_differential(frame: LieAlgebraFrame, a: KForm) -> KForm:
     if a.k >= n:
         return KForm.zero(n, min(a.k + 1, n), field)
     den, dp, dq = frame._coframe_body
-    if a.field is not field and not a.is_zero():
-        raise _mismatch(a.field, field)
+    _check_fields(a, frame)
     p, q = _product(_d_ints, field.d, a._p, a._q, dp, dq)
     return _normalize(n, a.k + 1, field, a._den * den, p, q)
 
@@ -273,7 +271,7 @@ def bismut_connection(frame: LieAlgebraFrame, h: KForm, lc: ConnectionCoeffs) ->
                 acc[i, j, k] = v
                 acc[j, i, k] = -v
     half_h = _last_index(_tensor(frame.field, 2 * h._den, *low), frame.geometry, up=True)
-    return ConnectionCoeffs(frame, _add(lc.symbols, half_h))
+    return ConnectionCoeffs(frame, lc.symbols + half_h)
 
 
 def _ricci_ints(x: dict, y: dict, acc: dict) -> None:

@@ -44,7 +44,6 @@ from .forms import (
     KForm,
     Tensor,
     VectorField,
-    _add,
     _by_row,
     _combination,
     _contract,
@@ -207,7 +206,7 @@ def _check_killing(frame, v: VectorField):
     c, field = frame._constants, frame.field
     ad_v = _tensor(field, c._den * v._den, *_product(_ad_ints, field.d, c._p, c._q, v._p, v._q))
     pair = _contract(ad_v, frame.geometry._metric)  # (i, j) -> <[V, e_i], e_j>
-    bad = _add(pair, _transpose(pair))
+    bad = pair + _transpose(pair)
     if not bad.is_zero():
         i, j = min((*bad._p, *bad._q))  # bad is symmetric, so i <= j
         raise ReductionError(f"V is not Killing: L_V g ({frame.labels[i]}, {frame.labels[j]}) != 0")
@@ -352,7 +351,7 @@ def string_residual_on_slice(red: ReductionResult, df: KForm) -> dict:
     """
     sl, s = red.transverse, red.structure
     # Rc^q + F^2_endo + nabla df = (Rc^amb + F^2_pos) - F^2_pos + nabla df
-    mat = _add(s._bismut_ricci, covariant_derivative_oneform(s.frame, s.bismut, df))
+    mat = s._bismut_ricci + covariant_derivative_oneform(s.frame, s.bismut, df)
     slot1 = _restricted(transform_bilinear(mat, sl.b), sl.n)
     slot2 = flux_residual(sl, red.flux_slice, red.h_hat_slice, musical_inv(red.df_slice, sl.geometry))
     return {
@@ -486,9 +485,7 @@ def _unit_length(s: GStructure, v: VectorField) -> tuple[GStructure, VectorField
         lam = lam2.sqrt()
     except NotRepresentable as exc:
         raise ReductionError(f"|V| = sqrt({lam2}) is not in the scalar field; rerun with field sqrt d") from exc
-    g = geom._metric
-    metric = _from_ints(field, *_combination(field.d, ((lam2.p, lam2.q, lam2.den, g._den, g._p, g._q),)))
-    scaled = FrameGeometry(s.n, field, metric, orientation_sign=geom.orientation_sign)
+    scaled = FrameGeometry(s.n, field, geom._metric.scale(lam2), orientation_sign=geom.orientation_sign)
     power = {-1: lam.inverse(), 1: lam, 2: lam2, 3: lam * lam2, 4: lam2 * lam2}  # lam^e
     unit = GStructure(s.kind, _on_metric(s.frame, scaled), {name: f.scale(power[f.k]) for name, f in s.forms.items()})
     unit.torsion = TorsionClasses(s.kind, {name: _rescaled(x, power) for name, x in s.torsion.components.items()})
@@ -616,8 +613,6 @@ def central_extend(structure: GStructure, flux: KForm, target: str, df: KForm | 
             problems.append("theta_omega != df")
         alpha, beta, assemble, sign = structure.form("omega"), structure.form("omega_plus"), g2_assemble, 1
     else:  # spin7
-        if not t["tau2"].is_zero():
-            problems.append("tau2 != 0: input admits no skew-torsion connection")
         if t["lee"] != df:
             problems.append("theta_phi != df")
         # Psi = mu ^ phi + star phi holds in the volume convention

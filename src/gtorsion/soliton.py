@@ -27,7 +27,6 @@ from .forms import (
     KForm,
     Tensor,
     VectorField,
-    _add,
     _dot,
     _from_ints,
     _product,
@@ -68,7 +67,7 @@ class PreconditionError(GTorsionError, ValueError):
 def grs_residual(s: GStructure, x: VectorField) -> Tensor:
     """Rc^{nabla(g,H)} + nabla X^flat as a Tensor keyed (i, j)."""
     nx = covariant_derivative_oneform(s.frame, s.bismut, musical(x, s.geometry))
-    return _add(s._bismut_ricci, nx)
+    return s._bismut_ricci + nx
 
 
 def grs_residual_norm_sq(s: GStructure, res: Tensor) -> Scalar:
@@ -88,7 +87,7 @@ def flux_residual(frame: LieAlgebraFrame, f: KForm, h: KForm, x: VectorField) ->
 def string_grs_residual(s: GStructure, x: VectorField, f: KForm):
     """The triple (Rc^nabla + F^2 + nabla X^flat, d*F - <F,H> + i_X F, dH + F^F),
     the first a Tensor keyed (i, j)."""
-    rc = _add(grs_residual(s, x), _flux_square(f, s.geometry), -1)
+    rc = grs_residual(s, x) - _flux_square(f, s.geometry)
     return rc, flux_residual(s.frame, f, s.h, x), s.d(s.h) + wedge(f, f)
 
 

@@ -385,7 +385,7 @@ def induced_metric_g2(phi: KForm) -> FrameGeometry:
     # phi fixes the orientation as well: B is definite w.r.t. exactly one
     # sign of the volume form when phi is positive.
     sign = 1 if _sign(b._p.get((0, 0), 0), b._q.get((0, 0), 0), d) > 0 else -1
-    b = b if sign > 0 else _from_ints(field, b._den, *({key: -v for key, v in part.items()} for part in (b._p, b._q)))
+    b = b if sign > 0 else -b
     signed = FrameGeometry(7, field, b)
     det_o = signed.det_metric()  # odd rank: det flips with the sign
     if det_o.is_zero():
@@ -401,9 +401,7 @@ def induced_metric_g2(phi: KForm) -> FrameGeometry:
         signed.check_positive_definite()
     except GeometryError as exc:
         raise StructureError("not a positive 3-form") from exc
-    inv = scale.inverse()
-    g = _combination(d, ((inv.p, inv.q, inv.den, b._den, b._p, b._q),))
-    return FrameGeometry(7, field, _from_ints(field, *g), orientation_sign=sign, sqrt_det=scale)
+    return FrameGeometry(7, field, b.scale(scale.inverse()), orientation_sign=sign, sqrt_det=scale)
 
 
 def g2_assemble(phi: KForm, frame) -> GStructure:

@@ -15,7 +15,9 @@ form, no basis vector and no per-entry dot product, no Scalar accumulator
 exists (the adapted frame of a
 reduction runs on int bodies too), ``_wedge_row`` is called only by the
 minors table and the change of frame, and the connections and the Bismut
-curvature are built only in a structure's analysis.  A frame carries its
+curvature are built only in a structure's analysis.  KForm, VectorField
+and Tensor share one body type, and a mixed-field error is raised only by
+``_check_fields``.  A frame carries its
 one metric, so no function takes a metric beside a frame.  Every public
 function and method in the package has a reader in the package or is named
 in ``API`` with the reason it stays.  Standard library only."""
@@ -190,6 +192,23 @@ def test_one_home_per_int_body_primitive():
     defined = {node.name for path in SRC for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.FunctionDef)}
     assert not defined & {"_fill", "_axpy_ints", "_trusted", "transform_vector", "matrix_norm_sq", "inverse_metric"}
+
+
+
+def test_one_body_type_and_one_field_rule():
+    # KForm, VectorField and Tensor share their arithmetic through
+    # forms._Body, and every mixed-field error comes from _check_fields
+    sites = [f"{path.name}:{where}" for path in SRC for where in call_sites(path.read_text(), "_mismatch")]
+    assert sites == ["forms.py:_check_fields"]
+    tree = ast.parse((ROOT / "src" / "gtorsion" / "forms.py").read_text())
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    for name in ("KForm", "VectorField", "Tensor"):
+        assert [ast.unparse(b) for b in classes[name].bases] == ["_Body"], name
+        methods = {sub.name for sub in classes[name].body if isinstance(sub, ast.FunctionDef)}
+        assert methods & {"is_zero", "__add__", "__sub__", "__neg__", "scale", "_plus"} == set(), name
+    defined = {node.name for path in SRC for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert "_add" not in defined
 
 
 def method_call_sites(source: str, name: str) -> list[str]:

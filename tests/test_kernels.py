@@ -22,6 +22,7 @@ from conftest import (
 )
 from gtorsion import forms, scalars
 from gtorsion.forms import (
+    CoframeChange,
     FrameGeometry,
     GeometryError,
     KForm,
@@ -30,9 +31,11 @@ from gtorsion.forms import (
     _mat_det,
     _matrix,
     contract_2_3,
+    form_inner,
     hodge_star,
     indices_of,
     interior,
+    musical,
     skew_three_form,
     wedge,
 )
@@ -657,6 +660,65 @@ def test_fused_kernels_reject_mixed_fields():
         geom.check_positive_definite()
     with pytest.raises(FieldMismatch, match=msg):
         geom.det_metric()
+
+
+
+def _values(field, c):
+    """A 2-form, a vector and a tensor over ``field``, each c at one key."""
+    return KForm(3, 2, field, {3: c}), VectorField(3, field, [c, 0, 0]), Tensor(field, {(0, 1): c})
+
+
+@pytest.mark.parametrize("q3", [Q3.sqrt_d(), Q3.one()], ids=["sqrt3", "rational"])
+def test_one_field_rule(q3):
+    # bodies of two fields meet only when one of them is zero, whatever the
+    # sqrt(d) parts, and a frame, a geometry or a change of frame counts as
+    # nonzero; the error names the first operand's field first
+    fwd, back = r"^mixed-field arithmetic: QQ vs QQ\(sqrt3\)$", r"^mixed-field arithmetic: QQ\(sqrt3\) vs QQ$"
+    for qa, qz, xa, xz in zip(_values(Q, Q.one()), _values(Q, Q.zero()), _values(Q3, q3), _values(Q3, Q3.zero())):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a == b):
+            with pytest.raises(FieldMismatch, match=fwd):
+                op(qa, xa)
+            with pytest.raises(FieldMismatch, match=back):
+                op(xa, qa)
+        # a zero meets a body of another field and takes its field
+        for total in (qz + xa, xa + qz, xa - qz, -(qz - xa)):
+            assert total == xa and total.field is Q3
+        assert qz != xa and xa != qz and qa != xz and qz == xz
+
+    (qf, qv, _), (qzf, qzv, _) = _values(Q, Q.one()), _values(Q, Q.zero())
+    (xf, xv, xt), (xzf, xzv, _) = _values(Q3, q3), _values(Q3, Q3.zero())
+    q1, x1 = KForm(3, 1, Q, {4: Q.one()}), KForm(3, 1, Q3, {4: q3})
+    q3form, x3form = KForm(3, 3, Q, {7: Q.one()}), KForm(3, 3, Q3, {7: q3})
+    geom_q, geom_x = FrameGeometry(3, Q, [[2, 0, 0], [0, 1, 0], [0, 0, 1]]), FrameGeometry(3, Q3)
+    change = CoframeChange(Tensor(Q3, {(0, 0): Q3.one(), (1, 1): q3, (2, 2): Q3.one()}), 3)
+    frame = LieAlgebraFrame(["e1", "e2", "e3"], [KForm(3, 2, Q3, {6: q3}), KForm.zero(3, 2, Q3), KForm.zero(3, 2, Q3)],
+                            geom_x)
+    raising = [
+        (fwd, lambda: wedge(qf, x1)),
+        (back, lambda: wedge(x1, qf)),
+        (fwd, lambda: interior(xv, qf)),
+        (back, lambda: interior(qv, xf)),
+        (fwd, lambda: musical(xv, geom_q)),
+        (back, lambda: musical(qv, geom_x)),
+        (fwd, lambda: form_inner(qf, xf, geom_q)),
+        (fwd, lambda: contract_2_3(qf, x3form, geom_q)),
+        (back, lambda: contract_2_3(xf, q3form, geom_q)),
+        (fwd, lambda: change.move(qf)),
+        (fwd, lambda: ce_differential(frame, q1)),
+    ]
+    for msg, call in raising:
+        with pytest.raises(FieldMismatch, match=msg):
+            call()
+    # against a zero nothing raises, and the value is zero
+    zeros = [
+        wedge(qzf, x1), wedge(qf, KForm.zero(3, 1, Q3)), interior(xzv, qf), interior(qv, xzf), interior(xv, qzf),
+        musical(qzv, geom_x), form_inner(qzf, xf, geom_q), form_inner(qf, xzf, geom_q),
+        contract_2_3(qzf, x3form, geom_q), contract_2_3(qf, KForm.zero(3, 3, Q3), geom_q),
+        change.move(qzf), ce_differential(frame, KForm.zero(3, 1, Q)),
+    ]
+    assert all(z.is_zero() for z in zeros)
+    assert change.move(qzf).field is Q3 and musical(qzv, geom_x).field is Q3
+    assert xt - xt == Tensor(Q, {}) and (xt - xt).field is Q3
 
 
 def _count_norms(monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PSI_ALL_PLUS, Q, Q2, Q3, S3XT4_G2, sheared_text
+from conftest import HYPERBOLIC_G2, PSI_ALL_PLUS, Q, Q2, Q3, S3XT4_G2, sheared_text
 from gtorsion import cli, engine, registry
 from gtorsion.cli import main
 from gtorsion.engine import run_check
@@ -85,6 +85,15 @@ def test_parse_orientation_permutation_sign():
     text = "dim 3\nframe e1 e2 e3\nd e1 = 0\nd e2 = 0\nd e3 = 0\norientation e2 e1 e3\n"
     doc = parse(text)
     assert doc.orientation_sign == -1
+
+
+def test_serialize_keeps_a_negative_orientation():
+    text = "dim 3\nframe e1 e2 e3\nd e1 = 0\nd e2 = 0\nd e3 = 0\norientation e2 e1 e3\n"
+    out = parse(text).serialize()
+    assert "orientation e2 e1 e3" in out.splitlines()
+    again = parse(out)
+    assert again.orientation_sign == -1
+    assert again.serialize() == out
 
 
 def test_parse_metric_rows():
@@ -420,6 +429,32 @@ def test_cli_reduce_structure_error_exits_3(tmp_path, capsys, text, message):
     p.write_text(text)
     assert _run_cli(["reduce", str(p)]) == 3
     assert capsys.readouterr().err == f"structure error: {message}\n"
+
+
+_TAU2 = "dim 7\nframe e1 e2 e3 e4 e5 e6 e7\nd e1 = e2^e3\nstructure g2\nphi = model\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (_TAU2 + "flux F = 0\n", "tau2 != 0: no skew-torsion connection for this G2 structure"),
+    (_TAU2, "extend needs a flux block (F = ...)"),
+], ids=["g2-tau2", "no-flux"])
+def test_cli_extend_structure_error_exits_3(tmp_path, capsys, text, message):
+    # tau2 != 0 is reported by the skew torsion, before any hypothesis of
+    # the extension is read
+    p = tmp_path / "in.gs"
+    p.write_text(text)
+    assert _run_cli(["extend", str(p), "--target", "spin7"]) == 3
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"structure error: {message}\n")
+
+
+@pytest.mark.parametrize("name", [*registry.names(), "S3XT4_G2", "HYPERBOLIC_G2"])
+def test_check_with_zero_flux_reads_the_string_residual(name):
+    # with F = 0 the three string residuals are the GRS residual, 0 and dH
+    text = {"S3XT4_G2": S3XT4_G2, "HYPERBOLIC_G2": HYPERBOLIC_G2}.get(name) or registry.input_text(name)
+    data = json.loads(run_check(parse(text + "\nflux F = 0\n")).to_json())
+    assert data["string_grs_residual_zero"] == (data["grs_residual_zero"] and data["strong_torsion"])
+    assert data["string_grs_residual_zero"] is (name != "HYPERBOLIC_G2")
 
 
 def test_cli_reduce_spin7_zero_lee_raw_phi_zero(tmp_path, capsys):
