@@ -98,19 +98,17 @@ def run_check(doc, df: KForm | None = None) -> Report:
 
 
 def run_reduce(doc, df: KForm | None = None, raw_only: bool = False) -> Report:
-    """``check``, then the raw presentation (``raw_reduction``) and, unless
-    ``raw_only``, the normalized reduction; a ``ReductionError`` in either
-    pass is reported under its own key and does not stop the other."""
+    """``check``, then the raw presentation (``raw_reduction``, not
+    applicable when theta = 0) and, unless ``raw_only``, the normalized
+    reduction, whose ``ReductionError`` is reported under its own key."""
     df = _potential(doc, df)
     rep = run_check(doc, df=df)
     rep.set("command", "reduce")
     s = doc.structure()
     labels = list(s.frame.labels)
-    try:
-        # an input kind without a reduction raises StructureError here
-        rep.set("raw_reduction", {name: form_str(x, labels) for name, x in raw_reduction(s).items()})
-    except ReductionError as exc:
-        rep.set("raw_reduction_error", str(exc))
+    raw = raw_reduction(s)  # an input kind without a reduction raises StructureError here
+    rep.set("raw_reduction", "not applicable: theta = 0" if raw is None
+            else {name: form_str(x, labels) for name, x in raw.items()})
     if raw_only:
         return rep
 

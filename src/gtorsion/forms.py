@@ -55,7 +55,7 @@ from functools import cached_property
 from math import gcd, lcm
 from types import MappingProxyType
 
-from .linsolve import InconsistentSystem, _axpy, echelon
+from .linsolve import InconsistentSystem, _axpy, _back_substitute, echelon
 from .scalars import Field, FieldMismatch, GTorsionError, NotRepresentable, Scalar, _ints, _norm, _sign
 
 __all__ = [
@@ -641,9 +641,10 @@ def _mat_det(m: Tensor, n: int) -> Scalar:
 
 
 def _mat_inverse(m: Tensor, n: int) -> Tensor:
-    """The inverse of the n x n matrix m by one ``echelon`` run: row i reads
-    sum_j (den m)_ij x_j = den e_i, with e_i under the right-hand-side key
-    -1-i, so column r of the solution is column r of the inverse."""
+    """The inverse of the n x n matrix m by one ``echelon`` run and one
+    ``_back_substitute``: row i reads sum_j (den m)_ij x_j = den e_i, with
+    e_i under the right-hand-side key -1-i, so the solution for side -1-r is
+    column r of the inverse."""
     rows = [({-1 - i: m._den}, {}) for i in range(n)]
     for a, part in enumerate((m._p, m._q)):
         for (i, j), v in part.items():
@@ -654,15 +655,14 @@ def _mat_inverse(m: Tensor, n: int) -> Tensor:
         pivots = {}
     if len(pivots) < n:
         raise GeometryError("singular metric")
-    den = lcm(*(pivots[c][0][c] for c in range(n)))
+    den, columns = _back_substitute(pivots, n, m.field.d, range(-1, -1 - n, -1))
     p, q = {}, {}
     for c in range(n):
-        s = den // pivots[c][0][c]
-        for part, out in zip(pivots[c], (p, q)):
-            for r in range(n):
-                v = part.get(-1 - r)
-                if v:
-                    out[(c, r)] = v * s
+        for r, (cp, cq) in enumerate(columns):
+            if cp[c]:
+                p[c, r] = cp[c]
+            if cq[c]:
+                q[c, r] = cq[c]
     return _tensor(m.field, den, p, q)
 
 

@@ -1,10 +1,11 @@
 """Exact sparse linear solving over QQ and QQ(sqrt d) on integer rows.
 
 Small systems only (at most a few hundred rows).  ``echelon`` is the one
-elimination kernel: the torsion oracle, ``solve_unique_sparse`` and the metric
-inverse (``forms._mat_inverse``, one right-hand side per unit vector) read its
-run.  Determinants and the positive-definiteness test eliminate nothing: they
-read minors.
+elimination kernel: the torsion oracle's Stage 1 reads its pivots, and the
+metric inverse (``forms._mat_inverse``, one right-hand side per unit vector)
+and ``solve_unique_sparse`` read a solution off them through
+``_back_substitute``, the one way a solution leaves linsolve.  Determinants
+and the positive-definiteness test eliminate nothing: they read minors.
 
 A row is an equation, so it needs no denominator: it is two dicts of ints,
 the rational and the sqrt(d) numerators by column, as a ``KForm`` body holds
@@ -15,22 +16,21 @@ one sqrt(d) scaled add on int bodies: a form's linear combinations
 (Bareiss, Math. Comp. 22, 1968): rows are combined by cross-multiplication,
 and each pivot row is kept primitive, the gcd of its ints divided out and its
 lead positive, in place of Bareiss's exact division.  A lead with a sqrt(d)
-part is first made rational by the lead's conjugate, so a solution is one
-int body over the lcm of the leads.  Pivots stay fully reduced (0 in every
-other pivot column), so a row is reduced in one pass over its pivot columns,
-and a fully reduced primitive pivot is unique: no result depends on the row
-order or on a factor of any row.  Rows are taken by last column, then length,
-so leads come bottom-up and a new pivot seldom has to be eliminated from
-older ones; forward-only elimination with one back substitution did more
-work (23,758 against 18,740 multiply-accumulates on the 45 seed-1
-``rotated`` Stage-2 systems).  No Scalar is built: the oracle's derivation
+part is first made rational by the lead's conjugate.  Elimination is
+triangular: rows are taken by last column, then length, and a row is reduced
+only at its last column, for as long as that column holds a pivot, so a
+pivot's lead is its last column and no pivot is rebuilt once made.  Only the
+right-hand sides are back-substituted, on ints over the product of the
+leads, where every division is exact.  The pivots depend on the row order;
+the solution and every error depend neither on the row order nor on a
+nonzero factor of any row.  No Scalar is built: the oracle's derivation
 walk, its Stage-2 rows and its solution are ints, and its Stage 1 is
 homogeneous, so its rows need no denominator.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
 from .scalars import Field
 
@@ -66,8 +66,9 @@ def _primitive(p: dict, q: dict, last: int) -> tuple[dict, dict]:
 
 def _axpy(acc: tuple, fp: int, fq: int, row: tuple, d: int) -> None:
     """acc += (fp + fq sqrt d) row on int rows, in place; a sum that cancels
-    stays as a 0.  The one scaled add on int bodies: echelon's rows and the
-    forms' linear combinations (``forms._combination``) run through it."""
+    stays as a 0.  The one scaled add on int bodies: echelon's row reduction
+    and the forms' linear combinations (``forms._combination``) run through
+    it."""
     ap, aq = acc
     p, q = row
     if fp:  # the rational part inline: over QQ it is all there is
@@ -88,62 +89,112 @@ def _axpy(acc: tuple, fp: int, fq: int, row: tuple, d: int) -> None:
                         out[c] = get(c, 0) + f * v
 
 
+def _by_last(rows) -> list:
+    """(last column, row) for each row, by last column, then length: leads
+    come bottom-up."""
+    keyed = sorted((_last(row), len(row[0]) + len(row[1]), i, row) for i, row in enumerate(rows))
+    return [(last, row) for last, _, _, row in keyed]
+
+
+def _reduce_row(row: tuple, lead: int, pivots: dict, d: int) -> None:
+    """Reduce the int row, ``lead`` its last column, at its last column for
+    as long as that column holds a pivot, on one copy of it, and add what is
+    left to ``pivots`` at its new lead, made primitive with a rational
+    positive lead; a row that reduces to 0 adds nothing.  Raises
+    InconsistentSystem when it reduces to right-hand sides alone."""
+    p, q = row
+    if lead in pivots:
+        p, q = dict(p), dict(q)
+        while lead in pivots:
+            # L row - (a + b sqrt d) P over gcd(L, a, b), a + b sqrt d the
+            # row's entry at the lead L of the pivot P: the lead cancels, and
+            # the pivot's other columns are lower
+            piv = pivots[lead]
+            top, fp, fq = piv[0][lead], p.get(lead, 0), q.get(lead, 0)
+            g = gcd(top, fp, fq)
+            if g != top:
+                t = top // g
+                for c in p:
+                    p[c] *= t
+                for c in q:
+                    q[c] *= t
+            _axpy((p, q), -fp // g, -fq // g, piv, d)
+            p.pop(lead, None)
+            q.pop(lead, None)
+            # zeros dropped in place: this path is hot
+            if 0 in p.values():
+                for c in [c for c, v in p.items() if not v]:
+                    del p[c]
+            if 0 in q.values():
+                for c in [c for c, v in q.items() if not v]:
+                    del q[c]
+            lead = max(max(p, default=_RHS), max(q)) if q else max(p, default=_RHS)
+    if lead < 0:
+        if p or q:
+            raise InconsistentSystem("no solution")
+        return
+    if lead in q:  # times the conjugate of the lead, which leaves it rational
+        acc = ({}, {})
+        _axpy(acc, p.get(lead, 0), -q[lead], (p, q), d)
+        p, q = ({c: v for c, v in part.items() if v} for part in acc)
+    pivots[lead] = _primitive(p, q, lead)
+
+
 def echelon(rows, field: Field) -> dict[int, tuple[dict, dict]]:
-    """Row-reduce int rows to fully reduced primitive pivots.
+    """Row-reduce int rows to triangular primitive pivots.
 
     A row is (p, q), {key: int} each: keys >= 0 are columns of unknowns, keys
     < 0 are right-hand sides and never lead.  Returns pivots[lead], an int row
     reading sum_c piv[c] x_c = piv[rhs key], with a positive int at the lead,
-    its last column, and 0 at every other pivot column.  Raises
-    InconsistentSystem when a row reduces to right-hand sides alone.  The rows
-    given are not changed.
+    its last column: every other column of a pivot is lower than its lead,
+    and a pivot is never changed once made.  Raises InconsistentSystem when a
+    row reduces to right-hand sides alone.  The rows given are not changed.
     """
     d = field.d
     pivots: dict[int, tuple[dict, dict]] = {}
-    for p, q in sorted(rows, key=lambda row: (_last(row), len(row[0]) + len(row[1]))):
-        hits = [c for c in p if c in pivots]
-        if q:
-            hits += [c for c in q if c in pivots and c not in p]
-        if hits:
-            # m row - (m/L_c) row[c] P_c over the pivots P_c hit, m the lcm of their leads L_c
-            m = 1
-            for c in hits:
-                if m % pivots[c][0][c]:
-                    m = lcm(m, pivots[c][0][c])
-            acc = ({c: m * v for c, v in p.items()} if m != 1 else dict(p), {c: m * v for c, v in q.items()} if q else {})
-            for c in hits:
-                s = m // pivots[c][0][c]
-                _axpy(acc, -s * p.get(c, 0), -s * q.get(c, 0) if q else 0, pivots[c], d)
-            p, q = acc
-            if 0 in p.values():  # zeros dropped inline here and below: these paths are hot
-                p = {c: v for c, v in p.items() if v}
-            if 0 in q.values():
-                q = {c: v for c, v in q.items() if v}
-        lead = _last((p, q))  # the last column: on the oracle's systems this leaves less fill than the first
-        if lead < 0:
-            if p or q:
-                raise InconsistentSystem("no solution")
-            continue
-        if lead in q:  # times the conjugate of the lead, which leaves it rational
-            acc = ({}, {})
-            _axpy(acc, p.get(lead, 0), -q[lead], (p, q), d)
-            p, q = ({c: v for c, v in part.items() if v} for part in acc)
-        new = _primitive(p, q, lead)
-        top = new[0][lead]
-        for c, (pp, pq) in pivots.items():
-            fp, fq = pp.get(lead, 0), pq.get(lead, 0) if pq else 0
-            if fp or fq:  # the pivot times the new lead minus its entry times the new row, over their gcd
-                g = gcd(top, fp, fq)
-                t = top // g
-                ap, aq = acc = ({k: t * v for k, v in pp.items()} if t != 1 else dict(pp), {k: t * v for k, v in pq.items()} if pq else {})
-                _axpy(acc, -fp // g, -fq // g, new, d)
-                if 0 in ap.values():
-                    ap = {k: v for k, v in ap.items() if v}
-                if 0 in aq.values():
-                    aq = {k: v for k, v in aq.items() if v}
-                pivots[c] = _primitive(ap, aq, c)
-        pivots[lead] = new
+    for last, row in _by_last(rows):
+        _reduce_row(row, last, pivots, d)
     return pivots
+
+
+def _at(row: tuple, xp: list, xq: list, d: int) -> tuple[int, int]:
+    """sum_j row[j] (xp[j] + xq[j] sqrt d) over the row's columns j <
+    len(xp), as its rational and sqrt(d) ints."""
+    p, q = row
+    n = len(xp)
+    sp = sq = 0
+    for j, v in p.items():
+        if 0 <= j < n:
+            sp += v * xp[j]
+            sq += v * xq[j]
+    for j, v in q.items():
+        if 0 <= j < n:
+            sp += d * v * xq[j]
+            sq += v * xp[j]
+    return sp, sq
+
+
+def _back_substitute(pivots: dict, n: int, d: int, sides) -> tuple[int, list]:
+    """The solution of the triangular pivots 0..n-1 for each right-hand-side
+    key in ``sides``: (den, [(xp, xq) per side]), x_c = (xp[c] + xq[c]
+    sqrt d)/den.  den is the product of the leads, so den x_c is an int pair
+    for every c (Cramer's rule on the triangular system) and every division
+    below is exact; column c is read after every lower one."""
+    den = 1
+    for c in range(n):
+        den *= pivots[c][0][c]
+    out = []
+    for side in sides:
+        xp, xq = [], []
+        for c in range(n):
+            pp, pq = piv = pivots[c]
+            sp, sq = _at(piv, xp, xq, d)  # the pivot's lower columns at den x
+            lead = pp[c]
+            s = den // lead
+            xp.append(s * pp.get(side, 0) - sp // lead)
+            xq.append(s * pq.get(side, 0) - sq // lead)
+        out.append((xp, xq))
+    return den, out
 
 
 def solve_unique_sparse(rows, nunknowns: int, field: Field) -> tuple[int, dict, dict]:
@@ -151,22 +202,31 @@ def solve_unique_sparse(rows, nunknowns: int, field: Field) -> tuple[int, dict, 
 
     ``rows`` are int rows as ``echelon`` takes them, the right-hand side under
     key -1 where it is nonzero.  Returns the solution as one int body (den,
-    p, q): x_c = (p[c] + q[c] sqrt d)/den, den the lcm of the pivots' leads,
-    zeros dropped, not reduced by a common gcd.  Raises
+    p, q): x_c = (p[c] + q[c] sqrt d)/den, den the product of the pivots'
+    leads, zeros dropped, not reduced by a common gcd.  Raises
     InconsistentSystem("no solution") if inconsistent and
-    LinearSolveError("non-unique solution") if rank-deficient.  Once every
-    column has a pivot, each further row reduces to its residual alone.
+    LinearSolveError("non-unique solution") if rank-deficient.  A row whose
+    last column already holds a pivot waits, and waiting rows are reduced
+    only while some column lacks a pivot; once every column has one, each
+    remaining row is checked by substitution at the solution.
     """
-    pivots = echelon(rows, field)
-    if len(pivots) < nunknowns:
-        raise LinearSolveError("non-unique solution")
-    den = lcm(*(pivots[c][0][c] for c in range(nunknowns)))
-    p, q = {}, {}
-    for c in range(nunknowns):
-        pp, pq = pivots[c]
-        s = den // pp[c]
-        if _RHS in pp:
-            p[c] = pp[_RHS] * s
-        if _RHS in pq:
-            q[c] = pq[_RHS] * s
-    return den, p, q
+    d = field.d
+    pivots: dict[int, tuple[dict, dict]] = {}
+    waiting = []
+    for last, row in _by_last(rows):
+        if last in pivots:
+            waiting.append((last, row))
+        else:
+            _reduce_row(row, last, pivots, d)
+    rest = iter(waiting)
+    while len(pivots) < nunknowns:
+        last, row = next(rest, (_RHS, None))
+        if row is None:
+            raise LinearSolveError("non-unique solution")
+        _reduce_row(row, last, pivots, d)
+    den, [(xp, xq)] = _back_substitute(pivots, nunknowns, d, (_RHS,))
+    for _, row in rest:
+        sp, sq = _at(row, xp, xq, d)
+        if sp != den * row[0].get(_RHS, 0) or sq != den * row[1].get(_RHS, 0):
+            raise InconsistentSystem("no solution")
+    return den, {c: v for c, v in enumerate(xp) if v}, {c: v for c, v in enumerate(xq) if v}

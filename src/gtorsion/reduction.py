@@ -362,11 +362,10 @@ def string_residual_on_slice(red: ReductionResult, df: KForm) -> dict:
 
 
 def _gauge_covector(w: VectorField) -> KForm:
-    """mu_g = e^{j0} / w^{j0} at the first index j0 where w is nonzero."""
-    if not w.is_zero():
-        bit = min((*w._p, *w._q))
-        return KForm(w.n, 1, w.field, {bit: _entry(w, bit).inverse()})
-    raise ReductionError("raw reduction needs theta != 0: the gauge covector mu_g = e^j0 / (theta#)^j0 is undefined")
+    """mu_g = e^{j0} / w^{j0} at the first index j0 where w (nonzero) is
+    nonzero."""
+    bit = min((*w._p, *w._q))
+    return KForm(w.n, 1, w.field, {bit: _entry(w, bit).inverse()})
 
 
 def _su3_of_g2(red: ReductionResult):
@@ -507,19 +506,22 @@ def _rescaled(x, power: dict):
 _REDUCTIONS = {"g2": (_su3_of_g2, _su3_verifier), "spin7": (_g2_of_spin7, _g2_verifier)}
 
 
-def raw_reduction(s: GStructure) -> dict:
+def raw_reduction(s: GStructure) -> dict | None:
     """The unnormalized presentation of the reduction of a G2 or Spin(7)
     structure, in the ambient frame: the parallel form split along
     theta^sharp as mu_g ^ alpha + beta, with the gauge covector
     mu_g = e^{j0} / (theta#)^{j0} at the first index j0 where theta^sharp is
     nonzero, and the flux d theta.  Returns the reduced kind's forms (alpha,
     then beta where the reduced structure keeps it) and ``flux``, in report
-    order."""
+    order, or None when theta = 0: there is no split along the zero vector,
+    for any kind."""
     reduces_to = KINDS[s.kind].reduces_to
     if reduces_to is None:
         raise StructureError(f"no canonical reduction for kind {s.kind!r}")
-    names = [slot for slot, *_ in KINDS[reduces_to].slots]
     theta = s.torsion["lee"]
+    if theta.is_zero():
+        return None
+    names = [slot for slot, *_ in KINDS[reduces_to].slots]
     w = musical_inv(theta, s.geometry)
     # only beta needs the gauge covector
     mu_g = _gauge_covector(w) if len(names) > 1 else None

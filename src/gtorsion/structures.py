@@ -773,14 +773,17 @@ def solve_skew_torsion(s: GStructure) -> KForm:
     in one ``echelon``, each row once up to a rational factor: it has no
     right-hand side, so a row's scale is free and a multiple checks nothing,
     and the walk runs on ints, with G = D g^{-1} in place of (1/2) g^{-1} =
-    G/(2D).  Its r pivot rows P span the rows of all the Lambdas, and r =
-    dim so(n) - dim G for the joint stabilizer G, which is checked against
-    ``KINDS``.  Stage 2 solves block i as P . A_i = -P . gamma_i, n*r int
+    G/(2D).  Its r pivot rows P span the rows of all the Lambdas (they are
+    triangular, not fully reduced: any basis of that row space gives the
+    same H), and r = dim so(n) - dim G for the joint stabilizer G, which is
+    checked against ``KINDS``.  Stage 2 solves block i as P . A_i = -P . gamma_i, n*r int
     rows assembled from the pivots and the symbols over their denominator
     E, for y = (E/2) H; the identity needs the lowered symbols skew in
     (t, k), which is checked on every entry.  The solution comes back as
-    one int body, its columns relabelled to 3-masks and 2/E folded into its
-    denominator: the oracle builds no Scalar (only an error message does).
+    one int body over the product of Stage 2's leads, its columns
+    relabelled to 3-masks and 2/E folded into its denominator, and is
+    normalized once: the oracle builds no Scalar (only an error message
+    does).
     """
     field, n, d = s.field, s.n, s.field.d
     masks3, pairs, spread = _ORACLE_LAYOUT[n]

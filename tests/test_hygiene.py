@@ -5,7 +5,9 @@ or ``numbers`` (a Scalar is the one exact number, and the command-line import
 stays free of them, as of ``json``, ``typing`` and ``importlib.resources``,
 which a default run does not use), and each kernel has one home: ``_merge_sign`` is
 called only where it fills the sign table, ``mask_of`` only inside ``KForm``,
-``echelon`` is the one row reduction, the adapted frame of a reduction runs
+``echelon`` is the one row reduction (sharing its per-row step with
+``solve_unique_sparse``, and reading solutions only through
+``_back_substitute``), the adapted frame of a reduction runs
 none, Scalars become ints only in ``_ints``, a sqrt(d) scaled add runs only
 in ``_axpy`` and a bilinear int kernel is split only by ``_product``, the
 induced metrics stay int Tensors (``structures`` builds a Scalar only for
@@ -159,8 +161,15 @@ def test_mask_of_only_inside_kform():
 
 
 def test_echelon_is_the_one_row_reduction():
-    sites = sorted(f"{path.name}:{where}" for path in SRC for where in call_sites(path.read_text(), "echelon"))
-    assert sites == ["forms.py:_mat_inverse", "linsolve.py:solve_unique_sparse", "structures.py:solve_skew_torsion"]
+    # echelon and solve_unique_sparse share the one per-row reduction, and a
+    # solution leaves linsolve only through _back_substitute
+    def sites(name):
+        return sorted(f"{path.name}:{where}" for path in SRC for where in call_sites(path.read_text(), name))
+
+    assert sites("echelon") == ["forms.py:_mat_inverse", "structures.py:solve_skew_torsion"]
+    assert sites("_reduce_row") == ["linsolve.py:echelon", "linsolve.py:solve_unique_sparse",
+                                    "linsolve.py:solve_unique_sparse"]
+    assert sites("_back_substitute") == ["forms.py:_mat_inverse", "linsolve.py:solve_unique_sparse"]
     defined = {node.name for path in SRC for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.FunctionDef)}
     assert not defined & {"eliminate", "back_substitute"}
@@ -179,7 +188,7 @@ def test_one_home_per_int_body_primitive():
     # from_terms, whose signed terms _ints sums straight into the body
     assert sites == {
         "_ints": ["forms.py:KForm", "forms.py:KForm", "forms.py:Tensor", "forms.py:VectorField"],
-        "_axpy": ["forms.py:_combination", "linsolve.py:echelon", "linsolve.py:echelon", "linsolve.py:echelon"],
+        "_axpy": ["forms.py:_combination", "linsolve.py:_reduce_row", "linsolve.py:_reduce_row"],
         "_product": ["forms.py:_contract", "forms.py:_dot", "forms.py:_minors", "forms.py:contract_2_3",
                      "forms.py:derivation_rows", "forms.py:interior", "forms.py:musical", "forms.py:wedge",
                      "frames.py:LieAlgebraFrame", "frames.py:ce_differential", "frames.py:covariant_derivative_oneform", "frames.py:curvature",

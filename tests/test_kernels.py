@@ -44,6 +44,7 @@ from gtorsion.linsolve import (
     InconsistentSystem,
     LinearSolveError,
     _axpy,
+    _back_substitute,
     echelon,
     solve_unique_sparse,
 )
@@ -339,6 +340,62 @@ def test_echelon_reduces_against_several_right_hand_sides():
         echelon(rows, Q)
 
 
+def test_sparse_waiting_sqrt_row_is_checked_by_substitution():
+    # x0 = 1 and x1 = sqrt2 give every column a pivot, so x0 + sqrt2 x1 = rhs
+    # waits and is checked at the solution: 1 + sqrt2 sqrt2 = 3
+    def rows(rhs):
+        return _rows(Q2, ({0: 1}, 1), ({1: 1}, Q2.sqrt_d()), ({0: 1, 1: Q2.sqrt_d()}, rhs))
+
+    assert solution(rows(3), 2, Q2) == [Q2.one(), Q2.sqrt_d()]
+    for rhs in (4, 3 + Q2.sqrt_d()):
+        with pytest.raises(InconsistentSystem, match="^no solution$"):
+            solve_unique_sparse(rows(rhs), 2, Q2)
+
+
+def test_echelon_makes_a_sqrt_lead_rational():
+    # (1 + sqrt2) x0 = 1 times the conjugate 1 - sqrt2 reads -x0 = 1 - sqrt2,
+    # made primitive with a positive lead: x0 = -1 + sqrt2
+    rows = _rows(Q2, ({0: 1 + Q2.sqrt_d()}, 1))
+    assert echelon(rows, Q2) == {0: ({0: 1, -1: -1}, {-1: 1})}
+    assert solution(rows, 1, Q2) == [Q2.sqrt_d() - 1]
+    # a lead with no rational part: x0 + sqrt2 x1 = 0 times -sqrt2 reads
+    # 2 x1 + sqrt2 x0 = 0, beside the pivot x0 = 1
+    rows = _rows(Q2, ({0: 1}, 1), ({0: 1, 1: Q2.sqrt_d()}, 0))
+    assert echelon(rows, Q2) == {0: ({0: 1, -1: 1}, {}), 1: ({1: 2}, {0: 1})}
+    assert solution(rows, 2, Q2) == [Q2.one(), -Q2.sqrt_d() / 2]
+
+
+def test_sparse_reduces_a_sqrt_entry_at_its_pivot():
+    # x0 + (a + b sqrt2) x1 = 0 waits for the pivot L x1 = 1, then is reduced
+    # at x1: L row - (a + b sqrt2) pivot leaves L x0 = -(a + b sqrt2)
+    r2 = Q2.sqrt_d()
+    rows = _rows(Q2, ({1: 1}, 1), ({0: 1, 1: r2}, 0))
+    assert echelon(rows, Q2) == {1: ({1: 1, -1: 1}, {}), 0: ({0: 1}, {-1: -1})}
+    assert solution(rows, 2, Q2) == [-r2, Q2.one()]
+    rows = _rows(Q2, ({1: 2}, 1), ({0: 1, 1: 1 + r2}, 0))
+    assert echelon(rows, Q2) == {1: ({1: 2, -1: 1}, {}), 0: ({0: 2, -1: -1}, {-1: -1})}
+    assert solution(rows, 2, Q2) == [-(1 + r2) / 2, Q2.scalar(Fraction(1, 2))]
+
+
+def test_back_substitute_reads_sqrt_entries_and_several_sides():
+    # 2 x0 = (1, sqrt2) and sqrt2 x0 + 3 x1 = (0, 1) on the sides -1 and -2
+    pivots = {0: ({0: 2, -1: 1}, {-2: 1}), 1: ({1: 3, -2: 1}, {0: 1})}
+    den, sides = _back_substitute(pivots, 2, 2, (-1, -2))
+    assert den == 6
+    r2 = Q2.sqrt_d()
+    want = [[Q2.scalar(Fraction(1, 2)), -r2 / 6], [r2 / 2, (1 - Q2.scalar(2) / 2) / 3]]
+    for (p, q), x in zip(sides, want):
+        assert [scalars._norm(Q2, p[c], q[c], den) for c in range(2)] == x
+
+
+def test_back_substitute_divides_over_the_product_of_the_leads():
+    # leads 2 and 2: 2 x0 = 1 and x0 + 2 x1 = 1 give (1/2, 1/4), over 4;
+    # over the lcm 2 of the leads x1 would need the non-int numerator 1/2
+    rows = _rows(Q, ({0: 2}, 1), ({0: 1, 1: 2}, 1))
+    assert solve_unique_sparse(rows, 2, Q) == (4, {0: 2, 1: 1}, {})
+    assert solution(rows, 2, Q) == [Q.scalar(Fraction(1, 2)), Q.scalar(Fraction(1, 4))]
+
+
 def _entry(field):
     small = st.integers(-3, 3)
     if field is Q:
@@ -401,9 +458,10 @@ def _outcome(field, n, rows):
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(consistent_systems().map(lambda s: (s[0], len(s[1]), s[3])), sparse_systems()), st.data())
 def test_solve_ignores_row_order_and_row_scale(system, data):
-    # the pivots are fully reduced and primitive, so they are unique: the
-    # solution, and the exact error message, do not depend on the order of
-    # the rows or on a nonzero factor (of QQ(sqrt2) too) on each of them
+    # the solution, and the exact error message, do not depend on the order
+    # of the rows or on a nonzero factor (of QQ(sqrt2) too) on each of them;
+    # the triangular pivots may, but each is primitive with a positive lead
+    # at its last column
     field, n, rows = system
     want = _outcome(field, n, rows)
     factors = [data.draw(_nonzero_factor(field)) for _ in rows]
@@ -623,12 +681,14 @@ def test_fused_kernels_drop_keys_that_cancel():
     _assert_same_form(c, ref_contract_2_3(f, h, [Q.one()] * N), 1, Q)
 
     # (3/35, 1) + 2/5 (-3/14, 0) on int rows over 35 * 14 * 5: 210 - 210 at
-    # key 0, an exact zero; echelon drops it from the row
+    # key 0, an exact zero; _axpy keeps it
     acc = ({0: 3 * 14 * 5, 1: 35 * 14 * 5}, {})
     _axpy(acc, 35 * 2, 0, ({0: -3}, {}), 0)
     assert acc == ({0: 0, 1: 35 * 14 * 5}, {})
-    rows = [_ints({0: _q("-3/14")}, Q)[1:], _ints({0: _q("3/35"), 1: _q(1)}, Q)[1:]]
-    assert echelon(rows, Q) == {0: ({0: 1}, {}), 1: ({1: 1}, {})}
+    # echelon reduces the second row at its last column, key 1, where the
+    # first row's pivot cancels it exactly, and drops that zero from the row
+    rows = [_ints({1: _q("-3/14")}, Q)[1:], _ints({0: _q(1), 1: _q("3/35")}, Q)[1:]]
+    assert echelon(rows, Q) == {1: ({1: 1}, {}), 0: ({0: 1}, {})}
 
 
 def test_fused_kernels_reject_mixed_fields():
@@ -666,6 +726,17 @@ def test_fused_kernels_reject_mixed_fields():
 def _values(field, c):
     """A 2-form, a vector and a tensor over ``field``, each c at one key."""
     return KForm(3, 2, field, {3: c}), VectorField(3, field, [c, 0, 0]), Tensor(field, {(0, 1): c})
+
+
+def test_bodies_of_different_types_are_never_equal():
+    # a form, a vector and a tensor compare False under ==
+    # and True under !=, with no error, in either order
+    form = KForm(N, 1, Q, {e(1): Q.one()})
+    vector = VectorField(N, Q, [Q.one()] + [0] * (N - 1))
+    tensor = Tensor(Q, {(0, 0): Q.one()})
+    for a, b in [(form, vector), (form, tensor), (vector, tensor)]:
+        assert not a == b and not b == a
+        assert a != b and b != a
 
 
 @pytest.mark.parametrize("q3", [Q3.sqrt_d(), Q3.one()], ids=["sqrt3", "rational"])

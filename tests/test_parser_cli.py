@@ -403,20 +403,18 @@ def test_cli_df_flag(tmp_path, capsys):
     ([], "rigid case: V = 0, no reduction"),
 ], ids=["reduce", "raw-lee", "rigid"])
 def test_cli_reduce_g2_zero_lee_reports_each_pass(tmp_path, capsys, flags, reduction_error):
-    # S^3 x T^4 has theta = 0, so the raw presentation along theta^sharp has
-    # no gauge covector; its error does not stop the normalized pass along
-    # V = -grad f, which stops because V = -e1 moves f, or because V = 0
+    # S^3 x T^4 has theta = 0, so there is no raw presentation along
+    # theta^sharp; the normalized pass along V = -grad f still runs, and
+    # stops because V = -e1 moves f, or because V = 0
     p = tmp_path / "s3xt4.gs"
     p.write_text(S3XT4_G2)
     assert _run_cli(["reduce", str(p), *flags, "--format", "json"]) == 0
     out = capsys.readouterr()
     data = json.loads(out.out)
     assert out.err == ""
-    assert data["raw_reduction_error"] == (
-        "raw reduction needs theta != 0: the gauge covector mu_g = e^j0 / (theta#)^j0 is undefined"
-    )
+    assert data["raw_reduction"] == "not applicable: theta = 0"
     assert data.get("reduction_error") == reduction_error
-    assert "raw_reduction" not in data and "reduction" not in data
+    assert "raw_reduction_error" not in data and "reduction" not in data
 
 
 @pytest.mark.parametrize("text, message", [
@@ -457,12 +455,17 @@ def test_check_with_zero_flux_reads_the_string_residual(name):
     assert data["string_grs_residual_zero"] is (name != "HYPERBOLIC_G2")
 
 
-def test_cli_reduce_spin7_zero_lee_raw_phi_zero(tmp_path, capsys):
-    # only the G2 remainder Omega+ needs the gauge covector: i_0 Psi = 0
+def test_cli_reduce_spin7_zero_lee_raw_not_applicable(tmp_path, capsys):
+    # theta = 0 is tested before any split, so the flat Spin(7) model reads
+    # as the G2 input above does, not as a split along the zero vector
     p = tmp_path / "r8.gs"
     p.write_text("dim 8\nframe e1 e2 e3 e4 e5 e6 e7 e8\nstructure spin7\nPsi = model\n")
     assert _run_cli(["reduce", str(p), "--df", "e1", "--raw-lee", "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["raw_reduction"] == {"phi": "0", "flux": "0"}
+    data = json.loads(capsys.readouterr().out)
+    assert data["raw_reduction"] == "not applicable: theta = 0"
+    assert "raw_reduction_error" not in data
+    assert _run_cli(["reduce", str(p), "--format", "text"]) == 0
+    assert "raw_reduction: not applicable: theta = 0\n" in capsys.readouterr().out
 
 
 def test_metric_row_sum_in_parentheses_is_one_entry():
@@ -550,6 +553,14 @@ def test_expression_errors_name_the_token_and_its_column_in_the_line(tmp_path, c
     p.write_text(text, encoding="utf-8")
     assert _run_cli(["check", str(p), *flags]) == 2
     assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
+@pytest.mark.parametrize("d", [0, 1, -3, 4, 12])
+def test_cli_field_must_be_square_free_above_one(tmp_path, capsys, d):
+    p = tmp_path / "input.gs"
+    p.write_text(f"dim 2\nfield sqrt {d}\nframe a b\n")
+    assert _run_cli(["check", str(p)]) == 2
+    assert capsys.readouterr().err == f"parse error: bad field: d must be a square-free integer > 1, got {d} (line 2)\n"
 
 
 def _header(n, field):

@@ -43,6 +43,7 @@ def test_quadratic_inverse_and_division():
     assert (x * x.inverse()) == Q2.one()
     y = Q2.sqrt_d()
     assert (y * y) == Q2.scalar(2)
+    assert 2 / y == y and (2 / y).field is Q2
 
 
 @pytest.mark.parametrize("field", [Q, Q2, Q3])
